@@ -20,6 +20,8 @@ import inspect
 import threading
 import time
 
+import numpy as np
+
 LAYERS = ("potential", "droplet", "quadrature", "norms", "partition",
           "equilibrium", "oracles", "specialfn", "cli")
 
@@ -209,12 +211,7 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(self_, *args, **kwargs):
-            points = 1
-            if args:
-                try:
-                    points = len(args[0])
-                except TypeError:
-                    points = 1
+            points = np.size(args[0]) if args else 1
             with tracer._lock:
                 tracer.potential_points += points
             return tracer.span("potential", name, fn, self_, *args, **kwargs)

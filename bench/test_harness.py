@@ -88,14 +88,17 @@ def test_tail_is_highest_percentile_with_ten_beyond_in_one_pass():
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)
 def test_same_seed_gives_identical_inputs(name):
-    first = workloads.build(name, 7).specs
-    assert first == workloads.build(name, 7).specs
+    def specs(seed):
+        return [op.spec for op in workloads.build(name, seed).ops]
+
+    first = specs(7)
+    assert first == specs(7)
     assert json.loads(json.dumps(first)) == first
-    assert first != workloads.build(name, 8).specs
+    assert first != specs(8)
 
 
 def test_exact_large_seed_zero_is_the_reference_set():
-    specs = workloads.build("exact-large", 0).specs
+    specs = [op.spec for op in workloads.build("exact-large", 0).ops]
     families = [(s["potential"]["family"], s["ensemble"]) for s in specs]
     assert len(specs) == 8 and all(s["N"] == 400 for s in specs)
     assert families.count(("ginibre", "symplectic")) == 1

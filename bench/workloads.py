@@ -56,7 +56,6 @@ class Workload:
     seed: int
     ops: list
     warmup: Op
-    specs: list
 
 
 # ----------------------------------------------------------------------------
@@ -724,4 +723,4 @@ def build(name, seed, threads=1):
     else:
         ops = _cli(rng, pots, threads)
         warmup = _cli_equilibrium(warm)
-    return Workload(name, seed, ops, warmup, [op.spec for op in ops])
+    return Workload(name, seed, ops, warmup)
