@@ -127,7 +127,9 @@ def test_speed_factor_is_the_median_probe_of_each_pass():
     results = [run.OpResult(i % 3, True, False, "", 1.0, probe) for i, probe in enumerate(probes)]
     assert run.speed_factors(results, 3) == pytest.approx([1.0] * 3 + [2.0] * 3)
     ops = [workloads.Op({}, None, None)] * 3
-    values, extra = run.end_to_end(ops, results, [0.1])
+    values, extra = run.end_to_end(ops, results, [0.3])
+    assert extra["raw"]["setup_s"] == 0.3
+    assert values["setup_s"] == pytest.approx(0.3 / 1.5)  # median factor of (1, 1, 1, 2, 2, 2)
     # The second pass ran at half speed: its ops take 0.5 reference seconds.
     assert extra["raw"]["op_p50_s"] == 1.0
     assert values["op_p50_s"] == pytest.approx(0.75)
