@@ -11,7 +11,6 @@ quadrature failures.
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -133,12 +132,6 @@ def _emit(payload, out_path):
             fh.write(payload)
 
 
-def _threads(args):
-    if args.threads and args.threads > 0:
-        return args.threads
-    return os.cpu_count() or 1
-
-
 def _cmd_droplet(args, parser):
     p = _make_potential(args, parser)
     d = droplet_of(p)
@@ -195,9 +188,7 @@ def _cmd_norm(args, parser):
 
 def _cmd_exact(args, parser):
     p = _make_potential(args, parser)
-    val = log_z_exact(
-        p, args.N, args.ensemble, rel_tol=args.quad_rel_tol, threads=_threads(args)
-    )
+    val = log_z_exact(p, args.N, args.ensemble, rel_tol=args.quad_rel_tol)
     if args.convention == "canonical":
         val -= ln_factorial(args.N)
     return _render([("log_z", val)], args.fmt)
@@ -236,9 +227,7 @@ def _cmd_oracle(args, parser):
     pairs = [("log_z_oracle", val)]
     if args.compare:
         p = _make_potential(args, parser)
-        exact = log_z_exact(
-            p, args.N, args.ensemble, rel_tol=args.quad_rel_tol, threads=_threads(args)
-        )
+        exact = log_z_exact(p, args.N, args.ensemble, rel_tol=args.quad_rel_tol)
         pairs += [("log_z_exact", exact), ("difference", exact - val)]
     return _render(pairs, args.fmt)
 
@@ -266,7 +255,6 @@ def _cmd_converge(args, parser):
         args.ensemble,
         args.convention,
         rel_tol=args.quad_rel_tol,
-        threads=_threads(args),
     )
     if args.fmt == "json":
         doc = {
@@ -314,8 +302,8 @@ def _build_parser():
                              help="per-norm quadrature relative tolerance "
                                   "(default: 1e-13, 1e-14 for N >= 400)")
             sub.add_argument("--threads", type=int, default=0,
-                             help="worker threads for norm evaluation "
-                                  "(default: all available)")
+                             help="accepted for compatibility and ignored: "
+                                  "norms are evaluated on one thread")
         return sub
 
     new_sub("droplet", "droplet radii and kind").set_defaults(handler=_cmd_droplet)

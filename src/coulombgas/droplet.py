@@ -2,10 +2,10 @@
 
 The equilibrium support is the annulus (or disc) r0 <= |z| <= r1 where r0 is
 the largest solution of r q'(r) = 0 and r1 the smallest solution of
-r q'(r) = 2, both found by bisection on the increasing function r q'(r).
-More generally solve_r_tau(p, tau) inverts r q'(r) = 2 tau, which gives the
-outer radius of the weighted droplet seen by monomials of rotated degree
-tau.
+r q'(r) = 2.  More generally solve_r_tau(p, tau) inverts r q'(r) = 2 tau,
+which gives the outer radius of the weighted droplet seen by monomials of
+rotated degree tau: in closed form for the built-in families and their
+dilations, by bisection on the increasing function r q'(r) otherwise.
 """
 
 import math
@@ -42,23 +42,42 @@ def _is_disc(p):
     return qp > 0.0 and _rqp(p, _DISC_LEVEL) > 0.0
 
 
+# Upward bracket scan for potentials without a support radius.
+_DYADIC_CANDIDATES = tuple(2.0**k for k in range(1024))
+
+
 def _bracket_candidates(p):
     if p.support_radius is not None:
         s = p.support_radius
         return [s * (1.0 - 0.5**k) for k in range(1, 60)]
-    return [2.0**k for k in range(0, 1024)]
+    return _DYADIC_CANDIDATES
 
 
 def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
-    For a disc potential tau = 0 returns 0.  Bisection runs on a bracket
-    found by scanning upward, and converges to relative width ~1e-15 in
-    well under the 200-iteration cap.
+    Potentials with a closed-form root (p.r_tau) use it; the others go
+    through _bisect_r_tau.  For a disc potential tau = 0 returns 0.
     """
     tau = float(tau)
     if not (math.isfinite(tau) and 0.0 <= tau <= 1.0):
         raise DomainError(f"tau must lie in [0, 1], got {tau!r}")
+    try:
+        r = p.r_tau(tau)
+    except OverflowError:
+        r = math.inf
+    if r is None:
+        return _bisect_r_tau(p, tau)
+    if r == math.inf:
+        raise InvalidPotentialError(
+            f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
+        )
+    return r
+
+
+def _bisect_r_tau(p, tau):
+    """Bisection for r q'(r) = 2 tau on a bracket found by scanning upward;
+    converges to relative width ~1e-15 in well under the 200-iteration cap."""
     if tau == 0.0 and _is_disc(p):
         return 0.0
     target = 2.0 * tau

@@ -22,10 +22,9 @@ import numpy as np
 from .droplet import droplet_of, solve_r_tau
 from .equilibrium import b1
 from .errors import DomainError, IntegrationError
+from .potential import _check_ensemble, _check_n
 from .quadrature import integrate
 from .specialfn import LOG_2PI, ln_factorial
-
-_ENSEMBLES = ("normal", "symplectic")
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,8 @@ class NormQuery:
     ensemble: str = "normal"
 
     def __post_init__(self):
-        if self.ensemble not in _ENSEMBLES:
-            raise DomainError(f"ensemble must be one of {_ENSEMBLES}, got {self.ensemble!r}")
-        if self.n != int(self.n) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _check_ensemble(self.ensemble)
+        _check_n(self.n)
         if self.j != int(self.j) or not 0 <= self.j <= self.s - 1:
             raise DomainError(
                 f"degree must be an integer in [0, {self.s - 1}], got {self.j!r}"

@@ -19,6 +19,7 @@ import math
 from .droplet import Droplet
 from .equilibrium import EquilibriumReport
 from .errors import DomainError
+from .potential import _check_n
 from .specialfn import LOG_2PI, ln_barnes_g, ln_factorial, ln_gamma
 
 _INT_TOL = 1e-9
@@ -29,12 +30,6 @@ def _as_int(x, what):
     if abs(x - k) > _INT_TOL or k < 1:
         raise DomainError(f"{what} must be a positive integer, got {x!r}")
     return int(k)
-
-
-def _check_n(n):
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def ml_log_z(lam, c, n, ensemble="normal"):

@@ -16,7 +16,6 @@ series of log n!.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,9 @@ from .equilibrium import (
 )
 from .errors import DomainError
 from .norms import NormQuery, log_norm_exact
+from .potential import _check_ensemble, _check_n
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
-_ENSEMBLES = ("normal", "symplectic")
 _CONVENTIONS = ("physics", "canonical")
 
 _LEMMA_VARIANTS = (
@@ -45,20 +44,9 @@ _LEMMA_VARIANTS = (
 )
 
 
-def _check_ensemble(ensemble):
-    if ensemble not in _ENSEMBLES:
-        raise DomainError(f"ensemble must be one of {_ENSEMBLES}, got {ensemble!r}")
-
-
 def _check_convention(convention):
     if convention not in _CONVENTIONS:
         raise DomainError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-
-
-def _check_n(n):
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def default_rel_tol(n):
@@ -71,10 +59,10 @@ def log_z_exact(p, n, ensemble="normal", rel_tol=None, threads=1):
     """log Z_n by exact norm quadrature and compensated summation.
 
     The returned value is the physics-convention partition function
-    including the log n! combinatorial factor.  Norm evaluations are
-    independent and can run on a thread pool; the final accumulation is an
-    exact compensated sum in ascending degree, so the result does not
-    depend on threads.
+    including the log n! combinatorial factor.  Norms are evaluated one
+    after another and accumulated by an exact compensated sum.  threads is
+    accepted for compatibility and ignored: a thread pool only slowed the
+    GIL-bound norm loop down.
     """
     n = _check_n(n)
     _check_ensemble(ensemble)
@@ -84,14 +72,10 @@ def log_z_exact(p, n, ensemble="normal", rel_tol=None, threads=1):
     else:
         degrees = range(1, 2 * n, 2)
 
-    def one(j):
-        return log_norm_exact(p, NormQuery(n=n, j=j, ensemble=ensemble), rel_tol=tol)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            vals = list(pool.map(one, degrees))
-    else:
-        vals = [one(j) for j in degrees]
+    vals = [
+        log_norm_exact(p, NormQuery(n=n, j=j, ensemble=ensemble), rel_tol=tol)
+        for j in degrees
+    ]
 
     base = ln_factorial(n)
     if ensemble == "symplectic":
@@ -298,7 +282,8 @@ def convergence_study(
     (a closed-form oracle, say); together with a precomputed equilibrium
     report this path runs no quadrature at all.  Residuals below 1e-12 in
     magnitude are treated as underflow of the comparison: the fit is
-    skipped and reported as NaN with the underflow flag set.
+    skipped and reported as NaN with the underflow flag set.  threads is
+    ignored, as in log_z_exact.
     """
     ns = sorted({_check_n(n) for n in ns})
     if len(ns) < 2:
@@ -313,7 +298,7 @@ def convergence_study(
         if exact_fn is not None:
             exact = float(exact_fn(n))
         else:
-            exact = log_z_exact(p, n, ensemble, rel_tol=rel_tol, threads=threads)
+            exact = log_z_exact(p, n, ensemble, rel_tol=rel_tol)
         if convention == "canonical":
             exact -= ln_factorial(n)
         asym = terms.evaluate(n)

@@ -13,6 +13,7 @@ Laplacian of Q.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,23 @@ import numpy as np
 from .errors import DomainError, UnsupportedOrderError
 
 _EPS = np.finfo(float).eps
+
+# Ensemble names and the size check shared by norms, partition and oracles;
+# underscored so they stay out of the public API.
+_ENSEMBLES = ("normal", "symplectic")
+
+
+def _check_ensemble(ensemble):
+    if ensemble not in _ENSEMBLES:
+        raise DomainError(f"ensemble must be one of {_ENSEMBLES}, got {ensemble!r}")
+
+
+def _check_n(n):
+    """Matrix size n as an int; bools, non-integers, nan and inf raise DomainError."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not math.isfinite(n) or n != int(n) or n < 1):
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def _const_like(r, val):
@@ -32,7 +50,7 @@ class RadialPotential:
     Subclasses implement _profile(r, order) for orders 0..4 without argument
     checking; vectorization over numpy arrays is required.  The Laplacian
     accessors have generic implementations in terms of the profile, which
-    concrete potentials override with closed forms.
+    concrete potentials override with closed forms, as they do r_tau.
     """
 
     name = "potential"
@@ -41,7 +59,21 @@ class RadialPotential:
     def _profile(self, r, order):
         raise NotImplementedError
 
+    def r_tau(self, tau):
+        """Closed-form root of r q'(r) = 2 tau for a validated tau in [0, 1],
+        or None when there is none (droplet.solve_r_tau then bisects)."""
+        return None
+
     def _checked(self, r):
+        if isinstance(r, float):
+            # Scalar fast path: the array checks below without numpy reductions.
+            if not 0.0 < r < math.inf:
+                raise DomainError("evaluation points must be finite and positive")
+            if self.support_radius is not None and r > self.support_radius * (1.0 + 1e-12):
+                raise DomainError(
+                    f"evaluation point beyond the support radius {self.support_radius!r}"
+                )
+            return float(r)
         arr = np.asarray(r, dtype=float)
         if arr.size == 0:
             raise DomainError("empty evaluation point array")
@@ -101,6 +133,9 @@ class Ginibre(RadialPotential):
         self.scale = scale
         self.name = f"ginibre(scale={scale!r})"
 
+    def r_tau(self, tau):
+        return self.scale * math.sqrt(tau)
+
     def _profile(self, r, order):
         s2 = self.scale * self.scale
         if order == 0:
@@ -147,6 +182,9 @@ class MittagLeffler(RadialPotential):
         self.lam = lam
         self.c = c
         self.name = f"ml(lam={lam!r}, c={c!r})"
+
+    def r_tau(self, tau):
+        return ((tau + self.c) / self.lam) ** (1.0 / (2.0 * self.lam))
 
     def _profile(self, r, order):
         lam = self.lam
@@ -210,6 +248,9 @@ class TruncatedUnitary(RadialPotential):
         self.beta = R * R * (1.0 + alpha)
         self.support_radius = math.sqrt(self.beta)
         self.name = f"tu(alpha={alpha!r}, R={R!r})"
+
+    def r_tau(self, tau):
+        return math.sqrt(tau * self.beta / (self.alpha + tau))
 
     def _profile(self, r, order):
         a = self.alpha
@@ -331,6 +372,10 @@ class _Dilated(RadialPotential):
     def _profile(self, r, order):
         return self._base._profile(r / self._a, order) / self._a**order
 
+    def r_tau(self, tau):
+        r = self._base.r_tau(tau)
+        return None if r is None else self._a * r
+
     def q_at_zero(self):
         return self._base.q_at_zero()
 
@@ -346,9 +391,6 @@ def dilate(p, a):
     return _Dilated(p, a)
 
 
-_KINDS = ("normal", "symplectic")
-
-
 @dataclass(frozen=True)
 class TauParams:
     """Rotated-degree parameter tau = degree / (ensemble scaling * n)."""
@@ -357,8 +399,7 @@ class TauParams:
     kind: str = "normal"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        _check_ensemble(self.kind)
         if not (math.isfinite(self.tau) and 0.0 <= self.tau <= 1.0):
             raise DomainError(f"tau must lie in [0, 1], got {self.tau!r}")
 
@@ -369,8 +410,7 @@ class TauParams:
         Determinantal weights use tau = j / n with j in 0..n-1; symplectic
         weights use tau = j / (2 n) with j in 0..2n-1.
         """
-        if n != int(n) or n < 1:
-            raise DomainError(f"n must be a positive integer, got {n!r}")
+        n = _check_n(n)
         if j != int(j) or j < 0:
             raise DomainError(f"degree must be a nonnegative integer, got {j!r}")
         scale = 1 if kind == "normal" else 2

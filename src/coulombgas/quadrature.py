@@ -51,6 +51,9 @@ _WG = np.array(
 
 _MAX_ROUNDS = 64
 
+# Panels narrower than this times max(1, |endpoint|) are not split further.
+_WIDTH_FLOOR = 64.0 * np.finfo(float).eps
+
 
 def _eval_panels(f, lefts, rights):
     lefts = np.asarray(lefts, dtype=float)
@@ -80,53 +83,45 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=(), max_panels=1 << 2
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise IntegrationError(f"bad interval [{a!r}, {b!r}]")
     cuts = sorted({a, b, *(float(s) for s in seeds if a < float(s) < b)})
-    panels = list(zip(cuts[:-1], cuts[1:]))
-    vals, errs = _eval_panels(f, [p[0] for p in panels], [p[1] for p in panels])
-    vals = list(vals)
-    errs = list(errs)
+    # One row per panel, ordered by left endpoint: left, right, value, error.
+    panels = np.empty((len(cuts) - 1, 4))
+    panels[:, 0] = cuts[:-1]
+    panels[:, 1] = cuts[1:]
+    panels[:, 2], panels[:, 3] = _eval_panels(f, panels[:, 0], panels[:, 1])
 
     for _ in range(_MAX_ROUNDS):
+        lefts, rights, vals, errs = panels.T
         total = math.fsum(vals)
         err_total = math.fsum(errs)
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol:
             return total, err_total
         share = 0.5 * tol / len(panels)
-        worth = []
-        for i, (lo, hi) in enumerate(panels):
-            width_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
-            if errs[i] > share and (hi - lo) > width_floor:
-                worth.append(i)
-        if not worth:
+        width_floor = _WIDTH_FLOOR * np.maximum(1.0, np.maximum(np.abs(lefts), np.abs(rights)))
+        worth = (errs > share) & (rights - lefts > width_floor)
+        n_split = int(np.count_nonzero(worth))
+        if not n_split:
             # Remaining error is dominated by panels at roundoff width;
             # further splitting cannot help.
             return total, err_total
-        if len(panels) + len(worth) > max_panels:
+        if len(panels) + n_split > max_panels:
             raise IntegrationError(
                 f"panel budget exceeded ({len(panels)} panels, error {err_total:.3e})"
             )
-        new_lefts = []
-        new_rights = []
-        for i in worth:
-            lo, hi = panels[i]
-            mid = 0.5 * (lo + hi)
-            new_lefts += [lo, mid]
-            new_rights += [mid, hi]
-        new_vals, new_errs = _eval_panels(f, new_lefts, new_rights)
-        for pos, i in enumerate(worth):
-            lo, hi = panels[i]
-            mid = 0.5 * (lo + hi)
-            panels[i] = (lo, mid)
-            vals[i] = new_vals[2 * pos]
-            errs[i] = new_errs[2 * pos]
-            panels.append((mid, hi))
-            vals.append(new_vals[2 * pos + 1])
-            errs.append(new_errs[2 * pos + 1])
-        order = sorted(range(len(panels)), key=lambda i: panels[i][0])
-        panels = [panels[i] for i in order]
-        vals = [vals[i] for i in order]
-        errs = [errs[i] for i in order]
+        # Each split panel becomes (lo, mid), (mid, hi), evaluated in that order.
+        lo = lefts[worth]
+        hi = rights[worth]
+        mid = 0.5 * (lo + hi)
+        halves = np.empty((2 * n_split, 4))
+        halves[0::2, 0] = lo
+        halves[0::2, 1] = mid
+        halves[1::2, 0] = mid
+        halves[1::2, 1] = hi
+        halves[:, 2], halves[:, 3] = _eval_panels(f, halves[:, 0], halves[:, 1])
+        panels = np.concatenate((panels[~worth], halves))
+        panels = panels[np.argsort(panels[:, 0], kind="stable")]
 
+    err_total = math.fsum(panels[:, 3])
     raise IntegrationError(
-        f"no convergence after {_MAX_ROUNDS} refinement rounds (error {math.fsum(errs):.3e})"
+        f"no convergence after {_MAX_ROUNDS} refinement rounds (error {err_total:.3e})"
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas.droplet import dr_dtau, droplet_of, solve_r_tau
+from coulombgas.droplet import _bisect_r_tau, dr_dtau, droplet_of, solve_r_tau
 from coulombgas.errors import DomainError, InvalidPotentialError
 from coulombgas.potential import (
     Custom,
@@ -51,6 +51,56 @@ def test_ginibre_r_tau_closed_form():
     p = Ginibre()
     for tau in np.linspace(0.01, 1.0, 25):
         assert abs(solve_r_tau(p, float(tau)) - math.sqrt(tau)) < 1e-12
+
+
+def _ml_custom(lam, c):
+    """The ML profile as a Custom potential with analytic derivatives."""
+    k = 2.0 * lam
+    return Custom(
+        lambda r: r**k - 2.0 * c * np.log(r),
+        derivs=(
+            lambda r: k * r ** (k - 1.0) - 2.0 * c / r,
+            lambda r: k * (k - 1.0) * r ** (k - 2.0) + 2.0 * c / r**2,
+            lambda r: k * (k - 1.0) * (k - 2.0) * r ** (k - 3.0) - 4.0 * c / r**3,
+            lambda r: k * (k - 1.0) * (k - 2.0) * (k - 3.0) * r ** (k - 4.0) + 12.0 * c / r**4,
+        ),
+    )
+
+
+_CLOSED_FORM_CASES = [
+    *(
+        (f"ml(lam={lam:.3g}, c={c})", MittagLeffler(lam, c), MittagLeffler(lam, c))
+        for lam in (1.0, 0.5, 1.0 / 3.0)
+        for c in (0.0, 1.3)
+    ),
+    ("ginibre(2)", Ginibre(2.0), Ginibre(2.0)),
+    ("tu(2.3, 0.6)", TruncatedUnitary(2.3, 0.6), TruncatedUnitary(2.3, 0.6)),
+    ("dilate(ml)", dilate(MittagLeffler(0.5, 1.3), 1.7), dilate(MittagLeffler(0.5, 1.3), 1.7)),
+    # No closed form: solve_r_tau bisects the dilated Custom profile, which
+    # must agree with the dilated closed form of the same ML profile.
+    ("dilate(custom)", dilate(_ml_custom(0.5, 1.3), 1.7), dilate(MittagLeffler(0.5, 1.3), 1.7)),
+]
+
+
+@pytest.mark.parametrize(
+    "label, p, closed", _CLOSED_FORM_CASES, ids=[case[0] for case in _CLOSED_FORM_CASES]
+)
+def test_closed_form_r_tau_matches_bisection(label, p, closed):
+    # Bound: the bisection stops once its bracket is 1e-13 max(1, r) wide.
+    for tau in np.linspace(0.0, 1.0, 201):
+        tau = float(tau)
+        want = _bisect_r_tau(p, tau)
+        got = closed.r_tau(tau)
+        assert got is not None
+        assert abs(got - want) <= 1e-13 * max(1.0, want), (label, tau, got, want)
+        # solve_r_tau returns the closed form when p has one, else bisects.
+        assert solve_r_tau(p, tau) == (want if p.r_tau(tau) is None else got)
+
+
+def test_closed_form_overflow_is_an_invalid_potential():
+    # ((1 + 1) / 1e-3)^500 overflows; the bisection scan reported the same.
+    with pytest.raises(InvalidPotentialError):
+        solve_r_tau(MittagLeffler(1e-3, 1.0), 1.0)
 
 
 def test_disc_small_tau_scaling():

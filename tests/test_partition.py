@@ -13,7 +13,8 @@ from coulombgas.partition import (
     log_z_asymptotic,
     log_z_exact,
 )
-from coulombgas.potential import Ginibre, MittagLeffler, TruncatedUnitary
+from coulombgas.norms import NormQuery
+from coulombgas.potential import Ginibre, MittagLeffler, TauParams, TruncatedUnitary, dilate
 from coulombgas.quadrature import integrate
 from coulombgas.specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
@@ -50,6 +51,38 @@ def test_log_z_exact_threads_agree():
     a = log_z_exact(p, 30, "normal", threads=1)
     b = log_z_exact(p, 30, "normal", threads=4)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "p, n, ensemble, want",
+    [
+        (MittagLeffler(1.0, 1.0), 100, "normal", "-0x1.06ddea5ae497ap+13"),
+        (MittagLeffler(0.5, 1.0), 60, "symplectic", "0x1.5fe50a35803cdp+11"),
+        (TruncatedUnitary(1.0, 1.0), 80, "symplectic", "-0x1.a5417da1eafd7p+12"),
+        (dilate(Ginibre(), 1.5), 50, "normal", "-0x1.74773433aef40p+9"),
+    ],
+    ids=["ml11-normal", "ml051-symplectic", "tu11-symplectic", "dilated-ginibre-normal"],
+)
+def test_log_z_exact_golden_bits(p, n, ensemble, want):
+    # Pinned to the last bit: changes to the saddle solve, the panel
+    # bookkeeping or the summation order must not move the result.
+    assert log_z_exact(p, n, ensemble).hex() == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, 2.5, 0])
+def test_sizes_share_one_validator(bad):
+    calls = [
+        lambda: log_z_exact(Ginibre(), bad),
+        lambda: log_z_asymptotic(Ginibre(), bad),
+        lambda: ml_log_z(1.0, 0.0, bad),
+        lambda: tu_log_z(1.0, 1.0, bad),
+        lambda: NormQuery(bad, 0),
+        lambda: TauParams.for_degree(0, bad),
+        lambda: lemma_sum(MittagLeffler(1.0, 1.0), bad, "sum_v_normal"),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            call()
 
 
 def test_ginibre_normal_coefficients():

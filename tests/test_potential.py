@@ -127,6 +127,26 @@ def test_nonpositive_radius_rejected():
         p.laplacian(np.array([0.5, -0.2]))
 
 
+@pytest.mark.parametrize(
+    "wrap",
+    [float, np.float64, np.array, lambda x: np.array([0.5, x])],
+    ids=["float", "float64", "0-d", "1-d"],
+)
+def test_scalar_and_array_checks_reject_the_same_points(wrap):
+    tu = TruncatedUnitary(1.0, 1.0)
+    past_support = tu.support_radius * (1.0 + 2e-12)
+    for p, bad_points in (
+        (MittagLeffler(1.0, 1.0), (0.0, -1.0, math.nan, math.inf)),
+        (tu, (0.0, -1.0, math.nan, math.inf, past_support)),
+    ):
+        for bad in bad_points:
+            for call in (p.q_derivs, p.laplacian):
+                with pytest.raises(DomainError):
+                    call(wrap(bad))
+    inside = tu.support_radius * (1.0 - 1e-9)
+    assert np.all(np.isfinite(tu.laplacian(wrap(inside))))
+
+
 def test_custom_with_analytic_derivatives_matches():
     lam, c = 1.5, 0.8
     ref = MittagLeffler(lam, c)

@@ -4,7 +4,45 @@ import numpy as np
 import pytest
 
 from coulombgas.errors import IntegrationError
-from coulombgas.quadrature import integrate
+from coulombgas.quadrature import _eval_panels, integrate
+
+
+def _integrate_loop(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
+    """Reference: the same refinement with per-panel Python bookkeeping."""
+    cuts = sorted({a, b, *(s for s in seeds if a < s < b)})
+    panels = list(zip(cuts[:-1], cuts[1:]))
+    vals, errs = (list(v) for v in _eval_panels(f, cuts[:-1], cuts[1:]))
+    while True:
+        total = math.fsum(vals)
+        err_total = math.fsum(errs)
+        tol = max(abs_tol, rel_tol * abs(total))
+        if err_total <= tol:
+            return total, err_total
+        share = 0.5 * tol / len(panels)
+        floor = 64.0 * np.finfo(float).eps
+        worth = [
+            i for i, (lo, hi) in enumerate(panels)
+            if errs[i] > share and hi - lo > floor * max(1.0, abs(lo), abs(hi))
+        ]
+        if not worth:
+            return total, err_total
+        new_lefts, new_rights = [], []
+        for i in worth:
+            lo, hi = panels[i]
+            mid = 0.5 * (lo + hi)
+            new_lefts += [lo, mid]
+            new_rights += [mid, hi]
+        new_vals, new_errs = _eval_panels(f, new_lefts, new_rights)
+        for pos, i in enumerate(worth):
+            panels[i] = (new_lefts[2 * pos], new_rights[2 * pos])
+            vals[i], errs[i] = new_vals[2 * pos], new_errs[2 * pos]
+            panels.append((new_lefts[2 * pos + 1], new_rights[2 * pos + 1]))
+            vals.append(new_vals[2 * pos + 1])
+            errs.append(new_errs[2 * pos + 1])
+        order = sorted(range(len(panels)), key=lambda i: panels[i][0])
+        panels = [panels[i] for i in order]
+        vals = [vals[i] for i in order]
+        errs = [errs[i] for i in order]
 
 
 def test_polynomial_exact():
@@ -72,3 +110,32 @@ def test_bad_interval_raises():
 def test_seeds_outside_interval_ignored():
     val, _ = integrate(lambda x: x, 0.0, 1.0, seeds=(-5.0, 0.5, 17.0))
     assert abs(val - 0.5) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kwargs",
+    [
+        (lambda x: np.exp(-(((x - 7.0) / 1e-3) ** 2)), 0.0, 20.0,
+         {"rel_tol": 1e-13, "abs_tol": 0.0, "seeds": (6.99, 6.999, 7.0, 7.001, 7.01)}),
+        (np.log, 0.0, 1.0, {"rel_tol": 1e-12}),
+        (lambda x: np.sin(40.0 * x) * np.exp(-x), 0.0, 10.0, {"rel_tol": 1e-13}),
+        (np.sqrt, 0.0, 3.0, {"rel_tol": 1e-14, "abs_tol": 0.0}),
+    ],
+    ids=["peak", "log", "oscillatory", "sqrt"],
+)
+def test_array_bookkeeping_matches_loop_reference(f, a, b, kwargs):
+    # The panel table must evaluate the same batches in the same order as
+    # the per-panel loop, so values and error estimates agree bit for bit.
+    def recorder(batches):
+        def g(x):
+            batches.append(x.copy())
+            return f(x)
+        return g
+
+    got_batches, want_batches = [], []
+    got = integrate(recorder(got_batches), a, b, **kwargs)
+    want = _integrate_loop(recorder(want_batches), a, b, **kwargs)
+    assert got == want
+    assert len(got_batches) == len(want_batches) > 3
+    for x, y in zip(got_batches, want_batches):
+        assert np.array_equal(x, y)
