@@ -21,7 +21,7 @@ import numpy as np
 
 from .droplet import droplet_of, solve_r_tau
 from .equilibrium import b1
-from .errors import DomainError, IntegrationError
+from .errors import CoulombGasError, DomainError, IntegrationError
 from .potential import _check_ensemble, _check_n
 from .quadrature import integrate
 from .specialfn import LOG_2PI, ln_factorial
@@ -101,8 +101,18 @@ def log_norm_exact(p, query, rel_tol=1e-13):
     """log h_j by shifted adaptive quadrature.
 
     Accuracy target is rel_tol on the norm value, which translates to about
-    the same absolute error on the log.
+    the same absolute error on the log.  A failure re-raises its exception
+    class with the potential name, n, j and ensemble in the message.
     """
+    try:
+        return _log_norm_exact(p, query, rel_tol)
+    except CoulombGasError as exc:
+        raise type(exc)(
+            f"{p.name}, n={query.n}, j={query.j}, ensemble={query.ensemble}: {exc}"
+        ) from exc
+
+
+def _log_norm_exact(p, query, rel_tol):
     s = query.s
     tau = query.tau
     r_star, v_min, width = _peak(p, query)

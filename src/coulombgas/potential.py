@@ -61,7 +61,8 @@ class RadialPotential:
 
     def r_tau(self, tau):
         """Closed-form root of r q'(r) = 2 tau for a validated tau in [0, 1],
-        or None when there is none (droplet.solve_r_tau then bisects)."""
+        or None when there is none (droplet.solve_r_tau then runs a
+        safeguarded Newton iteration)."""
         return None
 
     def _checked(self, r):
@@ -77,13 +78,15 @@ class RadialPotential:
         arr = np.asarray(r, dtype=float)
         if arr.size == 0:
             raise DomainError("empty evaluation point array")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        # min and max propagate NaN, so one of each covers every check.
+        lo = arr.min()
+        hi = arr.max()
+        if not (0.0 < lo and hi < math.inf):
             raise DomainError("evaluation points must be finite and positive")
-        if self.support_radius is not None:
-            if np.any(arr > self.support_radius * (1.0 + 1e-12)):
-                raise DomainError(
-                    f"evaluation point beyond the support radius {self.support_radius!r}"
-                )
+        if self.support_radius is not None and hi > self.support_radius * (1.0 + 1e-12):
+            raise DomainError(
+                f"evaluation point beyond the support radius {self.support_radius!r}"
+            )
         return arr if arr.ndim else float(arr)
 
     def q_derivs(self, r, order=0):
@@ -290,6 +293,9 @@ class TruncatedUnitary(RadialPotential):
         return self.alpha / self.beta
 
 
+# Finite-difference step relative to max(r, 1).
+_FD_STEP = float(_EPS ** (1.0 / 6.0))
+
 # Fourth-order central difference stencils (offset -> coefficient), divided
 # by h^order at evaluation time.
 _FD_STENCILS = {
@@ -330,9 +336,12 @@ class Custom(RadialPotential):
         self.name = name
 
     def _fd(self, r, order):
-        h = np.maximum(r, 1.0) * _EPS ** (1.0 / 6.0)
-        reach = max(off for off, _ in _FD_STENCILS[order])
-        h = np.minimum(h, r / (reach + 1.0))
+        reach = _FD_STENCILS[order][-1][0]  # offsets are listed in increasing order
+        if isinstance(r, float):
+            # Scalar path: the same arithmetic without numpy calls on scalars.
+            h = min(max(r, 1.0) * _FD_STEP, r / (reach + 1.0))
+        else:
+            h = np.minimum(np.maximum(r, 1.0) * _FD_STEP, r / (reach + 1.0))
         acc = 0.0
         for off, coef in _FD_STENCILS[order]:
             acc = acc + coef * self._q(r + off * h)

@@ -62,7 +62,7 @@ def _eval_panels(f, lefts, rights):
     mid = 0.5 * (rights + lefts)
     pts = mid[:, None] + half[:, None] * _XGK[None, :]
     y = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(len(lefts), _XGK.size)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise IntegrationError("integrand returned a non-finite value")
     kron = half * (y @ _WGK)
     gauss = half * (y[:, 1::2] @ _WG)
@@ -91,8 +91,8 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=(), max_panels=1 << 2
 
     for _ in range(_MAX_ROUNDS):
         lefts, rights, vals, errs = panels.T
-        total = math.fsum(vals)
-        err_total = math.fsum(errs)
+        total = math.fsum(vals.tolist())
+        err_total = math.fsum(errs.tolist())
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol:
             return total, err_total
@@ -121,7 +121,7 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=(), max_panels=1 << 2
         panels = np.concatenate((panels[~worth], halves))
         panels = panels[np.argsort(panels[:, 0], kind="stable")]
 
-    err_total = math.fsum(panels[:, 3])
+    err_total = math.fsum(panels[:, 3].tolist())
     raise IntegrationError(
         f"no convergence after {_MAX_ROUNDS} refinement rounds (error {err_total:.3e})"
     )

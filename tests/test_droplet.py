@@ -166,3 +166,89 @@ def test_concave_profile_rejected():
     )
     with pytest.raises(InvalidPotentialError):
         droplet_of(p)
+
+
+_EPS = float(np.finfo(float).eps)
+_ML_ROOT_CASES = [(lam, c) for lam in (1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0) for c in (0.5, 1.3, 2.0)]
+
+
+@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+@pytest.mark.parametrize("lam, c", _ML_ROOT_CASES)
+def test_custom_root_matches_ml_closed_form(lam, c, derivs):
+    # Bound: the Newton step or bracket stops below 1e-13 max(1, r); a
+    # finite-difference q' moves the root by its own relative error, at
+    # most 10 eps^(2/3) for these profiles (bench/README.md derives it).
+    p = _ml_custom(lam, c)
+    if derivs == "fd":
+        p = Custom(p._q)
+    closed = MittagLeffler(lam, c)
+    fd_rel = 10.0 * _EPS ** (2.0 / 3.0) if derivs == "fd" else 0.0
+    for j in range(201):
+        tau = j / 200
+        want = closed.r_tau(tau)
+        got = solve_r_tau(p, tau)
+        assert abs(got - want) <= 1e-13 * max(1.0, want) + fd_rel * want, (tau, got, want)
+
+
+def test_custom_root_at_a_kink_of_r_q_prime():
+    # r q'(r) = (r / k)^20 below k and r / k above: q is C^1, q'' jumps at
+    # k, and the root of r q' = 2 tau at tau = 1/2 sits on the kink.
+    k, p_left = 1.9, 20.0
+
+    def branch(r, left, right):
+        return np.where(r <= k, left(r / k), right(r / k))
+
+    q = lambda r: branch(r, lambda x: x**p_left / p_left, lambda x: x + 1.0 / p_left - 1.0)
+    derivs = (
+        lambda r: branch(r, lambda x: x**p_left, lambda x: x) / r,
+        lambda r: branch(r, lambda x: (p_left - 1.0) * x**p_left, lambda x: 0.0 * x) / r**2,
+        lambda r: branch(r, lambda x: (p_left - 1.0) * (p_left - 2.0) * x**p_left,
+                         lambda x: 0.0 * x) / r**3,
+        lambda r: branch(r, lambda x: (p_left - 1.0) * (p_left - 2.0) * (p_left - 3.0) * x**p_left,
+                         lambda x: 0.0 * x) / r**4,
+    )
+    p = Custom(q, derivs=derivs, name="kinked")
+    # The scan brackets the root in [1, 2]; the first Newton step from the
+    # midpoint lands beyond 2, so the midpoint fallback runs.
+    g = lambda r: r * float(p.q_derivs(r, 1)) - 1.0
+    gp = lambda r: float(p.q_derivs(r, 1)) + r * float(p.q_derivs(r, 2))
+    assert 1.5 - g(1.5) / gp(1.5) > 2.0
+    assert abs(solve_r_tau(p, 0.5) - k) <= 1e-13 * k
+
+
+def test_custom_root_on_a_steep_profile():
+    # r q'(r) = (r / R)^1500: a Newton step from above the root moves r by
+    # only about r / 1500, which would exhaust the iteration cap unless
+    # slow steps fall back to the midpoint.
+    R, pw = 1.3, 1500.0
+    p = Custom(
+        lambda r: (r / R) ** pw / pw,
+        derivs=(
+            lambda r: (r / R) ** pw / r,
+            lambda r: (pw - 1.0) * (r / R) ** pw / r**2,
+            lambda r: (pw - 1.0) * (pw - 2.0) * (r / R) ** pw / r**3,
+            lambda r: (pw - 1.0) * (pw - 2.0) * (pw - 3.0) * (r / R) ** pw / r**4,
+        ),
+        name="steep",
+    )
+    for tau in (0.3, 0.5, 1.0):
+        want = R * (2.0 * tau) ** (1.0 / pw)
+        assert abs(solve_r_tau(p, tau) - want) <= 1e-13 * max(1.0, want), tau
+
+
+def test_custom_root_derivative_calls_per_solve():
+    # The bisection needed 58 q' calls per solve on this profile; the
+    # Newton iteration needs the bracket scan plus a few q', q'' pairs.
+    calls = []
+
+    class Counting(Custom):
+        def _profile(self, r, order):
+            if order:
+                calls.append(order)
+            return super()._profile(r, order)
+
+    base = _ml_custom(1.0 / 3.0, 1.3)
+    p = Counting(base._q, derivs=base._derivs)
+    for j in range(201):
+        solve_r_tau(p, j / 200)
+    assert len(calls) / 201 <= 20.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas.errors import DomainError
+from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.norms import (
     NormQuery,
     log_norm_exact,
@@ -11,7 +11,8 @@ from coulombgas.norms import (
     log_norm_laplace,
     log_norm_lowdeg,
 )
-from coulombgas.potential import Ginibre, MittagLeffler, TruncatedUnitary
+from coulombgas.partition import log_z_exact
+from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary
 from coulombgas.specialfn import ln_gamma
 
 
@@ -168,3 +169,20 @@ def test_norm_query_validation():
         NormQuery(10, -1, "normal")
     with pytest.raises(DomainError):
         NormQuery(10, 0, "orthogonal")
+
+
+def test_failed_norm_names_its_potential_size_and_degree():
+    # r^2 up to r = 1.5 and NaN beyond: the truncation search of the first
+    # degrees whose saddle lies past r = 0.5 runs into the NaN region.
+    nan_past = Custom(
+        lambda r: np.where(r <= 1.5, r * r, np.nan),
+        derivs=(lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r),
+        q_origin=0.0,
+        laplacian_origin=1.0,
+        name="nan-past-1.5",
+    )
+    with pytest.raises(IntegrationError) as exc:
+        log_z_exact(nan_past, 100)
+    msg = str(exc.value)
+    assert "nan-past-1.5" in msg and "n=100" in msg and "j=" in msg, msg
+    assert "ensemble=normal" in msg, msg

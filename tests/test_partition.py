@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from coulombgas.partition import (
     log_z_exact,
 )
 from coulombgas.norms import NormQuery
-from coulombgas.potential import Ginibre, MittagLeffler, TauParams, TruncatedUnitary, dilate
+from coulombgas.potential import (
+    Custom,
+    Ginibre,
+    MittagLeffler,
+    TauParams,
+    TruncatedUnitary,
+    dilate,
+)
 from coulombgas.quadrature import integrate
 from coulombgas.specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
@@ -66,6 +74,26 @@ def test_log_z_exact_threads_agree():
 def test_log_z_exact_golden_bits(p, n, ensemble, want):
     # Pinned to the last bit: changes to the saddle solve, the panel
     # bookkeeping or the summation order must not move the result.
+    assert log_z_exact(p, n, ensemble).hex() == want
+
+
+def _as_custom(p):
+    """p's profile behind the Custom interface, with p's analytic derivatives."""
+    return Custom(p.q_derivs, derivs=[partial(p.q_derivs, order=k) for k in range(1, 5)])
+
+
+@pytest.mark.parametrize(
+    "p, n, ensemble, want",
+    [
+        (_as_custom(MittagLeffler(0.5, 1.3)), 60, "normal", "0x1.f52d57076f485p+11"),
+        (dilate(_as_custom(MittagLeffler(1.0, 1.0)), 1.5), 50, "symplectic",
+         "-0x1.09e2639a9ab9fp+11"),
+    ],
+    ids=["custom-ml0513-normal", "dilated-custom-ml11-symplectic"],
+)
+def test_log_z_exact_custom_golden_bits(p, n, ensemble, want):
+    # Custom potentials reach r_tau through the iterative root solve, not
+    # the closed form; these bits pin that route end to end.
     assert log_z_exact(p, n, ensemble).hex() == want
 
 

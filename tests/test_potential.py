@@ -147,6 +147,35 @@ def test_scalar_and_array_checks_reject_the_same_points(wrap):
     assert np.all(np.isfinite(tu.laplacian(wrap(inside))))
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [0.5, math.nan, 0.7],
+        [0.5, math.inf],
+        [-math.inf, 0.5],
+        [0.5, 0.0],
+        [0.5, -1e-300],
+        [],
+    ],
+    ids=["nan", "+inf", "-inf", "zero", "negative", "empty"],
+)
+def test_array_check_rejects_each_bad_point(points):
+    for p in (MittagLeffler(1.0, 1.0), TruncatedUnitary(1.0, 1.0)):
+        with pytest.raises(DomainError):
+            p._checked(np.array(points, dtype=float))
+
+
+def test_array_check_support_radius_edge():
+    tu = TruncatedUnitary(1.0, 1.0)
+    edge = tu.support_radius * (1.0 + 1e-12)
+    with pytest.raises(DomainError):
+        tu._checked(np.array([0.5, np.nextafter(edge, math.inf)]))
+    # The edge itself and the support radius are accepted unchanged.
+    for last in (edge, tu.support_radius):
+        pts = np.array([0.5, last])
+        assert np.array_equal(tu._checked(pts), pts)
+
+
 def test_custom_with_analytic_derivatives_matches():
     lam, c = 1.5, 0.8
     ref = MittagLeffler(lam, c)
