@@ -22,7 +22,7 @@ import numpy as np
 from .droplet import droplet_of, solve_r_tau
 from .equilibrium import b1
 from .errors import CoulombGasError, DomainError, IntegrationError
-from .potential import _check_ensemble, _check_n
+from .potential import _check_ensemble, _check_n, _check_rel_tol
 from .quadrature import integrate
 from .specialfn import LOG_2PI, ln_factorial
 
@@ -51,6 +51,16 @@ class NormQuery:
     @property
     def tau(self):
         return self.j / self.s
+
+
+# Initial panel boundaries r* +- k*width: the partition the adaptive rule
+# converges to, so most norms need no refinement round.  With
+# t = (r - r*)/width the shifted integrand is about e^{-t^2}, because
+# s (V_tau - V_min) ~ 2 s laplacian(r*) (r - r*)^2 = t^2: half-width panels
+# cover the bulk out to |t| = 3, unit panels the tail out to |t| = 6, where
+# e^{-36} ~ 2e-16 is below every tolerance, and the doubling offsets beyond
+# bound the panel widths where the integrand leaves its Gaussian form.
+_SEED_OFFSETS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
 
 
 def _v_of(p, tau, r):
@@ -104,6 +114,7 @@ def log_norm_exact(p, query, rel_tol=1e-13):
     the same absolute error on the log.  A failure re-raises its exception
     class with the potential name, n, j and ensemble in the message.
     """
+    rel_tol = _check_rel_tol(rel_tol)
     try:
         return _log_norm_exact(p, query, rel_tol)
     except CoulombGasError as exc:
@@ -118,12 +129,10 @@ def _log_norm_exact(p, query, rel_tol):
     r_star, v_min, width = _peak(p, query)
     cut = _r_cut(p, query, r_star, v_min)
 
-    seeds = []
-    for k in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+    seeds = [r_star]
+    for k in _SEED_OFFSETS:
         seeds.append(r_star - k * width)
         seeds.append(r_star + k * width)
-    if r_star > 0.0:
-        seeds.append(r_star)
     seeds = [x for x in seeds if 0.0 < x < cut]
 
     def integrand(r):

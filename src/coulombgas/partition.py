@@ -29,7 +29,7 @@ from .equilibrium import (
 )
 from .errors import DomainError
 from .norms import NormQuery, log_norm_exact
-from .potential import _check_ensemble, _check_n
+from .potential import _check_ensemble, _check_n, _check_rel_tol
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 _CONVENTIONS = ("physics", "canonical")
@@ -66,7 +66,7 @@ def log_z_exact(p, n, ensemble="normal", rel_tol=None, threads=1):
     """
     n = _check_n(n)
     _check_ensemble(ensemble)
-    tol = default_rel_tol(n) if rel_tol is None else float(rel_tol)
+    tol = default_rel_tol(n) if rel_tol is None else _check_rel_tol(rel_tol)
     if ensemble == "normal":
         degrees = range(n)
     else:

@@ -22,8 +22,8 @@ from .errors import DomainError, UnsupportedOrderError
 
 _EPS = np.finfo(float).eps
 
-# Ensemble names and the size check shared by norms, partition and oracles;
-# underscored so they stay out of the public API.
+# Ensemble names and the size and tolerance checks shared by norms, partition
+# and oracles; underscored so they stay out of the public API.
 _ENSEMBLES = ("normal", "symplectic")
 
 
@@ -38,6 +38,15 @@ def _check_n(n):
             or not math.isfinite(n) or n != int(n) or n < 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     return int(n)
+
+
+def _check_rel_tol(rel_tol):
+    """Quadrature tolerance as a float; bools, nan, inf and values <= 0 raise
+    DomainError."""
+    if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
+            or not math.isfinite(rel_tol) or rel_tol <= 0):
+        raise DomainError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
+    return float(rel_tol)
 
 
 def _const_like(r, val):
@@ -306,6 +315,19 @@ _FD_STENCILS = {
 }
 
 
+def _call_user(fn, r):
+    """fn(r) for a user callable.  Python floats raise OverflowError where
+    numpy float64, as on the array path, gives inf, so a scalar that
+    overflows is evaluated again as a float64."""
+    try:
+        return fn(r)
+    except OverflowError:
+        if not isinstance(r, float):
+            raise
+        with np.errstate(over="ignore"):
+            return fn(np.float64(r))
+
+
 class Custom(RadialPotential):
     """User-supplied radial profile, optionally with analytic derivatives.
 
@@ -344,14 +366,14 @@ class Custom(RadialPotential):
             h = np.minimum(np.maximum(r, 1.0) * _FD_STEP, r / (reach + 1.0))
         acc = 0.0
         for off, coef in _FD_STENCILS[order]:
-            acc = acc + coef * self._q(r + off * h)
+            acc = acc + coef * _call_user(self._q, r + off * h)
         return acc / h**order
 
     def _profile(self, r, order):
         if order == 0:
-            return self._q(r)
+            return _call_user(self._q, r)
         if self._derivs is not None:
-            return self._derivs[order - 1](r)
+            return _call_user(self._derivs[order - 1], r)
         return self._fd(r, order)
 
     def q_at_zero(self):

@@ -207,3 +207,25 @@ def test_lemmas_output(capsys):
     assert "direct=" in out
     assert "predicted=" in out
     assert "gap=" in out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1e-13"])
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["exact"],
+        ["norm", "--j", "1", "--method", "exact"],
+        ["oracle", "--compare"],
+        ["converge", "--Ns", "10,12"],
+    ],
+    ids=["exact", "norm", "oracle-compare", "converge"],
+)
+def test_bad_quad_rel_tol_is_domain_error(capsys, cmd, bad):
+    argv = [cmd[0], "--potential", "ginibre"]
+    if cmd[0] != "converge":
+        argv += ["--N", "3"]
+    rc = main(argv + cmd[1:] + [f"--quad-rel-tol={bad}"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and "rel_tol" in err

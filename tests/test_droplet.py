@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coulombgas.droplet import _bisect_r_tau, dr_dtau, droplet_of, solve_r_tau
-from coulombgas.errors import DomainError, InvalidPotentialError
+from coulombgas.errors import CoulombGasError, DomainError, InvalidPotentialError
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -252,3 +252,39 @@ def test_custom_root_derivative_calls_per_solve():
     for j in range(201):
         solve_r_tau(p, j / 200)
     assert len(calls) / 201 <= 20.0
+
+
+def _steep_power(derivs):
+    # q = (r/1.3)^k / k with k = 5000: r q' = (r/1.3)^k, so r_tau = 1.3 (2 tau)^(1/k).
+    # A Python float raises OverflowError at r = 2, where float64 gives inf.
+    k = 5000
+
+    def q(r):
+        return (r / 1.3) ** k / k
+
+    d = [
+        lambda r: (r / 1.3) ** (k - 1) / 1.3,
+        lambda r: (k - 1) * (r / 1.3) ** (k - 2) / 1.3**2,
+        lambda r: (k - 1) * (k - 2) * (r / 1.3) ** (k - 3) / 1.3**3,
+        lambda r: (k - 1) * (k - 2) * (k - 3) * (r / 1.3) ** (k - 4) / 1.3**4,
+    ]
+    return Custom(q, derivs=d if derivs else None)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.25, 0.5, 1.0])
+def test_scalar_overflow_evaluates_like_the_array_path(tau):
+    r = solve_r_tau(_steep_power(True), tau)
+    want = 1.3 * (2.0 * tau) ** (1.0 / 5000)
+    assert abs(r - want) <= 1e-13 * max(1.0, r), (r, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "fd"])
+def test_scalar_overflow_raises_package_errors(derivs):
+    p = _steep_power(derivs)
+    with pytest.raises(CoulombGasError):
+        droplet_of(p)
+    if not derivs:
+        # Finite differences of inf are nan, so no bracket is found.
+        with pytest.raises(CoulombGasError):
+            solve_r_tau(p, 0.5)

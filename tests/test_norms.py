@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulombgas import norms
 from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.norms import (
     NormQuery,
@@ -12,7 +13,7 @@ from coulombgas.norms import (
     log_norm_lowdeg,
 )
 from coulombgas.partition import log_z_exact
-from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary
+from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 from coulombgas.specialfn import ln_gamma
 
 
@@ -186,3 +187,55 @@ def test_failed_norm_names_its_potential_size_and_degree():
     msg = str(exc.value)
     assert "nan-past-1.5" in msg and "n=100" in msg and "j=" in msg, msg
     assert "ensemble=normal" in msg, msg
+
+
+@pytest.mark.parametrize(
+    "p, n, ensemble",
+    [
+        (MittagLeffler(1.0, 1.0), 100, "normal"),
+        (MittagLeffler(0.5, 1.0), 60, "symplectic"),
+        (TruncatedUnitary(1.0, 1.0), 80, "symplectic"),
+        (dilate(Ginibre(), 1.5), 50, "normal"),
+    ],
+    ids=["ml11-normal", "ml051-symplectic", "tu11-symplectic", "dilated-ginibre-normal"],
+)
+def test_seeded_partition_converges_in_one_round(monkeypatch, p, n, ensemble):
+    # The seeds lay down the partition the adaptive rule converges to, so
+    # every norm of these golden inputs meets its tolerance on the first
+    # integrand call.  The seeds r* and r* +- k*width give at most
+    # 2*len(offsets) + 1 interior cuts, hence 2*len(offsets) + 2 panels.
+    calls_per_norm = []
+    first_panels = []
+    integrate = norms.integrate
+
+    def counting(f, *args, **kwargs):
+        sizes = []
+
+        def g(r):
+            sizes.append(r.size)
+            return f(r)
+
+        out = integrate(g, *args, **kwargs)
+        calls_per_norm.append(len(sizes))
+        first_panels.append(sizes[0] // 15)  # 15 Kronrod nodes per panel
+        return out
+
+    monkeypatch.setattr(norms, "integrate", counting)
+    log_z_exact(p, n, ensemble)
+    assert calls_per_norm == [1] * n
+    assert max(first_panels) <= 2 * len(norms._SEED_OFFSETS) + 2
+
+
+_BAD_TOLS = [math.nan, math.inf, 0.0, -1e-13, True]
+
+
+@pytest.mark.parametrize("bad", _BAD_TOLS)
+def test_bad_rel_tol_rejected_before_quadrature(monkeypatch, bad):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran with a bad tolerance")
+
+    monkeypatch.setattr(norms, "integrate", no_quadrature)
+    with pytest.raises(DomainError, match="rel_tol"):
+        log_norm_exact(Ginibre(), NormQuery(3, 1, "normal"), rel_tol=bad)
+    with pytest.raises(DomainError, match="rel_tol"):
+        log_z_exact(Ginibre(), 3, rel_tol=bad)
