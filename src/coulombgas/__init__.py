@@ -56,7 +56,6 @@ from .potential import (
     Ginibre,
     MittagLeffler,
     RadialPotential,
-    TauParams,
     TruncatedUnitary,
     dilate,
     v_tau,
@@ -85,7 +84,6 @@ __all__ = [
     "TruncatedUnitary",
     "Custom",
     "dilate",
-    "TauParams",
     "v_tau",
     "Droplet",
     "droplet_of",

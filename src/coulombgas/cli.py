@@ -37,13 +37,14 @@ from .norms import (
 )
 from .oracles import ml_log_z, tu_log_z
 from .partition import (
+    _CONVENTIONS,
+    _LEMMA_VARIANTS,
     convergence_study,
     expansion_terms,
     lemma_sum,
-    log_z_asymptotic,
     log_z_exact,
 )
-from .potential import Ginibre, MittagLeffler, TruncatedUnitary
+from .potential import _ENSEMBLES, Ginibre, MittagLeffler, TruncatedUnitary
 from .specialfn import ln_factorial
 
 _FAMILY_FLAGS = {
@@ -55,7 +56,7 @@ _FAMILY_FLAGS = {
 
 def _add_potential_flags(sub):
     sub.add_argument(
-        "--potential", required=True, choices=("ginibre", "ml", "tu"),
+        "--potential", required=True, choices=tuple(_FAMILY_FLAGS),
         help="potential family",
     )
     sub.add_argument("--scale", type=float, default=None,
@@ -210,23 +211,17 @@ def _cmd_expand(args, parser):
 
 
 def _cmd_oracle(args, parser):
-    fam = args.potential
-    if fam == "ml":
-        if args.lam is None or args.c is None:
-            parser.error("--potential ml requires --lambda and --c")
-        val = ml_log_z(args.lam, args.c, args.N, args.ensemble)
-    elif fam == "tu":
-        if args.alpha is None or args.R is None:
-            parser.error("--potential tu requires --alpha and --R")
-        val = tu_log_z(args.alpha, args.R, args.N, args.ensemble)
+    p = _make_potential(args, parser)
+    if isinstance(p, MittagLeffler):
+        val = ml_log_z(p.lam, p.c, args.N, args.ensemble)
+    elif isinstance(p, TruncatedUnitary):
+        val = tu_log_z(p.alpha, p.R, args.N, args.ensemble)
     else:
-        scale = 1.0 if args.scale is None else args.scale
-        if scale != 1.0:
+        if p.scale != 1.0:
             raise DomainError("the closed-form route covers ginibre only at scale 1")
         val = ml_log_z(1.0, 0.0, args.N, args.ensemble)
     pairs = [("log_z_oracle", val)]
     if args.compare:
-        p = _make_potential(args, parser)
         exact = log_z_exact(p, args.N, args.ensemble, rel_tol=args.quad_rel_tol)
         pairs += [("log_z_exact", exact), ("difference", exact - val)]
     return _render(pairs, args.fmt)
@@ -291,10 +286,10 @@ def _build_parser():
         if needs_n:
             sub.add_argument("--N", type=int, required=True, help="matrix size")
         if needs_ensemble:
-            sub.add_argument("--ensemble", choices=("normal", "symplectic"),
+            sub.add_argument("--ensemble", choices=_ENSEMBLES,
                              default="normal", help="ensemble (default normal)")
         if needs_convention:
-            sub.add_argument("--convention", choices=("physics", "canonical"),
+            sub.add_argument("--convention", choices=_CONVENTIONS,
                              default="physics", help="coefficient convention")
         if needs_quad:
             sub.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float,
@@ -334,12 +329,8 @@ def _build_parser():
     oracle.set_defaults(handler=_cmd_oracle)
 
     lemmas = new_sub("lemmas", "partial-sum expansion check", needs_n=True)
-    lemmas.add_argument(
-        "--which", required=True,
-        choices=("sum_v_normal", "sum_logdq_normal", "sum_logr_normal",
-                 "sum_v_symp_odd", "sum_logdq_symp_odd", "sum_logr_symp_odd"),
-        help="which partial sum to evaluate",
-    )
+    lemmas.add_argument("--which", required=True, choices=_LEMMA_VARIANTS,
+                        help="which partial sum to evaluate")
     lemmas.set_defaults(handler=_cmd_lemmas)
 
     converge = new_sub("converge", "residual table over a size grid",

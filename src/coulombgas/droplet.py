@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidPotentialError, SolverError
+from .potential import _check_tau
 
 _MAX_ITER = 200
 _DISC_PROBE = 1e-9
@@ -30,6 +31,17 @@ class Droplet:
 
 def _rqp(p, r):
     return float(r * p.q_derivs(r, 1))
+
+
+def _not_nan(rqp, r, tau):
+    # A NaN r q'(r) compares as neither above nor below the target, so the
+    # root search would walk past it; +-inf still orders correctly.
+    if math.isnan(rqp):
+        raise InvalidPotentialError(
+            f"r q'(r) is {rqp!r} at r = {r!r} while solving for tau = {tau!r}; "
+            "the derivative of the profile is not finite there"
+        )
+    return rqp
 
 
 def _is_disc(p):
@@ -61,9 +73,7 @@ def solve_r_tau(p, tau):
     through the safeguarded Newton iteration of _bisect_r_tau.  For a disc
     potential tau = 0 returns 0.
     """
-    tau = float(tau)
-    if not (math.isfinite(tau) and 0.0 <= tau <= 1.0):
-        raise DomainError(f"tau must lie in [0, 1], got {tau!r}")
+    tau = _check_tau(tau)
     try:
         r = p.r_tau(tau)
     except OverflowError:
@@ -86,7 +96,8 @@ def _bisect_r_tau(p, tau):
     or is not half the step before last, or a nonpositive g', falls back to
     the midpoint, so the bracket shrinks at least as fast as by bisection.
     Converged once a Newton step or the bracket is below 1e-13 max(1, r),
-    well under the iteration cap.
+    well under the iteration cap.  A NaN r q'(r) on the way raises
+    InvalidPotentialError.
     """
     if tau == 0.0 and _is_disc(p):
         return 0.0
@@ -106,7 +117,7 @@ def _bisect_r_tau(p, tau):
     for cand in _bracket_candidates(p):
         if cand <= prev:
             continue
-        if _rqp(p, cand) - target > 0.0:
+        if _not_nan(_rqp(p, cand), cand, tau) - target > 0.0:
             hi = cand
             break
         prev = cand
@@ -120,7 +131,7 @@ def _bisect_r_tau(p, tau):
     dx = dx_prev = hi - lo
     for _ in range(_MAX_ITER):
         q1 = float(p.q_derivs(r, 1))
-        g = r * q1 - target
+        g = _not_nan(r * q1, r, tau) - target
         if g == 0.0:
             return r
         if g < 0.0:
@@ -184,8 +195,8 @@ def dr_dtau(p, tau):
     for disc potentials the map degenerates as tau -> 0 and values below
     1e-12 are rejected.
     """
-    tau = float(tau)
-    if not (math.isfinite(tau) and 0.0 < tau <= 1.0):
+    tau = _check_tau(tau)
+    if tau == 0.0:
         raise DomainError(f"tau must lie in (0, 1], got {tau!r}")
     if tau < 1e-12 and _is_disc(p):
         raise DomainError("dr_dtau is singular as tau -> 0 for a disc droplet")

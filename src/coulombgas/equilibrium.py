@@ -45,17 +45,20 @@ def _inner_cut(d):
     return d.r0 if d.kind == "annulus" else _DISC_CUT * d.r1
 
 
+def _integral(f, a, b):
+    """Integral of f over [a, b] under the equilibrium quadrature policy.
+
+    integrate is looked up as a module global on every call, so a wrapper
+    installed at equilibrium.integrate sees each integral.
+    """
+    val, _ = integrate(f, a, b, rel_tol=1e-13, abs_tol=1e-16)
+    return val
+
+
 def mu_mass(p, droplet=None):
     """Total mass of 2 r laplacian(r) dr over the droplet (should be 1)."""
     d = _droplet(p, droplet)
-    val, _ = integrate(
-        lambda r: 2.0 * r * p.laplacian(r),
-        _inner_cut(d),
-        d.r1,
-        rel_tol=1e-13,
-        abs_tol=1e-16,
-    )
-    return val
+    return _integral(lambda r: 2.0 * r * p.laplacian(r), _inner_cut(d), d.r1)
 
 
 def energy(p, droplet=None):
@@ -65,13 +68,7 @@ def energy(p, droplet=None):
     droplet.
     """
     d = _droplet(p, droplet)
-    val, _ = integrate(
-        lambda r: r * p.q_derivs(r, 1) ** 2,
-        _inner_cut(d),
-        d.r1,
-        rel_tol=1e-13,
-        abs_tol=1e-16,
-    )
+    val = _integral(lambda r: r * p.q_derivs(r, 1) ** 2, _inner_cut(d), d.r1)
     return float(p.q_derivs(d.r1, 0)) - math.log(d.r1) - 0.25 * val
 
 
@@ -87,8 +84,7 @@ def entropy(p, droplet=None):
         dq = p.laplacian(r)
         return np.log(dq) * 2.0 * r * dq
 
-    val, _ = integrate(f, _inner_cut(d), d.r1, rel_tol=1e-13, abs_tol=1e-16)
-    return val
+    return _integral(f, _inner_cut(d), d.r1)
 
 
 def log_potential_origin(p, droplet=None):
@@ -123,25 +119,42 @@ def b1(p, r):
     )
 
 
+def _f_term(p, d):
+    """Order-one free-energy term of droplet d.
+
+    (1/12) log(r0^2 laplacian(r0) / (r1^2 laplacian(r1)))
+    - (r1 laplacian'(r1)/laplacian(r1) - r0 laplacian'(r0)/laplacian(r0)) / 16
+    + (1/24) * integral of (laplacian'/laplacian)^2 r over the droplet; a
+    disc has no inner edge, so its inner factor is 1 and its inner edge
+    term 0.
+    """
+    dq1 = float(p.laplacian(d.r1))
+    ratio1 = float(p.laplacian_dr(d.r1)) / dq1
+    if d.kind == "annulus":
+        dq0 = float(p.laplacian(d.r0))
+        inner = d.r0**2 * dq0
+        inner_edge = d.r0 * (float(p.laplacian_dr(d.r0)) / dq0)
+    else:
+        inner = 1.0
+        inner_edge = 0.0
+
+    def f(r):
+        return (p.laplacian_dr(r) / p.laplacian(r)) ** 2 * r
+
+    val = _integral(f, _inner_cut(d), d.r1)
+    return (
+        math.log(inner / (d.r1**2 * dq1)) / 12.0
+        - (d.r1 * ratio1 - inner_edge) / 16.0
+        + val / 24.0
+    )
+
+
 def f_annulus(p, droplet=None):
     """Order-one free-energy term for an annular droplet."""
     d = _droplet(p, droplet)
     if d.kind != "annulus":
         raise DomainError("f_annulus requires an annular droplet")
-    dq0 = float(p.laplacian(d.r0))
-    dq1 = float(p.laplacian(d.r1))
-    ratio0 = float(p.laplacian_dr(d.r0)) / dq0
-    ratio1 = float(p.laplacian_dr(d.r1)) / dq1
-
-    def f(r):
-        return (p.laplacian_dr(r) / p.laplacian(r)) ** 2 * r
-
-    val, _ = integrate(f, d.r0, d.r1, rel_tol=1e-13, abs_tol=1e-16)
-    return (
-        math.log(d.r0**2 * dq0 / (d.r1**2 * dq1)) / 12.0
-        - (d.r1 * ratio1 - d.r0 * ratio0) / 16.0
-        + val / 24.0
-    )
+    return _f_term(p, d)
 
 
 def f_disc(p, droplet=None):
@@ -149,18 +162,7 @@ def f_disc(p, droplet=None):
     d = _droplet(p, droplet)
     if d.kind != "disc":
         raise DomainError("f_disc requires a disc droplet")
-    dq1 = float(p.laplacian(d.r1))
-    ratio1 = float(p.laplacian_dr(d.r1)) / dq1
-
-    def f(r):
-        return (p.laplacian_dr(r) / p.laplacian(r)) ** 2 * r
-
-    val, _ = integrate(f, _inner_cut(d), d.r1, rel_tol=1e-13, abs_tol=1e-16)
-    return (
-        math.log(1.0 / (d.r1**2 * dq1)) / 12.0
-        - d.r1 * ratio1 / 16.0
-        + val / 24.0
-    )
+    return _f_term(p, d)
 
 
 def f_disc_chi_form(p, droplet=None):
@@ -186,10 +188,8 @@ def f_disc_chi_form(p, droplet=None):
         chi2 = p.laplacian_dr2(r) / (2.0 * dq) - p.laplacian_dr(r) ** 2 / (2.0 * dq**2)
         return chi2 * r + chi_prime(r)
 
-    zm, _ = integrate(zero_mode, lo, d.r1, rel_tol=1e-13, abs_tol=1e-16)
-    dir_en, _ = integrate(
-        lambda r: chi_prime(r) ** 2 * r, lo, d.r1, rel_tol=1e-13, abs_tol=1e-16
-    )
+    zm = _integral(zero_mode, lo, d.r1)
+    dir_en = _integral(lambda r: chi_prime(r) ** 2 * r, lo, d.r1)
     return (
         math.log(1.0 / d.r1**2) / 12.0
         - 0.5 * math.log(dq1) / 6.0
@@ -209,13 +209,7 @@ def b1_integral(p, droplet=None):
     d = _droplet(p, droplet)
     if d.kind != "annulus":
         raise DomainError("b1_integral requires an annular droplet")
-    direct, _ = integrate(
-        lambda r: b1(p, r) * 2.0 * r * p.laplacian(r),
-        d.r0,
-        d.r1,
-        rel_tol=1e-13,
-        abs_tol=1e-16,
-    )
+    direct = _integral(lambda r: b1(p, r) * 2.0 * r * p.laplacian(r), d.r0, d.r1)
     dq0 = float(p.laplacian(d.r0))
     dq1 = float(p.laplacian(d.r1))
     identity = (
@@ -261,11 +255,9 @@ def zw_coefficients(p, droplet=None):
         r = np.sqrt(x)
         return p.laplacian_dr(r) / (4.0 * r * p.laplacian(r))
 
-    f0, _ = integrate(f0_integrand, lo, x1, rel_tol=1e-13, abs_tol=1e-16)
-    fh, _ = integrate(f_half_integrand, lo, x1, rel_tol=1e-13, abs_tol=1e-16)
-    dirich, _ = integrate(
-        lambda x: x * chi_prime_x(x) ** 2, lo, x1, rel_tol=1e-13, abs_tol=1e-16
-    )
+    f0 = _integral(f0_integrand, lo, x1)
+    fh = _integral(f_half_integrand, lo, x1)
+    dirich = _integral(lambda x: x * chi_prime_x(x) ** 2, lo, x1)
     dq1 = float(p.laplacian(d.r1))
     chi1 = 0.5 * math.log(dq1)
     chi1_prime = float(p.laplacian_dr(d.r1)) / (4.0 * d.r1 * dq1)
@@ -286,7 +278,7 @@ def equilibrium_report(p, droplet=None):
         raise InvalidPotentialError(
             f"equilibrium measure has mass {mass!r}, expected 1"
         )
-    f_term = f_annulus(p, d) if d.kind == "annulus" else f_disc(p, d)
+    f_term = _f_term(p, d)
     return EquilibriumReport(
         energy=energy(p, d),
         entropy=entropy(p, d),

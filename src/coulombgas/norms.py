@@ -22,14 +22,24 @@ import numpy as np
 from .droplet import droplet_of, solve_r_tau
 from .equilibrium import b1
 from .errors import CoulombGasError, DomainError, IntegrationError
-from .potential import _check_ensemble, _check_n, _check_rel_tol
+from .potential import (
+    _check_ensemble,
+    _check_n,
+    _check_rel_tol,
+    _is_integer,
+    v_tau,
+)
 from .quadrature import integrate
 from .specialfn import LOG_2PI, ln_factorial
 
 
 @dataclass(frozen=True)
 class NormQuery:
-    """Degree j norm request at matrix size n for one ensemble."""
+    """Degree j norm request at matrix size n for one ensemble.
+
+    n and j follow the rules of the matrix size check (bools, nan, inf and
+    non-integers raise DomainError) and are stored as ints.
+    """
 
     n: int
     j: int
@@ -37,11 +47,12 @@ class NormQuery:
 
     def __post_init__(self):
         _check_ensemble(self.ensemble)
-        _check_n(self.n)
-        if self.j != int(self.j) or not 0 <= self.j <= self.s - 1:
+        object.__setattr__(self, "n", _check_n(self.n))
+        if not _is_integer(self.j) or not 0 <= self.j <= self.s - 1:
             raise DomainError(
                 f"degree must be an integer in [0, {self.s - 1}], got {self.j!r}"
             )
+        object.__setattr__(self, "j", int(self.j))
 
     @property
     def s(self):
@@ -63,14 +74,6 @@ class NormQuery:
 _SEED_OFFSETS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
 
 
-def _v_of(p, tau, r):
-    # scalar/array V_tau without re-validating tau
-    q0 = p.q_derivs(r, 0)
-    if tau == 0.0:
-        return q0
-    return q0 - 2.0 * tau * np.log(r)
-
-
 def _peak(p, query):
     """Saddle radius, V minimum, and Gaussian width for the shifted weight."""
     s = query.s
@@ -80,7 +83,7 @@ def _peak(p, query):
         v_min = p.q_at_zero()
         dq_star = p.laplacian_at_zero()
     else:
-        v_min = float(_v_of(p, tau, r_star))
+        v_min = float(v_tau(p, tau, r_star))
         dq_star = float(p.laplacian(r_star))
     if not dq_star > 0.0:
         raise IntegrationError(f"nonpositive Laplacian at the saddle r = {r_star!r}")
@@ -99,7 +102,7 @@ def _r_cut(p, query, r_star, v_min):
     for _ in range(2000):
         if support is not None and r >= support:
             return support
-        if s * (float(_v_of(p, tau, r)) - v_min) >= thresh:
+        if s * (float(v_tau(p, tau, r)) - v_min) >= thresh:
             return r
         r *= 2.0
         if r > 1e300:
@@ -136,7 +139,7 @@ def _log_norm_exact(p, query, rel_tol):
     seeds = [x for x in seeds if 0.0 < x < cut]
 
     def integrand(r):
-        return 2.0 * r * np.exp(-s * (_v_of(p, tau, r) - v_min))
+        return 2.0 * r * np.exp(-s * (v_tau(p, tau, r) - v_min))
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
     if not val > 0.0:
@@ -152,7 +155,7 @@ def _laplace_value(p, s, tau):
             "use the low-degree form for small j over a disc droplet"
         )
     dq = float(p.laplacian(r))
-    v = float(_v_of(p, tau, r))
+    v = float(v_tau(p, tau, r))
     corr = float(b1(p, r)) / s
     return -s * v + 0.5 * math.log(2.0 * math.pi * r * r / (s * dq)) + math.log1p(corr)
 

@@ -19,7 +19,12 @@ import math
 from .droplet import Droplet
 from .equilibrium import EquilibriumReport
 from .errors import DomainError
-from .potential import _check_n
+from .potential import (
+    _check_ensemble,
+    _check_n,
+    _check_nonnegative,
+    _check_positive,
+)
 from .specialfn import LOG_2PI, ln_barnes_g, ln_factorial, ln_gamma
 
 _INT_TOL = 1e-9
@@ -39,24 +44,19 @@ def ml_log_z(lam, c, n, ensemble="normal"):
     and 2/lam for the symplectic one.  c = 0 is allowed and reproduces the
     pure power case.
     """
-    lam = float(lam)
-    c = float(c)
+    lam = _check_positive("lam", lam)
+    c = _check_nonnegative("c", c)
     n = _check_n(n)
-    if not lam > 0.0:
-        raise DomainError(f"lam must be positive, got {lam!r}")
-    if not c >= 0.0:
-        raise DomainError(f"c must be nonnegative, got {c!r}")
+    _check_ensemble(ensemble)
 
     if ensemble == "normal":
         p = _as_int(1.0 / lam, "1/lam")
         log_base = math.log(n)
         step = lam
-    elif ensemble == "symplectic":
+    else:
         p = _as_int(2.0 / lam, "2/lam")
         log_base = math.log(2 * n)
         step = lam / 2.0
-    else:
-        raise DomainError(f"unknown ensemble {ensemble!r}")
 
     # sum over degrees of the power-of-base and power-of-p prefactors:
     # p * (n(n+1)/2 + c n^2) appears against both log(base) and log(p).
@@ -75,11 +75,9 @@ def ml_log_z(lam, c, n, ensemble="normal"):
 
 def ml_equilibrium(lam, c):
     """Closed-form equilibrium report for the power-log family (c > 0)."""
-    lam = float(lam)
-    c = float(c)
-    if not lam > 0.0:
-        raise DomainError(f"lam must be positive, got {lam!r}")
-    if not c > 0.0:
+    lam = _check_positive("lam", lam)
+    c = _check_nonnegative("c", c)
+    if c == 0.0:
         raise DomainError("the closed-form equilibrium report requires c > 0")
     r0 = (c / lam) ** (1.0 / (2.0 * lam))
     r1 = ((1.0 + c) / lam) ** (1.0 / (2.0 * lam))
@@ -109,17 +107,14 @@ def ml_equilibrium(lam, c):
 
 def tu_log_z(alpha, R, n, ensemble="normal"):
     """log Z_n for the hard-wall family, via Barnes G."""
-    alpha = float(alpha)
-    R = float(R)
+    alpha = _check_positive("alpha", alpha)
+    R = _check_positive("R", R)
     n = _check_n(n)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    if not R > 0.0:
-        raise DomainError(f"R must be positive, got {R!r}")
+    _check_ensemble(ensemble)
     log_beta = 2.0 * math.log(R) + math.log1p(alpha)
+    a = alpha * n
 
     if ensemble == "normal":
-        a = alpha * n
         terms = [
             ln_factorial(n),
             n * (n + 1) / 2.0 * log_beta,
@@ -128,9 +123,7 @@ def tu_log_z(alpha, R, n, ensemble="normal"):
             ln_barnes_g(a + 2.0),
             -ln_barnes_g(a + n + 2.0),
         ]
-        return math.fsum(terms)
-    if ensemble == "symplectic":
-        a = alpha * n
+    else:
         terms = [
             ln_factorial(n),
             n * (n + 1.0) * log_beta,
@@ -144,18 +137,13 @@ def tu_log_z(alpha, R, n, ensemble="normal"):
             -ln_barnes_g(a + n + 1.5),
             -ln_barnes_g(1.5),
         ]
-        return math.fsum(terms)
-    raise DomainError(f"unknown ensemble {ensemble!r}")
+    return math.fsum(terms)
 
 
 def tu_equilibrium(alpha, R):
     """Closed-form equilibrium report for the hard-wall family."""
-    alpha = float(alpha)
-    R = float(R)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    if not R > 0.0:
-        raise DomainError(f"R must be positive, got {R!r}")
+    alpha = _check_positive("alpha", alpha)
+    R = _check_positive("R", R)
     ell = math.log(alpha / (1.0 + alpha))
     i_q = -0.5 * alpha - 0.5 * alpha * (2.0 + alpha) * ell - math.log(R)
     e_q = -2.0 - (1.0 + 2.0 * alpha) * ell - 2.0 * math.log(R)

@@ -29,7 +29,7 @@ from .equilibrium import (
 )
 from .errors import DomainError
 from .norms import NormQuery, log_norm_exact
-from .potential import _check_ensemble, _check_n, _check_rel_tol
+from .potential import _check_ensemble, _check_n, _check_rel_tol, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 _CONVENTIONS = ("physics", "canonical")
@@ -209,10 +209,7 @@ def lemma_sum(p, n, which):
     radii = [solve_r_tau(p, t) for t in taus]
 
     if which.startswith("sum_v"):
-        terms = [
-            float(p.q_derivs(r, 0)) - 2.0 * t * math.log(r)
-            for t, r in zip(taus, radii)
-        ]
+        terms = [float(v_tau(p, t, r)) for t, r in zip(taus, radii)]
     elif which.startswith("sum_logdq"):
         terms = [math.log(float(p.laplacian(r))) for r in radii]
     else:

@@ -14,7 +14,6 @@ Laplacian of Q.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,9 @@ from .errors import DomainError, UnsupportedOrderError
 
 _EPS = np.finfo(float).eps
 
-# Ensemble names and the size and tolerance checks shared by norms, partition
-# and oracles; underscored so they stay out of the public API.
+# Ensemble names and the argument checks shared by potentials, droplet,
+# norms, partition and oracles; underscored so they stay out of the public
+# API.
 _ENSEMBLES = ("normal", "symplectic")
 
 
@@ -32,12 +32,41 @@ def _check_ensemble(ensemble):
         raise DomainError(f"ensemble must be one of {_ENSEMBLES}, got {ensemble!r}")
 
 
+def _is_integer(x):
+    """True for finite integral reals; bools, nan and inf are not integers."""
+    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
+            and math.isfinite(x) and x == int(x))
+
+
 def _check_n(n):
     """Matrix size n as an int; bools, non-integers, nan and inf raise DomainError."""
-    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-            or not math.isfinite(n) or n != int(n) or n < 1):
+    if not _is_integer(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     return int(n)
+
+
+def _check_tau(tau):
+    """Rotated degree tau as a float in [0, 1]; anything else raises DomainError."""
+    t = float(tau)
+    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
+        raise DomainError(f"tau must lie in [0, 1], got {tau!r}")
+    return t
+
+
+def _check_positive(name, value):
+    """Family parameter as a float; nan, inf and values <= 0 raise DomainError."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _check_nonnegative(name, value):
+    """Family parameter as a float; nan, inf and values < 0 raise DomainError."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be nonnegative, got {value!r}")
+    return value
 
 
 def _check_rel_tol(rel_tol):
@@ -139,9 +168,7 @@ class Ginibre(RadialPotential):
     """Quadratic confinement q(r) = (r / scale)^2."""
 
     def __init__(self, scale=1.0):
-        scale = float(scale)
-        if not (math.isfinite(scale) and scale > 0.0):
-            raise DomainError(f"scale must be positive, got {scale!r}")
+        scale = _check_positive("scale", scale)
         self.scale = scale
         self.name = f"ginibre(scale={scale!r})"
 
@@ -185,12 +212,8 @@ class MittagLeffler(RadialPotential):
     """
 
     def __init__(self, lam, c):
-        lam = float(lam)
-        c = float(c)
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise DomainError(f"lam must be positive, got {lam!r}")
-        if not (math.isfinite(c) and c >= 0.0):
-            raise DomainError(f"c must be nonnegative, got {c!r}")
+        lam = _check_positive("lam", lam)
+        c = _check_nonnegative("c", c)
         self.lam = lam
         self.c = c
         self.name = f"ml(lam={lam!r}, c={c!r})"
@@ -249,12 +272,8 @@ class TruncatedUnitary(RadialPotential):
     """
 
     def __init__(self, alpha, R=1.0):
-        alpha = float(alpha)
-        R = float(R)
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise DomainError(f"alpha must be positive, got {alpha!r}")
-        if not (math.isfinite(R) and R > 0.0):
-            raise DomainError(f"R must be positive, got {R!r}")
+        alpha = _check_positive("alpha", alpha)
+        R = _check_positive("R", R)
         self.alpha = alpha
         self.R = R
         self.beta = R * R * (1.0 + alpha)
@@ -349,9 +368,7 @@ class Custom(RadialPotential):
         self._q = q
         self._derivs = list(derivs) if derivs is not None else None
         if support_radius is not None:
-            support_radius = float(support_radius)
-            if not support_radius > 0.0:
-                raise DomainError(f"support_radius must be positive, got {support_radius!r}")
+            support_radius = _check_positive("support_radius", support_radius)
         self.support_radius = support_radius
         self._q_origin = q_origin
         self._laplacian_origin = laplacian_origin
@@ -416,57 +433,24 @@ class _Dilated(RadialPotential):
 
 def dilate(p, a):
     """Return the potential r -> q(r / a) for a dilation factor a > 0."""
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"dilation factor must be positive, got {a!r}")
-    return _Dilated(p, a)
-
-
-@dataclass(frozen=True)
-class TauParams:
-    """Rotated-degree parameter tau = degree / (ensemble scaling * n)."""
-
-    tau: float
-    kind: str = "normal"
-
-    def __post_init__(self):
-        _check_ensemble(self.kind)
-        if not (math.isfinite(self.tau) and 0.0 <= self.tau <= 1.0):
-            raise DomainError(f"tau must lie in [0, 1], got {self.tau!r}")
-
-    @classmethod
-    def for_degree(cls, j, n, kind="normal"):
-        """tau for monomial degree j at matrix size n.
-
-        Determinantal weights use tau = j / n with j in 0..n-1; symplectic
-        weights use tau = j / (2 n) with j in 0..2n-1.
-        """
-        n = _check_n(n)
-        if j != int(j) or j < 0:
-            raise DomainError(f"degree must be a nonnegative integer, got {j!r}")
-        scale = 1 if kind == "normal" else 2
-        if j >= scale * n:
-            raise DomainError(f"degree {j} out of range for kind={kind!r} at n={n}")
-        return cls(tau=j / (scale * n), kind=kind)
+    return _Dilated(p, _check_positive("dilation factor", a))
 
 
 def v_tau(p, tau, r, order=0):
     """Effective potential V_tau(r) = q(r) - 2 tau log r and derivatives.
 
-    tau may be a TauParams or a plain float in [0, 1].  Orders 2..4 are
-    assembled from the Laplacian of Q through
-    V'' = 4 laplacian - V'/r, which keeps them exact for potentials whose
-    Laplacian is known in closed form.
+    tau is a float in [0, 1]; a caller holding a norms.NormQuery passes
+    query.tau.  r is checked once.  Orders 2..4 are assembled from the
+    Laplacian of Q through V'' = 4 laplacian - V'/r, which keeps them exact
+    for potentials whose Laplacian is known in closed form.
     """
-    t = tau.tau if isinstance(tau, TauParams) else float(tau)
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-        raise DomainError(f"tau must lie in [0, 1], got {tau!r}")
+    t = _check_tau(tau)
     if order not in (0, 1, 2, 3, 4):
         raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
     rr = p._checked(r)
     if order == 0:
-        return p.q_derivs(rr, 0) - 2.0 * t * np.log(rr)
-    v1 = p.q_derivs(rr, 1) - 2.0 * t / rr
+        return p._profile(rr, 0) - 2.0 * t * np.log(rr)
+    v1 = p._profile(rr, 1) - 2.0 * t / rr
     if order == 1:
         return v1
     if order == 2:

@@ -129,10 +129,36 @@ def test_invalid_potential_exit_code(capsys):
     assert rc == 3
 
 
-def test_cross_family_flag_is_usage_error():
+_SUBCOMMAND_ARGS = {
+    "droplet": [],
+    "equilibrium": [],
+    "zw": [],
+    "norm": ["--N", "10", "--j", "1"],
+    "exact": ["--N", "10"],
+    "expand": ["--N", "10"],
+    "oracle": ["--N", "10"],
+    "lemmas": ["--N", "10", "--which", "sum_v_normal"],
+    "converge": ["--Ns", "10,12"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_SUBCOMMAND_ARGS))
+def test_cross_family_flag_is_usage_error(capsys, cmd):
+    argv = [cmd, "--potential", "tu", "--alpha", "1", "--R", "1", "--lambda", "2"]
     with pytest.raises(SystemExit) as exc:
-        main(["droplet", "--potential", "ginibre", "--alpha", "1"])
+        main(argv + _SUBCOMMAND_ARGS[cmd])
+    out, err = capsys.readouterr()
     assert exc.value.code == 2
+    assert out == ""
+    assert "--lambda does not apply to --potential tu" in err
+
+
+def test_oracle_infinite_parameter_is_domain_error(capsys):
+    rc = main(["oracle", "--potential", "tu", "--alpha", "inf", "--R", "1", "--N", "10"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_missing_family_parameter_is_usage_error():

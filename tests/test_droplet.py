@@ -288,3 +288,24 @@ def test_scalar_overflow_raises_package_errors(derivs):
         # Finite differences of inf are nan, so no bracket is found.
         with pytest.raises(CoulombGasError):
             solve_r_tau(p, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_in_the_bracket_scan_is_named():
+    # The FD q' of the steep profile is inf - inf = nan from r = 2 on; the
+    # scan stops there instead of treating nan as below the target.
+    with pytest.raises(InvalidPotentialError, match=r"r q'\(r\) is nan at r = 2\.0") as exc:
+        solve_r_tau(_steep_power(False), 0.5)
+    assert "tau = 0.5" in str(exc.value)
+
+
+def test_nan_in_the_newton_loop_is_named():
+    # q = r^2 with q' nan on (0.4, 0.6): the scan brackets the root
+    # sqrt(0.5) in (1e-12, 1] and the first Newton point is r = 0.5.
+    def q1(r):
+        return math.nan if 0.4 < r < 0.6 else 2.0 * r
+
+    p = Custom(lambda r: r * r, derivs=[q1, lambda r: 2.0, lambda r: 0.0, lambda r: 0.0],
+               vectorized=False)
+    with pytest.raises(InvalidPotentialError, match=r"r q'\(r\) is nan at r = 0\.5"):
+        solve_r_tau(p, 0.5)

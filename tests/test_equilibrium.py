@@ -148,3 +148,39 @@ def test_b1_ginibre_closed_form():
     p = Ginibre()
     for r in (0.3, 0.8, 1.0):
         assert abs(b1(p, r) - 1.0 / (12.0 * r * r)) < 1e-13
+
+
+# (energy, entropy, log_potential_origin, f_term) as float.hex(), plus
+# f_disc_chi_form for the discs: the bits of the per-functional code that
+# one shared quadrature policy and one order-one term replaced.
+_REPORT_BITS = [
+    (MittagLeffler(1.0, 1.0),
+     ("0x1.ba37a020b8c25p-1", "0x0.0p+0", "-0x1.8b90bfbe8e7b8p-3",
+      "-0x1.d9303fea2f7ecp-5"), None),
+    (MittagLeffler(0.5, 1.0),
+     ("-0x1.687a9f1af2b12p-2", "-0x1.3b9d3beb8c86bp+1", "-0x1.145647e7756e6p+0",
+      "-0x1.d9303fea2f7e9p-6"), None),
+    (TruncatedUnitary(1.0, 1.0),
+     ("0x1.145647e7756e7p-1", "0x1.45647e7756e6ep-4", "0x1.62e42fefa39efp-2",
+      "-0x1.a4d1a53a10b3ap-3"), "-0x1.a4d1a53a10b3ap-3"),
+    (Ginibre(),
+     ("0x1.8000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0"),
+     "0x0.0p+0"),
+    (dilate(Ginibre(), 1.5),
+     ("0x1.60cdc134067b3p-2", "-0x1.9f323ecbf984cp-1", "0x1.833704d019ed0p-4",
+      "0x1.22b5c29a75c76p-109"), "-0x1.93278d361b43dp-58"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, want, chi", _REPORT_BITS,
+    ids=["ml11", "ml-half-1", "tu11", "ginibre", "dilated-ginibre"],
+)
+def test_equilibrium_report_golden_bits(p, want, chi):
+    rep = equilibrium_report(p)
+    got = (rep.energy, rep.entropy, rep.log_potential_origin, rep.f_term)
+    assert tuple(x.hex() for x in got) == want
+    f_kind = f_disc if rep.droplet.kind == "disc" else f_annulus
+    assert f_kind(p).hex() == want[3]
+    if chi is not None:
+        assert f_disc_chi_form(p).hex() == chi

@@ -170,6 +170,12 @@ def test_norm_query_validation():
         NormQuery(10, -1, "normal")
     with pytest.raises(DomainError):
         NormQuery(10, 0, "orthogonal")
+    # The degree follows the matrix-size rules and is stored as an int.
+    for bad in (math.nan, math.inf, True, 2.5):
+        with pytest.raises(DomainError, match="degree must be an integer"):
+            NormQuery(10, bad, "normal")
+    q = NormQuery(10, 2.0, "normal")
+    assert q.j == 2 and type(q.j) is int
 
 
 def test_failed_norm_names_its_potential_size_and_degree():

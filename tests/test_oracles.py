@@ -114,3 +114,16 @@ def test_oracle_input_validation():
         tu_log_z(0.0, 1.0, 10, "normal")
     with pytest.raises(DomainError):
         tu_log_z(1.0, -1.0, 10, "normal")
+    # Infinite parameters go through the same check as the potentials.
+    for call in (
+        lambda: ml_log_z(1.0, math.inf, 10),
+        lambda: ml_log_z(math.inf, 1.0, 10),
+        lambda: tu_log_z(math.inf, 1.0, 10),
+        lambda: tu_log_z(1.0, math.inf, 10),
+        lambda: ml_equilibrium(1.0, math.inf),
+        lambda: tu_equilibrium(math.inf, 1.0),
+        lambda: tu_equilibrium(1.0, math.inf),
+        lambda: tu_log_z(1.0, 1.0, 10, "orthogonal"),
+    ):
+        with pytest.raises(DomainError):
+            call()

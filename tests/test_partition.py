@@ -19,7 +19,6 @@ from coulombgas.potential import (
     Custom,
     Ginibre,
     MittagLeffler,
-    TauParams,
     TruncatedUnitary,
     dilate,
 )
@@ -105,7 +104,6 @@ def test_sizes_share_one_validator(bad):
         lambda: ml_log_z(1.0, 0.0, bad),
         lambda: tu_log_z(1.0, 1.0, bad),
         lambda: NormQuery(bad, 0),
-        lambda: TauParams.for_degree(0, bad),
         lambda: lemma_sum(MittagLeffler(1.0, 1.0), bad, "sum_v_normal"),
     ]
     for call in calls:

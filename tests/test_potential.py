@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from coulombgas.errors import DomainError, UnsupportedOrderError
+from coulombgas.norms import NormQuery
 from coulombgas.potential import (
     Custom,
     Ginibre,
     MittagLeffler,
-    TauParams,
     TruncatedUnitary,
     dilate,
     v_tau,
@@ -237,18 +237,16 @@ def test_dilate_scales_support():
 
 
 def test_tau_params_for_degree():
-    t = TauParams.for_degree(3, 10, "normal")
-    assert t.tau == 0.3
-    t2 = TauParams.for_degree(5, 10, "symplectic")
-    assert t2.tau == 0.25
-    t3 = TauParams.for_degree(19, 10, "symplectic")
-    assert t3.tau == 0.95
+    # NormQuery is the one degree -> tau map; v_tau takes the float.
+    assert NormQuery(10, 3, "normal").tau == 0.3
+    assert NormQuery(10, 5, "symplectic").tau == 0.25
+    assert NormQuery(10, 19, "symplectic").tau == 0.95
     with pytest.raises(DomainError):
-        TauParams.for_degree(10, 10, "normal")
+        NormQuery(10, 10, "normal")
     with pytest.raises(DomainError):
-        TauParams.for_degree(-1, 10, "normal")
-    with pytest.raises(DomainError):
-        TauParams(1.5, "normal")
+        NormQuery(10, -1, "normal")
+    with pytest.raises(DomainError, match=r"tau must lie in \[0, 1\]"):
+        v_tau(Ginibre(), 1.5, 1.0)
 
 
 def test_v_tau_values_and_derivatives():
