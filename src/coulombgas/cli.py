@@ -29,6 +29,7 @@ from .errors import (
     SolverError,
 )
 from .norms import (
+    _REL_TOL,
     NormQuery,
     log_norm_exact,
     log_norm_highdeg,
@@ -174,8 +175,7 @@ def _cmd_norm(args, parser):
     p = _make_potential(args, parser)
     query = NormQuery(n=args.N, j=args.j, ensemble=args.ensemble)
     if args.method == "exact":
-        tol = args.quad_rel_tol
-        val = log_norm_exact(p, query) if tol is None else log_norm_exact(p, query, rel_tol=tol)
+        val = log_norm_exact(p, query, rel_tol=args.quad_rel_tol)
     elif args.method == "laplace":
         val = log_norm_laplace(p, query)
     elif args.method == "lowdeg":
@@ -293,9 +293,9 @@ def _build_parser():
                              default="physics", help="coefficient convention")
         if needs_quad:
             sub.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float,
-                             default=None,
+                             default=_REL_TOL,
                              help="per-norm quadrature relative tolerance "
-                                  "(default: 1e-13, 1e-14 for N >= 400)")
+                                  "(default %(default)g)")
             sub.add_argument("--threads", type=int, default=0,
                              help="accepted for compatibility and ignored: "
                                   "norms are evaluated on one thread")

@@ -70,7 +70,7 @@ def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
     Potentials with a closed-form root (p.r_tau) use it; the others go
-    through the safeguarded Newton iteration of _bisect_r_tau.  For a disc
+    through the safeguarded Newton iteration of _newton_r_tau.  For a disc
     potential tau = 0 returns 0.
     """
     tau = _check_tau(tau)
@@ -79,7 +79,7 @@ def solve_r_tau(p, tau):
     except OverflowError:
         r = math.inf
     if r is None:
-        return _bisect_r_tau(p, tau)
+        return _newton_r_tau(p, tau)
     if r == math.inf:
         raise InvalidPotentialError(
             f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
@@ -87,7 +87,7 @@ def solve_r_tau(p, tau):
     return r
 
 
-def _bisect_r_tau(p, tau):
+def _newton_r_tau(p, tau):
     """Safeguarded Newton for r q'(r) = 2 tau on a bracket found by scanning
     upward.
 

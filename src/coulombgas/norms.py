@@ -25,7 +25,7 @@ from .errors import CoulombGasError, DomainError, IntegrationError
 from .potential import (
     _check_ensemble,
     _check_n,
-    _check_rel_tol,
+    _check_positive,
     _is_integer,
     v_tau,
 )
@@ -62,6 +62,11 @@ class NormQuery:
     @property
     def tau(self):
         return self.j / self.s
+
+
+# Relative accuracy of every norm integral, the same at every n: a tighter
+# target sinks into the roundoff noise of s (V_tau - V_min) at large n.
+_REL_TOL = 1e-13
 
 
 # Initial panel boundaries r* +- k*width: the partition the adaptive rule
@@ -110,14 +115,14 @@ def _r_cut(p, query, r_star, v_min):
     raise IntegrationError("failed to locate a truncation radius")
 
 
-def log_norm_exact(p, query, rel_tol=1e-13):
+def log_norm_exact(p, query, rel_tol=_REL_TOL):
     """log h_j by shifted adaptive quadrature.
 
     Accuracy target is rel_tol on the norm value, which translates to about
     the same absolute error on the log.  A failure re-raises its exception
     class with the potential name, n, j and ensemble in the message.
     """
-    rel_tol = _check_rel_tol(rel_tol)
+    rel_tol = _check_positive("rel_tol", rel_tol)
     try:
         return _log_norm_exact(p, query, rel_tol)
     except CoulombGasError as exc:

@@ -14,7 +14,9 @@ Hard-wall family (profile -alpha log(1 - r^2/beta)): each norm is a Beta
 value, and the product telescopes into Barnes G directly.
 """
 
+import functools
 import math
+from dataclasses import astuple
 
 from .droplet import Droplet
 from .equilibrium import EquilibriumReport
@@ -30,13 +32,35 @@ from .specialfn import LOG_2PI, ln_barnes_g, ln_factorial, ln_gamma
 _INT_TOL = 1e-9
 
 
+def _finite(oracle):
+    """Have the oracle raise DomainError when its float64 result is not
+    finite: a term overflows, or infinite terms cancel to nan."""
+
+    @functools.wraps(oracle)
+    def checked(*args, **kwargs):
+        try:
+            out = oracle(*args, **kwargs)
+            # A report's four functionals: its radii are inputs or powers,
+            # and a power raises OverflowError instead of returning inf.
+            values = astuple(out)[:4] if isinstance(out, EquilibriumReport) else (out,)
+            if all(map(math.isfinite, values)):
+                return out
+        except (OverflowError, ValueError):  # float64 range: overflow, log(0), inf - inf
+            pass
+        call = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+        raise DomainError(f"{oracle.__name__}({call}) is not finite in float64")
+
+    return checked
+
+
 def _as_int(x, what):
-    k = round(x)
+    k = round(x) if math.isfinite(x) else 0
     if abs(x - k) > _INT_TOL or k < 1:
         raise DomainError(f"{what} must be a positive integer, got {x!r}")
     return int(k)
 
 
+@_finite
 def ml_log_z(lam, c, n, ensemble="normal"):
     """log Z_n for the power-log family, via Barnes G.
 
@@ -73,6 +97,7 @@ def ml_log_z(lam, c, n, ensemble="normal"):
     return math.fsum(terms)
 
 
+@_finite
 def ml_equilibrium(lam, c):
     """Closed-form equilibrium report for the power-log family (c > 0)."""
     lam = _check_positive("lam", lam)
@@ -105,6 +130,7 @@ def ml_equilibrium(lam, c):
     )
 
 
+@_finite
 def tu_log_z(alpha, R, n, ensemble="normal"):
     """log Z_n for the hard-wall family, via Barnes G."""
     alpha = _check_positive("alpha", alpha)
@@ -140,6 +166,7 @@ def tu_log_z(alpha, R, n, ensemble="normal"):
     return math.fsum(terms)
 
 
+@_finite
 def tu_equilibrium(alpha, R):
     """Closed-form equilibrium report for the hard-wall family."""
     alpha = _check_positive("alpha", alpha)

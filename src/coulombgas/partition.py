@@ -28,8 +28,8 @@ from .equilibrium import (
     log_potential_origin,
 )
 from .errors import DomainError
-from .norms import NormQuery, log_norm_exact
-from .potential import _check_ensemble, _check_n, _check_rel_tol, v_tau
+from .norms import _REL_TOL, NormQuery, log_norm_exact
+from .potential import _check_ensemble, _check_n, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 _CONVENTIONS = ("physics", "canonical")
@@ -50,30 +50,28 @@ def _check_convention(convention):
 
 
 def default_rel_tol(n):
-    """Per-norm quadrature tolerance: 1e-13, tightened to 1e-14 for n >= 400
-    so the accumulated per-term error stays below the residuals under study."""
-    return 1e-14 if n >= 400 else 1e-13
+    """Per-norm quadrature tolerance, 1e-13; it no longer depends on n."""
+    return _REL_TOL
 
 
-def log_z_exact(p, n, ensemble="normal", rel_tol=None, threads=1):
+def log_z_exact(p, n, ensemble="normal", rel_tol=_REL_TOL, threads=1):
     """log Z_n by exact norm quadrature and compensated summation.
 
     The returned value is the physics-convention partition function
     including the log n! combinatorial factor.  Norms are evaluated one
-    after another and accumulated by an exact compensated sum.  threads is
-    accepted for compatibility and ignored: a thread pool only slowed the
-    GIL-bound norm loop down.
+    after another, each to relative accuracy rel_tol, and accumulated by an
+    exact compensated sum.  threads is accepted for compatibility and
+    ignored: a thread pool only slowed the GIL-bound norm loop down.
     """
     n = _check_n(n)
     _check_ensemble(ensemble)
-    tol = default_rel_tol(n) if rel_tol is None else _check_rel_tol(rel_tol)
     if ensemble == "normal":
         degrees = range(n)
     else:
         degrees = range(1, 2 * n, 2)
 
     vals = [
-        log_norm_exact(p, NormQuery(n=n, j=j, ensemble=ensemble), rel_tol=tol)
+        log_norm_exact(p, NormQuery(n=n, j=j, ensemble=ensemble), rel_tol=rel_tol)
         for j in degrees
     ]
 
@@ -269,7 +267,7 @@ def convergence_study(
     ensemble="normal",
     convention="physics",
     exact_fn=None,
-    rel_tol=None,
+    rel_tol=_REL_TOL,
     threads=1,
     report=None,
 ):

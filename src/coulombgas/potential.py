@@ -32,10 +32,14 @@ def _check_ensemble(ensemble):
         raise DomainError(f"ensemble must be one of {_ENSEMBLES}, got {ensemble!r}")
 
 
+def _is_real(x):
+    """True for finite reals; bools, non-numbers, nan and inf are not."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def _is_integer(x):
     """True for finite integral reals; bools, nan and inf are not integers."""
-    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
-            and math.isfinite(x) and x == int(x))
+    return _is_real(x) and x == int(x)
 
 
 def _check_n(n):
@@ -54,28 +58,19 @@ def _check_tau(tau):
 
 
 def _check_positive(name, value):
-    """Family parameter as a float; nan, inf and values <= 0 raise DomainError."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive, got {value!r}")
-    return value
+    """Family parameter or tolerance as a float; bools, non-reals, nan, inf
+    and values <= 0 raise DomainError."""
+    if not (_is_real(value) and value > 0):
+        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _check_nonnegative(name, value):
-    """Family parameter as a float; nan, inf and values < 0 raise DomainError."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be nonnegative, got {value!r}")
-    return value
-
-
-def _check_rel_tol(rel_tol):
-    """Quadrature tolerance as a float; bools, nan, inf and values <= 0 raise
-    DomainError."""
-    if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
-            or not math.isfinite(rel_tol) or rel_tol <= 0):
-        raise DomainError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
-    return float(rel_tol)
+    """Family parameter as a float; bools, non-reals, nan, inf and values < 0
+    raise DomainError."""
+    if not (_is_real(value) and value >= 0):
+        raise DomainError(f"{name} must be a finite nonnegative number, got {value!r}")
+    return float(value)
 
 
 def _const_like(r, val):

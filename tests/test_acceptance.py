@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from coulombgas.cli import main as cli_main
 from coulombgas.equilibrium import (
@@ -20,9 +21,10 @@ from coulombgas.equilibrium import (
     mu_mass,
     zw_coefficients,
 )
+from coulombgas.errors import IntegrationError
 from coulombgas.norms import NormQuery, log_norm_exact, log_norm_laplace
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
-from coulombgas.partition import expansion_terms, lemma_sum, log_z_exact
+from coulombgas.partition import default_rel_tol, expansion_terms, lemma_sum, log_z_exact
 from coulombgas.potential import Ginibre, MittagLeffler, TruncatedUnitary, dilate
 from coulombgas.specialfn import (
     LOG_2PI,
@@ -255,3 +257,79 @@ def test_converge_csv_determinism(tmp_path):
     identical = f1.read_bytes() == f8.read_bytes()
     ok = rc1 == 0 and rc8 == 0 and identical
     _verdict("converge output determinism across thread counts", ok, f"byte-identical={identical}")
+
+
+# Large-N gate: the exact route against the Barnes-G oracles at the sizes
+# where the expansion is tested.  The bound is fixed before any run:
+#   - each of the n norms is accurate to default_rel_tol(n) relative, which
+#     moves log Z by at most n * rel_tol;
+#   - both routes round their sums once, so each contributes a few ulp of
+#     its largest intermediate: |log Z| for the compensated norm sum, and for
+#     the oracle the Barnes-G terms ln G(x) ~ x^2 ln(x) / 2 at x up to
+#     n (1 + c) + 2 (power-log, p = 1/lam or 2/lam factors, next to
+#     p (n^2/2 + c n^2) ln s) or (1 + alpha) n + 2 (hard wall, next to
+#     s n |ln beta|), with s = n or 2n.
+# 4 ulp of each scale covers the rounding of both routes.
+_EPS = float(np.finfo(float).eps)
+
+
+def _ml_scale(lam, c, n, ensemble):
+    k = 1 if ensemble == "normal" else 2
+    x = n * (1.0 + c) + 2.0
+    return k / lam * (x * x * math.log(x) + (0.5 + c) * n * n * math.log(k * n))
+
+
+def _tu_scale(alpha, R, n, ensemble):
+    k = 1 if ensemble == "normal" else 2
+    x = (1.0 + alpha) * n + 2.0
+    log_beta = abs(2.0 * math.log(R) + math.log1p(alpha))
+    return 2.0 * x * x * math.log(x) + k * n * n * log_beta
+
+
+_LARGE_N_FAMILIES = {
+    "ml(1,1)": (lambda: MittagLeffler(1.0, 1.0),
+                lambda n, e: ml_log_z(1.0, 1.0, n, e),
+                lambda n, e: _ml_scale(1.0, 1.0, n, e)),
+    "ml(1/2,1)": (lambda: MittagLeffler(0.5, 1.0),
+                  lambda n, e: ml_log_z(0.5, 1.0, n, e),
+                  lambda n, e: _ml_scale(0.5, 1.0, n, e)),
+    "tu(1,1)": (lambda: TruncatedUnitary(1.0, 1.0),
+                lambda n, e: tu_log_z(1.0, 1.0, n, e),
+                lambda n, e: _tu_scale(1.0, 1.0, n, e)),
+    # The oracle of Ginibre is the power-log family at lam = 1, c = 0.
+    "ginibre": (Ginibre,
+                lambda n, e: ml_log_z(1.0, 0.0, n, e),
+                lambda n, e: _ml_scale(1.0, 0.0, n, e)),
+}
+
+# ML(1/2, 1) symplectic at N = 1600 still fails at j = 1695: the shifted
+# exponent s (V_tau - V_min) is formed by cancellation, and its noise at
+# s = 3200 is above the per-norm tolerance.
+_LARGE_N_CASES = [
+    pytest.param(
+        family, ensemble, n,
+        id=f"{family}-{ensemble}-{n}",
+        marks=(pytest.mark.xfail(strict=True, raises=IntegrationError,
+                                 reason="cancellation noise in s (V_tau - V_min)")
+               if (family, ensemble, n) == ("ml(1/2,1)", "symplectic", 1600) else ()),
+    )
+    for family in _LARGE_N_FAMILIES
+    for ensemble in ("normal", "symplectic")
+    for n in (400, 800, 1600)
+]
+
+
+@pytest.mark.parametrize("family, ensemble, n", _LARGE_N_CASES)
+def test_exact_matches_oracle_large_n(family, ensemble, n):
+    make, oracle, scale = _LARGE_N_FAMILIES[family]
+    t0 = time.perf_counter()
+    exact = log_z_exact(make(), n, ensemble)
+    elapsed = time.perf_counter() - t0
+    ref = oracle(n, ensemble)
+    bound = n * default_rel_tol(n) + 4.0 * _EPS * (abs(ref) + scale(n, ensemble))
+    gap = abs(exact - ref)
+    _verdict(
+        f"quadrature vs closed form, {family} {ensemble} N={n}",
+        gap <= bound,
+        f"gap {gap:.3e}, bound {bound:.3e}, ratio {gap / bound:.3f}, {elapsed:.2f}s",
+    )

@@ -161,6 +161,14 @@ def test_oracle_infinite_parameter_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_oracle_nonfinite_result_is_domain_error(capsys):
+    rc = main(["oracle", "--potential", "ml", "--lambda", "1", "--c", "1e300", "--N", "10"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
 def test_missing_family_parameter_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["droplet", "--potential", "ml", "--lambda", "1"])

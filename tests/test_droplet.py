@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas.droplet import _bisect_r_tau, dr_dtau, droplet_of, solve_r_tau
+from coulombgas.droplet import _newton_r_tau, dr_dtau, droplet_of, solve_r_tau
 from coulombgas.errors import CoulombGasError, DomainError, InvalidPotentialError
 from coulombgas.potential import (
     Custom,
@@ -76,8 +76,9 @@ _CLOSED_FORM_CASES = [
     ("ginibre(2)", Ginibre(2.0), Ginibre(2.0)),
     ("tu(2.3, 0.6)", TruncatedUnitary(2.3, 0.6), TruncatedUnitary(2.3, 0.6)),
     ("dilate(ml)", dilate(MittagLeffler(0.5, 1.3), 1.7), dilate(MittagLeffler(0.5, 1.3), 1.7)),
-    # No closed form: solve_r_tau bisects the dilated Custom profile, which
-    # must agree with the dilated closed form of the same ML profile.
+    # No closed form: solve_r_tau runs the Newton solve on the dilated Custom
+    # profile, which must agree with the dilated closed form of the same ML
+    # profile.
     ("dilate(custom)", dilate(_ml_custom(0.5, 1.3), 1.7), dilate(MittagLeffler(0.5, 1.3), 1.7)),
 ]
 
@@ -86,19 +87,20 @@ _CLOSED_FORM_CASES = [
     "label, p, closed", _CLOSED_FORM_CASES, ids=[case[0] for case in _CLOSED_FORM_CASES]
 )
 def test_closed_form_r_tau_matches_bisection(label, p, closed):
-    # Bound: the bisection stops once its bracket is 1e-13 max(1, r) wide.
+    # Bound: the Newton solve stops once its step or bracket is below
+    # 1e-13 max(1, r).
     for tau in np.linspace(0.0, 1.0, 201):
         tau = float(tau)
-        want = _bisect_r_tau(p, tau)
+        want = _newton_r_tau(p, tau)
         got = closed.r_tau(tau)
         assert got is not None
         assert abs(got - want) <= 1e-13 * max(1.0, want), (label, tau, got, want)
-        # solve_r_tau returns the closed form when p has one, else bisects.
+        # solve_r_tau returns the closed form when p has one, else runs Newton.
         assert solve_r_tau(p, tau) == (want if p.r_tau(tau) is None else got)
 
 
 def test_closed_form_overflow_is_an_invalid_potential():
-    # ((1 + 1) / 1e-3)^500 overflows; the bisection scan reported the same.
+    # ((1 + 1) / 1e-3)^500 overflows: the failure the bracket scan reports.
     with pytest.raises(InvalidPotentialError):
         solve_r_tau(MittagLeffler(1e-3, 1.0), 1.0)
 
@@ -237,7 +239,7 @@ def test_custom_root_on_a_steep_profile():
 
 
 def test_custom_root_derivative_calls_per_solve():
-    # The bisection needed 58 q' calls per solve on this profile; the
+    # Plain bisection needs 58 q' calls per solve on this profile; the
     # Newton iteration needs the bracket scan plus a few q', q'' pairs.
     calls = []
 

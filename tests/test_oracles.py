@@ -127,3 +127,25 @@ def test_oracle_input_validation():
     ):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ml_log_z(1.0, 1e300, 10),
+        lambda: ml_log_z(1.0, 1e300, 10, "symplectic"),
+        lambda: ml_log_z(0.5, 1e200, 10),
+        lambda: tu_log_z(1e300, 1.0, 10),
+        lambda: tu_log_z(1e300, 1.0, 10, "symplectic"),
+        lambda: ml_equilibrium(1.0, 1e300),
+        lambda: ml_equilibrium(1e300, 1.0),
+        lambda: tu_equilibrium(1e300, 1.0),
+        lambda: ml_log_z(5e-324, 1.0, 10),
+    ],
+    ids=["ml-c", "ml-c-symplectic", "ml-half-c", "tu-alpha", "tu-alpha-symplectic",
+         "ml_equilibrium-c", "ml_equilibrium-lam", "tu_equilibrium-alpha", "ml-tiny-lam"],
+)
+def test_oracle_result_beyond_float64_is_domain_error(call):
+    # Finite parameters whose result overflows or cancels to nan.
+    with pytest.raises(DomainError):
+        call()

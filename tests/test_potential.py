@@ -5,6 +5,7 @@ import pytest
 
 from coulombgas.errors import DomainError, UnsupportedOrderError
 from coulombgas.norms import NormQuery
+from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -275,3 +276,38 @@ def test_rqprime_monotone_on_droplet():
         rs = np.linspace(0.05, 0.999 * hi, 50)
         vals = rs * np.array([p.q_derivs(float(r), 1) for r in rs])
         assert np.all(np.diff(vals) > 0), p
+
+
+# Every caller of the family-parameter checks, one parameter slot at a time.
+_PARAMETER_SLOTS = {
+    "ginibre-scale": lambda x: Ginibre(x),
+    "ml-lam": lambda x: MittagLeffler(x, 1.0),
+    "ml-c": lambda x: MittagLeffler(1.0, x),
+    "tu-alpha": lambda x: TruncatedUnitary(x, 1.0),
+    "tu-R": lambda x: TruncatedUnitary(1.0, x),
+    "dilate": lambda x: dilate(Ginibre(), x),
+    "custom-support": lambda x: Custom(lambda r: r * r, support_radius=x),
+    "ml_log_z-lam": lambda x: ml_log_z(x, 1.0, 10),
+    "ml_log_z-c": lambda x: ml_log_z(1.0, x, 10),
+    "tu_log_z-alpha": lambda x: tu_log_z(x, 1.0, 10),
+    "tu_log_z-R": lambda x: tu_log_z(1.0, x, 10),
+    "ml_equilibrium-lam": lambda x: ml_equilibrium(x, 1.0),
+    "ml_equilibrium-c": lambda x: ml_equilibrium(1.0, x),
+    "tu_equilibrium-alpha": lambda x: tu_equilibrium(x, 1.0),
+    "tu_equilibrium-R": lambda x: tu_equilibrium(1.0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.5", 1.0 + 0.0j],
+                         ids=["True", "False", "np.True_", "str", "complex"])
+@pytest.mark.parametrize("slot", sorted(_PARAMETER_SLOTS))
+def test_family_parameters_reject_bools_and_non_reals(slot, bad):
+    with pytest.raises(DomainError):
+        _PARAMETER_SLOTS[slot](bad)
+
+
+@pytest.mark.parametrize("slot", sorted(_PARAMETER_SLOTS))
+def test_family_parameters_accept_integral_and_numpy_reals(slot):
+    # Reals of any numeric type pass.
+    for good in (1, np.float32(1.0), np.int64(1)):
+        _PARAMETER_SLOTS[slot](good)
