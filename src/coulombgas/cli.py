@@ -5,10 +5,12 @@ converge.  Potentials are chosen with --potential ginibre|ml|tu plus the
 family's parameters.  Output formats: text (key=value lines, %.17g floats),
 csv (key,value rows; converge emits its table schema), json.  Exit codes:
 0 success, 2 usage, 3 domain or invalid-potential errors, 4 solver or
-quadrature failures.
+quadrature failures.  The parser is built on the first main() call and
+reused by every later call in the same process.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -270,6 +272,7 @@ def _cmd_converge(args, parser):
     return table.to_csv()
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="coulombgas",

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidPotentialError, SolverError
+from .errors import (
+    CoulombGasError,
+    DomainError,
+    InvalidPotentialError,
+    SolverError,
+    _in_context,
+)
 from .potential import _check_tau
 
 _MAX_ITER = 200
@@ -167,24 +173,29 @@ def droplet_of(p):
     """Droplet radii and kind, with an admissibility check on the Laplacian.
 
     Raises InvalidPotentialError when the Laplacian of Q fails to be
-    strictly positive on a grid spanning a neighborhood of the droplet.
+    strictly positive on a grid spanning a neighborhood of the droplet.  A
+    failure re-raises its exception class with the potential name in the
+    message.
     """
-    r1 = solve_r_tau(p, 1.0)
-    if _is_disc(p):
-        d = Droplet(0.0, r1, "disc")
-    else:
-        d = Droplet(solve_r_tau(p, 0.0), r1, "annulus")
+    try:
+        r1 = solve_r_tau(p, 1.0)
+        if _is_disc(p):
+            d = Droplet(0.0, r1, "disc")
+        else:
+            d = Droplet(solve_r_tau(p, 0.0), r1, "annulus")
 
-    lo = max(0.9 * d.r0, 1e-6)
-    hi = 1.1 * d.r1
-    if p.support_radius is not None:
-        hi = min(hi, p.support_radius * (1.0 - 1e-9))
-    grid = np.linspace(lo, hi, 64)
-    dq = np.asarray(p.laplacian(grid), dtype=float)
-    if not np.all(np.isfinite(dq)) or np.any(dq <= 0.0):
-        raise InvalidPotentialError(
-            "the Laplacian of Q is not strictly positive near the droplet"
-        )
+        lo = max(0.9 * d.r0, 1e-6)
+        hi = 1.1 * d.r1
+        if p.support_radius is not None:
+            hi = min(hi, p.support_radius * (1.0 - 1e-9))
+        grid = np.linspace(lo, hi, 64)
+        dq = np.asarray(p.laplacian(grid), dtype=float)
+        if not np.all(np.isfinite(dq)) or np.any(dq <= 0.0):
+            raise InvalidPotentialError(
+                "the Laplacian of Q is not strictly positive near the droplet"
+            )
+    except CoulombGasError as exc:
+        raise _in_context(exc, p.name) from exc
     return d
 
 

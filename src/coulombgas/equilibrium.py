@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .droplet import Droplet, droplet_of
-from .errors import DomainError, InvalidPotentialError
+from .errors import CoulombGasError, DomainError, InvalidPotentialError, _in_context
 from .quadrature import integrate
 
 _DISC_CUT = 1e-12  # relative inner cutoff for disc-case radial integrals
@@ -271,18 +271,25 @@ def zw_coefficients(p, droplet=None):
 
 
 def equilibrium_report(p, droplet=None):
-    """Bundle of the equilibrium functionals, with a mass sanity check."""
+    """Bundle of the equilibrium functionals, with a mass sanity check.
+
+    A failure re-raises its exception class with the potential name in the
+    message; droplet_of names it when it finds the droplet.
+    """
     d = _droplet(p, droplet)
-    mass = mu_mass(p, d)
-    if abs(mass - 1.0) > 1e-9:
-        raise InvalidPotentialError(
-            f"equilibrium measure has mass {mass!r}, expected 1"
+    try:
+        mass = mu_mass(p, d)
+        if abs(mass - 1.0) > 1e-9:
+            raise InvalidPotentialError(
+                f"equilibrium measure has mass {mass!r}, expected 1"
+            )
+        f_term = _f_term(p, d)
+        return EquilibriumReport(
+            energy=energy(p, d),
+            entropy=entropy(p, d),
+            log_potential_origin=log_potential_origin(p, d),
+            f_term=f_term,
+            droplet=d,
         )
-    f_term = _f_term(p, d)
-    return EquilibriumReport(
-        energy=energy(p, d),
-        entropy=entropy(p, d),
-        log_potential_origin=log_potential_origin(p, d),
-        f_term=f_term,
-        droplet=d,
-    )
+    except CoulombGasError as exc:
+        raise _in_context(exc, p.name) from exc

@@ -34,3 +34,9 @@ class SolverError(CoulombGasError):
 
 class IntegrationError(CoulombGasError):
     """An adaptive quadrature failed to reach the requested accuracy."""
+
+
+def _in_context(exc, context):
+    """A new exception of exc's class with context before its message, for
+    `raise _in_context(exc, ...) from exc`."""
+    return type(exc)(f"{context}: {exc}")

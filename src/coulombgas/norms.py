@@ -21,7 +21,7 @@ import numpy as np
 
 from .droplet import droplet_of, solve_r_tau
 from .equilibrium import b1
-from .errors import CoulombGasError, DomainError, IntegrationError
+from .errors import CoulombGasError, DomainError, IntegrationError, _in_context
 from .potential import (
     _check_ensemble,
     _check_n,
@@ -126,9 +126,8 @@ def log_norm_exact(p, query, rel_tol=_REL_TOL):
     try:
         return _log_norm_exact(p, query, rel_tol)
     except CoulombGasError as exc:
-        raise type(exc)(
-            f"{p.name}, n={query.n}, j={query.j}, ensemble={query.ensemble}: {exc}"
-        ) from exc
+        context = f"{p.name}, n={query.n}, j={query.j}, ensemble={query.ensemble}"
+        raise _in_context(exc, context) from exc
 
 
 def _log_norm_exact(p, query, rel_tol):

@@ -34,6 +34,8 @@ def _check_ensemble(ensemble):
 
 def _is_real(x):
     """True for finite reals; bools, non-numbers, nan and inf are not."""
+    if type(x) is float or type(x) is int:  # fast path; type() excludes bool
+        return math.isfinite(x)
     return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
 
 
@@ -50,11 +52,11 @@ def _check_n(n):
 
 
 def _check_tau(tau):
-    """Rotated degree tau as a float in [0, 1]; anything else raises DomainError."""
-    t = float(tau)
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
+    """Rotated degree tau as a float in [0, 1]; bools, non-reals and
+    anything else raise DomainError."""
+    if not (_is_real(tau) and 0.0 <= tau <= 1.0):
         raise DomainError(f"tau must lie in [0, 1], got {tau!r}")
-    return t
+    return float(tau)
 
 
 def _check_positive(name, value):
@@ -349,7 +351,9 @@ class Custom(RadialPotential):
     given, derivatives fall back to fourth-order central differences with
     step h = max(r, 1) * eps^(1/6), shrunk near the origin so stencil
     points stay positive.  Pass vectorized=False for callables that only
-    accept scalars.
+    accept scalars.  q_origin, when given, must be a finite real and
+    laplacian_origin a finite positive real; anything else raises
+    DomainError.
     """
 
     def __init__(self, q, derivs=None, support_radius=None, q_origin=None,
@@ -365,6 +369,12 @@ class Custom(RadialPotential):
         if support_radius is not None:
             support_radius = _check_positive("support_radius", support_radius)
         self.support_radius = support_radius
+        if q_origin is not None:
+            if not _is_real(q_origin):
+                raise DomainError(f"q_origin must be a finite real number, got {q_origin!r}")
+            q_origin = float(q_origin)
+        if laplacian_origin is not None:
+            laplacian_origin = _check_positive("laplacian_origin", laplacian_origin)
         self._q_origin = q_origin
         self._laplacian_origin = laplacian_origin
         self.name = name
@@ -391,15 +401,12 @@ class Custom(RadialPotential):
     def q_at_zero(self):
         if self._q_origin is None:
             raise DomainError(f"{self.name}: no origin value supplied")
-        return float(self._q_origin)
+        return self._q_origin
 
     def laplacian_at_zero(self):
         if self._laplacian_origin is None:
             raise DomainError(f"{self.name}: no origin Laplacian supplied")
-        val = float(self._laplacian_origin)
-        if not val > 0.0:
-            raise DomainError(f"{self.name}: origin Laplacian must be positive")
-        return val
+        return self._laplacian_origin
 
 
 class _Dilated(RadialPotential):

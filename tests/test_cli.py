@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
+from coulombgas import cli
 from coulombgas.cli import main
 from coulombgas.oracles import ml_log_z
 
@@ -169,6 +171,16 @@ def test_oracle_nonfinite_result_is_domain_error(capsys):
     assert err.startswith("error:") and "not finite" in err
 
 
+def test_oracle_factor_cap_is_domain_error(capsys):
+    # 1/lam = 1e300 is integral in float64: the oracle would need 1e300
+    # Barnes G factors.
+    rc = main(["oracle", "--potential", "ml", "--lambda", "1e-300", "--c", "1", "--N", "10"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and "Barnes G factors" in err
+
+
 def test_missing_family_parameter_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["droplet", "--potential", "ml", "--lambda", "1"])
@@ -263,3 +275,59 @@ def test_bad_quad_rel_tol_is_domain_error(capsys, cmd, bad):
     assert rc == 3
     assert out == ""
     assert err.startswith("error:") and "rel_tol" in err
+
+
+def _run(argv, capsys):
+    """stdout, stderr and exit code of one main(argv) call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    argv = ["droplet", "--potential", "ginibre"]
+    main(argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+_TU_N8 = ["--potential", "tu", "--alpha", "1", "--R", "1", "--N", "8"]
+_GOOD = ["droplet", "--potential", "ginibre"]
+
+# Flags followed by the same command without them, and each way out of
+# main() followed by a good call.
+_REUSE_SEQUENCE = [
+    ["oracle", *_TU_N8, "--compare"],
+    ["oracle", *_TU_N8],
+    ["expand", "--potential", "ginibre", "--N", "100", "--terms"],
+    ["expand", "--potential", "ginibre", "--N", "100"],
+    ["equilibrium", "--potential", "ginibre", "--format", "json"],
+    ["equilibrium", "--potential", "ginibre"],
+    ["droplet", "--potential", "ml", "--lambda", "1"],
+    _GOOD,
+    ["droplet", "--potential", "ginibre", "--scale", "-2"],
+    _GOOD,
+    ["--version"],
+    _GOOD,
+]
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    reused = [_run(argv, capsys) for argv in _REUSE_SEQUENCE]
+    assert [code for _, _, code in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 0, 0]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_run(argv, capsys) for argv in _REUSE_SEQUENCE]
+    assert reused == fresh

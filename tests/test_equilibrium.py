@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulombgas.droplet import Droplet, droplet_of
 from coulombgas.equilibrium import (
     b1,
     b1_integral,
@@ -129,8 +130,10 @@ def test_mass_guard_trips_on_unnormalised_profile():
         ),
         name="bad-mass",
     )
-    with pytest.raises(InvalidPotentialError):
+    with pytest.raises(InvalidPotentialError, match="^bad-mass: equilibrium measure has mass"):
         equilibrium_report(p)
+    with pytest.raises(InvalidPotentialError, match="^ginibre.*: equilibrium measure has mass"):
+        equilibrium_report(Ginibre(), Droplet(0.0, 2.0, "disc"))
 
 
 def test_kind_mismatch_guards():
@@ -184,3 +187,15 @@ def test_equilibrium_report_golden_bits(p, want, chi):
     assert f_kind(p).hex() == want[3]
     if chi is not None:
         assert f_disc_chi_form(p).hex() == chi
+
+
+def test_droplet_errors_name_the_potential_once():
+    # q = r^2 + 0.01 sin(30 r) has Laplacian (4 + 0.3 cos(30 r)/r - 9 sin(30 r))/4,
+    # negative wherever sin(30 r) > 0.5 on r >= 0.6: inside the unit-sized droplet.
+    p = Custom(lambda r: r * r + 0.01 * np.sin(30.0 * r), name="wavy")
+    for call in (droplet_of, equilibrium_report):
+        with pytest.raises(InvalidPotentialError) as exc:
+            call(p)
+        msg = str(exc.value)
+        assert msg.startswith("wavy: the Laplacian of Q is not strictly positive"), call
+        assert msg.count("wavy") == 1, call

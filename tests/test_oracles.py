@@ -1,10 +1,17 @@
 import math
+import time
 
 import pytest
 
 from coulombgas.equilibrium import energy, entropy, f_annulus, f_disc
 from coulombgas.errors import DomainError
-from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
+from coulombgas.oracles import (
+    _MAX_FACTORS,
+    ml_equilibrium,
+    ml_log_z,
+    tu_equilibrium,
+    tu_log_z,
+)
 from coulombgas.partition import expansion_terms, log_z_exact
 from coulombgas.potential import MittagLeffler, TruncatedUnitary
 
@@ -149,3 +156,15 @@ def test_oracle_result_beyond_float64_is_domain_error(call):
     # Finite parameters whose result overflows or cancels to nan.
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_ml_log_z_factor_cap_fails_fast(ensemble):
+    # 1/lam = 1e300 is integral in float64; without the cap the oracle would
+    # loop over 1e300 Barnes G factors.  p = k/lam, k = 1 normal, 2 symplectic.
+    k = 1.0 if ensemble == "normal" else 2.0
+    for lam in (1e-300, k / (_MAX_FACTORS + 1)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="Barnes G factors"):
+            ml_log_z(lam, 1.0, 10, ensemble)
+        assert time.perf_counter() - start < 0.5

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulombgas.droplet import dr_dtau, solve_r_tau
 from coulombgas.errors import DomainError, UnsupportedOrderError
 from coulombgas.norms import NormQuery
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
@@ -311,3 +312,61 @@ def test_family_parameters_accept_integral_and_numpy_reals(slot):
     # Reals of any numeric type pass.
     for good in (1, np.float32(1.0), np.int64(1)):
         _PARAMETER_SLOTS[slot](good)
+
+
+# Every caller of the tau check.
+_TAU_CALLERS = {
+    "solve_r_tau": lambda t: solve_r_tau(Ginibre(), t),
+    "dr_dtau": lambda t: dr_dtau(Ginibre(), t),
+    "v_tau": lambda t: v_tau(Ginibre(), t, 1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, np.bool_(True), "0.5", 0.5 + 0.0j, math.nan, math.inf, -0.5, 1.5],
+    ids=["True", "False", "np.True_", "str", "complex", "nan", "inf", "negative", "above-1"],
+)
+@pytest.mark.parametrize("caller", sorted(_TAU_CALLERS))
+def test_tau_rejects_bools_and_non_reals(caller, bad):
+    with pytest.raises(DomainError, match=r"tau must lie in \[0, 1\]"):
+        _TAU_CALLERS[caller](bad)
+
+
+@pytest.mark.parametrize("caller", sorted(_TAU_CALLERS))
+def test_tau_accepts_integral_and_numpy_reals(caller):
+    want = _TAU_CALLERS[caller](0.5)
+    assert _TAU_CALLERS[caller](np.float64(0.5)) == want
+    assert _TAU_CALLERS[caller](np.float32(0.5)) == want
+    assert _TAU_CALLERS[caller](1) == _TAU_CALLERS[caller](np.int64(1))
+
+
+@pytest.mark.parametrize(
+    "origin",
+    [
+        {"q_origin": True},
+        {"q_origin": "0"},
+        {"q_origin": 0.0j},
+        {"q_origin": math.nan},
+        {"q_origin": -math.inf},
+        {"laplacian_origin": True},
+        {"laplacian_origin": "1"},
+        {"laplacian_origin": math.nan},
+        {"laplacian_origin": math.inf},
+        {"laplacian_origin": 0.0},
+        {"laplacian_origin": -1.0},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
+)
+def test_custom_origin_data_rejects_bools_and_non_reals(origin):
+    with pytest.raises(DomainError):
+        Custom(lambda r: r * r, **origin)
+
+
+def test_custom_origin_data_accepts_reals():
+    for good in (1, 1.0, np.float32(1.0), np.int64(1)):
+        p = Custom(lambda r: r * r, q_origin=good, laplacian_origin=good)
+        assert type(p.q_at_zero()) is float and p.q_at_zero() == 1.0
+        assert type(p.laplacian_at_zero()) is float and p.laplacian_at_zero() == 1.0
+    # The origin value may be zero or negative.
+    assert Custom(lambda r: r * r - 2.0, q_origin=-2).q_at_zero() == -2.0
