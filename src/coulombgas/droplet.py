@@ -7,6 +7,9 @@ which gives the outer radius of the weighted droplet seen by monomials of
 rotated degree tau: in closed form for the built-in families and their
 dilations, otherwise by a safeguarded Newton iteration on the increasing
 function r q'(r).
+
+The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
+annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
 """
 
 import math
@@ -24,8 +27,6 @@ from .errors import (
 from .potential import _check_tau
 
 _MAX_ITER = 200
-_DISC_PROBE = 1e-9
-_DISC_LEVEL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,6 @@ def _not_nan(rqp, r, tau):
     return rqp
 
 
-def _is_disc(p):
-    # Disc iff q' is already positive at the origin side: probe q'(1e-9)
-    # and confirm r q'(r) has no zero above 1e-8 (r q' is increasing, so a
-    # positive value at the probe radius settles it).
-    try:
-        qp = float(p.q_derivs(_DISC_PROBE, 1))
-    except DomainError:
-        return False
-    return qp > 0.0 and _rqp(p, _DISC_LEVEL) > 0.0
-
-
 # Upward bracket scan for potentials without a support radius.
 _DYADIC_CANDIDATES = tuple(2.0**k for k in range(1024))
 
@@ -76,8 +66,10 @@ def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
     Potentials with a closed-form root (p.r_tau) use it; the others go
-    through the safeguarded Newton iteration of _newton_r_tau.  For a disc
-    potential tau = 0 returns 0.
+    through the safeguarded Newton iteration of _newton_r_tau.  At tau = 0
+    the result is the inner droplet radius r0: 0.0 for a disc, where
+    r q'(r) >= 0 already at the bottom of the bracket, and the root of
+    r q'(r) = 0 for an annulus.
     """
     tau = _check_tau(tau)
     try:
@@ -105,8 +97,6 @@ def _newton_r_tau(p, tau):
     well under the iteration cap.  A NaN r q'(r) on the way raises
     InvalidPotentialError.
     """
-    if tau == 0.0 and _is_disc(p):
-        return 0.0
     target = 2.0 * tau
 
     lo = 1e-12
@@ -172,17 +162,16 @@ def _newton_r_tau(p, tau):
 def droplet_of(p):
     """Droplet radii and kind, with an admissibility check on the Laplacian.
 
-    Raises InvalidPotentialError when the Laplacian of Q fails to be
-    strictly positive on a grid spanning a neighborhood of the droplet.  A
-    failure re-raises its exception class with the potential name in the
-    message.
+    The inner radius is r0 = solve_r_tau(p, 0), and the droplet is a disc
+    iff r0 == 0.0.  Raises InvalidPotentialError when the Laplacian of Q
+    fails to be strictly positive on a grid spanning a neighborhood of the
+    droplet.  A failure re-raises its exception class with the potential
+    name in the message.
     """
     try:
         r1 = solve_r_tau(p, 1.0)
-        if _is_disc(p):
-            d = Droplet(0.0, r1, "disc")
-        else:
-            d = Droplet(solve_r_tau(p, 0.0), r1, "annulus")
+        r0 = solve_r_tau(p, 0.0)
+        d = Droplet(r0, r1, "disc" if r0 == 0.0 else "annulus")
 
         lo = max(0.9 * d.r0, 1e-6)
         hi = 1.1 * d.r1
@@ -209,7 +198,7 @@ def dr_dtau(p, tau):
     tau = _check_tau(tau)
     if tau == 0.0:
         raise DomainError(f"tau must lie in (0, 1], got {tau!r}")
-    if tau < 1e-12 and _is_disc(p):
+    if tau < 1e-12 and solve_r_tau(p, 0.0) == 0.0:
         raise DomainError("dr_dtau is singular as tau -> 0 for a disc droplet")
     r = solve_r_tau(p, tau)
     dq = float(p.laplacian(r))

@@ -108,9 +108,9 @@ def b1(p, r):
          + 5 d(laplacian)^2/(96 laplacian^3) + 1/(12 r^2 laplacian).
     """
     rr = p._checked(r)
-    dq = p.laplacian(rr)
-    dq1 = p.laplacian_dr(rr)
-    dq2 = p.laplacian_dr2(rr)
+    dq = p._laplacian(rr, 0)
+    dq1 = p._laplacian(rr, 1)
+    dq2 = p._laplacian(rr, 2)
     return (
         -dq2 / (32.0 * dq**2)
         - 19.0 * dq1 / (96.0 * rr * dq**2)

@@ -104,14 +104,12 @@ def _r_cut(p, query, r_star, v_min):
     thresh = 40.0 + math.log(s)
     r = max(2.0 * r_star, r_star + 1.0)
     support = p.support_radius
-    for _ in range(2000):
+    while r <= 1e300:
         if support is not None and r >= support:
             return support
         if s * (float(v_tau(p, tau, r)) - v_min) >= thresh:
             return r
         r *= 2.0
-        if r > 1e300:
-            raise IntegrationError("failed to locate a truncation radius")
     raise IntegrationError("failed to locate a truncation radius")
 
 

@@ -307,7 +307,7 @@ def convergence_study(
         )
 
     underflow = any(abs(r.residual) < 1e-12 for r in rows)
-    if underflow or len(rows) < 2:
+    if underflow:
         fitted, r2 = float("nan"), float("nan")
     else:
         x = np.log([r.n for r in rows])

@@ -6,6 +6,11 @@ radial variable is laplacian(r) = (q'(r)/r + q''(r)) / 4, with the
 convention that the equilibrium density is 2 r laplacian(r) dr on the
 droplet.  All evaluation methods accept scalars or 1-D numpy arrays.
 
+Two unchecked hooks hold every formula: _profile(r, order) for q and its
+derivatives and _laplacian(r, order) for the Laplacian and its first two
+radial derivatives.  The public methods check r once and call them; code
+that has already checked r (v_tau, equilibrium.b1) calls the hooks.
+
 The degree-dependent effective potential for orthogonal-norm asymptotics is
 V_tau(r) = q(r) - 2 tau log r; v_tau evaluates it and its first four radial
 derivatives using the exact identities that express V'' through the
@@ -33,10 +38,14 @@ def _check_ensemble(ensemble):
 
 
 def _is_real(x):
-    """True for finite reals; bools, non-numbers, nan and inf are not."""
-    if type(x) is float or type(x) is int:  # fast path; type() excludes bool
-        return math.isfinite(x)
-    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+    """True for finite reals; bools, non-numbers, nan, inf and ints too
+    large for a float are not."""
+    try:
+        if type(x) is float or type(x) is int:  # fast path; type() excludes bool
+            return math.isfinite(x)
+        return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _is_integer(x):
@@ -75,6 +84,13 @@ def _check_nonnegative(name, value):
     return float(value)
 
 
+def _check_order(order):
+    """Derivative order of the profile or of V_tau; anything but 0..4 raises
+    UnsupportedOrderError."""
+    if order not in (0, 1, 2, 3, 4):
+        raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
+
+
 def _const_like(r, val):
     return np.full_like(r, val) if np.ndim(r) else val
 
@@ -84,8 +100,10 @@ class RadialPotential:
 
     Subclasses implement _profile(r, order) for orders 0..4 without argument
     checking; vectorization over numpy arrays is required.  The Laplacian
-    accessors have generic implementations in terms of the profile, which
-    concrete potentials override with closed forms, as they do r_tau.
+    hook _laplacian(r, order), orders 0..2, has the same contract.  Its
+    default is the generic formula in terms of the profile, which Custom
+    and dilate use; the closed-form families override the hook (never the
+    checked laplacian accessors), as they override r_tau.
     """
 
     name = "potential"
@@ -124,33 +142,35 @@ class RadialPotential:
             )
         return arr if arr.ndim else float(arr)
 
+    def _laplacian(self, r, order):
+        """d^order/dr^order of the Laplacian (q'/r + q'')/4, order in 0..2,
+        from the profile; r is already checked."""
+        q1 = self._profile(r, 1)
+        q2 = self._profile(r, 2)
+        if order == 0:
+            return (q1 / r + q2) / 4.0
+        q3 = self._profile(r, 3)
+        if order == 1:
+            return (q3 + q2 / r - q1 / (r * r)) / 4.0
+        q4 = self._profile(r, 4)
+        return (q4 + q3 / r - 2.0 * q2 / (r * r) + 2.0 * q1 / (r * r * r)) / 4.0
+
     def q_derivs(self, r, order=0):
         """Radial profile derivative d^order q / dr^order, order in 0..4."""
-        if order not in (0, 1, 2, 3, 4):
-            raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
+        _check_order(order)
         return self._profile(self._checked(r), order)
 
     def laplacian(self, r):
         """Planar Laplacian of Q at radius r: (q'/r + q'')/4."""
-        r = self._checked(r)
-        return (self._profile(r, 1) / r + self._profile(r, 2)) / 4.0
+        return self._laplacian(self._checked(r), 0)
 
     def laplacian_dr(self, r):
         """Radial derivative of the Laplacian."""
-        r = self._checked(r)
-        q1 = self._profile(r, 1)
-        q2 = self._profile(r, 2)
-        q3 = self._profile(r, 3)
-        return (q3 + q2 / r - q1 / (r * r)) / 4.0
+        return self._laplacian(self._checked(r), 1)
 
     def laplacian_dr2(self, r):
         """Second radial derivative of the Laplacian."""
-        r = self._checked(r)
-        q1 = self._profile(r, 1)
-        q2 = self._profile(r, 2)
-        q3 = self._profile(r, 3)
-        q4 = self._profile(r, 4)
-        return (q4 + q3 / r - 2.0 * q2 / (r * r) + 2.0 * q1 / (r * r * r)) / 4.0
+        return self._laplacian(self._checked(r), 2)
 
     def q_at_zero(self):
         """q(0) when the profile extends continuously to the origin."""
@@ -182,16 +202,9 @@ class Ginibre(RadialPotential):
             return _const_like(r, 2.0 / s2)
         return _const_like(r, 0.0)
 
-    def laplacian(self, r):
-        r = self._checked(r)
-        return _const_like(r, 1.0 / (self.scale * self.scale))
-
-    def laplacian_dr(self, r):
-        r = self._checked(r)
-        return _const_like(r, 0.0)
-
-    def laplacian_dr2(self, r):
-        r = self._checked(r)
+    def _laplacian(self, r, order):
+        if order == 0:
+            return _const_like(r, 1.0 / (self.scale * self.scale))
         return _const_like(r, 0.0)
 
     def q_at_zero(self):
@@ -234,19 +247,12 @@ class MittagLeffler(RadialPotential):
             coef = 2.0 * lam * (2.0 * lam - 1.0) * (2.0 * lam - 2.0) * (2.0 * lam - 3.0)
             return coef * r ** (2.0 * lam - 4.0) + 12.0 * c / r**4
 
-    def laplacian(self, r):
-        r = self._checked(r)
+    def _laplacian(self, r, order):
         with np.errstate(all="ignore"):
-            return self.lam**2 * r ** (2.0 * self.lam - 2.0)
-
-    def laplacian_dr(self, r):
-        r = self._checked(r)
-        with np.errstate(all="ignore"):
-            return self.lam**2 * (2.0 * self.lam - 2.0) * r ** (2.0 * self.lam - 3.0)
-
-    def laplacian_dr2(self, r):
-        r = self._checked(r)
-        with np.errstate(all="ignore"):
+            if order == 0:
+                return self.lam**2 * r ** (2.0 * self.lam - 2.0)
+            if order == 1:
+                return self.lam**2 * (2.0 * self.lam - 2.0) * r ** (2.0 * self.lam - 3.0)
             coef = self.lam**2 * (2.0 * self.lam - 2.0) * (2.0 * self.lam - 3.0)
             return coef * r ** (2.0 * self.lam - 4.0)
 
@@ -295,19 +301,12 @@ class TruncatedUnitary(RadialPotential):
                 return 4.0 * a * r * (3.0 * b + r * r) / d**3
             return 12.0 * a * (b + r * r) / d**3 + 24.0 * a * r * r * (3.0 * b + r * r) / d**4
 
-    def laplacian(self, r):
-        r = self._checked(r)
+    def _laplacian(self, r, order):
         with np.errstate(all="ignore"):
-            return self.alpha * self.beta / (self.beta - r * r) ** 2
-
-    def laplacian_dr(self, r):
-        r = self._checked(r)
-        with np.errstate(all="ignore"):
-            return 4.0 * self.alpha * self.beta * r / (self.beta - r * r) ** 3
-
-    def laplacian_dr2(self, r):
-        r = self._checked(r)
-        with np.errstate(all="ignore"):
+            if order == 0:
+                return self.alpha * self.beta / (self.beta - r * r) ** 2
+            if order == 1:
+                return 4.0 * self.alpha * self.beta * r / (self.beta - r * r) ** 3
             d = self.beta - r * r
             return 4.0 * self.alpha * self.beta * (d + 6.0 * r * r) / d**4
 
@@ -447,8 +446,7 @@ def v_tau(p, tau, r, order=0):
     for potentials whose Laplacian is known in closed form.
     """
     t = _check_tau(tau)
-    if order not in (0, 1, 2, 3, 4):
-        raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
+    _check_order(order)
     rr = p._checked(r)
     if order == 0:
         return p._profile(rr, 0) - 2.0 * t * np.log(rr)
@@ -456,12 +454,12 @@ def v_tau(p, tau, r, order=0):
     if order == 1:
         return v1
     if order == 2:
-        return 4.0 * p.laplacian(rr) - v1 / rr
+        return 4.0 * p._laplacian(rr, 0) - v1 / rr
     if order == 3:
-        return 4.0 * p.laplacian_dr(rr) - 4.0 * p.laplacian(rr) / rr + 2.0 * v1 / rr**2
+        return 4.0 * p._laplacian(rr, 1) - 4.0 * p._laplacian(rr, 0) / rr + 2.0 * v1 / rr**2
     return (
-        4.0 * p.laplacian_dr2(rr)
-        - 4.0 * p.laplacian_dr(rr) / rr
-        + 12.0 * p.laplacian(rr) / rr**2
+        4.0 * p._laplacian(rr, 2)
+        - 4.0 * p._laplacian(rr, 1) / rr
+        + 12.0 * p._laplacian(rr, 0) / rr**2
         - 6.0 * v1 / rr**3
     )

@@ -50,6 +50,7 @@ _WG = np.array(
 )
 
 _MAX_ROUNDS = 64
+_MAX_PANELS = 1 << 20
 
 # Panels narrower than this times max(1, |endpoint|) are not split further.
 _WIDTH_FLOOR = 64.0 * np.finfo(float).eps
@@ -69,14 +70,17 @@ def _eval_panels(f, lefts, rights):
     return kron, np.abs(kron - gauss)
 
 
-def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=(), max_panels=1 << 20):
+def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     """Integrate a vectorized callable over [a, b].
 
     seeds is an optional iterable of interior points used as initial panel
     boundaries; it lets the caller pre-split around a known sharp peak so
     the first refinement rounds start from a sensible partition.  Returns
     (value, error_estimate) and raises IntegrationError when the error
-    estimate cannot be brought under max(abs_tol, rel_tol * |value|).
+    estimate cannot be brought under max(abs_tol, rel_tol * |value|): when
+    every panel still over its share of the error is at the width floor,
+    when the panel budget _MAX_PANELS would be exceeded, or after
+    _MAX_ROUNDS refinement rounds.
     """
     a = float(a)
     b = float(b)
@@ -101,10 +105,13 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=(), max_panels=1 << 2
         worth = (errs > share) & (rights - lefts > width_floor)
         n_split = int(np.count_nonzero(worth))
         if not n_split:
-            # Remaining error is dominated by panels at roundoff width;
-            # further splitting cannot help.
-            return total, err_total
-        if len(panels) + n_split > max_panels:
+            # Every panel over its share is at roundoff width; further
+            # splitting cannot help.
+            raise IntegrationError(
+                f"no convergence: the panels over their error share are at the "
+                f"width floor (error {err_total:.3e}, target {tol:.3e})"
+            )
+        if len(panels) + n_split > _MAX_PANELS:
             raise IntegrationError(
                 f"panel budget exceeded ({len(panels)} panels, error {err_total:.3e})"
             )

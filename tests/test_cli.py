@@ -6,7 +6,10 @@ import pytest
 
 from coulombgas import cli
 from coulombgas.cli import main
+from coulombgas.errors import IntegrationError, SolverError
+from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_log_z
+from coulombgas.potential import TruncatedUnitary
 
 
 def test_droplet_single_line(capsys):
@@ -331,3 +334,118 @@ def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = [_run(argv, capsys) for argv in _REUSE_SEQUENCE]
     assert reused == fresh
+
+
+def test_huge_size_is_domain_error(capsys):
+    # 10^400 does not fit a float: a DomainError, not an OverflowError.
+    rc = main(["exact", "--potential", "ginibre", "--N", "1" + "0" * 400])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and "n must be a positive integer" in err
+
+
+def _pairs(out, fmt):
+    """(key, value) pairs of a key/value command's output."""
+    if fmt == "json":
+        return list(json.loads(out).items())
+    sep = "=" if fmt == "text" else ","
+    return [tuple(tok.split(sep, 1)) for tok in out.split()]
+
+
+def _as_number(v):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return v
+
+
+def test_zw_formats_agree_and_residuals_vanish(capsys):
+    # Ginibre: w = -x, s = 1, chi = 0 on x in (1e-12, 1), so f0 = -3/4 and
+    # f_half = f1 = 0; the disc cut drops O(1e-24).  residual_energy combines
+    # the f0 quadrature (value 3/4) with the energy quadrature (value 1/4 of
+    # 1), each converged to 1e-13 of its value, plus a few roundings of O(1)
+    # numbers: 1e-13 * (3/4 + 1/4) + 8 eps.  The other residuals are exact
+    # zeros up to the same bound.
+    bound = 1e-13 + 8.0 * 2.0**-52
+    outs = {}
+    for fmt in ("text", "csv", "json"):
+        assert main(["zw", "--potential", "ginibre", "--format", fmt]) == 0
+        outs[fmt] = [(k, float(v)) for k, v in _pairs(capsys.readouterr().out, fmt)]
+    assert outs["text"] == outs["csv"] == outs["json"]
+    vals = dict(outs["text"])
+    assert list(vals) == ["f0", "f_half", "f1", "residual_energy", "residual_entropy",
+                          "residual_f_term"]
+    assert abs(vals["f0"] + 0.75) <= bound
+    for key in ("f_half", "f1", "residual_energy", "residual_entropy", "residual_f_term"):
+        assert abs(vals[key]) <= bound, key
+
+
+_NORM_ROUTES = {
+    "laplace": log_norm_laplace,
+    "lowdeg": log_norm_lowdeg,
+    "highdeg": log_norm_highdeg,
+}
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("method", sorted(_NORM_ROUTES))
+def test_norm_methods_print_the_library_value(capsys, method, ensemble):
+    argv = ["norm", "--potential", "tu", "--alpha", "2", "--R", "1.5", "--N", "20",
+            "--j", "5", "--ensemble", ensemble, "--method", method]
+    assert main(argv) == 0
+    want = _NORM_ROUTES[method](TruncatedUnitary(2.0, 1.5), NormQuery(20, 5, ensemble))
+    assert float(capsys.readouterr().out) == want
+
+
+_ML11 = ["--potential", "ml", "--lambda", "1", "--c", "1"]
+_KEY_VALUE_COMMANDS = {
+    "droplet": ["droplet", *_ML11],
+    "equilibrium": ["equilibrium", *_ML11],
+    "zw": ["zw", "--potential", "ginibre"],
+    "norm": ["norm", *_TU_N8, "--j", "3", "--method", "exact"],
+    "exact": ["exact", *_ML11, "--N", "10"],
+    "expand": ["expand", *_ML11, "--N", "100", "--terms"],
+    "oracle": ["oracle", *_TU_N8, "--compare"],
+    "lemmas": ["lemmas", "--potential", "ml", "--lambda", "2", "--c", "1", "--N", "50",
+               "--which", "sum_v_normal"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_KEY_VALUE_COMMANDS))
+def test_csv_rows_carry_the_text_values(capsys, cmd):
+    argv = _KEY_VALUE_COMMANDS[cmd]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--format", "csv"]) == 0
+    rows = _pairs(capsys.readouterr().out, "csv")
+    # norm prints a bare value in text.
+    pairs = [("log_norm", text.strip())] if cmd == "norm" else _pairs(text, "text")
+    assert [k for k, _ in rows] == [k for k, _ in pairs]
+    assert [_as_number(v) for _, v in rows] == [_as_number(v) for _, v in pairs]
+
+
+def test_converge_json_rows_equal_the_csv_rows(capsys):
+    argv = ["converge", *_ML11, "--Ns", "10,14,20"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    header = lines[0].split(",")
+    csv_rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:-1]]
+    assert doc["rows"] == csv_rows
+    assert lines[-1] == f"# fitted_exponent={doc['fitted_exponent']!r} r2={doc['r2']!r}"
+    assert doc["underflow"] is False
+
+
+@pytest.mark.parametrize("error", [IntegrationError, SolverError])
+def test_solver_failures_exit_4(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("no convergence")
+
+    monkeypatch.setattr(cli, "log_z_exact", fail)
+    rc = main(["exact", "--potential", "ginibre", "--N", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == "error: no convergence\n"

@@ -311,3 +311,40 @@ def test_nan_in_the_newton_loop_is_named():
                vectorized=False)
     with pytest.raises(InvalidPotentialError, match=r"r q'\(r\) is nan at r = 0\.5"):
         solve_r_tau(p, 0.5)
+
+
+_STEEP_DISCS = [MittagLeffler(lam, 0.0) for lam in (1.0, 5.0, 18.5, 20.0)]
+
+_EVERY_FAMILY = _STEEP_DISCS + [
+    Ginibre(),
+    Ginibre(1.3),
+    MittagLeffler(1.0, 1.0),
+    MittagLeffler(0.5, 0.3),
+    TruncatedUnitary(2.0, 1.5),
+    dilate(MittagLeffler(1.0, 1.0), 2.0),
+    dilate(Ginibre(), 0.5),
+    dilate(TruncatedUnitary(1.0, 1.0), 1.5),
+    _ml_custom(0.5, 1.0),
+    _ml_custom(1.0, 0.0),
+    Custom(lambda r: r * r, name="custom-fd-r2"),
+    Custom(lambda r: 5.0 + r * r, name="custom-fd-5+r2"),
+]
+
+
+@pytest.mark.parametrize("p", _EVERY_FAMILY, ids=lambda p: p.name)
+def test_droplet_is_a_disc_iff_r0_is_zero(p):
+    try:
+        d = droplet_of(p)
+    except CoulombGasError:
+        return
+    assert d.kind in ("disc", "annulus")
+    assert (d.kind == "disc") == (d.r0 == 0.0)
+    assert d.r0 == solve_r_tau(p, 0.0)
+
+
+@pytest.mark.parametrize("p", _STEEP_DISCS, ids=lambda p: p.name)
+def test_steep_power_profiles_are_discs(p):
+    # q' underflows near the origin for lam >= 18.5, but r0 = 0 all the same.
+    assert droplet_of(p).kind == "disc"
+    with pytest.raises(DomainError, match="singular"):
+        dr_dtau(p, 1e-13)

@@ -257,6 +257,56 @@ def test_convergence_study_fields_and_csv():
         assert float(cells[3]) == row.residual
 
 
+def _ml11_study(convention, exact_fn=None):
+    lam, c = 1.0, 1.0
+    if exact_fn is None:
+        exact_fn = lambda n: ml_log_z(lam, c, n, "normal")  # noqa: E731
+    return convergence_study(
+        MittagLeffler(lam, c),
+        (100, 200, 400),
+        "normal",
+        convention,
+        exact_fn=exact_fn,
+        report=ml_equilibrium(lam, c),
+    )
+
+
+def test_canonical_residuals_shift_by_the_stirling_remainder():
+    physics = _ml11_study("physics")
+    canonical = _ml11_study("canonical")
+    terms = expansion_terms(MittagLeffler(1.0, 1.0), "normal", "physics",
+                            report=ml_equilibrium(1.0, 1.0))
+    for row_p, row_c in zip(physics.rows, canonical.rows):
+        n = row_p.n
+        ln = math.log(n)
+        stirling = n * ln - n + 0.5 * ln + 0.5 * LOG_2PI
+        want = -(ln_factorial(n) - stirling)
+        # Bound: every quantity entering either residual (log Z, ln n! and
+        # each of the five expansion terms in both conventions) is rounded a
+        # few times at its own magnitude; 8 eps of their summed magnitudes.
+        scale = (
+            abs(row_p.log_z_exact)
+            + 2.0 * ln_factorial(n)
+            + abs(terms.c_n2) * n * n
+            + 2.0 * (abs(terms.c_nlogn) + 1.0) * n * ln
+            + 2.0 * (abs(terms.c_n) + 1.0) * n
+            + 2.0 * (abs(terms.c_logn) + 1.0) * ln
+            + 2.0 * (abs(terms.c_1) + LOG_2PI)
+        )
+        got = row_c.residual - row_p.residual
+        assert abs(got - want) <= 8.0 * np.finfo(float).eps * scale, n
+
+
+def test_vanishing_residuals_skip_the_fit():
+    terms = expansion_terms(MittagLeffler(1.0, 1.0), "normal", "physics",
+                            report=ml_equilibrium(1.0, 1.0))
+    table = _ml11_study("physics", exact_fn=terms.evaluate)
+    assert table.underflow
+    assert all(row.residual == 0.0 for row in table.rows)
+    assert math.isnan(table.fitted_exponent) and math.isnan(table.fit_r2)
+    assert table.to_csv().endswith("# fitted_exponent=nan r2=nan\n")
+
+
 def test_convergence_study_input_validation():
     p = MittagLeffler(1.0, 1.0)
     with pytest.raises(DomainError):

@@ -7,11 +7,16 @@ from coulombgas.droplet import dr_dtau, solve_r_tau
 from coulombgas.errors import DomainError, UnsupportedOrderError
 from coulombgas.norms import NormQuery
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
+from coulombgas import potential
+from coulombgas.droplet import droplet_of
 from coulombgas.potential import (
     Custom,
     Ginibre,
     MittagLeffler,
+    RadialPotential,
     TruncatedUnitary,
+    _check_n,
+    _check_positive,
     dilate,
     v_tau,
 )
@@ -117,6 +122,74 @@ def test_q_derivs_rejects_unsupported_order():
         p.q_derivs(1.0, 5)
     with pytest.raises(UnsupportedOrderError):
         p.q_derivs(1.0, -1)
+    with pytest.raises(UnsupportedOrderError):
+        v_tau(p, 0.5, 1.0, 5)
+
+
+_EPS = float(np.finfo(float).eps)
+
+# Summands of the generic Laplacian formula 4 d^k laplacian = sum of
+# coef * q^(i) / r^m, as (coef, i, m) for k = 0, 1, 2.
+_GENERIC_SUMMANDS = {
+    0: ((1.0, 1, 1), (1.0, 2, 0)),
+    1: ((1.0, 3, 0), (1.0, 2, 1), (1.0, 1, 2)),
+    2: ((1.0, 4, 0), (1.0, 3, 1), (2.0, 2, 2), (2.0, 1, 3)),
+}
+
+
+def _profile_term_scale(p, r, i):
+    """Sum of the magnitudes of the terms that make up q^(i)(r), i >= 1,
+    as the family computes it."""
+    if isinstance(p, MittagLeffler):
+        # power part plus the magnitude 2 c (i-1)! / r^i of the log part
+        power = np.abs(MittagLeffler(p.lam, 0.0)._profile(r, i))
+        return power + 2.0 * p.c * math.factorial(i - 1) / r**i
+    if isinstance(p, TruncatedUnitary):
+        # every term is positive; d = beta - r^2 carries a rounding error of
+        # eps (beta + r^2), relative (beta + r^2) / d
+        return np.abs(p._profile(r, i)) * (p.beta + r * r) / (p.beta - r * r)
+    return np.abs(p._profile(r, i))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Ginibre(1.3), MittagLeffler(0.5, 1.0), MittagLeffler(2.0, 0.7), TruncatedUnitary(2.0, 1.5)],
+    ids=lambda p: p.name,
+)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_closed_form_laplacian_hook_matches_generic_formula(p, order):
+    # Bound, derived before running: a computed q^(i) is within 12 roundings
+    # of its term scale A_i (a few coefficient products, one pow, up to four
+    # powers of d for TU); the generic combination adds 4 more relative to
+    # S = sum of coef * A_i / r^m / 4; the closed form is within 8 roundings
+    # of the exact value, which is at most S.  24 eps S in all; 32 allowed.
+    d = droplet_of(p)
+    lo = d.r0 if d.kind == "annulus" else d.r1 / 64.0
+    r = np.linspace(lo, d.r1, 64)
+    closed = p._laplacian(r, order)
+    generic = RadialPotential._laplacian(p, r, order)
+    scale = sum(
+        coef * _profile_term_scale(p, r, i) / r**m for coef, i, m in _GENERIC_SUMMANDS[order]
+    ) / 4.0
+    assert np.all(np.abs(closed - generic) <= 32.0 * _EPS * scale)
+
+
+def test_laplacian_accessors_live_only_on_the_base():
+    accessors = {"laplacian", "laplacian_dr", "laplacian_dr2"}
+    for obj in vars(potential).values():
+        if isinstance(obj, type) and issubclass(obj, RadialPotential):
+            if obj is not RadialPotential:
+                assert not accessors & set(vars(obj)), obj.__name__
+
+
+@pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+def test_ints_too_large_for_a_float_are_domain_errors(big):
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        _check_n(big)
+    with pytest.raises(DomainError, match=r"tau must lie in \[0, 1\]"):
+        solve_r_tau(Ginibre(), big)
+    with pytest.raises(DomainError, match="scale must be a finite positive number"):
+        _check_positive("scale", big)
 
 
 def test_nonpositive_radius_rejected():
