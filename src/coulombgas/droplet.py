@@ -68,7 +68,9 @@ def solve_r_tau(p, tau):
     Potentials with a closed-form root (p.r_tau) use it; the others go
     through the safeguarded Newton iteration of _newton_r_tau.  At tau = 0
     the result is the inner droplet radius r0: 0.0 for a disc, where
-    r q'(r) >= 0 already at the bottom of the bracket, and the root of
+    r q'(r) >= 0 already at the bottom of the bracket or the potential
+    supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
+    whatever the finite-difference noise in q'), and the root of
     r q'(r) = 0 for an annulus.
     """
     tau = _check_tau(tau)
@@ -98,6 +100,8 @@ def _newton_r_tau(p, tau):
     InvalidPotentialError.
     """
     target = 2.0 * tau
+    if tau == 0.0 and _positive_origin_laplacian(p):
+        return 0.0
 
     lo = 1e-12
     if p.support_radius is not None:
@@ -159,18 +163,31 @@ def _newton_r_tau(p, tau):
     return 0.5 * (lo + hi)
 
 
+def _positive_origin_laplacian(p):
+    try:
+        dq0 = p.laplacian_at_zero()
+    except DomainError:
+        return False
+    return math.isfinite(dq0) and dq0 > 0.0
+
+
 def droplet_of(p):
     """Droplet radii and kind, with an admissibility check on the Laplacian.
 
     The inner radius is r0 = solve_r_tau(p, 0), and the droplet is a disc
-    iff r0 == 0.0.  Raises InvalidPotentialError when the Laplacian of Q
-    fails to be strictly positive on a grid spanning a neighborhood of the
-    droplet.  A failure re-raises its exception class with the potential
-    name in the message.
+    iff r0 == 0.0.  Raises InvalidPotentialError when r0 is not below r1
+    (a zero-width droplet, e.g. once r0 and r1 round to the same float) or
+    when the Laplacian of Q fails to be strictly positive on a grid
+    spanning a neighborhood of the droplet.  A failure re-raises its
+    exception class with the potential name in the message.
     """
     try:
         r1 = solve_r_tau(p, 1.0)
         r0 = solve_r_tau(p, 0.0)
+        if not r0 < r1:
+            raise InvalidPotentialError(
+                f"zero-width droplet: r0 = {r0!r} is not below r1 = {r1!r}"
+            )
         d = Droplet(r0, r1, "disc" if r0 == 0.0 else "annulus")
 
         lo = max(0.9 * d.r0, 1e-6)

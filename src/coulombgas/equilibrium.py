@@ -48,10 +48,14 @@ def _inner_cut(d):
 def _integral(f, a, b):
     """Integral of f over [a, b] under the equilibrium quadrature policy.
 
-    integrate is looked up as a module global on every call, so a wrapper
-    installed at equilibrium.integrate sees each integral.
+    f runs under np.errstate(all="ignore"): a Laplacian that underflows to
+    0 gives integrand values that are not finite, which integrate reports
+    as IntegrationError, with no numpy warning first.  integrate is looked
+    up as a module global on every call, so a wrapper installed at
+    equilibrium.integrate sees each integral.
     """
-    val, _ = integrate(f, a, b, rel_tol=1e-13, abs_tol=1e-16)
+    with np.errstate(all="ignore"):
+        val, _ = integrate(f, a, b, rel_tol=1e-13, abs_tol=1e-16)
     return val
 
 

@@ -27,6 +27,7 @@ from .potential import (
     _check_n,
     _check_positive,
     _is_integer,
+    _v_tau0,
     v_tau,
 )
 from .quadrature import integrate
@@ -77,6 +78,10 @@ _REL_TOL = 1e-13
 # e^{-36} ~ 2e-16 is below every tolerance, and the doubling offsets beyond
 # bound the panel widths where the integrand leaves its Gaussian form.
 _SEED_OFFSETS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
+
+# The same cuts in units of width, sorted, r* included: r* + _SEED_T * width
+# is bit for bit r* +- k*width, because negating k is exact.
+_SEED_T = np.array(sorted({0.0, *_SEED_OFFSETS, *(-k for k in _SEED_OFFSETS)}))
 
 
 def _peak(p, query):
@@ -134,14 +139,11 @@ def _log_norm_exact(p, query, rel_tol):
     r_star, v_min, width = _peak(p, query)
     cut = _r_cut(p, query, r_star, v_min)
 
-    seeds = [r_star]
-    for k in _SEED_OFFSETS:
-        seeds.append(r_star - k * width)
-        seeds.append(r_star + k * width)
-    seeds = [x for x in seeds if 0.0 < x < cut]
+    seeds = r_star + _SEED_T * width  # integrate drops those outside (0, cut)
 
     def integrand(r):
-        return 2.0 * r * np.exp(-s * (v_tau(p, tau, r) - v_min))
+        # tau is checked once per norm; the node array on every call.
+        return 2.0 * r * np.exp(-s * (_v_tau0(p, p._checked(r), tau) - v_min))
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
     if not val > 0.0:

@@ -9,7 +9,11 @@ droplet.  All evaluation methods accept scalars or 1-D numpy arrays.
 Two unchecked hooks hold every formula: _profile(r, order) for q and its
 derivatives and _laplacian(r, order) for the Laplacian and its first two
 radial derivatives.  The public methods check r once and call them; code
-that has already checked r (v_tau, equilibrium.b1) calls the hooks.
+that has already checked r (v_tau, equilibrium.b1) calls the hooks.  The
+built-in hooks compute a Python float in Python floats, with no
+np.errstate, and an array under np.errstate (_float_math); a scalar gives
+the inf or nan that a one-element array gives, where Python alone would
+raise OverflowError or ZeroDivisionError.
 
 The degree-dependent effective potential for orthogonal-norm asymptotics is
 V_tau(r) = q(r) - 2 tau log r; v_tau evaluates it and its first four radial
@@ -17,6 +21,7 @@ derivatives using the exact identities that express V'' through the
 Laplacian of Q.
 """
 
+import functools
 import math
 import numbers
 
@@ -95,6 +100,43 @@ def _const_like(r, val):
     return np.full_like(r, val) if np.ndim(r) else val
 
 
+def _log(x):
+    """np.log(x); for a Python float, np.log's bits as a Python float (math.log
+    rounds differently), and ValueError unless x > 0."""
+    if type(x) is float:
+        if not x > 0.0:
+            raise ValueError(f"log of {x!r}")
+        return float(np.log(x))
+    return np.log(x)
+
+
+def _float_math(formula):
+    """Decorate formula(obj, r, *args), arithmetic in r that works on arrays.
+
+    A Python float r is computed in Python floats, which never warn, so it
+    needs no np.errstate.  Where Python raises instead of giving inf or nan
+    (OverflowError from **, ZeroDivisionError, ValueError from _log), r is
+    evaluated again as a float64 under np.errstate(all="ignore"), as arrays
+    always are, so a scalar gets the inf or nan of a one-element array.  A
+    Python float in gives a Python float out, so a decorated formula that
+    calls another one stays in Python floats.
+    """
+
+    @functools.wraps(formula)
+    def evaluate(obj, r, *args):
+        if type(r) is float:
+            try:
+                return formula(obj, r, *args)
+            except (OverflowError, ZeroDivisionError, ValueError):
+                pass
+            with np.errstate(all="ignore"):
+                return float(formula(obj, np.float64(r), *args))
+        with np.errstate(all="ignore"):
+            return formula(obj, r, *args)
+
+    return evaluate
+
+
 class RadialPotential:
     """Base class: radial profile plus Laplacian data.
 
@@ -142,6 +184,7 @@ class RadialPotential:
             )
         return arr if arr.ndim else float(arr)
 
+    @_float_math
     def _laplacian(self, r, order):
         """d^order/dr^order of the Laplacian (q'/r + q'')/4, order in 0..2,
         from the profile; r is already checked."""
@@ -192,6 +235,7 @@ class Ginibre(RadialPotential):
     def r_tau(self, tau):
         return self.scale * math.sqrt(tau)
 
+    @_float_math
     def _profile(self, r, order):
         s2 = self.scale * self.scale
         if order == 0:
@@ -202,6 +246,7 @@ class Ginibre(RadialPotential):
             return _const_like(r, 2.0 / s2)
         return _const_like(r, 0.0)
 
+    @_float_math
     def _laplacian(self, r, order):
         if order == 0:
             return _const_like(r, 1.0 / (self.scale * self.scale))
@@ -231,30 +276,30 @@ class MittagLeffler(RadialPotential):
     def r_tau(self, tau):
         return ((tau + self.c) / self.lam) ** (1.0 / (2.0 * self.lam))
 
+    @_float_math
     def _profile(self, r, order):
         lam = self.lam
         c = self.c
-        with np.errstate(all="ignore"):
-            if order == 0:
-                return r ** (2.0 * lam) - 2.0 * c * np.log(r)
-            if order == 1:
-                return 2.0 * lam * r ** (2.0 * lam - 1.0) - 2.0 * c / r
-            if order == 2:
-                return 2.0 * lam * (2.0 * lam - 1.0) * r ** (2.0 * lam - 2.0) + 2.0 * c / r**2
-            if order == 3:
-                coef = 2.0 * lam * (2.0 * lam - 1.0) * (2.0 * lam - 2.0)
-                return coef * r ** (2.0 * lam - 3.0) - 4.0 * c / r**3
-            coef = 2.0 * lam * (2.0 * lam - 1.0) * (2.0 * lam - 2.0) * (2.0 * lam - 3.0)
-            return coef * r ** (2.0 * lam - 4.0) + 12.0 * c / r**4
+        if order == 0:
+            return r ** (2.0 * lam) - 2.0 * c * _log(r)
+        if order == 1:
+            return 2.0 * lam * r ** (2.0 * lam - 1.0) - 2.0 * c / r
+        if order == 2:
+            return 2.0 * lam * (2.0 * lam - 1.0) * r ** (2.0 * lam - 2.0) + 2.0 * c / r**2
+        if order == 3:
+            coef = 2.0 * lam * (2.0 * lam - 1.0) * (2.0 * lam - 2.0)
+            return coef * r ** (2.0 * lam - 3.0) - 4.0 * c / r**3
+        coef = 2.0 * lam * (2.0 * lam - 1.0) * (2.0 * lam - 2.0) * (2.0 * lam - 3.0)
+        return coef * r ** (2.0 * lam - 4.0) + 12.0 * c / r**4
 
+    @_float_math
     def _laplacian(self, r, order):
-        with np.errstate(all="ignore"):
-            if order == 0:
-                return self.lam**2 * r ** (2.0 * self.lam - 2.0)
-            if order == 1:
-                return self.lam**2 * (2.0 * self.lam - 2.0) * r ** (2.0 * self.lam - 3.0)
-            coef = self.lam**2 * (2.0 * self.lam - 2.0) * (2.0 * self.lam - 3.0)
-            return coef * r ** (2.0 * self.lam - 4.0)
+        if order == 0:
+            return self.lam**2 * r ** (2.0 * self.lam - 2.0)
+        if order == 1:
+            return self.lam**2 * (2.0 * self.lam - 2.0) * r ** (2.0 * self.lam - 3.0)
+        coef = self.lam**2 * (2.0 * self.lam - 2.0) * (2.0 * self.lam - 3.0)
+        return coef * r ** (2.0 * self.lam - 4.0)
 
     def q_at_zero(self):
         if self.c > 0.0:
@@ -286,29 +331,29 @@ class TruncatedUnitary(RadialPotential):
     def r_tau(self, tau):
         return math.sqrt(tau * self.beta / (self.alpha + tau))
 
+    @_float_math
     def _profile(self, r, order):
         a = self.alpha
         b = self.beta
-        with np.errstate(all="ignore"):
-            d = b - r * r
-            if order == 0:
-                return a * (np.log(b) - np.log(d))
-            if order == 1:
-                return 2.0 * a * r / d
-            if order == 2:
-                return 2.0 * a * (b + r * r) / d**2
-            if order == 3:
-                return 4.0 * a * r * (3.0 * b + r * r) / d**3
-            return 12.0 * a * (b + r * r) / d**3 + 24.0 * a * r * r * (3.0 * b + r * r) / d**4
+        d = b - r * r
+        if order == 0:
+            return a * (_log(b) - _log(d))
+        if order == 1:
+            return 2.0 * a * r / d
+        if order == 2:
+            return 2.0 * a * (b + r * r) / d**2
+        if order == 3:
+            return 4.0 * a * r * (3.0 * b + r * r) / d**3
+        return 12.0 * a * (b + r * r) / d**3 + 24.0 * a * r * r * (3.0 * b + r * r) / d**4
 
+    @_float_math
     def _laplacian(self, r, order):
-        with np.errstate(all="ignore"):
-            if order == 0:
-                return self.alpha * self.beta / (self.beta - r * r) ** 2
-            if order == 1:
-                return 4.0 * self.alpha * self.beta * r / (self.beta - r * r) ** 3
-            d = self.beta - r * r
-            return 4.0 * self.alpha * self.beta * (d + 6.0 * r * r) / d**4
+        if order == 0:
+            return self.alpha * self.beta / (self.beta - r * r) ** 2
+        if order == 1:
+            return 4.0 * self.alpha * self.beta * r / (self.beta - r * r) ** 3
+        d = self.beta - r * r
+        return 4.0 * self.alpha * self.beta * (d + 6.0 * r * r) / d**4
 
     def q_at_zero(self):
         return 0.0
@@ -418,6 +463,7 @@ class _Dilated(RadialPotential):
             self.support_radius = base.support_radius * a
         self.name = f"dilated({base.name}, a={a!r})"
 
+    @_float_math
     def _profile(self, r, order):
         return self._base._profile(r / self._a, order) / self._a**order
 
@@ -449,7 +495,19 @@ def v_tau(p, tau, r, order=0):
     _check_order(order)
     rr = p._checked(r)
     if order == 0:
-        return p._profile(rr, 0) - 2.0 * t * np.log(rr)
+        return _v_tau0(p, rr, t)
+    return _v_tau_derivative(p, rr, t, order)
+
+
+def _v_tau0(p, rr, t):
+    """V_tau(rr) for a checked tau t and checked points rr: the one order-0
+    formula, which the norm integrand calls on its node arrays."""
+    return p._profile(rr, 0) - 2.0 * t * np.log(rr)
+
+
+@_float_math
+def _v_tau_derivative(p, rr, t, order):
+    """d^order V_tau / dr^order, order in 1..4, at checked points rr."""
     v1 = p._profile(rr, 1) - 2.0 * t / rr
     if order == 1:
         return v1

@@ -73,34 +73,36 @@ def _eval_panels(f, lefts, rights):
 def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     """Integrate a vectorized callable over [a, b].
 
-    seeds is an optional iterable of interior points used as initial panel
-    boundaries; it lets the caller pre-split around a known sharp peak so
-    the first refinement rounds start from a sensible partition.  Returns
-    (value, error_estimate) and raises IntegrationError when the error
-    estimate cannot be brought under max(abs_tol, rel_tol * |value|): when
-    every panel still over its share of the error is at the width floor,
-    when the panel budget _MAX_PANELS would be exceeded, or after
-    _MAX_ROUNDS refinement rounds.
+    seeds is an optional 1-D array-like of interior points used as initial
+    panel boundaries (points outside (a, b) are dropped); it lets the caller
+    pre-split around a known sharp peak so the first refinement rounds start
+    from a sensible partition.  Returns (value, error_estimate) and raises
+    IntegrationError when the error estimate cannot be brought under
+    max(abs_tol, rel_tol * |value|): when every panel still over its share
+    of the error is at the width floor, when the panel budget _MAX_PANELS
+    would be exceeded, or after _MAX_ROUNDS refinement rounds.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise IntegrationError(f"bad interval [{a!r}, {b!r}]")
-    cuts = sorted({a, b, *(float(s) for s in seeds if a < float(s) < b)})
-    # One row per panel, ordered by left endpoint: left, right, value, error.
-    panels = np.empty((len(cuts) - 1, 4))
-    panels[:, 0] = cuts[:-1]
-    panels[:, 1] = cuts[1:]
-    panels[:, 2], panels[:, 3] = _eval_panels(f, panels[:, 0], panels[:, 1])
+    seeds = np.asarray(seeds, dtype=float).tolist()
+    cuts = np.array(sorted({a, b, *[s for s in seeds if a < s < b]}))
+    # The panels ordered by left endpoint, as columns of one row per panel
+    # (left, right, value, error); most integrals meet their tolerance on
+    # this first evaluation, so the table is built at the first split.
+    lefts = cuts[:-1]
+    rights = cuts[1:]
+    vals, errs = _eval_panels(f, lefts, rights)
+    panels = None
 
     for _ in range(_MAX_ROUNDS):
-        lefts, rights, vals, errs = panels.T
         total = math.fsum(vals.tolist())
         err_total = math.fsum(errs.tolist())
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol:
             return total, err_total
-        share = 0.5 * tol / len(panels)
+        share = 0.5 * tol / len(lefts)
         width_floor = _WIDTH_FLOOR * np.maximum(1.0, np.maximum(np.abs(lefts), np.abs(rights)))
         worth = (errs > share) & (rights - lefts > width_floor)
         n_split = int(np.count_nonzero(worth))
@@ -111,9 +113,9 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
                 f"no convergence: the panels over their error share are at the "
                 f"width floor (error {err_total:.3e}, target {tol:.3e})"
             )
-        if len(panels) + n_split > _MAX_PANELS:
+        if len(lefts) + n_split > _MAX_PANELS:
             raise IntegrationError(
-                f"panel budget exceeded ({len(panels)} panels, error {err_total:.3e})"
+                f"panel budget exceeded ({len(lefts)} panels, error {err_total:.3e})"
             )
         # Each split panel becomes (lo, mid), (mid, hi), evaluated in that order.
         lo = lefts[worth]
@@ -125,10 +127,13 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
         halves[1::2, 0] = mid
         halves[1::2, 1] = hi
         halves[:, 2], halves[:, 3] = _eval_panels(f, halves[:, 0], halves[:, 1])
+        if panels is None:
+            panels = np.column_stack((lefts, rights, vals, errs))
         panels = np.concatenate((panels[~worth], halves))
         panels = panels[np.argsort(panels[:, 0], kind="stable")]
+        lefts, rights, vals, errs = panels.T
 
-    err_total = math.fsum(panels[:, 3].tolist())
+    err_total = math.fsum(errs.tolist())
     raise IntegrationError(
         f"no convergence after {_MAX_ROUNDS} refinement rounds (error {err_total:.3e})"
     )

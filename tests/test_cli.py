@@ -134,6 +134,16 @@ def test_invalid_potential_exit_code(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command, extra", [("droplet", []), ("equilibrium", []),
+                                            ("expand", ["--N", "100"])])
+def test_zero_width_droplet_exits_3(capsys, command, extra):
+    out, err, rc = _run([command, "--potential", "ml", "--lambda", "1", "--c", "1e17", *extra],
+                        capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and "zero-width droplet" in err
+
+
 _SUBCOMMAND_ARGS = {
     "droplet": [],
     "equilibrium": [],

@@ -328,7 +328,16 @@ _EVERY_FAMILY = _STEEP_DISCS + [
     _ml_custom(1.0, 0.0),
     Custom(lambda r: r * r, name="custom-fd-r2"),
     Custom(lambda r: 5.0 + r * r, name="custom-fd-5+r2"),
+    # FD noise in q' near 0 swamps its true value 2r; the origin data decide.
+    Custom(lambda r: 5.0 + r * r, q_origin=5.0, laplacian_origin=1.0, name="custom-fd-5+r2-origin"),
 ]
+
+
+def _positive_origin_laplacian(p):
+    try:
+        return p.laplacian_at_zero() > 0.0
+    except DomainError:
+        return False
 
 
 @pytest.mark.parametrize("p", _EVERY_FAMILY, ids=lambda p: p.name)
@@ -340,6 +349,9 @@ def test_droplet_is_a_disc_iff_r0_is_zero(p):
     assert d.kind in ("disc", "annulus")
     assert (d.kind == "disc") == (d.r0 == 0.0)
     assert d.r0 == solve_r_tau(p, 0.0)
+    assert d.r0 < d.r1
+    if _positive_origin_laplacian(p):
+        assert d.kind == "disc"
 
 
 @pytest.mark.parametrize("p", _STEEP_DISCS, ids=lambda p: p.name)
@@ -348,3 +360,12 @@ def test_steep_power_profiles_are_discs(p):
     assert droplet_of(p).kind == "disc"
     with pytest.raises(DomainError, match="singular"):
         dr_dtau(p, 1e-13)
+
+
+def test_zero_width_droplet_is_an_error():
+    # c = 1e17: r0 = (c/lam)^(1/2) and r1 = ((1 + c)/lam)^(1/2) round to
+    # the same float.
+    p = MittagLeffler(1.0, 1e17)
+    assert solve_r_tau(p, 0.0) == solve_r_tau(p, 1.0)
+    with pytest.raises(InvalidPotentialError, match=r"ml\(lam=1.0, c=1e\+17\): zero-width droplet"):
+        droplet_of(p)

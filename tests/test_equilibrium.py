@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from coulombgas.equilibrium import (
     mu_mass,
     zw_coefficients,
 )
-from coulombgas.errors import DomainError, InvalidPotentialError
+from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 
@@ -199,3 +200,12 @@ def test_droplet_errors_name_the_potential_once():
         msg = str(exc.value)
         assert msg.startswith("wavy: the Laplacian of Q is not strictly positive"), call
         assert msg.count("wavy") == 1, call
+
+
+def test_underflowing_laplacian_is_an_integration_error_not_a_warning():
+    # lam^2 r^38 underflows to 0 near the disc cut, so laplacian'/laplacian
+    # is not finite there; integrate reports it, numpy stays quiet.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="non-finite"):
+            equilibrium_report(MittagLeffler(20.0, 0.0))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas import norms
+from coulombgas import norms, potential
 from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.norms import (
     NormQuery,
@@ -13,7 +13,14 @@ from coulombgas.norms import (
     log_norm_lowdeg,
 )
 from coulombgas.partition import log_z_exact
-from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
+from coulombgas.potential import (
+    Custom,
+    Ginibre,
+    MittagLeffler,
+    TruncatedUnitary,
+    dilate,
+    v_tau,
+)
 from coulombgas.specialfn import ln_gamma
 
 
@@ -245,3 +252,76 @@ def test_bad_rel_tol_rejected_before_quadrature(monkeypatch, bad):
         log_norm_exact(Ginibre(), NormQuery(3, 1, "normal"), rel_tol=bad)
     with pytest.raises(DomainError, match="rel_tol"):
         log_z_exact(Ginibre(), 3, rel_tol=bad)
+
+
+_EVERY_KIND = [
+    Ginibre(1.3),
+    MittagLeffler(0.5, 1.2),
+    MittagLeffler(2.0, 0.4),
+    TruncatedUnitary(2.0, 1.5),
+    dilate(MittagLeffler(1.0, 1.0), 1.5),
+    dilate(TruncatedUnitary(1.0, 1.0), 0.7),
+    Custom(lambda r: r**3.0 - np.log(r), name="custom-fd"),
+]
+
+
+@pytest.mark.parametrize("p", _EVERY_KIND, ids=lambda p: p.name)
+def test_integrand_v_tau_is_v_tau_bit_for_bit(monkeypatch, p):
+    # The norm integrand checks tau once per norm and calls the order-0
+    # formula on each node array; on the arrays it is handed that must be
+    # v_tau exactly, and v_tau must be q - 2 tau log r exactly.
+    nodes = []
+    integrate = norms.integrate
+
+    def recording(f, *args, **kwargs):
+        def g(r):
+            nodes.append(r.copy())
+            return f(r)
+
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "integrate", recording)
+    for j in (0, 7, 19):
+        query = NormQuery(20, j, "symplectic")
+        del nodes[:]
+        log_norm_exact(p, query)
+        for r in nodes:
+            helper = potential._v_tau0(p, p._checked(r), query.tau)
+            assert np.array_equal(helper, v_tau(p, query.tau, r))
+            assert np.array_equal(helper, p.q_derivs(r) - 2.0 * query.tau * np.log(r))
+
+
+def _old_seeds(r_star, width, cut):
+    # The per-offset list the norms built before the seeds became one array op.
+    seeds = [r_star]
+    for k in norms._SEED_OFFSETS:
+        seeds.append(r_star - k * width)
+        seeds.append(r_star + k * width)
+    return [x for x in seeds if 0.0 < x < cut]
+
+
+@pytest.mark.parametrize(
+    "r_star, width, cut",
+    [
+        (0.0, 0.05, 1.0),  # disc, j = 0: only r* + k width survive
+        (0.7, 0.01, 0.9),  # the cut drops the outer seeds
+        (1.3, 0.2, 9.0),  # wide peak: the inner seeds fall below 0
+        (1e8, 1e-9, 2e8),  # width below half an ulp of r*: seeds coincide
+        (0.8, 1e-300, 2.0),
+        (2.0**-30, 2.0**-35, 1.0),
+    ],
+)
+def test_seed_array_gives_the_old_cuts(r_star, width, cut):
+    new = r_star + norms._SEED_T * width
+    batches = {}
+    for key, seeds in (("old", _old_seeds(r_star, width, cut)), ("new", new)):
+        batches[key] = []
+
+        def f(x, out=batches[key]):
+            out.append(x.copy())
+            return np.zeros_like(x)
+
+        norms.integrate(f, 0.0, cut, rel_tol=1e-13, abs_tol=0.0, seeds=seeds)
+    assert len(batches["old"]) == len(batches["new"]) == 1
+    assert np.array_equal(batches["old"][0], batches["new"][0])
+    assert len(norms._SEED_T) == 2 * len(norms._SEED_OFFSETS) + 1

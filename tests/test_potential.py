@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coulombgas.droplet import dr_dtau, solve_r_tau
-from coulombgas.errors import DomainError, UnsupportedOrderError
+from coulombgas.errors import CoulombGasError, DomainError, UnsupportedOrderError
 from coulombgas.norms import NormQuery
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
 from coulombgas import potential
@@ -443,3 +446,74 @@ def test_custom_origin_data_accepts_reals():
         assert type(p.laplacian_at_zero()) is float and p.laplacian_at_zero() == 1.0
     # The origin value may be zero or negative.
     assert Custom(lambda r: r * r - 2.0, q_origin=-2).q_at_zero() == -2.0
+
+
+# -- scalar calls give what one-element arrays give ---------------------------
+
+
+@st.composite
+def _family_and_radius(draw):
+    kind = draw(st.sampled_from(["ginibre", "ml", "tu"]))
+    if kind == "ginibre":
+        p = Ginibre(draw(st.floats(0.5, 2.0)))
+    elif kind == "ml":
+        lam = draw(st.one_of(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 2.0]), st.floats(0.2, 5.0)))
+        p = MittagLeffler(lam, draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+    else:
+        p = TruncatedUnitary(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0)))
+    if draw(st.booleans()):
+        p = dilate(p, draw(st.floats(0.5, 2.0)))
+    if p.support_radius is not None and draw(st.booleans()):
+        # the support edge: from 1.4e-10 inside it to 1.8e-11 beyond it
+        ulps = draw(st.integers(-64, 8)) * draw(st.sampled_from([1.0, 1e2, 1e4]))
+        return p, p.support_radius * (1.0 + ulps * _EPS)
+    return p, math.exp(draw(st.floats(math.log(1e-300), math.log(1e300))))
+
+
+def _accessors(p):
+    for order in range(5):
+        yield f"q_derivs order {order}", lambda r, k=order: p.q_derivs(r, k)
+        yield f"v_tau order {order}", lambda r, k=order: v_tau(p, 0.3, r, k)
+    yield "laplacian", p.laplacian
+    yield "laplacian_dr", p.laplacian_dr
+    yield "laplacian_dr2", p.laplacian_dr2
+
+
+def _outcome(call):
+    """("value", float) or ("raises", class) for package errors; any other
+    exception, a numpy warning included, fails the test."""
+    try:
+        value = call()
+    except CoulombGasError as exc:
+        return "raises", type(exc)
+    return "value", float(np.asarray(value).reshape(-1)[0])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_family_and_radius())
+@example((MittagLeffler(1.0, 1.0), 1e200))
+@example((MittagLeffler(0.5, 1.0), 1e-200))
+@example((TruncatedUnitary(1.0, 1.0), math.sqrt(2.0)))
+def test_scalar_calls_give_what_one_element_arrays_give(case):
+    # A Python float is computed in Python floats, an array in numpy, so
+    # a finite value may differ where pow rounds differently (about 1 in 20
+    # non-integer powers on AVX-512 builds of numpy) and in cancellation
+    # noise.  So finite values must agree to 1e-12, or within the spread of
+    # the array formula over the 17 floats just below r, which measures
+    # that noise.  Exceptions, nan and +-inf must match exactly.
+    p, r = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in _accessors(p):
+            scalar = _outcome(lambda: call(r))
+            array = _outcome(lambda: call(np.array([r])))
+            assert scalar[0] == array[0], (p.name, name, r, scalar, array)
+            if scalar[0] == "raises":
+                assert scalar == array, (p.name, name, r, scalar, array)
+                continue
+            s, a = scalar[1], array[1]
+            if s == a or (math.isnan(s) and math.isnan(a)):
+                continue
+            assert math.isfinite(s) and math.isfinite(a), (p.name, name, r, s, a)
+            near = call(r * (1.0 - _EPS * np.arange(17.0)))
+            assert abs(s - a) <= max(1e-12 * abs(a), np.ptp(near)), (p.name, name, r, s, a)
