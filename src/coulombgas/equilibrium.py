@@ -16,6 +16,7 @@ import numpy as np
 
 from .droplet import Droplet, droplet_of
 from .errors import CoulombGasError, DomainError, InvalidPotentialError, _in_context
+from .potential import _entry_point
 from .quadrature import integrate
 
 _DISC_CUT = 1e-12  # relative inner cutoff for disc-case radial integrals
@@ -105,21 +106,21 @@ def log_potential_origin(p, droplet=None):
     return -math.log(d.r1) + 0.5 * (float(p.q_derivs(d.r1, 0)) - q_in)
 
 
+@_entry_point
 def b1(p, r):
     """Pointwise 1/s correction term of the orthogonal-norm expansion.
 
     b1 = -d2(laplacian)/(32 laplacian^2) - 19 d(laplacian)/(96 r laplacian^2)
          + 5 d(laplacian)^2/(96 laplacian^3) + 1/(12 r^2 laplacian).
     """
-    rr = p._checked(r)
-    dq = p._laplacian(rr, 0)
-    dq1 = p._laplacian(rr, 1)
-    dq2 = p._laplacian(rr, 2)
+    dq = p._laplacian(r, 0)
+    dq1 = p._laplacian(r, 1)
+    dq2 = p._laplacian(r, 2)
     return (
         -dq2 / (32.0 * dq**2)
-        - 19.0 * dq1 / (96.0 * rr * dq**2)
+        - 19.0 * dq1 / (96.0 * r * dq**2)
         + 5.0 * dq1**2 / (96.0 * dq**3)
-        + 1.0 / (12.0 * rr**2 * dq)
+        + 1.0 / (12.0 * r**2 * dq)
     )
 
 
@@ -157,7 +158,7 @@ def f_annulus(p, droplet=None):
     """Order-one free-energy term for an annular droplet."""
     d = _droplet(p, droplet)
     if d.kind != "annulus":
-        raise DomainError("f_annulus requires an annular droplet")
+        raise DomainError(f"{p.name}: f_annulus requires an annular droplet")
     return _f_term(p, d)
 
 
@@ -165,7 +166,7 @@ def f_disc(p, droplet=None):
     """Order-one free-energy term for a disc droplet."""
     d = _droplet(p, droplet)
     if d.kind != "disc":
-        raise DomainError("f_disc requires a disc droplet")
+        raise DomainError(f"{p.name}: f_disc requires a disc droplet")
     return _f_term(p, d)
 
 
@@ -180,7 +181,7 @@ def f_disc_chi_form(p, droplet=None):
     """
     d = _droplet(p, droplet)
     if d.kind != "disc":
-        raise DomainError("f_disc_chi_form requires a disc droplet")
+        raise DomainError(f"{p.name}: f_disc_chi_form requires a disc droplet")
     dq1 = float(p.laplacian(d.r1))
     lo = _inner_cut(d)
 
@@ -212,7 +213,7 @@ def b1_integral(p, droplet=None):
     """
     d = _droplet(p, droplet)
     if d.kind != "annulus":
-        raise DomainError("b1_integral requires an annular droplet")
+        raise DomainError(f"{p.name}: b1_integral requires an annular droplet")
     direct = _integral(lambda r: b1(p, r) * 2.0 * r * p.laplacian(r), d.r0, d.r1)
     dq0 = float(p.laplacian(d.r0))
     dq1 = float(p.laplacian(d.r1))
@@ -241,7 +242,7 @@ def zw_coefficients(p, droplet=None):
     """
     d = _droplet(p, droplet)
     if d.kind != "disc":
-        raise DomainError("zw_coefficients requires a disc droplet")
+        raise DomainError(f"{p.name}: zw_coefficients requires a disc droplet")
     x1 = d.r1**2
     lo = _DISC_CUT * x1
 

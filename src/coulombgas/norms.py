@@ -143,7 +143,7 @@ def _log_norm_exact(p, query, rel_tol):
 
     def integrand(r):
         # tau is checked once per norm; the node array on every call.
-        return 2.0 * r * np.exp(-s * (_v_tau0(p, p._checked(r), tau) - v_min))
+        return 2.0 * r * np.exp(-s * (_v_tau0(p, r, tau) - v_min))
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
     if not val > 0.0:
@@ -181,7 +181,7 @@ def log_norm_lowdeg(p, query):
     """
     d = droplet_of(p)
     if d.kind != "disc":
-        raise DomainError("the low-degree factorial form requires a disc droplet")
+        raise DomainError(f"{p.name}: the low-degree factorial form requires a disc droplet")
     s = query.s
     q0 = p.q_at_zero()
     dq0 = p.laplacian_at_zero()
@@ -197,7 +197,7 @@ def log_norm_highdeg(p, query):
     """
     d = droplet_of(p)
     if d.kind != "disc":
-        raise DomainError("the high-degree form requires a disc droplet")
+        raise DomainError(f"{p.name}: the high-degree form requires a disc droplet")
     gate = query.n ** (1.0 / 6.0)
     if query.ensemble == "symplectic":
         gate *= 2.0

@@ -198,7 +198,7 @@ def lemma_sum(p, n, which):
         raise DomainError(f"which must be one of {_LEMMA_VARIANTS}, got {which!r}")
     d = droplet_of(p)
     if d.kind != "annulus":
-        raise DomainError("the partial-sum expansions require an annular droplet")
+        raise DomainError(f"{p.name}: the partial-sum expansions require an annular droplet")
 
     if which.endswith("_normal"):
         taus = [j / n for j in range(n)]

@@ -6,14 +6,12 @@ radial variable is laplacian(r) = (q'(r)/r + q''(r)) / 4, with the
 convention that the equilibrium density is 2 r laplacian(r) dr on the
 droplet.  All evaluation methods accept scalars or 1-D numpy arrays.
 
-Two unchecked hooks hold every formula: _profile(r, order) for q and its
-derivatives and _laplacian(r, order) for the Laplacian and its first two
-radial derivatives.  The public methods check r once and call them; code
-that has already checked r (v_tau, equilibrium.b1) calls the hooks.  The
-built-in hooks compute a Python float in Python floats, with no
-np.errstate, and an array under np.errstate (_float_math); a scalar gives
-the inf or nan that a one-element array gives, where Python alone would
-raise OverflowError or ZeroDivisionError.
+Two hooks hold every formula, as plain arithmetic on floats and arrays:
+_profile(r, order) for q and its derivatives and _laplacian(r, order) for
+the Laplacian and its first two radial derivatives.  The checked entry
+points (q_derivs, the laplacian accessors, v_tau and equilibrium.b1) hold
+the one evaluation contract (_entry_point): a scalar gets the inf or nan
+that a one-element array gets, and neither warns.
 
 The degree-dependent effective potential for orthogonal-norm asymptotics is
 V_tau(r) = q(r) - 2 tau log r; v_tau evaluates it and its first four radial
@@ -110,29 +108,29 @@ def _log(x):
     return np.log(x)
 
 
-def _float_math(formula):
-    """Decorate formula(obj, r, *args), arithmetic in r that works on arrays.
+def _entry_point(formula):
+    """Decorate formula(p, r, ...) of potential p, arithmetic in r that works
+    on floats and arrays alike, into a checked entry point.
 
-    A Python float r is computed in Python floats, which never warn, so it
-    needs no np.errstate.  Where Python raises instead of giving inf or nan
-    (OverflowError from **, ZeroDivisionError, ValueError from _log), r is
-    evaluated again as a float64 under np.errstate(all="ignore"), as arrays
-    always are, so a scalar gets the inf or nan of a one-element array.  A
-    Python float in gives a Python float out, so a decorated formula that
-    calls another one stays in Python floats.
+    r is checked with p._checked first.  An array is computed under
+    np.errstate(all="ignore"), a Python float in Python floats, which never
+    warn.  Where Python raises instead of giving inf or nan (OverflowError
+    from **, ZeroDivisionError, ValueError from _log), the float is
+    evaluated again as a one-element array.
     """
 
     @functools.wraps(formula)
-    def evaluate(obj, r, *args):
+    def evaluate(p, r, *args, **kwargs):
+        r = p._checked(r)
         if type(r) is float:
             try:
-                return formula(obj, r, *args)
+                return formula(p, r, *args, **kwargs)
             except (OverflowError, ZeroDivisionError, ValueError):
-                pass
+                r = np.array([r])
             with np.errstate(all="ignore"):
-                return float(formula(obj, np.float64(r), *args))
+                return float(np.ravel(formula(p, r, *args, **kwargs))[0])
         with np.errstate(all="ignore"):
-            return formula(obj, r, *args)
+            return formula(p, r, *args, **kwargs)
 
     return evaluate
 
@@ -140,10 +138,11 @@ def _float_math(formula):
 class RadialPotential:
     """Base class: radial profile plus Laplacian data.
 
-    Subclasses implement _profile(r, order) for orders 0..4 without argument
-    checking; vectorization over numpy arrays is required.  The Laplacian
-    hook _laplacian(r, order), orders 0..2, has the same contract.  Its
-    default is the generic formula in terms of the profile, which Custom
+    Subclasses implement _profile(r, order) for orders 0..4 as a plain
+    formula in a checked r that works on Python floats and numpy arrays;
+    the entry points give it the scalar contract (_entry_point).  The
+    Laplacian hook _laplacian(r, order), orders 0..2, has the same contract.
+    Its default is the generic formula in terms of the profile, which Custom
     and dilate use; the closed-form families override the hook (never the
     checked laplacian accessors), as they override r_tau.
     """
@@ -184,10 +183,9 @@ class RadialPotential:
             )
         return arr if arr.ndim else float(arr)
 
-    @_float_math
     def _laplacian(self, r, order):
         """d^order/dr^order of the Laplacian (q'/r + q'')/4, order in 0..2,
-        from the profile; r is already checked."""
+        from the profile."""
         q1 = self._profile(r, 1)
         q2 = self._profile(r, 2)
         if order == 0:
@@ -198,22 +196,26 @@ class RadialPotential:
         q4 = self._profile(r, 4)
         return (q4 + q3 / r - 2.0 * q2 / (r * r) + 2.0 * q1 / (r * r * r)) / 4.0
 
+    @_entry_point
     def q_derivs(self, r, order=0):
         """Radial profile derivative d^order q / dr^order, order in 0..4."""
         _check_order(order)
-        return self._profile(self._checked(r), order)
+        return self._profile(r, order)
 
+    @_entry_point
     def laplacian(self, r):
         """Planar Laplacian of Q at radius r: (q'/r + q'')/4."""
-        return self._laplacian(self._checked(r), 0)
+        return self._laplacian(r, 0)
 
+    @_entry_point
     def laplacian_dr(self, r):
         """Radial derivative of the Laplacian."""
-        return self._laplacian(self._checked(r), 1)
+        return self._laplacian(r, 1)
 
+    @_entry_point
     def laplacian_dr2(self, r):
         """Second radial derivative of the Laplacian."""
-        return self._laplacian(self._checked(r), 2)
+        return self._laplacian(r, 2)
 
     def q_at_zero(self):
         """q(0) when the profile extends continuously to the origin."""
@@ -235,7 +237,6 @@ class Ginibre(RadialPotential):
     def r_tau(self, tau):
         return self.scale * math.sqrt(tau)
 
-    @_float_math
     def _profile(self, r, order):
         s2 = self.scale * self.scale
         if order == 0:
@@ -246,7 +247,6 @@ class Ginibre(RadialPotential):
             return _const_like(r, 2.0 / s2)
         return _const_like(r, 0.0)
 
-    @_float_math
     def _laplacian(self, r, order):
         if order == 0:
             return _const_like(r, 1.0 / (self.scale * self.scale))
@@ -276,7 +276,6 @@ class MittagLeffler(RadialPotential):
     def r_tau(self, tau):
         return ((tau + self.c) / self.lam) ** (1.0 / (2.0 * self.lam))
 
-    @_float_math
     def _profile(self, r, order):
         lam = self.lam
         c = self.c
@@ -292,7 +291,6 @@ class MittagLeffler(RadialPotential):
         coef = 2.0 * lam * (2.0 * lam - 1.0) * (2.0 * lam - 2.0) * (2.0 * lam - 3.0)
         return coef * r ** (2.0 * lam - 4.0) + 12.0 * c / r**4
 
-    @_float_math
     def _laplacian(self, r, order):
         if order == 0:
             return self.lam**2 * r ** (2.0 * self.lam - 2.0)
@@ -331,7 +329,6 @@ class TruncatedUnitary(RadialPotential):
     def r_tau(self, tau):
         return math.sqrt(tau * self.beta / (self.alpha + tau))
 
-    @_float_math
     def _profile(self, r, order):
         a = self.alpha
         b = self.beta
@@ -346,7 +343,6 @@ class TruncatedUnitary(RadialPotential):
             return 4.0 * a * r * (3.0 * b + r * r) / d**3
         return 12.0 * a * (b + r * r) / d**3 + 24.0 * a * r * r * (3.0 * b + r * r) / d**4
 
-    @_float_math
     def _laplacian(self, r, order):
         if order == 0:
             return self.alpha * self.beta / (self.beta - r * r) ** 2
@@ -375,19 +371,6 @@ _FD_STENCILS = {
 }
 
 
-def _call_user(fn, r):
-    """fn(r) for a user callable.  Python floats raise OverflowError where
-    numpy float64, as on the array path, gives inf, so a scalar that
-    overflows is evaluated again as a float64."""
-    try:
-        return fn(r)
-    except OverflowError:
-        if not isinstance(r, float):
-            raise
-        with np.errstate(over="ignore"):
-            return fn(np.float64(r))
-
-
 class Custom(RadialPotential):
     """User-supplied radial profile, optionally with analytic derivatives.
 
@@ -395,7 +378,9 @@ class Custom(RadialPotential):
     given, derivatives fall back to fourth-order central differences with
     step h = max(r, 1) * eps^(1/6), shrunk near the origin so stencil
     points stay positive.  Pass vectorized=False for callables that only
-    accept scalars.  q_origin, when given, must be a finite real and
+    accept scalars; scalar results are taken as Python floats, and numpy
+    calls a callable makes on a Python float follow numpy's own error
+    settings.  q_origin, when given, must be a finite real and
     laplacian_origin a finite positive real; anything else raises
     DomainError.
     """
@@ -432,15 +417,14 @@ class Custom(RadialPotential):
             h = np.minimum(np.maximum(r, 1.0) * _FD_STEP, r / (reach + 1.0))
         acc = 0.0
         for off, coef in _FD_STENCILS[order]:
-            acc = acc + coef * _call_user(self._q, r + off * h)
+            acc = acc + coef * self._profile(r + off * h, 0)
         return acc / h**order
 
     def _profile(self, r, order):
-        if order == 0:
-            return _call_user(self._q, r)
-        if self._derivs is not None:
-            return _call_user(self._derivs[order - 1], r)
-        return self._fd(r, order)
+        if order and self._derivs is None:
+            return self._fd(r, order)
+        v = self._derivs[order - 1](r) if order else self._q(r)
+        return float(v) if type(r) is float else v  # numpy scalars stay out
 
     def q_at_zero(self):
         if self._q_origin is None:
@@ -453,19 +437,27 @@ class Custom(RadialPotential):
         return self._laplacian_origin
 
 
+def _pow_or_inf(x, k):
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
 class _Dilated(RadialPotential):
     """Profile of z -> Q(z / a): q_a(r) = q(r / a)."""
 
     def __init__(self, base, a):
         self._base = base
         self._a = a
+        # a**k, k = 0..4, inf where it overflows: huge a gives 0, not an error
+        self._a_pow = tuple(_pow_or_inf(a, k) for k in range(5))
         if base.support_radius is not None:
             self.support_radius = base.support_radius * a
         self.name = f"dilated({base.name}, a={a!r})"
 
-    @_float_math
     def _profile(self, r, order):
-        return self._base._profile(r / self._a, order) / self._a**order
+        return self._base._profile(r / self._a, order) / self._a_pow[order]
 
     def r_tau(self, tau):
         r = self._base.r_tau(tau)
@@ -475,7 +467,7 @@ class _Dilated(RadialPotential):
         return self._base.q_at_zero()
 
     def laplacian_at_zero(self):
-        return self._base.laplacian_at_zero() / self._a**2
+        return self._base.laplacian_at_zero() / self._a_pow[2]
 
 
 def dilate(p, a):
@@ -487,27 +479,27 @@ def v_tau(p, tau, r, order=0):
     """Effective potential V_tau(r) = q(r) - 2 tau log r and derivatives.
 
     tau is a float in [0, 1]; a caller holding a norms.NormQuery passes
-    query.tau.  r is checked once.  Orders 2..4 are assembled from the
-    Laplacian of Q through V'' = 4 laplacian - V'/r, which keeps them exact
-    for potentials whose Laplacian is known in closed form.
+    query.tau.  Orders 2..4 are assembled from the Laplacian of Q through
+    V'' = 4 laplacian - V'/r, which keeps them exact for potentials whose
+    Laplacian is known in closed form.
     """
     t = _check_tau(tau)
     _check_order(order)
-    rr = p._checked(r)
     if order == 0:
-        return _v_tau0(p, rr, t)
-    return _v_tau_derivative(p, rr, t, order)
+        return _v_tau0(p, r, t)
+    return _v_tau_derivative(p, r, t, order)
 
 
+@_entry_point
 def _v_tau0(p, rr, t):
-    """V_tau(rr) for a checked tau t and checked points rr: the one order-0
-    formula, which the norm integrand calls on its node arrays."""
+    """V_tau(rr) for a checked tau t: the one order-0 formula, which the
+    norm integrand calls on its node arrays."""
     return p._profile(rr, 0) - 2.0 * t * np.log(rr)
 
 
-@_float_math
+@_entry_point
 def _v_tau_derivative(p, rr, t, order):
-    """d^order V_tau / dr^order, order in 1..4, at checked points rr."""
+    """d^order V_tau / dr^order, order in 1..4, for a checked tau t."""
     v1 = p._profile(rr, 1) - 2.0 * t / rr
     if order == 1:
         return v1

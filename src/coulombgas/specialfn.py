@@ -68,8 +68,9 @@ def ln_barnes_g(x):
     """Natural log of the Barnes G function for x >= 0.5.
 
     The argument is shifted upward with ln G(x) = ln G(x+1) - ln Gamma(x)
-    until the asymptotic series applies.  Absolute accuracy is better than
-    1e-12 over the supported range.
+    until the asymptotic series applies.  Its rounding error is at most
+    1.3e-11 for x < 31 and 23 eps |ln G(x)| above (measured against mpmath:
+    5e-13 and 3.1 ulp of |ln G(x)|; 1.7e-12 at 100 and 6.1e-6 at 1e5).
     """
     if not x >= 0.5:
         raise DomainError(f"ln_barnes_g requires x >= 0.5, got {x!r}")

@@ -300,6 +300,13 @@ def _run(argv, capsys):
     return out, err, code
 
 
+def test_kind_guard_error_names_the_potential_and_exits_3(capsys):
+    out, err, code = _run(["lemmas", "--potential", "ginibre", "--N", "10",
+                           "--which", "sum_v_normal"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ginibre(scale=1.0): ") and "annular droplet" in err
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     argv = ["droplet", "--potential", "ginibre"]
     main(argv)

@@ -19,7 +19,9 @@ from coulombgas.equilibrium import (
     zw_coefficients,
 )
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
+from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_lowdeg
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
+from coulombgas.partition import lemma_sum
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 
 LOG2 = math.log(2.0)
@@ -146,6 +148,29 @@ def test_kind_mismatch_guards():
         zw_coefficients(MittagLeffler(1.0, 1.0))
     with pytest.raises(DomainError):
         b1_integral(Ginibre())
+
+
+# Every droplet-kind guard, called on a potential of the other kind.
+_KIND_GUARDS = {
+    "f_annulus": lambda p: f_annulus(p),
+    "b1_integral": lambda p: b1_integral(p),
+    "lemma_sum": lambda p: lemma_sum(p, 10, "sum_v_normal"),
+    "f_disc": lambda p: f_disc(p),
+    "f_disc_chi_form": lambda p: f_disc_chi_form(p),
+    "zw_coefficients": lambda p: zw_coefficients(p),
+    "log_norm_lowdeg": lambda p: log_norm_lowdeg(p, NormQuery(10, 1)),
+    "log_norm_highdeg": lambda p: log_norm_highdeg(p, NormQuery(10, 9)),
+}
+_NEEDS_ANNULUS = {"f_annulus", "b1_integral", "lemma_sum"}
+
+
+@pytest.mark.parametrize("guard", sorted(_KIND_GUARDS))
+def test_kind_guards_name_the_potential(guard):
+    p = Ginibre(1.5) if guard in _NEEDS_ANNULUS else MittagLeffler(1.0, 0.5)
+    with pytest.raises(DomainError) as info:
+        _KIND_GUARDS[guard](p)
+    assert str(info.value).startswith(f"{p.name}: "), str(info.value)
+    assert str(info.value).count(p.name) == 1
 
 
 def test_b1_ginibre_closed_form():

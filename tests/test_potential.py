@@ -12,6 +12,7 @@ from coulombgas.norms import NormQuery
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
 from coulombgas import potential
 from coulombgas.droplet import droplet_of
+from coulombgas.equilibrium import b1
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -448,21 +449,83 @@ def test_custom_origin_data_accepts_reals():
     assert Custom(lambda r: r * r - 2.0, q_origin=-2).q_at_zero() == -2.0
 
 
+def test_dilate_by_a_huge_factor_gives_zero_not_an_overflow():
+    # a**4 and a**2 overflow; q(r / a) has derivatives a^-k q^(k), which are 0
+    # in floating point, as for a one-element array.
+    p = dilate(Ginibre(), 1e80)
+    assert p.q_derivs(1.0, 4) == 0.0
+    assert p.q_derivs(np.array([1.0]), 4).tolist() == [0.0]
+    assert dilate(Ginibre(), 1e200).laplacian_at_zero() == 0.0
+    # where a**k is finite the profile divides by a**k itself
+    a = 1.7
+    assert dilate(MittagLeffler(1.5, 0.5), a).q_derivs(2.0, 3) == (
+        MittagLeffler(1.5, 0.5).q_derivs(2.0 / a, 3) / a**3
+    )
+
+
 # -- scalar calls give what one-element arrays give ---------------------------
+
+
+def _ml_q(lam, c):
+    def q(r):
+        # The callable's own numpy calls on a Python float follow numpy's
+        # error settings, which the package leaves alone on the scalar path;
+        # dilate can hand it r / a = 0 or inf, where np.log warns.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return r ** (2.0 * lam) - 2.0 * c * np.log(r)
+
+    return q
+
+
+def _ml_derivs(lam, c):
+    a = 2.0 * lam
+    return (
+        lambda r: a * r ** (a - 1.0) - 2.0 * c / r,
+        lambda r: a * (a - 1.0) * r ** (a - 2.0) + 2.0 * c / r**2,
+        lambda r: a * (a - 1.0) * (a - 2.0) * r ** (a - 3.0) - 4.0 * c / r**3,
+        lambda r: a * (a - 1.0) * (a - 2.0) * (a - 3.0) * r ** (a - 4.0) + 12.0 * c / r**4,
+    )
+
+
+class _PowerPlusInverse(RadialPotential):
+    """q = r^2 + 1/r, a user subclass whose hooks are plain formulas with no
+    decorator: it gets its scalar semantics from the checked entry points."""
+
+    name = "r^2 + 1/r"
+
+    def _profile(self, r, order):
+        return (
+            r * r + 1.0 / r,
+            2.0 * r - 1.0 / r**2,
+            2.0 + 2.0 / r**3,
+            -6.0 / r**4,
+            24.0 / r**5,
+        )[order]
+
+    def _laplacian(self, r, order):
+        return (1.0 + 0.25 / r**3, -0.75 / r**4, 3.0 / r**5)[order]
 
 
 @st.composite
 def _family_and_radius(draw):
-    kind = draw(st.sampled_from(["ginibre", "ml", "tu"]))
+    kind = draw(st.sampled_from(["ginibre", "ml", "tu", "custom-ml", "custom-ml-fd", "subclass"]))
     if kind == "ginibre":
         p = Ginibre(draw(st.floats(0.5, 2.0)))
-    elif kind == "ml":
-        lam = draw(st.one_of(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 2.0]), st.floats(0.2, 5.0)))
-        p = MittagLeffler(lam, draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
-    else:
+    elif kind == "tu":
         p = TruncatedUnitary(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0)))
+    elif kind == "subclass":
+        p = _PowerPlusInverse()
+    else:
+        lam = draw(st.one_of(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 2.0]), st.floats(0.2, 5.0)))
+        c = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+        if kind == "ml":
+            p = MittagLeffler(lam, c)
+        else:
+            derivs = _ml_derivs(lam, c) if kind == "custom-ml" else None
+            p = Custom(_ml_q(lam, c), derivs=derivs, name=f"{kind}({lam!r}, {c!r})")
     if draw(st.booleans()):
-        p = dilate(p, draw(st.floats(0.5, 2.0)))
+        log_a = st.floats(math.log(1e-200), math.log(1e200))
+        p = dilate(p, draw(st.one_of(st.floats(0.5, 2.0), log_a.map(math.exp))))
     if p.support_radius is not None and draw(st.booleans()):
         # the support edge: from 1.4e-10 inside it to 1.8e-11 beyond it
         ulps = draw(st.integers(-64, 8)) * draw(st.sampled_from([1.0, 1e2, 1e4]))
@@ -477,6 +540,7 @@ def _accessors(p):
     yield "laplacian", p.laplacian
     yield "laplacian_dr", p.laplacian_dr
     yield "laplacian_dr2", p.laplacian_dr2
+    yield "b1", lambda r: b1(p, r)
 
 
 def _outcome(call):
@@ -494,6 +558,9 @@ def _outcome(call):
 @example((MittagLeffler(1.0, 1.0), 1e200))
 @example((MittagLeffler(0.5, 1.0), 1e-200))
 @example((TruncatedUnitary(1.0, 1.0), math.sqrt(2.0)))
+@example((Custom(lambda r: r * r + 1.0 / r**400), 0.1))
+@example((MittagLeffler(20.0, 0.0), 1e-10))
+@example((dilate(Ginibre(), 1e80), 1.0))
 def test_scalar_calls_give_what_one_element_arrays_give(case):
     # A Python float is computed in Python floats, an array in numpy, so
     # a finite value may differ where pow rounds differently (about 1 in 20

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coulombgas.errors import DomainError
 from coulombgas.specialfn import (
@@ -118,3 +121,57 @@ def test_barnes_rejects_below_half():
         ln_barnes_g(0.25)
     with pytest.raises(DomainError):
         ln_barnes_g(-1.0)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _barnes_error_bound(x):
+    """Rounding bound of ln_barnes_g(x), from its operation count.
+
+    With m upward shifts to y >= 31, z = y - 1, A the sum of the magnitudes
+    of the five asymptotic terms at z and L = sum of |ln Gamma(x + k)|,
+    k < m:
+      - each asymptotic term carries at most 3 roundings (z*z, the product
+        with ln z or a constant, ln z itself) and the five-term sum 5 more
+        on partial sums no larger than A; the first omitted tail term,
+        |B_10| / 80 z^-8 < 2e-15 at z >= 30, is below eps A: 9 eps A;
+      - each math.lgamma within 4 eps of max(|ln Gamma|, 1), m partial
+        sums of the shift each within eps L, and the final subtraction
+        within eps |ln G(x)| <= eps (A + L): (m + 5) eps (L + m);
+      - y += 1.0 rounds only where y enters a new binade, at most 6 times
+        below 32, so the shifted points move by |delta| <= 2^-48 in all,
+        which moves the result by at most |delta| times
+        d ln G / dz <= 32 ln 32 on [x, 32].
+    """
+    y, shift_terms = x, []
+    while y < 31.0:
+        shift_terms.append(abs(math.lgamma(y)))
+        y += 1.0
+    m, z = len(shift_terms), y - 1.0
+    lz = math.log(z)
+    a = 0.5 * z * z * lz + 0.75 * z * z + 0.5 * z * LOG_2PI + lz / 12.0 + abs(ZETA_PRIME_MINUS_ONE)
+    bound = 9.0 * _EPS * a + (m + 5) * _EPS * (sum(shift_terms) + m)
+    if m:
+        bound += 2.0**-48 * 32.0 * math.log(32.0)
+    return bound
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(math.log(0.5), math.log(1e5)))
+@example(math.log(0.5))
+@example(math.log(1.5))
+@example(math.log(30.0))
+@example(math.log(30.5))
+@example(math.log(31.0))
+@example(math.log(100.0))
+@example(math.log(1e4))
+@example(math.log(1e5))
+def test_barnes_against_mpmath_at_30_digits(log_x):
+    # The bound is derived in _barnes_error_bound before comparing; the
+    # 30-digit reference is exact at float64 resolution.
+    x = min(max(math.exp(log_x), 0.5), 1e5)
+    with mpmath.workdps(30):
+        ref = mpmath.log(mpmath.barnesg(x))
+        err = float(abs(ln_barnes_g(x) - ref))
+    assert err <= _barnes_error_bound(x), (x, err, _barnes_error_bound(x))
