@@ -6,12 +6,16 @@ r q'(r) = 2.  More generally solve_r_tau(p, tau) inverts r q'(r) = 2 tau,
 which gives the outer radius of the weighted droplet seen by monomials of
 rotated degree tau: in closed form for the built-in families and their
 dilations, otherwise by a safeguarded Newton iteration on the increasing
-function r q'(r).
+function r q'(r).  The iteration's bracket comes from an upward scan at
+tau in {0, 1}, and at 0 < tau < 1 from a table of r q'(r) between the
+droplet edges that each potential builds once, on its first interior
+solve, with one array call.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -66,8 +70,10 @@ def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
     Potentials with a closed-form root (p.r_tau) use it; the others go
-    through the safeguarded Newton iteration of _newton_r_tau.  At tau = 0
-    the result is the inner droplet radius r0: 0.0 for a disc, where
+    through _newton_r_tau: a safeguarded Newton iteration started from the
+    potential's r q'(r) table at 0 < tau < 1, and from an upward bracket
+    scan at tau in {0, 1} or when there is no table.  At tau = 0 the
+    result is the inner droplet radius r0: 0.0 for a disc, where
     r q'(r) >= 0 already at the bottom of the bracket or the potential
     supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
     whatever the finite-difference noise in q'), and the root of
@@ -88,17 +94,86 @@ def solve_r_tau(p, tau):
 
 
 def _newton_r_tau(p, tau):
-    """Safeguarded Newton for r q'(r) = 2 tau on a bracket found by scanning
-    upward.
+    """Root of r q'(r) = 2 tau by a safeguarded Newton iteration (_newton).
 
-    Newton runs on g(r) = r q'(r) - 2 tau, with g' = q' + r q'' > 0, and keeps
-    [lo, hi] around the root at every step.  A step that leaves the bracket
-    or is not half the step before last, or a nonpositive g', falls back to
-    the midpoint, so the bracket shrinks at least as fast as by bisection.
-    Converged once a Newton step or the bracket is below 1e-13 max(1, r),
-    well under the iteration cap.  A NaN r q'(r) on the way raises
-    InvalidPotentialError.
+    At 0 < tau < 1 the iteration starts from the potential's r q'(r) table
+    (_table): bisecting the table gives the cell [r_i, r_i+1] with
+    g_i <= 2 tau < g_i+1, the bracket is that cell widened by one cell on
+    each side (array and scalar pow may differ in the last bit), and the
+    first point is the linear interpolate.  A root within the stopping
+    tolerance of a bracket end is not trusted, since the table never
+    evaluated the end in scalar arithmetic; that level, tau in {0, 1}, and
+    every level of a potential without a table go through _scan_root
+    instead.  Either way the result depends only on p and tau.
     """
+    if 0.0 < tau < 1.0:
+        table = _table(p)
+        if table:
+            r = _table_root(p, tau, *table)
+            if r is not None:
+                return r
+    return _scan_root(p, tau)
+
+
+# Points of the r q'(r) table, quadratically spaced between the droplet
+# edges r0 and r1 so that a disc resolves r ~ sqrt(tau) near the origin.
+_TABLE_POINTS = 256
+
+
+def _table(p):
+    """The r q'(r) table of p, built on first use and kept in p's instance
+    dict (so a frozen subclass keeps it too): a pair of lists
+    (radii, values), or () when p has none."""
+    cache = vars(p)
+    table = cache.get("_r_tau_table")
+    if table is None:
+        table = cache["_r_tau_table"] = _build_table(p)
+    return table
+
+
+def _build_table(p):
+    """Radii r0 = r_0 < ... < r_M = r1 and values g_i = r_i q'(r_i), with
+    g_0 = 0 and g_M = 2 at the droplet edges (_scan_root at tau = 0 and 1)
+    and one array call for the rest.  () when an edge solve or the array
+    call raises, or the values are not strictly increasing (this also
+    rejects inf and nan)."""
+    try:
+        r0 = _scan_root(p, 0.0)
+        r1 = _scan_root(p, 1.0)
+        x = np.arange(1, _TABLE_POINTS) / _TABLE_POINTS
+        inner = r0 + (r1 - r0) * (x * x)
+        g = inner * np.asarray(p.q_derivs(inner, 1), dtype=float)
+    except Exception:  # an interior scan then raises whatever it must
+        return ()
+    if g.shape != inner.shape:
+        return ()
+    values = [0.0, *g.tolist(), 2.0]
+    if not all(a < b for a, b in zip(values, values[1:])):
+        return ()
+    return [r0, *inner.tolist(), r1], values
+
+
+def _table_root(p, tau, radii, values):
+    """Newton from the table's bracket for 2 tau, or None when the root is
+    within the stopping tolerance of a bracket end."""
+    target = 2.0 * tau
+    i = bisect.bisect_right(values, target) - 1
+    lo = radii[max(i - 1, 0)]
+    hi = radii[min(i + 2, len(radii) - 1)]
+    r = radii[i] + (target - values[i]) * (radii[i + 1] - radii[i]) / (values[i + 1] - values[i])
+    if not lo < r < hi:  # at the smallest tau the interpolate underflows to r0 = 0
+        r = 0.5 * (lo + hi)
+    r = _newton(p, tau, lo, hi, r)
+    tol = 1e-13 * max(1.0, hi)
+    if r - lo <= tol or hi - r <= tol:
+        return None
+    return r
+
+
+def _scan_root(p, tau):
+    """Root of r q'(r) = 2 tau on a bracket found by scanning upward from
+    r = 1e-12 (dyadic points, or towards the support radius), with Newton
+    started at the bracket midpoint."""
     target = 2.0 * tau
     if tau == 0.0 and _positive_origin_laplacian(p):
         return 0.0
@@ -125,9 +200,21 @@ def _newton_r_tau(p, tau):
         raise InvalidPotentialError(
             f"r q'(r) never reaches {target!r}; the potential does not confine this level"
         )
-    lo = prev
+    return _newton(p, tau, prev, hi, 0.5 * (prev + hi))
 
-    r = 0.5 * (lo + hi)
+
+def _newton(p, tau, lo, hi, r):
+    """Safeguarded Newton for r q'(r) = 2 tau from r in the bracket [lo, hi].
+
+    Newton runs on g(r) = r q'(r) - 2 tau, with g' = q' + r q'' > 0, and keeps
+    [lo, hi] around the root at every step.  A step that leaves the bracket
+    or is not half the step before last, or a nonpositive g', falls back to
+    the midpoint, so the bracket shrinks at least as fast as by bisection.
+    Converged once a Newton step or the bracket is below 1e-13 max(1, r),
+    well under the iteration cap.  A NaN r q'(r) on the way raises
+    InvalidPotentialError.
+    """
+    target = 2.0 * tau
     dx = dx_prev = hi - lo
     for _ in range(_MAX_ITER):
         q1 = float(p.q_derivs(r, 1))

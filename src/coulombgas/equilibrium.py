@@ -16,7 +16,7 @@ import numpy as np
 
 from .droplet import Droplet, droplet_of
 from .errors import CoulombGasError, DomainError, InvalidPotentialError, _in_context
-from .potential import _entry_point
+from .potential import _evaluate
 from .quadrature import integrate
 
 _DISC_CUT = 1e-12  # relative inner cutoff for disc-case radial integrals
@@ -106,13 +106,16 @@ def log_potential_origin(p, droplet=None):
     return -math.log(d.r1) + 0.5 * (float(p.q_derivs(d.r1, 0)) - q_in)
 
 
-@_entry_point
 def b1(p, r):
     """Pointwise 1/s correction term of the orthogonal-norm expansion.
 
     b1 = -d2(laplacian)/(32 laplacian^2) - 19 d(laplacian)/(96 r laplacian^2)
          + 5 d(laplacian)^2/(96 laplacian^3) + 1/(12 r^2 laplacian).
     """
+    return _evaluate(_b1_formula, p, r, None)
+
+
+def _b1_formula(p, r, _):
     dq = p._laplacian(r, 0)
     dq1 = p._laplacian(r, 1)
     dq2 = p._laplacian(r, 2)

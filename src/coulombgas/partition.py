@@ -27,7 +27,7 @@ from .equilibrium import (
     equilibrium_report,
     log_potential_origin,
 )
-from .errors import DomainError
+from .errors import DomainError, _in_context
 from .norms import _REL_TOL, NormQuery, log_norm_exact
 from .potential import _check_ensemble, _check_n, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
@@ -114,8 +114,11 @@ def expansion_terms(p, ensemble="normal", convention="physics", report=None):
     closed-form oracle), in which case no quadrature is performed here; the
     potential is still consulted for the Laplacian at the droplet edges.
     """
-    _check_ensemble(ensemble)
-    _check_convention(convention)
+    try:
+        _check_ensemble(ensemble)
+        _check_convention(convention)
+    except DomainError as exc:
+        raise _in_context(exc, p.name) from exc
     rep = report if report is not None else equilibrium_report(p)
     d = rep.droplet
     dq_out = float(p.laplacian(d.r1))
@@ -195,7 +198,7 @@ def lemma_sum(p, n, which):
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
-        raise DomainError(f"which must be one of {_LEMMA_VARIANTS}, got {which!r}")
+        raise DomainError(f"{p.name}: which must be one of {_LEMMA_VARIANTS}, got {which!r}")
     d = droplet_of(p)
     if d.kind != "annulus":
         raise DomainError(f"{p.name}: the partial-sum expansions require an annular droplet")

@@ -10,7 +10,7 @@ Two hooks hold every formula, as plain arithmetic on floats and arrays:
 _profile(r, order) for q and its derivatives and _laplacian(r, order) for
 the Laplacian and its first two radial derivatives.  The checked entry
 points (q_derivs, the laplacian accessors, v_tau and equilibrium.b1) hold
-the one evaluation contract (_entry_point): a scalar gets the inf or nan
+the one evaluation contract (_evaluate): a scalar gets the inf or nan
 that a one-element array gets, and neither warns.
 
 The degree-dependent effective potential for orthogonal-norm asymptotics is
@@ -19,7 +19,6 @@ derivatives using the exact identities that express V'' through the
 Laplacian of Q.
 """
 
-import functools
 import math
 import numbers
 
@@ -108,31 +107,38 @@ def _log(x):
     return np.log(x)
 
 
-def _entry_point(formula):
-    """Decorate formula(p, r, ...) of potential p, arithmetic in r that works
-    on floats and arrays alike, into a checked entry point.
+def _evaluate(formula, p, r, arg):
+    """formula(p, r, arg) of potential p, arithmetic in r that works on
+    floats and arrays alike, at a checked r: the one evaluation contract of
+    the checked entry points.
 
     r is checked with p._checked first.  An array is computed under
     np.errstate(all="ignore"), a Python float in Python floats, which never
     warn.  Where Python raises instead of giving inf or nan (OverflowError
     from **, ZeroDivisionError, ValueError from _log), the float is
-    evaluated again as a one-element array.
+    evaluated again as a one-element array.  Each entry point is a plain
+    function of fixed arity that calls this one, so a scalar call builds
+    no argument tuple or dict.
     """
-
-    @functools.wraps(formula)
-    def evaluate(p, r, *args, **kwargs):
-        r = p._checked(r)
-        if type(r) is float:
-            try:
-                return formula(p, r, *args, **kwargs)
-            except (OverflowError, ZeroDivisionError, ValueError):
-                r = np.array([r])
-            with np.errstate(all="ignore"):
-                return float(np.ravel(formula(p, r, *args, **kwargs))[0])
+    r = p._checked(r)
+    if type(r) is float:
+        try:
+            return formula(p, r, arg)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            r = np.array([r])
         with np.errstate(all="ignore"):
-            return formula(p, r, *args, **kwargs)
+            return float(np.ravel(formula(p, r, arg))[0])
+    with np.errstate(all="ignore"):
+        return formula(p, r, arg)
 
-    return evaluate
+
+def _profile_formula(p, r, order):
+    _check_order(order)
+    return p._profile(r, order)
+
+
+def _laplacian_formula(p, r, order):
+    return p._laplacian(r, order)
 
 
 class RadialPotential:
@@ -140,7 +146,7 @@ class RadialPotential:
 
     Subclasses implement _profile(r, order) for orders 0..4 as a plain
     formula in a checked r that works on Python floats and numpy arrays;
-    the entry points give it the scalar contract (_entry_point).  The
+    the entry points give it the scalar contract (_evaluate).  The
     Laplacian hook _laplacian(r, order), orders 0..2, has the same contract.
     Its default is the generic formula in terms of the profile, which Custom
     and dilate use; the closed-form families override the hook (never the
@@ -196,26 +202,21 @@ class RadialPotential:
         q4 = self._profile(r, 4)
         return (q4 + q3 / r - 2.0 * q2 / (r * r) + 2.0 * q1 / (r * r * r)) / 4.0
 
-    @_entry_point
     def q_derivs(self, r, order=0):
         """Radial profile derivative d^order q / dr^order, order in 0..4."""
-        _check_order(order)
-        return self._profile(r, order)
+        return _evaluate(_profile_formula, self, r, order)
 
-    @_entry_point
     def laplacian(self, r):
         """Planar Laplacian of Q at radius r: (q'/r + q'')/4."""
-        return self._laplacian(r, 0)
+        return _evaluate(_laplacian_formula, self, r, 0)
 
-    @_entry_point
     def laplacian_dr(self, r):
         """Radial derivative of the Laplacian."""
-        return self._laplacian(r, 1)
+        return _evaluate(_laplacian_formula, self, r, 1)
 
-    @_entry_point
     def laplacian_dr2(self, r):
         """Second radial derivative of the Laplacian."""
-        return self._laplacian(r, 2)
+        return _evaluate(_laplacian_formula, self, r, 2)
 
     def q_at_zero(self):
         """q(0) when the profile extends continuously to the origin."""
@@ -457,7 +458,13 @@ class _Dilated(RadialPotential):
         self.name = f"dilated({base.name}, a={a!r})"
 
     def _profile(self, r, order):
-        return self._base._profile(r / self._a, order) / self._a_pow[order]
+        x = r / self._a
+        # r is finite and positive, so x can only underflow to 0 (a > 1) or
+        # overflow to inf (a < 1); the base formula never sees either.
+        edge = x if type(x) is float else (x.min() if self._a > 1.0 else x.max())
+        if not 0.0 < edge < math.inf:
+            raise DomainError(f"{self.name}: r / a = {float(edge)!r} leaves (0, inf)")
+        return self._base._profile(x, order) / self._a_pow[order]
 
     def r_tau(self, tau):
         r = self._base.r_tau(tau)
@@ -490,16 +497,23 @@ def v_tau(p, tau, r, order=0):
     return _v_tau_derivative(p, r, t, order)
 
 
-@_entry_point
 def _v_tau0(p, rr, t):
     """V_tau(rr) for a checked tau t: the one order-0 formula, which the
     norm integrand calls on its node arrays."""
+    return _evaluate(_v_tau0_formula, p, rr, t)
+
+
+def _v_tau0_formula(p, rr, t):
     return p._profile(rr, 0) - 2.0 * t * np.log(rr)
 
 
-@_entry_point
 def _v_tau_derivative(p, rr, t, order):
     """d^order V_tau / dr^order, order in 1..4, for a checked tau t."""
+    return _evaluate(_v_tau_derivative_formula, p, rr, (t, order))
+
+
+def _v_tau_derivative_formula(p, rr, t_order):
+    t, order = t_order
     v1 = p._profile(rr, 1) - 2.0 * t / rr
     if order == 1:
         return v1

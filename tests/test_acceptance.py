@@ -25,7 +25,7 @@ from coulombgas.errors import IntegrationError
 from coulombgas.norms import NormQuery, log_norm_exact, log_norm_laplace
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
 from coulombgas.partition import default_rel_tol, expansion_terms, lemma_sum, log_z_exact
-from coulombgas.potential import Ginibre, MittagLeffler, TruncatedUnitary, dilate
+from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 from coulombgas.specialfn import (
     LOG_2PI,
     ZETA_PRIME_MINUS_ONE,
@@ -330,6 +330,42 @@ def test_exact_matches_oracle_large_n(family, ensemble, n):
     gap = abs(exact - ref)
     _verdict(
         f"quadrature vs closed form, {family} {ensemble} N={n}",
+        gap <= bound,
+        f"gap {gap:.3e}, bound {bound:.3e}, ratio {gap / bound:.3f}, {elapsed:.2f}s",
+    )
+
+
+def _ml11_custom(derivs):
+    """The ML(1, 1) profile r^2 - 2 log r as a Custom potential, so that
+    every saddle radius comes from the r q'(r) table, with analytic or with
+    finite-difference derivatives."""
+    q = lambda r: r * r - 2.0 * np.log(r)
+    if derivs == "fd":
+        return Custom(q, name="custom-ml(1,1)-fd")
+    return Custom(q, derivs=(
+        lambda r: 2.0 * r - 2.0 / r,
+        lambda r: 2.0 + 2.0 / r**2,
+        lambda r: -4.0 / r**3,
+        lambda r: 12.0 / r**4,
+    ), name="custom-ml(1,1)")
+
+
+@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("n", [400, 1600])
+def test_custom_exact_matches_oracle_large_n(derivs, ensemble, n):
+    # The bound of test_exact_matches_oracle_large_n.  The saddle radius and
+    # the Laplacian there only place the quadrature; the integrand is q
+    # itself, so a finite-difference q' does not enter the bound.
+    p = _ml11_custom(derivs)
+    t0 = time.perf_counter()
+    exact = log_z_exact(p, n, ensemble)
+    elapsed = time.perf_counter() - t0
+    ref = ml_log_z(1.0, 1.0, n, ensemble)
+    bound = n * default_rel_tol(n) + 4.0 * _EPS * (abs(ref) + _ml_scale(1.0, 1.0, n, ensemble))
+    gap = abs(exact - ref)
+    _verdict(
+        f"quadrature vs closed form, {p.name} {ensemble} N={n}",
         gap <= bound,
         f"gap {gap:.3e}, bound {bound:.3e}, ratio {gap / bound:.3f}, {elapsed:.2f}s",
     )

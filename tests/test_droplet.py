@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from coulombgas import droplet
 from coulombgas.droplet import _newton_r_tau, dr_dtau, droplet_of, solve_r_tau
 from coulombgas.errors import CoulombGasError, DomainError, InvalidPotentialError
 from coulombgas.potential import (
     Custom,
     Ginibre,
     MittagLeffler,
+    RadialPotential,
     TruncatedUnitary,
     dilate,
 )
@@ -210,12 +213,16 @@ def test_custom_root_at_a_kink_of_r_q_prime():
                          lambda x: 0.0 * x) / r**4,
     )
     p = Custom(q, derivs=derivs, name="kinked")
-    # The scan brackets the root in [1, 2]; the first Newton step from the
-    # midpoint lands beyond 2, so the midpoint fallback runs.
+    # solve_r_tau starts Newton from the r q'(r) table, whose bracket is the
+    # three cells around k.  The upward scan, which the table falls back on,
+    # brackets the root in [1, 2]; the first Newton step from the midpoint
+    # lands beyond 2, so the midpoint fallback runs.
     g = lambda r: r * float(p.q_derivs(r, 1)) - 1.0
     gp = lambda r: float(p.q_derivs(r, 1)) + r * float(p.q_derivs(r, 2))
     assert 1.5 - g(1.5) / gp(1.5) > 2.0
     assert abs(solve_r_tau(p, 0.5) - k) <= 1e-13 * k
+    assert droplet._table(p)
+    assert abs(droplet._scan_root(p, 0.5) - k) <= 1e-13 * k
 
 
 def test_custom_root_on_a_steep_profile():
@@ -236,11 +243,15 @@ def test_custom_root_on_a_steep_profile():
     for tau in (0.3, 0.5, 1.0):
         want = R * (2.0 * tau) ** (1.0 / pw)
         assert abs(solve_r_tau(p, tau) - want) <= 1e-13 * max(1.0, want), tau
+    # r q' underflows to 0 at most table radii, so there is no table and
+    # every level went through the upward scan.
+    assert droplet._table(p) == ()
 
 
 def test_custom_root_derivative_calls_per_solve():
     # Plain bisection needs 58 q' calls per solve on this profile; the
-    # Newton iteration needs the bracket scan plus a few q', q'' pairs.
+    # Newton iteration needs a few q', q'' pairs, plus the bracket scan at
+    # tau in {0, 1} and the one array call that builds the table.
     calls = []
 
     class Counting(Custom):
@@ -254,6 +265,120 @@ def test_custom_root_derivative_calls_per_solve():
     for j in range(201):
         solve_r_tau(p, j / 200)
     assert len(calls) / 201 <= 20.0
+
+
+# The four Custom ML profiles of this file; none has a closed-form root, so
+# every interior level goes through the r q'(r) table.
+_TABLE_CASES = [(0.5, 1.3), (1.0 / 3.0, 1.3), (0.5, 1.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+def test_table_results_do_not_depend_on_call_order(derivs):
+    # The first solve of one copy is at tau = 0, of the other at tau = 1,
+    # and neither builds the table; the interior levels then build it.
+    taus = [j / 200 for j in range(201)]
+    for lam, c in _TABLE_CASES:
+        first, second = (
+            _ml_custom(lam, c) if derivs == "analytic" else Custom(_ml_custom(lam, c)._q)
+            for _ in range(2)
+        )
+        up = [solve_r_tau(first, t) for t in taus]
+        down = [solve_r_tau(second, t) for t in reversed(taus)]
+        assert [r.hex() for r in up] == [r.hex() for r in reversed(down)], (lam, c)
+
+
+class _Counting(Custom):
+    """Custom that records (order, is_array) of every derivative hook call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def _profile(self, r, order):
+        if order:
+            self.calls.append((order, type(r) is not float))
+        return super()._profile(r, order)
+
+
+@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+@pytest.mark.parametrize("lam, c", _TABLE_CASES)
+def test_table_is_built_once_by_one_array_call(lam, c, derivs):
+    base = _ml_custom(lam, c)
+    p = _Counting(base._q, derivs=base._derivs if derivs == "analytic" else None)
+    for j in range(201):
+        solve_r_tau(p, j / 200)
+    assert [call for call in p.calls if call[1]] == [(1, True)]
+    assert droplet._table(p)
+
+
+@pytest.mark.parametrize("lam, c", _TABLE_CASES)
+def test_table_newton_calls_per_interior_solve(lam, c):
+    # Bound, derived before the run.  For ML(lam, c), g(r) = r q'(r) =
+    # 2 lam r^(2 lam) - 2c, with g' = 4 lam^2 r^(2 lam - 1) and
+    # g'' = 4 lam^2 (2 lam - 1) r^(2 lam - 2), both monotone in r, so their
+    # extremes on the bracket [lo, hi] (the root's table cell of width h,
+    # widened by a cell on each side) sit at its ends.  With
+    # K = max|g''| / (2 min g'):
+    # - the linear interpolate starts within e0 = K h^2 / 4 of the root;
+    # - a Newton step from error e leaves error at most K e^2, and is at
+    #   most e + K e^2 + d long, where d = 4 eps (2 lam r^(2 lam) + 2c) / g'
+    #   covers the rounding of g;
+    # - the loop returns on the first iteration whose step is at most
+    #   1e-13 max(1, r), and each iteration calls q' and q'' once.
+    k = 2.0 * lam
+    g1 = lambda r: k * k * r ** (k - 1.0)
+    g2 = lambda r: abs(k * k * (k - 1.0) * r ** (k - 2.0))
+    p = _Counting(_ml_custom(lam, c)._q, derivs=_ml_custom(lam, c)._derivs)
+    solve_r_tau(p, 0.5)
+    radii, values = droplet._table(p)
+    for j in range(1, 200):
+        tau = j / 200
+        i = next(i for i in range(len(values) - 1) if values[i] <= 2.0 * tau < values[i + 1])
+        lo, hi = radii[max(i - 1, 0)], radii[min(i + 2, len(radii) - 1)]
+        kk = max(g2(lo), g2(hi)) / (2.0 * min(g1(lo), g1(hi)))
+        d = 4.0 * _EPS * (k * hi**k + 2.0 * c) / min(g1(lo), g1(hi))
+        tol = 1e-13 * max(1.0, lo)
+        e, iterations = kk * (radii[i + 1] - radii[i]) ** 2 / 4.0, 1
+        while e + kk * e * e + d > tol:
+            e, iterations = kk * e * e, iterations + 1
+            assert iterations < 10, (tau, e)
+        p.calls.clear()
+        solve_r_tau(p, tau)
+        assert len(p.calls) <= 2 * iterations, (tau, p.calls, iterations)
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenGinibre(RadialPotential):
+    """q = r^2 as a frozen dataclass: a subclass that forbids setting
+    attributes, with no closed-form root."""
+
+    name = "frozen r^2"
+
+    def _profile(self, r, order):
+        return (r * r, 2.0 * r, 2.0 + 0.0 * r, 0.0 * r, 0.0 * r)[order]
+
+
+def test_any_subclass_keeps_a_table():
+    p = _FrozenGinibre()
+    for tau in (0.25, 0.5, 0.81):
+        assert abs(solve_r_tau(p, tau) - math.sqrt(tau)) <= 1e-13
+    assert droplet._table(p)
+
+
+def test_root_at_a_table_edge_goes_through_the_scan():
+    # q = r^2 with FD derivatives: r_tau = sqrt(tau).  At tau = 1e-30 the
+    # root 1e-15 lies within the Newton tolerance 1e-13 of the table's lower
+    # edge r0 = 0, so the table's answer is not trusted; the scan finds
+    # r q'(r) above 2 tau already at its bottom, r = 1e-12, and says so.
+    p = Custom(lambda r: r * r)
+    assert abs(solve_r_tau(p, 0.25) - 0.5) <= 1e-13
+    assert droplet._table(p)
+    with pytest.raises(InvalidPotentialError, match="no inner bracket"):
+        solve_r_tau(p, 1e-30)
+    # At the smallest tau the linear interpolate underflows to r0 = 0, where
+    # q' is not defined; Newton starts at the bracket midpoint instead.
+    with pytest.raises(InvalidPotentialError, match="no inner bracket"):
+        solve_r_tau(p, 5e-324)
 
 
 def _steep_power(derivs):

@@ -326,3 +326,15 @@ def test_convergence_study_dedupes_and_sorts():
         report=ml_equilibrium(lam, c),
     )
     assert [row.n for row in table.rows] == [100, 200]
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda p: lemma_sum(p, 10, "sum_v"), "which must be one of"),
+    (lambda p: expansion_terms(p, "orthogonal"), "ensemble must be one of"),
+    (lambda p: expansion_terms(p, "normal", "math"), "convention must be one of"),
+], ids=["lemma_sum which", "expansion_terms ensemble", "expansion_terms convention"])
+def test_argument_errors_name_the_potential(call, what):
+    p = MittagLeffler(1.0, 0.5)
+    with pytest.raises(DomainError) as info:
+        call(p)
+    assert str(info.value).startswith(f"{p.name}: {what}"), str(info.value)

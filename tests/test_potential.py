@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -463,18 +464,31 @@ def test_dilate_by_a_huge_factor_gives_zero_not_an_overflow():
     )
 
 
+def test_dilate_raises_where_r_over_a_leaves_the_positive_floats():
+    # r / a underflows to 0 or overflows to inf, where the base formula would
+    # give inf (q of ML(1, 1) at 1e-500 is 2302.58...) or nan (ML(1, 0)).
+    cases = [
+        (dilate(MittagLeffler(1.0, 1.0), 1e200), 1e-300),
+        (dilate(MittagLeffler(1.0, 0.0), 1e200), 1e-300),
+        (dilate(Ginibre(), 1e-200), 1e200),
+    ]
+    for p, r in cases:
+        for arg in (r, np.array([1.0, r])):
+            for call in (lambda x: p.q_derivs(x), lambda x: p.laplacian(x),
+                         lambda x: v_tau(p, 0.5, x)):
+                with pytest.raises(DomainError, match=re.escape(f"{p.name}: r / a = ")):
+                    call(arg)
+
+
 # -- scalar calls give what one-element arrays give ---------------------------
 
 
 def _ml_q(lam, c):
-    def q(r):
-        # The callable's own numpy calls on a Python float follow numpy's
-        # error settings, which the package leaves alone on the scalar path;
-        # dilate can hand it r / a = 0 or inf, where np.log warns.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return r ** (2.0 * lam) - 2.0 * c * np.log(r)
-
-    return q
+    # The callable's own numpy calls on a Python float follow numpy's error
+    # settings, which the package leaves alone on the scalar path; np.log
+    # never warns here because dilate raises DomainError before it would
+    # hand the callable r / a = 0 or inf.
+    return lambda r: r ** (2.0 * lam) - 2.0 * c * np.log(r)
 
 
 def _ml_derivs(lam, c):
@@ -561,6 +575,9 @@ def _outcome(call):
 @example((Custom(lambda r: r * r + 1.0 / r**400), 0.1))
 @example((MittagLeffler(20.0, 0.0), 1e-10))
 @example((dilate(Ginibre(), 1e80), 1.0))
+@example((dilate(MittagLeffler(1.0, 1.0), 1e200), 1e-300))
+@example((dilate(MittagLeffler(1.0, 0.0), 1e200), 1e-300))
+@example((dilate(Custom(_ml_q(1.0, 1.0)), 1e-200), 1e200))
 def test_scalar_calls_give_what_one_element_arrays_give(case):
     # A Python float is computed in Python floats, an array in numpy, so
     # a finite value may differ where pow rounds differently (about 1 in 20
