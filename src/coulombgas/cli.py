@@ -136,15 +136,13 @@ def _emit(payload, out_path):
             fh.write(payload)
 
 
-def _cmd_droplet(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_droplet(p, args):
     d = droplet_of(p)
     pairs = [("r0", d.r0), ("r1", d.r1), ("kind", d.kind)]
     return _render(pairs, args.fmt, one_line=True)
 
 
-def _cmd_equilibrium(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_equilibrium(p, args):
     rep = equilibrium_report(p)
     pairs = [
         ("energy", rep.energy),
@@ -158,8 +156,7 @@ def _cmd_equilibrium(args, parser):
     return _render(pairs, args.fmt)
 
 
-def _cmd_zw(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_zw(p, args):
     d = droplet_of(p)
     zw = zw_coefficients(p, d)
     pairs = [
@@ -173,8 +170,7 @@ def _cmd_zw(args, parser):
     return _render(pairs, args.fmt)
 
 
-def _cmd_norm(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_norm(p, args):
     query = NormQuery(n=args.N, j=args.j, ensemble=args.ensemble)
     if args.method == "exact":
         val = log_norm_exact(p, query, rel_tol=args.quad_rel_tol)
@@ -189,16 +185,14 @@ def _cmd_norm(args, parser):
     return _render([("log_norm", float(val))], args.fmt)
 
 
-def _cmd_exact(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_exact(p, args):
     val = log_z_exact(p, args.N, args.ensemble, rel_tol=args.quad_rel_tol)
     if args.convention == "canonical":
         val -= ln_factorial(args.N)
     return _render([("log_z", val)], args.fmt)
 
 
-def _cmd_expand(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_expand(p, args):
     terms = expansion_terms(p, args.ensemble, args.convention)
     pairs = [("log_z_asymptotic", terms.evaluate(args.N))]
     if args.terms:
@@ -212,8 +206,7 @@ def _cmd_expand(args, parser):
     return _render(pairs, args.fmt)
 
 
-def _cmd_oracle(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_oracle(p, args):
     if isinstance(p, MittagLeffler):
         val = ml_log_z(p.lam, p.c, args.N, args.ensemble)
     elif isinstance(p, TruncatedUnitary):
@@ -229,8 +222,7 @@ def _cmd_oracle(args, parser):
     return _render(pairs, args.fmt)
 
 
-def _cmd_lemmas(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_lemmas(p, args):
     direct, predicted = lemma_sum(p, args.N, args.which)
     pairs = [
         ("direct", direct),
@@ -240,12 +232,11 @@ def _cmd_lemmas(args, parser):
     return _render(pairs, args.fmt)
 
 
-def _cmd_converge(args, parser):
-    p = _make_potential(args, parser)
+def _cmd_converge(p, args):
     try:
         ns = [int(tok) for tok in args.Ns.split(",") if tok.strip()]
     except ValueError:
-        parser.error(f"--Ns expects a comma-separated integer list, got {args.Ns!r}")
+        _build_parser().error(f"--Ns expects a comma-separated integer list, got {args.Ns!r}")
     table = convergence_study(
         p,
         ns,
@@ -348,7 +339,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args, parser)
+        payload = args.handler(_make_potential(args, parser), args)
     except (DomainError, InvalidPotentialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -292,6 +292,17 @@ def droplet_of(p):
     return d
 
 
+def _droplet(p, droplet=None, kind=None, what=None):
+    """droplet, or droplet_of(p) when it is None: the one droplet-kind
+    guard.  With kind ("disc" or "annulus") given, a droplet of the other
+    kind raises DomainError naming p and what needs it."""
+    d = droplet if droplet is not None else droplet_of(p)
+    if kind is not None and d.kind != kind:
+        need = "requires a disc droplet" if kind == "disc" else "requires an annular droplet"
+        raise DomainError(f"{p.name}: {what} {need}")
+    return d
+
+
 def dr_dtau(p, tau):
     """Derivative of the outer radius with respect to tau.
 

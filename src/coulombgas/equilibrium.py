@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import Droplet, droplet_of
-from .errors import CoulombGasError, DomainError, InvalidPotentialError, _in_context
+from .droplet import Droplet, _droplet, _positive_origin_laplacian
+from .errors import CoulombGasError, InvalidPotentialError, _in_context
 from .potential import _evaluate
 from .quadrature import integrate
 
@@ -36,10 +36,6 @@ class EquilibriumReport:
     log_potential_origin: float
     f_term: float
     droplet: Droplet
-
-
-def _droplet(p, droplet):
-    return droplet if droplet is not None else droplet_of(p)
 
 
 def _inner_cut(d):
@@ -143,6 +139,7 @@ def _f_term(p, d):
         inner = d.r0**2 * dq0
         inner_edge = d.r0 * (float(p.laplacian_dr(d.r0)) / dq0)
     else:
+        _require_origin_laplacian(p)
         inner = 1.0
         inner_edge = 0.0
 
@@ -157,20 +154,25 @@ def _f_term(p, d):
     )
 
 
+def _require_origin_laplacian(p):
+    """The disc functionals whose integrand runs into the origin assume ΔQ(0)
+    finite and > 0; without it the integrand diverges (like
+    (2 lam - 2)^2 / r for ML(lam, 0)) and the value depends on _DISC_CUT."""
+    if not _positive_origin_laplacian(p):
+        raise InvalidPotentialError(
+            f"{p.name}: the disc functionals assume ΔQ(0) finite and > 0, "
+            "and laplacian_at_zero() does not supply it"
+        )
+
+
 def f_annulus(p, droplet=None):
     """Order-one free-energy term for an annular droplet."""
-    d = _droplet(p, droplet)
-    if d.kind != "annulus":
-        raise DomainError(f"{p.name}: f_annulus requires an annular droplet")
-    return _f_term(p, d)
+    return _f_term(p, _droplet(p, droplet, "annulus", "f_annulus"))
 
 
 def f_disc(p, droplet=None):
-    """Order-one free-energy term for a disc droplet."""
-    d = _droplet(p, droplet)
-    if d.kind != "disc":
-        raise DomainError(f"{p.name}: f_disc requires a disc droplet")
-    return _f_term(p, d)
+    """Order-one free-energy term for a disc droplet; needs ΔQ(0) > 0."""
+    return _f_term(p, _droplet(p, droplet, "disc", "f_disc"))
 
 
 def f_disc_chi_form(p, droplet=None):
@@ -182,9 +184,8 @@ def f_disc_chi_form(p, droplet=None):
     + (1/6) * integral of chi'^2 r.  Used as an independent evaluation
     route for cross-checking.
     """
-    d = _droplet(p, droplet)
-    if d.kind != "disc":
-        raise DomainError(f"{p.name}: f_disc_chi_form requires a disc droplet")
+    d = _droplet(p, droplet, "disc", "f_disc_chi_form")
+    _require_origin_laplacian(p)
     dq1 = float(p.laplacian(d.r1))
     lo = _inner_cut(d)
 
@@ -214,9 +215,7 @@ def b1_integral(p, droplet=None):
     f_annulus - (1/4) log(laplacian(r1)/laplacian(r0)) + (1/3) log(r1/r0)
     that must agree with it.
     """
-    d = _droplet(p, droplet)
-    if d.kind != "annulus":
-        raise DomainError(f"{p.name}: b1_integral requires an annular droplet")
+    d = _droplet(p, droplet, "annulus", "b1_integral")
     direct = _integral(lambda r: b1(p, r) * 2.0 * r * p.laplacian(r), d.r0, d.r1)
     dq0 = float(p.laplacian(d.r0))
     dq1 = float(p.laplacian(d.r1))
@@ -243,9 +242,8 @@ def zw_coefficients(p, droplet=None):
     f_disc respectively, which is the consistency check exposed by the
     command line driver.
     """
-    d = _droplet(p, droplet)
-    if d.kind != "disc":
-        raise DomainError(f"{p.name}: zw_coefficients requires a disc droplet")
+    d = _droplet(p, droplet, "disc", "zw_coefficients")
+    _require_origin_laplacian(p)
     x1 = d.r1**2
     lo = _DISC_CUT * x1
 
@@ -282,10 +280,10 @@ def equilibrium_report(p, droplet=None):
     """Bundle of the equilibrium functionals, with a mass sanity check.
 
     A failure re-raises its exception class with the potential name in the
-    message; droplet_of names it when it finds the droplet.
+    message, once.
     """
-    d = _droplet(p, droplet)
     try:
+        d = _droplet(p, droplet)
         mass = mu_mass(p, d)
         if abs(mass - 1.0) > 1e-9:
             raise InvalidPotentialError(

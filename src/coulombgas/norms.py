@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import droplet_of, solve_r_tau
+from .droplet import _droplet, solve_r_tau
 from .equilibrium import b1
 from .errors import CoulombGasError, DomainError, IntegrationError, _in_context
 from .potential import (
@@ -31,7 +31,7 @@ from .potential import (
     v_tau,
 )
 from .quadrature import integrate
-from .specialfn import LOG_2PI, ln_factorial
+from .specialfn import ln_factorial
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,7 @@ def log_norm_lowdeg(p, query):
     quadratic profile and accurate while j stays well below the droplet
     scale.
     """
-    d = droplet_of(p)
-    if d.kind != "disc":
-        raise DomainError(f"{p.name}: the low-degree factorial form requires a disc droplet")
+    _droplet(p, kind="disc", what="log_norm_lowdeg")
     s = query.s
     q0 = p.q_at_zero()
     dq0 = p.laplacian_at_zero()
@@ -195,9 +193,7 @@ def log_norm_highdeg(p, query):
     grid), the regime where the saddle is uniformly separated from the
     origin.
     """
-    d = droplet_of(p)
-    if d.kind != "disc":
-        raise DomainError(f"{p.name}: the high-degree form requires a disc droplet")
+    _droplet(p, kind="disc", what="log_norm_highdeg")
     gate = query.n ** (1.0 / 6.0)
     if query.ensemble == "symplectic":
         gate *= 2.0

@@ -14,14 +14,12 @@ Hard-wall family (profile -alpha log(1 - r^2/beta)): each norm is a Beta
 value, and the product telescopes into Barnes G directly.
 """
 
-import functools
 import itertools
 import math
-from dataclasses import astuple
 
 from .droplet import Droplet
 from .equilibrium import EquilibriumReport
-from .errors import DomainError
+from .errors import DomainError, _finite
 from .potential import (
     _check_ensemble,
     _check_n,
@@ -37,27 +35,6 @@ _INT_TOL = 1e-9
 # arguments near 1, which recur upward to 30 first.  The cap bounds the loop
 # at about 1.5 s; a tiny lam would otherwise run it for up to 1e300 factors.
 _MAX_FACTORS = 10**5
-
-
-def _finite(oracle):
-    """Have the oracle raise DomainError when its float64 result is not
-    finite: a term overflows, or infinite terms cancel to nan."""
-
-    @functools.wraps(oracle)
-    def checked(*args, **kwargs):
-        try:
-            out = oracle(*args, **kwargs)
-            # A report's four functionals: its radii are inputs or powers,
-            # and a power raises OverflowError instead of returning inf.
-            values = astuple(out)[:4] if isinstance(out, EquilibriumReport) else (out,)
-            if all(map(math.isfinite, values)):
-                return out
-        except (OverflowError, ValueError):  # float64 range: overflow, log(0), inf - inf
-            pass
-        call = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
-        raise DomainError(f"{oracle.__name__}({call}) is not finite in float64")
-
-    return checked
 
 
 def _as_int(x, what):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import droplet_of, solve_r_tau
+from .droplet import _droplet, solve_r_tau
 from .equilibrium import (
     energy,
     entropy,
@@ -177,13 +177,9 @@ def expansion_terms(p, ensemble="normal", convention="physics", report=None):
     )
 
 
-def log_z_asymptotic(p, n, ensemble="normal", convention="physics", terms=None):
+def log_z_asymptotic(p, n, ensemble="normal", convention="physics"):
     """Five-term expansion value at matrix size n."""
-    n = _check_n(n)
-    t = terms if terms is not None else expansion_terms(p, ensemble, convention)
-    if t.ensemble != ensemble or t.convention != convention:
-        raise DomainError("terms were built for a different ensemble or convention")
-    return t.evaluate(n)
+    return expansion_terms(p, ensemble, convention).evaluate(n)
 
 
 def lemma_sum(p, n, which):
@@ -199,9 +195,7 @@ def lemma_sum(p, n, which):
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
         raise DomainError(f"{p.name}: which must be one of {_LEMMA_VARIANTS}, got {which!r}")
-    d = droplet_of(p)
-    if d.kind != "annulus":
-        raise DomainError(f"{p.name}: the partial-sum expansions require an annular droplet")
+    d = _droplet(p, kind="annulus", what="lemma_sum")
 
     if which.endswith("_normal"):
         taus = [j / n for j in range(n)]
@@ -271,7 +265,6 @@ def convergence_study(
     convention="physics",
     exact_fn=None,
     rel_tol=_REL_TOL,
-    threads=1,
     report=None,
 ):
     """Residuals of the expansion over an n-grid, with a log-log rate fit.
@@ -280,15 +273,13 @@ def convergence_study(
     (a closed-form oracle, say); together with a precomputed equilibrium
     report this path runs no quadrature at all.  Residuals below 1e-12 in
     magnitude are treated as underflow of the comparison: the fit is
-    skipped and reported as NaN with the underflow flag set.  threads is
-    ignored, as in log_z_exact.
+    skipped and reported as NaN with the underflow flag set.
     """
     ns = sorted({_check_n(n) for n in ns})
     if len(ns) < 2:
         raise DomainError("the size grid needs at least two distinct entries")
     if ns[0] < 10:
         raise DomainError(f"size grid entries must be at least 10, got {ns[0]}")
-    _check_convention(convention)
     terms = expansion_terms(p, ensemble, convention, report=report)
 
     rows = []

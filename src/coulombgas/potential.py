@@ -28,9 +28,8 @@ from .errors import DomainError, UnsupportedOrderError
 
 _EPS = np.finfo(float).eps
 
-# Ensemble names and the argument checks shared by potentials, droplet,
-# norms, partition and oracles; underscored so they stay out of the public
-# API.
+# Ensemble names and the argument checks shared by every module that takes
+# numbers from a caller; underscored so they stay out of the public API.
 _ENSEMBLES = ("normal", "symplectic")
 
 
@@ -166,28 +165,24 @@ class RadialPotential:
         return None
 
     def _checked(self, r):
+        """r as a float (no numpy call) or a nonempty array (its min and max
+        propagate NaN), checked once: finite, positive, within the support."""
         if isinstance(r, float):
-            # Scalar fast path: the array checks below without numpy reductions.
-            if not 0.0 < r < math.inf:
-                raise DomainError("evaluation points must be finite and positive")
-            if self.support_radius is not None and r > self.support_radius * (1.0 + 1e-12):
-                raise DomainError(
-                    f"evaluation point beyond the support radius {self.support_radius!r}"
-                )
-            return float(r)
-        arr = np.asarray(r, dtype=float)
-        if arr.size == 0:
-            raise DomainError("empty evaluation point array")
-        # min and max propagate NaN, so one of each covers every check.
-        lo = arr.min()
-        hi = arr.max()
+            lo = hi = r = float(r)
+        else:
+            arr = np.asarray(r, dtype=float)
+            if arr.size == 0:
+                raise DomainError("empty evaluation point array")
+            lo = arr.min()
+            hi = arr.max()
+            r = arr if arr.ndim else float(arr)
         if not (0.0 < lo and hi < math.inf):
             raise DomainError("evaluation points must be finite and positive")
         if self.support_radius is not None and hi > self.support_radius * (1.0 + 1e-12):
             raise DomainError(
                 f"evaluation point beyond the support radius {self.support_radius!r}"
             )
-        return arr if arr.ndim else float(arr)
+        return r
 
     def _laplacian(self, r, order):
         """d^order/dr^order of the Laplacian (q'/r + q'')/4, order in 0..2,
@@ -504,7 +499,7 @@ def _v_tau0(p, rr, t):
 
 
 def _v_tau0_formula(p, rr, t):
-    return p._profile(rr, 0) - 2.0 * t * np.log(rr)
+    return p._profile(rr, 0) - 2.0 * t * _log(rr)
 
 
 def _v_tau_derivative(p, rr, t, order):

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
+from .potential import _is_real
 
 # 15-point Kronrod nodes and weights on [-1, 1]; the embedded 7-point Gauss
 # rule uses the odd-indexed nodes.
@@ -80,12 +81,15 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     IntegrationError when the error estimate cannot be brought under
     max(abs_tol, rel_tol * |value|): when every panel still over its share
     of the error is at the width floor, when the panel budget _MAX_PANELS
-    would be exceeded, or after _MAX_ROUNDS refinement rounds.
+    would be exceeded, or after _MAX_ROUNDS refinement rounds.  a < b must
+    be finite reals and the tolerances finite and nonnegative; anything else
+    (bools, strings, nan, inf) raises DomainError.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise IntegrationError(f"bad interval [{a!r}, {b!r}]")
+    if not (_is_real(a) and _is_real(b) and a < b):
+        raise DomainError(f"integrate needs finite reals a < b, got [{a!r}, {b!r}]")
+    if not (_is_real(rel_tol) and _is_real(abs_tol) and rel_tol >= 0 and abs_tol >= 0):
+        raise DomainError(f"integrate needs tolerances >= 0, got {rel_tol!r}, {abs_tol!r}")
+    a, b = float(a), float(b)
     seeds = np.asarray(seeds, dtype=float).tolist()
     cuts = np.array(sorted({a, b, *[s for s in seeds if a < s < b]}))
     # The panels ordered by left endpoint, as columns of one row per panel

@@ -144,6 +144,17 @@ def test_zero_width_droplet_exits_3(capsys, command, extra):
     assert err.startswith("error:") and "zero-width droplet" in err
 
 
+@pytest.mark.parametrize("command, extra", [("equilibrium", []), ("zw", []),
+                                            ("expand", ["--N", "100"])])
+@pytest.mark.parametrize("lam", ["0.5", "20"])
+def test_disc_without_origin_laplacian_exits_3(capsys, command, extra, lam):
+    out, err, rc = _run([command, "--potential", "ml", "--lambda", lam, "--c", "0", *extra],
+                        capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and "ΔQ(0) finite and > 0" in err
+
+
 _SUBCOMMAND_ARGS = {
     "droplet": [],
     "equilibrium": [],

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from coulombgas.equilibrium import (
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
 from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_lowdeg
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
-from coulombgas.partition import lemma_sum
+from coulombgas.partition import expansion_terms, lemma_sum
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 
 LOG2 = math.log(2.0)
@@ -173,6 +174,38 @@ def test_kind_guards_name_the_potential(guard):
     assert str(info.value).count(p.name) == 1
 
 
+# Disc potentials without a finite positive laplacian_at_zero(): ML(lam, 0)
+# with lam != 1 has a Laplacian that diverges or vanishes at 0, and r^2 as a
+# Custom supplies no origin data.  Their order-one integrand diverges at the
+# origin, so a value would depend on the inner cutoff: for ML(1/2, 0), 1.2716
+# at 1e-12 r1 and 0.9837 at 1e-9 r1.
+_NO_ORIGIN_LAPLACIAN = [
+    MittagLeffler(0.5, 0.0),
+    MittagLeffler(20.0, 0.0),
+    Custom(lambda r: r * r,
+           derivs=(lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r,
+                   lambda r: 0.0 * r, lambda r: 0.0 * r),
+           name="r2-no-origin-data"),
+]
+_DISC_INTEGRAND_CALLS = {
+    "f_disc": f_disc,
+    "f_disc_chi_form": f_disc_chi_form,
+    "zw_coefficients": zw_coefficients,
+    "equilibrium_report": equilibrium_report,
+    "expansion_terms": expansion_terms,
+}
+
+
+@pytest.mark.parametrize("call", sorted(_DISC_INTEGRAND_CALLS))
+@pytest.mark.parametrize("p", _NO_ORIGIN_LAPLACIAN, ids=["ml-half-0", "ml-20-0", "custom-r2"])
+def test_disc_functionals_require_a_positive_origin_laplacian(p, call):
+    assert droplet_of(p).kind == "disc"
+    want = f"^{re.escape(p.name)}: .*ΔQ\\(0\\) finite and > 0"
+    with pytest.raises(InvalidPotentialError, match=want) as info:
+        _DISC_INTEGRAND_CALLS[call](p)
+    assert str(info.value).count(p.name) == 1
+
+
 def test_b1_ginibre_closed_form():
     p = Ginibre()
     for r in (0.3, 0.8, 1.0):
@@ -228,9 +261,26 @@ def test_droplet_errors_name_the_potential_once():
 
 
 def test_underflowing_laplacian_is_an_integration_error_not_a_warning():
-    # lam^2 r^38 underflows to 0 near the disc cut, so laplacian'/laplacian
-    # is not finite there; integrate reports it, numpy stays quiet.
+    # ML(20, 0) has a zero Laplacian at the origin, which the disc
+    # functionals refuse before integrating.  The same profile as a Custom
+    # that supplies an origin Laplacian passes that check; lam^2 r^38
+    # underflows to 0 near the disc cut, so laplacian'/laplacian is not
+    # finite there, and integrate reports it with numpy quiet.
+    a = 40.0
+    r40 = Custom(
+        lambda r: r**a,
+        derivs=(
+            lambda r: a * r ** (a - 1.0),
+            lambda r: a * (a - 1.0) * r ** (a - 2.0),
+            lambda r: a * (a - 1.0) * (a - 2.0) * r ** (a - 3.0),
+            lambda r: a * (a - 1.0) * (a - 2.0) * (a - 3.0) * r ** (a - 4.0),
+        ),
+        laplacian_origin=1.0,
+        name="r40",
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrationError, match="non-finite"):
+        with pytest.raises(InvalidPotentialError, match="ΔQ\\(0\\) finite and > 0"):
             equilibrium_report(MittagLeffler(20.0, 0.0))
+        with pytest.raises(IntegrationError, match="^r40: integrand returned a non-finite"):
+            equilibrium_report(r40)

@@ -558,13 +558,12 @@ def _accessors(p):
 
 
 def _outcome(call):
-    """("value", float) or ("raises", class) for package errors; any other
+    """("value", result) or ("raises", class) for package errors; any other
     exception, a numpy warning included, fails the test."""
     try:
-        value = call()
+        return "value", call()
     except CoulombGasError as exc:
         return "raises", type(exc)
-    return "value", float(np.asarray(value).reshape(-1)[0])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -584,7 +583,8 @@ def test_scalar_calls_give_what_one_element_arrays_give(case):
     # non-integer powers on AVX-512 builds of numpy) and in cancellation
     # noise.  So finite values must agree to 1e-12, or within the spread of
     # the array formula over the 17 floats just below r, which measures
-    # that noise.  Exceptions, nan and +-inf must match exactly.
+    # that noise.  Exceptions, nan and +-inf must match exactly, and a
+    # scalar call returns a Python float, never a numpy scalar.
     p, r = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -595,7 +595,8 @@ def test_scalar_calls_give_what_one_element_arrays_give(case):
             if scalar[0] == "raises":
                 assert scalar == array, (p.name, name, r, scalar, array)
                 continue
-            s, a = scalar[1], array[1]
+            s, a = scalar[1], float(np.asarray(array[1]).reshape(-1)[0])
+            assert type(s) is float, (p.name, name, r, type(s))
             if s == a or (math.isnan(s) and math.isnan(a)):
                 continue
             assert math.isfinite(s) and math.isfinite(a), (p.name, name, r, s, a)

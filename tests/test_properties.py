@@ -1,0 +1,125 @@
+"""Property tests across routes: a finite-difference Custom profile against
+the same family with analytic derivatives, and dilation invariance of every
+equilibrium functional.  Each bound is derived in the comment above it."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coulombgas.droplet import droplet_of
+from coulombgas.equilibrium import b1_integral, equilibrium_report, zw_coefficients
+from coulombgas.errors import IntegrationError
+from coulombgas.norms import _REL_TOL
+from coulombgas.partition import log_z_exact
+from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
+
+EPS = float(np.finfo(float).eps)
+
+
+def _fd_ml(lam, c):
+    """The ML(lam, c) profile as a Custom with finite-difference derivatives."""
+    return Custom(lambda r: r ** (2.0 * lam) - 2.0 * c * np.log(r), name="fd-ml")
+
+
+# Radii.  r0 and r1 solve r q'(r) = 0 and 2, and r q' has slope
+# q' + r q'' = 4 r laplacian, so an error e in q' moves a root by
+# e / (4 laplacian).  The fourth-order stencil for q' with step
+# h = max(r, 1) eps^(1/6) <= 2.5e-3 max(r, 1) errs by h^4 |q^(5)| / 30 plus
+# 1.5 eps |q| / h of rounding.  For lam, c in [0.5, 2] the droplet lies in
+# [0.7, 6], |q^(5)| <= 3.6 r^(2 lam - 5) + 48 c / r^5 <= 600 at r >= 0.7 and
+# laplacian = lam^2 r^(2 lam - 2) >= 0.04, so |error| <= 1e-9 max(1, r),
+# plus the Newton stop of 1e-13 max(1, r) on each side: bound 1e-8 max(1, r).
+#
+# log Z.  Only q enters the norm integrand; the derivatives place the
+# saddle, the shift and the panels.  Each norm meets relative accuracy
+# rel_tol on both sides: 2 rel_tol per log h_j.  Rounding in
+# log h_j = -s V(r*) + log(integral) is at most 32 eps (1 + s K), where
+# K = max over the droplet edges of |q(r)| + 2 |log r| bounds |V| on the
+# droplet (q decreases to r0 and increases after it).  Over n norms:
+# n (2 rel_tol + 32 eps (1 + s K)).
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    lam=st.floats(0.5, 2.0),
+    c=st.floats(0.5, 2.0),
+    n=st.integers(2, 12),
+    ensemble=st.sampled_from(["normal", "symplectic"]),
+)
+def test_finite_difference_custom_matches_analytic_derivatives(lam, c, n, ensemble):
+    fd = _fd_ml(lam, c)
+    ml = MittagLeffler(lam, c)
+    d_fd, d_ml = droplet_of(fd), droplet_of(ml)
+    assert d_fd.kind == d_ml.kind == "annulus"
+    for got, want in ((d_fd.r0, d_ml.r0), (d_fd.r1, d_ml.r1)):
+        assert abs(got - want) <= 1e-8 * max(1.0, want), (lam, c, got, want)
+
+    s = n if ensemble == "normal" else 2 * n
+    k = max(abs(float(ml.q_derivs(r))) + 2.0 * abs(math.log(r)) for r in (d_ml.r0, d_ml.r1))
+    bound = n * (2.0 * _REL_TOL + 32.0 * EPS * (1.0 + s * k))
+    got, want = log_z_exact(fd, n, ensemble), log_z_exact(ml, n, ensemble)
+    assert abs(got - want) <= bound, (lam, c, n, ensemble, got - want, bound)
+
+
+# The functionals take q' (energy), q'' (mass, entropy) and q''' (f_term);
+# the stencil for q''' carries rounding noise of 5.5 eps |q| / h^3, about
+# 1e-7 |q| at h = 2.5e-3, which bounds the comparison at 1e-6 (1 + |value|).
+# It is not reached: every equilibrium integral targets relative accuracy
+# 1e-13, below the noise of q'' (5.3 eps |q| / h^2, about 1e-10 |q|), and
+# the adaptive rule chases that noise to its panel budget (ROADMAP item 4).
+@pytest.mark.xfail(strict=True, raises=IntegrationError,
+                   reason="equilibrium integrals are noise-limited on finite differences")
+def test_finite_difference_custom_equilibrium_report():
+    got = equilibrium_report(_fd_ml(2.0, 1.0))
+    want = equilibrium_report(MittagLeffler(2.0, 1.0))
+    for name in ("energy", "entropy", "log_potential_origin", "f_term"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert abs(g - w) <= 1e-6 * (1.0 + abs(w)), (name, g, w)
+
+
+@st.composite
+def _family(draw):
+    kind = draw(st.sampled_from(["ml", "tu", "ginibre"]))
+    if kind == "ml":
+        return MittagLeffler(draw(st.floats(0.5, 3.0)), draw(st.floats(0.3, 2.5)))
+    if kind == "tu":
+        return TruncatedUnitary(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0)))
+    return Ginibre(draw(st.floats(0.5, 2.0)))
+
+
+# q_a(r) = q(r / a) moves the droplet to a r0, a r1 and the Laplacian to
+# laplacian(r / a) / a^2, so f_term, f1 and both b1_integral values are
+# unchanged, energy and U(0) shift by -log a (f0 = -energy by +log a), and
+# entropy by -2 log a (f_half = -entropy / 2 by +log a).  Each functional
+# takes at most three integrals, each within 1e-13 of its value, and every
+# integral here is at most 30 in magnitude: (r q')^2 / r <= 4 / r on the
+# droplet, (laplacian' / laplacian)^2 r = (2 lam - 2)^2 / r for ML and at
+# most 16 r^3 / (beta - r^2)^2 for TU, and |log laplacian| <= 10 under the
+# mass-one measure.  Both sides together err by at most 2 * 3 * 30e-13,
+# plus eps-level rounding of terms below 10: bound 1e-11 (1 + |value|).
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(p=_family(), log_a=st.floats(math.log(0.1), math.log(10.0)))
+def test_dilation_shifts_every_functional_by_its_scaling(p, log_a):
+    a = math.exp(log_a)
+    q = dilate(p, a)
+    shift = math.log(a)
+    base, dil = equilibrium_report(p), equilibrium_report(q)
+    pairs = [
+        ("f_term", dil.f_term, base.f_term),
+        ("energy", dil.energy, base.energy - shift),
+        ("log_potential_origin", dil.log_potential_origin, base.log_potential_origin - shift),
+        ("entropy", dil.entropy, base.entropy - 2.0 * shift),
+    ]
+    if base.droplet.kind == "disc":
+        zw_p, zw_q = zw_coefficients(p), zw_coefficients(q)
+        pairs += [
+            ("f0", zw_q.f0, zw_p.f0 + shift),
+            ("f_half", zw_q.f_half, zw_p.f_half + shift),
+            ("f1", zw_q.f1, zw_p.f1),
+        ]
+    else:
+        (direct_p, identity_p), (direct_q, identity_q) = b1_integral(p), b1_integral(q)
+        pairs += [("b1 direct", direct_q, direct_p), ("b1 identity", identity_q, identity_p)]
+    for name, got, want in pairs:
+        assert abs(got - want) <= 1e-11 * (1.0 + abs(want)), (p.name, a, name, got, want)

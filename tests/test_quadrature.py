@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas.errors import IntegrationError
+from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.quadrature import _eval_panels, integrate
 
 
@@ -107,11 +107,12 @@ def test_width_floor_raises_instead_of_returning_unconverged():
 
 
 def test_bad_interval_raises():
-    with pytest.raises(IntegrationError):
+    # An interval that is empty, reversed or infinite is a caller mistake.
+    with pytest.raises(DomainError):
         integrate(np.sin, 1.0, 1.0)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(DomainError):
         integrate(np.sin, 2.0, 1.0)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(DomainError):
         integrate(np.sin, 0.0, math.inf)
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coulombgas.errors import DomainError
+from coulombgas.quadrature import integrate
 from coulombgas.specialfn import (
     LOG_2PI,
     ZETA_PRIME_MINUS_ONE,
@@ -40,6 +41,46 @@ def test_ln_gamma_rejects_nonpositive():
         ln_gamma(0.0)
     with pytest.raises(DomainError):
         ln_gamma(-3.2)
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+# Bad arguments (bools, strings, nan, inf, ints too large for a float, a
+# negative tolerance) and results that overflow float64.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ln_factorial(_NAN),
+        lambda: ln_factorial(_INF),
+        lambda: ln_factorial(10**400),
+        lambda: ln_factorial(1e306),
+        lambda: ln_factorial(True),
+        lambda: ln_gamma(True),
+        lambda: ln_gamma(_INF),
+        lambda: ln_gamma(1e308),
+        lambda: ln_gamma("2"),
+        lambda: ln_barnes_g(_INF),
+        lambda: ln_barnes_g(1e160),
+        lambda: ln_barnes_g(True),
+        lambda: ln_barnes_g_asymptotic(1e300),
+        lambda: integrate(np.sin, "0", "1"),
+        lambda: integrate(np.sin, True, 2),
+        lambda: integrate(np.sin, 0, 1, rel_tol=_NAN),
+        lambda: integrate(np.sin, 0, 1, rel_tol=-1),
+    ],
+    ids=[
+        "ln_factorial-nan", "ln_factorial-inf", "ln_factorial-10**400",
+        "ln_factorial-1e306", "ln_factorial-True", "ln_gamma-True", "ln_gamma-inf",
+        "ln_gamma-1e308", "ln_gamma-str", "ln_barnes_g-inf", "ln_barnes_g-1e160",
+        "ln_barnes_g-True", "ln_barnes_g_asymptotic-1e300", "integrate-str",
+        "integrate-bool", "integrate-rel_tol-nan", "integrate-rel_tol-negative",
+    ],
+)
+def test_bad_arguments_and_non_finite_results_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_ln_factorial_small_values():
