@@ -31,7 +31,6 @@ from .errors import (
     SolverError,
 )
 from .norms import (
-    _REL_TOL,
     NormQuery,
     log_norm_exact,
     log_norm_highdeg,
@@ -173,7 +172,7 @@ def _cmd_zw(p, args):
 def _cmd_norm(p, args):
     query = NormQuery(n=args.N, j=args.j, ensemble=args.ensemble)
     if args.method == "exact":
-        val = log_norm_exact(p, query, rel_tol=args.quad_rel_tol)
+        val = log_norm_exact(p, query)
     elif args.method == "laplace":
         val = log_norm_laplace(p, query)
     elif args.method == "lowdeg":
@@ -186,7 +185,7 @@ def _cmd_norm(p, args):
 
 
 def _cmd_exact(p, args):
-    val = log_z_exact(p, args.N, args.ensemble, rel_tol=args.quad_rel_tol)
+    val = log_z_exact(p, args.N, args.ensemble)
     if args.convention == "canonical":
         val -= ln_factorial(args.N)
     return _render([("log_z", val)], args.fmt)
@@ -217,7 +216,7 @@ def _cmd_oracle(p, args):
         val = ml_log_z(1.0, 0.0, args.N, args.ensemble)
     pairs = [("log_z_oracle", val)]
     if args.compare:
-        exact = log_z_exact(p, args.N, args.ensemble, rel_tol=args.quad_rel_tol)
+        exact = log_z_exact(p, args.N, args.ensemble)
         pairs += [("log_z_exact", exact), ("difference", exact - val)]
     return _render(pairs, args.fmt)
 
@@ -237,13 +236,7 @@ def _cmd_converge(p, args):
         ns = [int(tok) for tok in args.Ns.split(",") if tok.strip()]
     except ValueError:
         _build_parser().error(f"--Ns expects a comma-separated integer list, got {args.Ns!r}")
-    table = convergence_study(
-        p,
-        ns,
-        args.ensemble,
-        args.convention,
-        rel_tol=args.quad_rel_tol,
-    )
+    table = convergence_study(p, ns, args.ensemble, args.convention)
     if args.fmt == "json":
         doc = {
             "rows": [
@@ -273,7 +266,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     def new_sub(name, help_text, needs_ensemble=False, needs_n=False,
-                needs_convention=False, needs_quad=False):
+                needs_convention=False, needs_threads=False):
         sub = subs.add_parser(name, help=help_text)
         _add_potential_flags(sub)
         _add_output_flags(sub)
@@ -285,11 +278,7 @@ def _build_parser():
         if needs_convention:
             sub.add_argument("--convention", choices=_CONVENTIONS,
                              default="physics", help="coefficient convention")
-        if needs_quad:
-            sub.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float,
-                             default=_REL_TOL,
-                             help="per-norm quadrature relative tolerance "
-                                  "(default %(default)g)")
+        if needs_threads:
             sub.add_argument("--threads", type=int, default=0,
                              help="accepted for compatibility and ignored: "
                                   "norms are evaluated on one thread")
@@ -301,14 +290,14 @@ def _build_parser():
             ).set_defaults(handler=_cmd_zw)
 
     norm = new_sub("norm", "one monomial norm", needs_ensemble=True, needs_n=True,
-                   needs_quad=True)
+                   needs_threads=True)
     norm.add_argument("--j", type=int, required=True, help="monomial degree")
     norm.add_argument("--method", choices=("exact", "laplace", "lowdeg", "highdeg"),
                       default="exact", help="evaluation route (default exact)")
     norm.set_defaults(handler=_cmd_norm)
 
     new_sub("exact", "log Z by norm quadrature", needs_ensemble=True, needs_n=True,
-            needs_convention=True, needs_quad=True).set_defaults(handler=_cmd_exact)
+            needs_convention=True, needs_threads=True).set_defaults(handler=_cmd_exact)
 
     expand = new_sub("expand", "five-term expansion value", needs_ensemble=True,
                      needs_n=True, needs_convention=True)
@@ -317,7 +306,7 @@ def _build_parser():
     expand.set_defaults(handler=_cmd_expand)
 
     oracle = new_sub("oracle", "closed-form log Z for the built-in families",
-                     needs_ensemble=True, needs_n=True, needs_quad=True)
+                     needs_ensemble=True, needs_n=True, needs_threads=True)
     oracle.add_argument("--compare", action="store_true",
                         help="also run the exact route and print the difference")
     oracle.set_defaults(handler=_cmd_oracle)
@@ -328,7 +317,7 @@ def _build_parser():
     lemmas.set_defaults(handler=_cmd_lemmas)
 
     converge = new_sub("converge", "residual table over a size grid",
-                       needs_ensemble=True, needs_convention=True, needs_quad=True)
+                       needs_ensemble=True, needs_convention=True, needs_threads=True)
     converge.add_argument("--Ns", required=True,
                           help="comma-separated matrix sizes, e.g. 100,200,400")
     converge.set_defaults(handler=_cmd_converge)

@@ -25,7 +25,6 @@ from .errors import CoulombGasError, DomainError, IntegrationError, _in_context
 from .potential import (
     _check_ensemble,
     _check_n,
-    _check_positive,
     _is_integer,
     _v_tau0,
     v_tau,
@@ -65,9 +64,14 @@ class NormQuery:
         return self.j / self.s
 
 
-# Relative accuracy of every norm integral, the same at every n: a tighter
-# target sinks into the roundoff noise of s (V_tau - V_min) at large n.
+# Relative accuracy of every norm integral whose roundoff floor is lower.
+# The exponent s (V_tau(r) - v_min) is formed by cancellation: V_tau(r) =
+# q(r) - 2 tau log r carries an ulp of |q| from the profile and one of
+# |2 tau log r| from the log term and the difference, v_min the same two at
+# r*.  Near the peak, where the integral's mass lies, the integrand is thus
+# off relatively by 4 ulp of s (|q(r*)| + |2 tau log r*|): the floor.
 _REL_TOL = 1e-13
+_FLOOR = 4.0 * float(np.finfo(float).eps)
 
 
 # Initial panel boundaries r* +- k*width: the partition the adaptive rule
@@ -118,26 +122,28 @@ def _r_cut(p, query, r_star, v_min):
     raise IntegrationError("failed to locate a truncation radius")
 
 
-def log_norm_exact(p, query, rel_tol=_REL_TOL):
+def log_norm_exact(p, query):
     """log h_j by shifted adaptive quadrature.
 
-    Accuracy target is rel_tol on the norm value, which translates to about
-    the same absolute error on the log.  A failure re-raises its exception
-    class with the potential name, n, j and ensemble in the message.
+    Accuracy target is max(1e-13, 4 s eps (|q(r*)| + |2 tau log r*|)) on the
+    norm value, the larger term being its roundoff floor at the saddle r*,
+    and about the same absolute error on the log.  A failure re-raises its
+    exception class with the potential name, n, j and ensemble in the message.
     """
-    rel_tol = _check_positive("rel_tol", rel_tol)
     try:
-        return _log_norm_exact(p, query, rel_tol)
+        return _log_norm_exact(p, query)
     except CoulombGasError as exc:
         context = f"{p.name}, n={query.n}, j={query.j}, ensemble={query.ensemble}"
         raise _in_context(exc, context) from exc
 
 
-def _log_norm_exact(p, query, rel_tol):
+def _log_norm_exact(p, query):
     s = query.s
     tau = query.tau
     r_star, v_min, width = _peak(p, query)
     cut = _r_cut(p, query, r_star, v_min)
+    log_term = 2.0 * tau * math.log(r_star) if r_star > 0.0 else 0.0  # q(r*) - v_min
+    rel_tol = max(_REL_TOL, _FLOOR * s * (abs(v_min + log_term) + abs(log_term)))
 
     seeds = r_star + _SEED_T * width  # integrate drops those outside (0, cut)
 

@@ -50,17 +50,17 @@ def _check_convention(convention):
 
 
 def default_rel_tol(n):
-    """Per-norm quadrature tolerance, 1e-13; it no longer depends on n."""
+    """Per-norm accuracy target above the roundoff floor: 1e-13 at every n."""
     return _REL_TOL
 
 
-def log_z_exact(p, n, ensemble="normal", rel_tol=_REL_TOL, threads=1):
+def log_z_exact(p, n, ensemble="normal", *, threads=1):
     """log Z_n by exact norm quadrature and compensated summation.
 
     The returned value is the physics-convention partition function
     including the log n! combinatorial factor.  Norms are evaluated one
-    after another, each to relative accuracy rel_tol, and accumulated by an
-    exact compensated sum.  threads is accepted for compatibility and
+    after another, each to the target log_norm_exact states, and summed by
+    an exact compensated sum.  threads is accepted for compatibility and
     ignored: a thread pool only slowed the GIL-bound norm loop down.
     """
     n = _check_n(n)
@@ -70,10 +70,7 @@ def log_z_exact(p, n, ensemble="normal", rel_tol=_REL_TOL, threads=1):
     else:
         degrees = range(1, 2 * n, 2)
 
-    vals = [
-        log_norm_exact(p, NormQuery(n=n, j=j, ensemble=ensemble), rel_tol=rel_tol)
-        for j in degrees
-    ]
+    vals = [log_norm_exact(p, NormQuery(n=n, j=j, ensemble=ensemble)) for j in degrees]
 
     base = ln_factorial(n)
     if ensemble == "symplectic":
@@ -264,7 +261,6 @@ def convergence_study(
     ensemble="normal",
     convention="physics",
     exact_fn=None,
-    rel_tol=_REL_TOL,
     report=None,
 ):
     """Residuals of the expansion over an n-grid, with a log-log rate fit.
@@ -287,7 +283,7 @@ def convergence_study(
         if exact_fn is not None:
             exact = float(exact_fn(n))
         else:
-            exact = log_z_exact(p, n, ensemble, rel_tol=rel_tol)
+            exact = log_z_exact(p, n, ensemble)
         if convention == "canonical":
             exact -= ln_factorial(n)
         asym = terms.evaluate(n)

@@ -297,12 +297,12 @@ class MittagLeffler(RadialPotential):
 
     def q_at_zero(self):
         if self.c > 0.0:
-            raise DomainError("q diverges at the origin when c > 0")
+            raise DomainError(f"{self.name}: q diverges at the origin when c > 0")
         return 0.0
 
     def laplacian_at_zero(self):
         if self.c > 0.0 or self.lam != 1.0:
-            raise DomainError("the Laplacian has no positive finite limit at 0")
+            raise DomainError(f"{self.name}: the Laplacian has no positive finite limit at 0")
         return 1.0
 
 

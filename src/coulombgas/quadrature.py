@@ -83,14 +83,18 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     of the error is at the width floor, when the panel budget _MAX_PANELS
     would be exceeded, or after _MAX_ROUNDS refinement rounds.  a < b must
     be finite reals and the tolerances finite and nonnegative; anything else
-    (bools, strings, nan, inf) raises DomainError.
+    (bools, strings, nan, inf) raises DomainError, as do seeds that are not
+    ints or floats.
     """
     if not (_is_real(a) and _is_real(b) and a < b):
         raise DomainError(f"integrate needs finite reals a < b, got [{a!r}, {b!r}]")
     if not (_is_real(rel_tol) and _is_real(abs_tol) and rel_tol >= 0 and abs_tol >= 0):
         raise DomainError(f"integrate needs tolerances >= 0, got {rel_tol!r}, {abs_tol!r}")
     a, b = float(a), float(b)
-    seeds = np.asarray(seeds, dtype=float).tolist()
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "fiu":
+        raise DomainError(f"integrate needs real seeds, got dtype {seeds.dtype}")
+    seeds = seeds.astype(float, copy=False).tolist()
     cuts = np.array(sorted({a, b, *[s for s in seeds if a < s < b]}))
     # The panels ordered by left endpoint, as columns of one row per panel
     # (left, right, value, error); most integrals meet their tolerance on

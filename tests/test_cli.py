@@ -291,14 +291,19 @@ def test_lemmas_output(capsys):
     ids=["exact", "norm", "oracle-compare", "converge"],
 )
 def test_bad_quad_rel_tol_is_domain_error(capsys, cmd, bad):
+    # Each norm derives its quadrature target from its roundoff floor, so
+    # there is no tolerance flag: a bad value, and the old default value
+    # too, is now refused as a usage error before any domain check.
     argv = [cmd[0], "--potential", "ginibre"]
     if cmd[0] != "converge":
         argv += ["--N", "3"]
-    rc = main(argv + cmd[1:] + [f"--quad-rel-tol={bad}"])
-    out, err = capsys.readouterr()
-    assert rc == 3
-    assert out == ""
-    assert err.startswith("error:") and "rel_tol" in err
+    for value in (bad, "1e-13"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + cmd[1:] + [f"--quad-rel-tol={value}"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "--quad-rel-tol" in err
 
 
 def _run(argv, capsys):

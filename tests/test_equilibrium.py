@@ -206,6 +206,24 @@ def test_disc_functionals_require_a_positive_origin_laplacian(p, call):
     assert str(info.value).count(p.name) == 1
 
 
+def test_ml_origin_errors_name_the_potential():
+    # log_norm_lowdeg and expansion_terms with a given report ask the
+    # potential for its origin data and add no context of their own.
+    half, ml11 = MittagLeffler(0.5, 0.0), MittagLeffler(1.0, 1.0)
+    report = equilibrium_report(Ginibre())
+    calls = [
+        (half, lambda: log_norm_lowdeg(half, NormQuery(10, 1))),
+        (half, lambda: expansion_terms(half, report=report)),
+        (half, half.laplacian_at_zero),
+        (ml11, ml11.q_at_zero),
+    ]
+    for p, call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value).startswith(f"{p.name}: "), str(info.value)
+    assert half.name == "ml(lam=0.5, c=0.0)"
+
+
 def test_b1_ginibre_closed_form():
     p = Ginibre()
     for r in (0.3, 0.8, 1.0):

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import mp_reference
 from coulombgas import norms, potential
 from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.norms import (
@@ -12,7 +14,7 @@ from coulombgas.norms import (
     log_norm_laplace,
     log_norm_lowdeg,
 )
-from coulombgas.partition import log_z_exact
+from coulombgas.partition import convergence_study, log_z_exact
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -239,19 +241,44 @@ def test_seeded_partition_converges_in_one_round(monkeypatch, p, n, ensemble):
     assert max(first_panels) <= 2 * len(norms._SEED_OFFSETS) + 2
 
 
+# ML(1/2, 1) symplectic at N = 1600 (s = 3200) has the largest roundoff
+# floors of the large-N gate: at j = 1695 the floor, about 1e-11, lies far
+# above 1e-13.  The bound is mp_reference.norm_bound, the documented target
+# plus the rounding of -s v_min + log(val).
+@pytest.mark.parametrize("j", [1, 1695, 3199])
+def test_norms_at_the_roundoff_floor_match_the_40_digit_reference(j):
+    p, query = MittagLeffler(0.5, 1.0), NormQuery(1600, j, "symplectic")
+    want = mp_reference.log_norm(p, j, query.s)
+    got = log_norm_exact(p, query)
+    bound = mp_reference.norm_bound(p, query, float(want))
+    err = abs(float(mpmath.mpf(got) - want))
+    assert err <= bound, (j, err, bound)
+
+
 _BAD_TOLS = [math.nan, math.inf, 0.0, -1e-13, True]
 
 
 @pytest.mark.parametrize("bad", _BAD_TOLS)
 def test_bad_rel_tol_rejected_before_quadrature(monkeypatch, bad):
+    # The per-norm target is derived from each norm's roundoff floor.  An
+    # old rel_tol, by keyword or in the slot threads=1 used to follow, is a
+    # TypeError rather than a silently ignored argument, and no quadrature
+    # runs first.
     def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature ran with a bad tolerance")
+        raise AssertionError("quadrature ran with a rel_tol argument")
 
     monkeypatch.setattr(norms, "integrate", no_quadrature)
-    with pytest.raises(DomainError, match="rel_tol"):
-        log_norm_exact(Ginibre(), NormQuery(3, 1, "normal"), rel_tol=bad)
-    with pytest.raises(DomainError, match="rel_tol"):
-        log_z_exact(Ginibre(), 3, rel_tol=bad)
+    p, query = Ginibre(), NormQuery(3, 1, "normal")
+    calls = [
+        lambda: log_norm_exact(p, query, rel_tol=bad),
+        lambda: log_norm_exact(p, query, bad),
+        lambda: log_z_exact(p, 3, rel_tol=bad),
+        lambda: log_z_exact(p, 3, "normal", bad),
+        lambda: convergence_study(p, [10, 12], rel_tol=bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 _EVERY_KIND = [

@@ -1,22 +1,59 @@
-"""Property tests across routes: a finite-difference Custom profile against
-the same family with analytic derivatives, and dilation invariance of every
+"""Property tests across routes: the exact route against the 40-digit
+per-degree closed forms, a finite-difference Custom profile against the
+same family with analytic derivatives, and dilation invariance of every
 equilibrium functional.  Each bound is derived in the comment above it."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import b1_integral, equilibrium_report, zw_coefficients
 from coulombgas.errors import IntegrationError
-from coulombgas.norms import _REL_TOL
+from coulombgas.norms import _REL_TOL, NormQuery
 from coulombgas.partition import log_z_exact
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 
 EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def _closed_form_family(draw):
+    if draw(st.sampled_from(["ml", "tu"])) == "ml":
+        return MittagLeffler(draw(st.floats(0.25, 4.0)), draw(st.floats(0.05, 3.0)))
+    return TruncatedUnitary(draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)))
+
+
+# log Z against the 40-digit reference.  Each of the n norms is within
+# mp_reference.norm_bound of its closed form (the documented per-norm
+# target plus the rounding of -s v_min + log(val)).  The rest is rounding:
+# math.lgamma for log n! (within 4 ulp), n log 2, and adding that base to
+# the compensated norm sum (half an ulp of |log Z|), at most
+# 4 eps (|log n!| + n log 2 + |log Z|) together.
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    p=_closed_form_family(),
+    n=st.integers(10, 64),
+    ensemble=st.sampled_from(["normal", "symplectic"]),
+)
+def test_exact_route_matches_the_40_digit_reference(p, n, ensemble):
+    want = mp_reference.log_z(p, n, ensemble)
+    got = log_z_exact(p, n, ensemble)
+    s = n if ensemble == "normal" else 2 * n
+    degrees = range(n) if ensemble == "normal" else range(1, s, 2)
+    bound = math.fsum(
+        mp_reference.norm_bound(p, NormQuery(n, j, ensemble),
+                                float(mp_reference.log_norm(p, j, s)))
+        for j in degrees
+    )
+    bound += 4.0 * EPS * (math.lgamma(n + 1.0) + n * math.log(2.0) + abs(float(want)))
+    err = abs(float(mpmath.mpf(got) - want))
+    assert err <= bound, (p.name, n, ensemble, err, bound)
 
 
 def _fd_ml(lam, c):
@@ -35,10 +72,12 @@ def _fd_ml(lam, c):
 #
 # log Z.  Only q enters the norm integrand; the derivatives place the
 # saddle, the shift and the panels.  Each norm meets relative accuracy
-# rel_tol on both sides: 2 rel_tol per log h_j.  Rounding in
-# log h_j = -s V(r*) + log(integral) is at most 32 eps (1 + s K), where
-# K = max over the droplet edges of |q(r)| + 2 |log r| bounds |V| on the
-# droplet (q decreases to r0 and increases after it).  Over n norms:
+# max(rel_tol, 4 s eps (|q(r*)| + |2 tau log r*|)) on both sides.  With
+# K = max over the droplet edges of |q(r)| + 2 |log r|, |q| and 2 |log r|
+# are each at most K on the droplet (q decreases to r0 and increases after
+# it) and tau <= 1, so that is at most 2 rel_tol + 16 eps s K per log h_j.
+# Rounding in log h_j = -s V(r*) + log(integral) is at most
+# 16 eps (1 + s K), as |V| <= 2 K on the droplet.  Over n norms:
 # n (2 rel_tol + 32 eps (1 + s K)).
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(

@@ -48,7 +48,8 @@ _INF = float("inf")
 
 
 # Bad arguments (bools, strings, nan, inf, ints too large for a float, a
-# negative tolerance) and results that overflow float64.
+# negative tolerance, seeds that are not ints or floats) and results that
+# overflow float64.
 @pytest.mark.parametrize(
     "call",
     [
@@ -69,6 +70,8 @@ _INF = float("inf")
         lambda: integrate(np.sin, True, 2),
         lambda: integrate(np.sin, 0, 1, rel_tol=_NAN),
         lambda: integrate(np.sin, 0, 1, rel_tol=-1),
+        lambda: integrate(np.sin, 0.0, 1.0, seeds=["0.5"]),
+        lambda: integrate(np.sin, 0.0, 1.0, seeds=[True]),
     ],
     ids=[
         "ln_factorial-nan", "ln_factorial-inf", "ln_factorial-10**400",
@@ -76,6 +79,7 @@ _INF = float("inf")
         "ln_gamma-1e308", "ln_gamma-str", "ln_barnes_g-inf", "ln_barnes_g-1e160",
         "ln_barnes_g-True", "ln_barnes_g_asymptotic-1e300", "integrate-str",
         "integrate-bool", "integrate-rel_tol-nan", "integrate-rel_tol-negative",
+        "integrate-seeds-str", "integrate-seeds-bool",
     ],
 )
 def test_bad_arguments_and_non_finite_results_raise_domain_error(call):
