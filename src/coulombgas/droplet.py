@@ -6,10 +6,11 @@ r q'(r) = 2.  More generally solve_r_tau(p, tau) inverts r q'(r) = 2 tau,
 which gives the outer radius of the weighted droplet seen by monomials of
 rotated degree tau: in closed form for the built-in families and their
 dilations, otherwise by a safeguarded Newton iteration on the increasing
-function r q'(r).  The iteration's bracket comes from an upward scan at
-tau in {0, 1}, and at 0 < tau < 1 from a table of r q'(r) between the
-droplet edges that each potential builds once, on its first interior
-solve, with one array call.
+function r q'(r), which stops at a relative step or bracket of 1e-13.
+The iteration's bracket comes from an upward scan at tau in {0, 1}, and
+at 0 < tau < 1 from a table of r q'(r) between the droplet edges that
+each potential builds once, on its first interior solve, with one array
+call.  Only a potential without a table scans at interior levels.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
@@ -70,9 +71,12 @@ def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
     Potentials with a closed-form root (p.r_tau) use it; the others go
-    through _newton_r_tau: a safeguarded Newton iteration started from the
-    potential's r q'(r) table at 0 < tau < 1, and from an upward bracket
-    scan at tau in {0, 1} or when there is no table.  At tau = 0 the
+    through _newton_r_tau: a safeguarded Newton iteration to a relative
+    1e-13, started from the potential's r q'(r) table at 0 < tau < 1, and
+    from an upward bracket scan at tau in {0, 1} or when there is no
+    table.  A level whose root lies so close to 0 that 200 steps cannot
+    reach a relative bracket of 1e-13 (tau <= 1e-128 for q = r^2) raises
+    SolverError naming tau.  At tau = 0 the
     result is the inner droplet radius r0: 0.0 for a disc, where
     r q'(r) >= 0 already at the bottom of the bracket or the potential
     supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
@@ -100,18 +104,14 @@ def _newton_r_tau(p, tau):
     (_table): bisecting the table gives the cell [r_i, r_i+1] with
     g_i <= 2 tau < g_i+1, the bracket is that cell widened by one cell on
     each side (array and scalar pow may differ in the last bit), and the
-    first point is the linear interpolate.  A root within the stopping
-    tolerance of a bracket end is not trusted, since the table never
-    evaluated the end in scalar arithmetic; that level, tau in {0, 1}, and
-    every level of a potential without a table go through _scan_root
-    instead.  Either way the result depends only on p and tau.
+    first point is the linear interpolate.  tau in {0, 1} and every level
+    of a potential without a table go through _scan_root instead.  Either
+    way the result depends only on p and tau.
     """
     if 0.0 < tau < 1.0:
         table = _table(p)
         if table:
-            r = _table_root(p, tau, *table)
-            if r is not None:
-                return r
+            return _table_root(p, tau, *table)
     return _scan_root(p, tau)
 
 
@@ -154,8 +154,7 @@ def _build_table(p):
 
 
 def _table_root(p, tau, radii, values):
-    """Newton from the table's bracket for 2 tau, or None when the root is
-    within the stopping tolerance of a bracket end."""
+    """Newton from the table's bracket for 2 tau."""
     target = 2.0 * tau
     i = bisect.bisect_right(values, target) - 1
     lo = radii[max(i - 1, 0)]
@@ -163,11 +162,7 @@ def _table_root(p, tau, radii, values):
     r = radii[i] + (target - values[i]) * (radii[i + 1] - radii[i]) / (values[i + 1] - values[i])
     if not lo < r < hi:  # at the smallest tau the interpolate underflows to r0 = 0
         r = 0.5 * (lo + hi)
-    r = _newton(p, tau, lo, hi, r)
-    tol = 1e-13 * max(1.0, hi)
-    if r - lo <= tol or hi - r <= tol:
-        return None
-    return r
+    return _newton(p, tau, lo, hi, r)
 
 
 def _scan_root(p, tau):
@@ -210,9 +205,10 @@ def _newton(p, tau, lo, hi, r):
     [lo, hi] around the root at every step.  A step that leaves the bracket
     or is not half the step before last, or a nonpositive g', falls back to
     the midpoint, so the bracket shrinks at least as fast as by bisection.
-    Converged once a Newton step or the bracket is below 1e-13 max(1, r),
-    well under the iteration cap.  A NaN r q'(r) on the way raises
-    InvalidPotentialError.
+    Converged once a Newton step is at most 1e-13 r or the bracket at most
+    1e-13 hi, well under the iteration cap; a root too close to 0 for the
+    cap to reach that relative width raises SolverError.  A NaN r q'(r) on
+    the way raises InvalidPotentialError.
     """
     target = 2.0 * tau
     dx = dx_prev = hi - lo
@@ -230,7 +226,7 @@ def _newton(p, tau, lo, hi, r):
             step = g / gp
             # Convergence comes first: at the root the step is zero and r
             # sits on a bracket end, which the bracket test would reject.
-            if abs(step) <= 1e-13 * max(1.0, r):
+            if abs(step) <= 1e-13 * r:
                 return r - step
             r_new = r - step
             # A step must also halve the one before last: on steep profiles
@@ -241,9 +237,9 @@ def _newton(p, tau, lo, hi, r):
                 continue
         r = 0.5 * (lo + hi)
         dx_prev, dx = dx, 0.5 * (hi - lo)
-        if r <= lo or r >= hi or hi - lo <= 1e-13 * max(1.0, hi):
+        if r <= lo or r >= hi or hi - lo <= 1e-13 * hi:
             break
-    if hi - lo > 1e-13 * max(1.0, hi):
+    if hi - lo > 1e-13 * hi:
         raise SolverError(
             f"safeguarded Newton stalled at bracket width {hi - lo!r} for tau = {tau!r}"
         )

@@ -40,12 +40,12 @@ class IntegrationError(CoulombGasError):
     """An adaptive quadrature failed to reach the requested accuracy."""
 
 
-def _in_context(exc, context):
-    """A new exception of exc's class with context before its message, for
-    `raise _in_context(exc, ...) from exc`; a message that already starts
-    with the context keeps it once."""
-    msg = str(exc)
-    return type(exc)(msg if msg.startswith(f"{context}: ") else f"{context}: {msg}")
+def _in_context(exc, name, *details):
+    """A new exception of exc's class whose message starts with the context
+    "name, detail, ...", for `raise _in_context(exc, ...) from exc`; a
+    message that already starts with the name drops it, so it appears once."""
+    msg = str(exc).removeprefix(f"{name}: ")
+    return type(exc)(f"{', '.join((name, *details))}: {msg}")
 
 
 def _finite(fn):

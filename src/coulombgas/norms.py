@@ -133,8 +133,8 @@ def log_norm_exact(p, query):
     try:
         return _log_norm_exact(p, query)
     except CoulombGasError as exc:
-        context = f"{p.name}, n={query.n}, j={query.j}, ensemble={query.ensemble}"
-        raise _in_context(exc, context) from exc
+        detail = (f"n={query.n}", f"j={query.j}", f"ensemble={query.ensemble}")
+        raise _in_context(exc, p.name, *detail) from exc
 
 
 def _log_norm_exact(p, query):

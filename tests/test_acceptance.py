@@ -8,9 +8,11 @@ failure go away.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
+import mp_reference
 from coulombgas.cli import main as cli_main
 from coulombgas.equilibrium import (
     b1_integral,
@@ -23,7 +25,7 @@ from coulombgas.equilibrium import (
 )
 from coulombgas.norms import NormQuery, log_norm_exact, log_norm_laplace
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
-from coulombgas.partition import default_rel_tol, expansion_terms, lemma_sum, log_z_exact
+from coulombgas.partition import expansion_terms, lemma_sum, log_z_exact
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 from coulombgas.specialfn import (
     LOG_2PI,
@@ -258,52 +260,46 @@ def test_converge_csv_determinism(tmp_path):
     _verdict("converge output determinism across thread counts", ok, f"byte-identical={identical}")
 
 
-# Large-N gate: the exact route against the Barnes-G oracles at the sizes
-# where the expansion is tested.  The bound is fixed before any run:
-#   - each of the n norms is accurate to default_rel_tol(n) relative, or to
-#     its roundoff floor floor_j = 4 s eps (|q(r*_j)| + |2 tau_j log r*_j|)
-#     where that is larger, which moves log Z by at most n * rel_tol plus
-#     the sum of the floors.  The floors are the rounding of s V_tau at the
-#     saddles, O(s) per degree for these families against the O(n^2 log n)
-#     scales below: summed over j they are at most 8 % of the 4-ulp term
-#     in each of the 24 cases;
-#   - both routes round their sums once, so each contributes a few ulp of
-#     its largest intermediate: |log Z| for the compensated norm sum, and for
-#     the oracle the Barnes-G terms ln G(x) ~ x^2 ln(x) / 2 at x up to
-#     n (1 + c) + 2 (power-log, p = 1/lam or 2/lam factors, next to
-#     p (n^2/2 + c n^2) ln s) or (1 + alpha) n + 2 (hard wall, next to
-#     s n |ln beta|), with s = n or 2n.
-# 4 ulp of each scale covers the rounding of both routes.
+# Large-N gate: the exact route against the 40-digit per-degree reference
+# (mp_reference.log_z) at the sizes where the expansion is tested.  The
+# bound is fixed before any run:
+#   - each norm is within mp_reference.norm_bound of its closed form: the
+#     documented per-norm target max(1e-13, its roundoff floor) plus the
+#     rounding of -s v_min + log(val);
+#   - log_z_exact adds log n! = math.lgamma(n + 1) (within 4 ulp), for the
+#     symplectic ensemble n log 2 (1 ulp) and the base (half an ulp), the
+#     correctly rounded fsum of the norms (half an ulp of a sum of at most
+#     |log Z| + log n! + n log 2) and the last addition (half an ulp of
+#     |log Z|).  An ulp of x is at most eps |x|, so this is at most
+#     5 eps (log n! + n log 2 + |log Z|);
+#   - the reference itself is exact to far below a float64 ulp.
+# Ginibre goes through the ML(1, 0) closed form, which evaluates the same
+# q = r^2.
 _EPS = float(np.finfo(float).eps)
 
 
-def _ml_scale(lam, c, n, ensemble):
-    k = 1 if ensemble == "normal" else 2
-    x = n * (1.0 + c) + 2.0
-    return k / lam * (x * x * math.log(x) + (0.5 + c) * n * n * math.log(k * n))
-
-
-def _tu_scale(alpha, R, n, ensemble):
-    k = 1 if ensemble == "normal" else 2
-    x = (1.0 + alpha) * n + 2.0
-    log_beta = abs(2.0 * math.log(R) + math.log1p(alpha))
-    return 2.0 * x * x * math.log(x) + k * n * n * log_beta
+def _reference_gap_and_bound(p, ref, n, ensemble):
+    """|log_z_exact(p) - mp_reference.log_z(ref)| and its bound, with the
+    norm bounds taken at p (the potential the route ran on)."""
+    want = mp_reference.log_z(ref, n, ensemble)
+    got = log_z_exact(p, n, ensemble)
+    s = n if ensemble == "normal" else 2 * n
+    degrees = range(n) if ensemble == "normal" else range(1, s, 2)
+    bound = math.fsum(
+        mp_reference.norm_bound(p, NormQuery(n, j, ensemble),
+                                float(mp_reference.log_norm(ref, j, s)))
+        for j in degrees
+    )
+    log_2n = n * math.log(2.0) if ensemble == "symplectic" else 0.0
+    bound += 5.0 * _EPS * (math.lgamma(n + 1.0) + log_2n + abs(float(want)))
+    return abs(float(mpmath.mpf(got) - want)), bound
 
 
 _LARGE_N_FAMILIES = {
-    "ml(1,1)": (lambda: MittagLeffler(1.0, 1.0),
-                lambda n, e: ml_log_z(1.0, 1.0, n, e),
-                lambda n, e: _ml_scale(1.0, 1.0, n, e)),
-    "ml(1/2,1)": (lambda: MittagLeffler(0.5, 1.0),
-                  lambda n, e: ml_log_z(0.5, 1.0, n, e),
-                  lambda n, e: _ml_scale(0.5, 1.0, n, e)),
-    "tu(1,1)": (lambda: TruncatedUnitary(1.0, 1.0),
-                lambda n, e: tu_log_z(1.0, 1.0, n, e),
-                lambda n, e: _tu_scale(1.0, 1.0, n, e)),
-    # The oracle of Ginibre is the power-log family at lam = 1, c = 0.
-    "ginibre": (Ginibre,
-                lambda n, e: ml_log_z(1.0, 0.0, n, e),
-                lambda n, e: _ml_scale(1.0, 0.0, n, e)),
+    "ml(1,1)": lambda: MittagLeffler(1.0, 1.0),
+    "ml(1/2,1)": lambda: MittagLeffler(0.5, 1.0),
+    "tu(1,1)": lambda: TruncatedUnitary(1.0, 1.0),
+    "ginibre": Ginibre,
 }
 
 _LARGE_N_CASES = [
@@ -316,15 +312,13 @@ _LARGE_N_CASES = [
 
 @pytest.mark.parametrize("family, ensemble, n", _LARGE_N_CASES)
 def test_exact_matches_oracle_large_n(family, ensemble, n):
-    make, oracle, scale = _LARGE_N_FAMILIES[family]
+    p = _LARGE_N_FAMILIES[family]()
+    ref = MittagLeffler(1.0, 0.0) if isinstance(p, Ginibre) else p
     t0 = time.perf_counter()
-    exact = log_z_exact(make(), n, ensemble)
+    gap, bound = _reference_gap_and_bound(p, ref, n, ensemble)
     elapsed = time.perf_counter() - t0
-    ref = oracle(n, ensemble)
-    bound = n * default_rel_tol(n) + 4.0 * _EPS * (abs(ref) + scale(n, ensemble))
-    gap = abs(exact - ref)
     _verdict(
-        f"quadrature vs closed form, {family} {ensemble} N={n}",
+        f"quadrature vs 40-digit reference, {family} {ensemble} N={n}",
         gap <= bound,
         f"gap {gap:.3e}, bound {bound:.3e}, ratio {gap / bound:.3f}, {elapsed:.2f}s",
     )
@@ -349,18 +343,16 @@ def _ml11_custom(derivs):
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
 @pytest.mark.parametrize("n", [400, 1600])
 def test_custom_exact_matches_oracle_large_n(derivs, ensemble, n):
-    # The bound of test_exact_matches_oracle_large_n.  The saddle radius and
-    # the Laplacian there only place the quadrature; the integrand is q
-    # itself, so a finite-difference q' does not enter the bound.
+    # The bound of test_exact_matches_oracle_large_n, with the norm bounds
+    # at the Custom profile.  The saddle radius and the Laplacian there only
+    # place the quadrature; the integrand is q itself, so a finite-difference
+    # q' enters the bound only through r* in the roundoff floor.
     p = _ml11_custom(derivs)
     t0 = time.perf_counter()
-    exact = log_z_exact(p, n, ensemble)
+    gap, bound = _reference_gap_and_bound(p, MittagLeffler(1.0, 1.0), n, ensemble)
     elapsed = time.perf_counter() - t0
-    ref = ml_log_z(1.0, 1.0, n, ensemble)
-    bound = n * default_rel_tol(n) + 4.0 * _EPS * (abs(ref) + _ml_scale(1.0, 1.0, n, ensemble))
-    gap = abs(exact - ref)
     _verdict(
-        f"quadrature vs closed form, {p.name} {ensemble} N={n}",
+        f"quadrature vs 40-digit reference, {p.name} {ensemble} N={n}",
         gap <= bound,
         f"gap {gap:.3e}, bound {bound:.3e}, ratio {gap / bound:.3f}, {elapsed:.2f}s",
     )

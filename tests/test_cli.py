@@ -1,9 +1,13 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coulombgas
 from coulombgas import cli
 from coulombgas.cli import main
 from coulombgas.errors import IntegrationError, SolverError
@@ -482,3 +486,20 @@ def test_solver_failures_exit_4(capsys, monkeypatch, error):
     assert rc == 4
     assert out == ""
     assert err == "error: no convergence\n"
+
+
+def test_runtime_leaves_the_test_only_packages_unloaded():
+    # mpmath and hypothesis are test extras (pyproject.toml).  A fresh
+    # interpreter that imports the package and runs one CLI command must
+    # not load either, or they would become runtime dependencies.
+    src = os.path.dirname(os.path.dirname(coulombgas.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, coulombgas, coulombgas.cli\n"
+        "rc = coulombgas.cli.main(['exact', '--potential', 'ml', '--lambda', '1', '--c', '1',"
+        " '--N', '10'])\n"
+        "print(rc, sorted(m for m in ('mpmath', 'hypothesis') if m in sys.modules))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []", run.stdout + run.stderr

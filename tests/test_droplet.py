@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombgas import droplet
 from coulombgas.droplet import _newton_r_tau, dr_dtau, droplet_of, solve_r_tau
@@ -90,14 +92,16 @@ _CLOSED_FORM_CASES = [
     "label, p, closed", _CLOSED_FORM_CASES, ids=[case[0] for case in _CLOSED_FORM_CASES]
 )
 def test_closed_form_r_tau_matches_bisection(label, p, closed):
-    # Bound: the Newton solve stops once its step or bracket is below
-    # 1e-13 max(1, r).
+    # Bound: the Newton solve stops at a step of at most 1e-13 r, which
+    # leaves a quadratically smaller error, or at a bracket of at most
+    # 1e-13 hi, whose midpoint is within 0.5e-13 r; the rounding of r q'(r)
+    # and of the closed form adds a few eps r.
     for tau in np.linspace(0.0, 1.0, 201):
         tau = float(tau)
         want = _newton_r_tau(p, tau)
         got = closed.r_tau(tau)
         assert got is not None
-        assert abs(got - want) <= 1e-13 * max(1.0, want), (label, tau, got, want)
+        assert abs(got - want) <= 1e-13 * want, (label, tau, got, want)
         # solve_r_tau returns the closed form when p has one, else runs Newton.
         assert solve_r_tau(p, tau) == (want if p.r_tau(tau) is None else got)
 
@@ -180,7 +184,7 @@ _ML_ROOT_CASES = [(lam, c) for lam in (1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0) for c in 
 @pytest.mark.parametrize("derivs", ["analytic", "fd"])
 @pytest.mark.parametrize("lam, c", _ML_ROOT_CASES)
 def test_custom_root_matches_ml_closed_form(lam, c, derivs):
-    # Bound: the Newton step or bracket stops below 1e-13 max(1, r); a
+    # Bound: the Newton step or bracket stops at a relative 1e-13; a
     # finite-difference q' moves the root by its own relative error, at
     # most 10 eps^(2/3) for these profiles (bench/README.md derives it).
     p = _ml_custom(lam, c)
@@ -192,7 +196,7 @@ def test_custom_root_matches_ml_closed_form(lam, c, derivs):
         tau = j / 200
         want = closed.r_tau(tau)
         got = solve_r_tau(p, tau)
-        assert abs(got - want) <= 1e-13 * max(1.0, want) + fd_rel * want, (tau, got, want)
+        assert abs(got - want) <= (1e-13 + fd_rel) * want, (tau, got, want)
 
 
 def test_custom_root_at_a_kink_of_r_q_prime():
@@ -242,7 +246,7 @@ def test_custom_root_on_a_steep_profile():
     )
     for tau in (0.3, 0.5, 1.0):
         want = R * (2.0 * tau) ** (1.0 / pw)
-        assert abs(solve_r_tau(p, tau) - want) <= 1e-13 * max(1.0, want), tau
+        assert abs(solve_r_tau(p, tau) - want) <= 1e-13 * want, tau
     # r q' underflows to 0 at most table radii, so there is no table and
     # every level went through the upward scan.
     assert droplet._table(p) == ()
@@ -324,7 +328,8 @@ def test_table_newton_calls_per_interior_solve(lam, c):
     #   most e + K e^2 + d long, where d = 4 eps (2 lam r^(2 lam) + 2c) / g'
     #   covers the rounding of g;
     # - the loop returns on the first iteration whose step is at most
-    #   1e-13 max(1, r), and each iteration calls q' and q'' once.
+    #   1e-13 r, and r >= lo, so a step of at most 1e-13 lo returns; each
+    #   iteration calls q' and q'' once.
     k = 2.0 * lam
     g1 = lambda r: k * k * r ** (k - 1.0)
     g2 = lambda r: abs(k * k * (k - 1.0) * r ** (k - 2.0))
@@ -337,7 +342,7 @@ def test_table_newton_calls_per_interior_solve(lam, c):
         lo, hi = radii[max(i - 1, 0)], radii[min(i + 2, len(radii) - 1)]
         kk = max(g2(lo), g2(hi)) / (2.0 * min(g1(lo), g1(hi)))
         d = 4.0 * _EPS * (k * hi**k + 2.0 * c) / min(g1(lo), g1(hi))
-        tol = 1e-13 * max(1.0, lo)
+        tol = 1e-13 * lo
         e, iterations = kk * (radii[i + 1] - radii[i]) ** 2 / 4.0, 1
         while e + kk * e * e + d > tol:
             e, iterations = kk * e * e, iterations + 1
@@ -365,20 +370,81 @@ def test_any_subclass_keeps_a_table():
     assert droplet._table(p)
 
 
-def test_root_at_a_table_edge_goes_through_the_scan():
+def test_root_at_a_table_edge_comes_from_the_table():
     # q = r^2 with FD derivatives: r_tau = sqrt(tau).  At tau = 1e-30 the
-    # root 1e-15 lies within the Newton tolerance 1e-13 of the table's lower
-    # edge r0 = 0, so the table's answer is not trusted; the scan finds
-    # r q'(r) above 2 tau already at its bottom, r = 1e-12, and says so.
+    # root 1e-15 lies in the table's first cells, next to its lower edge
+    # r0 = 0, and below the scan's first point r = 1e-12; the table's
+    # Newton stops at a relative 1e-13, which is the bound.
     p = Custom(lambda r: r * r)
     assert abs(solve_r_tau(p, 0.25) - 0.5) <= 1e-13
     assert droplet._table(p)
-    with pytest.raises(InvalidPotentialError, match="no inner bracket"):
-        solve_r_tau(p, 1e-30)
+    assert abs(solve_r_tau(p, 1e-30) - 1e-15) <= 1e-13 * 1e-15
     # At the smallest tau the linear interpolate underflows to r0 = 0, where
-    # q' is not defined; Newton starts at the bracket midpoint instead.
-    with pytest.raises(InvalidPotentialError, match="no inner bracket"):
+    # q' is not defined; Newton starts at the bracket midpoint instead, and
+    # the root 2.2e-162 is out of reach of the iteration cap.
+    with pytest.raises(CoulombGasError, match=r"tau = 5e-324"):
         solve_r_tau(p, 5e-324)
+
+
+# q = r^2: r_tau = sqrt(tau).  Newton stops within 0.5e-13 r of the root
+# (half a relative bracket of 1e-13, or a quadratically smaller error after
+# a step of at most 1e-13 r).  Rounding adds the rest.  Analytic: r q'(r) =
+# 2 r^2 rounds to eps, and the root moves by half that.  FD below
+# r = 7e-3, where h = r / 3: the stencil is exact on r^2.  Its four values
+# (r + off h)^2 carry 3 eps each, with |coefficients| summing to 1.5.  So
+# q' errs by at most 4.5 eps (5/3)^2 r^2 / h = 38 eps r, or 19 eps of q' = 2r,
+# which moves the root by half that.  In both cases the bound is 1e-13 r.
+@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+@pytest.mark.parametrize("tau", [1e-20, 1e-24, 1e-26, 1e-30, 1e-60, 1e-100])
+def test_tiny_tau_roots_of_a_custom_disc(tau, derivs):
+    p = _ml_custom(1.0, 0.0) if derivs == "analytic" else Custom(lambda r: r * r)
+    want = math.sqrt(tau)
+    assert abs(solve_r_tau(p, tau) - want) <= 1e-13 * want
+
+
+@st.composite
+def _custom_ml(draw):
+    """(lam, c, derivs, the Custom ML(lam, c) profile) for a disc (c = 0) or
+    an annulus; FD discs are polynomials, q = r^k with k = 2 lam <= 4."""
+    derivs = draw(st.sampled_from(["analytic", "fd"]))
+    if draw(st.booleans()):
+        lam = draw(st.floats(1.0, 4.0) if derivs == "analytic" else st.sampled_from([1.0, 1.5, 2.0]))
+        c = 0.0
+    else:
+        lam, c = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    p = _ml_custom(lam, c)
+    return lam, c, derivs, p if derivs == "analytic" else Custom(p._q)
+
+
+# Bound, derived before the run, on |solve_r_tau - r| with
+# r = MittagLeffler(lam, c).r_tau(tau).  g = r q'(r) - 2 tau equals
+# k r^k - 2c - 2 tau with k = 2 lam, and r g'(r) = k^2 r^k.
+# - The Newton stop: 1e-13 r.
+# - Rounding of g: at most 4 eps (k r^k + 2c).  Over g', and with
+#   2c <= k r^k at the root, that moves the root by at most 8 eps r / k.
+# - The closed form ((tau + c) / lam)^(1 / (2 lam)): eps (1 / k + 1) r.
+#   With the last term, at most 18 eps r / k = 9 eps r / lam for lam <= 4.
+# - FD annulus (lam, c in [0.5, 2]): the stencil moves the root by at
+#   most 1e-9 max(1, r) (derived in tests/test_properties.py).
+# - FD disc, q = r^k with k in {2, 3, 4}: the stencil is exact on
+#   polynomials of degree 4, so only rounding is left.  Its four values
+#   (r + off h)^k carry (k + 1) eps each, with |coefficients| summing to
+#   1.5, and h <= r / 3.  Over h, relative to q' = k r^(k - 1), that is
+#   1.5 (k + 1) eps (1 + 2h/r)^k (r/h) / k.  (1 + 2x)^k / x, x = h / r in
+#   [eps^(1/6), 1/3], peaks at 421 at the left end.  So it is at most
+#   950 eps, and q' errs by at most 1000 eps in all.  A relative error e
+#   in q' moves the root by r e / k, here by 500 eps r / lam.
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=_custom_ml(), log_tau=st.floats(-100.0, 0.0))
+def test_custom_ml_roots_over_a_hundred_decades_of_tau(case, log_tau):
+    lam, c, derivs, p = case
+    tau = 10.0**log_tau
+    want = MittagLeffler(lam, c).r_tau(tau)
+    bound = (1e-13 + 9.0 * _EPS / lam) * want
+    if derivs == "fd":
+        bound += 1e-9 * max(1.0, want) if c > 0.0 else 500.0 * _EPS / lam * want
+    got = solve_r_tau(p, tau)
+    assert abs(got - want) <= bound, (lam, c, derivs, tau, got, want)
 
 
 def _steep_power(derivs):
@@ -402,7 +468,7 @@ def _steep_power(derivs):
 def test_scalar_overflow_evaluates_like_the_array_path(tau):
     r = solve_r_tau(_steep_power(True), tau)
     want = 1.3 * (2.0 * tau) ** (1.0 / 5000)
-    assert abs(r - want) <= 1e-13 * max(1.0, r), (r, want)
+    assert abs(r - want) <= 1e-13 * want, (r, want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

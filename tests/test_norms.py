@@ -205,6 +205,21 @@ def test_failed_norm_names_its_potential_size_and_degree():
 
 
 @pytest.mark.parametrize(
+    "p",
+    [MittagLeffler(0.5, 0.0), Custom(lambda r: r * r, name="sq")],
+    ids=["ml-origin-laplacian", "custom-no-origin-value"],
+)
+def test_failed_norm_names_its_potential_once(p):
+    # The potential's own origin check already names it; the norm context
+    # adds n, j and the ensemble without a second copy of the name.
+    with pytest.raises(DomainError) as exc:
+        log_z_exact(p, 10)
+    msg = str(exc.value)
+    assert msg.count(p.name) == 1, msg
+    assert msg.startswith(f"{p.name}, n=10, j=0, ensemble=normal: "), msg
+
+
+@pytest.mark.parametrize(
     "p, n, ensemble",
     [
         (MittagLeffler(1.0, 1.0), 100, "normal"),

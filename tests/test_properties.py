@@ -68,7 +68,7 @@ def _fd_ml(lam, c):
 # 1.5 eps |q| / h of rounding.  For lam, c in [0.5, 2] the droplet lies in
 # [0.7, 6], |q^(5)| <= 3.6 r^(2 lam - 5) + 48 c / r^5 <= 600 at r >= 0.7 and
 # laplacian = lam^2 r^(2 lam - 2) >= 0.04, so |error| <= 1e-9 max(1, r),
-# plus the Newton stop of 1e-13 max(1, r) on each side: bound 1e-8 max(1, r).
+# plus the Newton stop of 1e-13 r on each side: bound 1e-8 max(1, r).
 #
 # log Z.  Only q enters the norm integrand; the derivatives place the
 # saddle, the shift and the panels.  Each norm meets relative accuracy
