@@ -45,11 +45,11 @@ def _inner_cut(d):
 def _integral(f, a, b):
     """Integral of f over [a, b] under the equilibrium quadrature policy.
 
+    Where f's noise sits above the 1e-13 target, as with finite-difference
+    derivatives, refinement stalls and integrate raises IntegrationError.
     f runs under np.errstate(all="ignore"): a Laplacian that underflows to
-    0 gives integrand values that are not finite, which integrate reports
-    as IntegrationError, with no numpy warning first.  integrate is looked
-    up as a module global on every call, so a wrapper installed at
-    equilibrium.integrate sees each integral.
+    0 gives no numpy warning.  integrate is looked up as a module global
+    on every call, so a wrapper at equilibrium.integrate sees each integral.
     """
     with np.errstate(all="ignore"):
         val, _ = integrate(f, a, b, rel_tol=1e-13, abs_tol=1e-16)
