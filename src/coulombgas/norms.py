@@ -97,7 +97,7 @@ def _peak(p, query):
         v_min = p.q_at_zero()
         dq_star = p.laplacian_at_zero()
     else:
-        v_min = float(v_tau(p, tau, r_star))
+        v_min = float(_v_tau0(p, r_star, tau))
         dq_star = float(p.laplacian(r_star))
     if not dq_star > 0.0:
         raise IntegrationError(f"nonpositive Laplacian at the saddle r = {r_star!r}")
@@ -116,7 +116,7 @@ def _r_cut(p, query, r_star, v_min):
     while r <= 1e300:
         if support is not None and r >= support:
             return support
-        if s * (float(v_tau(p, tau, r)) - v_min) >= thresh:
+        if s * (float(_v_tau0(p, r, tau)) - v_min) >= thresh:
             return r
         r *= 2.0
     raise IntegrationError("failed to locate a truncation radius")

@@ -63,15 +63,22 @@ def _eval_panels(f, lefts, rights):
     mid = 0.5 * (rights + lefts)
     pts = mid[:, None] + half[:, None] * _XGK[None, :]
     x = pts.reshape(-1)
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise DomainError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
-    y = y.reshape(pts.shape)
-    if not np.isfinite(y).all():
-        raise IntegrationError("integrand returned a non-finite value")
-    kron = half * (y @ _WGK)
-    gauss = half * (y[:, 1::2] @ _WG)
-    return kron, np.abs(kron - gauss)
+    with np.errstate(all="ignore"):
+        y = np.asarray(f(x), dtype=float)
+        if y.shape != x.shape:
+            raise DomainError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
+        y = y.reshape(pts.shape)
+        kron = half * (y @ _WGK)
+        err = np.abs(kron - half * (y[:, 1::2] @ _WG))
+    # Every Kronrod weight is positive, so a nan or inf node value, like a
+    # panel sum that overflows, leaves its panel's error estimate non-finite;
+    # a finite estimate means both panel sums are finite.
+    if not np.isfinite(err).all():
+        raise IntegrationError(
+            "non-finite panel estimate: the integrand returned nan or inf, "
+            "or a panel sum overflows float64"
+        )
+    return kron, err
 
 
 def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
@@ -80,14 +87,22 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     seeds is an optional 1-D array-like of interior points used as initial
     panel boundaries (points outside (a, b) are dropped); it lets the caller
     pre-split around a known sharp peak so the first refinement rounds start
-    from a sensible partition.  Returns (value, error_estimate) and raises
-    IntegrationError when the error estimate cannot be brought under
-    max(abs_tol, rel_tol * |value|): when a round's total error estimate is
-    not at most half of the total _STALL rounds before (refinement stalled),
-    or when the panel budget _MAX_PANELS would be exceeded.  a < b must be
-    finite reals and the tolerances finite and nonnegative; anything else
-    (bools, strings, nan, inf) raises DomainError, as do seeds that are not
-    ints or floats and an integrand whose result has the wrong shape.
+    from a sensible partition.
+
+    Returns (value, error_estimate), both finite floats, or raises
+    IntegrationError, never a numpy warning: f and the panel sums run under
+    np.errstate(all="ignore").  IntegrationError is raised at the first
+    evaluation that gives a nan or inf node value or a panel sum that
+    overflows float64, when the total over panels overflows, and when the
+    error estimate cannot be brought under max(abs_tol, rel_tol * |value|):
+    when a round's total error estimate is more than half of the total
+    _STALL rounds before (refinement stalled), or when the panel budget
+    _MAX_PANELS would be exceeded.
+
+    a < b must be finite reals and the tolerances finite and nonnegative;
+    anything else (bools, strings, nan, inf) raises DomainError, as do seeds
+    that are not ints or floats and an integrand whose result has the wrong
+    shape.
     """
     if not (_is_real(a) and _is_real(b) and a < b):
         raise DomainError(f"integrate needs finite reals a < b, got [{a!r}, {b!r}]")
@@ -109,12 +124,17 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
 
     history = []
     while True:
-        total = math.fsum(vals.tolist())
-        err_total = math.fsum(errs.tolist())
+        try:
+            total = math.fsum(vals.tolist())
+            err_total = math.fsum(errs.tolist())
+        except OverflowError:
+            raise IntegrationError(
+                f"the sum over {len(lefts)} finite panels overflows float64"
+            ) from None
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol:
             return total, err_total
-        if len(history) >= _STALL and not err_total <= 0.5 * history[-_STALL]:
+        if len(history) >= _STALL and err_total > 0.5 * history[-_STALL]:
             raise IntegrationError(
                 f"refinement stalled: error {err_total:.3e} has not halved in "
                 f"{_STALL} rounds (target {tol:.3e}, {len(lefts)} panels)"

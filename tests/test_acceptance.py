@@ -295,24 +295,29 @@ def _reference_gap_and_bound(p, ref, n, ensemble):
     return abs(float(mpmath.mpf(got) - want)), bound
 
 
+# Each family with the sizes it runs at.  ML(0.7, 0.3) and TU(0.3, 0.8)
+# have no Barnes-G oracle; they also run at small N, where the saddle of
+# the lowest degrees sits nearest the origin and, for TU, the hard wall.
 _LARGE_N_FAMILIES = {
-    "ml(1,1)": lambda: MittagLeffler(1.0, 1.0),
-    "ml(1/2,1)": lambda: MittagLeffler(0.5, 1.0),
-    "tu(1,1)": lambda: TruncatedUnitary(1.0, 1.0),
-    "ginibre": Ginibre,
+    "ml(1,1)": (lambda: MittagLeffler(1.0, 1.0), (400, 800, 1600)),
+    "ml(1/2,1)": (lambda: MittagLeffler(0.5, 1.0), (400, 800, 1600)),
+    "tu(1,1)": (lambda: TruncatedUnitary(1.0, 1.0), (400, 800, 1600)),
+    "ginibre": (Ginibre, (400, 800, 1600)),
+    "ml(0.7,0.3)": (lambda: MittagLeffler(0.7, 0.3), (10, 100, 1600)),
+    "tu(0.3,0.8)": (lambda: TruncatedUnitary(0.3, 0.8), (10, 100, 1600)),
 }
 
 _LARGE_N_CASES = [
     pytest.param(family, ensemble, n, id=f"{family}-{ensemble}-{n}")
-    for family in _LARGE_N_FAMILIES
+    for family, (_, sizes) in _LARGE_N_FAMILIES.items()
     for ensemble in ("normal", "symplectic")
-    for n in (400, 800, 1600)
+    for n in sizes
 ]
 
 
 @pytest.mark.parametrize("family, ensemble, n", _LARGE_N_CASES)
 def test_exact_matches_oracle_large_n(family, ensemble, n):
-    p = _LARGE_N_FAMILIES[family]()
+    p = _LARGE_N_FAMILIES[family][0]()
     ref = MittagLeffler(1.0, 0.0) if isinstance(p, Ginibre) else p
     t0 = time.perf_counter()
     gap, bound = _reference_gap_and_bound(p, ref, n, ensemble)
@@ -355,4 +360,59 @@ def test_custom_exact_matches_oracle_large_n(derivs, ensemble, n):
         f"quadrature vs 40-digit reference, {p.name} {ensemble} N={n}",
         gap <= bound,
         f"gap {gap:.3e}, bound {bound:.3e}, ratio {gap / bound:.3f}, {elapsed:.2f}s",
+    )
+
+
+# Five-term expansion off the closed-form families.  R(N) = log_z_exact -
+# expansion_terms(...).evaluate(N) with the quadrature equilibrium report.
+# The bound is fixed before any run:
+#   - if the expansion is right through its O(1) term, R = delta + a/N +
+#     b/N^2 + O(N^-3) with delta = 0, so N R = a + b/N + O(N^-2) and the
+#     difference of N R over a doubling, D(N) = N'R(N') - N R(N) with
+#     N' = 2N, is -b/(2N) + O(N^-2): each D is half the one before, up to
+#     a relative O(1/N);
+#   - a wrong O(1) term puts delta N into N R, so D grows like delta N and
+#     each D is about twice the one before; a wrong log N term grows the
+#     same way, and a wrong O(N) or N log N term faster;
+#   - so each D must keep the previous one's sign and be at most 3/4 of it
+#     in magnitude.  The 1/4 of room above 1/2 takes the O(1/N) part and
+#     the float64 noise in N R: at most N times the exact route's sum of
+#     mp_reference.norm_bound, 1.6e-6 at N = 800 (annulus, symplectic),
+#     plus N^3 eps |energy| from the expansion's N^2 term, about 1e-7.
+# Both profiles have analytic derivatives.  Laplacian of Q (q'' + q'/r)/4
+# is 1 + r^2 for both, 1 at the origin of the disc.
+def _quartic(kind):
+    if kind == "disc":
+        return Custom(lambda r: r * r + r**4 / 4.0, derivs=(
+            lambda r: 2.0 * r + r**3,
+            lambda r: 2.0 + 3.0 * r * r,
+            lambda r: 6.0 * r,
+            lambda r: 6.0 + 0.0 * r,
+        ), q_origin=0.0, laplacian_origin=1.0, name="quartic disc")
+    return Custom(lambda r: r * r + r**4 / 4.0 - np.log(r), derivs=(
+        lambda r: 2.0 * r + r**3 - 1.0 / r,
+        lambda r: 2.0 + 3.0 * r * r + 1.0 / r**2,
+        lambda r: 6.0 * r - 2.0 / r**3,
+        lambda r: 6.0 + 6.0 / r**4,
+    ), name="quartic-log annulus")
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("kind", ["disc", "annulus"])
+def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, ensemble):
+    p = _quartic(kind)
+    t0 = time.perf_counter()
+    report = equilibrium_report(p)
+    assert report.droplet.kind == kind
+    terms = expansion_terms(p, ensemble, "physics", report=report)
+    ns = (100, 200, 400, 800)
+    scaled = [n * (log_z_exact(p, n, ensemble) - terms.evaluate(n)) for n in ns]
+    diffs = [b - a for a, b in zip(scaled, scaled[1:])]
+    ratios = [b / a for a, b in zip(diffs, diffs[1:])]
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        f"expansion remainder O(1/N), {p.name} {ensemble}",
+        all(0.0 < r <= 0.75 for r in ratios),
+        f"N R(N) {', '.join(f'{v:.7f}' for v in scaled)}, "
+        f"difference ratios {', '.join(f'{r:.3f}' for r in ratios)}, {elapsed:.2f}s",
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def _integrate_loop(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol:
             return total, err_total
-        if len(history) >= _STALL and not err_total <= 0.5 * history[-_STALL]:
+        if len(history) >= _STALL and err_total > 0.5 * history[-_STALL]:
             raise IntegrationError("refinement stalled")
         history.append(err_total)
         share = 0.5 * tol / len(panels)
@@ -94,6 +95,57 @@ def test_nan_integrand_raises():
 
     with pytest.raises(IntegrationError):
         integrate(f, 0.0, 1.0)
+
+
+def _first_evaluation_raises(f, a, b, **kwargs):
+    """integrate(f) under warnings-as-errors: it raises IntegrationError,
+    and f was called once, never with an empty array."""
+    batches = []
+
+    def g(x):
+        batches.append(x.size)
+        return f(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as info:
+            integrate(g, a, b, **kwargs)
+    assert len(batches) == 1 and batches[0] > 0, batches
+    return info.value
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_one_non_finite_node_raises_at_any_node(bad):
+    # Every Kronrod weight is positive, so one bad value at any of the 15
+    # nodes, Gauss node or not, leaves the panel's error estimate non-finite.
+    for k in range(15):
+        def f(x, k=k):
+            y = x.copy()
+            y[k] = bad
+            return y
+
+        _first_evaluation_raises(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: np.full_like(x, 1e308), lambda x: np.where(x < 5.0, -1e308, 1e308)],
+    ids=["overflow", "inf-minus-inf"],
+)
+def test_finite_values_whose_panel_sums_overflow_raise(f):
+    # Each node value is finite, but the one panel's weighted sums, of
+    # magnitude up to 5 * 2 * 1e308, overflow inside the matmul: no warning
+    # and no empty refinement rounds, only IntegrationError.
+    err = _first_evaluation_raises(f, 0.0, 10.0)
+    assert "non-finite panel estimate" in str(err)
+
+
+def test_finite_panels_whose_total_overflows_raise():
+    # Each of the two panels is 5 * 2e307 = 1e308, finite with a finite
+    # error estimate; their sum is not, and fsum's OverflowError becomes
+    # IntegrationError.
+    err = _first_evaluation_raises(lambda x: np.full_like(x, 2e307), 0.0, 10.0, seeds=(5.0,))
+    assert "overflows float64" in str(err)
 
 
 def test_stalled_refinement_raises_instead_of_returning_unconverged():
