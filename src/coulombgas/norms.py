@@ -27,6 +27,7 @@ from .potential import (
     _check_n,
     _is_integer,
     _v_tau0,
+    _v_tau0_formula,
     v_tau,
 )
 from .quadrature import integrate
@@ -148,8 +149,12 @@ def _log_norm_exact(p, query):
     seeds = r_star + _SEED_T * width  # integrate drops those outside (0, cut)
 
     def integrand(r):
-        # tau is checked once per norm; the node array on every call.
-        return 2.0 * r * np.exp(-s * (_v_tau0(p, r, tau) - v_min))
+        # integrate calls this under its own np.errstate, on positive nodes
+        # within an ulp of [0, cut]; cut is a radius below the support that
+        # _r_cut passed through the checked _v_tau0, or the support radius.
+        # So every node is finite, positive and inside the support, all that
+        # _v_tau0's check would verify, and the formula runs on them directly.
+        return 2.0 * r * np.exp(-s * (_v_tau0_formula(p, r, tau) - v_min))
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
     if not val > 0.0:

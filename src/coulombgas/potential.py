@@ -493,12 +493,13 @@ def v_tau(p, tau, r, order=0):
 
 
 def _v_tau0(p, rr, t):
-    """V_tau(rr) for a checked tau t: the one order-0 formula, which the
-    norm integrand calls on its node arrays."""
+    """V_tau(rr) for a checked tau t, with rr checked (_evaluate)."""
     return _evaluate(_v_tau0_formula, p, rr, t)
 
 
 def _v_tau0_formula(p, rr, t):
+    """The one order-0 formula, unchecked: the norm integrand calls it on
+    node arrays whose domain integrate and the norm's cut already prove."""
     return p._profile(rr, 0) - 2.0 * t * _log(rr)
 
 

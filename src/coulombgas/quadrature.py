@@ -89,6 +89,14 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     pre-split around a known sharp peak so the first refinement rounds start
     from a sensible partition.
 
+    f is called on 1-D arrays of the 15 Kronrod nodes of each pending panel.
+    Every node lies within one ulp of [a, b]: the outermost nodes sit 0.43 %
+    of the half-width inside their panel, so rounding keeps every node in its
+    panel unless the panel is narrower than 128 ulps, when one node can land
+    an ulp outside.  With a = 0 every node is at least 0 (the first panel's
+    midpoint and half-width are one float) and positive unless the first
+    panel is narrower than 1e-321.
+
     Returns (value, error_estimate), both finite floats, or raises
     IntegrationError, never a numpy warning: f and the panel sums run under
     np.errstate(all="ignore").  IntegrationError is raised at the first
@@ -99,19 +107,27 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     _STALL rounds before (refinement stalled), or when the panel budget
     _MAX_PANELS would be exceeded.
 
-    a < b must be finite reals and the tolerances finite and nonnegative;
+    a < b must be finite reals with |a| + |b| finite, so that every panel's
+    midpoint and half-width are, and the tolerances finite and nonnegative;
     anything else (bools, strings, nan, inf) raises DomainError, as do seeds
-    that are not ints or floats and an integrand whose result has the wrong
-    shape.
+    that are not ints or floats or not 1-D and an integrand whose result has
+    the wrong shape.
     """
     if not (_is_real(a) and _is_real(b) and a < b):
         raise DomainError(f"integrate needs finite reals a < b, got [{a!r}, {b!r}]")
     if not (_is_real(rel_tol) and _is_real(abs_tol) and rel_tol >= 0 and abs_tol >= 0):
         raise DomainError(f"integrate needs tolerances >= 0, got {rel_tol!r}, {abs_tol!r}")
     a, b = float(a), float(b)
-    seeds = np.asarray(seeds)
+    if abs(a) + abs(b) == math.inf:
+        raise DomainError(f"integrate needs |a| + |b| finite in float64, got [{a!r}, {b!r}]")
+    try:
+        seeds = np.asarray(seeds)
+    except ValueError:  # a ragged nesting has no shape
+        raise DomainError("integrate needs 1-D seeds, got a ragged sequence") from None
     if seeds.dtype.kind not in "fiu":
         raise DomainError(f"integrate needs real seeds, got dtype {seeds.dtype}")
+    if seeds.ndim != 1:
+        raise DomainError(f"integrate needs 1-D seeds, got shape {seeds.shape}")
     seeds = seeds.astype(float, copy=False).tolist()
     cuts = np.array(sorted({a, b, *[s for s in seeds if a < s < b]}))
     # The panels ordered by left endpoint, as columns of one row per panel

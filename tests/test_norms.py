@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mp_reference
-from coulombgas import norms, potential
+from coulombgas import droplet, norms, potential
 from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.norms import (
     NormQuery,
@@ -304,6 +304,9 @@ _EVERY_KIND = [
     dilate(MittagLeffler(1.0, 1.0), 1.5),
     dilate(TruncatedUnitary(1.0, 1.0), 0.7),
     Custom(lambda r: r**3.0 - np.log(r), name="custom-fd"),
+    # TU(1, 1)'s profile as a user callable: the hard wall at sqrt(2) is the cut.
+    Custom(lambda r: -np.log(1.0 - r * r / 2.0), support_radius=math.sqrt(2.0),
+           q_origin=0.0, laplacian_origin=0.5, name="custom-wall"),
 ]
 
 
@@ -331,6 +334,33 @@ def test_integrand_v_tau_is_v_tau_bit_for_bit(monkeypatch, p):
             helper = potential._v_tau0(p, p._checked(r), query.tau)
             assert np.array_equal(helper, v_tau(p, query.tau, r))
             assert np.array_equal(helper, p.q_derivs(r) - 2.0 * query.tau * np.log(r))
+
+
+def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monkeypatch):
+    # Timing-free guard for the per-norm cost: the integrand runs V_tau's
+    # formula on its nodes directly, so in log_z_exact the checked
+    # evaluation (_evaluate: the domain check and a nested np.errstate) is
+    # left with the scalar calls of _peak, _r_cut and the saddle solve.
+    kinds = [
+        MittagLeffler(0.5, 1.2),
+        TruncatedUnitary(2.0, 1.5),
+        dilate(MittagLeffler(1.0, 1.0), 1.5),
+        Custom(lambda r: r**3.0 - np.log(r), name="custom-fd"),
+    ]
+    droplet._table(kinds[-1])  # a Custom's r q'(r) table: one array call per potential
+    args = []
+    evaluate = potential._evaluate
+
+    def counting(formula, p, r, arg):
+        args.append(r)
+        return evaluate(formula, p, r, arg)
+
+    monkeypatch.setattr(potential, "_evaluate", counting)
+    for p in kinds:
+        for ensemble in ("normal", "symplectic"):
+            log_z_exact(p, 12, ensemble)
+    assert args
+    assert not [r for r in args if isinstance(r, np.ndarray)]
 
 
 def _old_seeds(r_star, width, cut):

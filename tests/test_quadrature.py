@@ -1,9 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from coulombgas import quadrature
 from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.quadrature import _STALL, _eval_panels, integrate
 
@@ -194,6 +198,80 @@ def test_bad_interval_raises():
 def test_seeds_outside_interval_ignored():
     val, _ = integrate(lambda x: x, 0.0, 1.0, seeds=(-5.0, 0.5, 17.0))
     assert abs(val - 0.5) < 1e-14
+
+
+def test_interval_whose_midpoints_overflow_raises():
+    # With |a| + |b| beyond float64, a + b or b - a overflows, so a panel's
+    # midpoint or half-width would be inf and its nodes inf or nan.
+    calls = []
+    for a, b in ((1e308, 1.7e308), (-1e308, 1e308)):
+        with pytest.raises(DomainError, match=r"\|a\| \+ \|b\| finite"):
+            integrate(calls.append, a, b)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "seeds, shape",
+    [(0.5, r"shape \(\)"), ([[0.2, 0.4]], r"shape \(1, 2\)"), ([[0.2], [0.3, 0.4]], "a ragged")],
+    ids=["scalar", "nested", "ragged"],
+)
+def test_seeds_that_are_not_1d_are_a_domain_error(seeds, shape):
+    with pytest.raises(DomainError, match="integrate needs 1-D seeds, got " + shape):
+        integrate(lambda x: x, 0.0, 1.0, seeds=seeds)
+
+
+@st.composite
+def _interval_and_seeds(draw):
+    a = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+    if a != 0.0 and draw(st.booleans()):
+        b = a + draw(st.integers(1, 300)) * math.ulp(a)  # panels of a few ulps
+    else:
+        b = a + 10.0 ** draw(st.floats(-6.0, 6.0))
+    assume(a < b)
+    seeds = [a + t * (b - a) for t in draw(st.lists(st.floats(-0.5, 1.5), max_size=6))]
+    return a, b, seeds
+
+
+# The nodes the docstring promises f: within one ulp of [a, b], inside
+# their own panel unless it is narrower than 128 ulps, and positive for
+# a = 0.  The norm integrand relies on this to skip the domain check.
+# Each integrand forces refinement rounds: a square-root cusp at either end
+# or a narrow peak.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_interval_and_seeds(), kind=st.sampled_from(["left", "right", "peak"]),
+       at=st.floats(0.0, 1.0))
+def test_nodes_lie_in_their_panels_and_in_the_interval(case, kind, at):
+    a, b, seeds = case
+    c = a + at * (b - a)
+    f = {
+        "left": lambda x: np.sqrt(np.abs(x - a)),
+        "right": lambda x: np.sqrt(np.abs(b - x)),
+        "peak": lambda x: np.exp(-(((x - c) / (1e-3 * (b - a))) ** 2)),
+    }[kind]
+    seen = []
+
+    def recording(f, lefts, rights):
+        def g(x):
+            seen.append((np.asarray(lefts), np.asarray(rights), x.reshape(-1, 15).copy()))
+            return f(x)
+        return _eval_panels(g, lefts, rights)
+
+    with mock.patch.object(quadrature, "_eval_panels", recording):
+        try:
+            integrate(f, a, b, seeds=seeds)
+        except IntegrationError:
+            pass  # a few-ulp interval can stall; the nodes it was given still count
+    assert seen
+    for lefts, rights, x in seen:
+        assert np.all(a <= lefts) and np.all(lefts <= rights) and np.all(rights <= b)
+        narrow = rights - lefts < 128 * np.spacing(np.maximum(np.abs(lefts), np.abs(rights)))
+        lo = np.where(narrow, np.nextafter(lefts, -np.inf), lefts)[:, None]
+        hi = np.where(narrow, np.nextafter(rights, np.inf), rights)[:, None]
+        assert np.all(lo <= x) and np.all(x <= hi)
+        assert np.all(math.nextafter(a, -math.inf) <= x)
+        assert np.all(x <= math.nextafter(b, math.inf))
+        if a == 0.0:
+            assert np.all(x > 0.0)
 
 
 @pytest.mark.parametrize(
