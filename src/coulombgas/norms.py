@@ -6,12 +6,12 @@ measure e^{-s q(|z|)} dA(z), dA = d^2z / pi, is
     h_j = 2 * integral of r^(2j+1) e^{-s q(r)} dr over (0, infinity),
 
 with s = n for the determinantal (normal) ensemble and s = 2n for the
-symplectic one.  The exact route rewrites the integrand through the
-effective potential V_tau, tau = j/s, shifts by its minimum so the
-quadrature sees a bounded integrand, and truncates where the shifted
-exponent is negligible.  The asymptotic routes implement the two-term
-Laplace approximation at the saddle r_tau, the factorial form valid for
-low degrees over a disc droplet, and the gated high-degree form.
+symplectic one.  The exact route integrates h_j = 2 * integral of
+e^{-s V_tau'(r)} dr, tau' = (j + 1/2)/s, whose saddle r_tau' > 0 at every
+degree, shifted by min V_tau' to keep the integrand bounded and truncated
+where that exponent is negligible.  The asymptotic routes implement the
+two-term Laplace approximation at r_tau, the factorial form valid for low
+degrees over a disc droplet, and the gated high-degree form.
 """
 
 import math
@@ -64,13 +64,18 @@ class NormQuery:
     def tau(self):
         return self.j / self.s
 
+    @property
+    def level(self):
+        """tau' = (j + 1/2)/s, the level of the exact route's e^{-s V_tau'}."""
+        return (self.j + 0.5) / self.s
+
 
 # Relative accuracy of every norm integral whose roundoff floor is lower.
-# The exponent s (V_tau(r) - v_min) is formed by cancellation: V_tau(r) =
-# q(r) - 2 tau log r carries an ulp of |q| from the profile and one of
-# |2 tau log r| from the log term and the difference, v_min the same two at
+# The exponent s (V_tau'(r) - v_min) is formed by cancellation: V_tau'(r) =
+# q(r) - 2 tau' log r carries an ulp of |q| from the profile and one of
+# |2 tau' log r| from the log term and the difference, v_min the same two at
 # r*.  Near the peak, where the integral's mass lies, the integrand is thus
-# off relatively by 4 ulp of s (|q(r*)| + |2 tau log r*|): the floor.
+# off relatively by 4 ulp of s (|q(r*)| + |2 tau' log r*|): the floor.
 _REL_TOL = 1e-13
 _FLOOR = 4.0 * float(np.finfo(float).eps)
 
@@ -78,7 +83,7 @@ _FLOOR = 4.0 * float(np.finfo(float).eps)
 # Initial panel boundaries r* +- k*width: the partition the adaptive rule
 # converges to, so most norms need no refinement round.  With
 # t = (r - r*)/width the shifted integrand is about e^{-t^2}, because
-# s (V_tau - V_min) ~ 2 s laplacian(r*) (r - r*)^2 = t^2: half-width panels
+# s (V_tau' - V_min) ~ 2 s laplacian(r*) (r - r*)^2 = t^2: half-width panels
 # cover the bulk out to |t| = 3, unit panels the tail out to |t| = 6, where
 # e^{-36} ~ 2e-16 is below every tolerance, and the doubling offsets beyond
 # bound the panel widths where the integrand leaves its Gaussian form.
@@ -91,18 +96,12 @@ _SEED_T = np.array(sorted({0.0, *_SEED_OFFSETS, *(-k for k in _SEED_OFFSETS)}))
 
 def _peak(p, query):
     """Saddle radius, V minimum, and Gaussian width for the shifted weight."""
-    s = query.s
-    tau = query.tau
-    r_star = solve_r_tau(p, tau)
-    if r_star == 0.0:
-        v_min = p.q_at_zero()
-        dq_star = p.laplacian_at_zero()
-    else:
-        v_min = float(_v_tau0(p, r_star, tau))
-        dq_star = float(p.laplacian(r_star))
+    r_star = solve_r_tau(p, query.level)
+    v_min = float(_v_tau0(p, r_star, query.level))
+    dq_star = float(p.laplacian(r_star))
     if not dq_star > 0.0:
         raise IntegrationError(f"nonpositive Laplacian at the saddle r = {r_star!r}")
-    width = 1.0 / math.sqrt(2.0 * s * dq_star)
+    width = 1.0 / math.sqrt(2.0 * query.s * dq_star)
     return r_star, v_min, width
 
 
@@ -110,26 +109,25 @@ def _r_cut(p, query, r_star, v_min):
     """Truncation radius: first dyadic point where the shifted exponent
     exceeds 40 + log s, capped at the support radius."""
     s = query.s
-    tau = query.tau
     thresh = 40.0 + math.log(s)
     r = max(2.0 * r_star, r_star + 1.0)
     support = p.support_radius
     while r <= 1e300:
         if support is not None and r >= support:
             return support
-        if s * (float(_v_tau0(p, r, tau)) - v_min) >= thresh:
+        if s * (float(_v_tau0(p, r, query.level)) - v_min) >= thresh:
             return r
         r *= 2.0
     raise IntegrationError("failed to locate a truncation radius")
 
 
 def log_norm_exact(p, query):
-    """log h_j by shifted adaptive quadrature.
+    """log h_j by shifted adaptive quadrature of 2 e^{-s V_tau'}, tau' = query.level.
 
-    Accuracy target is max(1e-13, 4 s eps (|q(r*)| + |2 tau log r*|)) on the
-    norm value, the larger term being its roundoff floor at the saddle r*,
-    and about the same absolute error on the log.  A failure re-raises its
-    exception class with the potential name, n, j and ensemble in the message.
+    Accuracy target is max(1e-13, 4 s eps (|q(r*)| + |2 tau' log r*|)) on
+    the norm value, the larger term being its roundoff floor at the saddle
+    r* = r_tau' > 0, and about the same absolute error on the log.  A
+    failure re-raises its class with the potential name, n, j and ensemble.
     """
     try:
         return _log_norm_exact(p, query)
@@ -140,21 +138,21 @@ def log_norm_exact(p, query):
 
 def _log_norm_exact(p, query):
     s = query.s
-    tau = query.tau
+    level = query.level
     r_star, v_min, width = _peak(p, query)
     cut = _r_cut(p, query, r_star, v_min)
-    log_term = 2.0 * tau * math.log(r_star) if r_star > 0.0 else 0.0  # q(r*) - v_min
+    log_term = 2.0 * level * math.log(r_star)  # q(r*) - v_min
     rel_tol = max(_REL_TOL, _FLOOR * s * (abs(v_min + log_term) + abs(log_term)))
 
     seeds = r_star + _SEED_T * width  # integrate drops those outside (0, cut)
 
     def integrand(r):
         # integrate calls this under its own np.errstate, on positive nodes
-        # within an ulp of [0, cut]; cut is a radius below the support that
+        # within an ulp of [0, cut] (none on cut in its first round, where a
+        # hard wall's profile is nan); cut is a radius below the support that
         # _r_cut passed through the checked _v_tau0, or the support radius.
-        # So every node is finite, positive and inside the support, all that
-        # _v_tau0's check would verify, and the formula runs on them directly.
-        return 2.0 * r * np.exp(-s * (_v_tau0_formula(p, r, tau) - v_min))
+        # So every node passes _v_tau0's check, and the formula runs directly.
+        return 2.0 * np.exp(-s * (_v_tau0_formula(p, r, level) - v_min))
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
     if not val > 0.0:

@@ -85,17 +85,18 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     """Integrate a vectorized callable over [a, b].
 
     seeds is an optional 1-D array-like of interior points used as initial
-    panel boundaries (points outside (a, b) are dropped); it lets the caller
-    pre-split around a known sharp peak so the first refinement rounds start
-    from a sensible partition.
+    panel boundaries (points outside (a, b), or within 2^9 ulps of a or b,
+    are dropped); it lets the caller pre-split around a known sharp peak so
+    the first refinement rounds start from a sensible partition.
 
     f is called on 1-D arrays of the 15 Kronrod nodes of each pending panel.
     Every node lies within one ulp of [a, b]: the outermost nodes sit 0.43 %
-    of the half-width inside their panel, so rounding keeps every node in its
+    of the width inside their panel, so rounding keeps every node in its
     panel unless the panel is narrower than 128 ulps, when one node can land
-    an ulp outside.  With a = 0 every node is at least 0 (the first panel's
-    midpoint and half-width are one float) and positive unless the first
-    panel is narrower than 1e-321.
+    an ulp outside.  No first-round node lands on a or b unless b - a is
+    within 2^9 ulps, as the end panels are wider.  With a = 0 every node is
+    at least 0 (the first panel's midpoint and half-width are one float)
+    and positive unless the first panel is narrower than 1e-321.
 
     Returns (value, error_estimate), both finite floats, or raises
     IntegrationError, never a numpy warning: f and the panel sums run under
@@ -129,7 +130,8 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     if seeds.ndim != 1:
         raise DomainError(f"integrate needs 1-D seeds, got shape {seeds.shape}")
     seeds = seeds.astype(float, copy=False).tolist()
-    cuts = np.array(sorted({a, b, *[s for s in seeds if a < s < b]}))
+    lo, hi = a + 512.0 * math.ulp(a), b - 512.0 * math.ulp(b)
+    cuts = np.array(sorted({a, b, *[s for s in seeds if lo < s < hi]}))
     # The panels ordered by left endpoint, as columns of one row per panel
     # (left, right, value, error); most integrals meet their tolerance on
     # this first evaluation, so the table is built at the first split.

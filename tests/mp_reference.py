@@ -5,10 +5,13 @@ the monomial norms of the power-log and hard-wall families, in mpmath.
                   a = (j + 1 + s c) / lam
     TU(alpha, R): log h_j = (j + 1) log beta + log B(j + 1, s alpha + 1)
 
-They hold for any lam, c, alpha and R.  The parameters are read off the
-potential as the floats it evaluates with (beta included), so the
+    dilate(p, a):  log h_j of p + (2j + 2) log a
+
+They hold for any lam, c, alpha, R and a.  The parameters are read off
+the potential as the floats it evaluates with (beta included), so the
 reference and the route integrate the same weight.  norm_bound gives the
-error that log_norm_exact documents for one norm.
+error that log_norm_exact documents for one norm, log_z_bound the error
+of log_z_exact that follows from it.
 """
 
 import math
@@ -17,7 +20,8 @@ import mpmath
 import numpy as np
 
 from coulombgas.droplet import solve_r_tau
-from coulombgas.potential import MittagLeffler, TruncatedUnitary, v_tau
+from coulombgas.norms import NormQuery
+from coulombgas.potential import MittagLeffler, TruncatedUnitary, _Dilated, v_tau
 
 EPS = float(np.finfo(float).eps)
 
@@ -36,6 +40,8 @@ def log_norm(p, j, s):
             b = s * mpmath.mpf(p.alpha) + 1
             log_beta_fn = mpmath.loggamma(j + 1) + mpmath.loggamma(b) - mpmath.loggamma(j + 1 + b)
             return (j + 1) * mpmath.log(beta) + log_beta_fn
+        if isinstance(p, _Dilated):  # q(r / a): h_j scales by a^(2j+2)
+            return log_norm(p._base, j, s) + (2 * j + 2) * mpmath.log(p._a)
     raise TypeError(f"no closed-form norms for {p.name}")
 
 
@@ -59,18 +65,43 @@ def norm_bound(p, query, log_h):
     """Bound on |log_norm_exact(p, query) - log h_j|, fixed from the
     documented contract before any comparison.
 
-    The norm integral meets relative accuracy
-    target = max(1e-13, 4 s eps (|q(r*)| + |2 tau log r*|)), which moves
-    the log by at most target.  The shift v_min = V_tau(r*) cancels between
-    the exponent and -s v_min, so only the rounding of the final
-    -s v_min + log(val) adds: half an ulp each of |s v_min|, of
-    |log val| <= |s v_min| + |log h_j| and of the sum |log h_j|, at most
-    eps (|s v_min| + |log h_j|) in all.
+    The norm integral of e^{-s V_tau'}, tau' = query.level = (j + 1/2)/s,
+    meets relative accuracy
+    target = max(1e-13, 4 s eps (|q(r*)| + |2 tau' log r*|)) at the saddle
+    r* = r_tau' > 0, which moves the log by at most target.  The shift
+    v_min = V_tau'(r*) cancels between the exponent and -s v_min, so only
+    the rounding of the final -s v_min + log(val) adds: half an ulp each
+    of |s v_min|, of |log val| <= |s v_min| + |log h_j| and of the sum
+    |log h_j|, at most eps (|s v_min| + |log h_j|) in all.
     """
-    s, tau = query.s, query.tau
-    r_star = solve_r_tau(p, tau)
-    q_star = float(p.q_derivs(r_star)) if r_star > 0.0 else p.q_at_zero()
-    log_term = 2.0 * tau * math.log(r_star) if r_star > 0.0 else 0.0
-    target = max(1e-13, 4.0 * s * EPS * (abs(q_star) + abs(log_term)))
-    v_min = float(v_tau(p, tau, r_star)) if r_star > 0.0 else q_star
+    s, level = query.s, query.level
+    r_star = solve_r_tau(p, level)
+    log_term = 2.0 * level * math.log(r_star)
+    target = max(1e-13, 4.0 * s * EPS * (abs(float(p.q_derivs(r_star))) + abs(log_term)))
+    v_min = float(v_tau(p, level, r_star))
     return target + EPS * (s * abs(v_min) + abs(log_h))
+
+
+def log_z_bound(p, n, ensemble, ref=None):
+    """Bound on |log_z_exact(p, n, ensemble) - log_z(ref, n, ensemble)|,
+    ref defaulting to p, fixed from the documented contract before any
+    comparison:
+      - each norm is within norm_bound (taken at p, the potential the
+        route runs on) of its closed form at ref;
+      - log_z_exact adds log n! = math.lgamma(n + 1) (within 4 ulp), for
+        the symplectic ensemble n log 2 (1 ulp) and the base (half an
+        ulp), the correctly rounded fsum of the norms (half an ulp of a sum
+        of at most |log Z| + log n! + n log 2) and the last addition (half
+        an ulp of |log Z|).  An ulp of x is at most eps |x|, so this is at
+        most 5 eps (log n! + n log 2 + |log Z|);
+      - the reference itself is exact to far below a float64 ulp.
+    """
+    ref = p if ref is None else ref
+    s = n if ensemble == "normal" else 2 * n
+    degrees = range(n) if ensemble == "normal" else range(1, s, 2)
+    log_hs = [float(log_norm(ref, j, s)) for j in degrees]
+    bound = math.fsum(
+        norm_bound(p, NormQuery(n, j, ensemble), log_h) for j, log_h in zip(degrees, log_hs)
+    )
+    base = math.lgamma(n + 1.0) + (n * math.log(2.0) if ensemble == "symplectic" else 0.0)
+    return bound + 5.0 * EPS * (base + abs(base + math.fsum(log_hs)))

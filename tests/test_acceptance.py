@@ -261,43 +261,39 @@ def test_converge_csv_determinism(tmp_path):
 
 
 # Large-N gate: the exact route against the 40-digit per-degree reference
-# (mp_reference.log_z) at the sizes where the expansion is tested.  The
-# bound is fixed before any run:
-#   - each norm is within mp_reference.norm_bound of its closed form: the
-#     documented per-norm target max(1e-13, its roundoff floor) plus the
-#     rounding of -s v_min + log(val);
-#   - log_z_exact adds log n! = math.lgamma(n + 1) (within 4 ulp), for the
-#     symplectic ensemble n log 2 (1 ulp) and the base (half an ulp), the
-#     correctly rounded fsum of the norms (half an ulp of a sum of at most
-#     |log Z| + log n! + n log 2) and the last addition (half an ulp of
-#     |log Z|).  An ulp of x is at most eps |x|, so this is at most
-#     5 eps (log n! + n log 2 + |log Z|);
-#   - the reference itself is exact to far below a float64 ulp.
-# Ginibre goes through the ML(1, 0) closed form, which evaluates the same
-# q = r^2.
-_EPS = float(np.finfo(float).eps)
-
-
+# (mp_reference.log_z) at the sizes where the expansion is tested, under
+# mp_reference.log_z_bound, fixed before any run: the sum of the documented
+# per-norm bounds plus the rounding of the sum.  Ginibre and the Custom
+# r^2 discs go through the ML(1, 0) closed form of the same q = r^2.
 def _reference_gap_and_bound(p, ref, n, ensemble):
     """|log_z_exact(p) - mp_reference.log_z(ref)| and its bound, with the
     norm bounds taken at p (the potential the route ran on)."""
     want = mp_reference.log_z(ref, n, ensemble)
     got = log_z_exact(p, n, ensemble)
-    s = n if ensemble == "normal" else 2 * n
-    degrees = range(n) if ensemble == "normal" else range(1, s, 2)
-    bound = math.fsum(
-        mp_reference.norm_bound(p, NormQuery(n, j, ensemble),
-                                float(mp_reference.log_norm(ref, j, s)))
-        for j in degrees
-    )
-    log_2n = n * math.log(2.0) if ensemble == "symplectic" else 0.0
-    bound += 5.0 * _EPS * (math.lgamma(n + 1.0) + log_2n + abs(float(want)))
+    bound = mp_reference.log_z_bound(p, n, ensemble, ref)
     return abs(float(mpmath.mpf(got) - want)), bound
 
 
-# Each family with the sizes it runs at.  ML(0.7, 0.3) and TU(0.3, 0.8)
-# have no Barnes-G oracle; they also run at small N, where the saddle of
-# the lowest degrees sits nearest the origin and, for TU, the hard wall.
+def _square_custom(derivs):
+    """q = r^2 as a Custom potential without origin data (no q_origin= or
+    laplacian_origin=), with analytic or finite-difference derivatives."""
+    if derivs == "fd":
+        return Custom(lambda r: r * r, name="custom-r^2-fd")
+    return Custom(lambda r: r * r, derivs=(
+        lambda r: 2.0 * r,
+        lambda r: 2.0 + 0.0 * r,
+        lambda r: 0.0 * r,
+        lambda r: 0.0 * r,
+    ), name="custom-r^2")
+
+
+# Each family with the sizes it runs at.  ML(0.7, 0.3), TU(0.3, 0.8), the
+# ML(lam != 1, 0) discs and the Custom r^2 discs have no Barnes-G oracle at
+# every N; they also run at small N, where the saddle of the lowest degrees
+# sits nearest the origin and, for TU, the hard wall.  The ML(lam != 1, 0)
+# discs have no finite positive Laplacian at the origin and the Custom ones
+# no origin data: the exact route needs none, as its saddle r_tau',
+# tau' = (j + 1/2)/s, is positive for every degree.
 _LARGE_N_FAMILIES = {
     "ml(1,1)": (lambda: MittagLeffler(1.0, 1.0), (400, 800, 1600)),
     "ml(1/2,1)": (lambda: MittagLeffler(0.5, 1.0), (400, 800, 1600)),
@@ -305,6 +301,11 @@ _LARGE_N_FAMILIES = {
     "ginibre": (Ginibre, (400, 800, 1600)),
     "ml(0.7,0.3)": (lambda: MittagLeffler(0.7, 0.3), (10, 100, 1600)),
     "tu(0.3,0.8)": (lambda: TruncatedUnitary(0.3, 0.8), (10, 100, 1600)),
+    "ml(1/2,0)": (lambda: MittagLeffler(0.5, 0.0), (10, 100, 1600)),
+    "ml(2,0)": (lambda: MittagLeffler(2.0, 0.0), (10, 100, 1600)),
+    "ml(1.3,0)": (lambda: MittagLeffler(1.3, 0.0), (10, 100, 1600)),
+    "custom-r^2": (lambda: _square_custom("analytic"), (10, 100, 1600)),
+    "custom-r^2-fd": (lambda: _square_custom("fd"), (10, 100, 1600)),
 }
 
 _LARGE_N_CASES = [
@@ -318,7 +319,7 @@ _LARGE_N_CASES = [
 @pytest.mark.parametrize("family, ensemble, n", _LARGE_N_CASES)
 def test_exact_matches_oracle_large_n(family, ensemble, n):
     p = _LARGE_N_FAMILIES[family][0]()
-    ref = MittagLeffler(1.0, 0.0) if isinstance(p, Ginibre) else p
+    ref = MittagLeffler(1.0, 0.0) if isinstance(p, (Ginibre, Custom)) else p
     t0 = time.perf_counter()
     gap, bound = _reference_gap_and_bound(p, ref, n, ensemble)
     elapsed = time.perf_counter() - t0
@@ -360,6 +361,27 @@ def test_custom_exact_matches_oracle_large_n(derivs, ensemble, n):
         f"quadrature vs 40-digit reference, {p.name} {ensemble} N={n}",
         gap <= bound,
         f"gap {gap:.3e}, bound {bound:.3e}, ratio {gap / bound:.3f}, {elapsed:.2f}s",
+    )
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_dilated_hard_wall_every_size_matches_reference(ensemble):
+    # dilate(TU(1, 1), 0.7) puts seeds r* + k w within a few ulps of the
+    # support radius at some sizes; integrate drops those, so no node lands
+    # on the wall, where the profile is nan.  Every n in 2..119 against the
+    # reference (TU(1, 1)'s norms times a^(2j+2)) under the gate's bound.
+    p = dilate(TruncatedUnitary(1.0, 1.0), 0.7)
+    t0 = time.perf_counter()
+    ratios = []
+    for n in range(2, 120):
+        gap, bound = _reference_gap_and_bound(p, p, n, ensemble)
+        ratios.append((gap / bound, n))
+    worst, worst_n = max(ratios)
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        f"quadrature vs 40-digit reference, {p.name} {ensemble} N=2..119",
+        worst <= 1.0,
+        f"worst ratio {worst:.3f} at N={worst_n}, {elapsed:.2f}s",
     )
 
 

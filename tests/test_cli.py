@@ -5,15 +5,17 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import coulombgas
+import mp_reference
 from coulombgas import cli
 from coulombgas.cli import main
 from coulombgas.errors import IntegrationError, SolverError
 from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_log_z
-from coulombgas.potential import TruncatedUnitary
+from coulombgas.potential import MittagLeffler, TruncatedUnitary
 
 
 def test_droplet_single_line(capsys):
@@ -138,6 +140,31 @@ def test_invalid_potential_exit_code(capsys):
     assert rc == 3
 
 
+_ML_HALF_DISC = ["--potential", "ml", "--lambda", "0.5", "--c", "0", "--N", "50"]
+
+
+def test_exact_on_a_disc_without_origin_laplacian_exits_0(capsys):
+    # The exact route reads no origin data (its saddles r_tau', tau' =
+    # (j + 1/2)/s, are positive), so ML(1/2, 0) gets log Z where the disc
+    # functionals above exit 3.  The value is within mp_reference.log_z_bound
+    # of the 40-digit reference.
+    p = MittagLeffler(0.5, 0.0)
+    out, err, rc = _run(["exact", *_ML_HALF_DISC], capsys)
+    assert rc == 0 and err == ""
+    got = float(out.split("log_z=")[1].split()[0])
+    gap = abs(float(mpmath.mpf(got) - mp_reference.log_z(p, 50, "normal")))
+    assert gap <= mp_reference.log_z_bound(p, 50, "normal")
+
+
+def test_oracle_compare_on_a_disc_without_origin_laplacian(capsys):
+    # The Barnes-G oracle exists for lam = 1/2; the printed difference from
+    # the exact route is within the exact route's reference bound.
+    out, err, rc = _run(["oracle", *_ML_HALF_DISC, "--compare"], capsys)
+    assert rc == 0 and err == ""
+    diff = float(out.split("difference=")[1].split()[0])
+    assert abs(diff) <= mp_reference.log_z_bound(MittagLeffler(0.5, 0.0), 50, "normal")
+
+
 @pytest.mark.parametrize("command, extra", [("droplet", []), ("equilibrium", []),
                                             ("expand", ["--N", "100"])])
 def test_zero_width_droplet_exits_3(capsys, command, extra):
@@ -149,7 +176,8 @@ def test_zero_width_droplet_exits_3(capsys, command, extra):
 
 
 @pytest.mark.parametrize("command, extra", [("equilibrium", []), ("zw", []),
-                                            ("expand", ["--N", "100"])])
+                                            ("expand", ["--N", "100"]),
+                                            ("converge", ["--Ns", "100,200"])])
 @pytest.mark.parametrize("lam", ["0.5", "20"])
 def test_disc_without_origin_laplacian_exits_3(capsys, command, extra, lam):
     out, err, rc = _run([command, "--potential", "ml", "--lambda", lam, "--c", "0", *extra],

@@ -19,6 +19,7 @@ from coulombgas.potential import (
     Custom,
     Ginibre,
     MittagLeffler,
+    RadialPotential,
     TruncatedUnitary,
     dilate,
     v_tau,
@@ -204,19 +205,45 @@ def test_failed_norm_names_its_potential_size_and_degree():
     assert "ensemble=normal" in msg, msg
 
 
-@pytest.mark.parametrize(
-    "p",
-    [MittagLeffler(0.5, 0.0), Custom(lambda r: r * r, name="sq")],
-    ids=["ml-origin-laplacian", "custom-no-origin-value"],
-)
-def test_failed_norm_names_its_potential_once(p):
-    # The potential's own origin check already names it; the norm context
-    # adds n, j and the ensemble without a second copy of the name.
+class _Undefined(RadialPotential):
+    """A profile that refuses every radius with a message naming itself,
+    as the potentials' own checks do."""
+
+    name = "undefined"
+
+    def _profile(self, r, order):
+        raise DomainError(f"{self.name}: no profile at r = {r!r}")
+
+
+def test_failed_norm_names_its_potential_once():
+    # The potential's own error already names it; the norm context adds n,
+    # j and the ensemble without a second copy of the name.
+    p = _Undefined()
     with pytest.raises(DomainError) as exc:
         log_z_exact(p, 10)
     msg = str(exc.value)
     assert msg.count(p.name) == 1, msg
     assert msg.startswith(f"{p.name}, n=10, j=0, ensemble=normal: "), msg
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize(
+    "p, ref",
+    [(MittagLeffler(0.5, 0.0), MittagLeffler(0.5, 0.0)),
+     (Custom(lambda r: r * r, name="sq"), MittagLeffler(1.0, 0.0))],
+    ids=["ml-no-origin-laplacian", "custom-no-origin-data"],
+)
+def test_disc_without_origin_data_matches_the_40_digit_reference(p, ref, ensemble):
+    # Discs without a finite positive Laplacian or a q value at the origin:
+    # the exact route integrates e^{-s V_tau'} with its saddle r_tau' > 0,
+    # tau' = (j + 1/2)/s, so it reads no origin data.  Each norm, j = 0
+    # included, is within mp_reference.norm_bound of its closed form.
+    n = 10
+    for j in range(n) if ensemble == "normal" else range(2 * n):
+        query = NormQuery(n, j, ensemble)
+        want = mp_reference.log_norm(ref, j, query.s)
+        err = abs(float(mpmath.mpf(log_norm_exact(p, query)) - want))
+        assert err <= mp_reference.norm_bound(p, query, float(want)), (query, err)
 
 
 @pytest.mark.parametrize(
@@ -312,28 +339,32 @@ _EVERY_KIND = [
 
 @pytest.mark.parametrize("p", _EVERY_KIND, ids=lambda p: p.name)
 def test_integrand_v_tau_is_v_tau_bit_for_bit(monkeypatch, p):
-    # The norm integrand checks tau once per norm and calls the order-0
-    # formula on each node array; on the arrays it is handed that must be
-    # v_tau exactly, and v_tau must be q - 2 tau log r exactly.
-    nodes = []
+    # The norm integrand is 2 e^{-s (V_tau'(r) - V_tau'(r*))} at the level
+    # tau' = query.level, r* = r_tau', with the order-0 formula called on
+    # each node array; on the arrays it is handed that must be v_tau at
+    # tau' exactly, and v_tau must be q - 2 tau' log r exactly.
+    calls = []
     integrate = norms.integrate
 
     def recording(f, *args, **kwargs):
         def g(r):
-            nodes.append(r.copy())
-            return f(r)
+            calls.append((r.copy(), f(r)))
+            return calls[-1][1]
 
         return integrate(g, *args, **kwargs)
 
     monkeypatch.setattr(norms, "integrate", recording)
     for j in (0, 7, 19):
         query = NormQuery(20, j, "symplectic")
-        del nodes[:]
+        level = query.level
+        v_min = v_tau(p, level, droplet.solve_r_tau(p, level))
+        del calls[:]
         log_norm_exact(p, query)
-        for r in nodes:
-            helper = potential._v_tau0(p, p._checked(r), query.tau)
-            assert np.array_equal(helper, v_tau(p, query.tau, r))
-            assert np.array_equal(helper, p.q_derivs(r) - 2.0 * query.tau * np.log(r))
+        for r, y in calls:
+            helper = potential._v_tau0(p, p._checked(r), level)
+            assert np.array_equal(helper, v_tau(p, level, r))
+            assert np.array_equal(helper, p.q_derivs(r) - 2.0 * level * np.log(r))
+            assert np.array_equal(y, 2.0 * np.exp(-query.s * (helper - v_min)))
 
 
 def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monkeypatch):

@@ -200,6 +200,17 @@ def test_seeds_outside_interval_ignored():
     assert abs(val - 0.5) < 1e-14
 
 
+def test_seeds_a_few_ulps_from_an_end_are_dropped():
+    # A hard wall: the integrand is nan at and beyond b.  A seed 2 ulps
+    # below b would make a 2-ulp panel whose nodes round onto b; seeds
+    # within 2^9 ulps of an end are dropped, so every node stays inside.
+    b = 0.9899494936611666  # dilate(TruncatedUnitary(1, 1), 0.7)'s support radius
+    f = lambda x: np.where(x < b, np.cos(x), np.nan)
+    for seed in (b - 2.0 * math.ulp(b), math.ulp(0.0)):
+        val, _ = integrate(f, 0.0, b, seeds=(0.5, seed))
+        assert abs(val - math.sin(b)) < 1e-14, seed
+
+
 def test_interval_whose_midpoints_overflow_raises():
     # With |a| + |b| beyond float64, a + b or b - a overflows, so a panel's
     # midpoint or half-width would be inf and its nodes inf or nan.
@@ -229,12 +240,15 @@ def _interval_and_seeds(draw):
         b = a + 10.0 ** draw(st.floats(-6.0, 6.0))
     assume(a < b)
     seeds = [a + t * (b - a) for t in draw(st.lists(st.floats(-0.5, 1.5), max_size=6))]
+    near_ends = draw(st.lists(st.integers(-1000, 1000), max_size=2))  # ulps from an end
+    seeds += [b + k * math.ulp(b) if k < 0 else a + k * math.ulp(a) for k in near_ends]
     return a, b, seeds
 
 
 # The nodes the docstring promises f: within one ulp of [a, b], inside
-# their own panel unless it is narrower than 128 ulps, and positive for
-# a = 0.  The norm integrand relies on this to skip the domain check.
+# their own panel unless it is narrower than 128 ulps, positive for a = 0,
+# and in the first round strictly inside (a, b) unless b - a is within
+# 2^9 ulps.  The norm integrand relies on this to skip the domain check.
 # Each integrand forces refinement rounds: a square-root cusp at either end
 # or a narrow peak.
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -272,6 +286,9 @@ def test_nodes_lie_in_their_panels_and_in_the_interval(case, kind, at):
         assert np.all(x <= math.nextafter(b, math.inf))
         if a == 0.0:
             assert np.all(x > 0.0)
+    if b - a > 512 * math.ulp(max(abs(a), abs(b))):
+        x = seen[0][2]
+        assert np.all(a < x) and np.all(x < b)
 
 
 @pytest.mark.parametrize(
