@@ -215,15 +215,18 @@ class _Undefined(RadialPotential):
         raise DomainError(f"{self.name}: no profile at r = {r!r}")
 
 
-def test_failed_norm_names_its_potential_once():
+@pytest.mark.parametrize("ensemble, j", [("normal", 0), ("symplectic", 1)],
+                         ids=["normal", "symplectic"])
+def test_norm_failure_names_its_potential_once(ensemble, j):
     # The potential's own error already names it; the norm context adds n,
-    # j and the ensemble without a second copy of the name.
+    # j and the ensemble without a second copy of the name.  j is the
+    # ensemble's first degree, where log_z_exact fails first.
     p = _Undefined()
     with pytest.raises(DomainError) as exc:
-        log_z_exact(p, 10)
+        log_z_exact(p, 10, ensemble)
     msg = str(exc.value)
     assert msg.count(p.name) == 1, msg
-    assert msg.startswith(f"{p.name}, n=10, j=0, ensemble=normal: "), msg
+    assert msg.startswith(f"{p.name}, n=10, j={j}, ensemble={ensemble}: "), msg
 
 
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
