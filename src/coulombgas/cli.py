@@ -4,9 +4,10 @@ Subcommands: droplet, equilibrium, zw, norm, exact, expand, oracle, lemmas,
 converge.  Potentials are chosen with --potential ginibre|ml|tu plus the
 family's parameters.  Output formats: text (key=value lines, %.17g floats),
 csv (key,value rows; converge emits its table schema), json.  Exit codes:
-0 success, 2 usage, 3 domain or invalid-potential errors, 4 solver or
-quadrature failures.  The parser is built on the first main() call and
-reused by every later call in the same process.
+0 success, 2 usage (an --out path that cannot be written included), 3
+domain or invalid-potential errors, 4 solver or quadrature failures.  The
+parser is built on the first main() call and reused by every later call in
+the same process.
 """
 
 import argparse
@@ -335,7 +336,11 @@ def main(argv=None):
     except (SolverError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    _emit(payload, args.out)
+    try:
+        _emit(payload, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

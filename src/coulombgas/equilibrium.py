@@ -243,7 +243,7 @@ def zw_coefficients(p, droplet=None):
     d = _droplet(p, droplet, "disc", "zw_coefficients")
     _require_origin_laplacian(p)
     x1 = d.r1**2
-    lo = _DISC_CUT * x1
+    lo = _inner_cut(d) ** 2  # the radial integrals' cut, squared
 
     def f0_integrand(x):
         r = np.sqrt(x)

@@ -15,7 +15,7 @@ degrees over a disc droplet, and the gated high-degree form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,26 +39,25 @@ class NormQuery:
     """Degree j norm request at matrix size n for one ensemble.
 
     n and j follow the rules of the matrix size check (bools, nan, inf and
-    non-integers raise DomainError) and are stored as ints.
+    non-integers raise DomainError) and are stored as ints.  k is the
+    ensemble's factor (1 normal, 2 symplectic) and s = k n the inverse
+    temperature scale in the weight e^{-s q}.
     """
 
     n: int
     j: int
     ensemble: str = "normal"
+    k: int = field(init=False, repr=False)
+    s: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_ensemble(self.ensemble)
-        object.__setattr__(self, "n", _check_n(self.n))
-        if not _is_integer(self.j) or not 0 <= self.j <= self.s - 1:
-            raise DomainError(
-                f"degree must be an integer in [0, {self.s - 1}], got {self.j!r}"
-            )
-        object.__setattr__(self, "j", int(self.j))
-
-    @property
-    def s(self):
-        """Inverse temperature scale in the weight e^{-s q}."""
-        return self.n if self.ensemble == "normal" else 2 * self.n
+        k = _check_ensemble(self.ensemble)
+        n = _check_n(self.n)
+        s = k * n
+        if not _is_integer(self.j) or not 0 <= self.j <= s - 1:
+            raise DomainError(f"degree must be an integer in [0, {s - 1}], got {self.j!r}")
+        for name, value in (("n", n), ("j", int(self.j)), ("k", k), ("s", s)):
+            object.__setattr__(self, name, value)
 
     @property
     def tau(self):
@@ -68,6 +67,11 @@ class NormQuery:
     def level(self):
         """tau' = (j + 1/2)/s, the level of the exact route's e^{-s V_tau'}."""
         return (self.j + 0.5) / self.s
+
+
+def _degrees(k, n):
+    """The degrees k-1, 2k-1, ..., kn-1 whose norms make up log Z_n."""
+    return range(k - 1, k * n, k)
 
 
 # Relative accuracy of every norm integral whose roundoff floor is lower.
@@ -164,7 +168,7 @@ def _laplace_value(p, s, tau):
     r = solve_r_tau(p, tau)
     if r == 0.0:
         raise DomainError(
-            "the Laplace form needs a positive saddle radius; "
+            f"{p.name}: the Laplace form needs a positive saddle radius; "
             "use the low-degree form for small j over a disc droplet"
         )
     dq = float(p.laplacian(r))
@@ -198,16 +202,14 @@ def log_norm_lowdeg(p, query):
 def log_norm_highdeg(p, query):
     """Laplace form of log h_j gated to degrees above the splitting scale.
 
-    Requires a disc droplet and j >= n^(1/6) (twice that for the symplectic
-    grid), the regime where the saddle is uniformly separated from the
+    Requires a disc droplet and j >= k n^(1/6), k = 2 for the symplectic
+    grid, the regime where the saddle is uniformly separated from the
     origin.
     """
     _droplet(p, kind="disc", what="log_norm_highdeg")
-    gate = query.n ** (1.0 / 6.0)
-    if query.ensemble == "symplectic":
-        gate *= 2.0
+    gate = query.k * query.n ** (1.0 / 6.0)
     if query.j < gate:
         raise DomainError(
-            f"degree {query.j} below the high-degree gate {gate!r} at n = {query.n}"
+            f"{p.name}: degree {query.j} below the high-degree gate {gate!r} at n = {query.n}"
         )
     return _laplace_value(p, query.s, query.tau)

@@ -59,16 +59,10 @@ def ml_log_z(lam, c, n, ensemble="normal"):
     lam = _check_positive("lam", lam)
     c = _check_nonnegative("c", c)
     n = _check_n(n)
-    _check_ensemble(ensemble)
-
-    if ensemble == "normal":
-        p = _as_int(1.0 / lam, "1/lam")
-        log_base = math.log(n)
-        step = lam
-    else:
-        p = _as_int(2.0 / lam, "2/lam")
-        log_base = math.log(2 * n)
-        step = lam / 2.0
+    k = _check_ensemble(ensemble)
+    p = _as_int(k / lam, f"{k}/lam")
+    log_base = math.log(k * n)
+    step = lam / k
 
     # sum over degrees of the power-of-base and power-of-p prefactors:
     # p * (n(n+1)/2 + c n^2) appears against both log(base) and log(p).

@@ -28,7 +28,7 @@ from .equilibrium import (
     log_potential_origin,
 )
 from .errors import DomainError, _in_context
-from .norms import _REL_TOL, NormQuery, log_norm_exact
+from .norms import _REL_TOL, NormQuery, _degrees, log_norm_exact
 from .potential import _check_ensemble, _check_n, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
@@ -64,18 +64,9 @@ def log_z_exact(p, n, ensemble="normal", *, threads=1):
     ignored: a thread pool only slowed the GIL-bound norm loop down.
     """
     n = _check_n(n)
-    _check_ensemble(ensemble)
-    if ensemble == "normal":
-        degrees = range(n)
-    else:
-        degrees = range(1, 2 * n, 2)
-
-    vals = [log_norm_exact(p, NormQuery(n=n, j=j, ensemble=ensemble)) for j in degrees]
-
-    base = ln_factorial(n)
-    if ensemble == "symplectic":
-        base += n * math.log(2.0)
-    return base + math.fsum(vals)
+    k = _check_ensemble(ensemble)
+    vals = [log_norm_exact(p, NormQuery(n, j, ensemble)) for j in _degrees(k, n)]
+    return ln_factorial(n) + n * math.log(k) + math.fsum(vals)
 
 
 @dataclass(frozen=True)
@@ -194,10 +185,8 @@ def lemma_sum(p, n, which):
         raise DomainError(f"{p.name}: which must be one of {_LEMMA_VARIANTS}, got {which!r}")
     d = _droplet(p, kind="annulus", what="lemma_sum")
 
-    if which.endswith("_normal"):
-        taus = [j / n for j in range(n)]
-    else:
-        taus = [(2 * j + 1) / (2 * n) for j in range(n)]
+    k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
+    taus = [j / (k * n) for j in _degrees(k, n)]
     radii = [solve_r_tau(p, t) for t in taus]
 
     if which.startswith("sum_v"):
@@ -267,9 +256,10 @@ def convergence_study(
 
     exact_fn, when given, supplies the physics-convention log Z_n directly
     (a closed-form oracle, say); together with a precomputed equilibrium
-    report this path runs no quadrature at all.  Residuals below 1e-12 in
-    magnitude are treated as underflow of the comparison: the fit is
-    skipped and reported as NaN with the underflow flag set.
+    report this path runs no quadrature at all; a non-finite value raises
+    DomainError naming n.  Residuals below 1e-12 in magnitude are treated
+    as underflow of the comparison: the fit is skipped and reported as NaN
+    with the underflow flag set.
     """
     ns = sorted({_check_n(n) for n in ns})
     if len(ns) < 2:
@@ -282,6 +272,8 @@ def convergence_study(
     for n in ns:
         if exact_fn is not None:
             exact = float(exact_fn(n))
+            if not math.isfinite(exact):
+                raise DomainError(f"{p.name}: exact_fn gave log Z = {exact!r} at n = {n}")
         else:
             exact = log_z_exact(p, n, ensemble)
         if convention == "canonical":

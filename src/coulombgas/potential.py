@@ -21,6 +21,7 @@ Laplacian of Q.
 
 import math
 import numbers
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -28,14 +29,19 @@ from .errors import DomainError, UnsupportedOrderError
 
 _EPS = np.finfo(float).eps
 
-# Ensemble names and the argument checks shared by every module that takes
+# Ensemble names with k (weight e^{-kn q}, log Z over log(k h_j), j = k-1,
+# 2k-1, ..., kn-1) and the argument checks shared by every module that takes
 # numbers from a caller; underscored so they stay out of the public API.
-_ENSEMBLES = ("normal", "symplectic")
+_ENSEMBLE_K = {"normal": 1, "symplectic": 2}
+_ENSEMBLES = tuple(_ENSEMBLE_K)
 
 
 def _check_ensemble(ensemble):
+    """k of the ensemble, 1 for normal and 2 for symplectic: the one map
+    from a name to the convention.  Other names raise DomainError."""
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"ensemble must be one of {_ENSEMBLES}, got {ensemble!r}")
+    return _ENSEMBLE_K[ensemble]
 
 
 def _is_real(x):
@@ -370,27 +376,35 @@ _FD_STENCILS = {
 class Custom(RadialPotential):
     """User-supplied radial profile, optionally with analytic derivatives.
 
-    When derivs (a sequence of callables for q', q'', q''', q'''') is not
-    given, derivatives fall back to fourth-order central differences with
-    step h = max(r, 1) * eps^(1/6), shrunk near the origin so stencil
-    points stay positive.  Pass vectorized=False for callables that only
-    accept scalars; scalar results are taken as Python floats, and numpy
-    calls a callable makes on a Python float follow numpy's own error
-    settings.  q_origin, when given, must be a finite real and
-    laplacian_origin a finite positive real; anything else raises
+    q must be callable, and derivs, when given, an iterable of exactly
+    four callables for q', q'', q''', q''''; anything else raises
+    DomainError.  Without derivs, derivatives fall back to fourth-order
+    central differences with step h = max(r, 1) * eps^(1/6), shrunk near
+    the origin so stencil points stay positive.  Pass vectorized=False for
+    callables that only accept scalars; scalar results are taken as Python
+    floats, and numpy calls a callable makes on a Python float follow
+    numpy's own error settings.  q_origin, when given, must be a finite
+    real and laplacian_origin a finite positive real; anything else raises
     DomainError.
     """
 
     def __init__(self, q, derivs=None, support_radius=None, q_origin=None,
                  laplacian_origin=None, vectorized=True, name="custom"):
-        if derivs is not None and len(derivs) != 4:
-            raise DomainError("derivs must supply exactly four callables (q' .. q'''')")
+        if not callable(q):
+            raise DomainError(f"q must be callable, got {q!r}")
+        if derivs is not None:
+            given = derivs
+            derivs = list(given) if isinstance(given, Iterable) else []
+            if len(derivs) != 4 or not all(map(callable, derivs)):
+                raise DomainError(
+                    f"derivs must supply exactly four callables (q' .. q''''), got {given!r}"
+                )
         if not vectorized:
             q = np.vectorize(q, otypes=[float])
             if derivs is not None:
                 derivs = [np.vectorize(d, otypes=[float]) for d in derivs]
         self._q = q
-        self._derivs = list(derivs) if derivs is not None else None
+        self._derivs = derivs
         if support_radius is not None:
             support_radius = _check_positive("support_radius", support_radius)
         self.support_radius = support_radius

@@ -3,9 +3,9 @@
 The integrand must accept a 1-D numpy array and return an array of the same
 shape.  All panels pending in a refinement round are evaluated in a single
 batched call, which keeps Python overhead low when the integrand is built
-from vectorized potential evaluations.  The returned value is a compensated
-sum over panels ordered by their left endpoint, so results do not depend on
-the history of panel splits or on any threading in the caller.
+from vectorized potential evaluations.  The returned value is the math.fsum
+of the panel values, correctly rounded whatever their order, so it does not
+depend on the order of the panels or on the history of panel splits.
 """
 
 import math

@@ -274,6 +274,17 @@ def test_converge_deterministic_across_threads(tmp_path, capsys):
     assert header == "N,log_z_exact,log_z_asymptotic,residual"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_path_is_a_usage_error(where, tmp_path, capsys):
+    target = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    rc = main(["droplet", "--potential", "ginibre", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_converge_rejects_bad_ns():
     with pytest.raises(SystemExit) as exc:
         main(

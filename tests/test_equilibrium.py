@@ -113,6 +113,34 @@ def test_zw_coefficients_match_named_functionals():
         assert abs(zw.f1 - f_disc(p)) < 1e-9, p
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _tu_entropy_terms(alpha, R):
+    ell = math.log(alpha / (1.0 + alpha))
+    return (-2.0, -(1.0 + 2.0 * alpha) * ell, -2.0 * math.log(R))
+
+
+@pytest.mark.parametrize("p, terms", [
+    (TruncatedUnitary(1.0, 1.0), _tu_entropy_terms(1.0, 1.0)),
+    (TruncatedUnitary(0.3, 0.8), _tu_entropy_terms(0.3, 0.8)),
+    (TruncatedUnitary(3.0, 2.0), _tu_entropy_terms(3.0, 2.0)),
+    (Ginibre(1.3), (-2.0 * math.log(1.3),)),
+    (dilate(Ginibre(), 1.314155), (-2.0 * math.log(1.314155),)),
+], ids=["tu-1-1", "tu-0.3-0.8", "tu-3-2", "ginibre-1.3", "dilated-ginibre"])
+def test_zw_f_half_meets_its_integral_target_against_the_closed_entropy(p, terms):
+    # f_half = -(1/2) * integral of s log s dx, the integral taken to
+    # max(1e-16, 1e-13 |integral|) with nothing cut below x = (1e-12 r1)^2,
+    # the cut of every radial disc integral: |f_half + S/2| is at most
+    # 1e-13 |f_half| + 1e-16 plus the rounding of S = sum(terms) (a few
+    # eps per term, 4 eps of their total) and of the final sum (eps).
+    entropy_closed = math.fsum(terms)
+    f_half = zw_coefficients(p).f_half
+    bound = (1e-13 * abs(f_half) + 1e-16
+             + 4.0 * _EPS * sum(abs(t) for t in terms) + _EPS * abs(f_half))
+    assert abs(f_half + 0.5 * entropy_closed) <= bound
+
+
 def test_equilibrium_report_bundles_everything():
     p = TruncatedUnitary(1.0, 1.0)
     rep = equilibrium_report(p)

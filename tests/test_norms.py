@@ -229,6 +229,22 @@ def test_norm_failure_names_its_potential_once(ensemble, j):
     assert msg.startswith(f"{p.name}, n=10, j={j}, ensemble={ensemble}: "), msg
 
 
+@pytest.mark.parametrize("p", [Ginibre(), TruncatedUnitary(1.0, 1.0)], ids=["ginibre", "tu"])
+@pytest.mark.parametrize("route, query", [
+    (log_norm_laplace, NormQuery(5, 0)),
+    (log_norm_laplace, NormQuery(5, 0, "symplectic")),
+    (log_norm_highdeg, NormQuery(64, 1)),
+    (log_norm_highdeg, NormQuery(64, 3, "symplectic")),
+], ids=["laplace-origin", "laplace-origin-symplectic", "highdeg-gate",
+        "highdeg-gate-symplectic"])
+def test_norm_route_guards_name_the_potential_once(p, route, query):
+    with pytest.raises(DomainError) as exc:
+        route(p, query)
+    msg = str(exc.value)
+    assert msg.startswith(f"{p.name}: "), msg
+    assert msg.count(p.name) == 1, msg
+
+
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
 @pytest.mark.parametrize(
     "p, ref",

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -313,6 +314,20 @@ def test_convergence_study_input_validation():
         convergence_study(p, (5, 100), "normal", "physics")
     with pytest.raises(DomainError):
         convergence_study(p, (100,), "normal", "physics")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_exact_log_z_names_n_and_value(bad):
+    def exact_fn(n):
+        return bad if n == 200 else ml_log_z(1.0, 1.0, n, "normal")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            _ml11_study("physics", exact_fn=exact_fn)
+    msg = str(exc.value)
+    assert msg.startswith("ml(lam=1.0, c=1.0): ")
+    assert f"log Z = {bad!r} at n = 200" in msg
 
 
 def test_convergence_study_dedupes_and_sorts():

@@ -450,6 +450,35 @@ def test_custom_origin_data_accepts_reals():
     assert Custom(lambda r: r * r - 2.0, q_origin=-2).q_at_zero() == -2.0
 
 
+def _sq_derivs():
+    return [lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r]
+
+
+@pytest.mark.parametrize("make", [list, tuple, iter, lambda ds: (d for d in ds)],
+                         ids=["list", "tuple", "iterator", "generator"])
+def test_custom_accepts_any_iterable_of_four_callables(make):
+    p = Custom(lambda r: r * r, derivs=make(_sq_derivs()))
+    want = Custom(lambda r: r * r, derivs=_sq_derivs())
+    r = np.array([0.25, 1.0, 3.0])
+    for order in range(5):
+        assert np.array_equal(p.q_derivs(r, order), want.q_derivs(r, order)), order
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"q": 3.0},
+    {"q": None},
+    {"q": lambda r: r * r, "derivs": [1, 2, 3, 4]},
+    {"q": lambda r: r * r, "derivs": "abcd"},
+    {"q": lambda r: r * r, "derivs": (d for d in _sq_derivs()[:3])},
+    {"q": lambda r: r * r, "derivs": _sq_derivs() + [lambda r: r]},
+    {"q": lambda r: r * r, "derivs": lambda r: 2.0 * r},
+], ids=["q-float", "q-none", "derivs-ints", "derivs-str", "derivs-three-generated",
+        "derivs-five", "derivs-one-callable"])
+def test_custom_rejects_non_callables_and_wrong_counts(kwargs):
+    with pytest.raises(DomainError, match="must be callable|exactly four callables"):
+        Custom(**kwargs)
+
+
 def test_dilate_by_a_huge_factor_gives_zero_not_an_overflow():
     # a**4 and a**2 overflow; q(r / a) has derivatives a^-k q^(k), which are 0
     # in floating point, as for a one-element array.
