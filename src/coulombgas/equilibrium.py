@@ -1,12 +1,13 @@
 """Equilibrium-measure functionals of a radial potential.
 
 For an admissible radial potential the equilibrium measure is
-2 r laplacian(r) dr on [r0, r1].  This module evaluates the energy,
-entropy and origin log-potential of that measure, the order-one
-free-energy terms for annular and disc droplets, the pointwise 1/s
-correction entering norm asymptotics, and the planar free-energy
-coefficients in the squared-radius parametrization used for the
-self-consistency checks.
+2 r laplacian(r) dr on [r0, r1], or laplacian(sqrt(x)) dx in x = r^2:
+every integral here runs over [r0^2, r1^2], from x = 0 for a disc.
+This module evaluates the energy, entropy and origin log-potential of
+that measure, the order-one free-energy terms for annular and disc
+droplets, the pointwise 1/s correction entering norm asymptotics, and
+the planar free-energy coefficients in the squared-radius
+parametrization used for the self-consistency checks.
 """
 
 import math
@@ -18,8 +19,6 @@ from .droplet import Droplet, _droplet, _positive_origin_laplacian
 from .errors import CoulombGasError, InvalidPotentialError, _in_context
 from .potential import _evaluate
 from .quadrature import integrate
-
-_DISC_CUT = 1e-12  # relative inner cutoff for disc-case radial integrals
 
 
 @dataclass(frozen=True)
@@ -38,37 +37,33 @@ class EquilibriumReport:
     droplet: Droplet
 
 
-def _inner_cut(d):
-    return d.r0 if d.kind == "annulus" else _DISC_CUT * d.r1
-
-
-def _integral(f, a, b):
-    """Integral of f over [a, b] under the equilibrium quadrature policy.
+def _integral(f, d):
+    """Integral of f(x) dx over droplet d in x = r^2, on [r0^2, r1^2].
 
     Where f's noise sits above the 1e-13 target, as with finite-difference
     derivatives, refinement stalls and integrate raises IntegrationError.
     integrate is looked up as a module global on every call, so a wrapper
     at equilibrium.integrate sees each integral.
     """
-    val, _ = integrate(f, a, b, rel_tol=1e-13, abs_tol=1e-16)
+    val, _ = integrate(f, d.r0**2, d.r1**2, rel_tol=1e-13, abs_tol=1e-16)
     return val
 
 
 def mu_mass(p, droplet=None):
     """Total mass of 2 r laplacian(r) dr over the droplet (should be 1)."""
     d = _droplet(p, droplet)
-    return _integral(lambda r: 2.0 * r * p.laplacian(r), _inner_cut(d), d.r1)
+    return _integral(lambda x: p.laplacian(np.sqrt(x)), d)
 
 
 def energy(p, droplet=None):
     """Weighted logarithmic energy of the equilibrium measure.
 
-    Evaluates q(r1) - log r1 - (1/4) * integral of r q'(r)^2 over the
-    droplet.
+    Evaluates q(r1) - log r1 - (1/8) * integral of q'(sqrt(x))^2 dx over
+    the droplet.
     """
     d = _droplet(p, droplet)
-    val = _integral(lambda r: r * p.q_derivs(r, 1) ** 2, _inner_cut(d), d.r1)
-    return float(p.q_derivs(d.r1, 0)) - math.log(d.r1) - 0.25 * val
+    val = _integral(lambda x: p.q_derivs(np.sqrt(x), 1) ** 2, d)
+    return float(p.q_derivs(d.r1, 0)) - math.log(d.r1) - 0.125 * val
 
 
 def entropy(p, droplet=None):
@@ -79,11 +74,11 @@ def entropy(p, droplet=None):
     """
     d = _droplet(p, droplet)
 
-    def f(r):
-        dq = p.laplacian(r)
-        return np.log(dq) * 2.0 * r * dq
+    def f(x):
+        dq = p.laplacian(np.sqrt(x))
+        return np.log(dq) * dq
 
-    return _integral(f, _inner_cut(d), d.r1)
+    return _integral(f, d)
 
 
 def log_potential_origin(p, droplet=None):
@@ -126,7 +121,7 @@ def _f_term(p, d):
 
     (1/12) log(r0^2 laplacian(r0) / (r1^2 laplacian(r1)))
     - (r1 laplacian'(r1)/laplacian(r1) - r0 laplacian'(r0)/laplacian(r0)) / 16
-    + (1/24) * integral of (laplacian'/laplacian)^2 r over the droplet; a
+    + (1/48) * integral of (laplacian'/laplacian)^2 dx over the droplet; a
     disc has no inner edge, so its inner factor is 1 and its inner edge
     term 0.
     """
@@ -141,21 +136,22 @@ def _f_term(p, d):
         inner = 1.0
         inner_edge = 0.0
 
-    def f(r):
-        return (p.laplacian_dr(r) / p.laplacian(r)) ** 2 * r
+    def f(x):
+        r = np.sqrt(x)
+        return (p.laplacian_dr(r) / p.laplacian(r)) ** 2
 
-    val = _integral(f, _inner_cut(d), d.r1)
+    val = _integral(f, d)
     return (
         math.log(inner / (d.r1**2 * dq1)) / 12.0
         - (d.r1 * ratio1 - inner_edge) / 16.0
-        + val / 24.0
+        + val / 48.0
     )
 
 
 def _require_origin_laplacian(p):
     """The disc functionals whose integrand runs into the origin assume ΔQ(0)
     finite and > 0; without it the integrand diverges (like
-    (2 lam - 2)^2 / r for ML(lam, 0)) and the value depends on _DISC_CUT."""
+    (2 lam - 2)^2 / (2 x) for ML(lam, 0)) and has no finite value."""
     if not _positive_origin_laplacian(p):
         raise InvalidPotentialError(
             f"{p.name}: the disc functionals assume ΔQ(0) finite and > 0, "
@@ -178,25 +174,26 @@ def f_disc_chi_form(p, droplet=None):
 
     Splits the same quantity as f_disc into boundary, curvature, zero-mode
     and Dirichlet-energy pieces:
-    (1/12) log(1/r1^2) - chi(r1)/6 - (1/8) * integral of (chi'' r + chi')
-    + (1/6) * integral of chi'^2 r.  Used as an independent evaluation
-    route for cross-checking.
+    (1/12) log(1/r1^2) - chi(r1)/6 - (1/8) * integral of (chi'' r + chi') dr
+    + (1/6) * integral of chi'^2 r dr, taken in x = r^2 as (chi'' + chi'/r)/2
+    and chi'^2/2 dx.  Used as an independent evaluation route for
+    cross-checking.
     """
     d = _droplet(p, droplet, "disc", "f_disc_chi_form")
     _require_origin_laplacian(p)
     dq1 = float(p.laplacian(d.r1))
-    lo = _inner_cut(d)
 
     def chi_prime(r):
         return p.laplacian_dr(r) / (2.0 * p.laplacian(r))
 
-    def zero_mode(r):
+    def zero_mode(x):
+        r = np.sqrt(x)
         dq = p.laplacian(r)
         chi2 = p.laplacian_dr2(r) / (2.0 * dq) - p.laplacian_dr(r) ** 2 / (2.0 * dq**2)
-        return chi2 * r + chi_prime(r)
+        return 0.5 * (chi2 + chi_prime(r) / r)
 
-    zm = _integral(zero_mode, lo, d.r1)
-    dir_en = _integral(lambda r: chi_prime(r) ** 2 * r, lo, d.r1)
+    zm = _integral(zero_mode, d)
+    dir_en = _integral(lambda x: 0.5 * chi_prime(np.sqrt(x)) ** 2, d)
     return (
         math.log(1.0 / d.r1**2) / 12.0
         - 0.5 * math.log(dq1) / 6.0
@@ -208,13 +205,13 @@ def f_disc_chi_form(p, droplet=None):
 def b1_integral(p, droplet=None):
     """Integral of b1 against the equilibrium measure, two ways.
 
-    Returns (direct, identity): the direct quadrature of b1 * 2 r laplacian
+    Returns (direct, identity): the direct quadrature of b1 * laplacian dx
     over the annulus, and the closed combination
     f_annulus - (1/4) log(laplacian(r1)/laplacian(r0)) + (1/3) log(r1/r0)
     that must agree with it.
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
-    direct = _integral(lambda r: b1(p, r) * 2.0 * r * p.laplacian(r), d.r0, d.r1)
+    direct = _integral(lambda x: b1(p, np.sqrt(x)) * p.laplacian(np.sqrt(x)), d)
     dq0 = float(p.laplacian(d.r0))
     dq1 = float(p.laplacian(d.r1))
     identity = (
@@ -243,7 +240,6 @@ def zw_coefficients(p, droplet=None):
     d = _droplet(p, droplet, "disc", "zw_coefficients")
     _require_origin_laplacian(p)
     x1 = d.r1**2
-    lo = _inner_cut(d) ** 2  # the radial integrals' cut, squared
 
     def f0_integrand(x):
         r = np.sqrt(x)
@@ -259,9 +255,9 @@ def zw_coefficients(p, droplet=None):
         r = np.sqrt(x)
         return p.laplacian_dr(r) / (4.0 * r * p.laplacian(r))
 
-    f0 = _integral(f0_integrand, lo, x1)
-    fh = _integral(f_half_integrand, lo, x1)
-    dirich = _integral(lambda x: x * chi_prime_x(x) ** 2, lo, x1)
+    f0 = _integral(f0_integrand, d)
+    fh = _integral(f_half_integrand, d)
+    dirich = _integral(lambda x: x * chi_prime_x(x) ** 2, d)
     dq1 = float(p.laplacian(d.r1))
     chi1 = 0.5 * math.log(dq1)
     chi1_prime = float(p.laplacian_dr(d.r1)) / (4.0 * d.r1 * dq1)

@@ -385,19 +385,20 @@ class Custom(RadialPotential):
     floats, and numpy calls a callable makes on a Python float follow
     numpy's own error settings.  q_origin, when given, must be a finite
     real and laplacian_origin a finite positive real; anything else raises
-    DomainError.
+    DomainError.  Each of these messages starts with "name: ".
     """
 
     def __init__(self, q, derivs=None, support_radius=None, q_origin=None,
                  laplacian_origin=None, vectorized=True, name="custom"):
         if not callable(q):
-            raise DomainError(f"q must be callable, got {q!r}")
+            raise DomainError(f"{name}: q must be callable, got {q!r}")
         if derivs is not None:
             given = derivs
             derivs = list(given) if isinstance(given, Iterable) else []
             if len(derivs) != 4 or not all(map(callable, derivs)):
                 raise DomainError(
-                    f"derivs must supply exactly four callables (q' .. q''''), got {given!r}"
+                    f"{name}: derivs must supply exactly four callables (q' .. q''''), "
+                    f"got {given!r}"
                 )
         if not vectorized:
             q = np.vectorize(q, otypes=[float])
@@ -406,14 +407,16 @@ class Custom(RadialPotential):
         self._q = q
         self._derivs = derivs
         if support_radius is not None:
-            support_radius = _check_positive("support_radius", support_radius)
+            support_radius = _check_positive(f"{name}: support_radius", support_radius)
         self.support_radius = support_radius
         if q_origin is not None:
             if not _is_real(q_origin):
-                raise DomainError(f"q_origin must be a finite real number, got {q_origin!r}")
+                raise DomainError(
+                    f"{name}: q_origin must be a finite real number, got {q_origin!r}"
+                )
             q_origin = float(q_origin)
         if laplacian_origin is not None:
-            laplacian_origin = _check_positive("laplacian_origin", laplacian_origin)
+            laplacian_origin = _check_positive(f"{name}: laplacian_origin", laplacian_origin)
         self._q_origin = q_origin
         self._laplacian_origin = laplacian_origin
         self.name = name

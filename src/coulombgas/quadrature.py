@@ -70,14 +70,6 @@ def _eval_panels(f, lefts, rights):
         y = y.reshape(pts.shape)
         kron = half * (y @ _WGK)
         err = np.abs(kron - half * (y[:, 1::2] @ _WG))
-    # Every Kronrod weight is positive, so a nan or inf node value, like a
-    # panel sum that overflows, leaves its panel's error estimate non-finite;
-    # a finite estimate means both panel sums are finite.
-    if not np.isfinite(err).all():
-        raise IntegrationError(
-            "non-finite panel estimate: the integrand returned nan or inf, "
-            "or a panel sum overflows float64"
-        )
     return kron, err
 
 
@@ -143,11 +135,21 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     history = []
     while True:
         try:
-            total = math.fsum(vals.tolist())
+            # Every Kronrod weight is positive, so a nan or inf node value,
+            # like a panel sum that overflows, leaves its panel's error
+            # estimate, and so their total, non-finite; a finite total means
+            # every panel sum is finite.  It is summed first, as fsum raises
+            # ValueError on the panel sums inf + -inf.
             err_total = math.fsum(errs.tolist())
+            if not math.isfinite(err_total):
+                raise IntegrationError(
+                    "non-finite panel estimate: the integrand returned nan or inf, "
+                    "or a panel sum overflows float64"
+                )
+            total = math.fsum(vals.tolist())
         except OverflowError:
             raise IntegrationError(
-                f"the sum over {len(lefts)} finite panels overflows float64"
+                f"the sum over {len(lefts)} panels overflows float64"
             ) from None
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol:

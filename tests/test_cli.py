@@ -16,6 +16,7 @@ from coulombgas.errors import IntegrationError, SolverError
 from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_log_z
 from coulombgas.potential import MittagLeffler, TruncatedUnitary
+from coulombgas.specialfn import ln_factorial
 
 
 def test_droplet_single_line(capsys):
@@ -237,10 +238,37 @@ def test_oracle_factor_cap_is_domain_error(capsys):
     assert err.startswith("error:") and "Barnes G factors" in err
 
 
-def test_missing_family_parameter_is_usage_error():
+def test_missing_family_parameter_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["droplet", "--potential", "ml", "--lambda", "1"])
     assert exc.value.code == 2
+    out, err, rc = _run(["droplet", "--potential", "tu", "--alpha", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert "--potential tu requires --alpha and --R" in err
+
+
+def test_oracle_ginibre_is_the_ml_1_0_oracle(capsys):
+    out, err, rc = _run(["oracle", "--potential", "ginibre", "--N", "12"], capsys)
+    assert rc == 0 and err == ""
+    assert out == f"log_z_oracle={ml_log_z(1.0, 0.0, 12, 'normal'):.17g}\n"
+
+
+def test_oracle_ginibre_off_scale_1_is_a_domain_error(capsys):
+    out, err, rc = _run(["oracle", "--potential", "ginibre", "--scale", "2", "--N", "12"],
+                        capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and "covers ginibre only at scale 1" in err
+
+
+def test_exact_canonical_convention_drops_ln_n_factorial(capsys):
+    argv = ["exact", "--potential", "ml", "--lambda", "1", "--c", "1", "--N", "10",
+            "--format", "csv"]
+    values = {}
+    for convention in ("physics", "canonical"):
+        out, err, rc = _run([*argv, "--convention", convention], capsys)
+        assert rc == 0 and err == ""
+        values[convention] = float(dict(_pairs(out, "csv"))["log_z"])
+    assert values["canonical"] == values["physics"] - ln_factorial(10)
 
 
 def test_version_flag():
@@ -437,12 +465,12 @@ def _as_number(v):
 
 
 def test_zw_formats_agree_and_residuals_vanish(capsys):
-    # Ginibre: w = -x, s = 1, chi = 0 on x in (1e-12, 1), so f0 = -3/4 and
-    # f_half = f1 = 0; the disc cut drops O(1e-24).  residual_energy combines
-    # the f0 quadrature (value 3/4) with the energy quadrature (value 1/4 of
-    # 1), each converged to 1e-13 of its value, plus a few roundings of O(1)
-    # numbers: 1e-13 * (3/4 + 1/4) + 8 eps.  The other residuals are exact
-    # zeros up to the same bound.
+    # Ginibre: w = -x, s = 1, chi = 0 on x in (0, 1), so f0 = -3/4 and
+    # f_half = f1 = 0.  residual_energy combines the f0 quadrature (value
+    # 3/4) with the energy quadrature (1/8 of its value 2), each converged
+    # to 1e-13 of its value, plus a few roundings of O(1) numbers:
+    # 1e-13 * (3/4 + 1/4) + 8 eps.  The other residuals are exact zeros up
+    # to the same bound.
     bound = 1e-13 + 8.0 * 2.0**-52
     outs = {}
     for fmt in ("text", "csv", "json"):

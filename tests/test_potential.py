@@ -479,6 +479,21 @@ def test_custom_rejects_non_callables_and_wrong_counts(kwargs):
         Custom(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"q": 3.0},
+    {"q": lambda r: r * r, "derivs": [1, 2, 3, 4]},
+    {"q": lambda r: r * r, "support_radius": -1.0},
+    {"q": lambda r: r * r, "q_origin": math.nan},
+    {"q": lambda r: r * r, "laplacian_origin": 0.0},
+], ids=["q", "derivs", "support_radius", "q_origin", "laplacian_origin"])
+def test_custom_argument_errors_name_the_potential_once(kwargs):
+    with pytest.raises(DomainError) as info:
+        Custom(**kwargs, name="quartic")
+    msg = str(info.value)
+    assert msg.startswith("quartic: "), msg
+    assert msg.count("quartic") == 1, msg
+
+
 def test_dilate_by_a_huge_factor_gives_zero_not_an_overflow():
     # a**4 and a**2 overflow; q(r / a) has derivatives a^-k q^(k), which are 0
     # in floating point, as for a one-element array.

@@ -173,6 +173,19 @@ def test_stalled_refinement_raises_instead_of_returning_unconverged():
         assert np.array_equal(x, y)
 
 
+def test_panel_budget_raises_while_the_error_still_halves(monkeypatch):
+    # sin(40 x) e^-x on [0, 10] converges, so the stall rule, which waits
+    # _STALL rounds, cannot stop it.  With 3 panels allowed, a split round
+    # exceeds the budget long before the error meets 1e-13.
+    def f(x):
+        return np.sin(40.0 * x) * np.exp(-x)
+
+    integrate(f, 0.0, 10.0, rel_tol=1e-13)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+    with pytest.raises(IntegrationError, match="^panel budget exceeded"):
+        integrate(f, 0.0, 10.0, rel_tol=1e-13)
+
+
 @pytest.mark.parametrize(
     "f",
     [lambda x: 1.0, lambda x: x[:3], lambda x: x[:-1], lambda x: np.append(x, 0.0)],
