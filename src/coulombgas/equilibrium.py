@@ -151,7 +151,7 @@ def _f_term(p, d):
 def _require_origin_laplacian(p):
     """The disc functionals whose integrand runs into the origin assume ΔQ(0)
     finite and > 0; without it the integrand diverges (like
-    (2 lam - 2)^2 / (2 x) for ML(lam, 0)) and has no finite value."""
+    (2 lam - 2)^2 / x for ML(lam, 0)) and has no finite value."""
     if not _positive_origin_laplacian(p):
         raise InvalidPotentialError(
             f"{p.name}: the disc functionals assume ΔQ(0) finite and > 0, "

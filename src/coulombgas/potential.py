@@ -154,8 +154,9 @@ class RadialPotential:
     the entry points give it the scalar contract (_evaluate).  The
     Laplacian hook _laplacian(r, order), orders 0..2, has the same contract.
     Its default is the generic formula in terms of the profile, which Custom
-    and dilate use; the closed-form families override the hook (never the
-    checked laplacian accessors), as they override r_tau.
+    uses; the closed-form families override the hook (never the checked
+    laplacian accessors), as they override r_tau, and dilate scales its
+    base's hook.
     """
 
     name = "potential"
@@ -192,16 +193,17 @@ class RadialPotential:
 
     def _laplacian(self, r, order):
         """d^order/dr^order of the Laplacian (q'/r + q'')/4, order in 0..2,
-        from the profile."""
+        from the profile, nested around q'' - q'/r = r (q'/r)' so that the
+        cancellation it carries is taken first: for q = r^2 it is exactly 0."""
         q1 = self._profile(r, 1)
         q2 = self._profile(r, 2)
         if order == 0:
             return (q1 / r + q2) / 4.0
         q3 = self._profile(r, 3)
         if order == 1:
-            return (q3 + q2 / r - q1 / (r * r)) / 4.0
+            return (q3 + (q2 - q1 / r) / r) / 4.0
         q4 = self._profile(r, 4)
-        return (q4 + q3 / r - 2.0 * q2 / (r * r) + 2.0 * q1 / (r * r * r)) / 4.0
+        return (q4 + (q3 - 2.0 * (q2 - q1 / r) / r) / r) / 4.0
 
     def q_derivs(self, r, order=0):
         """Radial profile derivative d^order q / dr^order, order in 0..4."""
@@ -469,14 +471,23 @@ class _Dilated(RadialPotential):
             self.support_radius = base.support_radius * a
         self.name = f"dilated({base.name}, a={a!r})"
 
-    def _profile(self, r, order):
+    def _base_r(self, r):
         x = r / self._a
         # r is finite and positive, so x can only underflow to 0 (a > 1) or
         # overflow to inf (a < 1); the base formula never sees either.
         edge = x if type(x) is float else (x.min() if self._a > 1.0 else x.max())
         if not 0.0 < edge < math.inf:
             raise DomainError(f"{self.name}: r / a = {float(edge)!r} leaves (0, inf)")
-        return self._base._profile(x, order) / self._a_pow[order]
+        return x
+
+    def _profile(self, r, order):
+        return self._base._profile(self._base_r(r), order) / self._a_pow[order]
+
+    def _laplacian(self, r, order):
+        # laplacian_a(r) = laplacian(r / a) / a^2, and each r-derivative
+        # adds 1 / a.  The base's own hook keeps a closed form closed: the
+        # generic formula would turn |z / a|^2's zero derivatives into noise.
+        return self._base._laplacian(self._base_r(r), order) / self._a_pow[order + 2]
 
     def r_tau(self, tau):
         r = self._base.r_tau(tau)

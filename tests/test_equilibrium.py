@@ -357,17 +357,22 @@ def test_conical_origin_functionals_meet_their_integral_target(lam):
     assert abs(s - s_closed) <= s_bound
 
 
-def test_chi_form_of_the_dilated_ginibre_starts_at_the_origin():
-    # The generic Laplacian derivatives of |z / a|^2 are rounding noise
-    # ~ eps / r.  Integrated in r from r = 0, the chi form's zero mode
-    # stalled at 2.3e-16 against its 1e-16 floor for a = 1.314155; in
-    # x = r^2 from x = 0 it meets the floor.  Both f-terms are 0:
-    # f_disc's integral (1/48) and the chi form's two (1/8 and 1/6) each
-    # meet 1e-16, and their boundary terms cancel to a few roundings of
-    # log a and of r1^2 laplacian(r1) = 1: 8 eps (1 + |log a|).
-    a = 1.314155
+# A grid over [0.5, 2] with the factors whose chi form used to stall while
+# the dilation's Laplacian derivatives were generic rounding noise.
+_DILATIONS = sorted({*np.round(np.linspace(0.5, 2.0, 31), 6).tolist(),
+                     0.56, 1.07, 1.314155, 1.34})
+
+
+@pytest.mark.parametrize("a", _DILATIONS)
+def test_chi_form_of_the_dilated_ginibre_starts_at_the_origin(a):
+    # dilate scales Ginibre's closed-form Laplacian, so the derivatives of
+    # laplacian(r) = 1 / a^2 are exactly 0 and every integrand below vanishes
+    # on [0, r1^2].  Both f-terms are 0: f_disc's integral (1/48) and the chi
+    # form's two (1/8 and 1/6) each meet 1e-16, and their boundary terms
+    # cancel to a few roundings of log a and of r1^2 laplacian(r1) = 1:
+    # 8 eps (1 + |log a|).
     p = dilate(Ginibre(), a)
-    bound = 1e-16 * (1.0 / 48.0 + 1.0 / 8.0 + 1.0 / 6.0) + 8.0 * _EPS * (1.0 + math.log(a))
+    bound = 1e-16 * (1.0 / 48.0 + 1.0 / 8.0 + 1.0 / 6.0) + 8.0 * _EPS * (1.0 + abs(math.log(a)))
     assert abs(f_disc(p)) <= bound
     assert abs(f_disc_chi_form(p) - f_disc(p)) <= bound
 

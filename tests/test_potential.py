@@ -165,9 +165,11 @@ def _profile_term_scale(p, r, i):
 def test_closed_form_laplacian_hook_matches_generic_formula(p, order):
     # Bound, derived before running: a computed q^(i) is within 12 roundings
     # of its term scale A_i (a few coefficient products, one pow, up to four
-    # powers of d for TU); the generic combination adds 4 more relative to
-    # S = sum of coef * A_i / r^m / 4; the closed form is within 8 roundings
-    # of the exact value, which is at most S.  24 eps S in all; 32 allowed.
+    # powers of d for TU); the generic combination adds at most 6 more
+    # relative to S = sum of coef * A_i / r^m / 4 (each nested partial sum,
+    # times the powers of 1/r still to come, is at most S); the closed form
+    # is within 8 roundings of the exact value, which is at most S.  26 eps S
+    # in all; 32 allowed.
     d = droplet_of(p)
     lo = d.r0 if d.kind == "annulus" else d.r1 / 64.0
     r = np.linspace(lo, d.r1, 64)
@@ -309,6 +311,34 @@ def test_dilate_chain_rule():
         assert abs(p.laplacian(r) - base.laplacian(r / a) / a**2) < 1e-14
     g = dilate(Ginibre(), 2.0)
     assert abs(g.laplacian_at_zero() - 0.25) < 1e-15
+
+
+@pytest.mark.parametrize("a", [0.5, 0.56, 1.07, 1.314155, 1.34, 2.0])
+def test_dilate_scales_its_base_laplacian_hook(a):
+    # The Laplacian of Q(z / a) is laplacian(r / a) / a^2, each r-derivative
+    # adding 1 / a: a closed form stays closed, so |z / a|^2 has exactly
+    # zero Laplacian derivatives, not rounding noise.
+    r = np.linspace(0.01, 2.0 * a, 41)
+    g = dilate(Ginibre(), a)
+    assert np.all(g.laplacian(r) == 1.0 / a**2)
+    assert np.all(g.laplacian_dr(r) == 0.0)
+    assert np.all(g.laplacian_dr2(r) == 0.0)
+    base = MittagLeffler(0.5, 1.0)
+    p = dilate(base, a)
+    for order, accessor in enumerate((p.laplacian, p.laplacian_dr, p.laplacian_dr2)):
+        assert np.array_equal(accessor(r), base._laplacian(r / a, order) / a ** (order + 2))
+
+
+def test_generic_laplacian_of_r_squared_is_exact():
+    # The generic formula takes q'' - q'/r first; for q = r^2 that is
+    # 2 - 2 r / r = 0 exactly, so the derivatives of the Laplacian 1 are 0.
+    p = Custom(lambda r: r * r,
+               derivs=(lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r,
+                       lambda r: 0.0 * r, lambda r: 0.0 * r))
+    r = np.linspace(0.01, 3.0, 301)
+    assert np.all(p.laplacian(r) == 1.0)
+    assert np.all(p.laplacian_dr(r) == 0.0)
+    assert np.all(p.laplacian_dr2(r) == 0.0)
 
 
 def test_dilate_scales_support():
