@@ -40,6 +40,13 @@ class EquilibriumReport:
 def _integral(f, d):
     """Integral of f(x) dx over droplet d in x = r^2, on [r0^2, r1^2].
 
+    The integrands evaluate the unchecked hooks (_profile, _laplacian,
+    _b1_formula) at r = sqrt(x), as the norm integrand does: integrate
+    hands f nodes within an ulp of [r0^2, r1^2], under its own np.errstate,
+    so every r is within the support, and positive unless a panel at the
+    origin is narrower than 1e-321.  That is the check each entry point
+    would repeat on every node array; the values are the same bits.
+
     Where f's noise sits above the 1e-13 target, as with finite-difference
     derivatives, refinement stalls and integrate raises IntegrationError.
     integrate is looked up as a module global on every call, so a wrapper
@@ -52,7 +59,7 @@ def _integral(f, d):
 def mu_mass(p, droplet=None):
     """Total mass of 2 r laplacian(r) dr over the droplet (should be 1)."""
     d = _droplet(p, droplet)
-    return _integral(lambda x: p.laplacian(np.sqrt(x)), d)
+    return _integral(lambda x: p._laplacian(np.sqrt(x), 0), d)
 
 
 def energy(p, droplet=None):
@@ -62,7 +69,7 @@ def energy(p, droplet=None):
     the droplet.
     """
     d = _droplet(p, droplet)
-    val = _integral(lambda x: p.q_derivs(np.sqrt(x), 1) ** 2, d)
+    val = _integral(lambda x: p._profile(np.sqrt(x), 1) ** 2, d)
     return float(p.q_derivs(d.r1, 0)) - math.log(d.r1) - 0.125 * val
 
 
@@ -75,7 +82,7 @@ def entropy(p, droplet=None):
     d = _droplet(p, droplet)
 
     def f(x):
-        dq = p.laplacian(np.sqrt(x))
+        dq = p._laplacian(np.sqrt(x), 0)
         return np.log(dq) * dq
 
     return _integral(f, d)
@@ -138,7 +145,7 @@ def _f_term(p, d):
 
     def f(x):
         r = np.sqrt(x)
-        return (p.laplacian_dr(r) / p.laplacian(r)) ** 2
+        return (p._laplacian(r, 1) / p._laplacian(r, 0)) ** 2
 
     val = _integral(f, d)
     return (
@@ -184,12 +191,12 @@ def f_disc_chi_form(p, droplet=None):
     dq1 = float(p.laplacian(d.r1))
 
     def chi_prime(r):
-        return p.laplacian_dr(r) / (2.0 * p.laplacian(r))
+        return p._laplacian(r, 1) / (2.0 * p._laplacian(r, 0))
 
     def zero_mode(x):
         r = np.sqrt(x)
-        dq = p.laplacian(r)
-        chi2 = p.laplacian_dr2(r) / (2.0 * dq) - p.laplacian_dr(r) ** 2 / (2.0 * dq**2)
+        dq = p._laplacian(r, 0)
+        chi2 = p._laplacian(r, 2) / (2.0 * dq) - p._laplacian(r, 1) ** 2 / (2.0 * dq**2)
         return 0.5 * (chi2 + chi_prime(r) / r)
 
     zm = _integral(zero_mode, d)
@@ -211,7 +218,12 @@ def b1_integral(p, droplet=None):
     that must agree with it.
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
-    direct = _integral(lambda x: b1(p, np.sqrt(x)) * p.laplacian(np.sqrt(x)), d)
+
+    def f(x):
+        r = np.sqrt(x)
+        return _b1_formula(p, r, None) * p._laplacian(r, 0)
+
+    direct = _integral(f, d)
     dq0 = float(p.laplacian(d.r0))
     dq1 = float(p.laplacian(d.r1))
     identity = (
@@ -243,17 +255,17 @@ def zw_coefficients(p, droplet=None):
 
     def f0_integrand(x):
         r = np.sqrt(x)
-        w = -p.q_derivs(r, 0)
-        wprime = -p.q_derivs(r, 1) / (2.0 * r)
-        return (w - wprime * x * np.log(x)) * p.laplacian(r)
+        w = -p._profile(r, 0)
+        wprime = -p._profile(r, 1) / (2.0 * r)
+        return (w - wprime * x * np.log(x)) * p._laplacian(r, 0)
 
     def f_half_integrand(x):
-        s = p.laplacian(np.sqrt(x))
+        s = p._laplacian(np.sqrt(x), 0)
         return s * np.log(s)
 
     def chi_prime_x(x):
         r = np.sqrt(x)
-        return p.laplacian_dr(r) / (4.0 * r * p.laplacian(r))
+        return p._laplacian(r, 1) / (4.0 * r * p._laplacian(r, 0))
 
     f0 = _integral(f0_integrand, d)
     fh = _integral(f_half_integrand, d)
