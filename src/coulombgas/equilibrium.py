@@ -40,12 +40,9 @@ class EquilibriumReport:
 def _integral(f, d):
     """Integral of f(x) dx over droplet d in x = r^2, on [r0^2, r1^2].
 
-    The integrands evaluate the unchecked hooks (_profile, _laplacian,
-    _b1_formula) at r = sqrt(x), as the norm integrand does: integrate
-    hands f nodes within an ulp of [r0^2, r1^2], under its own np.errstate,
-    so every r is within the support, and positive unless a panel at the
-    origin is narrower than 1e-321.  That is the check each entry point
-    would repeat on every node array; the values are the same bits.
+    f calls the unchecked hooks at r = sqrt(x), as the norm integrand does:
+    integrate runs it under np.errstate on nodes within an ulp of
+    [r0^2, r1^2], whose roots already pass the entry points' domain check.
 
     Where f's noise sits above the 1e-13 target, as with finite-difference
     derivatives, refinement stalls and integrate raises IntegrationError.
@@ -181,10 +178,9 @@ def f_disc_chi_form(p, droplet=None):
 
     Splits the same quantity as f_disc into boundary, curvature, zero-mode
     and Dirichlet-energy pieces:
-    (1/12) log(1/r1^2) - chi(r1)/6 - (1/8) * integral of (chi'' r + chi') dr
-    + (1/6) * integral of chi'^2 r dr, taken in x = r^2 as (chi'' + chi'/r)/2
-    and chi'^2/2 dx.  Used as an independent evaluation route for
-    cross-checking.
+    (1/12) log(1/r1^2) - chi(r1)/6 - (1/8) * integral of (chi'' + chi'/r)/2 dx
+    + (1/6) * integral of chi'^2/2 dx.  Used as an independent evaluation
+    route for cross-checking.
     """
     d = _droplet(p, droplet, "disc", "f_disc_chi_form")
     _require_origin_laplacian(p)
@@ -218,12 +214,7 @@ def b1_integral(p, droplet=None):
     that must agree with it.
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
-
-    def f(x):
-        r = np.sqrt(x)
-        return _b1_formula(p, r, None) * p._laplacian(r, 0)
-
-    direct = _integral(f, d)
+    direct = _integral(lambda x: _b1_formula(p, np.sqrt(x), None) * p._laplacian(np.sqrt(x), 0), d)
     dq0 = float(p.laplacian(d.r0))
     dq1 = float(p.laplacian(d.r1))
     identity = (
