@@ -70,14 +70,16 @@ def _bracket_candidates(p):
 def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
-    Potentials with a closed-form root (p.r_tau) use it; the others go
-    through _newton_r_tau: a safeguarded Newton iteration to a relative
-    1e-13, started from the potential's r q'(r) table at 0 < tau < 1, and
-    from an upward bracket scan at tau in {0, 1} or when there is no
-    table.  A level whose root lies so close to 0 that 200 steps cannot
-    reach a relative bracket of 1e-13 (tau <= 1e-128 for q = r^2) raises
-    SolverError naming tau.  At tau = 0 the
-    result is the inner droplet radius r0: 0.0 for a disc, where
+    Potentials with a closed-form root (p.r_tau) use it; the others run a
+    safeguarded Newton iteration (_newton) to a relative 1e-13.  At
+    0 < tau < 1 it starts at the linear interpolate in the cell of the
+    potential's r q'(r) table (_table) that holds 2 tau, widened by one
+    cell a side (array and scalar pow may differ in the last bit); at tau
+    in {0, 1}, or without a table, from an upward bracket scan
+    (_scan_root).  The result depends only on p and tau.  A level whose
+    root lies so close to 0 that 200 steps cannot reach a relative bracket
+    of 1e-13 (tau <= 1e-128 for q = r^2) raises SolverError naming tau.
+    At tau = 0 the result is the inner droplet radius r0: 0.0 for a disc, where
     r q'(r) >= 0 already at the bottom of the bracket or the potential
     supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
     whatever the finite-difference noise in q'), and the root of
@@ -89,30 +91,13 @@ def solve_r_tau(p, tau):
     except OverflowError:
         r = math.inf
     if r is None:
-        return _newton_r_tau(p, tau)
+        table = _table(p) if 0.0 < tau < 1.0 else ()
+        return _table_root(p, tau, *table) if table else _scan_root(p, tau)
     if r == math.inf:
         raise InvalidPotentialError(
             f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
         )
     return r
-
-
-def _newton_r_tau(p, tau):
-    """Root of r q'(r) = 2 tau by a safeguarded Newton iteration (_newton).
-
-    At 0 < tau < 1 the iteration starts from the potential's r q'(r) table
-    (_table): bisecting the table gives the cell [r_i, r_i+1] with
-    g_i <= 2 tau < g_i+1, the bracket is that cell widened by one cell on
-    each side (array and scalar pow may differ in the last bit), and the
-    first point is the linear interpolate.  tau in {0, 1} and every level
-    of a potential without a table go through _scan_root instead.  Either
-    way the result depends only on p and tau.
-    """
-    if 0.0 < tau < 1.0:
-        table = _table(p)
-        if table:
-            return _table_root(p, tau, *table)
-    return _scan_root(p, tau)
 
 
 # Points of the r q'(r) table, quadratically spaced between the droplet
@@ -185,8 +170,6 @@ def _scan_root(p, tau):
     hi = None
     prev = lo
     for cand in _bracket_candidates(p):
-        if cand <= prev:
-            continue
         if _not_nan(_rqp(p, cand), cand, tau) - target > 0.0:
             hi = cand
             break
@@ -312,7 +295,14 @@ def dr_dtau(p, tau):
     if tau < 1e-12 and solve_r_tau(p, 0.0) == 0.0:
         raise DomainError("dr_dtau is singular as tau -> 0 for a disc droplet")
     r = solve_r_tau(p, tau)
+    return 1.0 / (2.0 * r * _saddle_laplacian(p, r))
+
+
+def _saddle_laplacian(p, r):
+    """laplacian(r) as a float at a saddle r = r_tau: the one check shared by
+    dr_dtau and the exact and Laplace norms, which divide by it.  Anything
+    but a positive value raises InvalidPotentialError naming r."""
     dq = float(p.laplacian(r))
     if not dq > 0.0:
-        raise InvalidPotentialError(f"nonpositive Laplacian at r_tau = {r!r}")
-    return 1.0 / (2.0 * r * dq)
+        raise InvalidPotentialError(f"nonpositive Laplacian {dq!r} at r_tau = {r!r}")
+    return dq

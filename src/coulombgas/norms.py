@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .droplet import _droplet, solve_r_tau
+from .droplet import _droplet, _saddle_laplacian, solve_r_tau
 from .equilibrium import b1
 from .errors import CoulombGasError, DomainError, IntegrationError, _in_context
 from .potential import (
     _check_ensemble,
     _check_n,
+    _evaluate,
     _is_integer,
-    _v_tau0,
-    _v_tau0_formula,
+    _v_tau_formula,
     v_tau,
 )
 from .quadrature import integrate
@@ -101,11 +101,8 @@ _SEED_T = np.array(sorted({0.0, *_SEED_OFFSETS, *(-k for k in _SEED_OFFSETS)}))
 def _peak(p, query):
     """Saddle radius, V minimum, and Gaussian width for the shifted weight."""
     r_star = solve_r_tau(p, query.level)
-    v_min = float(_v_tau0(p, r_star, query.level))
-    dq_star = float(p.laplacian(r_star))
-    if not dq_star > 0.0:
-        raise IntegrationError(f"nonpositive Laplacian at the saddle r = {r_star!r}")
-    width = 1.0 / math.sqrt(2.0 * query.s * dq_star)
+    v_min = float(_evaluate(_v_tau_formula, p, r_star, (query.level, 0)))
+    width = 1.0 / math.sqrt(2.0 * query.s * _saddle_laplacian(p, r_star))
     return r_star, v_min, width
 
 
@@ -119,7 +116,7 @@ def _r_cut(p, query, r_star, v_min):
     while r <= 1e300:
         if support is not None and r >= support:
             return support
-        if s * (float(_v_tau0(p, r, query.level)) - v_min) >= thresh:
+        if s * (float(_evaluate(_v_tau_formula, p, r, (query.level, 0))) - v_min) >= thresh:
             return r
         r *= 2.0
     raise IntegrationError("failed to locate a truncation radius")
@@ -154,9 +151,9 @@ def _log_norm_exact(p, query):
         # integrate calls this under its own np.errstate, on positive nodes
         # within an ulp of [0, cut] (none on cut in its first round, where a
         # hard wall's profile is nan); cut is a radius below the support that
-        # _r_cut passed through the checked _v_tau0, or the support radius.
-        # So every node passes _v_tau0's check, and the formula runs directly.
-        return 2.0 * np.exp(-s * (_v_tau0_formula(p, r, level) - v_min))
+        # _r_cut passed through _evaluate's check, or the support radius.
+        # So every node passes that check, and the formula runs directly.
+        return 2.0 * np.exp(-s * (_v_tau_formula(p, r, (level, 0)) - v_min))
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
     if not val > 0.0:
@@ -171,7 +168,7 @@ def _laplace_value(p, s, tau):
             f"{p.name}: the Laplace form needs a positive saddle radius; "
             "use the low-degree form for small j over a disc droplet"
         )
-    dq = float(p.laplacian(r))
+    dq = _saddle_laplacian(p, r)
     v = float(v_tau(p, tau, r))
     corr = float(b1(p, r)) / s
     return -s * v + 0.5 * math.log(2.0 * math.pi * r * r / (s * dq)) + math.log1p(corr)

@@ -14,9 +14,9 @@ the one evaluation contract (_evaluate): a scalar gets the inf or nan
 that a one-element array gets, and neither warns.
 
 The degree-dependent effective potential for orthogonal-norm asymptotics is
-V_tau(r) = q(r) - 2 tau log r; v_tau evaluates it and its first four radial
-derivatives using the exact identities that express V'' through the
-Laplacian of Q.
+V_tau(r) = q(r) - 2 tau log r; one formula (_v_tau_formula) gives it and
+its first four radial derivatives, using the exact identities that express
+V'' through the Laplacian of Q.
 """
 
 import math
@@ -137,15 +137,6 @@ def _evaluate(formula, p, r, arg):
         return formula(p, r, arg)
 
 
-def _profile_formula(p, r, order):
-    _check_order(order)
-    return p._profile(r, order)
-
-
-def _laplacian_formula(p, r, order):
-    return p._laplacian(r, order)
-
-
 class RadialPotential:
     """Base class: radial profile plus Laplacian data.
 
@@ -207,19 +198,20 @@ class RadialPotential:
 
     def q_derivs(self, r, order=0):
         """Radial profile derivative d^order q / dr^order, order in 0..4."""
-        return _evaluate(_profile_formula, self, r, order)
+        _check_order(order)
+        return _evaluate(type(self)._profile, self, r, order)
 
     def laplacian(self, r):
         """Planar Laplacian of Q at radius r: (q'/r + q'')/4."""
-        return _evaluate(_laplacian_formula, self, r, 0)
+        return _evaluate(type(self)._laplacian, self, r, 0)
 
     def laplacian_dr(self, r):
         """Radial derivative of the Laplacian."""
-        return _evaluate(_laplacian_formula, self, r, 1)
+        return _evaluate(type(self)._laplacian, self, r, 1)
 
     def laplacian_dr2(self, r):
         """Second radial derivative of the Laplacian."""
-        return _evaluate(_laplacian_formula, self, r, 2)
+        return _evaluate(type(self)._laplacian, self, r, 2)
 
     def q_at_zero(self):
         """q(0) when the profile extends continuously to the origin."""
@@ -515,29 +507,16 @@ def v_tau(p, tau, r, order=0):
     """
     t = _check_tau(tau)
     _check_order(order)
+    return _evaluate(_v_tau_formula, p, r, (t, order))
+
+
+def _v_tau_formula(p, rr, tau_order):
+    """d^order V_tau / dr^order for a checked (tau, order): v_tau, _peak and
+    _r_cut run it through _evaluate, and the norm integrand on node arrays
+    whose domain integrate and the norm's cut already prove."""
+    t, order = tau_order
     if order == 0:
-        return _v_tau0(p, r, t)
-    return _v_tau_derivative(p, r, t, order)
-
-
-def _v_tau0(p, rr, t):
-    """V_tau(rr) for a checked tau t, with rr checked (_evaluate)."""
-    return _evaluate(_v_tau0_formula, p, rr, t)
-
-
-def _v_tau0_formula(p, rr, t):
-    """The one order-0 formula, unchecked: the norm integrand calls it on
-    node arrays whose domain integrate and the norm's cut already prove."""
-    return p._profile(rr, 0) - 2.0 * t * _log(rr)
-
-
-def _v_tau_derivative(p, rr, t, order):
-    """d^order V_tau / dr^order, order in 1..4, for a checked tau t."""
-    return _evaluate(_v_tau_derivative_formula, p, rr, (t, order))
-
-
-def _v_tau_derivative_formula(p, rr, t_order):
-    t, order = t_order
+        return p._profile(rr, 0) - 2.0 * t * _log(rr)
     v1 = p._profile(rr, 1) - 2.0 * t / rr
     if order == 1:
         return v1

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombgas import droplet
-from coulombgas.droplet import _newton_r_tau, dr_dtau, droplet_of, solve_r_tau
+from coulombgas.droplet import dr_dtau, droplet_of, solve_r_tau
 from coulombgas.errors import CoulombGasError, DomainError, InvalidPotentialError
 from coulombgas.potential import (
     Custom,
@@ -95,10 +97,16 @@ def test_closed_form_r_tau_matches_bisection(label, p, closed):
     # Bound: the Newton solve stops at a step of at most 1e-13 r, which
     # leaves a quadratically smaller error, or at a bracket of at most
     # 1e-13 hi, whose midpoint is within 0.5e-13 r; the rounding of r q'(r)
-    # and of the closed form adds a few eps r.
+    # and of the closed form adds a few eps r.  p's profile behind the
+    # Custom interface has no closed-form root, so solve_r_tau runs Newton.
+    iterative = Custom(
+        p.q_derivs,
+        derivs=[partial(p.q_derivs, order=k) for k in range(1, 5)],
+        support_radius=p.support_radius,
+    )
     for tau in np.linspace(0.0, 1.0, 201):
         tau = float(tau)
-        want = _newton_r_tau(p, tau)
+        want = solve_r_tau(iterative, tau)
         got = closed.r_tau(tau)
         assert got is not None
         assert abs(got - want) <= 1e-13 * want, (label, tau, got, want)
@@ -502,6 +510,23 @@ def test_nan_in_the_newton_loop_is_named():
                vectorized=False)
     with pytest.raises(InvalidPotentialError, match=r"r q'\(r\) is nan at r = 0\.5"):
         solve_r_tau(p, 0.5)
+
+
+def test_root_below_the_scan_start_has_no_inner_bracket():
+    # q = sqrt(r): r q'(r) = sqrt(r) / 2 is already 5e-7 at r = 1e-12, where
+    # the upward scan starts.  The callables take only floats, so the
+    # table's array call fails and every level goes through the scan.
+    p = Custom(math.sqrt, derivs=(
+        lambda r: 0.5 / math.sqrt(r),
+        lambda r: -0.25 / (r * math.sqrt(r)),
+        lambda r: 0.375 / (r * r * math.sqrt(r)),
+        lambda r: -0.9375 / (r**3 * math.sqrt(r)),
+    ), name="sqrt")
+    assert droplet._table(p) == ()
+    want = "r q'(r) already exceeds 2e-07 at r = 1e-12; no inner bracket"
+    with pytest.raises(InvalidPotentialError, match=f"^{re.escape(want)}$"):
+        solve_r_tau(p, 1e-7)
+    assert solve_r_tau(p, 0.3) == 1.44
 
 
 _STEEP_DISCS = [MittagLeffler(lam, 0.0) for lam in (1.0, 5.0, 18.5, 20.0)]

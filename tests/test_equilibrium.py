@@ -258,24 +258,40 @@ def test_b1_ginibre_closed_form():
         assert abs(b1(p, r) - 1.0 / (12.0 * r * r)) < 1e-13
 
 
+# Bound on a computed report against its closed form.  Each functional is
+# a few boundary terms plus c times at most one integral (two for
+# f_disc_chi_form), |c| <= 1, whose error meets max(1e-16, 1e-13 |integral|).
+# For the potentials compared here no term on either side exceeds K = 4 in
+# magnitude (the largest are TU(1, 1)'s entropy, -2 + 3 log 2, with terms 2
+# and 2.08, and ML(0.5, 1)'s energy, with (1 + c)/lam = r1^(2 lam) = 4), so
+# the integrals add at most 2 (1e-13 K + 1e-16).  Each side sums at most
+# six terms, each within 2 eps of its value, into partial sums of at most
+# 6 K: 48 eps K a side, 96 eps K for both.
+_K = 4.0
+_CLOSED_BOUND = 2.0 * (1e-13 * _K + 1e-16) + 96.0 * _EPS * _K
+
+
 # (energy, entropy, log_potential_origin, f_term) as float.hex(), plus
 # f_disc_chi_form for the discs: the bits of the per-functional code that
-# one shared quadrature policy and one order-one term replaced.
+# one shared quadrature policy and one order-one term replaced.  Each comes
+# with its closed form, which the values must stay within _CLOSED_BOUND of.
 _REPORT_BITS = [
     (MittagLeffler(0.5, 1.0),
      ("-0x1.687a9f1af2b12p-2", "-0x1.3b9d3beb8c86bp+1", "-0x1.145647e7756e6p+0",
-      "-0x1.d9303fea2f7e9p-6"), None),
+      "-0x1.d9303fea2f7e9p-6"), None, astuple(ml_equilibrium(0.5, 1.0))[:4]),
     (Ginibre(),
      ("0x1.8000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0"),
-     "0x0.0p+0"),
+     "0x0.0p+0", (0.75, 0.0, 0.5, 0.0)),
 ]
 
 
-@pytest.mark.parametrize("p, want, chi", _REPORT_BITS, ids=["ml-half-1", "ginibre"])
-def test_equilibrium_report_golden_bits(p, want, chi):
+@pytest.mark.parametrize("p, want, chi, closed", _REPORT_BITS, ids=["ml-half-1", "ginibre"])
+def test_equilibrium_report_golden_bits(p, want, chi, closed):
     rep = equilibrium_report(p)
     got = (rep.energy, rep.entropy, rep.log_potential_origin, rep.f_term)
     assert tuple(x.hex() for x in got) == want
+    for name, g, c in zip(("energy", "entropy", "U(0)", "f_term"), got, closed):
+        assert abs(g - c) <= _CLOSED_BOUND, name
     f_kind = f_disc if rep.droplet.kind == "disc" else f_annulus
     assert f_kind(p).hex() == want[3]
     if chi is not None:
@@ -299,24 +315,14 @@ _CLOSED_REPORTS = [
 
 @pytest.mark.parametrize("p, want", _CLOSED_REPORTS, ids=["ml11", "tu11", "dilated-ginibre"])
 def test_equilibrium_report_matches_its_closed_form(p, want):
-    # Each functional is a few boundary terms plus c times at most one
-    # integral (two for f_disc_chi_form), |c| <= 1, whose error meets
-    # max(1e-16, 1e-13 |integral|).  For these three potentials no term on
-    # either side exceeds K = 4 in magnitude (the largest is TU(1, 1)'s
-    # entropy, -2 + 3 log 2, with terms 2 and 2.08), so the integrals add
-    # at most 2 (1e-13 K + 1e-16).  Each side sums at most six terms, each
-    # within 2 eps of its value, into partial sums of at most 6 K: 48 eps K
-    # a side, 96 eps K for both.
-    k = 4.0
-    bound = 2.0 * (1e-13 * k + 1e-16) + 96.0 * _EPS * k
     rep = equilibrium_report(p)
     got = (rep.energy, rep.entropy, rep.log_potential_origin, rep.f_term)
     for name, g, w in zip(("energy", "entropy", "U(0)", "f_term"), got, want):
-        assert abs(g - w) <= bound, name
+        assert abs(g - w) <= _CLOSED_BOUND, name
     f_kind = f_disc if rep.droplet.kind == "disc" else f_annulus
     assert f_kind(p) == rep.f_term
     if rep.droplet.kind == "disc":
-        assert abs(f_disc_chi_form(p) - want[3]) <= bound
+        assert abs(f_disc_chi_form(p) - want[3]) <= _CLOSED_BOUND
 
 
 def _conical_closed(lam):

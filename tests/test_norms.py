@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import mp_reference
 from coulombgas import droplet, norms, potential
-from coulombgas.errors import DomainError, IntegrationError
+from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
 from coulombgas.norms import (
     NormQuery,
     log_norm_exact,
@@ -229,6 +230,33 @@ def test_norm_failure_names_its_potential_once(ensemble, j):
     assert msg.startswith(f"{p.name}, n=10, j={j}, ensemble={ensemble}: "), msg
 
 
+class _FlatLaplacian(Custom):
+    """q = r^2 whose Laplacian hook reads 0 everywhere."""
+
+    def _laplacian(self, r, order):
+        return 0.0 * r
+
+
+@pytest.mark.parametrize("route", ["dr_dtau", "laplace", "exact"])
+def test_zero_laplacian_at_the_saddle_is_an_invalid_potential_on_every_route(route):
+    # dr_dtau, the Laplace norm and the exact norm each divide by the
+    # Laplacian at the saddle r_tau.  Each raises InvalidPotentialError
+    # naming r, with the context its route adds: the exact norm's
+    # potential, n, j and ensemble, none for the other two.
+    p = _FlatLaplacian(lambda r: r * r, derivs=(
+        lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r,
+    ), name="flat")
+    tau, call, context = {
+        "dr_dtau": (0.5, lambda: droplet.dr_dtau(p, 0.5), ""),
+        "laplace": (0.3, lambda: log_norm_laplace(p, NormQuery(10, 3)), ""),
+        "exact": (0.05, lambda: log_z_exact(p, 10), "flat, n=10, j=0, ensemble=normal: "),
+    }[route]
+    r = droplet.solve_r_tau(p, tau)
+    want = f"{context}nonpositive Laplacian 0.0 at r_tau = {r!r}"
+    with pytest.raises(InvalidPotentialError, match=f"^{re.escape(want)}$"):
+        call()
+
+
 @pytest.mark.parametrize("p", [Ginibre(), TruncatedUnitary(1.0, 1.0)], ids=["ginibre", "tu"])
 @pytest.mark.parametrize("route, query", [
     (log_norm_laplace, NormQuery(5, 0)),
@@ -380,7 +408,7 @@ def test_integrand_v_tau_is_v_tau_bit_for_bit(monkeypatch, p):
         del calls[:]
         log_norm_exact(p, query)
         for r, y in calls:
-            helper = potential._v_tau0(p, p._checked(r), level)
+            helper = potential._evaluate(potential._v_tau_formula, p, r, (level, 0))
             assert np.array_equal(helper, v_tau(p, level, r))
             assert np.array_equal(helper, p.q_derivs(r) - 2.0 * level * np.log(r))
             assert np.array_equal(y, 2.0 * np.exp(-query.s * (helper - v_min)))
@@ -406,6 +434,7 @@ def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monk
         return evaluate(formula, p, r, arg)
 
     monkeypatch.setattr(potential, "_evaluate", counting)
+    monkeypatch.setattr(norms, "_evaluate", counting)
     for p in kinds:
         for ensemble in ("normal", "symplectic"):
             log_z_exact(p, 12, ensemble)

@@ -2,9 +2,11 @@ import math
 import warnings
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
+import mp_reference
 from coulombgas.droplet import dr_dtau, solve_r_tau
 from coulombgas.errors import DomainError
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
@@ -61,20 +63,37 @@ def test_log_z_exact_threads_agree():
     assert a == b
 
 
+def _assert_golden(p, n, ensemble, want, ref):
+    """log_z_exact(p) pinned to the last bit, and within
+    mp_reference.log_z_bound of the 40-digit log Z of ref, a closed-form
+    family with the same profile: the check that stays meaningful when a
+    change is allowed to move the bits."""
+    got = log_z_exact(p, n, ensemble)
+    assert got.hex() == want
+    gap = abs(float(mpmath.mpf(got) - mp_reference.log_z(ref, n, ensemble)))
+    assert gap <= mp_reference.log_z_bound(p, n, ensemble, ref=ref)
+
+
+_ML11 = MittagLeffler(1.0, 1.0)
+_ML051 = MittagLeffler(0.5, 1.0)
+_TU11 = TruncatedUnitary(1.0, 1.0)
+
+
 @pytest.mark.parametrize(
-    "p, n, ensemble, want",
+    "p, n, ensemble, want, ref",
     [
-        (MittagLeffler(1.0, 1.0), 100, "normal", "-0x1.06ddea5ae497ap+13"),
-        (MittagLeffler(0.5, 1.0), 60, "symplectic", "0x1.5fe50a35803cdp+11"),
-        (TruncatedUnitary(1.0, 1.0), 80, "symplectic", "-0x1.a5417da1eafd7p+12"),
-        (dilate(Ginibre(), 1.5), 50, "normal", "-0x1.74773433aef40p+9"),
+        (_ML11, 100, "normal", "-0x1.06ddea5ae497ap+13", _ML11),
+        (_ML051, 60, "symplectic", "0x1.5fe50a35803cdp+11", _ML051),
+        (_TU11, 80, "symplectic", "-0x1.a5417da1eafd7p+12", _TU11),
+        (dilate(Ginibre(), 1.5), 50, "normal", "-0x1.74773433aef40p+9",
+         dilate(MittagLeffler(1.0, 0.0), 1.5)),
     ],
     ids=["ml11-normal", "ml051-symplectic", "tu11-symplectic", "dilated-ginibre-normal"],
 )
-def test_log_z_exact_golden_bits(p, n, ensemble, want):
+def test_log_z_exact_golden_bits(p, n, ensemble, want, ref):
     # Pinned to the last bit: changes to the saddle solve, the panel
     # bookkeeping or the summation order must not move the result.
-    assert log_z_exact(p, n, ensemble).hex() == want
+    _assert_golden(p, n, ensemble, want, ref)
 
 
 def _as_custom(p):
@@ -83,18 +102,19 @@ def _as_custom(p):
 
 
 @pytest.mark.parametrize(
-    "p, n, ensemble, want",
+    "p, n, ensemble, want, ref",
     [
-        (_as_custom(MittagLeffler(0.5, 1.3)), 60, "normal", "0x1.f52d57076f485p+11"),
-        (dilate(_as_custom(MittagLeffler(1.0, 1.0)), 1.5), 50, "symplectic",
-         "-0x1.09e2639a9ab9fp+11"),
+        (_as_custom(MittagLeffler(0.5, 1.3)), 60, "normal", "0x1.f52d57076f485p+11",
+         MittagLeffler(0.5, 1.3)),
+        (dilate(_as_custom(_ML11), 1.5), 50, "symplectic", "-0x1.09e2639a9ab9fp+11",
+         dilate(_ML11, 1.5)),
     ],
     ids=["custom-ml0513-normal", "dilated-custom-ml11-symplectic"],
 )
-def test_log_z_exact_custom_golden_bits(p, n, ensemble, want):
+def test_log_z_exact_custom_golden_bits(p, n, ensemble, want, ref):
     # Custom potentials reach r_tau through the iterative root solve, not
     # the closed form; these bits pin that route end to end.
-    assert log_z_exact(p, n, ensemble).hex() == want
+    _assert_golden(p, n, ensemble, want, ref)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, True, 2.5, 0])
