@@ -40,8 +40,9 @@ class NormQuery:
 
     n and j follow the rules of the matrix size check (bools, nan, inf and
     non-integers raise DomainError) and are stored as ints.  k is the
-    ensemble's factor (1 normal, 2 symplectic) and s = k n the inverse
-    temperature scale in the weight e^{-s q}.
+    ensemble's factor (1 normal, 2 symplectic), s = k n the inverse
+    temperature scale in the weight e^{-s q}, and level = (j + 1/2)/s the
+    tau' of the exact route's e^{-s V_tau'}.
     """
 
     n: int
@@ -49,6 +50,7 @@ class NormQuery:
     ensemble: str = "normal"
     k: int = field(init=False, repr=False)
     s: int = field(init=False, repr=False)
+    level: float = field(init=False, repr=False)
 
     def __post_init__(self):
         k = _check_ensemble(self.ensemble)
@@ -56,17 +58,14 @@ class NormQuery:
         s = k * n
         if not _is_integer(self.j) or not 0 <= self.j <= s - 1:
             raise DomainError(f"degree must be an integer in [0, {s - 1}], got {self.j!r}")
-        for name, value in (("n", n), ("j", int(self.j)), ("k", k), ("s", s)):
+        j = int(self.j)
+        level = (j + 0.5) / s
+        for name, value in (("n", n), ("j", j), ("k", k), ("s", s), ("level", level)):
             object.__setattr__(self, name, value)
 
     @property
     def tau(self):
         return self.j / self.s
-
-    @property
-    def level(self):
-        """tau' = (j + 1/2)/s, the level of the exact route's e^{-s V_tau'}."""
-        return (self.j + 0.5) / self.s
 
 
 def _degrees(k, n):
@@ -153,7 +152,14 @@ def _log_norm_exact(p, query):
         # hard wall's profile is nan); cut is a radius below the support that
         # _r_cut passed through _evaluate's check, or the support radius.
         # So every node passes that check, and the formula runs directly.
-        return 2.0 * np.exp(-s * (_v_tau_formula(p, r, (level, 0)) - v_min))
+        # In place on the formula's fresh array, in the order of
+        # 2 exp(-s (V - v_min)), so the bits are that expression's.
+        v = _v_tau_formula(p, r, (level, 0))
+        v -= v_min
+        v *= -s
+        np.exp(v, out=v)
+        v *= 2.0
+        return v
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
     if not val > 0.0:

@@ -422,9 +422,13 @@ class Custom(RadialPotential):
             h = min(max(r, 1.0) * _FD_STEP, r / (reach + 1.0))
         else:
             h = np.minimum(np.maximum(r, 1.0) * _FD_STEP, r / (reach + 1.0))
+        # q itself at each point, a Python float for a float r as in _profile
+        q = self._q
+        scalar = type(r) is float
         acc = 0.0
         for off, coef in _FD_STENCILS[order]:
-            acc = acc + coef * self._profile(r + off * h, 0)
+            v = q(r + off * h)
+            acc = acc + coef * (float(v) if scalar else v)
         return acc / h**order
 
     def _profile(self, r, order):

@@ -61,7 +61,8 @@ def _eval_panels(f, lefts, rights):
     rights = np.asarray(rights, dtype=float)
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
-    pts = mid[:, None] + half[:, None] * _XGK[None, :]
+    pts = half[:, None] * _XGK
+    pts += mid[:, None]  # mid + half * x node by node: addition commutes
     x = pts.reshape(-1)
     with np.errstate(all="ignore"):
         y = np.asarray(f(x), dtype=float)
@@ -123,7 +124,7 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
         raise DomainError(f"integrate needs 1-D seeds, got shape {seeds.shape}")
     seeds = seeds.astype(float, copy=False).tolist()
     lo, hi = a + 512.0 * math.ulp(a), b - 512.0 * math.ulp(b)
-    cuts = np.array(sorted({a, b, *[s for s in seeds if lo < s < hi]}))
+    cuts = np.array([a, *sorted({s for s in seeds if lo < s < hi}), b])
     # The panels ordered by left endpoint, as columns of one row per panel
     # (left, right, value, error); most integrals meet their tolerance on
     # this first evaluation, so the table is built at the first split.

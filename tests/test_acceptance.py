@@ -306,6 +306,12 @@ _LARGE_N_FAMILIES = {
     "ml(1.3,0)": (lambda: MittagLeffler(1.3, 0.0), (10, 100, 1600)),
     "custom-r^2": (lambda: _square_custom("analytic"), (10, 100, 1600)),
     "custom-r^2-fd": (lambda: _square_custom("fd"), (10, 100, 1600)),
+    # The disc-annulus transition: as c -> 0 the inner radius sqrt(c) and
+    # the low-degree saddles and cuts move toward the origin.
+    "ml(1,0.1)": (lambda: MittagLeffler(1.0, 0.1), (10, 100, 1600)),
+    "ml(1,0.01)": (lambda: MittagLeffler(1.0, 0.01), (10, 100, 1600)),
+    "ml(1,0.001)": (lambda: MittagLeffler(1.0, 0.001), (10, 100, 1600)),
+    "ml(1,1e-6)": (lambda: MittagLeffler(1.0, 1e-6), (10, 100, 1600)),
 }
 
 _LARGE_N_CASES = [

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -187,6 +188,18 @@ def test_norm_query_validation():
             NormQuery(10, bad, "normal")
     q = NormQuery(10, 2.0, "normal")
     assert q.j == 2 and type(q.j) is int
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_norm_query_level_is_stored_and_stays_out_of_init_and_repr(ensemble):
+    for n in (1, 7, 60):
+        for j in (0, n // 2, n - 1):
+            q = NormQuery(n, j, ensemble)
+            assert q.level == (j + 0.5) / q.s
+            assert "level" not in repr(q)
+    assert "level" not in inspect.signature(NormQuery).parameters
+    with pytest.raises(TypeError):
+        NormQuery(10, 0, ensemble, level=0.5)
 
 
 def test_failed_norm_names_its_potential_size_and_degree():

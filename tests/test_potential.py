@@ -293,6 +293,28 @@ def test_custom_finite_difference_fallback():
             assert abs(a - b) < tol[order] * max(1.0, abs(b)), (r, order)
 
 
+@pytest.mark.parametrize("r", [0.05, 0.7, 1.0, 2.5, np.array([0.05, 0.7, 1.0, 2.5])])
+def test_custom_finite_differences_are_the_stencil_sum_bit_for_bit(r):
+    # The FD derivatives call q at each stencil point and sum coef * q in
+    # stencil order; a float r gets Python floats, as q_derivs(r, 0) does.
+    q = lambda x: x**3.0 - 0.4 * np.log(x)
+    p = Custom(q, name="fd-cubic-log")
+    scalar = isinstance(r, float)
+    for order, stencil in potential._FD_STENCILS.items():
+        reach = stencil[-1][0]
+        if scalar:
+            h = min(max(r, 1.0) * potential._FD_STEP, r / (reach + 1.0))
+        else:
+            h = np.minimum(np.maximum(r, 1.0) * potential._FD_STEP, r / (reach + 1.0))
+        want = 0.0
+        for off, coef in stencil:
+            v = q(r + off * h)
+            want = want + coef * (float(v) if scalar else v)
+        got = p.q_derivs(r, order)
+        assert (type(got) is float) == scalar
+        assert np.array_equal(got, want / h**order), order
+
+
 def test_custom_scalar_callable():
     # a callable that only handles scalars still works when declared as such
     p = Custom(q=lambda r: r * r, vectorized=False, name="scalar-sq")

@@ -304,6 +304,25 @@ def test_nodes_lie_in_their_panels_and_in_the_interval(case, kind, at):
         assert np.all(a < x) and np.all(x < b)
 
 
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40, unique=True))
+def test_eval_panels_hands_f_the_kronrod_nodes_bit_for_bit(ends):
+    # The nodes are mid + half * x for each Kronrod node x, panel by panel.
+    cuts = np.array(sorted(ends))
+    lefts, rights = cuts[:-1], cuts[1:]
+    half = 0.5 * (rights - lefts)
+    mid = 0.5 * (rights + lefts)
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.ones_like(x)
+
+    _eval_panels(f, lefts, rights)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], (mid[:, None] + half[:, None] * quadrature._XGK).ravel())
+
+
 @pytest.mark.parametrize(
     "f, a, b, kwargs",
     [
