@@ -41,8 +41,8 @@ def _integral(f, d):
     """Integral of f(x) dx over droplet d in x = r^2, on [r0^2, r1^2].
 
     f calls the unchecked hooks at r = sqrt(x), as the norm integrand does:
-    integrate runs it under np.errstate on nodes within an ulp of
-    [r0^2, r1^2], whose roots already pass the entry points' domain check.
+    integrate runs it under np.errstate on nodes in [r0^2, r1^2], whose
+    roots already pass the entry points' domain check.
 
     Where f's noise sits above the 1e-13 target, as with finite-difference
     derivatives, refinement stalls and integrate raises IntegrationError.

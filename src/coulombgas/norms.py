@@ -54,14 +54,19 @@ class NormQuery:
 
     def __post_init__(self):
         k = _check_ensemble(self.ensemble)
-        n = _check_n(self.n)
-        s = k * n
-        if not _is_integer(self.j) or not 0 <= self.j <= s - 1:
+        n, j = self.n, self.j
+        # ints up to 2^53 pass _check_n and _is_integer as they are
+        if type(n) is int and type(j) is int and 0 < n <= 1 << 53:
+            s = k * n
+            ok = 0 <= j < s
+        else:
+            n = _check_n(n)
+            s = k * n
+            ok = _is_integer(j) and 0 <= j <= s - 1
+        if not ok:
             raise DomainError(f"degree must be an integer in [0, {s - 1}], got {self.j!r}")
-        j = int(self.j)
-        level = (j + 0.5) / s
-        for name, value in (("n", n), ("j", j), ("k", k), ("s", s), ("level", level)):
-            object.__setattr__(self, name, value)
+        j = int(j)
+        self.__dict__.update(n=n, j=j, k=k, s=s, level=(j + 0.5) / s)
 
     @property
     def tau(self):
@@ -148,8 +153,8 @@ def _log_norm_exact(p, query):
 
     def integrand(r):
         # integrate calls this under its own np.errstate, on positive nodes
-        # within an ulp of [0, cut] (none on cut in its first round, where a
-        # hard wall's profile is nan); cut is a radius below the support that
+        # in [0, cut] (none on cut in its first round, where a hard wall's
+        # profile is inf or nan); cut is a radius below the support that
         # _r_cut passed through _evaluate's check, or the support radius.
         # So every node passes that check, and the formula runs directly.
         # In place on the formula's fresh array, in the order of

@@ -112,6 +112,16 @@ def _log(x):
     return np.log(x)
 
 
+def _log1p(x):
+    """np.log1p(x); for a Python float, np.log1p's bits as a Python float
+    (math.log1p rounds differently), and ValueError unless x > -1."""
+    if type(x) is float:
+        if not x > -1.0:
+            raise ValueError(f"log1p of {x!r}")
+        return float(np.log1p(x))
+    return np.log1p(x)
+
+
 def _evaluate(formula, p, r, arg):
     """formula(p, r, arg) of potential p, arithmetic in r that works on
     floats and arrays alike, at a checked r: the one evaluation contract of
@@ -328,9 +338,11 @@ class TruncatedUnitary(RadialPotential):
     def _profile(self, r, order):
         a = self.alpha
         b = self.beta
-        d = b - r * r
         if order == 0:
-            return a * (_log(b) - _log(d))
+            # log1p of -r^2/beta carries no cancellation, which
+            # log(beta) - log(beta - r^2) does near the wall.
+            return -a * _log1p(r * r / -b)
+        d = b - r * r
         if order == 1:
             return 2.0 * a * r / d
         if order == 2:

@@ -9,6 +9,7 @@ depend on the order of the panels or on the history of panel splits.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -50,6 +51,15 @@ _WG = np.array(
     [_WG_HALF[0], _WG_HALF[1], _WG_HALF[2], _WG_HALF[3], _WG_HALF[2], _WG_HALF[1], _WG_HALF[0]]
 )
 
+# The nodes on [0, 1]: panel [l, r] gets l + (r - l) * _U.  The columns of
+# _W2 are the Kronrod weights and the Gauss weights at the odd-indexed
+# nodes, zero at the others, so one product gives both sums; the estimate
+# stays their difference, as a finite |K15 - G7| then implies a finite K15.
+_U = (1.0 + _XGK) / 2.0
+_W2 = np.zeros((15, 2))
+_W2[:, 0] = _WGK
+_W2[1::2, 1] = _WG
+
 # Splitting resolved panels cuts their error estimates by about 2^-14, and an
 # endpoint singularity x^a with a > -7/8 halves the total within 8 rounds.
 _STALL = 8
@@ -58,19 +68,18 @@ _MAX_PANELS = 1 << 20
 
 def _eval_panels(f, lefts, rights):
     lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    pts = half[:, None] * _XGK
-    pts += mid[:, None]  # mid + half * x node by node: addition commutes
+    width = np.asarray(rights, dtype=float) - lefts
+    pts = width[:, None] * _U
+    pts += lefts[:, None]
     x = pts.reshape(-1)
     with np.errstate(all="ignore"):
         y = np.asarray(f(x), dtype=float)
         if y.shape != x.shape:
             raise DomainError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
-        y = y.reshape(pts.shape)
-        kron = half * (y @ _WGK)
-        err = np.abs(kron - half * (y[:, 1::2] @ _WG))
+        sums = y.reshape(pts.shape) @ _W2
+        sums *= 0.5 * width[:, None]
+        kron = sums[:, 0]
+        err = np.abs(kron - sums[:, 1])
     return kron, err
 
 
@@ -82,14 +91,17 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     are dropped); it lets the caller pre-split around a known sharp peak so
     the first refinement rounds start from a sensible partition.
 
-    f is called on 1-D arrays of the 15 Kronrod nodes of each pending panel.
-    Every node lies within one ulp of [a, b]: the outermost nodes sit 0.43 %
-    of the width inside their panel, so rounding keeps every node in its
-    panel unless the panel is narrower than 128 ulps, when one node can land
-    an ulp outside.  No first-round node lands on a or b unless b - a is
-    within 2^9 ulps, as the end panels are wider.  With a = 0 every node is
-    at least 0 (the first panel's midpoint and half-width are one float)
-    and positive unless the first panel is narrower than 1e-321.
+    f is called on 1-D arrays of the 15 Kronrod nodes of each pending panel
+    [l, r], l + w u with w = r - l and u the nodes on [0, 1], the outermost
+    0.43 % of the width inside.  Every node lies in its closed panel, so in
+    [a, b]: where r - l is exact, w u <= w and the rounding of l + w u is
+    monotone; where it is not, l and r lie on either side of 0 or more than
+    a factor 2 apart, so w is at least half of max(|l|, |r|) and the 0.43 %
+    margin dwarfs the rounding.  A panel at least 256 ulps of max(|l|, |r|) wide has a margin
+    above an ulp and keeps its nodes off its ends; so no first-round node
+    lands on a or b unless b - a is within 2^9 ulps, as the end panels are
+    wider.  With a = 0 the first panel's nodes are w u, positive unless the
+    panel is narrower than 1e-321.
 
     Returns (value, error_estimate), both finite floats, or raises
     IntegrationError, never a numpy warning: f and the panel sums run under
@@ -123,8 +135,11 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     if seeds.ndim != 1:
         raise DomainError(f"integrate needs 1-D seeds, got shape {seeds.shape}")
     seeds = seeds.astype(float, copy=False).tolist()
+    if math.isnan(sum(seeds)):  # nan has no place in the sorted order
+        seeds = [s for s in seeds if s == s]
+    seeds = sorted(set(seeds))
     lo, hi = a + 512.0 * math.ulp(a), b - 512.0 * math.ulp(b)
-    cuts = np.array([a, *sorted({s for s in seeds if lo < s < hi}), b])
+    cuts = np.array([a, *seeds[bisect_right(seeds, lo):bisect_left(seeds, hi)], b])
     # The panels ordered by left endpoint, as columns of one row per panel
     # (left, right, value, error); most integrals meet their tolerance on
     # this first evaluation, so the table is built at the first split.

