@@ -97,11 +97,11 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     [a, b]: where r - l is exact, w u <= w and the rounding of l + w u is
     monotone; where it is not, l and r lie on either side of 0 or more than
     a factor 2 apart, so w is at least half of max(|l|, |r|) and the 0.43 %
-    margin dwarfs the rounding.  A panel at least 256 ulps of max(|l|, |r|) wide has a margin
-    above an ulp and keeps its nodes off its ends; so no first-round node
-    lands on a or b unless b - a is within 2^9 ulps, as the end panels are
-    wider.  With a = 0 the first panel's nodes are w u, positive unless the
-    panel is narrower than 1e-321.
+    margin dwarfs the rounding.  A panel at least 256 ulps of max(|l|, |r|)
+    wide has a margin above an ulp and keeps its nodes off its ends; so no
+    first-round node lands on a or b unless b - a is within 2^9 ulps, as
+    the end panels are wider.  With a = 0 the first panel's nodes are w u,
+    positive unless the panel is narrower than 1e-321.
 
     Returns (value, error_estimate), both finite floats, or raises
     IntegrationError, never a numpy warning: f and the panel sums run under
