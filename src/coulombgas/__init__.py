@@ -65,7 +65,6 @@ from .specialfn import (
     LOG_2PI,
     ZETA_PRIME_MINUS_ONE,
     ln_barnes_g,
-    ln_barnes_g_asymptotic,
     ln_factorial,
     ln_gamma,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "ln_gamma",
     "ln_factorial",
     "ln_barnes_g",
-    "ln_barnes_g_asymptotic",
     "LOG_2PI",
     "ZETA_PRIME_MINUS_ONE",
 ]

@@ -21,14 +21,13 @@ from .droplet import Droplet
 from .equilibrium import EquilibriumReport
 from .errors import DomainError, _finite
 from .potential import (
+    _EPS,
     _check_ensemble,
     _check_n,
     _check_nonnegative,
     _check_positive,
 )
 from .specialfn import LOG_2PI, ln_barnes_g, ln_factorial, ln_gamma
-
-_INT_TOL = 1e-9
 
 # Cap on p, the number of Barnes G factors in ml_log_z.  A factor costs two
 # ln_barnes_g calls: 2 us on 2 vCPU at large arguments, up to 14 us at
@@ -38,14 +37,20 @@ _MAX_FACTORS = 10**5
 
 
 def _as_int(x, what):
-    k = round(x) if math.isfinite(x) else 0
-    if abs(x - k) > _INT_TOL or k < 1:
+    # x = fl(k / lam) is taken as the integer p when lam can be fl(k / p):
+    # then lam = (k / p)(1 + d1) and x = p (1 + d2) / (1 + d1), |d1|, |d2|
+    # <= eps / 2, so |x - p| <= eps p (1 + eps).  The bound 2 eps p, under
+    # 4 ulps of p, covers that twice over.  A wider window would accept a
+    # lam off k / p by more than rounding: another weight, whose log Z the
+    # Barnes G product does not give.
+    p = round(x) if math.isfinite(x) else 0
+    if abs(x - p) > 2.0 * _EPS * p or p < 1:
         raise DomainError(f"{what} must be a positive integer, got {x!r}")
-    if k > _MAX_FACTORS:
+    if p > _MAX_FACTORS:
         raise DomainError(
             f"{what} = {x!r} needs more than {_MAX_FACTORS} Barnes G factors"
         )
-    return int(k)
+    return int(p)
 
 
 @_finite
@@ -53,8 +58,9 @@ def ml_log_z(lam, c, n, ensemble="normal"):
     """log Z_n for the power-log family, via Barnes G.
 
     Requires 1/lam to be a positive integer for the determinantal ensemble
-    and 2/lam for the symplectic one, at most _MAX_FACTORS.  c = 0 is
-    allowed and reproduces the pure power case.
+    and 2/lam for the symplectic one, at most _MAX_FACTORS, to within the
+    rounding of lam = fl(1/p) or fl(2/p).  c = 0 is allowed and reproduces
+    the pure power case.
     """
     lam = _check_positive("lam", lam)
     c = _check_nonnegative("c", c)

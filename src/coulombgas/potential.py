@@ -386,8 +386,9 @@ class Custom(RadialPotential):
     four callables for q', q'', q''', q''''; anything else raises
     DomainError.  Without derivs, derivatives fall back to fourth-order
     central differences with step h = max(r, 1) * eps^(1/6), shrunk near
-    the origin so stencil points stay positive.  Pass vectorized=False for
-    callables that only accept scalars; scalar results are taken as Python
+    the origin so stencil points stay positive.  The callables receive
+    Python floats and 1-D float arrays; wrap one that only accepts scalars
+    as np.vectorize(f, otypes=[float]).  Scalar results are taken as Python
     floats, and numpy calls a callable makes on a Python float follow
     numpy's own error settings.  q_origin, when given, must be a finite
     real and laplacian_origin a finite positive real; anything else raises
@@ -395,7 +396,7 @@ class Custom(RadialPotential):
     """
 
     def __init__(self, q, derivs=None, support_radius=None, q_origin=None,
-                 laplacian_origin=None, vectorized=True, name="custom"):
+                 laplacian_origin=None, name="custom"):
         if not callable(q):
             raise DomainError(f"{name}: q must be callable, got {q!r}")
         if derivs is not None:
@@ -406,10 +407,6 @@ class Custom(RadialPotential):
                     f"{name}: derivs must supply exactly four callables (q' .. q''''), "
                     f"got {given!r}"
                 )
-        if not vectorized:
-            q = np.vectorize(q, otypes=[float])
-            if derivs is not None:
-                derivs = [np.vectorize(d, otypes=[float]) for d in derivs]
         self._q = q
         self._derivs = derivs
         if support_radius is not None:

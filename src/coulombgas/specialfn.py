@@ -41,18 +41,9 @@ def ln_factorial(n):
     return math.lgamma(int(n) + 1.0)
 
 
-@_finite
-def ln_barnes_g_asymptotic(z):
-    """Bare five-term asymptotic of ln G(z+1), without Bernoulli corrections.
-
-    Exposed separately so the agreement between the recursion route and the
-    plain asymptotic route can be measured: at z = 30 the truncation error
-    of this form is about 4.6e-6.
-    """
-    return _ln_g_asymptotic(_check_positive("ln_barnes_g_asymptotic argument", z))
-
-
 def _ln_g_asymptotic(z):
+    # Bare five-term asymptotic of ln G(z+1), without the _G_TAIL terms: at
+    # z = 30 its truncation error is about 4.6e-6.
     lz = math.log(z)
     return (
         0.5 * z * z * lz

@@ -10,8 +10,8 @@ the monomial norms of the power-log and hard-wall families, in mpmath.
 They hold for any lam, c, alpha, R and a.  The parameters are read off
 the potential as the floats it evaluates with (beta included), so the
 reference and the route integrate the same weight.  norm_bound gives the
-error that log_norm_exact documents for one norm, log_z_bound the error
-of log_z_exact that follows from it.
+error that log_norm_exact documents for one norm, log_z_bound and
+route_bound the error of log_z_exact that follows from it.
 """
 
 import math
@@ -98,10 +98,20 @@ def log_z_bound(p, n, ensemble, ref=None):
     """
     ref = p if ref is None else ref
     s = n if ensemble == "normal" else 2 * n
-    degrees = range(n) if ensemble == "normal" else range(1, s, 2)
-    log_hs = [float(log_norm(ref, j, s)) for j in degrees]
+    return route_bound(p, n, ensemble, [float(log_norm(ref, j, s)) for j in _degrees(n, ensemble)])
+
+
+def route_bound(p, n, ensemble, log_hs):
+    """log_z_bound given the n values log h_j in degree order: the
+    reference's, or, for a potential without one, the route's own (the
+    eps |log h_j| terms then move by about eps^2)."""
+    degrees = _degrees(n, ensemble)
     bound = math.fsum(
         norm_bound(p, NormQuery(n, j, ensemble), log_h) for j, log_h in zip(degrees, log_hs)
     )
     base = math.lgamma(n + 1.0) + (n * math.log(2.0) if ensemble == "symplectic" else 0.0)
     return bound + 5.0 * EPS * (base + abs(base + math.fsum(log_hs)))
+
+
+def _degrees(n, ensemble):
+    return range(n) if ensemble == "normal" else range(1, 2 * n, 2)

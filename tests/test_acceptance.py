@@ -7,6 +7,7 @@ failure go away.
 
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -31,8 +32,8 @@ from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitar
 from coulombgas.specialfn import (
     LOG_2PI,
     ZETA_PRIME_MINUS_ONE,
+    _ln_g_asymptotic,
     ln_barnes_g,
-    ln_barnes_g_asymptotic,
     ln_gamma,
 )
 
@@ -178,7 +179,7 @@ def test_partial_sum_remainder_orders():
 
 def test_special_function_identities():
     recursion = math.fsum(math.lgamma(k) for k in range(1, 31))
-    gap30 = abs(recursion - ln_barnes_g_asymptotic(30.0))
+    gap30 = abs(recursion - _ln_g_asymptotic(30.0))
     gap4 = abs(ln_barnes_g(4.0) - math.log(2.0))
     half = math.log(2.0) / 24.0 + 1.5 * ZETA_PRIME_MINUS_ONE - 0.25 * math.log(math.pi)
     gap_half = abs(ln_barnes_g(0.5) - half)
@@ -473,4 +474,90 @@ def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, ensemble):
         all(0.0 < r <= 0.75 for r in ratios),
         f"N R(N) {', '.join(f'{v:.7f}' for v in scaled)}, "
         f"difference ratios {', '.join(f'{r:.3f}' for r in ratios)}, {elapsed:.2f}s",
+    )
+
+
+# The same expansion, fitted: R(N) = delta + a/N + b/N^2 by least squares
+# over N = 200, 400, 800, 1600, where delta = 0 if the O(1) term is right.
+# The fit's delta is sum_i w_i R(N_i) with w = (1/6, -5/6, 1/3, 4/3), the
+# first row of the pseudo-inverse (checked exactly below), so an error e_i in
+# R(N_i) moves delta by at most sum_i |w_i| e_i, with sum |w_i| = 8/3.
+# The bound, fixed before any run, is that sum with
+#   e(N) = mp_reference.route_bound (the exact route: sum of norm_bound
+#          and the summation's rounding; the log h_j are the route's own)
+#        + (1e-13 + 4 eps) (k S N^2 + (|E_Q| + G) N / 2 + 1 + (r1^2 - r0^2) / 48)
+#        + 2 eps sum of |c_i N^i| (evaluate's products and fsum);
+# k = 1 normal, 2 symplectic.  The coefficients come from quadratures to
+# 1e-13 relative and from radii to 1e-13 r:
+#   - c_N2 = -k E, E = q(r1) - log r1 - (1/8) int q'(sqrt x)^2 dx.  Each
+#     of its three terms is at most S = |q(r1)| + |log r1| + |q(r1) -
+#     log r1 - E|, and E is stationary in r0 and r1 (r q'(r) = 2 at r1, 0
+#     at r0);
+#   - c_N takes -E_Q / 2; E_Q = int Delta Q log Delta Q dx moves by
+#     1e-13 G, G = sum over the edges of 2 r^2 Delta Q |log Delta Q|, with
+#     the radii; U(0) is stationary in them;
+#   - c_1 takes f_term (times 1/2 symplectic) and the edge Laplacians:
+#     the f_term integral (1/48) int (Delta Q' / Delta Q)^2 dx is at most
+#     (r1^2 - r0^2) / 48, since Delta Q = 1 + r^2 and 2r / (1 + r^2) <= 1,
+#     and its log and edge terms move with the radii by at most 1e-13.
+# The float64 weighted sum adds 4 eps sum |w_i R_i|.  An O(N^-3) term
+# c3 / N^3 in R leaks c3 sum_i w_i / N_i^3 = 8.8e-9 c3 into delta; the
+# bound allows |c3| <= 1.
+_FIT_NS = (200, 400, 800, 1600)
+_FIT_WEIGHTS = tuple(map(Fraction, ("1/6", "-5/6", "1/3", "4/3")))
+
+
+def test_fit_weights_are_the_least_squares_delta():
+    # Exactly, in x = 1/N: w reproduces delta (sum w x^m = 1, 0, 0 for
+    # m = 0, 1, 2) and lies in the span of the fit's columns (orthogonal
+    # to v, the weights of the third divided difference, which span the
+    # complement).  Then sum w x^3 is the leak of an N^-3 term.
+    xs = [Fraction(1, n) for n in _FIT_NS]
+    assert [sum(w * x**m for w, x in zip(_FIT_WEIGHTS, xs)) for m in range(3)] == [1, 0, 0]
+    v = [1 / math.prod(x - y for y in xs if y != x) for x in xs]
+    assert sum(w * vi for w, vi in zip(_FIT_WEIGHTS, v)) == 0
+    assert sum(w * x**3 for w, x in zip(_FIT_WEIGHTS, xs)) <= Fraction(88, 10**10)
+
+
+def _expansion_error(p, report, terms, n):
+    """e(N) less route_bound: the expansion's share, as derived above."""
+    eps = mp_reference.EPS
+    k = 1 if terms.ensemble == "normal" else 2
+    d = report.droplet
+    q1 = float(p.q_derivs(d.r1))
+    s = abs(q1) + abs(math.log(d.r1)) + abs(q1 - math.log(d.r1) - report.energy)
+    edges = (d.r0, d.r1) if d.kind == "annulus" else (d.r1,)
+    g = math.fsum(2.0 * r * r * p.laplacian(r) * abs(math.log(p.laplacian(r))) for r in edges)
+    ln = math.log(n)
+    parts = (terms.c_n2 * n * n, terms.c_nlogn * n * ln, terms.c_n * n, terms.c_logn * ln,
+             terms.c_1)
+    coefficients = (k * s * n * n + (abs(report.entropy) + g) * n / 2.0
+                    + 1.0 + (d.r1**2 - d.r0**2) / 48.0)
+    return (1e-13 + 4.0 * eps) * coefficients + 2.0 * eps * math.fsum(map(abs, parts))
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("kind", ["disc", "annulus"])
+def test_expansion_fit_has_no_o1_residual_off_the_families(kind, ensemble):
+    p = _quartic(kind)
+    t0 = time.perf_counter()
+    report = equilibrium_report(p)
+    terms = expansion_terms(p, ensemble, "physics", report=report)
+    residuals, errors = [], []
+    for n in _FIT_NS:
+        degrees = range(n) if ensemble == "normal" else range(1, 2 * n, 2)
+        log_hs = [log_norm_exact(p, NormQuery(n, j, ensemble)) for j in degrees]
+        residuals.append(log_z_exact(p, n, ensemble) - terms.evaluate(n))
+        errors.append(mp_reference.route_bound(p, n, ensemble, log_hs)
+                      + _expansion_error(p, report, terms, n))
+    weights = [float(w) for w in _FIT_WEIGHTS]
+    weighted = [w * r for w, r in zip(weights, residuals)]
+    delta = math.fsum(weighted)
+    bound = (math.fsum(abs(w) * e for w, e in zip(weights, errors))
+             + 4.0 * mp_reference.EPS * math.fsum(map(abs, weighted)) + 8.8e-9)
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        f"expansion fit O(1) residual, {p.name} {ensemble}",
+        abs(delta) <= bound,
+        f"delta {delta:.3e}, bound {bound:.3e} ({abs(delta) / bound:.1e} of it), {elapsed:.2f}s",
     )

@@ -238,6 +238,18 @@ def test_oracle_factor_cap_is_domain_error(capsys):
     assert err.startswith("error:") and "Barnes G factors" in err
 
 
+def test_oracle_lam_off_k_over_p_is_domain_error(capsys):
+    # 1/lam = 3.0000000003: the Barnes G product would be log Z of another
+    # weight, and --compare would print its error as the exact route's.
+    argv = ["oracle", "--potential", "ml", "--lambda", "0.3333333333", "--c", "1", "--N", "100"]
+    for extra in ([], ["--compare"]):
+        rc = main(argv + extra)
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error:") and "must be a positive integer" in err
+
+
 def test_missing_family_parameter_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["droplet", "--potential", "ml", "--lambda", "1"])

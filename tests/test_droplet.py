@@ -502,12 +502,12 @@ def test_nan_in_the_bracket_scan_is_named():
 
 def test_nan_in_the_newton_loop_is_named():
     # q = r^2 with q' nan on (0.4, 0.6): the scan brackets the root
-    # sqrt(0.5) in (1e-12, 1] and the first Newton point is r = 0.5.
+    # sqrt(0.5) in (1e-12, 1] and the first Newton point is r = 0.5.  q1
+    # takes only floats, so the table's array call fails and the scan runs.
     def q1(r):
         return math.nan if 0.4 < r < 0.6 else 2.0 * r
 
-    p = Custom(lambda r: r * r, derivs=[q1, lambda r: 2.0, lambda r: 0.0, lambda r: 0.0],
-               vectorized=False)
+    p = Custom(lambda r: r * r, derivs=[q1, lambda r: 2.0, lambda r: 0.0, lambda r: 0.0])
     with pytest.raises(InvalidPotentialError, match=r"r q'\(r\) is nan at r = 0\.5"):
         solve_r_tau(p, 0.5)
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from coulombgas import oracles
 from coulombgas.equilibrium import energy, entropy, f_annulus, f_disc
 from coulombgas.errors import DomainError
 from coulombgas.oracles import (
@@ -56,6 +57,26 @@ def test_ml_log_z_integrality_requirements():
     with pytest.raises(DomainError):
         ml_log_z(2.0 / 3.0, 0.4, 8, "normal")
     ml_log_z(2.0 / 3.0, 0.4, 8, "symplectic")
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_ml_log_z_refuses_lam_off_k_over_p_by_more_than_rounding(ensemble):
+    # 1/lam = 3.0000000003 is no integer: the Barnes G product at p = 3
+    # misses this lam's log Z by -6.9e-6 at N = 100 and -1.1e-4 at N = 400
+    # (c = 1, normal).
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        ml_log_z(0.3333333333, 1.0, 10, ensemble)
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_ml_log_z_accepts_k_over_p_for_every_p(ensemble, monkeypatch):
+    # lam = fl(k / p) for every p up to 1000 passes the integrality check.
+    # The Barnes G values are stubbed out: the check is under test, not the
+    # 500,500 factors, which would take seconds.
+    k = 1 if ensemble == "normal" else 2
+    monkeypatch.setattr(oracles, "ln_barnes_g", lambda x: 0.0)
+    for p in range(1, 1001):
+        assert math.isfinite(ml_log_z(k / p, 1.0, 1, ensemble)), p
 
 
 def test_ml_log_z_allows_zero_offset():

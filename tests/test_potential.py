@@ -11,6 +11,7 @@ from coulombgas.droplet import dr_dtau, solve_r_tau
 from coulombgas.errors import CoulombGasError, DomainError, UnsupportedOrderError
 from coulombgas.norms import NormQuery
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
+from coulombgas.partition import log_z_exact
 from coulombgas import potential
 from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import b1
@@ -332,11 +333,28 @@ def test_custom_finite_differences_are_the_stencil_sum_bit_for_bit(r):
         assert np.array_equal(got, want / h**order), order
 
 
-def test_custom_scalar_callable():
-    # a callable that only handles scalars still works when declared as such
-    p = Custom(q=lambda r: r * r, vectorized=False, name="scalar-sq")
-    out = p.q_derivs(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [1.0, 4.0, 9.0])
+def _scalar_only(f):
+    # float() of a many-element array raises, so f only takes scalars.
+    return lambda r: f(float(r))
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("derivs", ["fd", "analytic"])
+def test_np_vectorize_wraps_a_scalar_only_profile(derivs, ensemble):
+    # np.vectorize(f, otypes=[float]) calls f once per element, and each
+    # element is the same float arithmetic as the array-native profile's,
+    # so log Z keeps every bit.
+    native = [lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r]
+    scalar = [_scalar_only(f) for f in native]
+    q = _scalar_only(lambda r: r * r)
+    with pytest.raises(TypeError):
+        q(np.array([1.0, 2.0]))
+    wrapped = Custom(np.vectorize(q, otypes=[float]),
+                     derivs=None if derivs == "fd" else
+                     [np.vectorize(f, otypes=[float]) for f in scalar])
+    plain = Custom(lambda r: r * r, derivs=None if derivs == "fd" else native)
+    want = log_z_exact(plain, 30, ensemble)
+    assert log_z_exact(wrapped, 30, ensemble).hex() == want.hex()
 
 
 def test_dilate_chain_rule():

@@ -11,8 +11,8 @@ from coulombgas.quadrature import integrate
 from coulombgas.specialfn import (
     LOG_2PI,
     ZETA_PRIME_MINUS_ONE,
+    _ln_g_asymptotic,
     ln_barnes_g,
-    ln_barnes_g_asymptotic,
     ln_factorial,
     ln_gamma,
 )
@@ -65,7 +65,6 @@ _INF = float("inf")
         lambda: ln_barnes_g(_INF),
         lambda: ln_barnes_g(1e160),
         lambda: ln_barnes_g(True),
-        lambda: ln_barnes_g_asymptotic(1e300),
         lambda: integrate(np.sin, "0", "1"),
         lambda: integrate(np.sin, True, 2),
         lambda: integrate(np.sin, 0, 1, rel_tol=_NAN),
@@ -77,7 +76,7 @@ _INF = float("inf")
         "ln_factorial-nan", "ln_factorial-inf", "ln_factorial-10**400",
         "ln_factorial-1e306", "ln_factorial-True", "ln_gamma-True", "ln_gamma-inf",
         "ln_gamma-1e308", "ln_gamma-str", "ln_barnes_g-inf", "ln_barnes_g-1e160",
-        "ln_barnes_g-True", "ln_barnes_g_asymptotic-1e300", "integrate-str",
+        "ln_barnes_g-True", "integrate-str",
         "integrate-bool", "integrate-rel_tol-nan", "integrate-rel_tol-negative",
         "integrate-seeds-str", "integrate-seeds-bool",
     ],
@@ -141,7 +140,7 @@ def test_barnes_recursion_vs_bare_asymptotic_at_30():
     # the uncorrected five-term form at z=30 sits about 4.6e-6 away from the
     # recursion route; the contract only demands 1e-4
     recursion = math.fsum(math.lgamma(k) for k in range(1, 31))
-    bare = ln_barnes_g_asymptotic(30.0)
+    bare = _ln_g_asymptotic(30.0)
     gap = abs(recursion - bare)
     assert gap < 1e-4
     assert gap > 1e-7  # the bare form really is the uncorrected one
