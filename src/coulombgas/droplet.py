@@ -301,8 +301,13 @@ def dr_dtau(p, tau):
 def _saddle_laplacian(p, r):
     """laplacian(r) as a float at a saddle r = r_tau: the one check shared by
     dr_dtau and the exact and Laplace norms, which divide by it.  Anything
-    but a positive value raises InvalidPotentialError naming r."""
+    but a finite positive value raises InvalidPotentialError naming r, and
+    the hard wall when r has rounded onto it."""
     dq = float(p.laplacian(r))
     if not dq > 0.0:
         raise InvalidPotentialError(f"nonpositive Laplacian {dq!r} at r_tau = {r!r}")
+    if dq == math.inf:
+        wall = p.support_radius
+        where = "" if wall is None or r < wall else f", on the hard wall at {wall!r}"
+        raise InvalidPotentialError(f"infinite Laplacian at r_tau = {r!r}{where}")
     return dq

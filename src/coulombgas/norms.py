@@ -31,7 +31,7 @@ from .potential import (
     v_tau,
 )
 from .quadrature import integrate
-from .specialfn import ln_factorial
+from .specialfn import LOG_2PI, ln_factorial
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ _SEED_T = np.array(sorted({0.0, *_SEED_OFFSETS, *(-k for k in _SEED_OFFSETS)}))
 def _peak(p, query):
     """Saddle radius, V minimum, and Gaussian width for the shifted weight."""
     r_star = solve_r_tau(p, query.level)
-    v_min = float(_evaluate(_v_tau_formula, p, r_star, (query.level, 0)))
+    v_min = float(_evaluate(_v_tau_formula, p, r_star, query.level))
     width = 1.0 / math.sqrt(2.0 * query.s * _saddle_laplacian(p, r_star))
     return r_star, v_min, width
 
@@ -120,7 +120,7 @@ def _r_cut(p, query, r_star, v_min):
     while r <= 1e300:
         if support is not None and r >= support:
             return support
-        if s * (float(_evaluate(_v_tau_formula, p, r, (query.level, 0))) - v_min) >= thresh:
+        if s * (float(_evaluate(_v_tau_formula, p, r, query.level)) - v_min) >= thresh:
             return r
         r *= 2.0
     raise IntegrationError("failed to locate a truncation radius")
@@ -159,7 +159,7 @@ def _log_norm_exact(p, query):
         # So every node passes that check, and the formula runs directly.
         # In place on the formula's fresh array, in the order of
         # 2 exp(-s (V - v_min)), so the bits are that expression's.
-        v = _v_tau_formula(p, r, (level, 0))
+        v = _v_tau_formula(p, r, level)
         v -= v_min
         v *= -s
         np.exp(v, out=v)
@@ -182,7 +182,13 @@ def _laplace_value(p, s, tau):
     dq = _saddle_laplacian(p, r)
     v = float(v_tau(p, tau, r))
     corr = float(b1(p, r)) / s
-    return -s * v + 0.5 * math.log(2.0 * math.pi * r * r / (s * dq)) + math.log1p(corr)
+    if not -1.0 < corr < math.inf:
+        raise DomainError(f"{p.name}: the Laplace correction b1/s = {corr!r} at r_tau = {r!r} "
+                          "is not in (-1, inf) in float64")
+    # log(2 pi r^2 / (s dq)) as a sum of logs: the ratio can underflow to 0
+    # (Ginibre scale 1e-100) or overflow while each factor is finite.
+    log_ratio = LOG_2PI + 2.0 * math.log(r) - math.log(s) - math.log(dq)
+    return -s * v + 0.5 * log_ratio + math.log1p(corr)
 
 
 def log_norm_laplace(p, query):

@@ -14,9 +14,9 @@ the one evaluation contract (_evaluate): a scalar gets the inf or nan
 that a one-element array gets, and neither warns.
 
 The degree-dependent effective potential for orthogonal-norm asymptotics is
-V_tau(r) = q(r) - 2 tau log r; one formula (_v_tau_formula) gives it and
-its first four radial derivatives, using the exact identities that express
-V'' through the Laplacian of Q.
+V_tau(r) = q(r) - 2 tau log r, given by one formula (_v_tau_formula).  Its
+second derivative enters the routes only as the Laplacian of Q at the
+saddle, read from the Laplacian hook.
 """
 
 import math
@@ -89,13 +89,6 @@ def _check_nonnegative(name, value):
     if not (_is_real(value) and value >= 0):
         raise DomainError(f"{name} must be a finite nonnegative number, got {value!r}")
     return float(value)
-
-
-def _check_order(order):
-    """Derivative order of the profile or of V_tau; anything but 0..4 raises
-    UnsupportedOrderError."""
-    if order not in (0, 1, 2, 3, 4):
-        raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
 
 
 def _const_like(r, val):
@@ -207,8 +200,10 @@ class RadialPotential:
         return (q4 + (q3 - 2.0 * (q2 - q1 / r) / r) / r) / 4.0
 
     def q_derivs(self, r, order=0):
-        """Radial profile derivative d^order q / dr^order, order in 0..4."""
-        _check_order(order)
+        """Radial profile derivative d^order q / dr^order, order in 0..4;
+        any other order raises UnsupportedOrderError."""
+        if order not in (0, 1, 2, 3, 4):
+            raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
         return _evaluate(type(self)._profile, self, r, order)
 
     def laplacian(self, r):
@@ -218,10 +213,6 @@ class RadialPotential:
     def laplacian_dr(self, r):
         """Radial derivative of the Laplacian."""
         return _evaluate(type(self)._laplacian, self, r, 1)
-
-    def laplacian_dr2(self, r):
-        """Second radial derivative of the Laplacian."""
-        return _evaluate(type(self)._laplacian, self, r, 2)
 
     def q_at_zero(self):
         """q(0) when the profile extends continuously to the origin."""
@@ -238,31 +229,35 @@ class Ginibre(RadialPotential):
     def __init__(self, scale=1.0):
         scale = _check_positive("scale", scale)
         self.scale = scale
+        # scale^2 underflows to 0 below scale ~1e-162; 1 / scale^2 is then
+        # inf, so no formula of a Python float divides by 0.
+        self._s2 = scale * scale
+        self._inv_s2 = 1.0 / self._s2 if self._s2 else math.inf
         self.name = f"ginibre(scale={scale!r})"
 
     def r_tau(self, tau):
         return self.scale * math.sqrt(tau)
 
     def _profile(self, r, order):
-        s2 = self.scale * self.scale
+        s2 = self._s2
         if order == 0:
             return r * r / s2
         if order == 1:
             return 2.0 * r / s2
         if order == 2:
-            return _const_like(r, 2.0 / s2)
+            return _const_like(r, 2.0 * self._inv_s2)
         return _const_like(r, 0.0)
 
     def _laplacian(self, r, order):
         if order == 0:
-            return _const_like(r, 1.0 / (self.scale * self.scale))
+            return _const_like(r, self._inv_s2)
         return _const_like(r, 0.0)
 
     def q_at_zero(self):
         return 0.0
 
     def laplacian_at_zero(self):
-        return 1.0 / (self.scale * self.scale)
+        return self._inv_s2
 
 
 class MittagLeffler(RadialPotential):
@@ -277,6 +272,7 @@ class MittagLeffler(RadialPotential):
         c = _check_nonnegative("c", c)
         self.lam = lam
         self.c = c
+        self._lam2 = _pow_or_inf(lam, 2)  # inf from lam ~1.4e154, where ** raises
         self.name = f"ml(lam={lam!r}, c={c!r})"
 
     def r_tau(self, tau):
@@ -299,10 +295,10 @@ class MittagLeffler(RadialPotential):
 
     def _laplacian(self, r, order):
         if order == 0:
-            return self.lam**2 * r ** (2.0 * self.lam - 2.0)
+            return self._lam2 * r ** (2.0 * self.lam - 2.0)
         if order == 1:
-            return self.lam**2 * (2.0 * self.lam - 2.0) * r ** (2.0 * self.lam - 3.0)
-        coef = self.lam**2 * (2.0 * self.lam - 2.0) * (2.0 * self.lam - 3.0)
+            return self._lam2 * (2.0 * self.lam - 2.0) * r ** (2.0 * self.lam - 3.0)
+        coef = self._lam2 * (2.0 * self.lam - 2.0) * (2.0 * self.lam - 3.0)
         return coef * r ** (2.0 * self.lam - 4.0)
 
     def q_at_zero(self):
@@ -363,7 +359,8 @@ class TruncatedUnitary(RadialPotential):
         return 0.0
 
     def laplacian_at_zero(self):
-        return self.alpha / self.beta
+        # beta = R^2 (1 + alpha) underflows to 0 below R ~1e-162
+        return self.alpha / self.beta if self.beta else math.inf
 
 
 # Finite-difference step relative to max(r, 1).
@@ -502,7 +499,8 @@ class _Dilated(RadialPotential):
         return self._base.q_at_zero()
 
     def laplacian_at_zero(self):
-        return self._base.laplacian_at_zero() / self._a_pow[2]
+        dq0 = self._base.laplacian_at_zero()
+        return dq0 / self._a_pow[2] if self._a_pow[2] else math.inf  # a^2 underflows to 0
 
 
 def dilate(p, a):
@@ -510,36 +508,17 @@ def dilate(p, a):
     return _Dilated(p, _check_positive("dilation factor", a))
 
 
-def v_tau(p, tau, r, order=0):
-    """Effective potential V_tau(r) = q(r) - 2 tau log r and derivatives.
+def v_tau(p, tau, r):
+    """Effective potential V_tau(r) = q(r) - 2 tau log r.
 
     tau is a float in [0, 1]; a caller holding a norms.NormQuery passes
-    query.tau.  Orders 2..4 are assembled from the Laplacian of Q through
-    V'' = 4 laplacian - V'/r, which keeps them exact for potentials whose
-    Laplacian is known in closed form.
+    query.tau.
     """
-    t = _check_tau(tau)
-    _check_order(order)
-    return _evaluate(_v_tau_formula, p, r, (t, order))
+    return _evaluate(_v_tau_formula, p, r, _check_tau(tau))
 
 
-def _v_tau_formula(p, rr, tau_order):
-    """d^order V_tau / dr^order for a checked (tau, order): v_tau, _peak and
-    _r_cut run it through _evaluate, and the norm integrand on node arrays
-    whose domain integrate and the norm's cut already prove."""
-    t, order = tau_order
-    if order == 0:
-        return p._profile(rr, 0) - 2.0 * t * _log(rr)
-    v1 = p._profile(rr, 1) - 2.0 * t / rr
-    if order == 1:
-        return v1
-    if order == 2:
-        return 4.0 * p._laplacian(rr, 0) - v1 / rr
-    if order == 3:
-        return 4.0 * p._laplacian(rr, 1) - 4.0 * p._laplacian(rr, 0) / rr + 2.0 * v1 / rr**2
-    return (
-        4.0 * p._laplacian(rr, 2)
-        - 4.0 * p._laplacian(rr, 1) / rr
-        + 12.0 * p._laplacian(rr, 0) / rr**2
-        - 6.0 * v1 / rr**3
-    )
+def _v_tau_formula(p, rr, t):
+    """V_tau at a checked t = tau: v_tau, _peak and _r_cut run it through
+    _evaluate, and the norm integrand on node arrays whose domain integrate
+    and the norm's cut already prove."""
+    return p._profile(rr, 0) - 2.0 * t * _log(rr)

@@ -439,8 +439,16 @@ def test_dilated_hard_wall_every_size_matches_reference(ensemble):
 #     mp_reference.norm_bound, 1.6e-6 at N = 800 (annulus, symplectic),
 #     plus N^3 eps |energy| from the expansion's N^2 term, about 1e-7.
 # Both profiles have analytic derivatives.  Laplacian of Q (q'' + q'/r)/4
-# is 1 + r^2 for both, 1 at the origin of the disc.
-def _quartic(kind):
+# is 1 + r^2 for both, 1 at the origin of the disc.  The annulus
+# q = r^2 + r^4/4 - 2c log r has the inner radius r0^2 = sqrt(1 + 2c) - 1
+# and a U(0) that move with its strength c while Delta Q does not, so every
+# bound below holds unchanged across c.  U(0) enters only the symplectic
+# O(N) term, so the strengths c = 0.1 (r0 = 0.31) and c = 2 (r0 = 1.11)
+# run symplectic only; c = 1/2 (r0 = 0.64) runs in both ensembles.  A
+# stronger c leaves the gates nothing to read: at c = 8, N R stays within
+# 1e-6 over N = 100 ... 800 and its doubling differences change sign, so
+# the ratios would read rounding.
+def _quartic(kind, c=0.5):
     if kind == "disc":
         return Custom(lambda r: r * r + r**4 / 4.0, derivs=(
             lambda r: 2.0 * r + r**3,
@@ -448,18 +456,25 @@ def _quartic(kind):
             lambda r: 6.0 * r,
             lambda r: 6.0 + 0.0 * r,
         ), q_origin=0.0, laplacian_origin=1.0, name="quartic disc")
-    return Custom(lambda r: r * r + r**4 / 4.0 - np.log(r), derivs=(
-        lambda r: 2.0 * r + r**3 - 1.0 / r,
-        lambda r: 2.0 + 3.0 * r * r + 1.0 / r**2,
-        lambda r: 6.0 * r - 2.0 / r**3,
-        lambda r: 6.0 + 6.0 / r**4,
-    ), name="quartic-log annulus")
+    return Custom(lambda r: r * r + r**4 / 4.0 - 2.0 * c * np.log(r), derivs=(
+        lambda r: 2.0 * r + r**3 - 2.0 * c / r,
+        lambda r: 2.0 + 3.0 * r * r + 2.0 * c / r**2,
+        lambda r: 6.0 * r - 4.0 * c / r**3,
+        lambda r: 6.0 + 12.0 * c / r**4,
+    ), name=f"quartic-log annulus c={c!r}")
 
 
-@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
-@pytest.mark.parametrize("kind", ["disc", "annulus"])
-def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, ensemble):
-    p = _quartic(kind)
+_OFF_FAMILY_CASES = [
+    *(pytest.param(kind, 0.5, ensemble, id=f"{kind}-{ensemble}")
+      for ensemble in ("normal", "symplectic") for kind in ("disc", "annulus")),
+    *(pytest.param("annulus", c, "symplectic", id=f"annulus-c{c!r}-symplectic")
+      for c in (0.1, 2.0)),
+]
+
+
+@pytest.mark.parametrize("kind, c, ensemble", _OFF_FAMILY_CASES)
+def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, c, ensemble):
+    p = _quartic(kind, c)
     t0 = time.perf_counter()
     report = equilibrium_report(p)
     assert report.droplet.kind == kind
@@ -536,10 +551,9 @@ def _expansion_error(p, report, terms, n):
     return (1e-13 + 4.0 * eps) * coefficients + 2.0 * eps * math.fsum(map(abs, parts))
 
 
-@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
-@pytest.mark.parametrize("kind", ["disc", "annulus"])
-def test_expansion_fit_has_no_o1_residual_off_the_families(kind, ensemble):
-    p = _quartic(kind)
+@pytest.mark.parametrize("kind, c, ensemble", _OFF_FAMILY_CASES)
+def test_expansion_fit_has_no_o1_residual_off_the_families(kind, c, ensemble):
+    p = _quartic(kind, c)
     t0 = time.perf_counter()
     report = equilibrium_report(p)
     terms = expansion_terms(p, ensemble, "physics", report=report)

@@ -238,6 +238,38 @@ def test_oracle_factor_cap_is_domain_error(capsys):
     assert err.startswith("error:") and "Barnes G factors" in err
 
 
+# Family parameters whose squares leave float64 (scale^2 underflows to 0,
+# lam^2 overflows), and a Laplace saddle that rounds onto the hard wall:
+# each used to end in a traceback with exit 1.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["droplet", "--potential", "ginibre", "--scale", "1e-200"],
+        ["expand", "--potential", "ginibre", "--scale", "1e-200", "--N", "10"],
+        ["exact", "--potential", "ml", "--lambda", "1e200", "--c", "1", "--N", "4"],
+        ["norm", "--method", "laplace", "--potential", "tu", "--alpha", "1e-20", "--R", "1",
+         "--N", "4", "--j", "2"],
+        ["norm", "--method", "laplace", "--potential", "ml", "--lambda", "1e200", "--c", "1",
+         "--N", "4", "--j", "2"],
+    ],
+    ids=["droplet-ginibre", "expand-ginibre", "exact-ml", "laplace-tu-wall", "laplace-ml"],
+)
+def test_extreme_parameters_exit_with_an_error_code(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc in (3, 4)
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_laplace_norm_at_tiny_ginibre_scale_is_a_value(capsys):
+    # 2 pi r^2 / (s laplacian) underflows to 0 here; its log did not.
+    argv = ["norm", "--method", "laplace", "--potential", "ginibre", "--scale", "1e-100",
+            "--N", "4", "--j", "2"]
+    assert main(argv) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
+
+
 def test_oracle_lam_off_k_over_p_is_domain_error(capsys):
     # 1/lam = 3.0000000003: the Barnes G product would be log Z of another
     # weight, and --compare would print its error as the exact route's.

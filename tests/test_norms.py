@@ -471,7 +471,7 @@ def test_integrand_v_tau_is_v_tau_bit_for_bit(monkeypatch, p):
         del calls[:]
         log_norm_exact(p, query)
         for r, y in calls:
-            helper = potential._evaluate(potential._v_tau_formula, p, r, (level, 0))
+            helper = potential._evaluate(potential._v_tau_formula, p, r, level)
             assert np.array_equal(helper, v_tau(p, level, r))
             assert np.array_equal(helper, p.q_derivs(r) - 2.0 * level * np.log(r))
             assert np.array_equal(y, 2.0 * np.exp(-query.s * (helper - v_min)))

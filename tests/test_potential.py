@@ -42,7 +42,7 @@ def test_ginibre_basic_values():
     assert p.q_derivs(1.0, 4) == 0.0
     assert p.laplacian(0.3) == 1.0
     assert p.laplacian_dr(0.3) == 0.0
-    assert p.laplacian_dr2(0.3) == 0.0
+    assert p._laplacian(0.3, 2) == 0.0
     assert p.q_at_zero() == 0.0
     assert p.laplacian_at_zero() == 1.0
 
@@ -51,6 +51,14 @@ def test_ginibre_scale():
     p = Ginibre(scale=2.0)
     assert p.q_derivs(2.0) == 1.0
     assert abs(p.laplacian(1.0) - 0.25) < 1e-15
+
+
+def test_origin_laplacian_is_inf_where_a_squared_parameter_underflows():
+    # scale^2, a^2 and R^2 (1 + alpha) round to 0 here; the limit is inf, not
+    # a ZeroDivisionError, and the routes refuse it by their own checks.
+    for p in (Ginibre(1e-200), dilate(Ginibre(), 1e-200), TruncatedUnitary(1.0, 1e-200)):
+        assert p.laplacian_at_zero() == math.inf, p.name
+    assert Ginibre(1e-200).laplacian(1e-200) == math.inf
 
 
 def test_mittag_leffler_derivatives():
@@ -128,7 +136,8 @@ def test_truncated_unitary_support_guard():
 
 
 def test_derivative_ladder_against_finite_differences():
-    # laplacian_dr and laplacian_dr2 must be the true r-derivatives
+    # laplacian_dr and the hook's order 2 (which b1 reads) must be the true
+    # r-derivatives
     for p in (MittagLeffler(1.5, 0.8), TruncatedUnitary(2.0, 1.5), Ginibre()):
         hi = 0.99 * (p.support_radius if p.support_radius is not None else 2.0)
         for r in np.linspace(0.3, hi, 7):
@@ -136,7 +145,7 @@ def test_derivative_ladder_against_finite_differences():
             fd1 = _fd5(p.laplacian, r, h)
             assert abs(fd1 - p.laplacian_dr(r)) < 1e-6 * max(1.0, abs(fd1))
             fd2 = _fd5(p.laplacian_dr, r, h)
-            assert abs(fd2 - p.laplacian_dr2(r)) < 1e-5 * max(1.0, abs(fd2))
+            assert abs(fd2 - p._laplacian(r, 2)) < 1e-5 * max(1.0, abs(fd2))
 
 
 def test_q_derivs_rejects_unsupported_order():
@@ -145,8 +154,6 @@ def test_q_derivs_rejects_unsupported_order():
         p.q_derivs(1.0, 5)
     with pytest.raises(UnsupportedOrderError):
         p.q_derivs(1.0, -1)
-    with pytest.raises(UnsupportedOrderError):
-        v_tau(p, 0.5, 1.0, 5)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -200,7 +207,7 @@ def test_closed_form_laplacian_hook_matches_generic_formula(p, order):
 
 
 def test_laplacian_accessors_live_only_on_the_base():
-    accessors = {"laplacian", "laplacian_dr", "laplacian_dr2"}
+    accessors = {"laplacian", "laplacian_dr"}
     for obj in vars(potential).values():
         if isinstance(obj, type) and issubclass(obj, RadialPotential):
             if obj is not RadialPotential:
@@ -379,11 +386,11 @@ def test_dilate_scales_its_base_laplacian_hook(a):
     g = dilate(Ginibre(), a)
     assert np.all(g.laplacian(r) == 1.0 / a**2)
     assert np.all(g.laplacian_dr(r) == 0.0)
-    assert np.all(g.laplacian_dr2(r) == 0.0)
+    assert np.all(g._laplacian(r, 2) == 0.0)
     base = MittagLeffler(0.5, 1.0)
     p = dilate(base, a)
-    for order, accessor in enumerate((p.laplacian, p.laplacian_dr, p.laplacian_dr2)):
-        assert np.array_equal(accessor(r), base._laplacian(r / a, order) / a ** (order + 2))
+    for order in range(3):
+        assert np.array_equal(p._laplacian(r, order), base._laplacian(r / a, order) / a ** (order + 2))
 
 
 def test_generic_laplacian_of_r_squared_is_exact():
@@ -395,7 +402,7 @@ def test_generic_laplacian_of_r_squared_is_exact():
     r = np.linspace(0.01, 3.0, 301)
     assert np.all(p.laplacian(r) == 1.0)
     assert np.all(p.laplacian_dr(r) == 0.0)
-    assert np.all(p.laplacian_dr2(r) == 0.0)
+    assert np.all(p._laplacian(r, 2) == 0.0)
 
 
 def test_dilate_scales_support():
@@ -417,22 +424,27 @@ def test_tau_params_for_degree():
 
 
 def test_v_tau_values_and_derivatives():
+    # v_tau evaluates V_tau itself; its derivatives are those of
+    # r^2 - 2 tau log r, read here by differences of the one evaluator.
     p = Ginibre()
-    tau, r = 0.4, 1.2
-    assert abs(v_tau(p, tau, r, 0) - (r * r - 2 * tau * math.log(r))) < 1e-14
-    assert abs(v_tau(p, tau, r, 1) - (2 * r - 2 * tau / r)) < 1e-14
-    assert abs(v_tau(p, tau, r, 2) - (2 + 2 * tau / r**2)) < 1e-14
-    assert abs(v_tau(p, tau, r, 3) - (-4 * tau / r**3)) < 1e-14
-    assert abs(v_tau(p, tau, r, 4) - (12 * tau / r**4)) < 1e-14
+    tau, r, h = 0.4, 1.2, 1e-4
+    assert abs(v_tau(p, tau, r) - (r * r - 2 * tau * math.log(r))) < 1e-14
+    v1 = _fd5(lambda x: v_tau(p, tau, x), r, h)
+    assert abs(v1 - (2 * r - 2 * tau / r)) < 1e-9
+    v2 = _fd5(lambda x: _fd5(lambda y: v_tau(p, tau, y), x, h), r, h)
+    assert abs(v2 - (2 + 2 * tau / r**2)) < 1e-6
 
 
 def test_v_tau_derivative_identities_vs_finite_differences():
+    # The routes read V_tau' as q' - 2 tau / r and V_tau'' through the
+    # Laplacian hook, V'' = 4 laplacian - V' / r; both must be the
+    # r-derivatives of the one evaluator.
     p = MittagLeffler(1.5, 0.3)
     tau, r, h = 0.6, 1.1, 1e-4
-
-    for order in (1, 2, 3):
-        fd = _fd5(lambda x, o=order: v_tau(p, tau, x, o - 1), r, h)
-        assert abs(fd - v_tau(p, tau, r, order)) < 1e-6, order
+    v1 = p.q_derivs(r, 1) - 2 * tau / r
+    assert abs(_fd5(lambda x: v_tau(p, tau, x), r, h) - v1) < 1e-6
+    fd2 = _fd5(lambda x: _fd5(lambda y: v_tau(p, tau, y), x, h), r, h)
+    assert abs(fd2 - (4 * p.laplacian(r) - v1 / r)) < 1e-6
 
 
 def test_rqprime_monotone_on_droplet():
@@ -681,10 +693,9 @@ def _family_and_radius(draw):
 def _accessors(p):
     for order in range(5):
         yield f"q_derivs order {order}", lambda r, k=order: p.q_derivs(r, k)
-        yield f"v_tau order {order}", lambda r, k=order: v_tau(p, 0.3, r, k)
+    yield "v_tau", lambda r: v_tau(p, 0.3, r)
     yield "laplacian", p.laplacian
     yield "laplacian_dr", p.laplacian_dr
-    yield "laplacian_dr2", p.laplacian_dr2
     yield "b1", lambda r: b1(p, r)
 
 

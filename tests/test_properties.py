@@ -18,9 +18,9 @@ import mp_reference
 from coulombgas import equilibrium, quadrature
 from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import b1_integral, equilibrium_report, zw_coefficients
-from coulombgas.errors import IntegrationError
-from coulombgas.norms import _REL_TOL, NormQuery
-from coulombgas.partition import log_z_exact
+from coulombgas.errors import CoulombGasError, IntegrationError
+from coulombgas.norms import _REL_TOL, NormQuery, log_norm_laplace
+from coulombgas.partition import expansion_terms, log_z_exact
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 
 EPS = float(np.finfo(float).eps)
@@ -229,3 +229,60 @@ def test_failing_property_is_reported_and_the_session_goes_on(tmp_path):
     assert run.returncode == 1, out
     assert "1 failed, 1 passed" in out, out
     assert "INTERNALERROR" not in out, out
+
+
+# Each family parameter across the float64 range.  Every entry point must
+# return a finite value or raise a package error, and warn about nothing:
+# a parameter-only factor that overflows or underflows (scale^2, lam^2,
+# a^2) used to raise ZeroDivisionError or OverflowError from a hook, and a
+# ratio under a log ValueError.
+_EXTREME_SLOTS = {
+    "ginibre scale": Ginibre,
+    "ml lam": lambda v: MittagLeffler(v, 1.0),
+    "ml c": lambda v: MittagLeffler(1.0, v),
+    "tu alpha": lambda v: TruncatedUnitary(v, 1.0),
+    "tu R": lambda v: TruncatedUnitary(1.0, v),
+    "dilate ml(1/2, 1)": lambda v: dilate(MittagLeffler(0.5, 1.0), v),
+    "dilate ginibre": lambda v: dilate(Ginibre(), v),
+}
+_EXTREME_VALUES = (1e-300, 1e-200, 1e-160, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e160, 1e200, 1e300)
+_EXTREME_CALLS = {
+    "droplet_of": lambda p: droplet_of(p).r1,
+    "log_z_exact": lambda p: log_z_exact(p, 4, "symplectic"),
+    "equilibrium_report": lambda p: equilibrium_report(p).energy,
+    "expansion_terms": lambda p: expansion_terms(p, "symplectic").evaluate(4),
+    "log_norm_laplace": lambda p: log_norm_laplace(p, NormQuery(4, 3, "symplectic")),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", _EXTREME_VALUES, ids=repr)
+@pytest.mark.parametrize("slot", sorted(_EXTREME_SLOTS))
+def test_extreme_family_parameters_give_a_value_or_a_package_error(slot, value):
+    try:
+        p = _EXTREME_SLOTS[slot](value)
+    except CoulombGasError:
+        return
+    for name, call in _EXTREME_CALLS.items():
+        try:
+            got = call(p)
+        except CoulombGasError:
+            continue
+        assert math.isfinite(got), (p.name, name, got)
+
+
+# q(r / a) for Ginibre is |z|^2 / a^2, so h_j scales by a^(2j + 2) and the
+# Laplace form by the same shift: r_tau, V_tau and the Laplacian scale
+# exactly, and b1 = 1 / (12 r^2 laplacian) does not change.  What is left
+# is rounding: the logs of r and a (ulps of their magnitudes, times at most
+# s tau = j + 1) and a few sums of terms no larger than |value| + |shift|;
+# 4 eps (|value| + |shift|) bounds it.
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("n, i", [(4, 1), (4, 3), (100, 57), (1600, 1599)])
+def test_laplace_norm_of_a_tiny_ginibre_scale_is_the_shifted_unit_norm(n, i, ensemble):
+    a = 1e-100
+    q = NormQuery(n, i if ensemble == "normal" else 2 * i + 1, ensemble)
+    got = log_norm_laplace(Ginibre(a), q)
+    shift = 2.0 * (q.j + 1) * math.log(a)
+    want = log_norm_laplace(Ginibre(), q) + shift
+    assert abs(got - want) <= 4.0 * EPS * (abs(got) + abs(shift)), (got, want)
