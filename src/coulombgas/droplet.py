@@ -83,21 +83,25 @@ def solve_r_tau(p, tau):
     r q'(r) >= 0 already at the bottom of the bracket or the potential
     supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
     whatever the finite-difference noise in q'), and the root of
-    r q'(r) = 0 for an annulus.
+    r q'(r) = 0 for an annulus.  A failure re-raises its exception class
+    with the potential name in the message.
     """
-    tau = _check_tau(tau)
     try:
-        r = p.r_tau(tau)
-    except OverflowError:
-        r = math.inf
-    if r is None:
-        table = _table(p) if 0.0 < tau < 1.0 else ()
-        return _table_root(p, tau, *table) if table else _scan_root(p, tau)
-    if r == math.inf:
-        raise InvalidPotentialError(
-            f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
-        )
-    return r
+        tau = _check_tau(tau)
+        try:
+            r = p.r_tau(tau)
+        except OverflowError:
+            r = math.inf
+        if r is None:
+            table = _table(p) if 0.0 < tau < 1.0 else ()
+            return _table_root(p, tau, *table) if table else _scan_root(p, tau)
+        if r == math.inf:
+            raise InvalidPotentialError(
+                f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
+            )
+        return r
+    except CoulombGasError as exc:
+        raise _in_context(exc, p.name) from exc
 
 
 # Points of the r q'(r) table, quadratically spaced between the droplet

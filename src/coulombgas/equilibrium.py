@@ -103,21 +103,19 @@ def b1(p, r):
     """Pointwise 1/s correction term of the orthogonal-norm expansion.
 
     b1 = -d2(laplacian)/(32 laplacian^2) - 19 d(laplacian)/(96 r laplacian^2)
-         + 5 d(laplacian)^2/(96 laplacian^3) + 1/(12 r^2 laplacian).
+         + 5 d(laplacian)^2/(96 laplacian^3) + 1/(12 r^2 laplacian),
+    evaluated as [-r^2 d2/(32 laplacian) - 19 r d/(96 laplacian)
+    + 5 (r d/laplacian)^2/96 + 1/12] / (r^2 laplacian), whose pieces are
+    scale-free: no power of the Laplacian leaves float64 where b1 does not.
     """
     return _evaluate(_b1_formula, p, r, None)
 
 
 def _b1_formula(p, r, _):
     dq = p._laplacian(r, 0)
-    dq1 = p._laplacian(r, 1)
-    dq2 = p._laplacian(r, 2)
-    return (
-        -dq2 / (32.0 * dq**2)
-        - 19.0 * dq1 / (96.0 * r * dq**2)
-        + 5.0 * dq1**2 / (96.0 * dq**3)
-        + 1.0 / (12.0 * r**2 * dq)
-    )
+    u1 = r * (p._laplacian(r, 1) / dq)  # r laplacian' / laplacian
+    u2 = r * (r * (p._laplacian(r, 2) / dq))  # r^2 laplacian'' / laplacian
+    return (-u2 / 32.0 - 19.0 * u1 / 96.0 + 5.0 * u1 * u1 / 96.0 + 1.0 / 12.0) / (r * (r * dq))
 
 
 def _f_term(p, d):

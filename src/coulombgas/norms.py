@@ -11,9 +11,12 @@ e^{-s V_tau'(r)} dr, tau' = (j + 1/2)/s, whose saddle r_tau' > 0 at every
 degree, shifted by min V_tau' to keep the integrand bounded and truncated
 where that exponent is negligible.  The asymptotic routes implement the
 two-term Laplace approximation at r_tau, the factorial form valid for low
-degrees over a disc droplet, and the gated high-degree form.
+degrees over a disc droplet, and the gated high-degree form.  Every route
+re-raises a package error as its class with the potential name, n, j and
+ensemble in front of the message (_norm_route).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -54,17 +57,11 @@ class NormQuery:
 
     def __post_init__(self):
         k = _check_ensemble(self.ensemble)
-        n, j = self.n, self.j
-        # ints up to 2^53 pass _check_n and _is_integer as they are
-        if type(n) is int and type(j) is int and 0 < n <= 1 << 53:
-            s = k * n
-            ok = 0 <= j < s
-        else:
-            n = _check_n(n)
-            s = k * n
-            ok = _is_integer(j) and 0 <= j <= s - 1
-        if not ok:
-            raise DomainError(f"degree must be an integer in [0, {s - 1}], got {self.j!r}")
+        n = _check_n(self.n)
+        s = k * n
+        j = self.j
+        if not (_is_integer(j) and 0 <= j <= s - 1):
+            raise DomainError(f"degree must be an integer in [0, {s - 1}], got {j!r}")
         j = int(j)
         self.__dict__.update(n=n, j=j, k=k, s=s, level=(j + 0.5) / s)
 
@@ -80,10 +77,12 @@ def _degrees(k, n):
 
 # Relative accuracy of every norm integral whose roundoff floor is lower.
 # The exponent s (V_tau'(r) - v_min) is formed by cancellation: V_tau'(r) =
-# q(r) - 2 tau' log r carries an ulp of |q| from the profile and one of
-# |2 tau' log r| from the log term and the difference, v_min the same two at
-# r*.  Near the peak, where the integral's mass lies, the integrand is thus
-# off relatively by 4 ulp of s (|q(r*)| + |2 tau' log r*|): the floor.
+# q(r) - 2 tau' log r carries the rounding of q, an ulp of the magnitudes of
+# its terms (p._q_magnitude; a sum rounds with the sum of its terms'
+# magnitudes, not with its value), and an ulp of |2 tau' log r| from the log
+# term and the difference, v_min the same two at r*.  Near the peak, where
+# the integral's mass lies, the integrand is thus off relatively by 4 ulp of
+# s (|q|_terms(r*) + |2 tau' log r*|): the floor.
 _REL_TOL = 1e-13
 _FLOOR = 4.0 * float(np.finfo(float).eps)
 
@@ -126,28 +125,39 @@ def _r_cut(p, query, r_star, v_min):
     raise IntegrationError("failed to locate a truncation radius")
 
 
+def _norm_route(route):
+    """route(p, query) that re-raises a package error as its class with the
+    potential name, n, j and ensemble in front of the message."""
+
+    @functools.wraps(route)
+    def in_context(p, query):
+        try:
+            return route(p, query)
+        except CoulombGasError as exc:
+            detail = (f"n={query.n}", f"j={query.j}", f"ensemble={query.ensemble}")
+            raise _in_context(exc, p.name, *detail) from exc
+
+    return in_context
+
+
+@_norm_route
 def log_norm_exact(p, query):
     """log h_j by shifted adaptive quadrature of 2 e^{-s V_tau'}, tau' = query.level.
 
-    Accuracy target is max(1e-13, 4 s eps (|q(r*)| + |2 tau' log r*|)) on
-    the norm value, the larger term being its roundoff floor at the saddle
-    r* = r_tau' > 0, and about the same absolute error on the log.  A
-    failure re-raises its class with the potential name, n, j and ensemble.
+    Accuracy target is max(1e-13, 4 s eps (|q|_terms(r*) + |2 tau' log r*|))
+    on the norm value, the larger term being its roundoff floor at the
+    saddle r* = r_tau' > 0, and about the same absolute error on the log.
+    |q|_terms is the sum of the magnitudes of q's terms at r*: for
+    MittagLeffler r^(2 lam) + 2 c |log r|, for a dilation its base's, and
+    |q(r*)| for the single-term Ginibre and TruncatedUnitary and for Custom.
     """
-    try:
-        return _log_norm_exact(p, query)
-    except CoulombGasError as exc:
-        detail = (f"n={query.n}", f"j={query.j}", f"ensemble={query.ensemble}")
-        raise _in_context(exc, p.name, *detail) from exc
-
-
-def _log_norm_exact(p, query):
     s = query.s
     level = query.level
     r_star, v_min, width = _peak(p, query)
     cut = _r_cut(p, query, r_star, v_min)
     log_term = 2.0 * level * math.log(r_star)  # q(r*) - v_min
-    rel_tol = max(_REL_TOL, _FLOOR * s * (abs(v_min + log_term) + abs(log_term)))
+    q_terms = _evaluate(type(p)._q_magnitude, p, r_star, v_min + log_term)
+    rel_tol = max(_REL_TOL, _FLOOR * s * (q_terms + abs(log_term)))
 
     seeds = r_star + _SEED_T * width  # integrate drops those outside (0, cut)
 
@@ -172,18 +182,19 @@ def _log_norm_exact(p, query):
     return -s * v_min + math.log(val)
 
 
-def _laplace_value(p, s, tau):
-    r = solve_r_tau(p, tau)
+def _laplace_value(p, query):
+    s = query.s
+    r = solve_r_tau(p, query.tau)
     if r == 0.0:
         raise DomainError(
-            f"{p.name}: the Laplace form needs a positive saddle radius; "
+            "the Laplace form needs a positive saddle radius; "
             "use the low-degree form for small j over a disc droplet"
         )
     dq = _saddle_laplacian(p, r)
-    v = float(v_tau(p, tau, r))
+    v = float(v_tau(p, query.tau, r))
     corr = float(b1(p, r)) / s
     if not -1.0 < corr < math.inf:
-        raise DomainError(f"{p.name}: the Laplace correction b1/s = {corr!r} at r_tau = {r!r} "
+        raise DomainError(f"the Laplace correction b1/s = {corr!r} at r_tau = {r!r} "
                           "is not in (-1, inf) in float64")
     # log(2 pi r^2 / (s dq)) as a sum of logs: the ratio can underflow to 0
     # (Ginibre scale 1e-100) or overflow while each factor is finite.
@@ -191,14 +202,16 @@ def _laplace_value(p, s, tau):
     return -s * v + 0.5 * log_ratio + math.log1p(corr)
 
 
+@_norm_route
 def log_norm_laplace(p, query):
     """Two-term Laplace approximation of log h_j at the saddle r_tau.
 
     Error is O(s^-2) uniformly in j as long as r_tau stays away from 0.
     """
-    return _laplace_value(p, query.s, query.tau)
+    return _laplace_value(p, query)
 
 
+@_norm_route
 def log_norm_lowdeg(p, query):
     """Factorial form of log h_j for low degrees over a disc droplet.
 
@@ -213,6 +226,7 @@ def log_norm_lowdeg(p, query):
     return -s * q0 - (query.j + 1) * math.log(s * dq0) + ln_factorial(query.j)
 
 
+@_norm_route
 def log_norm_highdeg(p, query):
     """Laplace form of log h_j gated to degrees above the splitting scale.
 
@@ -223,7 +237,5 @@ def log_norm_highdeg(p, query):
     _droplet(p, kind="disc", what="log_norm_highdeg")
     gate = query.k * query.n ** (1.0 / 6.0)
     if query.j < gate:
-        raise DomainError(
-            f"{p.name}: degree {query.j} below the high-degree gate {gate!r} at n = {query.n}"
-        )
-    return _laplace_value(p, query.s, query.tau)
+        raise DomainError(f"degree {query.j} below the high-degree gate {gate!r} at n = {query.n}")
+    return _laplace_value(p, query)

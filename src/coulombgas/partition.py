@@ -178,7 +178,12 @@ def lemma_sum(p, n, which):
     variants use tau = (2j+1)/(2n).  Returns (direct, predicted) where
     predicted carries the expansion through its stated order, so the gap
     decays like n^-3 for the V sums and n^-1 for the others.  Annular
-    droplets only.
+    droplets only.  The prediction evaluates only the functionals it
+    uses: energy and the origin log-potential for the V and log r sums,
+    the entropy for the log laplacian sums.  With finite-difference
+    derivatives (a Custom without derivs) the entropy integral stalls on
+    the noise of q'' and raises IntegrationError, so the two sum_logdq
+    variants raise there while the other four return.
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
@@ -197,25 +202,21 @@ def lemma_sum(p, n, which):
         terms = [math.log(r) for r in radii]
     direct = math.fsum(terms)
 
-    i_q = energy(p, d)
-    e_q = entropy(p, d)
-    u_0 = log_potential_origin(p, d)
-    dq0 = float(p.laplacian(d.r0))
-    dq1 = float(p.laplacian(d.r1))
-    log_r_ratio = math.log(d.r0 / d.r1)
-
     if which == "sum_v_normal":
-        predicted = n * i_q - u_0 + log_r_ratio / (6.0 * n)
+        u_0 = log_potential_origin(p, d)
+        predicted = n * energy(p, d) - u_0 + math.log(d.r0 / d.r1) / (6.0 * n)
     elif which == "sum_logdq_normal":
-        predicted = n * e_q - 0.5 * math.log(dq1 / dq0)
+        dq0 = float(p.laplacian(d.r0))
+        dq1 = float(p.laplacian(d.r1))
+        predicted = n * entropy(p, d) - 0.5 * math.log(dq1 / dq0)
     elif which == "sum_logr_normal":
-        predicted = -n * u_0 - 0.5 * math.log(d.r1 / d.r0)
+        predicted = -n * log_potential_origin(p, d) - 0.5 * math.log(d.r1 / d.r0)
     elif which == "sum_v_symp_odd":
-        predicted = n * i_q - log_r_ratio / (12.0 * n)
+        predicted = n * energy(p, d) - math.log(d.r0 / d.r1) / (12.0 * n)
     elif which == "sum_logdq_symp_odd":
-        predicted = n * e_q
+        predicted = n * entropy(p, d)
     else:  # sum_logr_symp_odd
-        predicted = -n * u_0
+        predicted = -n * log_potential_origin(p, d)
     return direct, predicted
 
 

@@ -6,9 +6,11 @@ radial variable is laplacian(r) = (q'(r)/r + q''(r)) / 4, with the
 convention that the equilibrium density is 2 r laplacian(r) dr on the
 droplet.  All evaluation methods accept scalars or 1-D numpy arrays.
 
-Two hooks hold every formula, as plain arithmetic on floats and arrays:
-_profile(r, order) for q and its derivatives and _laplacian(r, order) for
-the Laplacian and its first two radial derivatives.  The checked entry
+Three hooks hold every formula, as plain arithmetic on floats and arrays:
+_profile(r, order) for q and its derivatives, _laplacian(r, order) for
+the Laplacian and its first two radial derivatives, and _q_magnitude(r, q)
+for the sum of the magnitudes of q's terms, the scale of q's rounding that
+sets the exact norms' accuracy floor.  The checked entry
 points (q_derivs, the laplacian accessors, v_tau and equilibrium.b1) hold
 the one evaluation contract (_evaluate): a scalar gets the inf or nan
 that a one-element array gets, and neither warns.
@@ -150,7 +152,9 @@ class RadialPotential:
     Its default is the generic formula in terms of the profile, which Custom
     uses; the closed-form families override the hook (never the checked
     laplacian accessors), as they override r_tau, and dilate scales its
-    base's hook.
+    base's hook.  The magnitude hook _q_magnitude(r, q) defaults to |q|;
+    MittagLeffler, whose two terms can cancel, overrides it, and dilate
+    forwards its base's.
     """
 
     name = "potential"
@@ -158,6 +162,12 @@ class RadialPotential:
 
     def _profile(self, r, order):
         raise NotImplementedError
+
+    def _q_magnitude(self, r, q):
+        """Sum of the absolute values of q's terms at r, given q = q(r): the
+        magnitude the rounding of q scales with, which can exceed |q| where
+        terms cancel.  The default |q| is exact for a single-term q."""
+        return abs(q)
 
     def r_tau(self, tau):
         """Closed-form root of r q'(r) = 2 tau for a validated tau in [0, 1],
@@ -293,6 +303,9 @@ class MittagLeffler(RadialPotential):
         coef = 2.0 * lam * (2.0 * lam - 1.0) * (2.0 * lam - 2.0) * (2.0 * lam - 3.0)
         return coef * r ** (2.0 * lam - 4.0) + 12.0 * c / r**4
 
+    def _q_magnitude(self, r, q):
+        return r ** (2.0 * self.lam) + 2.0 * self.c * abs(_log(r))
+
     def _laplacian(self, r, order):
         if order == 0:
             return self._lam2 * r ** (2.0 * self.lam - 2.0)
@@ -389,7 +402,11 @@ class Custom(RadialPotential):
     floats, and numpy calls a callable makes on a Python float follow
     numpy's own error settings.  q_origin, when given, must be a finite
     real and laplacian_origin a finite positive real; anything else raises
-    DomainError.  Each of these messages starts with "name: ".
+    DomainError.  Each of these messages starts with "name: ".  The exact
+    norms' rounding floor takes |q| as the magnitude of q's terms (the
+    default _q_magnitude): a q whose terms cancel at the saddle can get a
+    target below its rounding noise, and its norm then raises
+    IntegrationError.
     """
 
     def __init__(self, q, derivs=None, support_radius=None, q_origin=None,
@@ -484,6 +501,9 @@ class _Dilated(RadialPotential):
 
     def _profile(self, r, order):
         return self._base._profile(self._base_r(r), order) / self._a_pow[order]
+
+    def _q_magnitude(self, r, q):
+        return self._base._q_magnitude(self._base_r(r), q)
 
     def _laplacian(self, r, order):
         # laplacian_a(r) = laplacian(r / a) / a^2, and each r-derivative

@@ -67,19 +67,31 @@ def norm_bound(p, query, log_h):
 
     The norm integral of e^{-s V_tau'}, tau' = query.level = (j + 1/2)/s,
     meets relative accuracy
-    target = max(1e-13, 4 s eps (|q(r*)| + |2 tau' log r*|)) at the saddle
-    r* = r_tau' > 0, which moves the log by at most target.  The shift
-    v_min = V_tau'(r*) cancels between the exponent and -s v_min, so only
-    the rounding of the final -s v_min + log(val) adds: half an ulp each
-    of |s v_min|, of |log val| <= |s v_min| + |log h_j| and of the sum
+    target = max(1e-13, 4 s eps (|q|_terms(r*) + |2 tau' log r*|)) at the
+    saddle r* = r_tau' > 0, which moves the log by at most target;
+    |q|_terms is the sum of the magnitudes of q's terms (_q_terms).  The
+    shift v_min = V_tau'(r*) cancels between the exponent and -s v_min, so
+    only the rounding of the final -s v_min + log(val) adds: half an ulp
+    each of |s v_min|, of |log val| <= |s v_min| + |log h_j| and of the sum
     |log h_j|, at most eps (|s v_min| + |log h_j|) in all.
     """
     s, level = query.s, query.level
     r_star = solve_r_tau(p, level)
     log_term = 2.0 * level * math.log(r_star)
-    target = max(1e-13, 4.0 * s * EPS * (abs(float(p.q_derivs(r_star))) + abs(log_term)))
+    target = max(1e-13, 4.0 * s * EPS * (_q_terms(p, r_star) + abs(log_term)))
     v_min = float(v_tau(p, level, r_star))
     return target + EPS * (s * abs(v_min) + abs(log_h))
+
+
+def _q_terms(p, r):
+    """Sum of the magnitudes of the terms of q at r, from the family
+    parameters: r^(2 lam) + 2 c |log r| for ML(lam, c), the base's at r / a
+    for a dilation, and |q(r)| for a profile of one term."""
+    if isinstance(p, _Dilated):
+        return _q_terms(p._base, r / p._a)
+    if isinstance(p, MittagLeffler):
+        return r ** (2.0 * p.lam) + 2.0 * p.c * abs(math.log(r))
+    return abs(float(p.q_derivs(r)))
 
 
 def log_z_bound(p, n, ensemble, ref=None):

@@ -24,7 +24,6 @@ from coulombgas.equilibrium import (
     mu_mass,
     zw_coefficients,
 )
-from coulombgas.errors import IntegrationError
 from coulombgas.norms import NormQuery, log_norm_exact, log_norm_laplace
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
 from coulombgas.partition import expansion_terms, lemma_sum, log_z_exact
@@ -388,12 +387,10 @@ def test_steep_hard_wall_symplectic_matches_reference():
 
 
 # At j = 1 the saddle is r* ~ 4.44, where r*^(2 lam) ~ 2.70 and 2 c log r*
-# ~ 2.68 cancel in q(r*).  The roundoff floor of the norm target scales
-# with |q(r*)|, not with the terms' own rounding, so it understates the
-# integrand's noise: the error estimate stalls at 3.8e-14 against a
-# target of 3.6e-14.
-@pytest.mark.xfail(strict=True, raises=IntegrationError,
-                   reason="norm target's floor understates the noise where the terms of q cancel")
+# ~ 2.68 cancel in q(r*).  A roundoff floor scaled by |q(r*)| understated
+# the integrand's noise there (the error estimate stalled at 3.8e-14
+# against a target of 3.6e-14); the floor now scales with the magnitudes
+# of q's terms, and mp_reference.norm_bound derives the same floor.
 def test_power_log_whose_profile_cancels_at_the_saddle_large_n():
     p = MittagLeffler(1.0 / 3.0, 0.9)
     got = log_z_exact(p, 1600, "symplectic")

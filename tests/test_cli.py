@@ -270,6 +270,31 @@ def test_laplace_norm_at_tiny_ginibre_scale_is_a_value(capsys):
     assert math.isfinite(float(capsys.readouterr().out))
 
 
+def test_laplace_norm_at_huge_ginibre_scale_is_the_shifted_unit_norm(capsys):
+    # laplacian^2 = 1e-400 underflows to 0 here, and b1 was 0 / 0; in its
+    # scale-free form b1 = 1 / (12 r^2 laplacian) is exact.  The unit norm
+    # shifts by 2 (j + 1) log a; the bound is that of the Laplace scaling
+    # test in test_properties.py, 4 eps (|value| + |shift|).
+    argv = ["norm", "--method", "laplace", "--potential", "ginibre", "--N", "10", "--j", "3"]
+    assert main(argv) == 0
+    unit = float(capsys.readouterr().out)
+    assert main(argv + ["--scale", "1e100"]) == 0
+    got = float(capsys.readouterr().out)
+    shift = 8.0 * math.log(1e100)
+    bound = 4.0 * mp_reference.EPS * (abs(got) + abs(shift))
+    assert abs(got - (unit + shift)) <= bound, (got, unit)
+
+
+def test_laplace_norm_error_names_the_potential_n_j_and_ensemble(capsys):
+    argv = ["norm", "--method", "laplace", "--potential", "tu", "--alpha", "1e-20", "--R", "1",
+            "--N", "4", "--j", "2"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: tu(alpha=1e-20, R=1.0), n=4, j=2, ensemble=normal: "
+                   "infinite Laplacian at r_tau = 1.0, on the hard wall at 1.0\n")
+
+
 def test_oracle_lam_off_k_over_p_is_domain_error(capsys):
     # 1/lam = 3.0000000003: the Barnes G product would be log Z of another
     # weight, and --compare would print its error as the exact route's.

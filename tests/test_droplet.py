@@ -523,7 +523,7 @@ def test_root_below_the_scan_start_has_no_inner_bracket():
         lambda r: -0.9375 / (r**3 * math.sqrt(r)),
     ), name="sqrt")
     assert droplet._table(p) == ()
-    want = "r q'(r) already exceeds 2e-07 at r = 1e-12; no inner bracket"
+    want = "sqrt: r q'(r) already exceeds 2e-07 at r = 1e-12; no inner bracket"
     with pytest.raises(InvalidPotentialError, match=f"^{re.escape(want)}$"):
         solve_r_tau(p, 1e-7)
     assert solve_r_tau(p, 0.3) == 1.44

@@ -193,12 +193,20 @@ _KIND_GUARDS = {
 _NEEDS_ANNULUS = {"f_annulus", "b1_integral", "lemma_sum"}
 
 
+# The norm routes put n, j and the ensemble after the name.
+_GUARD_CONTEXT = {
+    "log_norm_lowdeg": ", n=10, j=1, ensemble=normal",
+    "log_norm_highdeg": ", n=10, j=9, ensemble=normal",
+}
+
+
 @pytest.mark.parametrize("guard", sorted(_KIND_GUARDS))
 def test_kind_guards_name_the_potential(guard):
     p = Ginibre(1.5) if guard in _NEEDS_ANNULUS else MittagLeffler(1.0, 0.5)
     with pytest.raises(DomainError) as info:
         _KIND_GUARDS[guard](p)
-    assert str(info.value).startswith(f"{p.name}: "), str(info.value)
+    context = p.name + _GUARD_CONTEXT.get(guard, "")
+    assert str(info.value).startswith(f"{context}: "), str(info.value)
     assert str(info.value).count(p.name) == 1
 
 
@@ -235,20 +243,22 @@ def test_disc_functionals_require_a_positive_origin_laplacian(p, call):
 
 
 def test_ml_origin_errors_name_the_potential():
-    # log_norm_lowdeg and expansion_terms with a given report ask the
-    # potential for its origin data and add no context of their own.
+    # expansion_terms with a given report asks the potential for its origin
+    # data and adds no context of its own; log_norm_lowdeg adds n, j and
+    # the ensemble after the name, once.
     half, ml11 = MittagLeffler(0.5, 0.0), MittagLeffler(1.0, 1.0)
     report = equilibrium_report(Ginibre())
     calls = [
-        (half, lambda: log_norm_lowdeg(half, NormQuery(10, 1))),
-        (half, lambda: expansion_terms(half, report=report)),
-        (half, half.laplacian_at_zero),
-        (ml11, ml11.q_at_zero),
+        (f"{half.name}, n=10, j=1, ensemble=normal",
+         lambda: log_norm_lowdeg(half, NormQuery(10, 1))),
+        (half.name, lambda: expansion_terms(half, report=report)),
+        (half.name, half.laplacian_at_zero),
+        (ml11.name, ml11.q_at_zero),
     ]
-    for p, call in calls:
+    for context, call in calls:
         with pytest.raises(DomainError) as info:
             call()
-        assert str(info.value).startswith(f"{p.name}: "), str(info.value)
+        assert str(info.value).startswith(f"{context}: "), str(info.value)
     assert half.name == "ml(lam=0.5, c=0.0)"
 
 

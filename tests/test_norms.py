@@ -286,14 +286,15 @@ class _FlatLaplacian(Custom):
 def test_zero_laplacian_at_the_saddle_is_an_invalid_potential_on_every_route(route):
     # dr_dtau, the Laplace norm and the exact norm each divide by the
     # Laplacian at the saddle r_tau.  Each raises InvalidPotentialError
-    # naming r, with the context its route adds: the exact norm's
-    # potential, n, j and ensemble, none for the other two.
+    # naming r, with the context its route adds: a norm route's
+    # potential, n, j and ensemble, none for dr_dtau.
     p = _FlatLaplacian(lambda r: r * r, derivs=(
         lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r,
     ), name="flat")
     tau, call, context = {
         "dr_dtau": (0.5, lambda: droplet.dr_dtau(p, 0.5), ""),
-        "laplace": (0.3, lambda: log_norm_laplace(p, NormQuery(10, 3)), ""),
+        "laplace": (0.3, lambda: log_norm_laplace(p, NormQuery(10, 3)),
+                    "flat, n=10, j=3, ensemble=normal: "),
         "exact": (0.05, lambda: log_z_exact(p, 10), "flat, n=10, j=0, ensemble=normal: "),
     }[route]
     r = droplet.solve_r_tau(p, tau)
@@ -314,8 +315,38 @@ def test_norm_route_guards_name_the_potential_once(p, route, query):
     with pytest.raises(DomainError) as exc:
         route(p, query)
     msg = str(exc.value)
-    assert msg.startswith(f"{p.name}: "), msg
+    context = f"{p.name}, n={query.n}, j={query.j}, ensemble={query.ensemble}: "
+    assert msg.startswith(context), msg
     assert msg.count(p.name) == 1, msg
+
+
+# q = log(1 + r^2) / 2 confines no level: r q'(r) = r^2 / (1 + r^2) stays
+# below 1, so r_tau' (exact route, 2 tau' = 1.75), r_tau (Laplace, 1.5) and
+# the droplet's outer radius (low and high degree, 2) do not exist.  Each
+# route's error names the potential once, then n, j and the ensemble.
+_WEAK = Custom(
+    lambda r: 0.5 * np.log1p(r * r),
+    derivs=(lambda r: 1.0 / (r + 1.0 / r), lambda r: (1.0 - r * r) / (1.0 + r * r) ** 2,
+            lambda r: 0.0 * r, lambda r: 0.0 * r),
+    name="weak",
+)
+
+
+@pytest.mark.parametrize("route, level", [
+    (log_norm_exact, 1.75), (log_norm_laplace, 1.5), (log_norm_lowdeg, 2.0),
+    (log_norm_highdeg, 2.0),
+])
+def test_every_norm_route_names_the_potential_n_j_and_ensemble(route, level):
+    want = f"weak, n=4, j=3, ensemble=normal: r q'(r) never reaches {level!r}; "
+    with pytest.raises(InvalidPotentialError, match=f"^{re.escape(want)}"):
+        route(_WEAK, NormQuery(4, 3))
+
+
+def test_norm_routes_keep_their_names_and_docstrings():
+    for route in (log_norm_exact, log_norm_laplace, log_norm_lowdeg, log_norm_highdeg):
+        assert route.__module__ == "coulombgas.norms"
+        assert route.__name__.startswith("log_norm_") and route.__doc__
+        assert route.__wrapped__.__name__ == route.__name__
 
 
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])

@@ -215,6 +215,40 @@ def test_lemma_sum_variants_converge():
         assert g100 / g200 > floor, (which, g100, g200)
 
 
+# q = r^4 - 2 log r (ML(2, 1)) with finite-difference derivatives.  The
+# droplet is r0 = 2^(-1/4) <= r <= r1 = 1, where laplacian = 4 r^2 >= 2.8,
+# |q| <= 1.35 and 0 <= q' <= 2.  The fourth-order stencil for q' with
+# h = eps^(1/6) = 2.5e-3 errs by h^4 |q^(5)| / 30 <= 1.4e-10 (|q^(5)| =
+# 48 / r^5 <= 120 over the stencil) plus 1.5 eps |q| / h <= 2e-13 of
+# rounding: D1 = 2e-10.  r q' has slope 4 r laplacian >= 9.5, so a radius
+# moves by at most D1 / 9.5 plus the Newton stops of 1e-13 r on each side:
+# E = 3e-11.
+#   - log r sums: each term moves by at most E / r0.  The prediction's U(0)
+#     = -log r1 + (q(r1) - q(r0)) / 2 reads q only and is stationary in
+#     r0 and r1 (r q' = 0 and 2 there), so it moves by O(E^2) plus
+#     rounding, under 1e-14 a term of n U(0); the normal variant's
+#     log(r1 / r0) / 2 moves by at most E / r0.
+#   - V sums: V_tau'(r_tau) = 0, so each term moves by O(E^2) plus its
+#     rounding, under 1e-14.  The energy is stationary in r0 and r1 too;
+#     its integrand q'^2 moves by at most 2 * 2 D1 over an x-range below
+#     0.3, and each integral is within 1e-13 of its value (<= 1.2), so
+#     (1/8) (1.2 D1 + 2.4e-13) <= 0.15 D1 + 1e-13 per unit of n; the
+#     log(r0 / r1) / (6 n) term moves by at most E / r0.
+# Both sides of each sum and of each prediction stay within these bounds.
+def test_lemma_sums_without_entropy_return_on_finite_differences():
+    n = 100
+    fd = Custom(lambda r: r**4 - 2.0 * np.log(r), name="fd-ml-2-1")
+    ml = MittagLeffler(2.0, 1.0)
+    r0, e, d1 = 2.0**-0.25, 3e-11, 2e-10
+    bound_v = n * (0.15 * d1 + 1e-13 + 1e-14) + e / r0
+    bound_logr = (n + 1) * e / r0 + n * 1e-14
+    for which, bound in (("sum_v_normal", bound_v), ("sum_v_symp_odd", bound_v),
+                         ("sum_logr_normal", bound_logr), ("sum_logr_symp_odd", bound_logr)):
+        got, want = lemma_sum(fd, n, which), lemma_sum(ml, n, which)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= bound, (which, g, w, abs(g - w), bound)
+
+
 def test_lemma_sum_third_order_ratio():
     p = MittagLeffler(1.0, 1.0)
     d100, p100 = lemma_sum(p, 100, "sum_v_normal")

@@ -276,13 +276,26 @@ def test_extreme_family_parameters_give_a_value_or_a_package_error(slot, value):
 # exactly, and b1 = 1 / (12 r^2 laplacian) does not change.  What is left
 # is rounding: the logs of r and a (ulps of their magnitudes, times at most
 # s tau = j + 1) and a few sums of terms no larger than |value| + |shift|;
-# 4 eps (|value| + |shift|) bounds it.
-@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
-@pytest.mark.parametrize("n, i", [(4, 1), (4, 3), (100, 57), (1600, 1599)])
-def test_laplace_norm_of_a_tiny_ginibre_scale_is_the_shifted_unit_norm(n, i, ensemble):
-    a = 1e-100
+# 4 eps (|value| + |shift|) bounds it.  At a = 1e100 the squared Laplacian
+# underflows to 0, which the scale-free form of b1 never forms.
+def _assert_laplace_norm_is_the_shifted_unit_norm(a, n, i, ensemble):
     q = NormQuery(n, i if ensemble == "normal" else 2 * i + 1, ensemble)
     got = log_norm_laplace(Ginibre(a), q)
     shift = 2.0 * (q.j + 1) * math.log(a)
     want = log_norm_laplace(Ginibre(), q) + shift
-    assert abs(got - want) <= 4.0 * EPS * (abs(got) + abs(shift)), (got, want)
+    assert abs(got - want) <= 4.0 * EPS * (abs(got) + abs(shift)), (a, got, want)
+
+
+_SCALE_CASES = [(4, 1), (4, 3), (10, 3), (100, 57), (1600, 1599)]
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("n, i", _SCALE_CASES)
+def test_laplace_norm_of_a_tiny_ginibre_scale_is_the_shifted_unit_norm(n, i, ensemble):
+    _assert_laplace_norm_is_the_shifted_unit_norm(1e-100, n, i, ensemble)
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("n, i", _SCALE_CASES)
+def test_laplace_norm_of_a_huge_ginibre_scale_is_the_shifted_unit_norm(n, i, ensemble):
+    _assert_laplace_norm_is_the_shifted_unit_norm(1e100, n, i, ensemble)
