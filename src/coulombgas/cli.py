@@ -30,6 +30,7 @@ from .errors import (
     IntegrationError,
     InvalidPotentialError,
     SolverError,
+    _in_context,
 )
 from .norms import (
     NormQuery,
@@ -40,7 +41,6 @@ from .norms import (
 )
 from .oracles import ml_log_z, tu_log_z
 from .partition import (
-    _CONVENTIONS,
     _LEMMA_VARIANTS,
     convergence_study,
     expansion_terms,
@@ -48,7 +48,6 @@ from .partition import (
     log_z_exact,
 )
 from .potential import _ENSEMBLES, Ginibre, MittagLeffler, TruncatedUnitary
-from .specialfn import ln_factorial
 
 _FAMILY_FLAGS = {
     "ginibre": ("scale",),
@@ -171,7 +170,11 @@ def _cmd_zw(p, args):
 
 
 def _cmd_norm(p, args):
-    query = NormQuery(n=args.N, j=args.j, ensemble=args.ensemble)
+    try:
+        query = NormQuery(n=args.N, j=args.j, ensemble=args.ensemble)
+    except DomainError as exc:
+        detail = (f"n={args.N}", f"j={args.j}", f"ensemble={args.ensemble}")
+        raise _in_context(exc, p.name, *detail) from exc
     if args.method == "exact":
         val = log_norm_exact(p, query)
     elif args.method == "laplace":
@@ -187,13 +190,11 @@ def _cmd_norm(p, args):
 
 def _cmd_exact(p, args):
     val = log_z_exact(p, args.N, args.ensemble)
-    if args.convention == "canonical":
-        val -= ln_factorial(args.N)
     return _render([("log_z", val)], args.fmt)
 
 
 def _cmd_expand(p, args):
-    terms = expansion_terms(p, args.ensemble, args.convention)
+    terms = expansion_terms(p, args.ensemble)
     pairs = [("log_z_asymptotic", terms.evaluate(args.N))]
     if args.terms:
         pairs += [
@@ -237,7 +238,7 @@ def _cmd_converge(p, args):
         ns = [int(tok) for tok in args.Ns.split(",") if tok.strip()]
     except ValueError:
         _build_parser().error(f"--Ns expects a comma-separated integer list, got {args.Ns!r}")
-    table = convergence_study(p, ns, args.ensemble, args.convention)
+    table = convergence_study(p, ns, args.ensemble)
     if args.fmt == "json":
         doc = {
             "rows": [
@@ -266,8 +267,7 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def new_sub(name, help_text, needs_ensemble=False, needs_n=False,
-                needs_convention=False, needs_threads=False):
+    def new_sub(name, help_text, needs_ensemble=False, needs_n=False, needs_threads=False):
         sub = subs.add_parser(name, help=help_text)
         _add_potential_flags(sub)
         _add_output_flags(sub)
@@ -276,9 +276,6 @@ def _build_parser():
         if needs_ensemble:
             sub.add_argument("--ensemble", choices=_ENSEMBLES,
                              default="normal", help="ensemble (default normal)")
-        if needs_convention:
-            sub.add_argument("--convention", choices=_CONVENTIONS,
-                             default="physics", help="coefficient convention")
         if needs_threads:
             sub.add_argument("--threads", type=int, default=0,
                              help="accepted for compatibility and ignored: "
@@ -298,10 +295,9 @@ def _build_parser():
     norm.set_defaults(handler=_cmd_norm)
 
     new_sub("exact", "log Z by norm quadrature", needs_ensemble=True, needs_n=True,
-            needs_convention=True, needs_threads=True).set_defaults(handler=_cmd_exact)
+            needs_threads=True).set_defaults(handler=_cmd_exact)
 
-    expand = new_sub("expand", "five-term expansion value", needs_ensemble=True,
-                     needs_n=True, needs_convention=True)
+    expand = new_sub("expand", "five-term expansion value", needs_ensemble=True, needs_n=True)
     expand.add_argument("--terms", action="store_true",
                         help="also print the five coefficients")
     expand.set_defaults(handler=_cmd_expand)
@@ -318,7 +314,7 @@ def _build_parser():
     lemmas.set_defaults(handler=_cmd_lemmas)
 
     converge = new_sub("converge", "residual table over a size grid",
-                       needs_ensemble=True, needs_convention=True, needs_threads=True)
+                       needs_ensemble=True, needs_threads=True)
     converge.add_argument("--Ns", required=True,
                           help="comma-separated matrix sizes, e.g. 100,200,400")
     converge.set_defaults(handler=_cmd_converge)

@@ -7,9 +7,12 @@ This module evaluates the energy, entropy and origin log-potential of
 that measure, the order-one free-energy terms for annular and disc
 droplets, the pointwise 1/s correction entering norm asymptotics, and
 the planar free-energy coefficients in the squared-radius
-parametrization used for the self-consistency checks.
+parametrization used for the self-consistency checks.  Every functional
+of the measure re-raises a package error as its class with the potential
+name in front of the message (_functional).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +56,29 @@ def _integral(f, d):
     return val
 
 
+def _functional(fn):
+    """fn(p, droplet=None) that re-raises a package error as its class with
+    the potential name in front of the message, once: the wrapper of every
+    public functional of the equilibrium measure."""
+
+    @functools.wraps(fn)
+    def in_context(p, droplet=None):
+        try:
+            return fn(p, droplet)
+        except CoulombGasError as exc:
+            raise _in_context(exc, p.name) from exc
+
+    return in_context
+
+
+@_functional
 def mu_mass(p, droplet=None):
     """Total mass of 2 r laplacian(r) dr over the droplet (should be 1)."""
     d = _droplet(p, droplet)
     return _integral(lambda x: p._laplacian(np.sqrt(x), 0), d)
 
 
+@_functional
 def energy(p, droplet=None):
     """Weighted logarithmic energy of the equilibrium measure.
 
@@ -70,6 +90,7 @@ def energy(p, droplet=None):
     return float(p.q_derivs(d.r1, 0)) - math.log(d.r1) - 0.125 * val
 
 
+@_functional
 def entropy(p, droplet=None):
     """Differential entropy integral of the equilibrium density.
 
@@ -85,6 +106,7 @@ def entropy(p, droplet=None):
     return _integral(f, d)
 
 
+@_functional
 def log_potential_origin(p, droplet=None):
     """Logarithmic potential of the equilibrium measure at the origin.
 
@@ -161,16 +183,19 @@ def _require_origin_laplacian(p):
         )
 
 
+@_functional
 def f_annulus(p, droplet=None):
     """Order-one free-energy term for an annular droplet."""
     return _f_term(p, _droplet(p, droplet, "annulus", "f_annulus"))
 
 
+@_functional
 def f_disc(p, droplet=None):
     """Order-one free-energy term for a disc droplet; needs ΔQ(0) > 0."""
     return _f_term(p, _droplet(p, droplet, "disc", "f_disc"))
 
 
+@_functional
 def f_disc_chi_form(p, droplet=None):
     """Disc order-one term through chi = (1/2) log(laplacian).
 
@@ -203,6 +228,7 @@ def f_disc_chi_form(p, droplet=None):
     )
 
 
+@_functional
 def b1_integral(p, droplet=None):
     """Integral of b1 against the equilibrium measure, two ways.
 
@@ -223,6 +249,7 @@ def b1_integral(p, droplet=None):
     return direct, identity
 
 
+@_functional
 def zw_coefficients(p, droplet=None):
     """Planar free-energy coefficients in the squared-radius variable.
 
@@ -271,26 +298,18 @@ def zw_coefficients(p, droplet=None):
     return ZWCoefficients(f0=f0, f_half=-0.5 * fh, f1=f1)
 
 
+@_functional
 def equilibrium_report(p, droplet=None):
-    """Bundle of the equilibrium functionals, with a mass sanity check.
-
-    A failure re-raises its exception class with the potential name in the
-    message, once.
-    """
-    try:
-        d = _droplet(p, droplet)
-        mass = mu_mass(p, d)
-        if abs(mass - 1.0) > 1e-9:
-            raise InvalidPotentialError(
-                f"equilibrium measure has mass {mass!r}, expected 1"
-            )
-        f_term = _f_term(p, d)
-        return EquilibriumReport(
-            energy=energy(p, d),
-            entropy=entropy(p, d),
-            log_potential_origin=log_potential_origin(p, d),
-            f_term=f_term,
-            droplet=d,
-        )
-    except CoulombGasError as exc:
-        raise _in_context(exc, p.name) from exc
+    """Bundle of the equilibrium functionals, with a mass sanity check."""
+    d = _droplet(p, droplet)
+    mass = mu_mass(p, d)
+    if abs(mass - 1.0) > 1e-9:
+        raise InvalidPotentialError(f"equilibrium measure has mass {mass!r}, expected 1")
+    f_term = _f_term(p, d)
+    return EquilibriumReport(
+        energy=energy(p, d),
+        entropy=entropy(p, d),
+        log_potential_origin=log_potential_origin(p, d),
+        f_term=f_term,
+        droplet=d,
+    )

@@ -10,9 +10,7 @@ route evaluates the five-term expansion
 whose coefficients are equilibrium-measure functionals; the disc and
 annulus droplets and the two ensembles have different coefficient tables.
 
-Two coefficient conventions are supported: "physics" expands log Z_n
-itself, "canonical" expands log(Z_n / n!) and differs by the Stirling
-series of log n!.
+Every route's log Z_n includes log n!.
 """
 
 import math
@@ -27,12 +25,10 @@ from .equilibrium import (
     equilibrium_report,
     log_potential_origin,
 )
-from .errors import DomainError, _in_context
+from .errors import CoulombGasError, DomainError, _in_context
 from .norms import _REL_TOL, NormQuery, _degrees, log_norm_exact
 from .potential import _check_ensemble, _check_n, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
-
-_CONVENTIONS = ("physics", "canonical")
 
 _LEMMA_VARIANTS = (
     "sum_v_normal",
@@ -44,11 +40,6 @@ _LEMMA_VARIANTS = (
 )
 
 
-def _check_convention(convention):
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-
-
 def default_rel_tol(n):
     """Per-norm accuracy target above the roundoff floor: 1e-13 at every n."""
     return _REL_TOL
@@ -57,11 +48,11 @@ def default_rel_tol(n):
 def log_z_exact(p, n, ensemble="normal", *, threads=1):
     """log Z_n by exact norm quadrature and compensated summation.
 
-    The returned value is the physics-convention partition function
-    including the log n! combinatorial factor.  Norms are evaluated one
-    after another, each to the target log_norm_exact states, and summed by
-    an exact compensated sum.  threads is accepted for compatibility and
-    ignored: a thread pool only slowed the GIL-bound norm loop down.
+    The returned value includes the log n! combinatorial factor.  Norms
+    are evaluated one after another, each to the target log_norm_exact
+    states, and summed by an exact compensated sum.  threads is accepted
+    for compatibility and ignored: a thread pool only slowed the GIL-bound
+    norm loop down.
     """
     n = _check_n(n)
     k = _check_ensemble(ensemble)
@@ -79,7 +70,6 @@ class ExpansionTerms:
     c_logn: float
     c_1: float
     ensemble: str
-    convention: str
 
     def evaluate(self, n):
         n = _check_n(n)
@@ -95,25 +85,20 @@ class ExpansionTerms:
         )
 
 
-def expansion_terms(p, ensemble="normal", convention="physics", report=None):
+def expansion_terms(p, ensemble="normal", *, report=None):
     """Expansion coefficients from equilibrium functionals.
 
     report may carry a precomputed EquilibriumReport (for instance from a
     closed-form oracle), in which case no quadrature is performed here; the
-    potential is still consulted for the Laplacian at the droplet edges.
+    symplectic table still consults the potential for the Laplacian at the
+    droplet edges, and the normal one does not consult it at all.
     """
     try:
         _check_ensemble(ensemble)
-        _check_convention(convention)
     except DomainError as exc:
         raise _in_context(exc, p.name) from exc
     rep = report if report is not None else equilibrium_report(p)
     d = rep.droplet
-    dq_out = float(p.laplacian(d.r1))
-    if d.kind == "annulus":
-        dq_in = float(p.laplacian(d.r0))
-    else:
-        dq_in = float(p.laplacian_at_zero())
 
     if ensemble == "normal":
         c_n2 = -rep.energy
@@ -126,6 +111,11 @@ def expansion_terms(p, ensemble="normal", convention="physics", report=None):
             c_logn = 5.0 / 12.0
             c_1 = 0.5 * LOG_2PI + ZETA_PRIME_MINUS_ONE + rep.f_term
     else:
+        dq_out = float(p.laplacian(d.r1))
+        if d.kind == "annulus":
+            dq_in = float(p.laplacian(d.r0))
+        else:
+            dq_in = float(p.laplacian_at_zero())
         c_n2 = -2.0 * rep.energy
         c_nlogn = 0.5
         c_n = (
@@ -148,12 +138,6 @@ def expansion_terms(p, ensemble="normal", convention="physics", report=None):
                 + edge_term
             )
 
-    if convention == "canonical":
-        c_nlogn -= 1.0
-        c_n += 1.0
-        c_logn -= 0.5
-        c_1 -= 0.5 * LOG_2PI
-
     return ExpansionTerms(
         c_n2=c_n2,
         c_nlogn=c_nlogn,
@@ -161,13 +145,12 @@ def expansion_terms(p, ensemble="normal", convention="physics", report=None):
         c_logn=c_logn,
         c_1=c_1,
         ensemble=ensemble,
-        convention=convention,
     )
 
 
-def log_z_asymptotic(p, n, ensemble="normal", convention="physics"):
+def log_z_asymptotic(p, n, ensemble="normal"):
     """Five-term expansion value at matrix size n."""
-    return expansion_terms(p, ensemble, convention).evaluate(n)
+    return expansion_terms(p, ensemble).evaluate(n)
 
 
 def lemma_sum(p, n, which):
@@ -183,13 +166,21 @@ def lemma_sum(p, n, which):
     the entropy for the log laplacian sums.  With finite-difference
     derivatives (a Custom without derivs) the entropy integral stalls on
     the noise of q'' and raises IntegrationError, so the two sum_logdq
-    variants raise there while the other four return.
+    variants raise there while the other four return.  An argument or
+    droplet-kind error names the potential; a failure of the computation
+    re-raises its class with the potential name, n and which in front.
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
         raise DomainError(f"{p.name}: which must be one of {_LEMMA_VARIANTS}, got {which!r}")
     d = _droplet(p, kind="annulus", what="lemma_sum")
+    try:
+        return _lemma_sum(p, n, which, d)
+    except CoulombGasError as exc:
+        raise _in_context(exc, p.name, f"n={n}", f"which={which}") from exc
 
+
+def _lemma_sum(p, n, which, d):
     k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
     taus = [j / (k * n) for j in _degrees(k, n)]
     radii = [solve_r_tau(p, t) for t in taus]
@@ -245,17 +236,10 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def convergence_study(
-    p,
-    ns,
-    ensemble="normal",
-    convention="physics",
-    exact_fn=None,
-    report=None,
-):
+def convergence_study(p, ns, ensemble="normal", *, exact_fn=None, report=None):
     """Residuals of the expansion over an n-grid, with a log-log rate fit.
 
-    exact_fn, when given, supplies the physics-convention log Z_n directly
+    exact_fn, when given, supplies log Z_n directly
     (a closed-form oracle, say); together with a precomputed equilibrium
     report this path runs no quadrature at all; a non-finite value raises
     DomainError naming n.  Residuals below 1e-12 in magnitude are treated
@@ -267,7 +251,7 @@ def convergence_study(
         raise DomainError("the size grid needs at least two distinct entries")
     if ns[0] < 10:
         raise DomainError(f"size grid entries must be at least 10, got {ns[0]}")
-    terms = expansion_terms(p, ensemble, convention, report=report)
+    terms = expansion_terms(p, ensemble, report=report)
 
     rows = []
     for n in ns:
@@ -277,8 +261,6 @@ def convergence_study(
                 raise DomainError(f"{p.name}: exact_fn gave log Z = {exact!r} at n = {n}")
         else:
             exact = log_z_exact(p, n, ensemble)
-        if convention == "canonical":
-            exact -= ln_factorial(n)
         asym = terms.evaluate(n)
         rows.append(
             ConvergenceRow(

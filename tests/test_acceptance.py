@@ -80,7 +80,7 @@ def _annulus_remainder_check(ensemble):
     report = ml_equilibrium(1.0, 1.0)
     p = MittagLeffler(1.0, 1.0)
     t0 = time.perf_counter()
-    terms = expansion_terms(p, ensemble, "physics", report=report)
+    terms = expansion_terms(p, ensemble, report=report)
     ns = np.array([200, 400, 800, 1600], dtype=float)
     resid = np.array(
         [abs(ml_log_z(1.0, 1.0, int(n), ensemble) - terms.evaluate(int(n))) for n in ns]
@@ -111,7 +111,7 @@ def test_disc_expansion_residuals_decrease():
     for p, oracle, tag in cases:
         report = equilibrium_report(p)
         for ensemble in ("normal", "symplectic"):
-            terms = expansion_terms(p, ensemble, "physics", report=report)
+            terms = expansion_terms(p, ensemble, report=report)
             resid = [abs(oracle(n, ensemble) - terms.evaluate(n)) for n in (100, 200, 400, 800)]
             decreasing = all(b < a for a, b in zip(resid, resid[1:]))
             ok = ok and decreasing and resid[-1] <= 1e-2
@@ -475,7 +475,7 @@ def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, c, ensemble
     t0 = time.perf_counter()
     report = equilibrium_report(p)
     assert report.droplet.kind == kind
-    terms = expansion_terms(p, ensemble, "physics", report=report)
+    terms = expansion_terms(p, ensemble, report=report)
     ns = (100, 200, 400, 800)
     scaled = [n * (log_z_exact(p, n, ensemble) - terms.evaluate(n)) for n in ns]
     diffs = [b - a for a, b in zip(scaled, scaled[1:])]
@@ -553,7 +553,7 @@ def test_expansion_fit_has_no_o1_residual_off_the_families(kind, c, ensemble):
     p = _quartic(kind, c)
     t0 = time.perf_counter()
     report = equilibrium_report(p)
-    terms = expansion_terms(p, ensemble, "physics", report=report)
+    terms = expansion_terms(p, ensemble, report=report)
     residuals, errors = [], []
     for n in _FIT_NS:
         degrees = range(n) if ensemble == "normal" else range(1, 2 * n, 2)

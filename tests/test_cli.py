@@ -16,7 +16,6 @@ from coulombgas.errors import IntegrationError, SolverError
 from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_log_z
 from coulombgas.potential import MittagLeffler, TruncatedUnitary
-from coulombgas.specialfn import ln_factorial
 
 
 def test_droplet_single_line(capsys):
@@ -295,6 +294,27 @@ def test_laplace_norm_error_names_the_potential_n_j_and_ensemble(capsys):
                    "infinite Laplacian at r_tau = 1.0, on the hard wall at 1.0\n")
 
 
+@pytest.mark.parametrize("ensemble, j, degrees", [("normal", "5", "[0, 4]"),
+                                                  ("symplectic", "10", "[0, 9]")])
+def test_norm_query_error_names_the_potential_n_j_and_ensemble(capsys, ensemble, j, degrees):
+    argv = ["norm", "--potential", "ginibre", "--N", "5", "--j", j, "--ensemble", ensemble]
+    out, err, rc = _run(argv, capsys)
+    assert rc == 3 and out == ""
+    assert err == (f"error: ginibre(scale=1.0), n=5, j={j}, ensemble={ensemble}: "
+                   f"degree must be an integer in {degrees}, got {j}\n")
+
+
+@pytest.mark.parametrize("cmd", [["exact", "--N", "10"], ["expand", "--N", "10"],
+                                 ["converge", "--Ns", "10,12"]])
+def test_retired_convention_flag_is_a_usage_error(capsys, cmd):
+    # log Z includes log n! on every route; there is no --convention.
+    for value in ("physics", "canonical"):
+        argv = [cmd[0], "--potential", "ginibre", *cmd[1:], "--convention", value]
+        out, err, rc = _run(argv, capsys)
+        assert rc == 2 and out == ""
+        assert "unrecognized arguments: --convention" in err
+
+
 def test_oracle_lam_off_k_over_p_is_domain_error(capsys):
     # 1/lam = 3.0000000003: the Barnes G product would be log Z of another
     # weight, and --compare would print its error as the exact route's.
@@ -327,17 +347,6 @@ def test_oracle_ginibre_off_scale_1_is_a_domain_error(capsys):
                         capsys)
     assert rc == 3 and out == ""
     assert err.startswith("error:") and "covers ginibre only at scale 1" in err
-
-
-def test_exact_canonical_convention_drops_ln_n_factorial(capsys):
-    argv = ["exact", "--potential", "ml", "--lambda", "1", "--c", "1", "--N", "10",
-            "--format", "csv"]
-    values = {}
-    for convention in ("physics", "canonical"):
-        out, err, rc = _run([*argv, "--convention", convention], capsys)
-        assert rc == 0 and err == ""
-        values[convention] = float(dict(_pairs(out, "csv"))["log_z"])
-    assert values["canonical"] == values["physics"] - ln_factorial(10)
 
 
 def test_version_flag():
@@ -624,18 +633,35 @@ def test_solver_failures_exit_4(capsys, monkeypatch, error):
     assert err == "error: no convergence\n"
 
 
+def _fresh_python(*args):
+    """A fresh interpreter run with the package's source directory first on
+    PYTHONPATH: (exit code, stdout bytes, stderr bytes)."""
+    src = os.path.dirname(os.path.dirname(coulombgas.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    return run.returncode, run.stdout, run.stderr
+
+
 def test_runtime_leaves_the_test_only_packages_unloaded():
     # mpmath and hypothesis are test extras (pyproject.toml).  A fresh
     # interpreter that imports the package and runs one CLI command must
     # not load either, or they would become runtime dependencies.
-    src = os.path.dirname(os.path.dirname(coulombgas.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, coulombgas, coulombgas.cli\n"
         "rc = coulombgas.cli.main(['exact', '--potential', 'ml', '--lambda', '1', '--c', '1',"
         " '--N', '10'])\n"
         "print(rc, sorted(m for m in ('mpmath', 'hypothesis') if m in sys.modules))\n"
     )
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
-    assert run.stdout.splitlines()[-1] == "0 []", run.stdout + run.stderr
+    rc, out, err = _fresh_python("-c", code)
+    assert rc == 0 and out.decode().splitlines()[-1] == "0 []", out + err
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["expand", "--potential", "ml", "--lambda", "1", "--c", "1", "--N", "100", "--terms"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    assert _fresh_python("-m", "coulombgas.cli", *argv) == (0, want, b"")
+    retired = ["exact", "--potential", "ml", "--lambda", "1", "--c", "1", "--N", "10",
+               "--convention", "physics"]
+    rc, out, err = _fresh_python("-m", "coulombgas.cli", *retired)
+    assert (rc, out) == (2, b"") and b"unrecognized arguments: --convention" in err

@@ -20,7 +20,12 @@ from coulombgas.equilibrium import (
     mu_mass,
     zw_coefficients,
 )
-from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
+from coulombgas.errors import (
+    CoulombGasError,
+    DomainError,
+    IntegrationError,
+    InvalidPotentialError,
+)
 from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_lowdeg
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
 from coulombgas.partition import expansion_terms, lemma_sum
@@ -243,15 +248,15 @@ def test_disc_functionals_require_a_positive_origin_laplacian(p, call):
 
 
 def test_ml_origin_errors_name_the_potential():
-    # expansion_terms with a given report asks the potential for its origin
-    # data and adds no context of its own; log_norm_lowdeg adds n, j and
-    # the ensemble after the name, once.
+    # The symplectic expansion_terms with a given report asks the potential
+    # for its origin data and adds no context of its own; log_norm_lowdeg
+    # adds n, j and the ensemble after the name, once.
     half, ml11 = MittagLeffler(0.5, 0.0), MittagLeffler(1.0, 1.0)
     report = equilibrium_report(Ginibre())
     calls = [
         (f"{half.name}, n=10, j=1, ensemble=normal",
          lambda: log_norm_lowdeg(half, NormQuery(10, 1))),
-        (half.name, lambda: expansion_terms(half, report=report)),
+        (half.name, lambda: expansion_terms(half, "symplectic", report=report)),
         (half.name, half.laplacian_at_zero),
         (ml11.name, ml11.q_at_zero),
     ]
@@ -260,6 +265,43 @@ def test_ml_origin_errors_name_the_potential():
             call()
         assert str(info.value).startswith(f"{context}: "), str(info.value)
     assert half.name == "ml(lam=0.5, c=0.0)"
+
+
+# Every functional of the measure, handed a droplet whose outer radius 2
+# lies beyond the hard wall of TU(1, 1) at sqrt(2): each fails inside, on
+# a point check or a stalled integral, with a message that names no
+# potential of its own.
+_TU11 = TruncatedUnitary(1.0, 1.0)
+_PAST_THE_WALL = {"annulus": Droplet(0.5, 2.0, "annulus"), "disc": Droplet(0.0, 2.0, "disc")}
+_FUNCTIONALS = {
+    "mu_mass": (mu_mass, "annulus"),
+    "energy": (energy, "annulus"),
+    "entropy": (entropy, "annulus"),
+    "log_potential_origin": (log_potential_origin, "annulus"),
+    "f_annulus": (f_annulus, "annulus"),
+    "b1_integral": (b1_integral, "annulus"),
+    "f_disc": (f_disc, "disc"),
+    "f_disc_chi_form": (f_disc_chi_form, "disc"),
+    "zw_coefficients": (zw_coefficients, "disc"),
+    "equilibrium_report": (equilibrium_report, "annulus"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONALS))
+def test_every_functional_names_the_potential_once(name):
+    fn, kind = _FUNCTIONALS[name]
+    with pytest.raises(CoulombGasError, match=f"^{re.escape(_TU11.name)}: ") as info:
+        fn(_TU11, _PAST_THE_WALL[kind])
+    assert str(info.value).count(_TU11.name) == 1
+    assert fn.__name__ == name and fn.__module__ == "coulombgas.equilibrium" and fn.__doc__
+
+
+def test_stalled_entropy_names_the_potential():
+    # Finite-difference derivatives: the entropy integral stalls on the
+    # noise of q''.
+    p = Custom(lambda r: r**4 - 2.0 * np.log(r), name="quartic-log")
+    with pytest.raises(IntegrationError, match="^quartic-log: refinement stalled"):
+        entropy(p)
 
 
 def test_b1_ginibre_closed_form():

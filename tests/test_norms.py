@@ -205,8 +205,9 @@ def _checked_query_fields(n, j, ensemble):
 
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
 def test_int_sizes_and_degrees_follow_the_generic_checks(ensemble):
-    # Python ints skip the generic checks; at and beyond the edges of that
-    # path every query gets what the checks give.
+    # NormQuery has no path of its own for Python ints: every size and
+    # degree, int, bool, numpy int or float, at and beyond the edges of the
+    # valid range and of float64, gets what the generic checks give.
     cases = [(1, 0), (5, 4), (5, 5), (5, 9), (5, 10), (5, -1), (0, 0), (-3, 0),
              (2**53, 2**53 - 1), (2**53 + 1, 2**53), (2**1023, 2**1024), (10**400, 0),
              (True, 0), (5, True), (np.int64(5), np.int64(4)), (5.0, 4), (5, 4.0)]

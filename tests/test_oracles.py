@@ -121,7 +121,7 @@ def test_oracles_match_direct_quadrature_small_n():
 def test_oracle_vs_asymptotic_residual_halves():
     lam, c = 1.0, 1.0
     terms = expansion_terms(
-        MittagLeffler(lam, c), "normal", "physics", report=ml_equilibrium(lam, c)
+        MittagLeffler(lam, c), "normal", report=ml_equilibrium(lam, c)
     )
     prev = None
     for n in (200, 400, 800):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 from functools import partial
 
 import mpmath
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 import mp_reference
-from coulombgas.droplet import dr_dtau, solve_r_tau
-from coulombgas.errors import DomainError
+from coulombgas.droplet import Droplet, dr_dtau, solve_r_tau
+from coulombgas.equilibrium import EquilibriumReport
+from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
 from coulombgas.partition import (
+    ExpansionTerms,
     convergence_study,
     expansion_terms,
     lemma_sum,
@@ -26,7 +29,7 @@ from coulombgas.potential import (
     dilate,
 )
 from coulombgas.quadrature import integrate
-from coulombgas.specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
+from coulombgas.specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE
 
 LOG2 = math.log(2.0)
 
@@ -136,7 +139,7 @@ def test_sizes_share_one_validator(bad):
 
 
 def test_ginibre_normal_coefficients():
-    t = expansion_terms(Ginibre(), "normal", "physics")
+    t = expansion_terms(Ginibre(), "normal")
     assert abs(t.c_n2 - (-0.75)) < 1e-12
     assert abs(t.c_nlogn - 0.5) < 1e-15
     assert abs(t.c_n - (LOG_2PI / 2.0 - 1.0)) < 1e-12
@@ -145,7 +148,7 @@ def test_ginibre_normal_coefficients():
 
 
 def test_ginibre_symplectic_coefficients():
-    t = expansion_terms(Ginibre(), "symplectic", "physics")
+    t = expansion_terms(Ginibre(), "symplectic")
     assert abs(t.c_n2 - (-1.5)) < 1e-12
     assert abs(t.c_nlogn - 0.5) < 1e-15
     assert abs(t.c_n - (math.log(4.0 * math.pi) / 2.0 - 1.5)) < 1e-11
@@ -155,7 +158,7 @@ def test_ginibre_symplectic_coefficients():
 
 
 def test_ml_1_1_normal_coefficients():
-    t = expansion_terms(MittagLeffler(1.0, 1.0), "normal", "physics")
+    t = expansion_terms(MittagLeffler(1.0, 1.0), "normal")
     assert abs(t.c_n2 - (2.0 * LOG2 - 2.25)) < 1e-11
     assert abs(t.c_nlogn - 0.5) < 1e-15
     assert abs(t.c_n - (LOG_2PI / 2.0 - 1.0)) < 1e-10
@@ -163,32 +166,42 @@ def test_ml_1_1_normal_coefficients():
     assert abs(t.c_1 - (LOG_2PI / 2.0 - LOG2 / 12.0)) < 1e-10
 
 
-def test_canonical_convention_shifts():
-    p = MittagLeffler(1.0, 1.0)
-    for ensemble in ("normal", "symplectic"):
-        phys = expansion_terms(p, ensemble, "physics")
-        cano = expansion_terms(p, ensemble, "canonical")
-        assert abs(cano.c_n2 - phys.c_n2) < 1e-14
-        assert abs(cano.c_nlogn - (phys.c_nlogn - 1.0)) < 1e-14
-        assert abs(cano.c_n - (phys.c_n + 1.0)) < 1e-14
-        assert abs(cano.c_logn - (phys.c_logn - 0.5)) < 1e-14
-        assert abs(cano.c_1 - (phys.c_1 - LOG_2PI / 2.0)) < 1e-14
+def test_normal_expansion_terms_consult_no_edge_laplacian():
+    # Ginibre's closed-form report: energy 3/4, entropy 0, U(0) 1/2, f 0 on
+    # the unit disc.  The normal table reads no Laplacian, so a profile
+    # without origin data gives Ginibre's terms; the symplectic edge term
+    # needs the origin Laplacian and raises.
+    report = EquilibriumReport(0.75, 0.0, 0.5, 0.0, Droplet(0.0, 1.0, "disc"))
+    want = expansion_terms(Ginibre(), "normal", report=report)
+    sq = Custom(lambda r: r * r, name="sq")
+    for p in (sq, MittagLeffler(0.5, 0.0)):
+        assert expansion_terms(p, "normal", report=report) == want
+    with pytest.raises(DomainError, match="^sq: no origin Laplacian supplied"):
+        expansion_terms(sq, "symplectic", report=report)
 
 
-def test_canonical_equals_physics_minus_log_factorial():
-    p = MittagLeffler(1.0, 1.0)
-    for n in (50, 200):
-        phys = log_z_asymptotic(p, n, "normal", "physics")
-        cano = log_z_asymptotic(p, n, "normal", "canonical")
-        stirling_gap = phys - cano - ln_factorial(n)
-        # the conventions differ by Stirling up to the 1/(12n) remainder
-        assert abs(stirling_gap) < 1.0 / (10.0 * n), n
+def test_retired_convention_is_a_type_error():
+    # log Z includes log n! on every route; a convention, by keyword or in
+    # the slot it had, is refused before any work.
+    p = Ginibre()
+    calls = [
+        lambda: expansion_terms(p, "normal", convention="physics"),
+        lambda: expansion_terms(p, "normal", "physics"),
+        lambda: log_z_asymptotic(p, 100, "normal", convention="physics"),
+        lambda: log_z_asymptotic(p, 100, "normal", "physics"),
+        lambda: convergence_study(p, (100, 200), "normal", convention="physics"),
+        lambda: convergence_study(p, (100, 200), "normal", "physics"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert "convention" not in {f.name for f in fields(ExpansionTerms)}
 
 
 def test_annulus_residual_scales_like_one_over_n():
     lam, c = 1.0, 1.0
     p = MittagLeffler(lam, c)
-    terms = expansion_terms(p, "normal", "physics", report=ml_equilibrium(lam, c))
+    terms = expansion_terms(p, "normal", report=ml_equilibrium(lam, c))
     scaled = []
     for n in (100, 200, 400):
         r = ml_log_z(lam, c, n, "normal") - terms.evaluate(n)
@@ -257,6 +270,17 @@ def test_lemma_sum_third_order_ratio():
     assert 4.0 <= ratio <= 16.0
 
 
+@pytest.mark.parametrize("which", ["sum_logdq_normal", "sum_logdq_symp_odd"])
+def test_lemma_sum_failure_names_the_potential_n_and_which(which):
+    # Finite-difference derivatives: the entropy integral of the prediction
+    # stalls on the noise of q''.
+    p = Custom(lambda r: r**4 - 2.0 * np.log(r), name="quartic-log")
+    want = f"^quartic-log, n=100, which={which}: refinement stalled"
+    with pytest.raises(IntegrationError, match=want) as info:
+        lemma_sum(p, 100, which)
+    assert str(info.value).count("quartic-log") == 1
+
+
 def test_lemma_sum_rejects_disc_and_bad_token():
     with pytest.raises(DomainError):
         lemma_sum(Ginibre(), 100, "sum_v_normal")
@@ -290,7 +314,6 @@ def test_convergence_study_fields_and_csv():
         p,
         (100, 200, 400, 800),
         "normal",
-        "physics",
         exact_fn=lambda n: ml_log_z(lam, c, n, "normal"),
         report=ml_equilibrium(lam, c),
     )
@@ -315,7 +338,7 @@ def test_convergence_study_fields_and_csv():
         assert float(cells[3]) == row.residual
 
 
-def _ml11_study(convention, exact_fn=None):
+def _ml11_study(exact_fn=None):
     lam, c = 1.0, 1.0
     if exact_fn is None:
         exact_fn = lambda n: ml_log_z(lam, c, n, "normal")  # noqa: E731
@@ -323,42 +346,14 @@ def _ml11_study(convention, exact_fn=None):
         MittagLeffler(lam, c),
         (100, 200, 400),
         "normal",
-        convention,
         exact_fn=exact_fn,
         report=ml_equilibrium(lam, c),
     )
 
 
-def test_canonical_residuals_shift_by_the_stirling_remainder():
-    physics = _ml11_study("physics")
-    canonical = _ml11_study("canonical")
-    terms = expansion_terms(MittagLeffler(1.0, 1.0), "normal", "physics",
-                            report=ml_equilibrium(1.0, 1.0))
-    for row_p, row_c in zip(physics.rows, canonical.rows):
-        n = row_p.n
-        ln = math.log(n)
-        stirling = n * ln - n + 0.5 * ln + 0.5 * LOG_2PI
-        want = -(ln_factorial(n) - stirling)
-        # Bound: every quantity entering either residual (log Z, ln n! and
-        # each of the five expansion terms in both conventions) is rounded a
-        # few times at its own magnitude; 8 eps of their summed magnitudes.
-        scale = (
-            abs(row_p.log_z_exact)
-            + 2.0 * ln_factorial(n)
-            + abs(terms.c_n2) * n * n
-            + 2.0 * (abs(terms.c_nlogn) + 1.0) * n * ln
-            + 2.0 * (abs(terms.c_n) + 1.0) * n
-            + 2.0 * (abs(terms.c_logn) + 1.0) * ln
-            + 2.0 * (abs(terms.c_1) + LOG_2PI)
-        )
-        got = row_c.residual - row_p.residual
-        assert abs(got - want) <= 8.0 * np.finfo(float).eps * scale, n
-
-
 def test_vanishing_residuals_skip_the_fit():
-    terms = expansion_terms(MittagLeffler(1.0, 1.0), "normal", "physics",
-                            report=ml_equilibrium(1.0, 1.0))
-    table = _ml11_study("physics", exact_fn=terms.evaluate)
+    terms = expansion_terms(MittagLeffler(1.0, 1.0), "normal", report=ml_equilibrium(1.0, 1.0))
+    table = _ml11_study(exact_fn=terms.evaluate)
     assert table.underflow
     assert all(row.residual == 0.0 for row in table.rows)
     assert math.isnan(table.fitted_exponent) and math.isnan(table.fit_r2)
@@ -368,9 +363,9 @@ def test_vanishing_residuals_skip_the_fit():
 def test_convergence_study_input_validation():
     p = MittagLeffler(1.0, 1.0)
     with pytest.raises(DomainError):
-        convergence_study(p, (5, 100), "normal", "physics")
+        convergence_study(p, (5, 100), "normal")
     with pytest.raises(DomainError):
-        convergence_study(p, (100,), "normal", "physics")
+        convergence_study(p, (100,), "normal")
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -381,7 +376,7 @@ def test_non_finite_exact_log_z_names_n_and_value(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as exc:
-            _ml11_study("physics", exact_fn=exact_fn)
+            _ml11_study(exact_fn=exact_fn)
     msg = str(exc.value)
     assert msg.startswith("ml(lam=1.0, c=1.0): ")
     assert f"log Z = {bad!r} at n = 200" in msg
@@ -393,7 +388,6 @@ def test_convergence_study_dedupes_and_sorts():
         MittagLeffler(lam, c),
         (200, 100, 200),
         "normal",
-        "physics",
         exact_fn=lambda n: ml_log_z(lam, c, n, "normal"),
         report=ml_equilibrium(lam, c),
     )
@@ -403,8 +397,7 @@ def test_convergence_study_dedupes_and_sorts():
 @pytest.mark.parametrize("call, what", [
     (lambda p: lemma_sum(p, 10, "sum_v"), "which must be one of"),
     (lambda p: expansion_terms(p, "orthogonal"), "ensemble must be one of"),
-    (lambda p: expansion_terms(p, "normal", "math"), "convention must be one of"),
-], ids=["lemma_sum which", "expansion_terms ensemble", "expansion_terms convention"])
+], ids=["lemma_sum which", "expansion_terms ensemble"])
 def test_argument_errors_name_the_potential(call, what):
     p = MittagLeffler(1.0, 0.5)
     with pytest.raises(DomainError) as info:
