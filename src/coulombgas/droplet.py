@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoulombGasError,
-    DomainError,
-    InvalidPotentialError,
-    SolverError,
-    _in_context,
-)
+from .errors import DomainError, InvalidPotentialError, SolverError, _named
 from .potential import _check_tau
 
 _MAX_ITER = 200
@@ -67,6 +61,7 @@ def _bracket_candidates(p):
     return _DYADIC_CANDIDATES
 
 
+@_named()
 def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
@@ -83,25 +78,21 @@ def solve_r_tau(p, tau):
     r q'(r) >= 0 already at the bottom of the bracket or the potential
     supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
     whatever the finite-difference noise in q'), and the root of
-    r q'(r) = 0 for an annulus.  A failure re-raises its exception class
-    with the potential name in the message.
+    r q'(r) = 0 for an annulus.
     """
+    tau = _check_tau(tau)
     try:
-        tau = _check_tau(tau)
-        try:
-            r = p.r_tau(tau)
-        except OverflowError:
-            r = math.inf
-        if r is None:
-            table = _table(p) if 0.0 < tau < 1.0 else ()
-            return _table_root(p, tau, *table) if table else _scan_root(p, tau)
-        if r == math.inf:
-            raise InvalidPotentialError(
-                f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
-            )
-        return r
-    except CoulombGasError as exc:
-        raise _in_context(exc, p.name) from exc
+        r = p.r_tau(tau)
+    except OverflowError:
+        r = math.inf
+    if r is None:
+        table = _table(p) if 0.0 < tau < 1.0 else ()
+        return _table_root(p, tau, *table) if table else _scan_root(p, tau)
+    if r == math.inf:
+        raise InvalidPotentialError(
+            f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
+        )
+    return r
 
 
 # Points of the r q'(r) table, quadratically spaced between the droplet
@@ -241,6 +232,7 @@ def _positive_origin_laplacian(p):
     return math.isfinite(dq0) and dq0 > 0.0
 
 
+@_named()
 def droplet_of(p):
     """Droplet radii and kind, with an admissibility check on the Laplacian.
 
@@ -248,44 +240,42 @@ def droplet_of(p):
     iff r0 == 0.0.  Raises InvalidPotentialError when r0 is not below r1
     (a zero-width droplet, e.g. once r0 and r1 round to the same float) or
     when the Laplacian of Q fails to be strictly positive on a grid
-    spanning a neighborhood of the droplet.  A failure re-raises its
-    exception class with the potential name in the message.
+    spanning a neighborhood of the droplet.
     """
-    try:
-        r1 = solve_r_tau(p, 1.0)
-        r0 = solve_r_tau(p, 0.0)
-        if not r0 < r1:
-            raise InvalidPotentialError(
-                f"zero-width droplet: r0 = {r0!r} is not below r1 = {r1!r}"
-            )
-        d = Droplet(r0, r1, "disc" if r0 == 0.0 else "annulus")
+    r1 = solve_r_tau(p, 1.0)
+    r0 = solve_r_tau(p, 0.0)
+    if not r0 < r1:
+        raise InvalidPotentialError(
+            f"zero-width droplet: r0 = {r0!r} is not below r1 = {r1!r}"
+        )
+    d = Droplet(r0, r1, "disc" if r0 == 0.0 else "annulus")
 
-        lo = max(0.9 * d.r0, 1e-6)
-        hi = 1.1 * d.r1
-        if p.support_radius is not None:
-            hi = min(hi, p.support_radius * (1.0 - 1e-9))
-        grid = np.linspace(lo, hi, 64)
-        dq = np.asarray(p.laplacian(grid), dtype=float)
-        if not np.all(np.isfinite(dq)) or np.any(dq <= 0.0):
-            raise InvalidPotentialError(
-                "the Laplacian of Q is not strictly positive near the droplet"
-            )
-    except CoulombGasError as exc:
-        raise _in_context(exc, p.name) from exc
+    lo = max(0.9 * d.r0, 1e-6)
+    hi = 1.1 * d.r1
+    if p.support_radius is not None:
+        hi = min(hi, p.support_radius * (1.0 - 1e-9))
+    grid = np.linspace(lo, hi, 64)
+    dq = np.asarray(p.laplacian(grid), dtype=float)
+    if not np.all(np.isfinite(dq)) or np.any(dq <= 0.0):
+        raise InvalidPotentialError(
+            "the Laplacian of Q is not strictly positive near the droplet"
+        )
     return d
 
 
 def _droplet(p, droplet=None, kind=None, what=None):
     """droplet, or droplet_of(p) when it is None: the one droplet-kind
     guard.  With kind ("disc" or "annulus") given, a droplet of the other
-    kind raises DomainError naming p and what needs it."""
+    kind raises DomainError naming what needs it; the entry point that
+    calls it adds p's name."""
     d = droplet if droplet is not None else droplet_of(p)
     if kind is not None and d.kind != kind:
         need = "requires a disc droplet" if kind == "disc" else "requires an annular droplet"
-        raise DomainError(f"{p.name}: {what} {need}")
+        raise DomainError(f"{what} {need}")
     return d
 
 
+@_named()
 def dr_dtau(p, tau):
     """Derivative of the outer radius with respect to tau.
 

@@ -9,17 +9,16 @@ droplets, the pointwise 1/s correction entering norm asymptotics, and
 the planar free-energy coefficients in the squared-radius
 parametrization used for the self-consistency checks.  Every functional
 of the measure re-raises a package error as its class with the potential
-name in front of the message (_functional).
+name in front of the message (errors._named).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .droplet import Droplet, _droplet, _positive_origin_laplacian
-from .errors import CoulombGasError, InvalidPotentialError, _in_context
+from .errors import InvalidPotentialError, _named
 from .potential import _evaluate
 from .quadrature import integrate
 
@@ -56,29 +55,14 @@ def _integral(f, d):
     return val
 
 
-def _functional(fn):
-    """fn(p, droplet=None) that re-raises a package error as its class with
-    the potential name in front of the message, once: the wrapper of every
-    public functional of the equilibrium measure."""
-
-    @functools.wraps(fn)
-    def in_context(p, droplet=None):
-        try:
-            return fn(p, droplet)
-        except CoulombGasError as exc:
-            raise _in_context(exc, p.name) from exc
-
-    return in_context
-
-
-@_functional
+@_named()
 def mu_mass(p, droplet=None):
     """Total mass of 2 r laplacian(r) dr over the droplet (should be 1)."""
     d = _droplet(p, droplet)
     return _integral(lambda x: p._laplacian(np.sqrt(x), 0), d)
 
 
-@_functional
+@_named()
 def energy(p, droplet=None):
     """Weighted logarithmic energy of the equilibrium measure.
 
@@ -90,7 +74,7 @@ def energy(p, droplet=None):
     return float(p.q_derivs(d.r1, 0)) - math.log(d.r1) - 0.125 * val
 
 
-@_functional
+@_named()
 def entropy(p, droplet=None):
     """Differential entropy integral of the equilibrium density.
 
@@ -106,7 +90,7 @@ def entropy(p, droplet=None):
     return _integral(f, d)
 
 
-@_functional
+@_named()
 def log_potential_origin(p, droplet=None):
     """Logarithmic potential of the equilibrium measure at the origin.
 
@@ -178,24 +162,24 @@ def _require_origin_laplacian(p):
     (2 lam - 2)^2 / x for ML(lam, 0)) and has no finite value."""
     if not _positive_origin_laplacian(p):
         raise InvalidPotentialError(
-            f"{p.name}: the disc functionals assume ΔQ(0) finite and > 0, "
+            "the disc functionals assume ΔQ(0) finite and > 0, "
             "and laplacian_at_zero() does not supply it"
         )
 
 
-@_functional
+@_named()
 def f_annulus(p, droplet=None):
     """Order-one free-energy term for an annular droplet."""
     return _f_term(p, _droplet(p, droplet, "annulus", "f_annulus"))
 
 
-@_functional
+@_named()
 def f_disc(p, droplet=None):
     """Order-one free-energy term for a disc droplet; needs ΔQ(0) > 0."""
     return _f_term(p, _droplet(p, droplet, "disc", "f_disc"))
 
 
-@_functional
+@_named()
 def f_disc_chi_form(p, droplet=None):
     """Disc order-one term through chi = (1/2) log(laplacian).
 
@@ -228,7 +212,7 @@ def f_disc_chi_form(p, droplet=None):
     )
 
 
-@_functional
+@_named()
 def b1_integral(p, droplet=None):
     """Integral of b1 against the equilibrium measure, two ways.
 
@@ -249,7 +233,7 @@ def b1_integral(p, droplet=None):
     return direct, identity
 
 
-@_functional
+@_named()
 def zw_coefficients(p, droplet=None):
     """Planar free-energy coefficients in the squared-radius variable.
 
@@ -298,7 +282,7 @@ def zw_coefficients(p, droplet=None):
     return ZWCoefficients(f0=f0, f_half=-0.5 * fh, f1=f1)
 
 
-@_functional
+@_named()
 def equilibrium_report(p, droplet=None):
     """Bundle of the equilibrium functionals, with a mass sanity check."""
     d = _droplet(p, droplet)

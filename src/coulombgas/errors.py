@@ -48,6 +48,30 @@ def _in_context(exc, name, *details):
     return type(exc)(f"{', '.join((name, *details))}: {msg}")
 
 
+def _named(details=None):
+    """Decorator for a public entry point fn(p, ...) that re-raises a package
+    error as its class with p.name, and details(*args, **kwargs) of the
+    arguments after p, in front of the message: the one error context of
+    the package.  details runs only on failure.  A message that already
+    starts with "p.name, " carries an inner entry point's fuller context
+    and passes unchanged; one that starts with "p.name: " drops it."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def named(p, *args, **kwargs):
+            try:
+                return fn(p, *args, **kwargs)
+            except CoulombGasError as exc:
+                if str(exc).startswith(f"{p.name}, "):
+                    raise
+                extra = details(*args, **kwargs) if details is not None else ()
+                raise _in_context(exc, p.name, *extra) from exc
+
+        return named
+
+    return wrap
+
+
 def _finite(fn):
     """Have fn raise DomainError when its float64 result is not finite: a
     term overflows, or infinite terms cancel to nan.  fn returns a float or

@@ -13,10 +13,9 @@ where that exponent is negligible.  The asymptotic routes implement the
 two-term Laplace approximation at r_tau, the factorial form valid for low
 degrees over a disc droplet, and the gated high-degree form.  Every route
 re-raises a package error as its class with the potential name, n, j and
-ensemble in front of the message (_norm_route).
+ensemble in front of the message (errors._named).
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .droplet import _droplet, _saddle_laplacian, solve_r_tau
 from .equilibrium import b1
-from .errors import CoulombGasError, DomainError, IntegrationError, _in_context
+from .errors import DomainError, IntegrationError, _named
 from .potential import (
     _check_ensemble,
     _check_n,
@@ -125,22 +124,12 @@ def _r_cut(p, query, r_star, v_min):
     raise IntegrationError("failed to locate a truncation radius")
 
 
-def _norm_route(route):
-    """route(p, query) that re-raises a package error as its class with the
-    potential name, n, j and ensemble in front of the message."""
-
-    @functools.wraps(route)
-    def in_context(p, query):
-        try:
-            return route(p, query)
-        except CoulombGasError as exc:
-            detail = (f"n={query.n}", f"j={query.j}", f"ensemble={query.ensemble}")
-            raise _in_context(exc, p.name, *detail) from exc
-
-    return in_context
+def _query_context(query):
+    """The error context of a norm route after the potential's name."""
+    return (f"n={query.n}", f"j={query.j}", f"ensemble={query.ensemble}")
 
 
-@_norm_route
+@_named(_query_context)
 def log_norm_exact(p, query):
     """log h_j by shifted adaptive quadrature of 2 e^{-s V_tau'}, tau' = query.level.
 
@@ -202,7 +191,7 @@ def _laplace_value(p, query):
     return -s * v + 0.5 * log_ratio + math.log1p(corr)
 
 
-@_norm_route
+@_named(_query_context)
 def log_norm_laplace(p, query):
     """Two-term Laplace approximation of log h_j at the saddle r_tau.
 
@@ -211,7 +200,7 @@ def log_norm_laplace(p, query):
     return _laplace_value(p, query)
 
 
-@_norm_route
+@_named(_query_context)
 def log_norm_lowdeg(p, query):
     """Factorial form of log h_j for low degrees over a disc droplet.
 
@@ -226,7 +215,7 @@ def log_norm_lowdeg(p, query):
     return -s * q0 - (query.j + 1) * math.log(s * dq0) + ln_factorial(query.j)
 
 
-@_norm_route
+@_named(_query_context)
 def log_norm_highdeg(p, query):
     """Laplace form of log h_j gated to degrees above the splitting scale.
 

@@ -25,7 +25,7 @@ from .equilibrium import (
     equilibrium_report,
     log_potential_origin,
 )
-from .errors import CoulombGasError, DomainError, _in_context
+from .errors import DomainError, _named
 from .norms import _REL_TOL, NormQuery, _degrees, log_norm_exact
 from .potential import _check_ensemble, _check_n, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
@@ -45,6 +45,7 @@ def default_rel_tol(n):
     return _REL_TOL
 
 
+@_named()
 def log_z_exact(p, n, ensemble="normal", *, threads=1):
     """log Z_n by exact norm quadrature and compensated summation.
 
@@ -85,6 +86,7 @@ class ExpansionTerms:
         )
 
 
+@_named()
 def expansion_terms(p, ensemble="normal", *, report=None):
     """Expansion coefficients from equilibrium functionals.
 
@@ -93,10 +95,7 @@ def expansion_terms(p, ensemble="normal", *, report=None):
     symplectic table still consults the potential for the Laplacian at the
     droplet edges, and the normal one does not consult it at all.
     """
-    try:
-        _check_ensemble(ensemble)
-    except DomainError as exc:
-        raise _in_context(exc, p.name) from exc
+    _check_ensemble(ensemble)
     rep = report if report is not None else equilibrium_report(p)
     d = rep.droplet
 
@@ -148,11 +147,13 @@ def expansion_terms(p, ensemble="normal", *, report=None):
     )
 
 
+@_named()
 def log_z_asymptotic(p, n, ensemble="normal"):
     """Five-term expansion value at matrix size n."""
     return expansion_terms(p, ensemble).evaluate(n)
 
 
+@_named(lambda n, which: (f"n={n}", f"which={which}"))
 def lemma_sum(p, n, which):
     """Partial sums over the saddle grid versus their predicted expansions.
 
@@ -166,21 +167,13 @@ def lemma_sum(p, n, which):
     the entropy for the log laplacian sums.  With finite-difference
     derivatives (a Custom without derivs) the entropy integral stalls on
     the noise of q'' and raises IntegrationError, so the two sum_logdq
-    variants raise there while the other four return.  An argument or
-    droplet-kind error names the potential; a failure of the computation
-    re-raises its class with the potential name, n and which in front.
+    variants raise there while the other four return.  A failure re-raises
+    its class with the potential name, n and which in front.
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
-        raise DomainError(f"{p.name}: which must be one of {_LEMMA_VARIANTS}, got {which!r}")
+        raise DomainError(f"which must be one of {_LEMMA_VARIANTS}, got {which!r}")
     d = _droplet(p, kind="annulus", what="lemma_sum")
-    try:
-        return _lemma_sum(p, n, which, d)
-    except CoulombGasError as exc:
-        raise _in_context(exc, p.name, f"n={n}", f"which={which}") from exc
-
-
-def _lemma_sum(p, n, which, d):
     k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
     taus = [j / (k * n) for j in _degrees(k, n)]
     radii = [solve_r_tau(p, t) for t in taus]
@@ -236,6 +229,7 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
+@_named()
 def convergence_study(p, ns, ensemble="normal", *, exact_fn=None, report=None):
     """Residuals of the expansion over an n-grid, with a log-log rate fit.
 
@@ -258,7 +252,7 @@ def convergence_study(p, ns, ensemble="normal", *, exact_fn=None, report=None):
         if exact_fn is not None:
             exact = float(exact_fn(n))
             if not math.isfinite(exact):
-                raise DomainError(f"{p.name}: exact_fn gave log Z = {exact!r} at n = {n}")
+                raise DomainError(f"exact_fn gave log Z = {exact!r} at n = {n}")
         else:
             exact = log_z_exact(p, n, ensemble)
         asym = terms.evaluate(n)

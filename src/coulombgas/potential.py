@@ -27,7 +27,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import DomainError, UnsupportedOrderError, _named
 
 _EPS = np.finfo(float).eps
 
@@ -523,6 +523,7 @@ class _Dilated(RadialPotential):
         return dq0 / self._a_pow[2] if self._a_pow[2] else math.inf  # a^2 underflows to 0
 
 
+@_named()
 def dilate(p, a):
     """Return the potential r -> q(r / a) for a dilation factor a > 0."""
     return _Dilated(p, _check_positive("dilation factor", a))

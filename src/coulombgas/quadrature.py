@@ -63,7 +63,11 @@ _W2[1::2, 1] = _WG
 # Splitting resolved panels cuts their error estimates by about 2^-14, and an
 # endpoint singularity x^a with a > -7/8 halves the total within 8 rounds.
 _STALL = 8
-_MAX_PANELS = 1 << 20
+# A noisy integrand whose error estimate creeps down while the panel count
+# doubles each round never stalls; the budget ends it with one round's node
+# array at most 2^16 * 15 * 8 B ~ 7.9 MB.  Every converged integral of the
+# test suite needs under 11,000 panels.
+_MAX_PANELS = 1 << 16
 
 
 def _eval_panels(f, lefts, rights):
@@ -111,7 +115,8 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     error estimate cannot be brought under max(abs_tol, rel_tol * |value|):
     when a round's total error estimate is more than half of the total
     _STALL rounds before (refinement stalled), or when the panel budget
-    _MAX_PANELS would be exceeded.
+    _MAX_PANELS = 2^16 would be exceeded, which ends a noisy integrand whose
+    estimate creeps down too slowly to stall.
 
     a < b must be finite reals with |a| + |b| finite, so that every panel's
     midpoint and half-width are, and the tolerances finite and nonnegative;

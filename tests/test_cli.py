@@ -469,7 +469,19 @@ def test_kind_guard_error_names_the_potential_and_exits_3(capsys):
     out, err, code = _run(["lemmas", "--potential", "ginibre", "--N", "10",
                            "--which", "sum_v_normal"], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("error: ginibre(scale=1.0): ") and "annular droplet" in err
+    assert err.startswith("error: ginibre(scale=1.0), n=10, which=sum_v_normal: ")
+    assert "annular droplet" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["exact", "--N", "0"], "n must be a positive integer"),
+    (["converge", "--Ns", "5,100"], "size grid entries must be at least 10"),
+], ids=["exact", "converge"])
+def test_argument_errors_name_the_potential_and_exit_3(capsys, argv, what):
+    out, err, code = _run([argv[0], "--potential", "ml", "--lambda", "1", "--c", "1", *argv[1:]],
+                          capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: ml(lam=1.0, c=1.0): {what}"), err
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

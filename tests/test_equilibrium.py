@@ -6,6 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from coulombgas import quadrature
 from coulombgas.droplet import Droplet, droplet_of
 from coulombgas.equilibrium import (
     b1,
@@ -198,8 +199,10 @@ _KIND_GUARDS = {
 _NEEDS_ANNULUS = {"f_annulus", "b1_integral", "lemma_sum"}
 
 
-# The norm routes put n, j and the ensemble after the name.
+# The norm routes put n, j and the ensemble after the name, lemma_sum n and
+# which.
 _GUARD_CONTEXT = {
+    "lemma_sum": ", n=10, which=sum_v_normal",
     "log_norm_lowdeg": ", n=10, j=1, ensemble=normal",
     "log_norm_highdeg": ", n=10, j=9, ensemble=normal",
 }
@@ -302,6 +305,24 @@ def test_stalled_entropy_names_the_potential():
     p = Custom(lambda r: r**4 - 2.0 * np.log(r), name="quartic-log")
     with pytest.raises(IntegrationError, match="^quartic-log: refinement stalled"):
         entropy(p)
+
+
+def test_creeping_entropy_ends_at_the_panel_budget(monkeypatch):
+    # On the FD quartic disc the error estimate keeps creeping down while
+    # the panel count doubles each round, so refinement never stalls; the
+    # panel budget ends it before a round's node array grows past 2^16
+    # panels.
+    batches = []
+    eval_panels = quadrature._eval_panels
+
+    def counting(f, lefts, rights):
+        batches.append(len(lefts))
+        return eval_panels(f, lefts, rights)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", counting)
+    with pytest.raises(IntegrationError, match="^quartic: panel budget exceeded"):
+        entropy(Custom(lambda r: r**4, name="quartic"))
+    assert max(batches) <= 1 << 16
 
 
 def test_b1_ginibre_closed_form():

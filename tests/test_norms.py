@@ -16,6 +16,7 @@ from coulombgas.norms import (
     log_norm_laplace,
     log_norm_lowdeg,
 )
+from coulombgas.oracles import ml_equilibrium
 from coulombgas.partition import convergence_study, log_z_exact
 from coulombgas.potential import (
     Custom,
@@ -287,13 +288,13 @@ class _FlatLaplacian(Custom):
 def test_zero_laplacian_at_the_saddle_is_an_invalid_potential_on_every_route(route):
     # dr_dtau, the Laplace norm and the exact norm each divide by the
     # Laplacian at the saddle r_tau.  Each raises InvalidPotentialError
-    # naming r, with the context its route adds: a norm route's
-    # potential, n, j and ensemble, none for dr_dtau.
+    # naming r, with the context its entry point adds: a norm route's
+    # potential, n, j and ensemble, dr_dtau's potential.
     p = _FlatLaplacian(lambda r: r * r, derivs=(
         lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r,
     ), name="flat")
     tau, call, context = {
-        "dr_dtau": (0.5, lambda: droplet.dr_dtau(p, 0.5), ""),
+        "dr_dtau": (0.5, lambda: droplet.dr_dtau(p, 0.5), "flat: "),
         "laplace": (0.3, lambda: log_norm_laplace(p, NormQuery(10, 3)),
                     "flat, n=10, j=3, ensemble=normal: "),
         "exact": (0.05, lambda: log_z_exact(p, 10), "flat, n=10, j=0, ensemble=normal: "),
@@ -302,6 +303,24 @@ def test_zero_laplacian_at_the_saddle_is_an_invalid_potential_on_every_route(rou
     want = f"{context}nonpositive Laplacian 0.0 at r_tau = {r!r}"
     with pytest.raises(InvalidPotentialError, match=f"^{re.escape(want)}$"):
         call()
+
+
+@pytest.mark.parametrize("study", [False, True], ids=["log_z_exact", "convergence_study"])
+def test_a_nested_norm_failure_keeps_its_context_once(study):
+    # The first norm fails; log_z_exact, and convergence_study around it,
+    # pass its context on unchanged.  The given report spares
+    # expansion_terms the flat potential.
+    p = _FlatLaplacian(lambda r: r * r, derivs=(
+        lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r,
+    ), name="flat")
+    with pytest.raises(InvalidPotentialError) as info:
+        if study:
+            convergence_study(p, [10, 20], report=ml_equilibrium(1.0, 1.0))
+        else:
+            log_z_exact(p, 10)
+    msg = str(info.value)
+    assert msg.startswith("flat, n=10, j=0, ensemble=normal: nonpositive Laplacian"), msg
+    assert msg.count("flat") == 1, msg
 
 
 @pytest.mark.parametrize("p", [Ginibre(), TruncatedUnitary(1.0, 1.0)], ids=["ginibre", "tu"])
