@@ -195,7 +195,11 @@ def _cmd_exact(p, args):
 
 def _cmd_expand(p, args):
     terms = expansion_terms(p, args.ensemble)
-    pairs = [("log_z_asymptotic", terms.evaluate(args.N))]
+    try:
+        val = terms.evaluate(args.N)
+    except DomainError as exc:  # a bad or huge N, outside the named entry points
+        raise _in_context(exc, p.name) from exc
+    pairs = [("log_z_asymptotic", val)]
     if args.terms:
         pairs += [
             ("c_n2", terms.c_n2),

@@ -14,6 +14,7 @@ call.  Only a potential without a table scans at interior levels.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
+_given holds a caller's droplet to it, so ΔQ(d.r0) is ΔQ(0) just for a disc.
 """
 
 import bisect
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidPotentialError, SolverError, _named
-from .potential import _check_tau
+from .potential import _check_tau, _is_real
 
 _MAX_ITER = 200
 
@@ -150,8 +151,12 @@ def _scan_root(p, tau):
     r = 1e-12 (dyadic points, or towards the support radius), with Newton
     started at the bracket midpoint."""
     target = 2.0 * tau
-    if tau == 0.0 and _positive_origin_laplacian(p):
-        return 0.0
+    if tau == 0.0:
+        try:
+            _laplacian_at(p, 0.0)
+            return 0.0
+        except InvalidPotentialError:
+            pass
 
     lo = 1e-12
     if p.support_radius is not None:
@@ -224,14 +229,6 @@ def _newton(p, tau, lo, hi, r):
     return 0.5 * (lo + hi)
 
 
-def _positive_origin_laplacian(p):
-    try:
-        dq0 = p.laplacian_at_zero()
-    except DomainError:
-        return False
-    return math.isfinite(dq0) and dq0 > 0.0
-
-
 @_named()
 def droplet_of(p):
     """Droplet radii and kind, with an admissibility check on the Laplacian.
@@ -263,12 +260,20 @@ def droplet_of(p):
     return d
 
 
+def _given(d):
+    """A caller's droplet d; DomainError unless the disc rule holds for it."""
+    if not (isinstance(d, Droplet) and _is_real(d.r0) and _is_real(d.r1) and 0.0 <= d.r0 < d.r1
+            and d.kind == ("disc" if d.r0 == 0.0 else "annulus")):
+        raise DomainError(f"{d!r} breaks the droplet rule: finite 0 <= r0 < r1, a disc iff r0 == 0.0")
+    return d
+
+
 def _droplet(p, droplet=None, kind=None, what=None):
-    """droplet, or droplet_of(p) when it is None: the one droplet-kind
+    """_given(droplet), or droplet_of(p) when it is None: the one droplet-kind
     guard.  With kind ("disc" or "annulus") given, a droplet of the other
     kind raises DomainError naming what needs it; the entry point that
     calls it adds p's name."""
-    d = droplet if droplet is not None else droplet_of(p)
+    d = droplet_of(p) if droplet is None else _given(droplet)
     if kind is not None and d.kind != kind:
         need = "requires a disc droplet" if kind == "disc" else "requires an annular droplet"
         raise DomainError(f"{what} {need}")
@@ -289,14 +294,24 @@ def dr_dtau(p, tau):
     if tau < 1e-12 and solve_r_tau(p, 0.0) == 0.0:
         raise DomainError("dr_dtau is singular as tau -> 0 for a disc droplet")
     r = solve_r_tau(p, tau)
-    return 1.0 / (2.0 * r * _saddle_laplacian(p, r))
+    return 1.0 / (2.0 * r * _laplacian_at(p, r))
 
 
-def _saddle_laplacian(p, r):
-    """laplacian(r) as a float at a saddle r = r_tau: the one check shared by
-    dr_dtau and the exact and Laplace norms, which divide by it.  Anything
+def _laplacian_at(p, r):
+    """ΔQ(r) as a float: the one scalar read of the Laplacian, p.laplacian(r)
+    at a saddle or droplet edge r > 0 and p.laplacian_at_zero() at a disc's
+    inner edge r == 0.0 (with the potential's reason when it has none).  Anything
     but a finite positive value raises InvalidPotentialError naming r, and
     the hard wall when r has rounded onto it."""
+    if r == 0.0:
+        try:
+            dq = float(p.laplacian_at_zero())
+            reason = f"laplacian_at_zero() gave {dq!r}"
+        except DomainError as exc:
+            dq, reason = math.nan, str(exc).removeprefix(f"{p.name}: ")
+        if 0.0 < dq < math.inf:
+            return dq
+        raise InvalidPotentialError(f"a disc's inner edge needs ΔQ(0) finite and > 0: {reason}")
     dq = float(p.laplacian(r))
     if not dq > 0.0:
         raise InvalidPotentialError(f"nonpositive Laplacian {dq!r} at r_tau = {r!r}")

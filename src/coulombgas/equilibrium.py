@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import Droplet, _droplet, _positive_origin_laplacian
+from .droplet import Droplet, _droplet, _laplacian_at
 from .errors import InvalidPotentialError, _named
 from .potential import _evaluate
 from .quadrature import integrate
@@ -130,17 +130,16 @@ def _f_term(p, d):
     (1/12) log(r0^2 laplacian(r0) / (r1^2 laplacian(r1)))
     - (r1 laplacian'(r1)/laplacian(r1) - r0 laplacian'(r0)/laplacian(r0)) / 16
     + (1/48) * integral of (laplacian'/laplacian)^2 dx over the droplet; a
-    disc has no inner edge, so its inner factor is 1 and its inner edge
-    term 0.
+    disc has no inner edge, so its inner factor is 1 and its inner edge term
+    0, and it needs ΔQ(0) finite and > 0, or the integrand diverges at x = 0.
     """
-    dq1 = float(p.laplacian(d.r1))
+    dq0 = _laplacian_at(p, d.r0)
+    dq1 = _laplacian_at(p, d.r1)
     ratio1 = float(p.laplacian_dr(d.r1)) / dq1
     if d.kind == "annulus":
-        dq0 = float(p.laplacian(d.r0))
         inner = d.r0**2 * dq0
         inner_edge = d.r0 * (float(p.laplacian_dr(d.r0)) / dq0)
     else:
-        _require_origin_laplacian(p)
         inner = 1.0
         inner_edge = 0.0
 
@@ -154,17 +153,6 @@ def _f_term(p, d):
         - (d.r1 * ratio1 - inner_edge) / 16.0
         + val / 48.0
     )
-
-
-def _require_origin_laplacian(p):
-    """The disc functionals whose integrand runs into the origin assume ΔQ(0)
-    finite and > 0; without it the integrand diverges (like
-    (2 lam - 2)^2 / x for ML(lam, 0)) and has no finite value."""
-    if not _positive_origin_laplacian(p):
-        raise InvalidPotentialError(
-            "the disc functionals assume ΔQ(0) finite and > 0, "
-            "and laplacian_at_zero() does not supply it"
-        )
 
 
 @_named()
@@ -190,8 +178,8 @@ def f_disc_chi_form(p, droplet=None):
     route for cross-checking.
     """
     d = _droplet(p, droplet, "disc", "f_disc_chi_form")
-    _require_origin_laplacian(p)
-    dq1 = float(p.laplacian(d.r1))
+    _laplacian_at(p, d.r0)  # as in _f_term, the integrands need ΔQ(0) > 0
+    dq1 = _laplacian_at(p, d.r1)
 
     def chi_prime(r):
         return p._laplacian(r, 1) / (2.0 * p._laplacian(r, 0))
@@ -223,8 +211,8 @@ def b1_integral(p, droplet=None):
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
     direct = _integral(lambda x: _b1_formula(p, np.sqrt(x), None) * p._laplacian(np.sqrt(x), 0), d)
-    dq0 = float(p.laplacian(d.r0))
-    dq1 = float(p.laplacian(d.r1))
+    dq0 = _laplacian_at(p, d.r0)
+    dq1 = _laplacian_at(p, d.r1)
     identity = (
         f_annulus(p, d)
         - math.log(dq1 / dq0) / 4.0
@@ -250,7 +238,7 @@ def zw_coefficients(p, droplet=None):
     command line driver.
     """
     d = _droplet(p, droplet, "disc", "zw_coefficients")
-    _require_origin_laplacian(p)
+    _laplacian_at(p, d.r0)  # as in _f_term, the integrands need ΔQ(0) > 0
     x1 = d.r1**2
 
     def f0_integrand(x):
@@ -270,7 +258,7 @@ def zw_coefficients(p, droplet=None):
     f0 = _integral(f0_integrand, d)
     fh = _integral(f_half_integrand, d)
     dirich = _integral(lambda x: x * chi_prime_x(x) ** 2, d)
-    dq1 = float(p.laplacian(d.r1))
+    dq1 = _laplacian_at(p, d.r1)
     chi1 = 0.5 * math.log(dq1)
     chi1_prime = float(p.laplacian_dr(d.r1)) / (4.0 * d.r1 * dq1)
     f1 = (

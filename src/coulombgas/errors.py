@@ -27,8 +27,10 @@ class InvalidPotentialError(CoulombGasError):
     """The potential fails an admissibility requirement.
 
     Typical causes: the radial Laplacian is not strictly positive near the
-    droplet, r q'(r) never reaches the requested level, or the equilibrium
-    measure does not integrate to one.
+    droplet, or not finite and positive where a route reads it at a point
+    (a saddle, a droplet edge, or the origin of a disc without ΔQ(0)),
+    r q'(r) never reaches the requested level, or the equilibrium measure
+    does not integrate to one.
     """
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .droplet import _droplet, _saddle_laplacian, solve_r_tau
+from .droplet import _droplet, _laplacian_at, solve_r_tau
 from .equilibrium import b1
 from .errors import DomainError, IntegrationError, _named
 from .potential import (
@@ -104,7 +104,7 @@ def _peak(p, query):
     """Saddle radius, V minimum, and Gaussian width for the shifted weight."""
     r_star = solve_r_tau(p, query.level)
     v_min = float(_evaluate(_v_tau_formula, p, r_star, query.level))
-    width = 1.0 / math.sqrt(2.0 * query.s * _saddle_laplacian(p, r_star))
+    width = 1.0 / math.sqrt(2.0 * query.s * _laplacian_at(p, r_star))
     return r_star, v_min, width
 
 
@@ -179,7 +179,7 @@ def _laplace_value(p, query):
             "the Laplace form needs a positive saddle radius; "
             "use the low-degree form for small j over a disc droplet"
         )
-    dq = _saddle_laplacian(p, r)
+    dq = _laplacian_at(p, r)
     v = float(v_tau(p, query.tau, r))
     corr = float(b1(p, r)) / s
     if not -1.0 < corr < math.inf:
@@ -211,7 +211,7 @@ def log_norm_lowdeg(p, query):
     _droplet(p, kind="disc", what="log_norm_lowdeg")
     s = query.s
     q0 = p.q_at_zero()
-    dq0 = p.laplacian_at_zero()
+    dq0 = _laplacian_at(p, 0.0)
     return -s * q0 - (query.j + 1) * math.log(s * dq0) + ln_factorial(query.j)
 
 

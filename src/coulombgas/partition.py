@@ -18,16 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import _droplet, solve_r_tau
+from .droplet import _droplet, _given, _laplacian_at, solve_r_tau
 from .equilibrium import (
     energy,
     entropy,
     equilibrium_report,
     log_potential_origin,
 )
-from .errors import DomainError, _named
+from .errors import DomainError, _finite, _named
 from .norms import _REL_TOL, NormQuery, _degrees, log_norm_exact
-from .potential import _check_ensemble, _check_n, v_tau
+from .potential import _check_ensemble, _check_n, _is_real, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 _LEMMA_VARIANTS = (
@@ -72,7 +72,10 @@ class ExpansionTerms:
     c_1: float
     ensemble: str
 
+    @_finite
     def evaluate(self, n):
+        """The expansion at matrix size n; DomainError where it leaves float64
+        (c_n2 n^2 overflows from n ~ 1e154)."""
         n = _check_n(n)
         ln = math.log(n)
         return math.fsum(
@@ -97,7 +100,7 @@ def expansion_terms(p, ensemble="normal", *, report=None):
     """
     _check_ensemble(ensemble)
     rep = report if report is not None else equilibrium_report(p)
-    d = rep.droplet
+    d = _given(rep.droplet)
 
     if ensemble == "normal":
         c_n2 = -rep.energy
@@ -110,11 +113,8 @@ def expansion_terms(p, ensemble="normal", *, report=None):
             c_logn = 5.0 / 12.0
             c_1 = 0.5 * LOG_2PI + ZETA_PRIME_MINUS_ONE + rep.f_term
     else:
-        dq_out = float(p.laplacian(d.r1))
-        if d.kind == "annulus":
-            dq_in = float(p.laplacian(d.r0))
-        else:
-            dq_in = float(p.laplacian_at_zero())
+        dq_out = _laplacian_at(p, d.r1)
+        dq_in = _laplacian_at(p, d.r0)
         c_n2 = -2.0 * rep.energy
         c_nlogn = 0.5
         c_n = (
@@ -181,7 +181,7 @@ def lemma_sum(p, n, which):
     if which.startswith("sum_v"):
         terms = [float(v_tau(p, t, r)) for t, r in zip(taus, radii)]
     elif which.startswith("sum_logdq"):
-        terms = [math.log(float(p.laplacian(r))) for r in radii]
+        terms = [math.log(_laplacian_at(p, r)) for r in radii]
     else:
         terms = [math.log(r) for r in radii]
     direct = math.fsum(terms)
@@ -190,8 +190,8 @@ def lemma_sum(p, n, which):
         u_0 = log_potential_origin(p, d)
         predicted = n * energy(p, d) - u_0 + math.log(d.r0 / d.r1) / (6.0 * n)
     elif which == "sum_logdq_normal":
-        dq0 = float(p.laplacian(d.r0))
-        dq1 = float(p.laplacian(d.r1))
+        dq0 = _laplacian_at(p, d.r0)
+        dq1 = _laplacian_at(p, d.r1)
         predicted = n * entropy(p, d) - 0.5 * math.log(dq1 / dq0)
     elif which == "sum_logr_normal":
         predicted = -n * log_potential_origin(p, d) - 0.5 * math.log(d.r1 / d.r0)
@@ -235,10 +235,10 @@ def convergence_study(p, ns, ensemble="normal", *, exact_fn=None, report=None):
 
     exact_fn, when given, supplies log Z_n directly
     (a closed-form oracle, say); together with a precomputed equilibrium
-    report this path runs no quadrature at all; a non-finite value raises
-    DomainError naming n.  Residuals below 1e-12 in magnitude are treated
-    as underflow of the comparison: the fit is skipped and reported as NaN
-    with the underflow flag set.
+    report this path runs no quadrature at all; a value that is not a finite
+    real number raises DomainError naming n.  Residuals below 1e-12 in
+    magnitude are treated as underflow of the comparison: the fit is skipped
+    and reported as NaN with the underflow flag set.
     """
     ns = sorted({_check_n(n) for n in ns})
     if len(ns) < 2:
@@ -250,9 +250,10 @@ def convergence_study(p, ns, ensemble="normal", *, exact_fn=None, report=None):
     rows = []
     for n in ns:
         if exact_fn is not None:
-            exact = float(exact_fn(n))
-            if not math.isfinite(exact):
+            exact = exact_fn(n)
+            if not _is_real(exact):
                 raise DomainError(f"exact_fn gave log Z = {exact!r} at n = {n}")
+            exact = float(exact)
         else:
             exact = log_z_exact(p, n, ensemble)
         asym = terms.evaluate(n)

@@ -677,3 +677,14 @@ def test_module_entry_point_prints_what_main_prints(capsys):
                "--convention", "physics"]
     rc, out, err = _fresh_python("-m", "coulombgas.cli", *retired)
     assert (rc, out) == (2, b"") and b"unrecognized arguments: --convention" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_beyond_float64_exits_3(capsys, fmt):
+    # At N = 10**200 the expansion is -inf in float64: an error, not
+    # log_z_asymptotic=-inf (JSON null).
+    argv = ["expand", "--potential", "ml", "--lambda", "1", "--c", "1", "--N", str(10**200),
+            "--format", fmt]
+    out, err, rc = _run(argv, capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ml(lam=1.0, c=1.0): ") and "is not finite in float64" in err

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,3 +587,53 @@ def test_zero_width_droplet_is_an_error():
     assert solve_r_tau(p, 0.0) == solve_r_tau(p, 1.0)
     with pytest.raises(InvalidPotentialError, match=r"ml\(lam=1.0, c=1e\+17\): zero-width droplet"):
         droplet_of(p)
+
+
+def test_laplacian_at_reads_the_origin_hook_at_zero():
+    assert droplet._laplacian_at(Ginibre(2.0), 0.0) == 0.25
+    assert droplet._laplacian_at(Ginibre(2.0), 1.5) == 0.25
+    # The potential's reason follows, without its name a second time.
+    p = MittagLeffler(0.5, 0.0)
+    with pytest.raises(InvalidPotentialError) as info:
+        droplet._laplacian_at(p, 0.0)
+    assert str(info.value) == ("a disc's inner edge needs ΔQ(0) finite and > 0: "
+                               "the Laplacian has no positive finite limit at 0")
+    # beta = R^2 (1 + alpha) underflows to 0, and the hook gives inf.
+    with pytest.raises(InvalidPotentialError, match=r"laplacian_at_zero\(\) gave inf$"):
+        droplet._laplacian_at(TruncatedUnitary(1.0, 1e-200), 0.0)
+
+
+class _LaplacianCalls(ast.NodeVisitor):
+    """(hook, module, enclosing function) of every .laplacian(...) and
+    .laplacian_at_zero(...) call in a module."""
+
+    def __init__(self, module):
+        self.module, self.stack, self.sites = module, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in ("laplacian", "laplacian_at_zero"):
+            self.sites.add((f.attr, self.module, self.stack[-1] if self.stack else None))
+        self.generic_visit(node)
+
+
+def test_laplacian_at_is_the_one_scalar_read_of_the_laplacian():
+    # Every route reads ΔQ at a point through droplet._laplacian_at.  The
+    # other calls are droplet_of's array check on a grid and a dilation's
+    # laplacian_at_zero forwarding to its base's.
+    sites = set()
+    for path in sorted(Path(droplet.__file__).parent.glob("*.py")):
+        visitor = _LaplacianCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites |= visitor.sites
+    assert sites == {
+        ("laplacian", "droplet", "_laplacian_at"),
+        ("laplacian", "droplet", "droplet_of"),
+        ("laplacian_at_zero", "droplet", "_laplacian_at"),
+        ("laplacian_at_zero", "potential", "laplacian_at_zero"),
+    }

@@ -9,6 +9,7 @@ import pytest
 from coulombgas import quadrature
 from coulombgas.droplet import Droplet, droplet_of
 from coulombgas.equilibrium import (
+    EquilibriumReport,
     b1,
     b1_integral,
     energy,
@@ -251,20 +252,23 @@ def test_disc_functionals_require_a_positive_origin_laplacian(p, call):
 
 
 def test_ml_origin_errors_name_the_potential():
-    # The symplectic expansion_terms with a given report asks the potential
-    # for its origin data and adds no context of its own; log_norm_lowdeg
-    # adds n, j and the ensemble after the name, once.
+    # The symplectic expansion_terms with a given report reads ΔQ(0) and
+    # adds no context of its own; log_norm_lowdeg adds n, j and the ensemble
+    # after the name, once.  A route's read of a missing ΔQ(0) is an
+    # InvalidPotentialError; the potential's own origin hooks raise
+    # DomainError.
     half, ml11 = MittagLeffler(0.5, 0.0), MittagLeffler(1.0, 1.0)
     report = equilibrium_report(Ginibre())
     calls = [
-        (f"{half.name}, n=10, j=1, ensemble=normal",
+        (InvalidPotentialError, f"{half.name}, n=10, j=1, ensemble=normal",
          lambda: log_norm_lowdeg(half, NormQuery(10, 1))),
-        (half.name, lambda: expansion_terms(half, "symplectic", report=report)),
-        (half.name, half.laplacian_at_zero),
-        (ml11.name, ml11.q_at_zero),
+        (InvalidPotentialError, half.name,
+         lambda: expansion_terms(half, "symplectic", report=report)),
+        (DomainError, half.name, half.laplacian_at_zero),
+        (DomainError, ml11.name, ml11.q_at_zero),
     ]
-    for context, call in calls:
-        with pytest.raises(DomainError) as info:
+    for cls, context, call in calls:
+        with pytest.raises(cls) as info:
             call()
         assert str(info.value).startswith(f"{context}: "), str(info.value)
     assert half.name == "ml(lam=0.5, c=0.0)"
@@ -495,3 +499,75 @@ def test_underflowing_laplacian_is_an_integration_error_not_a_warning():
             equilibrium_report(MittagLeffler(20.0, 0.0))
         with pytest.raises(IntegrationError, match="^r40: refinement stalled"):
             equilibrium_report(r40)
+
+
+# q = (r^2 - 1)^2 / 4 has ΔQ(r) = r^2 - 1/2: -0.25 at r = 0.5, the inner
+# edge of a droplet a caller hands in.
+_DOUBLE_WELL = Custom(
+    lambda r: (r * r - 1.0) ** 2 / 4.0,
+    derivs=(lambda r: r**3 - r, lambda r: 3.0 * r * r - 1.0,
+            lambda r: 6.0 * r, lambda r: 6.0 + 0.0 * r),
+    name="well",
+)
+
+
+def test_negative_edge_laplacian_of_a_given_droplet_is_invalid():
+    d = Droplet(0.5, 1.5, "annulus")
+    report = EquilibriumReport(0.0, 0.0, 0.0, 0.0, d)
+    want = "^well: nonpositive Laplacian -0.25 at r_tau = 0.5$"
+    with pytest.raises(InvalidPotentialError, match=want):
+        expansion_terms(_DOUBLE_WELL, "symplectic", report=report)
+    with pytest.raises(InvalidPotentialError, match=want):
+        f_annulus(_DOUBLE_WELL, d)
+
+
+def test_nan_edge_laplacian_is_invalid_not_a_nan_term():
+    # q'' is nan, so ΔQ(1) is, and the symplectic edge term would be nan.
+    p = Custom(lambda r: r * r,
+               derivs=(lambda r: 2.0 * r, lambda r: math.nan + 0.0 * r,
+                       lambda r: 0.0 * r, lambda r: 0.0 * r),
+               laplacian_origin=1.0, name="nan-q2")
+    report = EquilibriumReport(0.75, 0.0, 0.5, 0.0, Droplet(0.0, 1.0, "disc"))
+    with pytest.raises(InvalidPotentialError, match="^nan-q2: nonpositive Laplacian nan at r_tau = 1.0$"):
+        expansion_terms(p, "symplectic", report=report)
+
+
+# r^2 with its origin data: every functional below returns a value on its
+# own droplet, so only the droplet rule can refuse these.  The energy on
+# "disc-half" would be the annulus [0.5, 1]'s, 0.765625, under a disc label.
+_R2 = Custom(lambda r: r * r,
+             derivs=(lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r,
+                     lambda r: 0.0 * r, lambda r: 0.0 * r),
+             q_origin=0.0, laplacian_origin=1.0, name="r2")
+_BROKEN_DROPLETS = {
+    "disc-off-origin": Droplet(1.0, math.sqrt(2.0), "disc"),
+    "disc-half": Droplet(0.5, 1.0, "disc"),
+    "annulus-at-origin": Droplet(0.0, math.sqrt(2.0), "annulus"),
+    "blob": Droplet(0.5, 1.0, "blob"),
+    "r1-equals-r0": Droplet(1.0, 1.0, "annulus"),
+    "r1-below-r0": Droplet(1.5, 1.0, "annulus"),
+    "nan-r0": Droplet(math.nan, 1.0, "annulus"),
+    "nan-r1": Droplet(0.0, math.nan, "disc"),
+    "inf-r1": Droplet(0.5, math.inf, "annulus"),
+}
+
+
+def _expansion_on(ensemble):
+    def call(p, d):
+        return expansion_terms(p, ensemble, report=EquilibriumReport(0.75, 0.0, 0.5, 0.0, d))
+    return call
+
+
+_DROPLET_CALLS = {
+    **{name: fn for name, (fn, _) in _FUNCTIONALS.items()},
+    "expansion_terms-normal": _expansion_on("normal"),
+    "expansion_terms-symplectic": _expansion_on("symplectic"),
+}
+
+
+@pytest.mark.parametrize("droplet", sorted(_BROKEN_DROPLETS))
+@pytest.mark.parametrize("call", sorted(_DROPLET_CALLS))
+def test_a_droplet_off_the_disc_rule_is_a_domain_error(call, droplet):
+    d = _BROKEN_DROPLETS[droplet]
+    with pytest.raises(DomainError, match=f"^r2: {re.escape(repr(d))} breaks the droplet rule"):
+        _DROPLET_CALLS[call](_R2, d)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields
 from functools import partial
@@ -10,7 +11,7 @@ import pytest
 import mp_reference
 from coulombgas.droplet import Droplet, dr_dtau, solve_r_tau
 from coulombgas.equilibrium import EquilibriumReport
-from coulombgas.errors import DomainError, IntegrationError
+from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
 from coulombgas.partition import (
     ExpansionTerms,
@@ -176,7 +177,7 @@ def test_normal_expansion_terms_consult_no_edge_laplacian():
     sq = Custom(lambda r: r * r, name="sq")
     for p in (sq, MittagLeffler(0.5, 0.0)):
         assert expansion_terms(p, "normal", report=report) == want
-    with pytest.raises(DomainError, match="^sq: no origin Laplacian supplied"):
+    with pytest.raises(InvalidPotentialError, match="^sq: .*no origin Laplacian supplied"):
         expansion_terms(sq, "symplectic", report=report)
 
 
@@ -403,3 +404,33 @@ def test_argument_errors_name_the_potential(call, context, what):
     with pytest.raises(DomainError) as info:
         call(p)
     assert str(info.value).startswith(f"{p.name}{context}: {what}"), str(info.value)
+
+
+# Ginibre's closed-form report, as in test_normal_expansion_terms_consult_no_edge_laplacian.
+_GINIBRE_REPORT = EquilibriumReport(0.75, 0.0, 0.5, 0.0, Droplet(0.0, 1.0, "disc"))
+
+
+def test_expansion_beyond_float64_is_a_domain_error_naming_n():
+    # c_n2 n^2 overflows to -inf at n = 10**200.
+    n = 10**200
+    terms = expansion_terms(Ginibre(), "normal", report=_GINIBRE_REPORT)
+    with pytest.raises(DomainError, match=f"{n}\\) is not finite in float64$"):
+        terms.evaluate(n)
+    assert math.isfinite(terms.evaluate(10**150))
+    with pytest.raises(DomainError, match=r"^ml\(lam=1.0, c=1.0\): evaluate\(.*is not finite"):
+        log_z_asymptotic(MittagLeffler(1.0, 1.0), n)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 1j, [1.0]], ids=["str", "none", "complex", "list"])
+def test_exact_fn_value_that_is_not_a_real_number_names_n(bad):
+    want = f"^ginibre\\(scale=1.0\\): exact_fn gave log Z = {re.escape(repr(bad))} at n = 20$"
+    with pytest.raises(DomainError, match=want):
+        convergence_study(Ginibre(), (10, 20), exact_fn=lambda n: 1.0 if n == 10 else bad,
+                          report=_GINIBRE_REPORT)
+
+
+def test_a_report_without_a_droplet_is_a_domain_error():
+    # A report's droplet is data, never a request for droplet_of.
+    report = EquilibriumReport(0.75, 0.0, 0.5, 0.0, None)
+    with pytest.raises(DomainError, match="^sq: None breaks the droplet rule"):
+        expansion_terms(Custom(lambda r: r * r, name="sq"), "normal", report=report)
