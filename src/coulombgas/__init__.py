@@ -35,7 +35,6 @@ from .errors import (
 from .norms import (
     NormQuery,
     log_norm_exact,
-    log_norm_highdeg,
     log_norm_laplace,
     log_norm_lowdeg,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "log_norm_exact",
     "log_norm_laplace",
     "log_norm_lowdeg",
-    "log_norm_highdeg",
     "ExpansionTerms",
     "expansion_terms",
     "log_z_exact",

@@ -26,6 +26,7 @@ from .equilibrium import (
     zw_coefficients,
 )
 from .errors import (
+    CoulombGasError,
     DomainError,
     IntegrationError,
     InvalidPotentialError,
@@ -35,7 +36,6 @@ from .errors import (
 from .norms import (
     NormQuery,
     log_norm_exact,
-    log_norm_highdeg,
     log_norm_laplace,
     log_norm_lowdeg,
 )
@@ -179,10 +179,8 @@ def _cmd_norm(p, args):
         val = log_norm_exact(p, query)
     elif args.method == "laplace":
         val = log_norm_laplace(p, query)
-    elif args.method == "lowdeg":
-        val = log_norm_lowdeg(p, query)
     else:
-        val = log_norm_highdeg(p, query)
+        val = log_norm_lowdeg(p, query)
     if args.fmt == "text":
         return _fmt_text(float(val))
     return _render([("log_norm", float(val))], args.fmt)
@@ -212,14 +210,17 @@ def _cmd_expand(p, args):
 
 
 def _cmd_oracle(p, args):
-    if isinstance(p, MittagLeffler):
-        val = ml_log_z(p.lam, p.c, args.N, args.ensemble)
-    elif isinstance(p, TruncatedUnitary):
-        val = tu_log_z(p.alpha, p.R, args.N, args.ensemble)
-    else:
-        if p.scale != 1.0:
-            raise DomainError("the closed-form route covers ginibre only at scale 1")
-        val = ml_log_z(1.0, 0.0, args.N, args.ensemble)
+    try:
+        if isinstance(p, MittagLeffler):
+            val = ml_log_z(p.lam, p.c, args.N, args.ensemble)
+        elif isinstance(p, TruncatedUnitary):
+            val = tu_log_z(p.alpha, p.R, args.N, args.ensemble)
+        else:
+            if p.scale != 1.0:
+                raise DomainError("the closed-form route covers ginibre only at scale 1")
+            val = ml_log_z(1.0, 0.0, args.N, args.ensemble)
+    except CoulombGasError as exc:  # the oracles take parameters, not the potential
+        raise _in_context(exc, p.name, f"n={args.N}", f"ensemble={args.ensemble}") from exc
     pairs = [("log_z_oracle", val)]
     if args.compare:
         exact = log_z_exact(p, args.N, args.ensemble)
@@ -294,7 +295,7 @@ def _build_parser():
     norm = new_sub("norm", "one monomial norm", needs_ensemble=True, needs_n=True,
                    needs_threads=True)
     norm.add_argument("--j", type=int, required=True, help="monomial degree")
-    norm.add_argument("--method", choices=("exact", "laplace", "lowdeg", "highdeg"),
+    norm.add_argument("--method", choices=("exact", "laplace", "lowdeg"),
                       default="exact", help="evaluation route (default exact)")
     norm.set_defaults(handler=_cmd_norm)
 

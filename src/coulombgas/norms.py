@@ -10,10 +10,10 @@ symplectic one.  The exact route integrates h_j = 2 * integral of
 e^{-s V_tau'(r)} dr, tau' = (j + 1/2)/s, whose saddle r_tau' > 0 at every
 degree, shifted by min V_tau' to keep the integrand bounded and truncated
 where that exponent is negligible.  The asymptotic routes implement the
-two-term Laplace approximation at r_tau, the factorial form valid for low
-degrees over a disc droplet, and the gated high-degree form.  Every route
-re-raises a package error as its class with the potential name, n, j and
-ensemble in front of the message (errors._named).
+two-term Laplace approximation at r_tau and the factorial form valid for
+low degrees over a disc droplet.  Every route re-raises a package error
+as its class with the potential name, n, j and ensemble in front of the
+message (errors._named).
 """
 
 import math
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .droplet import _droplet, _laplacian_at, solve_r_tau
+from .droplet import _laplacian_at, solve_r_tau
 from .equilibrium import b1
 from .errors import DomainError, IntegrationError, _named
 from .potential import (
@@ -171,7 +171,12 @@ def log_norm_exact(p, query):
     return -s * v_min + math.log(val)
 
 
-def _laplace_value(p, query):
+@_named(_query_context)
+def log_norm_laplace(p, query):
+    """Two-term Laplace approximation of log h_j at the saddle r_tau.
+
+    Error is O(s^-2) uniformly in j as long as r_tau stays away from 0.
+    """
     s = query.s
     r = solve_r_tau(p, query.tau)
     if r == 0.0:
@@ -192,39 +197,21 @@ def _laplace_value(p, query):
 
 
 @_named(_query_context)
-def log_norm_laplace(p, query):
-    """Two-term Laplace approximation of log h_j at the saddle r_tau.
-
-    Error is O(s^-2) uniformly in j as long as r_tau stays away from 0.
-    """
-    return _laplace_value(p, query)
-
-
-@_named(_query_context)
 def log_norm_lowdeg(p, query):
     """Factorial form of log h_j for low degrees over a disc droplet.
 
     log h_j ~ -s q(0) - (j+1) log(s laplacian(0)) + log j!; exact for the
     quadratic profile and accurate while j stays well below the droplet
-    scale.
+    scale.  It reads only the origin, and its two reads refuse what has
+    no disc there: q_at_zero raises DomainError for MittagLeffler with
+    c > 0 and a Custom without q_origin, and the ΔQ(0) read raises
+    InvalidPotentialError for MittagLeffler(lam != 1, 0), whose Laplacian
+    vanishes or diverges at 0, and a Custom without laplacian_origin.  A
+    potential that passes both is a disc: the droplet's inner radius
+    solve_r_tau(p, 0) is 0 whenever ΔQ(0) is finite and positive.
     """
-    _droplet(p, kind="disc", what="log_norm_lowdeg")
     s = query.s
     q0 = p.q_at_zero()
     dq0 = _laplacian_at(p, 0.0)
     return -s * q0 - (query.j + 1) * math.log(s * dq0) + ln_factorial(query.j)
 
-
-@_named(_query_context)
-def log_norm_highdeg(p, query):
-    """Laplace form of log h_j gated to degrees above the splitting scale.
-
-    Requires a disc droplet and j >= k n^(1/6), k = 2 for the symplectic
-    grid, the regime where the saddle is uniformly separated from the
-    origin.
-    """
-    _droplet(p, kind="disc", what="log_norm_highdeg")
-    gate = query.k * query.n ** (1.0 / 6.0)
-    if query.j < gate:
-        raise DomainError(f"degree {query.j} below the high-degree gate {gate!r} at n = {query.n}")
-    return _laplace_value(p, query)

@@ -9,7 +9,9 @@ the monomial norms of the power-log and hard-wall families, in mpmath.
 
 They hold for any lam, c, alpha, R and a.  The parameters are read off
 the potential as the floats it evaluates with (beta included), so the
-reference and the route integrate the same weight.  norm_bound gives the
+reference and the route integrate the same weight.  A profile without a
+closed form, given as an mpmath expression, has log_norm_of_profile: a
+40-digit mpmath.quad of the norm integral.  norm_bound gives the
 error that log_norm_exact documents for one norm, log_z_bound and
 route_bound the error of log_z_exact that follows from it.
 """
@@ -43,6 +45,40 @@ def log_norm(p, j, s):
         if isinstance(p, _Dilated):  # q(r / a): h_j scales by a^(2j+2)
             return log_norm(p._base, j, s) + (2 * j + 2) * mpmath.log(p._a)
     raise TypeError(f"no closed-form norms for {p.name}")
+
+
+def log_norm_of_profile(q, j, s):
+    """log h_j of the weight e^{-s q} at 40 digits, as an mpf, for a profile
+    q(r) given as an mpmath expression with r q'(r) strictly increasing.
+
+    With tau' = (j + 1/2)/s and V(r) = q(r) - 2 tau' log r, log h_j is
+    -s V(r*) + log of the quad of 2 e^{-s (V(r) - V(r*))} over (0, inf),
+    split at r* +- 8w and r* +- 40w (those above 0), where r* is the root
+    of V' and w = (s V''(r*) / 2)^(-1/2) the width of the Gaussian peak.
+    r* and w only place the split and the shift, so the value does not
+    depend on how accurately they are found.
+    """
+    with mpmath.workdps(_DPS):
+        level = (j + mpmath.mpf(1) / 2) / s
+
+        def v(r):
+            return q(r) - 2 * level * mpmath.log(r)
+
+        def dv(r):
+            return mpmath.diff(v, r)
+
+        lo = hi = mpmath.mpf(1)
+        while dv(hi) < 0:
+            lo, hi = hi, 2 * hi
+        while dv(lo) > 0:
+            lo, hi = lo / 2, lo
+        r_star = mpmath.findroot(dv, (lo, hi), solver="anderson")
+        v_star = v(r_star)
+        w = mpmath.sqrt(2 / (s * mpmath.diff(v, r_star, 2)))
+        cuts = [r_star + k * w for k in (-40, -8, 8, 40)]
+        val = mpmath.quad(lambda r: 2 * mpmath.exp(-s * (v(r) - v_star)),
+                          [0, *(c for c in cuts if c > 0), mpmath.inf])
+        return -s * v_star + mpmath.log(val)
 
 
 def log_z(p, n, ensemble):

@@ -13,7 +13,7 @@ import mp_reference
 from coulombgas import cli
 from coulombgas.cli import main
 from coulombgas.errors import IntegrationError, SolverError
-from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_laplace, log_norm_lowdeg
+from coulombgas.norms import NormQuery, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_log_z
 from coulombgas.potential import MittagLeffler, TruncatedUnitary
 
@@ -349,6 +349,17 @@ def test_oracle_ginibre_off_scale_1_is_a_domain_error(capsys):
     assert err.startswith("error:") and "covers ginibre only at scale 1" in err
 
 
+@pytest.mark.parametrize("family, name", [
+    (["--potential", "ml", "--lambda", "0.7", "--c", "1"], "ml(lam=0.7, c=1.0)"),
+    (["--potential", "ginibre", "--scale", "2"], "ginibre(scale=2.0)"),
+], ids=["ml-lam-off-1-over-k", "ginibre-scale-2"])
+def test_oracle_errors_name_the_potential_n_and_ensemble(capsys, family, name):
+    out, err, rc = _run(["oracle", *family, "--N", "10"], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith(f"error: {name}, n=10, ensemble=normal: "), err
+    assert err.count(name) == 1, err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -578,7 +589,6 @@ def test_zw_formats_agree_and_residuals_vanish(capsys):
 _NORM_ROUTES = {
     "laplace": log_norm_laplace,
     "lowdeg": log_norm_lowdeg,
-    "highdeg": log_norm_highdeg,
 }
 
 

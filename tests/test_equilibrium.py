@@ -28,7 +28,7 @@ from coulombgas.errors import (
     IntegrationError,
     InvalidPotentialError,
 )
-from coulombgas.norms import NormQuery, log_norm_highdeg, log_norm_lowdeg
+from coulombgas.norms import NormQuery, log_norm_lowdeg
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
 from coulombgas.partition import expansion_terms, lemma_sum
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
@@ -195,7 +195,6 @@ _KIND_GUARDS = {
     "f_disc_chi_form": lambda p: f_disc_chi_form(p),
     "zw_coefficients": lambda p: zw_coefficients(p),
     "log_norm_lowdeg": lambda p: log_norm_lowdeg(p, NormQuery(10, 1)),
-    "log_norm_highdeg": lambda p: log_norm_highdeg(p, NormQuery(10, 9)),
 }
 _NEEDS_ANNULUS = {"f_annulus", "b1_integral", "lemma_sum"}
 
@@ -205,7 +204,6 @@ _NEEDS_ANNULUS = {"f_annulus", "b1_integral", "lemma_sum"}
 _GUARD_CONTEXT = {
     "lemma_sum": ", n=10, which=sum_v_normal",
     "log_norm_lowdeg": ", n=10, j=1, ensemble=normal",
-    "log_norm_highdeg": ", n=10, j=9, ensemble=normal",
 }
 
 

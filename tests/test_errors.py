@@ -30,7 +30,7 @@ def _entry_points():
 def test_every_entry_point_taking_a_potential_is_named():
     found = dict(_entry_points())
     assert _POINTWISE <= set(found)
-    assert len(found) == 25
+    assert len(found) == 24
     for name, fn in found.items():
         assert hasattr(fn, "__wrapped__") == (name not in _POINTWISE), name
         assert fn.__name__ == name and fn.__doc__, name

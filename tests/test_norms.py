@@ -12,7 +12,6 @@ from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialErr
 from coulombgas.norms import (
     NormQuery,
     log_norm_exact,
-    log_norm_highdeg,
     log_norm_laplace,
     log_norm_lowdeg,
 )
@@ -117,6 +116,19 @@ def test_lowdeg_ginibre_is_exact():
             assert abs(log_norm_lowdeg(p, q) - want) < 1e-12, (n, j)
 
 
+def test_lowdeg_reads_the_origin_and_solves_no_radius(monkeypatch):
+    # The factorial form needs q(0) and ΔQ(0) only: no droplet, no r_tau.
+    def no_solve(*args):
+        raise AssertionError("log_norm_lowdeg solved for a radius")
+
+    for module, name in ((droplet, "droplet_of"), (droplet, "solve_r_tau"),
+                         (norms, "solve_r_tau")):
+        monkeypatch.setattr(module, name, no_solve)
+    for j in (0, 3):
+        q = NormQuery(200, j, "normal")
+        assert abs(log_norm_lowdeg(Ginibre(), q) - _ginibre_closed(j, 200)) < 1e-12, j
+
+
 def test_lowdeg_tu_error_shrinks():
     p = TruncatedUnitary(1.0, 1.0)
     gaps = {}
@@ -127,33 +139,11 @@ def test_lowdeg_tu_error_shrinks():
     assert gaps[400] < gaps[200]
 
 
-def test_highdeg_matches_laplace_above_gate():
-    p = TruncatedUnitary(1.0, 1.0)
-    n = 200
-    j = 40  # well above n^(1/6)
-    q = NormQuery(n, j, "normal")
-    a = log_norm_highdeg(p, q)
-    b = log_norm_laplace(p, q)
-    assert abs(a - b) < 1e-12
-
-
-def test_highdeg_gate():
-    p = Ginibre()
-    n = 200
-    with pytest.raises(DomainError):
-        log_norm_highdeg(p, NormQuery(n, 1, "normal"))
-    # symplectic gate doubles
-    with pytest.raises(DomainError):
-        log_norm_highdeg(p, NormQuery(n, 3, "symplectic"))
-
-
 def test_disc_only_methods_reject_annulus():
     p = MittagLeffler(1.0, 1.0)
     q = NormQuery(100, 2, "normal")
     with pytest.raises(DomainError):
         log_norm_lowdeg(p, q)
-    with pytest.raises(DomainError):
-        log_norm_highdeg(p, NormQuery(100, 50, "normal"))
 
 
 def test_norm_sequence_smoothness():
@@ -327,10 +317,7 @@ def test_a_nested_norm_failure_keeps_its_context_once(study):
 @pytest.mark.parametrize("route, query", [
     (log_norm_laplace, NormQuery(5, 0)),
     (log_norm_laplace, NormQuery(5, 0, "symplectic")),
-    (log_norm_highdeg, NormQuery(64, 1)),
-    (log_norm_highdeg, NormQuery(64, 3, "symplectic")),
-], ids=["laplace-origin", "laplace-origin-symplectic", "highdeg-gate",
-        "highdeg-gate-symplectic"])
+], ids=["laplace-origin", "laplace-origin-symplectic"])
 def test_norm_route_guards_name_the_potential_once(p, route, query):
     with pytest.raises(DomainError) as exc:
         route(p, query)
@@ -341,9 +328,10 @@ def test_norm_route_guards_name_the_potential_once(p, route, query):
 
 
 # q = log(1 + r^2) / 2 confines no level: r q'(r) = r^2 / (1 + r^2) stays
-# below 1, so r_tau' (exact route, 2 tau' = 1.75), r_tau (Laplace, 1.5) and
-# the droplet's outer radius (low and high degree, 2) do not exist.  Each
-# route's error names the potential once, then n, j and the ensemble.
+# below 1, so r_tau' (exact route, 2 tau' = 1.75) and r_tau (Laplace, 1.5) do
+# not exist.  The low-degree form reads only the origin, where this Custom
+# supplies no q value.  Each route's error names the potential once, then n,
+# j and the ensemble.
 _WEAK = Custom(
     lambda r: 0.5 * np.log1p(r * r),
     derivs=(lambda r: 1.0 / (r + 1.0 / r), lambda r: (1.0 - r * r) / (1.0 + r * r) ** 2,
@@ -352,18 +340,19 @@ _WEAK = Custom(
 )
 
 
-@pytest.mark.parametrize("route, level", [
-    (log_norm_exact, 1.75), (log_norm_laplace, 1.5), (log_norm_lowdeg, 2.0),
-    (log_norm_highdeg, 2.0),
-])
-def test_every_norm_route_names_the_potential_n_j_and_ensemble(route, level):
-    want = f"weak, n=4, j=3, ensemble=normal: r q'(r) never reaches {level!r}; "
-    with pytest.raises(InvalidPotentialError, match=f"^{re.escape(want)}"):
+@pytest.mark.parametrize("route, cls, reason", [
+    (log_norm_exact, InvalidPotentialError, "r q'(r) never reaches 1.75; "),
+    (log_norm_laplace, InvalidPotentialError, "r q'(r) never reaches 1.5; "),
+    (log_norm_lowdeg, DomainError, "no origin value supplied"),
+], ids=["exact", "laplace", "lowdeg"])
+def test_every_norm_route_names_the_potential_n_j_and_ensemble(route, cls, reason):
+    want = f"weak, n=4, j=3, ensemble=normal: {reason}"
+    with pytest.raises(cls, match=f"^{re.escape(want)}"):
         route(_WEAK, NormQuery(4, 3))
 
 
 def test_norm_routes_keep_their_names_and_docstrings():
-    for route in (log_norm_exact, log_norm_laplace, log_norm_lowdeg, log_norm_highdeg):
+    for route in (log_norm_exact, log_norm_laplace, log_norm_lowdeg):
         assert route.__module__ == "coulombgas.norms"
         assert route.__name__.startswith("log_norm_") and route.__doc__
         assert route.__wrapped__.__name__ == route.__name__
@@ -456,6 +445,44 @@ def test_steep_hard_wall_norms_match_the_40_digit_reference(R, ensemble):
             want = mp_reference.log_norm(p, j, s)
             err = abs(float(mpmath.mpf(log_norm_exact(p, query)) - want))
             assert err <= mp_reference.norm_bound(p, query, float(want)), (query, err)
+
+
+# A Custom off the closed forms: q = r^2 + a r^4 + b r^6 with analytic
+# derivatives and origin data, at the draw a = 0.324, b = 0.151.  Then
+# ΔQ = 1 + 4a r^2 + 9b r^4 > 0 and r q'(r) is strictly increasing, so the
+# droplet is a disc and every level has one saddle.  The reference is
+# mp_reference.log_norm_of_profile of the same q in mpmath, with a and b
+# the floats the Custom evaluates with.  The bound is mp_reference.
+# norm_bound, fixed before any run: its _q_terms is |q(r*)| for a Custom,
+# and that is the exact sum of the magnitudes of q's terms here, because
+# every term r^2, a r^4, b r^6 is >= 0 for a, b >= 0; the same |q| is the
+# route's own _q_magnitude.  The first, ~1/7, middle and last degree of
+# each grid, at N = 200 and 1600.
+_A, _B = 0.324, 0.151
+_SEXTIC = Custom(
+    lambda r: r * r + _A * r**4 + _B * r**6,
+    derivs=(lambda r: 2.0 * r + 4.0 * _A * r**3 + 6.0 * _B * r**5,
+            lambda r: 2.0 + 12.0 * _A * r * r + 30.0 * _B * r**4,
+            lambda r: 24.0 * _A * r + 120.0 * _B * r**3,
+            lambda r: 24.0 * _A + 360.0 * _B * r * r),
+    q_origin=0.0, laplacian_origin=1.0, name="sextic",
+)
+
+
+def _sextic_mp(r):
+    return r * r + mpmath.mpf(_A) * r**4 + mpmath.mpf(_B) * r**6
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("n", [200, 1600])
+def test_custom_norms_match_the_40_digit_quadrature(n, ensemble):
+    s = NormQuery(n, 0, ensemble).s
+    grid = mp_reference._degrees(n, ensemble)
+    for j in (grid[0], grid[len(grid) // 7], grid[len(grid) // 2], grid[-1]):
+        query = NormQuery(n, j, ensemble)
+        want = mp_reference.log_norm_of_profile(_sextic_mp, j, s)
+        err = abs(float(mpmath.mpf(log_norm_exact(_SEXTIC, query)) - want))
+        assert err <= mp_reference.norm_bound(_SEXTIC, query, float(want)), (query, err)
 
 
 _BAD_TOLS = [math.nan, math.inf, 0.0, -1e-13, True]
