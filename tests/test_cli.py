@@ -315,6 +315,16 @@ def test_retired_convention_flag_is_a_usage_error(capsys, cmd):
         assert "unrecognized arguments: --convention" in err
 
 
+def test_retired_highdeg_method_is_a_usage_error(capsys):
+    # --method laplace covers the high degrees; there is no --method highdeg.
+    for ensemble in ("normal", "symplectic"):
+        argv = ["norm", "--potential", "ginibre", "--N", "10", "--j", "3",
+                "--ensemble", ensemble, "--method", "highdeg"]
+        out, err, rc = _run(argv, capsys)
+        assert rc == 2 and out == ""
+        assert "invalid choice: 'highdeg'" in err
+
+
 def test_oracle_lam_off_k_over_p_is_domain_error(capsys):
     # 1/lam = 3.0000000003: the Barnes G product would be log Z of another
     # weight, and --compare would print its error as the exact route's.

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import coulombgas
 import mp_reference
 from coulombgas import droplet, norms, potential
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
@@ -332,23 +333,47 @@ def test_norm_route_guards_name_the_potential_once(p, route, query):
 # not exist.  The low-degree form reads only the origin, where this Custom
 # supplies no q value.  Each route's error names the potential once, then n,
 # j and the ensemble.
-_WEAK = Custom(
-    lambda r: 0.5 * np.log1p(r * r),
-    derivs=(lambda r: 1.0 / (r + 1.0 / r), lambda r: (1.0 - r * r) / (1.0 + r * r) ** 2,
-            lambda r: 0.0 * r, lambda r: 0.0 * r),
-    name="weak",
-)
+def _weak(name, **origin):
+    return Custom(
+        lambda r: 0.5 * np.log1p(r * r),
+        derivs=(lambda r: 1.0 / (r + 1.0 / r), lambda r: (1.0 - r * r) / (1.0 + r * r) ** 2,
+                lambda r: 0.0 * r, lambda r: 0.0 * r),
+        name=name, **origin,
+    )
+
+
+_WEAK = _weak("weak")
 
 
 @pytest.mark.parametrize("route, cls, reason", [
     (log_norm_exact, InvalidPotentialError, "r q'(r) never reaches 1.75; "),
     (log_norm_laplace, InvalidPotentialError, "r q'(r) never reaches 1.5; "),
     (log_norm_lowdeg, DomainError, "no origin value supplied"),
-], ids=["exact", "laplace", "lowdeg"])
+], ids=["log_norm_exact-1.75", "log_norm_laplace-1.5", "log_norm_lowdeg-origin"])
 def test_every_norm_route_names_the_potential_n_j_and_ensemble(route, cls, reason):
     want = f"weak, n=4, j=3, ensemble=normal: {reason}"
     with pytest.raises(cls, match=f"^{re.escape(want)}"):
         route(_WEAK, NormQuery(4, 3))
+
+
+def test_lowdeg_gives_the_factorial_form_where_droplet_of_refuses():
+    # _WEAK with origin data, q(0) = 0 and ΔQ(0) = (q''(0) + lim q'/r) / 4
+    # = 1/2: droplet_of refuses it, as no level is confined, but the
+    # factorial form reads nothing beyond the origin.
+    p = _weak("weak0", q_origin=0.0, laplacian_origin=0.5)
+    with pytest.raises(InvalidPotentialError, match="never reaches"):
+        droplet.droplet_of(p)
+    for j in (0, 3):
+        q = NormQuery(50, j)
+        want = -(j + 1) * math.log(0.5 * q.s) + ln_gamma(j + 1.0)
+        assert abs(log_norm_lowdeg(p, q) - want) < 1e-12, j
+
+
+def test_log_norm_highdeg_is_retired():
+    # log_norm_laplace covers the high degrees; no gated copy of it is left.
+    assert "log_norm_highdeg" not in coulombgas.__all__
+    for module in (coulombgas, norms):
+        assert not hasattr(module, "log_norm_highdeg"), module.__name__
 
 
 def test_norm_routes_keep_their_names_and_docstrings():
