@@ -185,7 +185,9 @@ def _newton(p, tau, lo, hi, r):
     """Safeguarded Newton for r q'(r) = 2 tau from r in the bracket [lo, hi].
 
     Newton runs on g(r) = r q'(r) - 2 tau, with g' = q' + r q'' > 0, and keeps
-    [lo, hi] around the root at every step.  A step that leaves the bracket
+    [lo, hi] around the root at every step.  Each step reads q' and q''
+    in one evaluation (p._q_derivs_each), which a finite-difference Custom
+    takes from one stencil.  A step that leaves the bracket
     or is not half the step before last, or a nonpositive g', falls back to
     the midpoint, so the bracket shrinks at least as fast as by bisection.
     Converged once a Newton step is at most 1e-13 r or the bracket at most
@@ -196,7 +198,8 @@ def _newton(p, tau, lo, hi, r):
     target = 2.0 * tau
     dx = dx_prev = hi - lo
     for _ in range(_MAX_ITER):
-        q1 = float(p.q_derivs(r, 1))
+        q1, q2 = p._q_derivs_each(r, (1, 2))
+        q1 = float(q1)
         g = _not_nan(r * q1, r, tau) - target
         if g == 0.0:
             return r
@@ -204,7 +207,7 @@ def _newton(p, tau, lo, hi, r):
             lo = r
         else:
             hi = r
-        gp = q1 + r * float(p.q_derivs(r, 2))
+        gp = q1 + r * float(q2)
         if gp > 0.0:
             step = g / gp
             # Convergence comes first: at the root the step is zero and r

@@ -7,7 +7,8 @@ convention that the equilibrium density is 2 r laplacian(r) dr on the
 droplet.  All evaluation methods accept scalars or 1-D numpy arrays.
 
 Three hooks hold every formula, as plain arithmetic on floats and arrays:
-_profile(r, order) for q and its derivatives, _laplacian(r, order) for
+_profile(r, order) for q and its derivatives (_profiles(r, orders) reads
+several orders at once, with the same bits), _laplacian(r, order) for
 the Laplacian and its first two radial derivatives, and _q_magnitude(r, q)
 for the sum of the magnitudes of q's terms, the scale of q's rounding that
 sets the exact norms' accuracy floor.  The checked entry
@@ -21,6 +22,7 @@ second derivative enters the routes only as the Laplacian of Q at the
 saddle, read from the Laplacian hook.
 """
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -126,9 +128,10 @@ def _evaluate(formula, p, r, arg):
     np.errstate(all="ignore"), a Python float in Python floats, which never
     warn.  Where Python raises instead of giving inf or nan (OverflowError
     from **, ZeroDivisionError, ValueError from _log), the float is
-    evaluated again as a one-element array.  Each entry point is a plain
-    function of fixed arity that calls this one, so a scalar call builds
-    no argument tuple or dict.
+    evaluated again as a one-element array; a formula that returns a tuple
+    (the _profiles hook) then gets a tuple of floats.  Each entry point is
+    a plain function of fixed arity that calls this one, so a scalar call
+    builds no argument tuple or dict.
     """
     r = p._checked(r)
     if type(r) is float:
@@ -137,7 +140,10 @@ def _evaluate(formula, p, r, arg):
         except (OverflowError, ZeroDivisionError, ValueError):
             r = np.array([r])
         with np.errstate(all="ignore"):
-            return float(np.ravel(formula(p, r, arg))[0])
+            v = formula(p, r, arg)
+        if type(v) is tuple:
+            return tuple(float(np.ravel(x)[0]) for x in v)
+        return float(np.ravel(v)[0])
     with np.errstate(all="ignore"):
         return formula(p, r, arg)
 
@@ -147,7 +153,10 @@ class RadialPotential:
 
     Subclasses implement _profile(r, order) for orders 0..4 as a plain
     formula in a checked r that works on Python floats and numpy arrays;
-    the entry points give it the scalar contract (_evaluate).  The
+    the entry points give it the scalar contract (_evaluate).  The hook
+    _profiles(r, orders) gives several orders at once, each with
+    _profile's bits; Custom's finite differences share q values across
+    orders of one stencil reach there, and dilate forwards its base's.  The
     Laplacian hook _laplacian(r, order), orders 0..2, has the same contract.
     Its default is the generic formula in terms of the profile, which Custom
     uses; the closed-form families override the hook (never the checked
@@ -162,6 +171,11 @@ class RadialPotential:
 
     def _profile(self, r, order):
         raise NotImplementedError
+
+    def _profiles(self, r, orders):
+        """(_profile(r, k) for k in orders) as a tuple, each with the bits
+        of its own _profile call."""
+        return tuple([self._profile(r, k) for k in orders])
 
     def _q_magnitude(self, r, q):
         """Sum of the absolute values of q's terms at r, given q = q(r): the
@@ -198,15 +212,15 @@ class RadialPotential:
     def _laplacian(self, r, order):
         """d^order/dr^order of the Laplacian (q'/r + q'')/4, order in 0..2,
         from the profile, nested around q'' - q'/r = r (q'/r)' so that the
-        cancellation it carries is taken first: for q = r^2 it is exactly 0."""
-        q1 = self._profile(r, 1)
-        q2 = self._profile(r, 2)
+        cancellation it carries is taken first: for q = r^2 it is exactly 0.
+        The profile orders it needs come from one _profiles read."""
         if order == 0:
+            q1, q2 = self._profiles(r, (1, 2))
             return (q1 / r + q2) / 4.0
-        q3 = self._profile(r, 3)
         if order == 1:
+            q1, q2, q3 = self._profiles(r, (1, 2, 3))
             return (q3 + (q2 - q1 / r) / r) / 4.0
-        q4 = self._profile(r, 4)
+        q1, q2, q3, q4 = self._profiles(r, (1, 2, 3, 4))
         return (q4 + (q3 - 2.0 * (q2 - q1 / r) / r) / r) / 4.0
 
     def q_derivs(self, r, order=0):
@@ -215,6 +229,13 @@ class RadialPotential:
         if order not in (0, 1, 2, 3, 4):
             raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
         return _evaluate(type(self)._profile, self, r, order)
+
+    def _q_derivs_each(self, r, orders):
+        """(q_derivs(r, k) for k in orders), bit for bit, from one checked
+        evaluation of the _profiles hook; orders is a tuple of ints in
+        1..4.  Where a float's evaluation raises, every order is read from
+        the one-element array (_evaluate)."""
+        return _evaluate(type(self)._profiles, self, r, orders)
 
     def laplacian(self, r):
         """Planar Laplacian of Q at radius r: (q'/r + q'')/4."""
@@ -389,6 +410,23 @@ _FD_STENCILS = {
 }
 
 
+@functools.cache
+def _fd_plan(orders):
+    """How Custom._fd reads the ascending tuple orders: per stencil reach,
+    (reach, the sorted offsets its orders use, and per order (order, its
+    stencil as (index into those offsets, coefficient) pairs))."""
+    plan = []
+    for reach in sorted({_FD_STENCILS[k][-1][0] for k in orders}):
+        group = [k for k in orders if _FD_STENCILS[k][-1][0] == reach]
+        offsets = sorted({off for k in group for off, _ in _FD_STENCILS[k]})
+        sums = tuple(
+            (k, tuple((offsets.index(off), coef) for off, coef in _FD_STENCILS[k]))
+            for k in group
+        )
+        plan.append((reach, tuple(offsets), sums))
+    return tuple(plan)
+
+
 class Custom(RadialPotential):
     """User-supplied radial profile, optionally with analytic derivatives.
 
@@ -396,7 +434,11 @@ class Custom(RadialPotential):
     four callables for q', q'', q''', q''''; anything else raises
     DomainError.  Without derivs, derivatives fall back to fourth-order
     central differences with step h = max(r, 1) * eps^(1/6), shrunk near
-    the origin so stencil points stay positive.  The callables receive
+    the origin so stencil points stay positive.  Orders 1 and 2 reach two
+    steps each side, so they share h and one stencil of five q values:
+    the Newton step of the saddle solve and the Laplacian read q' and q''
+    together from it, with the bits of two separate calls (orders 3 and
+    4 share seven values the same way).  The callables receive
     Python floats and 1-D float arrays; wrap one that only accepts scalars
     as np.vectorize(f, otypes=[float]).  Scalar results are taken as Python
     floats, and numpy calls a callable makes on a Python float follow
@@ -438,27 +480,41 @@ class Custom(RadialPotential):
         self._laplacian_origin = laplacian_origin
         self.name = name
 
-    def _fd(self, r, order):
-        reach = _FD_STENCILS[order][-1][0]  # offsets are listed in increasing order
-        if isinstance(r, float):
-            # Scalar path: the same arithmetic without numpy calls on scalars.
-            h = min(max(r, 1.0) * _FD_STEP, r / (reach + 1.0))
-        else:
-            h = np.minimum(np.maximum(r, 1.0) * _FD_STEP, r / (reach + 1.0))
-        # q itself at each point, a Python float for a float r as in _profile
+    def _fd(self, r, orders):
+        """Central differences of q for each order in orders, ascending.
+        The orders of one reach (1 and 2 reach 2, 3 and 4 reach 3) share
+        their step h, so q is called once at each of their points (_fd_plan);
+        each order sums coef * q over its own stencil in stencil order, so
+        its bits are those of a call for it alone."""
         q = self._q
         scalar = type(r) is float
-        acc = 0.0
-        for off, coef in _FD_STENCILS[order]:
-            v = q(r + off * h)
-            acc = acc + coef * (float(v) if scalar else v)
-        return acc / h**order
+        out = []
+        for reach, offsets, sums in _fd_plan(orders):
+            if scalar:
+                # Scalar path: the same arithmetic without numpy calls on scalars.
+                h = min(max(r, 1.0) * _FD_STEP, r / (reach + 1.0))
+                # q itself at each point, a Python float for a float r as in _profile
+                values = [float(q(r + off * h)) for off in offsets]
+            else:
+                h = np.minimum(np.maximum(r, 1.0) * _FD_STEP, r / (reach + 1.0))
+                values = [q(r + off * h) for off in offsets]
+            for order, terms in sums:
+                acc = 0.0
+                for i, coef in terms:
+                    acc = acc + coef * values[i]
+                out.append(acc / h**order)
+        return tuple(out)
 
     def _profile(self, r, order):
         if order and self._derivs is None:
-            return self._fd(r, order)
+            return self._fd(r, (order,))[0]
         v = self._derivs[order - 1](r) if order else self._q(r)
         return float(v) if type(r) is float else v  # numpy scalars stay out
+
+    def _profiles(self, r, orders):
+        if self._derivs is None:
+            return self._fd(r, orders)
+        return super()._profiles(r, orders)
 
     def q_at_zero(self):
         if self._q_origin is None:
@@ -501,6 +557,11 @@ class _Dilated(RadialPotential):
 
     def _profile(self, r, order):
         return self._base._profile(self._base_r(r), order) / self._a_pow[order]
+
+    def _profiles(self, r, orders):
+        a_pow = self._a_pow
+        values = self._base._profiles(self._base_r(r), orders)
+        return tuple([v / a_pow[k] for v, k in zip(values, orders)])
 
     def _q_magnitude(self, r, q):
         return self._base._q_magnitude(self._base_r(r), q)

@@ -70,20 +70,24 @@ _STALL = 8
 _MAX_PANELS = 1 << 16
 
 
+# The decorator enters the error state once per call and keeps its token
+# per call (numpy >= 2), without a with-block object to build each time.
+@np.errstate(all="ignore")
 def _eval_panels(f, lefts, rights):
     lefts = np.asarray(lefts, dtype=float)
     width = np.asarray(rights, dtype=float) - lefts
     pts = width[:, None] * _U
     pts += lefts[:, None]
     x = pts.reshape(-1)
-    with np.errstate(all="ignore"):
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise DomainError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
-        sums = y.reshape(pts.shape) @ _W2
-        sums *= 0.5 * width[:, None]
-        kron = sums[:, 0]
-        err = np.abs(kron - sums[:, 1])
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise DomainError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
+    sums = y.reshape(pts.shape) @ _W2
+    half = 0.5 * width
+    kron = sums[:, 0] * half
+    err = sums[:, 1] * half
+    np.subtract(kron, err, out=err)
+    np.abs(err, out=err)
     return kron, err
 
 

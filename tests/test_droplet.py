@@ -481,6 +481,19 @@ def test_scalar_overflow_evaluates_like_the_array_path(tau):
     assert abs(r - want) <= 1e-13 * want, (r, want)
 
 
+@pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "fd"])
+def test_paired_read_retries_an_overflowing_float_as_an_array(derivs):
+    # At r = 2 a Python float raises OverflowError in the steep profile, so
+    # q' and q'' are read from the one-element array: inf, or the nan of
+    # inf - inf in the stencil, as Python floats and as the separate calls give.
+    p = _steep_power(derivs)
+    got = p._q_derivs_each(2.0, (1, 2))
+    want = (p.q_derivs(2.0, 1), p.q_derivs(2.0, 2))
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got == (math.inf, math.inf) if derivs else all(map(math.isnan, got))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "fd"])
 def test_scalar_overflow_raises_package_errors(derivs):

@@ -124,6 +124,32 @@ def test_log_z_exact_custom_golden_bits(p, n, ensemble, want, ref):
     _assert_golden(p, n, ensemble, want, ref)
 
 
+# The profile of ML(1/3, 0.7) with finite-difference derivatives.
+_FD_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="fd-ml-third")
+
+
+@pytest.mark.parametrize(
+    "ensemble, want",
+    [("normal", "0x1.0bca8a2f8f4fcp+12"), ("symplectic", "0x1.07c7a630d62eap+13")],
+)
+def test_log_z_exact_finite_difference_golden_bits(ensemble, want):
+    # Each saddle solve's Newton steps and each read of the Laplacian at
+    # the saddle take q' and q'' from the difference stencil; these bits
+    # pin that route end to end.
+    _assert_golden(_FD_ML, 60, ensemble, want, MittagLeffler(1.0 / 3.0, 0.7))
+
+
+def test_log_z_exact_keeps_its_bits_under_a_raising_error_state():
+    # The last panels of the hard wall's norms put nodes near r = sqrt(2),
+    # where the TU profile is inf or nan; the quadrature's own error state
+    # keeps that quiet, so a caller's np.errstate(all="raise") changes nothing.
+    p = TruncatedUnitary(1.0, 1.0)
+    want = log_z_exact(p, 40, "symplectic")
+    with np.errstate(all="raise"):
+        got = log_z_exact(p, 40, "symplectic")
+    assert got.hex() == want.hex()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, True, 2.5, 0])
 def test_sizes_share_one_validator(bad):
     calls = [

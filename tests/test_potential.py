@@ -340,6 +340,59 @@ def test_custom_finite_differences_are_the_stencil_sum_bit_for_bit(r):
         assert np.array_equal(got, want / h**order), order
 
 
+_FD_CUBIC_LOG = Custom(lambda x: x**3.0 - 0.4 * np.log(x), name="fd-cubic-log")
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        _FD_CUBIC_LOG,
+        Custom(lambda x: x**3.0 - 0.4 * np.log(x), name="analytic-cubic-log", derivs=[
+            lambda x: 3.0 * x**2.0 - 0.4 / x,
+            lambda x: 6.0 * x + 0.4 / x**2,
+            lambda x: 6.0 - 0.8 / x**3,
+            lambda x: 2.4 / x**4,
+        ]),
+        dilate(_FD_CUBIC_LOG, 1.5),
+    ],
+    ids=["fd", "analytic", "dilated-fd"],
+)
+@pytest.mark.parametrize("orders", [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
+# 1e-3 takes the shrunk step r / (reach + 1), 2 the step max(r, 1) eps^(1/6).
+@pytest.mark.parametrize("r", [1e-3, 2.0, np.array([1e-3, 0.4, 2.0])], ids=["1e-3", "2", "array"])
+def test_several_orders_read_together_equal_separate_calls_bit_for_bit(p, orders, r):
+    # The Newton step and the Laplacian read q' and q'' (the Laplacian's
+    # derivatives also q''' and q'''') in one evaluation; each order keeps
+    # the bits of its own q_derivs call, a Python float for a float r.
+    got = p._q_derivs_each(r, orders)
+    assert type(got) is tuple and len(got) == len(orders)
+    for order, value in zip(orders, got):
+        want = p.q_derivs(r, order)
+        assert type(value) is type(want), order
+        assert np.array_equal(value, want), order
+
+
+@pytest.mark.parametrize("r", [1e-3, 2.0, np.array([1e-3, 2.0])], ids=["1e-3", "2", "array"])
+def test_finite_difference_orders_of_one_reach_share_their_stencil(r):
+    # Orders 1 and 2 reach two steps each side with one h: five calls of q
+    # give both, where separate calls make four and five.  Orders 3 and 4
+    # share the seven points of reach 3 the same way.
+    calls = []
+
+    def q(x):
+        calls.append(x)
+        return x**3.0 - 0.4 * np.log(x)
+
+    p = Custom(q, name="counted")
+    for orders, points in (((1, 2), 5), ((1, 2, 3, 4), 12)):
+        calls.clear()
+        p._q_derivs_each(r, orders)
+        assert len(calls) == points, orders
+    calls.clear()
+    p.laplacian(r)
+    assert len(calls) == 5
+
+
 def _scalar_only(f):
     # float() of a many-element array raises, so f only takes scalars.
     return lambda r: f(float(r))

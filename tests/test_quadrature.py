@@ -152,6 +152,21 @@ def test_finite_panels_whose_total_overflows_raise():
     assert "overflows float64" in str(err)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: np.full_like(x, np.inf), lambda x: np.full_like(x, np.nan),
+     lambda x: 1.0 / (x - x), lambda x: np.full_like(x, 1e308)],
+    ids=["inf", "nan", "divide-by-zero", "overflow"],
+)
+def test_a_raising_error_state_still_gets_integration_error(f):
+    # integrate runs f and the panel sums under its own error state, so a
+    # caller's np.errstate(all="raise") never turns the non-finite values
+    # into FloatingPointError: the package error is the only way out.
+    with np.errstate(all="raise"):
+        with pytest.raises(IntegrationError, match="non-finite panel estimate"):
+            integrate(f, 0.0, 10.0)
+
+
 def test_stalled_refinement_raises_instead_of_returning_unconverged():
     # The integral is 20.  Splitting the panel at the x^-0.95 singularity
     # cuts its error estimate by 2^-0.05 per round, so the total cannot halve
