@@ -44,7 +44,9 @@ class NormQuery:
     non-integers raise DomainError) and are stored as ints.  k is the
     ensemble's factor (1 normal, 2 symplectic), s = k n the inverse
     temperature scale in the weight e^{-s q}, and level = (j + 1/2)/s the
-    tau' of the exact route's e^{-s V_tau'}.
+    tau' of the exact route's e^{-s V_tau'}.  log_z_exact takes its n
+    queries from _grid(n, ensemble), which checks n and the ensemble once
+    per log Z and gives the same queries.
     """
 
     n: int
@@ -72,6 +74,23 @@ class NormQuery:
 def _degrees(k, n):
     """The degrees k-1, 2k-1, ..., kn-1 whose norms make up log Z_n."""
     return range(k - 1, k * n, k)
+
+
+def _grid(n, ensemble):
+    """[NormQuery(n, j, ensemble) for j in _degrees(k, n)], the queries of
+    log Z_n, with n and the ensemble checked once rather than once per
+    degree.  A bad n or ensemble raises NormQuery's DomainError; n is
+    checked first, as log_z_exact always has."""
+    n = _check_n(n)
+    k = _check_ensemble(ensemble)
+    s = k * n
+    grid = []
+    for j in _degrees(k, n):
+        # What NormQuery.__post_init__ stores, for a j known to be in range.
+        q = object.__new__(NormQuery)
+        q.__dict__.update(n=n, j=j, ensemble=ensemble, k=k, s=s, level=(j + 0.5) / s)
+        grid.append(q)
+    return grid
 
 
 # Relative accuracy of every norm integral whose roundoff floor is lower.

@@ -26,7 +26,7 @@ from .equilibrium import (
     log_potential_origin,
 )
 from .errors import DomainError, _finite, _named
-from .norms import _REL_TOL, NormQuery, _degrees, log_norm_exact
+from .norms import _REL_TOL, _degrees, _grid, log_norm_exact
 from .potential import _check_ensemble, _check_n, _is_real, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
@@ -55,9 +55,9 @@ def log_z_exact(p, n, ensemble="normal", *, threads=1):
     for compatibility and ignored: a thread pool only slowed the GIL-bound
     norm loop down.
     """
-    n = _check_n(n)
-    k = _check_ensemble(ensemble)
-    vals = [log_norm_exact(p, NormQuery(n, j, ensemble)) for j in _degrees(k, n)]
+    queries = _grid(n, ensemble)
+    vals = [log_norm_exact(p, q) for q in queries]
+    n, k = queries[0].n, queries[0].k
     return ln_factorial(n) + n * math.log(k) + math.fsum(vals)
 
 

@@ -9,7 +9,6 @@ depend on the order of the panels or on the history of panel splits.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -82,7 +81,7 @@ def _eval_panels(f, lefts, rights):
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise DomainError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
-    sums = y.reshape(pts.shape) @ _W2
+    sums = np.dot(y.reshape(pts.shape), _W2)
     half = 0.5 * width
     kron = sums[:, 0] * half
     err = sums[:, 1] * half
@@ -143,12 +142,14 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
         raise DomainError(f"integrate needs real seeds, got dtype {seeds.dtype}")
     if seeds.ndim != 1:
         raise DomainError(f"integrate needs 1-D seeds, got shape {seeds.shape}")
-    seeds = seeds.astype(float, copy=False).tolist()
-    if math.isnan(sum(seeds)):  # nan has no place in the sorted order
-        seeds = [s for s in seeds if s == s]
-    seeds = sorted(set(seeds))
+    # The first cuts, in one pass over the seeds: a, b and, once each, the
+    # seeds inside (lo, hi), sorted.  The comparison leaves nan out.
     lo, hi = a + 512.0 * math.ulp(a), b - 512.0 * math.ulp(b)
-    cuts = np.array([a, *seeds[bisect_right(seeds, lo):bisect_left(seeds, hi)], b])
+    kept = {s for s in seeds.astype(float, copy=False).tolist() if lo < s < hi}
+    kept.add(a)
+    kept.add(b)
+    cuts = np.fromiter(kept, float, len(kept))
+    cuts.sort()
     # The panels ordered by left endpoint, as columns of one row per panel
     # (left, right, value, error); most integrals meet their tolerance on
     # this first evaluation, so the table is built at the first split.

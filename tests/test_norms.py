@@ -227,6 +227,28 @@ def test_norm_query_level_is_stored_and_stays_out_of_init_and_repr(ensemble):
         NormQuery(10, 0, ensemble, level=0.5)
 
 
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_the_log_z_grid_is_the_norm_queries_of_its_degrees(ensemble):
+    # log_z_exact checks n and the ensemble once, in norms._grid, and gets
+    # the queries that NormQuery builds and checks one degree at a time.
+    k = potential._check_ensemble(ensemble)
+    for n in (1, 2, 7, 200):
+        grid = norms._grid(n, ensemble)
+        want = [NormQuery(n, j, ensemble) for j in norms._degrees(k, n)]
+        assert grid == want, n
+        for q, w in zip(grid, want):
+            assert type(q) is NormQuery
+            assert (hash(q), repr(q)) == (hash(w), repr(w))
+            assert (q.tau, q.level, q.s, q.k) == (w.tau, w.level, w.s, w.k)
+            assert (type(q.n), type(q.j)) == (int, int)
+    for n, e in ((0, ensemble), (2.5, ensemble), (True, ensemble), (math.nan, ensemble),
+                 (10, "Normal")):
+        with pytest.raises(DomainError) as want:
+            NormQuery(n, 0, e)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            norms._grid(n, e)
+
+
 def test_failed_norm_names_its_potential_size_and_degree():
     # r^2 up to r = 1.5 and NaN beyond: the truncation search of the first
     # degrees whose saddle lies past r = 0.5 runs into the NaN region.
@@ -296,21 +318,27 @@ def test_zero_laplacian_at_the_saddle_is_an_invalid_potential_on_every_route(rou
         call()
 
 
-@pytest.mark.parametrize("study", [False, True], ids=["log_z_exact", "convergence_study"])
-def test_a_nested_norm_failure_keeps_its_context_once(study):
-    # The first norm fails; log_z_exact, and convergence_study around it,
-    # pass its context on unchanged.  The given report spares
-    # expansion_terms the flat potential.
+@pytest.mark.parametrize("study, ensemble", [
+    (False, "normal"), (True, "normal"), (False, "symplectic"),
+], ids=["log_z_exact", "convergence_study", "log_z_exact-symplectic"])
+def test_a_nested_norm_failure_keeps_its_context_once(study, ensemble):
+    # The first norm fails, at j = 0 normal and j = 1 symplectic, on a
+    # query of log_z_exact's grid; log_z_exact, and convergence_study around
+    # it, pass its context on unchanged.  The given report spares
+    # expansion_terms the flat potential (the normal table reads no
+    # Laplacian; the symplectic one reads it at the droplet edges).
     p = _FlatLaplacian(lambda r: r * r, derivs=(
         lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r,
     ), name="flat")
     with pytest.raises(InvalidPotentialError) as info:
         if study:
-            convergence_study(p, [10, 20], report=ml_equilibrium(1.0, 1.0))
+            convergence_study(p, [10, 20], ensemble, report=ml_equilibrium(1.0, 1.0))
         else:
-            log_z_exact(p, 10)
+            log_z_exact(p, 10, ensemble)
     msg = str(info.value)
-    assert msg.startswith("flat, n=10, j=0, ensemble=normal: nonpositive Laplacian"), msg
+    j = {"normal": 0, "symplectic": 1}[ensemble]
+    context = f"flat, n=10, j={j}, ensemble={ensemble}: "
+    assert msg.startswith(context + "nonpositive Laplacian"), msg
     assert msg.count("flat") == 1, msg
 
 

@@ -230,11 +230,28 @@ def test_seeds_outside_interval_ignored():
 
 def test_nan_and_duplicate_seeds_give_the_cuts_of_the_rest():
     # nan lies in no interval and is dropped; it must not disorder the sort
-    # that the first cuts come from.
-    want = integrate(np.cos, 0.0, 1.0, seeds=[0.2, 0.5])
+    # that the first cuts come from.  Integer seeds are cuts at their float
+    # values, and -0.0 and 0.0 are one cut.  The first round's nodes pin
+    # the cuts bit for bit: a duplicate cut's zero-width panel would add 15
+    # nodes but nothing to the value.
+    def value_and_first_nodes(a, b, seeds):
+        batches = []
+
+        def f(x):
+            batches.append(x.copy())
+            return np.cos(x)
+
+        return integrate(f, a, b, seeds=seeds), batches[0].tobytes()
+
+    want = value_and_first_nodes(0.0, 1.0, [0.2, 0.5])
     for seeds in ([math.nan, -1.0, 0.2, 0.5], [0.5, math.nan, 0.2, 0.2, -math.inf, math.inf],
                   [-1.0, 0.5, math.nan, 0.2, math.nan, 2.0]):
-        assert integrate(np.cos, 0.0, 1.0, seeds=seeds) == want, seeds
+        assert value_and_first_nodes(0.0, 1.0, seeds) == want, seeds
+    want = value_and_first_nodes(0.0, 4.0, [1.0, 3.0])
+    assert value_and_first_nodes(0.0, 4.0, np.array([1, 3])) == want
+    want = value_and_first_nodes(-1.0, 1.0, [0.0])
+    for seeds in ([-0.0, 0.0], [0.0, -0.0]):
+        assert value_and_first_nodes(-1.0, 1.0, seeds) == want, seeds
 
 
 def test_seeds_a_few_ulps_from_an_end_are_dropped():
