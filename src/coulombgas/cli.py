@@ -49,28 +49,27 @@ from .partition import (
 )
 from .potential import _ENSEMBLES, Ginibre, MittagLeffler, TruncatedUnitary
 
-_FAMILY_FLAGS = {
-    "ginibre": ("scale",),
-    "ml": ("lam", "c"),
-    "tu": ("alpha", "R"),
+# family -> (class, ((flag, keyword, help, default), ...)); a parameter
+# whose default is None is required.
+_FAMILIES = {
+    "ginibre": (Ginibre, (("--scale", "scale", "ginibre: length scale (default 1)", 1.0),)),
+    "ml": (MittagLeffler, (("--lambda", "lam", "ml: power-law exponent", None),
+                           ("--c", "c", "ml: logarithmic repulsion strength", None))),
+    "tu": (TruncatedUnitary, (("--alpha", "alpha", "tu: hard-wall exponent", None),
+                              ("--R", "R", "tu: droplet radius", None))),
 }
+
+_NORM_METHODS = {"exact": log_norm_exact, "laplace": log_norm_laplace, "lowdeg": log_norm_lowdeg}
 
 
 def _add_potential_flags(sub):
     sub.add_argument(
-        "--potential", required=True, choices=tuple(_FAMILY_FLAGS),
+        "--potential", required=True, choices=tuple(_FAMILIES),
         help="potential family",
     )
-    sub.add_argument("--scale", type=float, default=None,
-                     help="ginibre: length scale (default 1)")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="ml: power-law exponent")
-    sub.add_argument("--c", type=float, default=None,
-                     help="ml: logarithmic repulsion strength")
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="tu: hard-wall exponent")
-    sub.add_argument("--R", type=float, default=None,
-                     help="tu: droplet radius")
+    for _, params in _FAMILIES.values():
+        for flag, key, help_text, _ in params:
+            sub.add_argument(flag, dest=key, type=float, default=None, help=help_text)
 
 
 def _add_output_flags(sub):
@@ -82,20 +81,17 @@ def _add_output_flags(sub):
 
 def _make_potential(args, parser):
     fam = args.potential
-    allowed = _FAMILY_FLAGS[fam]
-    for flag in ("scale", "lam", "c", "alpha", "R"):
-        if flag not in allowed and getattr(args, flag) is not None:
-            name = "--lambda" if flag == "lam" else f"--{flag}"
-            parser.error(f"{name} does not apply to --potential {fam}")
-    if fam == "ginibre":
-        return Ginibre(scale=1.0 if args.scale is None else args.scale)
-    if fam == "ml":
-        if args.lam is None or args.c is None:
-            parser.error("--potential ml requires --lambda and --c")
-        return MittagLeffler(args.lam, args.c)
-    if args.alpha is None or args.R is None:
-        parser.error("--potential tu requires --alpha and --R")
-    return TruncatedUnitary(args.alpha, args.R)
+    cls, params = _FAMILIES[fam]
+    for other, (_, others) in _FAMILIES.items():
+        for flag, key, _, _ in others:
+            if other != fam and getattr(args, key) is not None:
+                parser.error(f"{flag} does not apply to --potential {fam}")
+    kwargs = {key: default if getattr(args, key) is None else getattr(args, key)
+              for _, key, _, default in params}
+    if None in kwargs.values():
+        required = " and ".join(flag for flag, _, _, default in params if default is None)
+        parser.error(f"--potential {fam} requires {required}")
+    return cls(**kwargs)
 
 
 def _fmt_text(v):
@@ -175,12 +171,7 @@ def _cmd_norm(p, args):
     except DomainError as exc:
         detail = (f"n={args.N}", f"j={args.j}", f"ensemble={args.ensemble}")
         raise _in_context(exc, p.name, *detail) from exc
-    if args.method == "exact":
-        val = log_norm_exact(p, query)
-    elif args.method == "laplace":
-        val = log_norm_laplace(p, query)
-    else:
-        val = log_norm_lowdeg(p, query)
+    val = _NORM_METHODS[args.method](p, query)
     if args.fmt == "text":
         return _fmt_text(float(val))
     return _render([("log_norm", float(val))], args.fmt)
@@ -295,7 +286,7 @@ def _build_parser():
     norm = new_sub("norm", "one monomial norm", needs_ensemble=True, needs_n=True,
                    needs_threads=True)
     norm.add_argument("--j", type=int, required=True, help="monomial degree")
-    norm.add_argument("--method", choices=("exact", "laplace", "lowdeg"),
+    norm.add_argument("--method", choices=tuple(_NORM_METHODS),
                       default="exact", help="evaluation route (default exact)")
     norm.set_defaults(handler=_cmd_norm)
 

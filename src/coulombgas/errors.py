@@ -78,8 +78,10 @@ def _finite(fn):
     """Have fn raise DomainError when its float64 result is not finite: a
     term overflows, or infinite terms cancel to nan.  fn returns a float or
     a dataclass, whose float fields are checked; a nested one (a report's
-    droplet) is not, as its radii are inputs or powers, and a power raises
-    OverflowError instead of returning inf."""
+    droplet) is not.  Its radii are inputs or powers: a power that
+    overflows raises OverflowError, but one can also underflow to 0.0 or
+    round r0 and r1 to one float, so a function that builds its droplet
+    from powers holds it to the disc rule itself (droplet._given)."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):

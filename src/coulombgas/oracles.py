@@ -17,7 +17,7 @@ value, and the product telescopes into Barnes G directly.
 import itertools
 import math
 
-from .droplet import Droplet
+from .droplet import Droplet, _given
 from .equilibrium import EquilibriumReport
 from .errors import DomainError, _finite
 from .potential import (
@@ -86,7 +86,11 @@ def ml_log_z(lam, c, n, ensemble="normal"):
 
 @_finite
 def ml_equilibrium(lam, c):
-    """Closed-form equilibrium report for the power-log family (c > 0)."""
+    """Closed-form equilibrium report for the power-log family (c > 0).
+
+    The radii are the closed form that droplet_of uses, held to the one
+    disc rule (droplet._given): where r0 underflows to 0.0 or rounds to
+    r1, DomainError."""
     lam = _check_positive("lam", lam)
     c = _check_nonnegative("c", c)
     if c == 0.0:
@@ -113,7 +117,7 @@ def ml_equilibrium(lam, c):
         entropy=e_q,
         log_potential_origin=u_0,
         f_term=f_term,
-        droplet=Droplet(r0=r0, r1=r1, kind="annulus"),
+        droplet=_given(Droplet(r0=r0, r1=r1, kind="annulus")),
     )
 
 

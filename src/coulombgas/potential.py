@@ -4,7 +4,8 @@ A potential is described by its radial profile q(r) = Q(z)|_{|z|=r} together
 with derivatives up to fourth order.  The planar Laplacian of Q in the
 radial variable is laplacian(r) = (q'(r)/r + q''(r)) / 4, with the
 convention that the equilibrium density is 2 r laplacian(r) dr on the
-droplet.  All evaluation methods accept scalars or 1-D numpy arrays.
+droplet.  All evaluation methods accept real scalars (not bools) or 1-D
+arrays of int or float dtype.
 
 Three hooks hold every formula, as plain arithmetic on floats and arrays:
 _profile(r, order) for q and its derivatives (_profiles(r, orders) reads
@@ -191,11 +192,22 @@ class RadialPotential:
 
     def _checked(self, r):
         """r as a float (no numpy call) or a nonempty array (its min and max
-        propagate NaN), checked once: finite, positive, within the support."""
+        propagate NaN), checked once: a real that is not a bool, or an array
+        of int or float dtype, finite, positive, within the support.  Anything
+        else (bools, strings, complex numbers) raises DomainError."""
         if isinstance(r, float):
             lo = hi = r = float(r)
+        elif isinstance(r, numbers.Real) and not isinstance(r, bool):
+            lo = hi = r = float(r) if _is_real(r) else math.inf  # nan, inf or beyond float64
         else:
-            arr = np.asarray(r, dtype=float)
+            try:
+                arr = np.asarray(r)
+                real = arr.dtype.kind in "fiu"
+            except ValueError:  # a ragged nesting has no shape
+                real = False
+            if not real:
+                raise DomainError(f"evaluation points must be real numbers, got {r!r}")
+            arr = arr.astype(float, copy=False)
             if arr.size == 0:
                 raise DomainError("empty evaluation point array")
             lo = arr.min()

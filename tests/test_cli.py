@@ -346,6 +346,48 @@ def test_missing_family_parameter_is_usage_error(capsys):
     assert "--potential tu requires --alpha and --R" in err
 
 
+_FAMILY_ARGS = {
+    "ginibre": ["--scale", "2"],
+    "ml": ["--lambda", "1", "--c", "1"],
+    "tu": ["--alpha", "1", "--R", "1"],
+}
+_FOREIGN_FLAGS = [(family, flag) for family in sorted(_FAMILY_ARGS)
+                  for flag in ("--scale", "--lambda", "--c", "--alpha", "--R")
+                  if flag not in _FAMILY_ARGS[family]]
+
+
+@pytest.mark.parametrize("family, flag", _FOREIGN_FLAGS)
+def test_each_foreign_family_flag_is_a_usage_error(capsys, family, flag):
+    argv = ["droplet", "--potential", family, *_FAMILY_ARGS[family], flag, "2"]
+    out, err, rc = _run(argv, capsys)
+    assert len(_FOREIGN_FLAGS) == 10
+    assert rc == 2 and out == ""
+    assert err.endswith(f"error: {flag} does not apply to --potential {family}\n")
+
+
+@pytest.mark.parametrize("family, kept", [("ml", ["--lambda", "1"]), ("ml", ["--c", "1"]),
+                                          ("tu", ["--alpha", "1"]), ("tu", ["--R", "1"])])
+def test_a_missing_family_flag_names_every_required_flag(capsys, family, kept):
+    out, err, rc = _run(["droplet", "--potential", family, *kept], capsys)
+    names = " and ".join(_FAMILY_ARGS[family][::2])
+    assert rc == 2 and out == ""
+    assert err.endswith(f"error: --potential {family} requires {names}\n")
+
+
+def test_ginibre_scale_defaults_to_1(capsys):
+    for cmd in (["droplet"], ["exact", "--N", "10"]):
+        default = _run([*cmd, "--potential", "ginibre"], capsys)
+        assert default == _run([*cmd, "--potential", "ginibre", "--scale", "1"], capsys)
+        assert default[2] == 0
+
+
+def test_unknown_norm_method_is_a_usage_error(capsys):
+    argv = ["norm", "--potential", "ginibre", "--N", "10", "--j", "3", "--method", "bogus"]
+    out, err, rc = _run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert "argument --method: invalid choice: 'bogus'" in err
+
+
 def test_oracle_ginibre_is_the_ml_1_0_oracle(capsys):
     out, err, rc = _run(["oracle", "--potential", "ginibre", "--N", "12"], capsys)
     assert rc == 0 and err == ""

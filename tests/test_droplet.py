@@ -527,6 +527,22 @@ def test_nan_in_the_newton_loop_is_named():
         solve_r_tau(p, 0.5)
 
 
+def test_a_column_shaped_derivative_builds_no_table():
+    # q = r^2 whose q' gives an (m, 1) column for an array: the table's
+    # values would broadcast to (m, m), so there is no table and interior
+    # levels go through the upward scan, which reads q' on floats.
+    p = Custom(lambda r: r * r, derivs=(
+        lambda r: 2.0 * r if type(r) is float else (2.0 * r)[:, None],
+        lambda r: 2.0 + 0.0 * r,
+        lambda r: 0.0 * r,
+        lambda r: 0.0 * r,
+    ), name="column q'")
+    for tau in (0.3, 0.5, 0.81):
+        want = math.sqrt(tau)
+        assert abs(solve_r_tau(p, tau) - want) <= 1e-13 * want, tau
+    assert droplet._table(p) == ()
+
+
 def test_root_below_the_scan_start_has_no_inner_bracket():
     # q = sqrt(r): r q'(r) = sqrt(r) / 2 is already 5e-7 at r = 1e-12, where
     # the upward scan starts.  The callables take only floats, so the

@@ -31,7 +31,15 @@ from coulombgas.errors import (
 from coulombgas.norms import NormQuery, log_norm_lowdeg
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
 from coulombgas.partition import expansion_terms, lemma_sum
-from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
+from coulombgas.potential import (
+    Custom,
+    Ginibre,
+    MittagLeffler,
+    RadialPotential,
+    TruncatedUnitary,
+    _const_like,
+    dilate,
+)
 
 LOG2 = math.log(2.0)
 
@@ -569,3 +577,29 @@ def test_a_droplet_off_the_disc_rule_is_a_domain_error(call, droplet):
     d = _BROKEN_DROPLETS[droplet]
     with pytest.raises(DomainError, match=f"^r2: {re.escape(repr(d))} breaks the droplet rule"):
         _DROPLET_CALLS[call](_R2, d)
+
+
+class _NoOriginData(RadialPotential):
+    """q = r^2 through the closed-form hooks, with no q(0) or ΔQ(0): the
+    base class's origin hooks raise."""
+
+    name = "r^2 without origin data"
+
+    def _profile(self, r, order):
+        zero = _const_like(r, 0.0)
+        return (r * r, 2.0 * r, _const_like(r, 2.0), zero, zero)[order]
+
+    def r_tau(self, tau):
+        return math.sqrt(tau)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: log_norm_lowdeg(p, NormQuery(10, 0, "normal")),
+    log_potential_origin,
+], ids=["log_norm_lowdeg", "log_potential_origin"])
+def test_a_potential_without_origin_data_names_itself_once(call):
+    p = _NoOriginData()
+    assert droplet_of(p).kind == "disc"
+    with pytest.raises(DomainError, match="q is not defined at the origin") as exc:
+        call(p)
+    assert str(exc.value).count(p.name) == 1, str(exc.value)

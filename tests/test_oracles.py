@@ -4,8 +4,9 @@ import time
 import pytest
 
 from coulombgas import oracles
+from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import energy, entropy, f_annulus, f_disc
-from coulombgas.errors import DomainError
+from coulombgas.errors import DomainError, InvalidPotentialError
 from coulombgas.oracles import (
     _MAX_FACTORS,
     ml_equilibrium,
@@ -87,6 +88,19 @@ def test_ml_log_z_allows_zero_offset():
 def test_ml_equilibrium_requires_annulus():
     with pytest.raises(DomainError):
         ml_equilibrium(1.0, 0.0)
+
+
+def test_ml_equilibrium_droplet_keeps_the_disc_rule():
+    # r0 and r1 round to one float, so droplet_of finds no droplet; the
+    # report used to carry it and fail only in expansion_terms.
+    with pytest.raises(InvalidPotentialError, match="zero-width droplet"):
+        droplet_of(MittagLeffler(1.0, 1e17))
+    with pytest.raises(DomainError, match="breaks the droplet rule"):
+        ml_equilibrium(1.0, 1e17)
+    # r0 underflows to 0.0, which droplet_of calls a disc.
+    assert droplet_of(MittagLeffler(0.1, 1e-300)).kind == "disc"
+    with pytest.raises(DomainError, match="breaks the droplet rule"):
+        ml_equilibrium(0.1, 1e-300)
 
 
 def test_ml_equilibrium_matches_quadrature():

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,6 +282,47 @@ def test_array_check_support_radius_edge():
     for last in (edge, tu.support_radius):
         pts = np.array([0.5, last])
         assert np.array_equal(tu._checked(pts), pts)
+
+
+# Evaluation points follow the rule of n, tau and the family parameters:
+# a real that is not a bool, or an array of int or float dtype.
+_POINT_CALLS = {
+    "q_derivs": lambda p, r: p.q_derivs(r, 2),
+    "laplacian": lambda p, r: p.laplacian(r),
+    "laplacian_dr": lambda p, r: p.laplacian_dr(r),
+    "v_tau": lambda p, r: v_tau(p, 0.5, r),
+    "b1": b1,
+    "_q_derivs_each": lambda p, r: p._q_derivs_each(r, (1, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["2", True, np.True_, 1 + 0j, None, [True, False], ["2"], np.array([1 + 0j]),
+     [[1.0], [1.0, 2.0]]],
+    ids=["str", "bool", "numpy-bool", "complex", "none", "bool-list", "str-list",
+         "complex-array", "ragged"],
+)
+@pytest.mark.parametrize("call", sorted(_POINT_CALLS))
+def test_evaluation_points_that_are_not_real_raise_domain_error(call, bad):
+    with pytest.raises(DomainError, match="evaluation points must be real numbers"):
+        _POINT_CALLS[call](Ginibre(), bad)
+
+
+@pytest.mark.parametrize("call", sorted(_POINT_CALLS))
+def test_real_evaluation_points_of_any_type_evaluate(call):
+    p = MittagLeffler(1.5, 0.5)
+    f = _POINT_CALLS[call]
+    for point, like in ((Fraction(1, 2), 0.5), (np.int64(2), 2.0), (np.array(0.5), 0.5)):
+        assert f(p, point) == f(p, like), point
+    assert np.array_equal(f(p, [1, 2]), f(p, np.array([1.0, 2.0])))
+
+
+def test_nonfinite_and_nonpositive_points_keep_their_message():
+    p = Ginibre()
+    for bad in (math.nan, math.inf, 0.0, -1, 10**400, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError, match="^evaluation points must be finite and positive$"):
+            p.q_derivs(bad)
 
 
 def test_custom_with_analytic_derivatives_matches():

@@ -20,6 +20,7 @@ from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import b1_integral, equilibrium_report, zw_coefficients
 from coulombgas.errors import CoulombGasError, IntegrationError
 from coulombgas.norms import _REL_TOL, NormQuery, log_norm_laplace
+from coulombgas.oracles import ml_equilibrium
 from coulombgas.partition import expansion_terms, log_z_exact
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 
@@ -269,6 +270,23 @@ def test_extreme_family_parameters_give_a_value_or_a_package_error(slot, value):
         except CoulombGasError:
             continue
         assert math.isfinite(got), (p.name, name, got)
+
+
+def test_ml_equilibrium_droplet_is_droplet_of_over_the_float64_range():
+    # Both read the closed form ((tau + c) / lam)^(1 / (2 lam)) and hold it
+    # to the one disc rule, so wherever both return, the droplets agree bit
+    # for bit.
+    both = 0
+    for lam, c in [(v, 1.0) for v in _EXTREME_VALUES] + [(1.0, v) for v in _EXTREME_VALUES]:
+        try:
+            got = ml_equilibrium(lam, c).droplet
+            want = droplet_of(MittagLeffler(lam, c))
+        except CoulombGasError:
+            continue
+        both += 1
+        assert (got.r0.hex(), got.r1.hex(), got.kind) == (
+            want.r0.hex(), want.r1.hex(), want.kind), (lam, c)
+    assert both >= 6
 
 
 # q(r / a) for Ginibre is |z|^2 / a^2, so h_j scales by a^(2j + 2) and the
