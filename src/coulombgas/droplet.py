@@ -250,7 +250,10 @@ def droplet_of(p):
         )
     d = Droplet(r0, r1, "disc" if r0 == 0.0 else "annulus")
 
-    lo = max(0.9 * d.r0, 1e-6)
+    # A neighbourhood relative to the droplet, so a tiny droplet's grid
+    # stays near it: from 0.9 r0, or 1e-6 r1 for a disc (ΔQ(0) can be 0
+    # or inf), to 1.1 r1.
+    lo = 0.9 * d.r0 if d.r0 else 1e-6 * d.r1
     hi = 1.1 * d.r1
     if p.support_radius is not None:
         hi = min(hi, p.support_radius * (1.0 - 1e-9))

@@ -108,11 +108,18 @@ _FLOOR = 4.0 * float(np.finfo(float).eps)
 # Initial panel boundaries r* +- k*width: the partition the adaptive rule
 # converges to, so most norms need no refinement round.  With
 # t = (r - r*)/width the shifted integrand is about e^{-t^2}, because
-# s (V_tau' - V_min) ~ 2 s laplacian(r*) (r - r*)^2 = t^2: half-width panels
-# cover the bulk out to |t| = 3, unit panels the tail out to |t| = 6, where
-# e^{-36} ~ 2e-16 is below every tolerance, and the doubling offsets beyond
-# bound the panel widths where the integrand leaves its Gaussian form.
-_SEED_OFFSETS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
+# s (V_tau' - V_min) ~ 2 s laplacian(r*) (r - r*)^2 = t^2, whose integral
+# is sqrt(pi); a norm's target is then 1e-13 sqrt(pi) = 1.8e-13 in t.  The
+# Kronrod-Gauss estimate |K15 - G7| of e^{-t^2} is 5.6e-15, 7.3e-15,
+# 2.3e-15 and 2.9e-16 on the panels of width 0.75 from t = 0 to 3, which
+# with their mirror images and the tails sum to 3.1e-14, a sixth of the
+# target; width-1 panels would give 7.9e-13 on [0, 1] alone.  So 0.75-wide
+# panels cover the bulk out to |t| = 3 and unit panels the tail out to
+# |t| = 6 (estimates 1.2e-16 on [3, 4], below 1e-16 further out), where
+# e^{-36} ~ 2e-16 is below every tolerance.  The doubling offsets beyond
+# bound the panel widths where the integrand leaves its Gaussian form;
+# _r_cut drops those beyond the cut.
+_SEED_OFFSETS = (0.75, 1.5, 2.25, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
 
 # The same cuts in units of width, sorted, r* included: r* + _SEED_T * width
 # is bit for bit r* +- k*width, because negating k is exact.
@@ -127,19 +134,26 @@ def _peak(p, query):
     return r_star, v_min, width
 
 
-def _r_cut(p, query, r_star, v_min):
-    """Truncation radius: first dyadic point where the shifted exponent
-    exceeds 40 + log s, capped at the support radius."""
+def _r_cut(p, query, r_star, v_min, width):
+    """Truncation radius: the first r* + 8 width 2^k, k = 0, 1, ..., where
+    the shifted exponent reaches 40 + log s, capped at the support radius.
+
+    On the Gaussian e^{-t^2} the exponent at t = 8 is 64, above 40 + log s
+    for every s < 2.6e10, so the search usually stops at k = 0 and the seeds
+    beyond t = 8 fall outside (0, cut).  The step is at least an ulp of r*,
+    so the search moves on where the width underflows to 0."""
     s = query.s
     thresh = 40.0 + math.log(s)
-    r = max(2.0 * r_star, r_star + 1.0)
     support = p.support_radius
+    step = max(8.0 * width, math.ulp(r_star))
+    r = r_star + step
     while r <= 1e300:
         if support is not None and r >= support:
             return support
         if s * (float(_evaluate(_v_tau_formula, p, r, query.level)) - v_min) >= thresh:
             return r
-        r *= 2.0
+        step *= 2.0
+        r = r_star + step
     raise IntegrationError("failed to locate a truncation radius")
 
 
@@ -150,7 +164,8 @@ def _query_context(query):
 
 @_named(_query_context)
 def log_norm_exact(p, query):
-    """log h_j by shifted adaptive quadrature of 2 e^{-s V_tau'}, tau' = query.level.
+    """log h_j by shifted adaptive quadrature of e^{-s V_tau'}, tau' = query.level,
+    doubled.
 
     Accuracy target is max(1e-13, 4 s eps (|q|_terms(r*) + |2 tau' log r*|))
     on the norm value, the larger term being its roundoff floor at the
@@ -162,7 +177,7 @@ def log_norm_exact(p, query):
     s = query.s
     level = query.level
     r_star, v_min, width = _peak(p, query)
-    cut = _r_cut(p, query, r_star, v_min)
+    cut = _r_cut(p, query, r_star, v_min, width)
     log_term = 2.0 * level * math.log(r_star)  # q(r*) - v_min
     q_terms = _evaluate(type(p)._q_magnitude, p, r_star, v_min + log_term)
     rel_tol = max(_REL_TOL, _FLOOR * s * (q_terms + abs(log_term)))
@@ -176,17 +191,22 @@ def log_norm_exact(p, query):
         # _r_cut passed through _evaluate's check, or the support radius.
         # So every node passes that check, and the formula runs directly.
         # In place on the formula's fresh array, in the order of
-        # 2 exp(-s (V - v_min)), so the bits are that expression's.
+        # exp(-s (V - v_min)), so the bits are that expression's.
         v = _v_tau_formula(p, r, level)
         v -= v_min
         v *= -s
         np.exp(v, out=v)
-        v *= 2.0
         return v
 
     val, _ = integrate(integrand, 0.0, cut, rel_tol=rel_tol, abs_tol=0.0, seeds=seeds)
+    # h_j = 2 val.  Doubling is exact, so outside the subnormal range these
+    # are the bits of integrating 2 e^{-s (V - v_min)}, short of where
+    # 2 val overflows.
+    val *= 2.0
     if not val > 0.0:
         raise IntegrationError(f"nonpositive norm integral {val!r}")
+    if val == math.inf:
+        raise IntegrationError("the norm integral overflows float64")
     return -s * v_min + math.log(val)
 
 

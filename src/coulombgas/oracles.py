@@ -17,10 +17,11 @@ value, and the product telescopes into Barnes G directly.
 import itertools
 import math
 
-from .droplet import Droplet, _given
+from .droplet import Droplet, _given, droplet_of
 from .equilibrium import EquilibriumReport
 from .errors import DomainError, _finite
 from .potential import (
+    TruncatedUnitary,
     _EPS,
     _check_ensemble,
     _check_n,
@@ -159,7 +160,13 @@ def tu_log_z(alpha, R, n, ensemble="normal"):
 
 @_finite
 def tu_equilibrium(alpha, R):
-    """Closed-form equilibrium report for the hard-wall family."""
+    """Closed-form equilibrium report for the hard-wall family.
+
+    The droplet is droplet_of(TruncatedUnitary(alpha, R)): the disc of
+    radius r_1 = sqrt(beta / (1 + alpha)), R up to rounding, from the
+    family's one closed form, so the report raises where droplet_of does
+    (r_1 underflows to 0, or ΔQ leaves float64 near the droplet).  A
+    functional beyond float64 raises DomainError first."""
     alpha = _check_positive("alpha", alpha)
     R = _check_positive("R", R)
     ell = math.log(alpha / (1.0 + alpha))
@@ -167,10 +174,13 @@ def tu_equilibrium(alpha, R):
     e_q = -2.0 - (1.0 + 2.0 * alpha) * ell - 2.0 * math.log(R)
     u_0 = -math.log(R) - 0.5 * alpha * ell
     f_term = (1.0 / alpha + 5.0 * ell) / 12.0
+    # Where a functional is not finite, _finite raises before droplet_of can.
+    finite = all(math.isfinite(v) for v in (i_q, e_q, u_0, f_term))
+    droplet = droplet_of(TruncatedUnitary(alpha, R)) if finite else None
     return EquilibriumReport(
         energy=i_q,
         entropy=e_q,
         log_potential_origin=u_0,
         f_term=f_term,
-        droplet=Droplet(r0=0.0, r1=R, kind="disc"),
+        droplet=droplet,
     )

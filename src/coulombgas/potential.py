@@ -568,7 +568,8 @@ class _Dilated(RadialPotential):
         return x
 
     def _profile(self, r, order):
-        return self._base._profile(self._base_r(r), order) / self._a_pow[order]
+        q = self._base._profile(self._base_r(r), order)
+        return q / self._a_pow[order] if order else q  # a^0 = 1: q / 1 is q
 
     def _profiles(self, r, orders):
         a_pow = self._a_pow

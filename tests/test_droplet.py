@@ -48,6 +48,30 @@ def test_tu_droplet_fills_support():
         assert abs(d.r1 - R) < 1e-12, (alpha, R)
 
 
+@pytest.mark.parametrize(
+    "p, r1",
+    [(TruncatedUnitary(1.0, 5e-7), 5e-7), (Ginibre(1e-20), 1e-20), (Ginibre(1e20), 1e20),
+     (MittagLeffler(1.0, 1e-20), 1.0), (dilate(MittagLeffler(1.0, 1.0), 1e-20), 2**0.5 * 1e-20)],
+    ids=["tu-R5e-7", "ginibre-1e-20", "ginibre-1e20", "ml-c1e-20", "dilated-ml11-1e-20"],
+)
+def test_laplacian_grid_is_relative_to_the_droplet(monkeypatch, p, r1):
+    # droplet_of checks ΔQ > 0 on 64 points from 0.9 r0 (1e-6 r1 for a
+    # disc) to 1.1 r1, short of a hard wall: the same neighbourhood at every
+    # scale.  An absolute floor of 1e-6 put the whole grid beyond a small
+    # droplet, and past the wall of TU(1, 5e-7) at 7.07e-7.
+    grids = []
+    laplacian = p.laplacian
+    monkeypatch.setattr(p, "laplacian", lambda r: grids.append(r) or laplacian(r))
+    d = droplet_of(p)
+    assert abs(d.r1 - r1) <= 1e-12 * r1
+    (grid,) = grids
+    lo = 0.9 * d.r0 if d.kind == "annulus" else 1e-6 * d.r1
+    assert grid[0] == lo and grid[-1] <= 1.1 * d.r1
+    assert np.all(np.diff(grid) > 0.0)
+    if p.support_radius is not None:
+        assert grid[-1] < p.support_radius
+
+
 def test_droplet_dilation():
     base = MittagLeffler(1.0, 1.0)
     d0 = droplet_of(base)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -431,21 +432,18 @@ def test_disc_without_origin_data_matches_the_40_digit_reference(p, ref, ensembl
         assert err <= mp_reference.norm_bound(p, query, float(want)), (query, err)
 
 
-@pytest.mark.parametrize(
-    "p, n, ensemble",
-    [
-        (MittagLeffler(1.0, 1.0), 100, "normal"),
-        (MittagLeffler(0.5, 1.0), 60, "symplectic"),
-        (TruncatedUnitary(1.0, 1.0), 80, "symplectic"),
-        (dilate(Ginibre(), 1.5), 50, "normal"),
-    ],
-    ids=["ml11-normal", "ml051-symplectic", "tu11-symplectic", "dilated-ginibre-normal"],
-)
-def test_seeded_partition_converges_in_one_round(monkeypatch, p, n, ensemble):
-    # The seeds lay down the partition the adaptive rule converges to, so
-    # every norm of these golden inputs meets its tolerance on the first
-    # integrand call.  The seeds r* and r* +- k*width give at most
-    # 2*len(offsets) + 1 interior cuts, hence 2*len(offsets) + 2 panels.
+def _with_derivs(p):
+    """p's profile behind the Custom interface, with p's analytic derivatives."""
+    return Custom(p.q_derivs, derivs=[partial(p.q_derivs, order=k) for k in range(1, 5)])
+
+
+# The profile of ML(1/3, 0.7) with finite-difference derivatives.
+_FD_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="fd-ml-third")
+
+
+def _count_rounds(monkeypatch):
+    """Record, per norm integral, the number of integrand calls (Kronrod
+    rounds) and the number of panels of the first one."""
     calls_per_norm = []
     first_panels = []
     integrate = norms.integrate
@@ -463,9 +461,68 @@ def test_seeded_partition_converges_in_one_round(monkeypatch, p, n, ensemble):
         return out
 
     monkeypatch.setattr(norms, "integrate", counting)
+    return calls_per_norm, first_panels
+
+
+@pytest.mark.parametrize(
+    "p, n, ensemble",
+    [
+        (MittagLeffler(1.0, 1.0), 100, "normal"),
+        (MittagLeffler(0.5, 1.0), 60, "symplectic"),
+        (TruncatedUnitary(1.0, 1.0), 80, "symplectic"),
+        (dilate(Ginibre(), 1.5), 50, "normal"),
+        (_with_derivs(MittagLeffler(0.5, 1.3)), 60, "normal"),
+        (dilate(_with_derivs(MittagLeffler(1.0, 1.0)), 1.5), 50, "symplectic"),
+        (_FD_ML, 60, "normal"),
+        (_FD_ML, 60, "symplectic"),
+        (MittagLeffler(1.0, 1.0), 1600, "normal"),
+        (MittagLeffler(1.0, 1.0), 1600, "symplectic"),
+        (TruncatedUnitary(1.0, 1.0), 1600, "normal"),
+        (TruncatedUnitary(1.0, 1.0), 1600, "symplectic"),
+    ],
+    ids=["ml11-normal", "ml051-symplectic", "tu11-symplectic", "dilated-ginibre-normal",
+         "custom-ml0513-normal", "dilated-custom-ml11-symplectic", "fd-ml-third-normal",
+         "fd-ml-third-symplectic", "ml11-1600-normal", "ml11-1600-symplectic",
+         "tu11-1600-normal", "tu11-1600-symplectic"],
+)
+def test_seeded_partition_converges_in_one_round(monkeypatch, p, n, ensemble):
+    # The seeds lay down the partition the adaptive rule converges to, so
+    # every norm of these golden inputs, and of ML(1, 1) and TU(1, 1) at
+    # the largest N, meets its tolerance on the first integrand call.  The
+    # seeds r* and r* +- k*width give at most 2*len(offsets) + 1 interior
+    # cuts, hence 2*len(offsets) + 2 panels.
+    calls_per_norm, first_panels = _count_rounds(monkeypatch)
     log_z_exact(p, n, ensemble)
     assert calls_per_norm == [1] * n
     assert max(first_panels) <= 2 * len(norms._SEED_OFFSETS) + 2
+
+
+@pytest.mark.parametrize("p", [MittagLeffler(1.0, 1.0), TruncatedUnitary(1.0, 1.0), Ginibre()],
+                         ids=lambda p: p.name)
+def test_gaussian_peaks_are_cut_at_eight_widths(monkeypatch, p):
+    # At N = 1600 a peak more than 32 widths from the origin is close to
+    # e^{-t^2}, whose exponent 64 at t = 8 is above 40 + log s, so _r_cut
+    # stops at r* + 8 width (or the hard wall).  Every inner seed is then
+    # positive and the outer ones from 8 on lie beyond the cut: the first
+    # round has 2 + len(offsets) + #{k < 8} panels, 19.  Peaks nearer the
+    # origin (the lowest degrees) have heavier right tails and lose inner
+    # seeds below 0; the test above bounds their panels.
+    cuts = []
+    r_cut = norms._r_cut
+
+    def recording(p, query, r_star, v_min, width):
+        cut = r_cut(p, query, r_star, v_min, width)
+        cuts.append((r_star - 32.0 * width > 0.0, cut in (r_star + 8.0 * width, p.support_radius)))
+        return cut
+
+    monkeypatch.setattr(norms, "_r_cut", recording)
+    _, first_panels = _count_rounds(monkeypatch)
+    log_z_exact(p, 1600, "normal")
+    offsets = norms._SEED_OFFSETS
+    gaussian = [panels for (far, _), panels in zip(cuts, first_panels) if far]
+    assert len(gaussian) > len(cuts) // 2  # Ginibre: r*/width = sqrt(2j + 1), so j >= 512
+    assert all(at_eight for far, at_eight in cuts if far)
+    assert max(gaussian) == 2 + len(offsets) + sum(k < 8.0 for k in offsets)
 
 
 # ML(1/2, 1) symplectic at N = 1600 (s = 3200) has the largest roundoff
@@ -580,7 +637,7 @@ _EVERY_KIND = [
 
 @pytest.mark.parametrize("p", _EVERY_KIND, ids=lambda p: p.name)
 def test_integrand_v_tau_is_v_tau_bit_for_bit(monkeypatch, p):
-    # The norm integrand is 2 e^{-s (V_tau'(r) - V_tau'(r*))} at the level
+    # The norm integrand is e^{-s (V_tau'(r) - V_tau'(r*))} at the level
     # tau' = query.level, r* = r_tau', with the order-0 formula called on
     # each node array; on the arrays it is handed that must be v_tau at
     # tau' exactly, and v_tau must be q - 2 tau' log r exactly.
@@ -605,7 +662,36 @@ def test_integrand_v_tau_is_v_tau_bit_for_bit(monkeypatch, p):
             helper = potential._evaluate(potential._v_tau_formula, p, r, level)
             assert np.array_equal(helper, v_tau(p, level, r))
             assert np.array_equal(helper, p.q_derivs(r) - 2.0 * level * np.log(r))
-            assert np.array_equal(y, 2.0 * np.exp(-query.s * (helper - v_min)))
+            assert np.array_equal(y, np.exp(-query.s * (helper - v_min)))
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+def test_a_width_that_underflows_still_finds_the_peak(ensemble):
+    # Ginibre(1e-154): 2 s ΔQ(r*) = 2 s 1e308 overflows, so the width reads
+    # 0 and every seed is r*.  The cut search steps from an ulp of r*, so
+    # the cut lands a few true widths out and refinement resolves the peak
+    # on both sides of r*; a cut at 1 left the right half of the peak
+    # between nodes.  The reference is q = r^2 / a^2 in mpmath.
+    p, ref = Ginibre(1e-154), dilate(MittagLeffler(1.0, 0.0), 1e-154)
+    assert norms._peak(p, NormQuery(4, 3, ensemble))[2] == 0.0
+    got = log_z_exact(p, 4, ensemble)
+    gap = abs(float(mpmath.mpf(got) - mp_reference.log_z(ref, 4, ensemble)))
+    assert gap <= mp_reference.log_z_bound(p, 4, ensemble, ref=ref)
+
+
+def test_a_doubled_norm_integral_that_overflows_raises(monkeypatch):
+    # The route integrates e^{-s (V - v_min)} and doubles the result; a
+    # doubled value beyond float64 is an IntegrationError naming the norm,
+    # as a panel sum of 2 e^{-s (V - v_min)} that overflows used to be.
+    monkeypatch.setattr(norms, "integrate", lambda *args, **kwargs: (1.5e308, 0.0))
+    with pytest.raises(IntegrationError, match=r"^ginibre\(scale=1.0\), n=3, j=1, "
+                                               r"ensemble=normal: .*overflows"):
+        log_norm_exact(Ginibre(), NormQuery(3, 1, "normal"))
+    # Just below, the doubled value is the norm: 2 * 0.5e308 is 1e308 exactly.
+    monkeypatch.setattr(norms, "integrate", lambda *args, **kwargs: (0.5e308, 0.0))
+    query = NormQuery(3, 1, "normal")
+    v_min = norms._peak(Ginibre(), query)[1]
+    assert log_norm_exact(Ginibre(), query) == -query.s * v_min + math.log(1e308)
 
 
 def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monkeypatch):

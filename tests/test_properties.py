@@ -20,7 +20,7 @@ from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import b1_integral, equilibrium_report, zw_coefficients
 from coulombgas.errors import CoulombGasError, IntegrationError
 from coulombgas.norms import _REL_TOL, NormQuery, log_norm_laplace
-from coulombgas.oracles import ml_equilibrium
+from coulombgas.oracles import ml_equilibrium, tu_equilibrium
 from coulombgas.partition import expansion_terms, log_z_exact
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
 
@@ -287,6 +287,30 @@ def test_ml_equilibrium_droplet_is_droplet_of_over_the_float64_range():
         assert (got.r0.hex(), got.r1.hex(), got.kind) == (
             want.r0.hex(), want.r1.hex(), want.kind), (lam, c)
     assert both >= 6
+
+
+def test_tu_equilibrium_droplet_is_droplet_of_over_the_float64_range():
+    # tu_equilibrium takes its droplet from droplet_of, so the two agree bit
+    # for bit wherever the report returns, and the report raises wherever
+    # droplet_of does (r1 underflows, or ΔQ leaves float64 near the disc).
+    # Over the probe values of each parameter and a 4 x 5 grid of alpha, R.
+    grid = [(alpha, R) for alpha in (0.3, 0.5, 1.5, 3.0) for R in (0.2, 0.9, 1.0, 1.7, 4.0)]
+    both = 0
+    for alpha, R in [(v, 1.0) for v in _EXTREME_VALUES] + [(1.0, v) for v in _EXTREME_VALUES] + grid:
+        try:
+            want = droplet_of(TruncatedUnitary(alpha, R))
+        except CoulombGasError:
+            with pytest.raises(CoulombGasError):
+                tu_equilibrium(alpha, R)
+            continue
+        try:
+            got = tu_equilibrium(alpha, R).droplet
+        except CoulombGasError:  # a functional beyond float64 (alpha = 1e300)
+            continue
+        both += 1
+        assert (got.r0.hex(), got.r1.hex(), got.kind) == (
+            want.r0.hex(), want.r1.hex(), want.kind), (alpha, R)
+    assert both >= len(grid)
 
 
 # q(r / a) for Ginibre is |z|^2 / a^2, so h_j scales by a^(2j + 2) and the
