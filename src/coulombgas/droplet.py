@@ -78,7 +78,7 @@ def solve_r_tau(p, tau):
     At tau = 0 the result is the inner droplet radius r0: 0.0 for a disc, where
     r q'(r) >= 0 already at the bottom of the bracket or the potential
     supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
-    whatever the finite-difference noise in q'), and the root of
+    whatever the rounding of q' there), and the root of
     r q'(r) = 0 for an annulus.
     """
     tau = _check_tau(tau)
@@ -186,9 +186,9 @@ def _newton(p, tau, lo, hi, r):
 
     Newton runs on g(r) = r q'(r) - 2 tau, with g' = q' + r q'' > 0, and keeps
     [lo, hi] around the root at every step.  Each step reads q' and q''
-    in one evaluation (p._q_derivs_each), which a finite-difference Custom
-    takes from one stencil.  A step that leaves the bracket
-    or is not half the step before last, or a nonpositive g', falls back to
+    in one evaluation (p._q_derivs_each), for a Custom without derivs one
+    circle of q values.  A step that leaves the bracket or is not half the
+    step before last, or a nonpositive g', falls back to
     the midpoint, so the bracket shrinks at least as fast as by bisection.
     Converged once a Newton step is at most 1e-13 r or the bracket at most
     1e-13 hi, well under the iteration cap; a root too close to 0 for the

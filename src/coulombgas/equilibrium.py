@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .droplet import Droplet, _droplet, _laplacian_at
-from .errors import InvalidPotentialError, _named
+from .errors import DomainError, InvalidPotentialError, _named
 from .potential import _evaluate
 from .quadrature import integrate
 
@@ -46,12 +46,16 @@ def _integral(f, d):
     integrate runs it under np.errstate on nodes in [r0^2, r1^2], whose
     roots already pass the entry points' domain check.
 
-    Where f's noise sits above the 1e-13 target, as with finite-difference
-    derivatives, refinement stalls and integrate raises IntegrationError.
-    integrate is looked up as a module global on every call, so a wrapper
-    at equilibrium.integrate sees each integral.
+    Where f's noise sits above the 1e-13 target, refinement stalls and
+    integrate raises IntegrationError; where r1^2 overflows float64, this
+    raises DomainError.  integrate is looked up as a module global on every
+    call, so a wrapper at equilibrium.integrate sees each integral.
     """
-    val, _ = integrate(f, d.r0**2, d.r1**2, rel_tol=1e-13, abs_tol=1e-16)
+    try:
+        x0, x1 = d.r0**2, d.r1**2
+    except OverflowError:
+        raise DomainError(f"the droplet radius r1 = {d.r1!r} squared overflows float64") from None
+    val, _ = integrate(f, x0, x1, rel_tol=1e-13, abs_tol=1e-16)
     return val
 
 
@@ -136,18 +140,18 @@ def _f_term(p, d):
     dq0 = _laplacian_at(p, d.r0)
     dq1 = _laplacian_at(p, d.r1)
     ratio1 = float(p.laplacian_dr(d.r1)) / dq1
+
+    def f(x):
+        r = np.sqrt(x)
+        return (p._laplacian(r, 1) / p._laplacian(r, 0)) ** 2
+
+    val = _integral(f, d)  # first, so that r0^2 and r1^2 below are finite
     if d.kind == "annulus":
         inner = d.r0**2 * dq0
         inner_edge = d.r0 * (float(p.laplacian_dr(d.r0)) / dq0)
     else:
         inner = 1.0
         inner_edge = 0.0
-
-    def f(x):
-        r = np.sqrt(x)
-        return (p._laplacian(r, 1) / p._laplacian(r, 0)) ** 2
-
-    val = _integral(f, d)
     return (
         math.log(inner / (d.r1**2 * dq1)) / 12.0
         - (d.r1 * ratio1 - inner_edge) / 16.0
@@ -239,7 +243,6 @@ def zw_coefficients(p, droplet=None):
     """
     d = _droplet(p, droplet, "disc", "zw_coefficients")
     _laplacian_at(p, d.r0)  # as in _f_term, the integrands need ΔQ(0) > 0
-    x1 = d.r1**2
 
     def f0_integrand(x):
         r = np.sqrt(x)
@@ -258,6 +261,7 @@ def zw_coefficients(p, droplet=None):
     f0 = _integral(f0_integrand, d)
     fh = _integral(f_half_integrand, d)
     dirich = _integral(lambda x: x * chi_prime_x(x) ** 2, d)
+    x1 = d.r1**2  # finite, as the integrals returned
     dq1 = _laplacian_at(p, d.r1)
     chi1 = 0.5 * math.log(dq1)
     chi1_prime = float(p.laplacian_dr(d.r1)) / (4.0 * d.r1 * dq1)

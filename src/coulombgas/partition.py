@@ -164,11 +164,8 @@ def lemma_sum(p, n, which):
     decays like n^-3 for the V sums and n^-1 for the others.  Annular
     droplets only.  The prediction evaluates only the functionals it
     uses: energy and the origin log-potential for the V and log r sums,
-    the entropy for the log laplacian sums.  With finite-difference
-    derivatives (a Custom without derivs) the entropy integral stalls on
-    the noise of q'' and raises IntegrationError, so the two sum_logdq
-    variants raise there while the other four return.  A failure re-raises
-    its class with the potential name, n and which in front.
+    the entropy for the log laplacian sums.  A failure re-raises its class
+    with the potential name, n and which in front.
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:

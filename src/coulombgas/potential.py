@@ -23,7 +23,6 @@ second derivative enters the routes only as the Laplacian of Q at the
 saddle, read from the Laplacian hook.
 """
 
-import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -156,9 +155,9 @@ class RadialPotential:
     formula in a checked r that works on Python floats and numpy arrays;
     the entry points give it the scalar contract (_evaluate).  The hook
     _profiles(r, orders) gives several orders at once, each with
-    _profile's bits; Custom's finite differences share q values across
-    orders of one stencil reach there, and dilate forwards its base's.  The
-    Laplacian hook _laplacian(r, order), orders 0..2, has the same contract.
+    _profile's bits; a Custom without derivs reads every order there from
+    one circle of q values (Custom._cauchy), and dilate forwards its base's.
+    The Laplacian hook _laplacian(r, order), orders 0..2, has the same contract.
     Its default is the generic formula in terms of the profile, which Custom
     uses; the closed-form families override the hook (never the checked
     laplacian accessors), as they override r_tau, and dilate scales its
@@ -409,34 +408,32 @@ class TruncatedUnitary(RadialPotential):
         return self.alpha / self.beta if self.beta else math.inf
 
 
-# Finite-difference step relative to max(r, 1).
-_FD_STEP = float(_EPS ** (1.0 / 6.0))
+# A Custom without derivs reads q^(k)(r) = k! / (M rho^k) sum_m q(r + rho w^m)
+# w^(-mk), w = e^(2 pi i / M), the trapezoid rule for Cauchy's integral on a
+# circle (Lyness & Moler, SIAM J. Numer. Anal. 4, 1967).  For q analytic on
+# the disc of radius R about r it errs by aliasing, about (rho / R)^M, and by
+# rounding, about eps max|q| k! / rho^k (Squire & Trefethen, SIAM Review 40,
+# 1998).  R is the distance to the nearer of 0 and the hard wall, where
+# profiles are singular; rho = R / 3, M = 32 put the aliasing at 3^-32 < eps.
+# The guard, the mean-value property: the circle's mean must return q(r) to
+# 1e-12 max|q|, a few eps plus room for terms that cancel by ~1e3; a q built
+# with np.abs, np.maximum or np.where, or too steep or wavy, misses by more.
+_CAUCHY_M = 32
+_CAUCHY_SHRINK = 3.0
+_CAUCHY_GUARD = 1e-12
 
-# Fourth-order central difference stencils (offset -> coefficient), divided
-# by h^order at evaluation time.
-_FD_STENCILS = {
-    1: ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0)),
-    2: ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0), (1, 16.0 / 12.0), (2, -1.0 / 12.0)),
-    3: ((-3, 1.0 / 8.0), (-2, -1.0), (-1, 13.0 / 8.0), (1, -13.0 / 8.0), (2, 1.0), (3, -1.0 / 8.0)),
-    4: ((-3, -1.0 / 6.0), (-2, 2.0), (-1, -13.0 / 2.0), (0, 28.0 / 3.0), (1, -13.0 / 2.0), (2, 2.0), (3, -1.0 / 6.0)),
-}
+
+def _cauchy_rule(m, shrink):
+    """Offsets from r, in units of R, of the circle's nodes with Im z >= 0,
+    then of r itself; and weights whose sums over all but r give R^k q^(k)(r),
+    k = 0..4, as real parts: q(conj z) = conj q(z) fills in the mirror nodes."""
+    j = np.arange(m // 2 + 1)[:, None]
+    nodes = np.append(np.exp(2j * np.pi * j[:, 0] / m) / shrink, 0.0)
+    weights = np.where(j % (m // 2), 2.0, 1.0) / m * np.exp(-2j * np.pi * j * np.arange(5) / m)
+    return nodes, weights * [math.factorial(k) * shrink**k for k in range(5)]
 
 
-@functools.cache
-def _fd_plan(orders):
-    """How Custom._fd reads the ascending tuple orders: per stencil reach,
-    (reach, the sorted offsets its orders use, and per order (order, its
-    stencil as (index into those offsets, coefficient) pairs))."""
-    plan = []
-    for reach in sorted({_FD_STENCILS[k][-1][0] for k in orders}):
-        group = [k for k in orders if _FD_STENCILS[k][-1][0] == reach]
-        offsets = sorted({off for k in group for off, _ in _FD_STENCILS[k]})
-        sums = tuple(
-            (k, tuple((offsets.index(off), coef) for off, coef in _FD_STENCILS[k]))
-            for k in group
-        )
-        plan.append((reach, tuple(offsets), sums))
-    return tuple(plan)
+_CAUCHY_NODES, _CAUCHY_WEIGHTS = _cauchy_rule(_CAUCHY_M, _CAUCHY_SHRINK)
 
 
 class Custom(RadialPotential):
@@ -444,22 +441,19 @@ class Custom(RadialPotential):
 
     q must be callable, and derivs, when given, an iterable of exactly
     four callables for q', q'', q''', q''''; anything else raises
-    DomainError.  Without derivs, derivatives fall back to fourth-order
-    central differences with step h = max(r, 1) * eps^(1/6), shrunk near
-    the origin so stencil points stay positive.  Orders 1 and 2 reach two
-    steps each side, so they share h and one stencil of five q values:
-    the Newton step of the saddle solve and the Laplacian read q' and q''
-    together from it, with the bits of two separate calls (orders 3 and
-    4 share seven values the same way).  The callables receive
-    Python floats and 1-D float arrays; wrap one that only accepts scalars
-    as np.vectorize(f, otypes=[float]).  Scalar results are taken as Python
-    floats, and numpy calls a callable makes on a Python float follow
-    numpy's own error settings.  q_origin, when given, must be a finite
-    real and laplacian_origin a finite positive real; anything else raises
-    DomainError.  Each of these messages starts with "name: ".  The exact
-    norms' rounding floor takes |q| as the magnitude of q's terms (the
-    default _q_magnitude): a q whose terms cancel at the saddle can get a
-    target below its rounding noise, and its norm then raises
+    DomainError.  The callables receive Python floats and 1-D float arrays;
+    scalar results are taken as Python floats, and numpy calls a callable
+    makes on a Python float follow numpy's own error settings.  Without
+    derivs, every order at r comes from one call of q on complex points of
+    a circle about r (_cauchy): q must then take complex arrays and be
+    analytic within min(r, support_radius - r) of r, so a scalar-only q must
+    supply derivs.  A q that rejects complex points or fails the circle's
+    guard raises DomainError asking for derivs.  q_origin, when given, must
+    be a finite real and laplacian_origin a finite positive real; anything
+    else raises DomainError.  Each of these messages starts with "name: ".
+    The exact norms' rounding floor takes |q| as the magnitude of q's terms
+    (the default _q_magnitude): a q whose terms cancel at the saddle can get
+    a target below its rounding noise, and its norm then raises
     IntegrationError.
     """
 
@@ -492,40 +486,44 @@ class Custom(RadialPotential):
         self._laplacian_origin = laplacian_origin
         self.name = name
 
-    def _fd(self, r, orders):
-        """Central differences of q for each order in orders, ascending.
-        The orders of one reach (1 and 2 reach 2, 3 and 4 reach 3) share
-        their step h, so q is called once at each of their points (_fd_plan);
-        each order sums coef * q over its own stencil in stencil order, so
-        its bits are those of a call for it alone."""
-        q = self._q
-        scalar = type(r) is float
-        out = []
-        for reach, offsets, sums in _fd_plan(orders):
-            if scalar:
-                # Scalar path: the same arithmetic without numpy calls on scalars.
-                h = min(max(r, 1.0) * _FD_STEP, r / (reach + 1.0))
-                # q itself at each point, a Python float for a float r as in _profile
-                values = [float(q(r + off * h)) for off in offsets]
-            else:
-                h = np.minimum(np.maximum(r, 1.0) * _FD_STEP, r / (reach + 1.0))
-                values = [q(r + off * h) for off in offsets]
-            for order, terms in sums:
-                acc = 0.0
-                for i, coef in terms:
-                    acc = acc + coef * values[i]
-                out.append(acc / h**order)
-        return tuple(out)
+    @np.errstate(all="ignore")  # a float's read runs in numpy, quiet as an array's
+    def _cauchy(self, r, orders):
+        """q^(k)(r) for each k in orders, all from one call of q on the
+        circles about r (_cauchy_rule), their R cut by the hard wall; a q
+        that rejects complex points, or fails the guard, raises DomainError."""
+        x = np.asarray(r)[..., None]
+        wall = self.support_radius
+        reach = x if wall is None else np.minimum(x, np.maximum(wall - x, 0.0))
+        z = x + reach * _CAUCHY_NODES
+        try:
+            v = np.asarray(self._q(z.ravel()), dtype=complex).reshape(z.shape)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(
+                f"{self.name}: without derivs, q must take complex arrays ({exc}); supply derivs"
+            ) from exc
+        d = (v[..., :-1] @ _CAUCHY_WEIGHTS).real
+        miss = d[..., 0] - v[..., -1].real
+        bad = np.abs(miss) > _CAUCHY_GUARD * np.abs(v).max(axis=-1)
+        if np.count_nonzero(bad):
+            raise DomainError(
+                f"{self.name}: the mean of q on the circle about r = {float(x[bad].flat[0])!r} "
+                f"misses q(r) by {float(miss[bad].flat[0])!r}: q is not analytic there, too "
+                "steep or wavy for the circle, or inexact at complex points; supply derivs"
+            )
+        if type(r) is float:
+            return tuple([d.item(k) / reach.item() ** k for k in orders])
+        h = reach[..., 0]
+        return tuple([d[..., k] / h**k for k in orders])
 
     def _profile(self, r, order):
         if order and self._derivs is None:
-            return self._fd(r, (order,))[0]
+            return self._cauchy(r, (order,))[0]
         v = self._derivs[order - 1](r) if order else self._q(r)
         return float(v) if type(r) is float else v  # numpy scalars stay out
 
     def _profiles(self, r, orders):
         if self._derivs is None:
-            return self._fd(r, orders)
+            return self._cauchy(r, orders)
         return super()._profiles(r, orders)
 
     def q_at_zero(self):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mp_reference
+from coulombgas import partition
 from coulombgas.cli import main as cli_main
 from coulombgas.equilibrium import (
     b1_integral,
@@ -277,9 +278,9 @@ def _reference_gap_and_bound(p, ref, n, ensemble):
 
 def _square_custom(derivs):
     """q = r^2 as a Custom potential without origin data (no q_origin= or
-    laplacian_origin=), with analytic or finite-difference derivatives."""
-    if derivs == "fd":
-        return Custom(lambda r: r * r, name="custom-r^2-fd")
+    laplacian_origin=), with analytic derivatives or without derivs."""
+    if derivs == "circle":
+        return Custom(lambda r: r * r, name="custom-r^2-circle")
     return Custom(lambda r: r * r, derivs=(
         lambda r: 2.0 * r,
         lambda r: 2.0 + 0.0 * r,
@@ -306,7 +307,7 @@ _LARGE_N_FAMILIES = {
     "ml(2,0)": (lambda: MittagLeffler(2.0, 0.0), (10, 100, 1600)),
     "ml(1.3,0)": (lambda: MittagLeffler(1.3, 0.0), (10, 100, 1600)),
     "custom-r^2": (lambda: _square_custom("analytic"), (10, 100, 1600)),
-    "custom-r^2-fd": (lambda: _square_custom("fd"), (10, 100, 1600)),
+    "custom-r^2-circle": (lambda: _square_custom("circle"), (10, 100, 1600)),
     # The disc-annulus transition: as c -> 0 the inner radius sqrt(c) and
     # the low-degree saddles and cuts move toward the origin.
     "ml(1,0.1)": (lambda: MittagLeffler(1.0, 0.1), (10, 100, 1600)),
@@ -339,11 +340,11 @@ def test_exact_matches_oracle_large_n(family, ensemble, n):
 
 def _ml11_custom(derivs):
     """The ML(1, 1) profile r^2 - 2 log r as a Custom potential, so that
-    every saddle radius comes from the r q'(r) table, with analytic or with
-    finite-difference derivatives."""
+    every saddle radius comes from the r q'(r) table, with analytic
+    derivatives or without derivs."""
     q = lambda r: r * r - 2.0 * np.log(r)
-    if derivs == "fd":
-        return Custom(q, name="custom-ml(1,1)-fd")
+    if derivs == "circle":
+        return Custom(q, name="custom-ml(1,1)-circle")
     return Custom(q, derivs=(
         lambda r: 2.0 * r - 2.0 / r,
         lambda r: 2.0 + 2.0 / r**2,
@@ -352,13 +353,13 @@ def _ml11_custom(derivs):
     ), name="custom-ml(1,1)")
 
 
-@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+@pytest.mark.parametrize("derivs", ["analytic", "circle"])
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
 @pytest.mark.parametrize("n", [400, 1600])
 def test_custom_exact_matches_oracle_large_n(derivs, ensemble, n):
     # The bound of test_exact_matches_oracle_large_n, with the norm bounds
     # at the Custom profile.  The saddle radius and the Laplacian there only
-    # place the quadrature; the integrand is q itself, so a finite-difference
+    # place the quadrature; the integrand is q itself, so the circle read's
     # q' enters the bound only through r* in the roundoff floor.
     p = _ml11_custom(derivs)
     t0 = time.perf_counter()
@@ -445,33 +446,42 @@ def test_dilated_hard_wall_every_size_matches_reference(ensemble):
 # stronger c leaves the gates nothing to read: at c = 8, N R stays within
 # 1e-6 over N = 100 ... 800 and its doubling differences change sign, so
 # the ratios would read rounding.
-def _quartic(kind, c=0.5):
+# Both gates also run on the four profiles without derivs, once each, so
+# that every derivative comes from the circle read.  Its error moves the
+# coefficients, not N R's float64 noise: a wrong c_N2 by d adds 7 d N^3 to
+# D(N), a ratio near 8, as would an energy off by the quadrature's target.
+# So the room above 1/2 stays as derived, and the circle's error (bounded
+# in _circle_error) would read as a failure, never as a pass.
+def _quartic(kind, c=0.5, derivs=True):
     if kind == "disc":
         return Custom(lambda r: r * r + r**4 / 4.0, derivs=(
             lambda r: 2.0 * r + r**3,
             lambda r: 2.0 + 3.0 * r * r,
             lambda r: 6.0 * r,
             lambda r: 6.0 + 0.0 * r,
-        ), q_origin=0.0, laplacian_origin=1.0, name="quartic disc")
+        ) if derivs else None, q_origin=0.0, laplacian_origin=1.0, name="quartic disc")
     return Custom(lambda r: r * r + r**4 / 4.0 - 2.0 * c * np.log(r), derivs=(
         lambda r: 2.0 * r + r**3 - 2.0 * c / r,
         lambda r: 2.0 + 3.0 * r * r + 2.0 * c / r**2,
         lambda r: 6.0 * r - 4.0 * c / r**3,
         lambda r: 6.0 + 12.0 * c / r**4,
-    ), name=f"quartic-log annulus c={c!r}")
+    ) if derivs else None, name=f"quartic-log annulus c={c!r}")
 
 
 _OFF_FAMILY_CASES = [
-    *(pytest.param(kind, 0.5, ensemble, id=f"{kind}-{ensemble}")
+    *(pytest.param(kind, 0.5, ensemble, True, id=f"{kind}-{ensemble}")
       for ensemble in ("normal", "symplectic") for kind in ("disc", "annulus")),
-    *(pytest.param("annulus", c, "symplectic", id=f"annulus-c{c!r}-symplectic")
+    *(pytest.param("annulus", c, "symplectic", True, id=f"annulus-c{c!r}-symplectic")
       for c in (0.1, 2.0)),
+    *(pytest.param(kind, c, ensemble, False, id=f"{kind}-c{c!r}-{ensemble}-circle")
+      for kind, c, ensemble in (("disc", 0.0, "normal"), ("annulus", 0.5, "symplectic"),
+                                ("annulus", 0.1, "symplectic"), ("annulus", 2.0, "symplectic"))),
 ]
 
 
-@pytest.mark.parametrize("kind, c, ensemble", _OFF_FAMILY_CASES)
-def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, c, ensemble):
-    p = _quartic(kind, c)
+@pytest.mark.parametrize("kind, c, ensemble, derivs", _OFF_FAMILY_CASES)
+def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, c, ensemble, derivs):
+    p = _quartic(kind, c, derivs)
     t0 = time.perf_counter()
     report = equilibrium_report(p)
     assert report.droplet.kind == kind
@@ -514,7 +524,8 @@ def test_expansion_remainder_is_o_of_1_over_n_off_the_families(kind, c, ensemble
 #     and its log and edge terms move with the radii by at most 1e-13.
 # The float64 weighted sum adds 4 eps sum |w_i R_i|.  An O(N^-3) term
 # c3 / N^3 in R leaks c3 sum_i w_i / N_i^3 = 8.8e-9 c3 into delta; the
-# bound allows |c3| <= 1.
+# bound allows |c3| <= 1.  Without derivs e(N) also takes the circle read's
+# share, _circle_error.  The route's log h_j are the ones log_z_exact sums.
 _FIT_NS = (200, 400, 800, 1600)
 _FIT_WEIGHTS = tuple(map(Fraction, ("1/6", "-5/6", "1/3", "4/3")))
 
@@ -529,6 +540,65 @@ def test_fit_weights_are_the_least_squares_delta():
     v = [1 / math.prod(x - y for y in xs if y != x) for x in xs]
     assert sum(w * vi for w, vi in zip(_FIT_WEIGHTS, v)) == 0
     assert sum(w * x**3 for w, x in zip(_FIT_WEIGHTS, xs)) <= Fraction(88, 10**10)
+
+
+# The circle read's share of e(N), for the profiles without derivs.  By the
+# error model of tests/test_potential.py (40 eps of rounding; the aliasing
+# comes from log z alone, 2c 3^-n / n, with 2c <= 3 m), q^(k) errs by at most
+#   d_k(r) = 48 eps m(r) k! (3 / r)^k,
+#   m(r) = (4r/3)^2 + (4r/3)^4 / 4 + 2c (max(|log(2r/3)|, |log(4r/3)|) + asin(1/3)),
+# m the largest magnitude of q's terms on the circle of radius r / 3.  So
+# Delta Q = (q'/r + q'')/4 errs by a0 = (d1 / r + d2) / 4, Delta Q' by
+# a1 = (d3 + d2 / r + d1 / r^2) / 4, and a droplet edge, the root of
+# r q' = 0 or 2, moves by at most d1 / (4 Delta Q), a relative e = d1 / (4 r
+# Delta Q) of r.  With Delta Q = 1 + r^2 >= 1 and t = Delta Q' / Delta Q =
+# 2r / (1 + r^2) <= 1 (so r t <= 2r^2 / (1 + r^2) <= 2, |(r t)'| <= 1.3):
+#   - E: (1/8) int (2 |q'| d1 + d1^2) dx; E is stationary in the edges;
+#   - E_Q: int (|log Delta Q| + 1) a0 dx, plus G e at the edges;
+#   - f_term, per edge: (a0 + 4 e) / 12 for its log and (r a1 + 2 r^2 a0 +
+#     1.3 r e) / 16 for r t; its integral (1/48) int (t^2)' dx moves by at
+#     most (1/48) (int 2 t (a1 + t a0) dx + sum over the edges 2 r^2 e);
+#   - the symplectic edge term log(Delta Q(r0) / Delta Q(r1)) / 8: per edge
+#     (a0 + 2 e) / 8.
+# A disc has no inner edge, and its Delta Q(0) = 1 is given.  Each integral
+# is bounded by its x-range times the largest value of its integrand over
+# 4096 midpoints, times 1.01 for what lies between them.  e_circle(N) =
+# k N^2 dE + (N / 2) dE_Q + dc_1, dc_1 = df (normal) or df / 2 + d_edge.
+def _circle_error(c, report, terms, n):
+    """The circle read's share of e(N) for the quartic profile of strength c."""
+    d = report.droplet
+    eps = mp_reference.EPS
+    x0, x1 = d.r0**2, d.r1**2
+
+    def parts(r):
+        far = np.maximum(np.abs(np.log(2.0 * r / 3.0)), np.abs(np.log(4.0 * r / 3.0)))
+        m = (4.0 * r / 3.0) ** 2 + (4.0 * r / 3.0) ** 4 / 4.0 + 2.0 * c * (far + math.asin(1 / 3))
+        d1, d2, d3 = (48.0 * eps * m * math.factorial(k) * (3.0 / r) ** k for k in (1, 2, 3))
+        dq = 1.0 + r * r
+        return d1, (d1 / r + d2) / 4.0, (d3 + d2 / r + d1 / r**2) / 4.0, dq, 2.0 * r / dq
+
+    def integral(f):
+        x = x0 + (x1 - x0) * (np.arange(4096) + 0.5) / 4096
+        return 1.01 * (x1 - x0) * float(np.max(f(np.sqrt(x))))
+
+    def energy_part(r):
+        d1 = parts(r)[0]
+        return 2.0 * np.abs(2.0 * r + r**3 - 2.0 * c / r) * d1 + d1 * d1
+
+    d_e = integral(energy_part) / 8.0
+    d_eq = integral(lambda r: (np.abs(np.log(parts(r)[3])) + 1.0) * parts(r)[1])
+    d_f = integral(lambda r: 2.0 * parts(r)[4] * (parts(r)[2] + parts(r)[4] * parts(r)[1])) / 48.0
+    d_edge = 0.0
+    for r in ((d.r0, d.r1) if d.kind == "annulus" else (d.r1,)):
+        d1, a0, a1, dq, _ = parts(r)
+        e = d1 / (4.0 * r * dq)
+        d_eq += 2.0 * r * r * dq * abs(math.log(dq)) * e
+        d_f += (a0 + 4.0 * e) / 12.0 + (r * a1 + 2.0 * r * r * a0 + 1.3 * r * e) / 16.0
+        d_f += 2.0 * r * r * e / 48.0
+        d_edge += (a0 + 2.0 * e) / 8.0
+    k = 1 if terms.ensemble == "normal" else 2
+    d_1 = d_f if k == 1 else d_f / 2.0 + d_edge
+    return k * n * n * d_e + n * d_eq / 2.0 + d_1
 
 
 def _expansion_error(p, report, terms, n):
@@ -548,19 +618,27 @@ def _expansion_error(p, report, terms, n):
     return (1e-13 + 4.0 * eps) * coefficients + 2.0 * eps * math.fsum(map(abs, parts))
 
 
-@pytest.mark.parametrize("kind, c, ensemble", _OFF_FAMILY_CASES)
-def test_expansion_fit_has_no_o1_residual_off_the_families(kind, c, ensemble):
-    p = _quartic(kind, c)
+@pytest.mark.parametrize("kind, c, ensemble, derivs", _OFF_FAMILY_CASES)
+def test_expansion_fit_has_no_o1_residual_off_the_families(kind, c, ensemble, derivs,
+                                                          monkeypatch):
+    p = _quartic(kind, c, derivs)
     t0 = time.perf_counter()
     report = equilibrium_report(p)
     terms = expansion_terms(p, ensemble, report=report)
+    log_hs = []
+
+    def recorded(p, query):
+        log_hs.append(log_norm_exact(p, query))
+        return log_hs[-1]
+
+    monkeypatch.setattr(partition, "log_norm_exact", recorded)
     residuals, errors = [], []
     for n in _FIT_NS:
-        degrees = range(n) if ensemble == "normal" else range(1, 2 * n, 2)
-        log_hs = [log_norm_exact(p, NormQuery(n, j, ensemble)) for j in degrees]
+        log_hs.clear()
         residuals.append(log_z_exact(p, n, ensemble) - terms.evaluate(n))
         errors.append(mp_reference.route_bound(p, n, ensemble, log_hs)
-                      + _expansion_error(p, report, terms, n))
+                      + _expansion_error(p, report, terms, n)
+                      + (0.0 if derivs else _circle_error(c, report, terms, n)))
     weights = [float(w) for w in _FIT_WEIGHTS]
     weighted = [w * r for w, r in zip(weights, residuals)]
     delta = math.fsum(weighted)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombgas import droplet
-from coulombgas.droplet import dr_dtau, droplet_of, solve_r_tau
+from coulombgas.droplet import Droplet, dr_dtau, droplet_of, solve_r_tau
 from coulombgas.errors import CoulombGasError, DomainError, InvalidPotentialError
 from coulombgas.potential import (
     Custom,
@@ -212,25 +212,44 @@ def test_concave_profile_rejected():
 
 
 _EPS = float(np.finfo(float).eps)
-_ML_ROOT_CASES = [(lam, c) for lam in (1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0) for c in (0.5, 1.3, 2.0)]
+_ML_ROOT_CASES = [(lam, c) for lam in (1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0, 2.0)
+                  for c in (0.5, 1.1, 1.3, 2.0)]
 
 
-@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+def _circle_root_error(lam, c, r):
+    """How far the circle read's q' error can move the root r of r q'(r) =
+    2 tau for the ML(lam, c) profile without derivs.  By the error model
+    that tests/test_potential.py derives, q' errs by at most
+    e1 = 3 (40 eps m + 2 3^-32 (r^(2 lam) + 2c)) / r, m the largest
+    magnitude of q's terms on the circle of radius r / 3; g = r q' - 2 tau
+    has g' = 4 lam^2 r^(2 lam - 1), so the root moves by r e1 / g'."""
+    far = max(abs(math.log(2.0 * r / 3.0)), abs(math.log(4.0 * r / 3.0)))
+    m = (4.0 * r / 3.0) ** (2.0 * lam) + 2.0 * c * (far + math.asin(1.0 / 3.0))
+    e1 = 3.0 * (40.0 * _EPS * m + 2.0 * 3.0**-32 * (r ** (2.0 * lam) + 2.0 * c)) / r
+    return e1 / (4.0 * lam * lam * r ** (2.0 * lam - 2.0))
+
+
+@pytest.mark.parametrize("derivs", ["analytic", "circle"])
 @pytest.mark.parametrize("lam, c", _ML_ROOT_CASES)
 def test_custom_root_matches_ml_closed_form(lam, c, derivs):
-    # Bound: the Newton step or bracket stops at a relative 1e-13; a
-    # finite-difference q' moves the root by its own relative error, at
-    # most 10 eps^(2/3) for these profiles (bench/README.md derives it).
+    # Bound, derived before the run: the Newton step or bracket stops at a
+    # relative 1e-13, and the closed form rounds within 9 eps / lam
+    # (test_custom_ml_roots_over_a_hundred_decades_of_tau); without derivs
+    # the circle read's q' moves the root by _circle_root_error.  The
+    # droplet's radii are the roots at tau = 0 and 1.
     p = _ml_custom(lam, c)
-    if derivs == "fd":
+    if derivs == "circle":
         p = Custom(p._q)
     closed = MittagLeffler(lam, c)
-    fd_rel = 10.0 * _EPS ** (2.0 / 3.0) if derivs == "fd" else 0.0
     for j in range(201):
         tau = j / 200
         want = closed.r_tau(tau)
+        bound = (1e-13 + 9.0 * _EPS / lam) * want
+        if derivs == "circle":
+            bound += _circle_root_error(lam, c, want)
         got = solve_r_tau(p, tau)
-        assert abs(got - want) <= (1e-13 + fd_rel) * want, (tau, got, want)
+        assert abs(got - want) <= bound, (tau, got, want)
+    assert droplet_of(p) == Droplet(solve_r_tau(p, 0.0), solve_r_tau(p, 1.0), "annulus")
 
 
 def test_custom_root_at_a_kink_of_r_q_prime():
@@ -310,7 +329,7 @@ def test_custom_root_derivative_calls_per_solve():
 _TABLE_CASES = [(0.5, 1.3), (1.0 / 3.0, 1.3), (0.5, 1.0), (1.0, 0.0)]
 
 
-@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+@pytest.mark.parametrize("derivs", ["analytic", "circle"])
 def test_table_results_do_not_depend_on_call_order(derivs):
     # The first solve of one copy is at tau = 0, of the other at tau = 1,
     # and neither builds the table; the interior levels then build it.
@@ -338,7 +357,7 @@ class _Counting(Custom):
         return super()._profile(r, order)
 
 
-@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+@pytest.mark.parametrize("derivs", ["analytic", "circle"])
 @pytest.mark.parametrize("lam, c", _TABLE_CASES)
 def test_table_is_built_once_by_one_array_call(lam, c, derivs):
     base = _ml_custom(lam, c)
@@ -405,7 +424,7 @@ def test_any_subclass_keeps_a_table():
 
 
 def test_root_at_a_table_edge_comes_from_the_table():
-    # q = r^2 with FD derivatives: r_tau = sqrt(tau).  At tau = 1e-30 the
+    # q = r^2 without derivs: r_tau = sqrt(tau).  At tau = 1e-30 the
     # root 1e-15 lies in the table's first cells, next to its lower edge
     # r0 = 0, and below the scan's first point r = 1e-12; the table's
     # Newton stops at a relative 1e-13, which is the bound.
@@ -423,12 +442,12 @@ def test_root_at_a_table_edge_comes_from_the_table():
 # q = r^2: r_tau = sqrt(tau).  Newton stops within 0.5e-13 r of the root
 # (half a relative bracket of 1e-13, or a quadratically smaller error after
 # a step of at most 1e-13 r).  Rounding adds the rest.  Analytic: r q'(r) =
-# 2 r^2 rounds to eps, and the root moves by half that.  FD below
-# r = 7e-3, where h = r / 3: the stencil is exact on r^2.  Its four values
-# (r + off h)^2 carry 3 eps each, with |coefficients| summing to 1.5.  So
-# q' errs by at most 4.5 eps (5/3)^2 r^2 / h = 38 eps r, or 19 eps of q' = 2r,
-# which moves the root by half that.  In both cases the bound is 1e-13 r.
-@pytest.mark.parametrize("derivs", ["analytic", "fd"])
+# 2 r^2 rounds to eps, and the root moves by half that.  Without derivs the
+# circle read is exact on r^2 but for rounding (_circle_root_error with
+# lam = 1, c = 0): q' errs by at most 120 eps (4/3)^2 r = 214 eps r, or
+# 107 eps of q' = 2r, which moves the root by half that.  In both cases the
+# bound is 1e-13 r = 450 eps r.
+@pytest.mark.parametrize("derivs", ["analytic", "circle"])
 @pytest.mark.parametrize("tau", [1e-20, 1e-24, 1e-26, 1e-30, 1e-60, 1e-100])
 def test_tiny_tau_roots_of_a_custom_disc(tau, derivs):
     p = _ml_custom(1.0, 0.0) if derivs == "analytic" else Custom(lambda r: r * r)
@@ -439,11 +458,10 @@ def test_tiny_tau_roots_of_a_custom_disc(tau, derivs):
 @st.composite
 def _custom_ml(draw):
     """(lam, c, derivs, the Custom ML(lam, c) profile) for a disc (c = 0) or
-    an annulus; FD discs are polynomials, q = r^k with k = 2 lam <= 4."""
-    derivs = draw(st.sampled_from(["analytic", "fd"]))
+    an annulus."""
+    derivs = draw(st.sampled_from(["analytic", "circle"]))
     if draw(st.booleans()):
-        lam = draw(st.floats(1.0, 4.0) if derivs == "analytic" else st.sampled_from([1.0, 1.5, 2.0]))
-        c = 0.0
+        lam, c = draw(st.floats(1.0, 4.0)), 0.0
     else:
         lam, c = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
     p = _ml_custom(lam, c)
@@ -458,16 +476,8 @@ def _custom_ml(draw):
 #   2c <= k r^k at the root, that moves the root by at most 8 eps r / k.
 # - The closed form ((tau + c) / lam)^(1 / (2 lam)): eps (1 / k + 1) r.
 #   With the last term, at most 18 eps r / k = 9 eps r / lam for lam <= 4.
-# - FD annulus (lam, c in [0.5, 2]): the stencil moves the root by at
-#   most 1e-9 max(1, r) (derived in tests/test_properties.py).
-# - FD disc, q = r^k with k in {2, 3, 4}: the stencil is exact on
-#   polynomials of degree 4, so only rounding is left.  Its four values
-#   (r + off h)^k carry (k + 1) eps each, with |coefficients| summing to
-#   1.5, and h <= r / 3.  Over h, relative to q' = k r^(k - 1), that is
-#   1.5 (k + 1) eps (1 + 2h/r)^k (r/h) / k.  (1 + 2x)^k / x, x = h / r in
-#   [eps^(1/6), 1/3], peaks at 421 at the left end.  So it is at most
-#   950 eps, and q' errs by at most 1000 eps in all.  A relative error e
-#   in q' moves the root by r e / k, here by 500 eps r / lam.
+# - Without derivs, the circle read's q' moves the root by at most
+#   _circle_root_error(lam, c, r).
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(case=_custom_ml(), log_tau=st.floats(-100.0, 0.0))
 def test_custom_ml_roots_over_a_hundred_decades_of_tau(case, log_tau):
@@ -475,8 +485,8 @@ def test_custom_ml_roots_over_a_hundred_decades_of_tau(case, log_tau):
     tau = 10.0**log_tau
     want = MittagLeffler(lam, c).r_tau(tau)
     bound = (1e-13 + 9.0 * _EPS / lam) * want
-    if derivs == "fd":
-        bound += 1e-9 * max(1.0, want) if c > 0.0 else 500.0 * _EPS / lam * want
+    if derivs == "circle":
+        bound += _circle_root_error(lam, c, want)
     got = solve_r_tau(p, tau)
     assert abs(got - want) <= bound, (lam, c, derivs, tau, got, want)
 
@@ -505,11 +515,12 @@ def test_scalar_overflow_evaluates_like_the_array_path(tau):
     assert abs(r - want) <= 1e-13 * want, (r, want)
 
 
-@pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "circle"])
 def test_paired_read_retries_an_overflowing_float_as_an_array(derivs):
     # At r = 2 a Python float raises OverflowError in the steep profile, so
-    # q' and q'' are read from the one-element array: inf, or the nan of
-    # inf - inf in the stencil, as Python floats and as the separate calls give.
+    # q' and q'' are read from the one-element array: inf; or, without
+    # derivs, the circle's nan of inf - inf, as Python floats and as the
+    # separate calls give.
     p = _steep_power(derivs)
     got = p._q_derivs_each(2.0, (1, 2))
     want = (p.q_derivs(2.0, 1), p.q_derivs(2.0, 2))
@@ -519,23 +530,30 @@ def test_paired_read_retries_an_overflowing_float_as_an_array(derivs):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "circle"])
 def test_scalar_overflow_raises_package_errors(derivs):
     p = _steep_power(derivs)
     with pytest.raises(CoulombGasError):
         droplet_of(p)
     if not derivs:
-        # Finite differences of inf are nan, so no bracket is found.
-        with pytest.raises(CoulombGasError):
+        # r^5000 grows by (4/3)^5000 across the circle about r = 1, so its
+        # mean misses q(1): the guard raises, where no bracket is found.
+        with pytest.raises(DomainError, match="mean of q on the circle about r = 1.0 "):
             solve_r_tau(p, 0.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_in_the_bracket_scan_is_named():
-    # The FD q' of the steep profile is inf - inf = nan from r = 2 on; the
-    # scan stops there instead of treating nan as below the target.
+    # q = r^2 / 4 with a q' that is inf - inf = nan from r = 2 on, where the
+    # steep power overflows: r q' = r^2 / 2 is below 2 tau = 1 at the scan's
+    # r = 1, and the scan stops at r = 2 instead of treating nan as below
+    # the target.
+    def q1(r):
+        return r / 2.0 + ((r / 1.3) ** 5000 - (r / 1.3) ** 5000)
+
+    p = Custom(lambda r: r * r / 4.0, derivs=[q1, lambda r: 0.5 + 0.0 * r, lambda r: 0.0 * r,
+                                             lambda r: 0.0 * r])
     with pytest.raises(InvalidPotentialError, match=r"r q'\(r\) is nan at r = 2\.0") as exc:
-        solve_r_tau(_steep_power(False), 0.5)
+        solve_r_tau(p, 0.5)
     assert "tau = 0.5" in str(exc.value)
 
 
@@ -597,10 +615,12 @@ _EVERY_FAMILY = _STEEP_DISCS + [
     dilate(TruncatedUnitary(1.0, 1.0), 1.5),
     _ml_custom(0.5, 1.0),
     _ml_custom(1.0, 0.0),
-    Custom(lambda r: r * r, name="custom-fd-r2"),
-    Custom(lambda r: 5.0 + r * r, name="custom-fd-5+r2"),
-    # FD noise in q' near 0 swamps its true value 2r; the origin data decide.
-    Custom(lambda r: 5.0 + r * r, q_origin=5.0, laplacian_origin=1.0, name="custom-fd-5+r2-origin"),
+    Custom(lambda r: r * r, name="custom-circle-r2"),
+    Custom(lambda r: 5.0 + r * r, name="custom-circle-5+r2"),
+    # The rounding of q' near 0, 15 eps / r, swamps its true value 2r; the
+    # origin data decide.
+    Custom(lambda r: 5.0 + r * r, q_origin=5.0, laplacian_origin=1.0,
+           name="custom-circle-5+r2-origin"),
 ]
 
 

@@ -6,6 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import noisy
 from coulombgas import quadrature
 from coulombgas.droplet import Droplet, droplet_of
 from coulombgas.equilibrium import (
@@ -310,18 +311,17 @@ def test_every_functional_names_the_potential_once(name):
 
 
 def test_stalled_entropy_names_the_potential():
-    # Finite-difference derivatives: the entropy integral stalls on the
-    # noise of q''.
-    p = Custom(lambda r: r**4 - 2.0 * np.log(r), name="quartic-log")
+    # The entropy integral stalls on the noise of q'' (noisy.ripple).
+    p = noisy.with_noise(MittagLeffler(2.0, 1.0), noisy.ripple, "quartic-log")
     with pytest.raises(IntegrationError, match="^quartic-log: refinement stalled"):
         entropy(p)
 
 
 def test_creeping_entropy_ends_at_the_panel_budget(monkeypatch):
-    # On the FD quartic disc the error estimate keeps creeping down while
-    # the panel count doubles each round, so refinement never stalls; the
-    # panel budget ends it before a round's node array grows past 2^16
-    # panels.
+    # On the quartic disc with rough noise in q'' (noisy.rough) the error
+    # estimate keeps creeping down while the panel count doubles each round,
+    # so refinement never stalls; the panel budget ends it before a round's
+    # node array grows past 2^16 panels.
     batches = []
     eval_panels = quadrature._eval_panels
 
@@ -331,7 +331,7 @@ def test_creeping_entropy_ends_at_the_panel_budget(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_eval_panels", counting)
     with pytest.raises(IntegrationError, match="^quartic: panel budget exceeded"):
-        entropy(Custom(lambda r: r**4, name="quartic"))
+        entropy(noisy.with_noise(MittagLeffler(2.0, 0.0), noisy.rough, "quartic"))
     assert max(batches) <= 1 << 16
 
 
@@ -469,7 +469,14 @@ def test_chi_form_of_the_dilated_ginibre_starts_at_the_origin(a):
 def test_droplet_errors_name_the_potential_once():
     # q = r^2 + 0.01 sin(30 r) has Laplacian (4 + 0.3 cos(30 r)/r - 9 sin(30 r))/4,
     # negative wherever sin(30 r) > 0.5 on r >= 0.6: inside the unit-sized droplet.
-    p = Custom(lambda r: r * r + 0.01 * np.sin(30.0 * r), name="wavy")
+    # Its derivatives are given: sin(30 z) grows too fast on the circles about
+    # r for a read without them.
+    p = Custom(lambda r: r * r + 0.01 * np.sin(30.0 * r), derivs=(
+        lambda r: 2.0 * r + 0.3 * np.cos(30.0 * r),
+        lambda r: 2.0 - 9.0 * np.sin(30.0 * r),
+        lambda r: -270.0 * np.cos(30.0 * r),
+        lambda r: 8100.0 * np.sin(30.0 * r),
+    ), name="wavy")
     for call in (droplet_of, equilibrium_report):
         with pytest.raises(InvalidPotentialError) as exc:
             call(p)

@@ -437,8 +437,8 @@ def _with_derivs(p):
     return Custom(p.q_derivs, derivs=[partial(p.q_derivs, order=k) for k in range(1, 5)])
 
 
-# The profile of ML(1/3, 0.7) with finite-difference derivatives.
-_FD_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="fd-ml-third")
+# The profile of ML(1/3, 0.7) without derivs, read on circles.
+_CIRCLE_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="circle-ml-third")
 
 
 def _count_rounds(monkeypatch):
@@ -473,16 +473,16 @@ def _count_rounds(monkeypatch):
         (dilate(Ginibre(), 1.5), 50, "normal"),
         (_with_derivs(MittagLeffler(0.5, 1.3)), 60, "normal"),
         (dilate(_with_derivs(MittagLeffler(1.0, 1.0)), 1.5), 50, "symplectic"),
-        (_FD_ML, 60, "normal"),
-        (_FD_ML, 60, "symplectic"),
+        (_CIRCLE_ML, 60, "normal"),
+        (_CIRCLE_ML, 60, "symplectic"),
         (MittagLeffler(1.0, 1.0), 1600, "normal"),
         (MittagLeffler(1.0, 1.0), 1600, "symplectic"),
         (TruncatedUnitary(1.0, 1.0), 1600, "normal"),
         (TruncatedUnitary(1.0, 1.0), 1600, "symplectic"),
     ],
     ids=["ml11-normal", "ml051-symplectic", "tu11-symplectic", "dilated-ginibre-normal",
-         "custom-ml0513-normal", "dilated-custom-ml11-symplectic", "fd-ml-third-normal",
-         "fd-ml-third-symplectic", "ml11-1600-normal", "ml11-1600-symplectic",
+         "custom-ml0513-normal", "dilated-custom-ml11-symplectic", "circle-ml-third-normal",
+         "circle-ml-third-symplectic", "ml11-1600-normal", "ml11-1600-symplectic",
          "tu11-1600-normal", "tu11-1600-symplectic"],
 )
 def test_seeded_partition_converges_in_one_round(monkeypatch, p, n, ensemble):
@@ -628,7 +628,7 @@ _EVERY_KIND = [
     TruncatedUnitary(2.0, 1.5),
     dilate(MittagLeffler(1.0, 1.0), 1.5),
     dilate(TruncatedUnitary(1.0, 1.0), 0.7),
-    Custom(lambda r: r**3.0 - np.log(r), name="custom-fd"),
+    Custom(lambda r: r**3.0 - np.log(r), name="custom-circle"),
     # TU(1, 1)'s profile as a user callable: the hard wall at sqrt(2) is the cut.
     Custom(lambda r: -np.log(1.0 - r * r / 2.0), support_radius=math.sqrt(2.0),
            q_origin=0.0, laplacian_origin=0.5, name="custom-wall"),
@@ -703,7 +703,7 @@ def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monk
         MittagLeffler(0.5, 1.2),
         TruncatedUnitary(2.0, 1.5),
         dilate(MittagLeffler(1.0, 1.0), 1.5),
-        Custom(lambda r: r**3.0 - np.log(r), name="custom-fd"),
+        Custom(lambda r: r**3.0 - np.log(r), name="custom-circle"),
     ]
     droplet._table(kinds[-1])  # a Custom's r q'(r) table: one array call per potential
     args = []

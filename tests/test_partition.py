@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mp_reference
+import noisy
 from coulombgas.droplet import Droplet, dr_dtau, solve_r_tau
 from coulombgas.equilibrium import EquilibriumReport
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
@@ -124,19 +125,19 @@ def test_log_z_exact_custom_golden_bits(p, n, ensemble, want, ref):
     _assert_golden(p, n, ensemble, want, ref)
 
 
-# The profile of ML(1/3, 0.7) with finite-difference derivatives.
-_FD_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="fd-ml-third")
+# The profile of ML(1/3, 0.7) without derivs, read on circles.
+_CIRCLE_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="circle-ml-third")
 
 
 @pytest.mark.parametrize(
     "ensemble, want",
     [("normal", "0x1.0bca8a2f8f4fcp+12"), ("symplectic", "0x1.07c7a630d62eap+13")],
 )
-def test_log_z_exact_finite_difference_golden_bits(ensemble, want):
+def test_log_z_exact_circle_read_golden_bits(ensemble, want):
     # Each saddle solve's Newton steps and each read of the Laplacian at
-    # the saddle take q' and q'' from the difference stencil; these bits
+    # the saddle take q' and q'' from one circle of q values; these bits
     # pin that route end to end.
-    _assert_golden(_FD_ML, 60, ensemble, want, MittagLeffler(1.0 / 3.0, 0.7))
+    _assert_golden(_CIRCLE_ML, 60, ensemble, want, MittagLeffler(1.0 / 3.0, 0.7))
 
 
 def test_log_z_exact_keeps_its_bits_under_a_raising_error_state():
@@ -255,14 +256,14 @@ def test_lemma_sum_variants_converge():
         assert g100 / g200 > floor, (which, g100, g200)
 
 
-# q = r^4 - 2 log r (ML(2, 1)) with finite-difference derivatives.  The
-# droplet is r0 = 2^(-1/4) <= r <= r1 = 1, where laplacian = 4 r^2 >= 2.8,
-# |q| <= 1.35 and 0 <= q' <= 2.  The fourth-order stencil for q' with
-# h = eps^(1/6) = 2.5e-3 errs by h^4 |q^(5)| / 30 <= 1.4e-10 (|q^(5)| =
-# 48 / r^5 <= 120 over the stencil) plus 1.5 eps |q| / h <= 2e-13 of
-# rounding: D1 = 2e-10.  r q' has slope 4 r laplacian >= 9.5, so a radius
-# moves by at most D1 / 9.5 plus the Newton stops of 1e-13 r on each side:
-# E = 3e-11.
+# q = r^4 - 2 log r (ML(2, 1)) without derivs.  The droplet is
+# r0 = 2^(-1/4) <= r <= r1 = 1, where laplacian = 4 r^2 >= 2.8, |q| <= 1.35
+# and 0 <= q' <= 2.  The circle read's q' errs by at most
+# 3 (40 eps m + 2 3^-32 (r^4 + 2)) / r (tests/test_potential.py), where m,
+# the largest magnitude of q's terms on the circle of radius r / 3, is at
+# most (4/3)^4 + 2 (|log(2 r0 / 3)| + asin(1/3)) <= 5: D1 = 2e-13.  r q' has
+# slope 4 r laplacian >= 9.5, so a radius moves by at most D1 / 9.5 plus
+# the Newton stops of 1e-13 r on each side: E = 2.3e-13.
 #   - log r sums: each term moves by at most E / r0.  The prediction's U(0)
 #     = -log r1 + (q(r1) - q(r0)) / 2 reads q only and is stationary in
 #     r0 and r1 (r q' = 0 and 2 there), so it moves by O(E^2) plus
@@ -275,16 +276,16 @@ def test_lemma_sum_variants_converge():
 #     (1/8) (1.2 D1 + 2.4e-13) <= 0.15 D1 + 1e-13 per unit of n; the
 #     log(r0 / r1) / (6 n) term moves by at most E / r0.
 # Both sides of each sum and of each prediction stay within these bounds.
-def test_lemma_sums_without_entropy_return_on_finite_differences():
+def test_lemma_sums_without_entropy_return_without_derivs():
     n = 100
-    fd = Custom(lambda r: r**4 - 2.0 * np.log(r), name="fd-ml-2-1")
+    circle = Custom(lambda r: r**4 - 2.0 * np.log(r), name="circle-ml-2-1")
     ml = MittagLeffler(2.0, 1.0)
-    r0, e, d1 = 2.0**-0.25, 3e-11, 2e-10
+    r0, e, d1 = 2.0**-0.25, 2.3e-13, 2e-13
     bound_v = n * (0.15 * d1 + 1e-13 + 1e-14) + e / r0
     bound_logr = (n + 1) * e / r0 + n * 1e-14
     for which, bound in (("sum_v_normal", bound_v), ("sum_v_symp_odd", bound_v),
                          ("sum_logr_normal", bound_logr), ("sum_logr_symp_odd", bound_logr)):
-        got, want = lemma_sum(fd, n, which), lemma_sum(ml, n, which)
+        got, want = lemma_sum(circle, n, which), lemma_sum(ml, n, which)
         for g, w in zip(got, want):
             assert abs(g - w) <= bound, (which, g, w, abs(g - w), bound)
 
@@ -299,9 +300,9 @@ def test_lemma_sum_third_order_ratio():
 
 @pytest.mark.parametrize("which", ["sum_logdq_normal", "sum_logdq_symp_odd"])
 def test_lemma_sum_failure_names_the_potential_n_and_which(which):
-    # Finite-difference derivatives: the entropy integral of the prediction
-    # stalls on the noise of q''.
-    p = Custom(lambda r: r**4 - 2.0 * np.log(r), name="quartic-log")
+    # The entropy integral of the prediction stalls on the noise of q''
+    # (noisy.ripple).
+    p = noisy.with_noise(MittagLeffler(2.0, 1.0), noisy.ripple, "quartic-log")
     want = f"^quartic-log, n=100, which={which}: refinement stalled"
     with pytest.raises(IntegrationError, match=want) as info:
         lemma_sum(p, 100, which)

@@ -349,58 +349,77 @@ def test_custom_with_analytic_derivatives_matches():
         assert abs(p.laplacian(r) - ref.laplacian(r)) < 1e-12
 
 
-def test_custom_finite_difference_fallback():
-    lam, c = 1.5, 0.8
+# The circle read against the analytic derivatives of ML(lam, c).  Bound,
+# derived before the run from the error model of potential._cauchy_rule:
+# q^(k) read on the circle of radius rho = r / 3 errs by rounding, at most
+# u max m k! / rho^k with m(z) = |z^(2 lam)| + 2c |log z| the magnitude of
+# q's terms and u = 40 eps: 17 eps for the weighted sum of 17 values (its
+# weights' magnitudes sum to k! / rho^k), 8 eps for the complex powers and
+# logs, and eps |z q'(z)| <= 8 eps m for the rounding of the nodes (lam <= 4,
+# 2c <= 3m), 33 eps with room; and by aliasing, the Taylor terms of order k + jM,
+# j >= 1, of z^(2 lam) and log z about r, each at most (r^(2 lam) + 2c) 3^-n
+# (|binom(2 lam, n)| <= 1 for these lam): 2 3^-32 (r^(2 lam) + 2c) k! / rho^k
+# in all.  On the circle |z| <= 4r/3 and |arg z| <= asin(1/3), so
+# max m <= (4r/3)^(2 lam) + 2c (max(|log(2r/3)|, |log(4r/3)|) + asin(1/3)).
+# The analytic derivatives round within a few eps of their own terms, far
+# below the 3^k factor of the bound.
+@pytest.mark.parametrize("lam, c", [(lam, c) for lam in (1.0 / 3.0, 0.5, 1.0, 2.0)
+                                    for c in (0.0, 1.1)] + [(1.5, 0.8)])
+def test_custom_without_derivs_matches_analytic_derivatives(lam, c):
     ref = MittagLeffler(lam, c)
-    p = Custom(q=lambda r: r ** (2 * lam) - 2 * c * np.log(r), name="ml-fd")
-    tol = {1: 1e-8, 2: 1e-6, 3: 1e-4, 4: 1e-2}
-    for r in (0.5, 1.0, 1.5):
-        for order in (1, 2, 3, 4):
-            a, b = p.q_derivs(r, order), ref.q_derivs(r, order)
-            assert abs(a - b) < tol[order] * max(1.0, abs(b)), (r, order)
+    p = Custom(lambda r: r ** (2 * lam) - 2 * c * np.log(r), name="ml-circle")
+    r = np.geomspace(1e-3, 6.0, 97)
+    far = np.maximum(np.abs(np.log(2.0 * r / 3.0)), np.abs(np.log(4.0 * r / 3.0)))
+    m = (4.0 * r / 3.0) ** (2 * lam) + 2 * c * (far + math.asin(1.0 / 3.0))
+    scale = 40.0 * _EPS * m + 2.0 * 3.0**-32 * (r ** (2 * lam) + 2 * c)
+    for k in (1, 2, 3, 4):
+        bound = scale * math.factorial(k) * (3.0 / r) ** k
+        got = p.q_derivs(r, k)
+        assert np.all(np.abs(got - ref.q_derivs(r, k)) <= bound), k
+        for i in (0, 48, 96):
+            one = p.q_derivs(float(r[i]), k)
+            assert type(one) is float and abs(one - ref.q_derivs(float(r[i]), k)) <= bound[i]
 
 
 @pytest.mark.parametrize("r", [0.05, 0.7, 1.0, 2.5, np.array([0.05, 0.7, 1.0, 2.5])])
-def test_custom_finite_differences_are_the_stencil_sum_bit_for_bit(r):
-    # The FD derivatives call q at each stencil point and sum coef * q in
-    # stencil order; a float r gets Python floats, as q_derivs(r, 0) does.
+def test_custom_without_derivs_is_the_cauchy_sum(r):
+    # The read is the trapezoid sum of Cauchy's integral on the circle of
+    # radius r / 3, here over all M = 32 nodes in complex arithmetic, without
+    # q(conj z) = conj q(z).  Each of the two sums adds 32 terms of at most
+    # max|q| / 32 and rounds within 32 eps max|q|, with its nodes placed within
+    # an ulp; so they agree to 64 eps max|q| k! / rho^k.  A float r gets a
+    # Python float, as q_derivs(r, 0) does.
     q = lambda x: x**3.0 - 0.4 * np.log(x)
-    p = Custom(q, name="fd-cubic-log")
-    scalar = isinstance(r, float)
-    for order, stencil in potential._FD_STENCILS.items():
-        reach = stencil[-1][0]
-        if scalar:
-            h = min(max(r, 1.0) * potential._FD_STEP, r / (reach + 1.0))
-        else:
-            h = np.minimum(np.maximum(r, 1.0) * potential._FD_STEP, r / (reach + 1.0))
-        want = 0.0
-        for off, coef in stencil:
-            v = q(r + off * h)
-            want = want + coef * (float(v) if scalar else v)
-        got = p.q_derivs(r, order)
-        assert (type(got) is float) == scalar
-        assert np.array_equal(got, want / h**order), order
+    p = Custom(q, name="cubic-log")
+    rho = np.asarray(r) / 3.0
+    w = np.exp(2j * np.pi * np.arange(32) / 32)
+    values = q(np.asarray(r)[..., None] + rho[..., None] * w)
+    room = 64.0 * _EPS * np.abs(values).max(axis=-1)
+    for k in (1, 2, 3, 4):
+        want = (values * w**-k).mean(axis=-1).real * math.factorial(k) / rho**k
+        got = p.q_derivs(r, k)
+        assert (type(got) is float) == isinstance(r, float)
+        assert np.all(np.abs(got - want) <= room * math.factorial(k) / rho**k), k
 
 
-_FD_CUBIC_LOG = Custom(lambda x: x**3.0 - 0.4 * np.log(x), name="fd-cubic-log")
+_CIRCLE_CUBIC_LOG = Custom(lambda x: x**3.0 - 0.4 * np.log(x), name="circle-cubic-log")
 
 
 @pytest.mark.parametrize(
     "p",
     [
-        _FD_CUBIC_LOG,
+        _CIRCLE_CUBIC_LOG,
         Custom(lambda x: x**3.0 - 0.4 * np.log(x), name="analytic-cubic-log", derivs=[
             lambda x: 3.0 * x**2.0 - 0.4 / x,
             lambda x: 6.0 * x + 0.4 / x**2,
             lambda x: 6.0 - 0.8 / x**3,
             lambda x: 2.4 / x**4,
         ]),
-        dilate(_FD_CUBIC_LOG, 1.5),
+        dilate(_CIRCLE_CUBIC_LOG, 1.5),
     ],
-    ids=["fd", "analytic", "dilated-fd"],
+    ids=["circle", "analytic", "dilated-circle"],
 )
 @pytest.mark.parametrize("orders", [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
-# 1e-3 takes the shrunk step r / (reach + 1), 2 the step max(r, 1) eps^(1/6).
 @pytest.mark.parametrize("r", [1e-3, 2.0, np.array([1e-3, 0.4, 2.0])], ids=["1e-3", "2", "array"])
 def test_several_orders_read_together_equal_separate_calls_bit_for_bit(p, orders, r):
     # The Newton step and the Laplacian read q' and q'' (the Laplacian's
@@ -415,10 +434,9 @@ def test_several_orders_read_together_equal_separate_calls_bit_for_bit(p, orders
 
 
 @pytest.mark.parametrize("r", [1e-3, 2.0, np.array([1e-3, 2.0])], ids=["1e-3", "2", "array"])
-def test_finite_difference_orders_of_one_reach_share_their_stencil(r):
-    # Orders 1 and 2 reach two steps each side with one h: five calls of q
-    # give both, where separate calls make four and five.  Orders 3 and 4
-    # share the seven points of reach 3 the same way.
+def test_orders_without_derivs_come_from_one_call_of_q(r):
+    # Every order at every r comes from one call of q on a 1-D complex
+    # array: 18 points per r, the circle's 17 nodes with Im z >= 0 and r.
     calls = []
 
     def q(x):
@@ -426,13 +444,45 @@ def test_finite_difference_orders_of_one_reach_share_their_stencil(r):
         return x**3.0 - 0.4 * np.log(x)
 
     p = Custom(q, name="counted")
-    for orders, points in (((1, 2), 5), ((1, 2, 3, 4), 12)):
+    for orders in ((1, 2), (1, 2, 3, 4)):
         calls.clear()
         p._q_derivs_each(r, orders)
-        assert len(calls) == points, orders
+        assert [(x.dtype, x.shape) for x in calls] == [(complex, (18 * np.size(r),))], orders
     calls.clear()
     p.laplacian(r)
-    assert len(calls) == 5
+    assert len(calls) == 1
+
+
+# Profiles the circle cannot read: not analytic on the circle about r (a
+# modulus, or a branch of np.maximum or np.where that changes on it), or a
+# q that raises on complex points.  Each raises DomainError naming the
+# potential and asking for derivs, from q_derivs as from droplet_of.
+_UNREADABLE = {
+    "abs": (lambda r: np.abs(r) ** 2, 0.7),
+    "maximum": (lambda r: np.maximum(r * r, 0.5), 0.7),
+    "where": (lambda r: np.where(r < 1.0, r * r, 2.0 * r - 1.0), 1.0),
+    "scalar-only": (np.vectorize(lambda x: x * x, otypes=[float]), 0.7),
+    "math": (lambda r: np.array([math.sqrt(x) for x in r.tolist()]), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_a_profile_the_circle_cannot_read_raises_a_domain_error(name):
+    q, r = _UNREADABLE[name]
+    p = Custom(q, name=name)
+    for call in (lambda: p.q_derivs(r, 1), lambda: p.laplacian(np.array([0.5 * r, r])),
+                 lambda: droplet_of(p)):
+        with pytest.raises(DomainError, match=f"^{name}: .*; supply derivs$"):
+            call()
+
+
+def test_a_profile_that_drops_imaginary_parts_fails_the_guard():
+    # Casting the complex points to float warns (numpy's ComplexWarning) and
+    # leaves q(|Re z|^2), whose mean on the circle is not q(r).
+    p = Custom(lambda r: np.asarray(r, dtype=float) ** 2, name="cast")
+    with pytest.warns(np.exceptions.ComplexWarning):
+        with pytest.raises(DomainError, match="^cast: the mean of q on the circle about r = 0.7 "):
+            p.q_derivs(0.7, 1)
 
 
 def _scalar_only(f):
@@ -441,20 +491,25 @@ def _scalar_only(f):
 
 
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
-@pytest.mark.parametrize("derivs", ["fd", "analytic"])
+@pytest.mark.parametrize("derivs", ["none", "analytic"])
 def test_np_vectorize_wraps_a_scalar_only_profile(derivs, ensemble):
     # np.vectorize(f, otypes=[float]) calls f once per element, and each
     # element is the same float arithmetic as the array-native profile's,
-    # so log Z keeps every bit.
+    # so log Z keeps every bit.  Without derivs the derivatives need q at
+    # complex points, which the scalar-only q rejects: DomainError.
     native = [lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r]
     scalar = [_scalar_only(f) for f in native]
     q = _scalar_only(lambda r: r * r)
     with pytest.raises(TypeError):
         q(np.array([1.0, 2.0]))
+    if derivs == "none":
+        wrapped = Custom(np.vectorize(q, otypes=[float]), name="scalar-only")
+        with pytest.raises(DomainError, match="^scalar-only, n=30, .*supply derivs$"):
+            log_z_exact(wrapped, 30, ensemble)
+        return
     wrapped = Custom(np.vectorize(q, otypes=[float]),
-                     derivs=None if derivs == "fd" else
-                     [np.vectorize(f, otypes=[float]) for f in scalar])
-    plain = Custom(lambda r: r * r, derivs=None if derivs == "fd" else native)
+                     derivs=[np.vectorize(f, otypes=[float]) for f in scalar])
+    plain = Custom(lambda r: r * r, derivs=native)
     want = log_z_exact(plain, 30, ensemble)
     assert log_z_exact(wrapped, 30, ensemble).hex() == want.hex()
 
@@ -760,7 +815,7 @@ class _PowerPlusInverse(RadialPotential):
 
 @st.composite
 def _family_and_radius(draw):
-    kind = draw(st.sampled_from(["ginibre", "ml", "tu", "custom-ml", "custom-ml-fd", "subclass"]))
+    kind = draw(st.sampled_from(["ginibre", "ml", "tu", "custom-ml", "circle-ml", "subclass"]))
     if kind == "ginibre":
         p = Ginibre(draw(st.floats(0.5, 2.0)))
     elif kind == "tu":

@@ -1,5 +1,5 @@
 """Property tests across routes: the exact route against the 40-digit
-per-degree closed forms, a finite-difference Custom profile against the
+per-degree closed forms, a Custom profile without derivs against the
 same family with analytic derivatives, and dilation invariance of every
 equilibrium functional.  Each bound is derived in the comment above it."""
 
@@ -11,10 +11,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp_reference
+import noisy
 from coulombgas import equilibrium, quadrature
 from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import b1_integral, equilibrium_report, zw_coefficients
@@ -63,19 +64,20 @@ def test_exact_route_matches_the_40_digit_reference(p, n, ensemble):
     assert err <= bound, (p.name, n, ensemble, err, bound)
 
 
-def _fd_ml(lam, c):
-    """The ML(lam, c) profile as a Custom with finite-difference derivatives."""
-    return Custom(lambda r: r ** (2.0 * lam) - 2.0 * c * np.log(r), name="fd-ml")
+def _circle_ml(lam, c):
+    """The ML(lam, c) profile as a Custom without derivs, read on circles."""
+    return Custom(lambda r: r ** (2.0 * lam) - 2.0 * c * np.log(r), name="circle-ml")
 
 
 # Radii.  r0 and r1 solve r q'(r) = 0 and 2, and r q' has slope
 # q' + r q'' = 4 r laplacian, so an error e in q' moves a root by
-# e / (4 laplacian).  The fourth-order stencil for q' with step
-# h = max(r, 1) eps^(1/6) <= 2.5e-3 max(r, 1) errs by h^4 |q^(5)| / 30 plus
-# 1.5 eps |q| / h of rounding.  For lam, c in [0.5, 2] the droplet lies in
-# [0.7, 6], |q^(5)| <= 3.6 r^(2 lam - 5) + 48 c / r^5 <= 600 at r >= 0.7 and
-# laplacian = lam^2 r^(2 lam - 2) >= 0.04, so |error| <= 1e-9 max(1, r),
-# plus the Newton stop of 1e-13 r on each side: bound 1e-8 max(1, r).
+# e / (4 laplacian).  The circle read's q' errs by at most
+# 3 (40 eps m + 2 3^-32 (r^(2 lam) + 2c)) / r (tests/test_potential.py), m
+# the largest magnitude of q's terms on the circle of radius r / 3.  For
+# lam, c in [0.5, 2] the droplet lies in [0.7, 6] with r^(2 lam) <= 6, so
+# m <= (4/3)^4 6 + 2c (log 8 + asin(1/3)) <= 29 and e <= 1.2e-12; laplacian
+# = lam^2 r^(2 lam - 2) >= 0.04, so a root moves by at most 7.5e-12, plus
+# the Newton stop of 1e-13 r on each side: bound 1e-11 max(1, r).
 #
 # log Z.  Only q enters the norm integrand; the derivatives place the
 # saddle, the shift and the panels.  Each norm meets relative accuracy
@@ -94,44 +96,43 @@ def _fd_ml(lam, c):
     ensemble=st.sampled_from(["normal", "symplectic"]),
 )
 def test_finite_difference_custom_matches_analytic_derivatives(lam, c, n, ensemble):
-    fd = _fd_ml(lam, c)
+    circle = _circle_ml(lam, c)
     ml = MittagLeffler(lam, c)
-    d_fd, d_ml = droplet_of(fd), droplet_of(ml)
-    assert d_fd.kind == d_ml.kind == "annulus"
-    for got, want in ((d_fd.r0, d_ml.r0), (d_fd.r1, d_ml.r1)):
-        assert abs(got - want) <= 1e-8 * max(1.0, want), (lam, c, got, want)
+    d_circle, d_ml = droplet_of(circle), droplet_of(ml)
+    assert d_circle.kind == d_ml.kind == "annulus"
+    for got, want in ((d_circle.r0, d_ml.r0), (d_circle.r1, d_ml.r1)):
+        assert abs(got - want) <= 1e-11 * max(1.0, want), (lam, c, got, want)
 
     s = n if ensemble == "normal" else 2 * n
     k = max(abs(float(ml.q_derivs(r))) + 2.0 * abs(math.log(r)) for r in (d_ml.r0, d_ml.r1))
     bound = n * (2.0 * _REL_TOL + 32.0 * EPS * (1.0 + s * k))
-    got, want = log_z_exact(fd, n, ensemble), log_z_exact(ml, n, ensemble)
+    got, want = log_z_exact(circle, n, ensemble), log_z_exact(ml, n, ensemble)
     assert abs(got - want) <= bound, (lam, c, n, ensemble, got - want, bound)
 
 
-# The functionals take q' (energy), q'' (mass, entropy) and q''' (f_term);
-# the stencil for q''' carries rounding noise of 5.5 eps |q| / h^3, about
-# 1e-7 |q| at h = 2.5e-3, which bounds the comparison at 1e-6 (1 + |value|).
-# It is not reached: every equilibrium integral targets relative accuracy
-# 1e-13, below the noise of q'' (5.3 eps |q| / h^2, about 1e-10 |q|), and
-# the adaptive rule stalls on that noise and raises (ROADMAP item 3).
-@pytest.mark.xfail(strict=True, raises=IntegrationError,
-                   reason="equilibrium integrals are noise-limited on finite differences")
+# The functionals take q' (energy), q'' (mass, entropy) and q''' (f_term)
+# from the circle read.  On the droplet of ML(2, 1), 0.84 <= r <= 1, the
+# largest magnitude of q's terms on the circle is at most 5, so q''' errs by
+# at most 40 eps 5 3! (3 / 0.84)^3 <= 2e-11 (tests/test_potential.py), and
+# every equilibrium integral meets relative accuracy 1e-13: the comparison's
+# bound 1e-6 (1 + |value|) holds with room to spare.
 def test_finite_difference_custom_equilibrium_report():
-    got = equilibrium_report(_fd_ml(2.0, 1.0))
+    got = equilibrium_report(_circle_ml(2.0, 1.0))
     want = equilibrium_report(MittagLeffler(2.0, 1.0))
     for name in ("energy", "entropy", "log_potential_origin", "f_term"):
         g, w = getattr(got, name), getattr(want, name)
         assert abs(g - w) <= 1e-6 * (1.0 + abs(w)), (name, g, w)
 
 
-# The same report fails fast.  Each equilibrium integral starts from one
-# panel of 15 nodes and a round splits at most every panel, so round k
-# evaluates at most 15 * 2^k points.  The noise of q'' sits above the 1e-13
-# target, so the error estimate stops halving once the smooth part is
-# resolved, and the stall rule raises at the first round k >= _STALL that
-# has not halved it.  A call that stops within _STALL + 1 batches thus
-# evaluates at most 15 * (2^(_STALL + 1) - 1) points.
-def test_finite_difference_equilibrium_report_fails_fast(monkeypatch):
+# A report whose integrands are noisy fails fast.  Each equilibrium integral
+# starts from one panel of 15 nodes and a round splits at most every panel,
+# so round k evaluates at most 15 * 2^k points.  The noise of q''
+# (noisy.ripple) sits above the 1e-13 target, so the error estimate stops
+# halving once the smooth part is resolved, and the stall rule raises at
+# the first round k >= _STALL that has not halved it.  A call that stops
+# within _STALL + 1 batches thus evaluates at most 15 * (2^(_STALL + 1) - 1)
+# points.
+def test_noisy_equilibrium_report_fails_fast(monkeypatch):
     calls = []
 
     def counting(f, a, b, **kwargs):
@@ -146,7 +147,7 @@ def test_finite_difference_equilibrium_report_fails_fast(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "integrate", counting)
     with pytest.raises(IntegrationError, match="refinement stalled"):
-        equilibrium_report(_fd_ml(2.0, 1.0))
+        equilibrium_report(noisy.with_noise(MittagLeffler(2.0, 1.0), noisy.ripple, "noisy"))
     assert all(len(batches) <= quadrature._STALL + 1 for batches in calls), calls
     points = sum(map(sum, calls))
     assert points <= len(calls) * 15 * (2 ** (quadrature._STALL + 1) - 1), (points, len(calls))
@@ -270,6 +271,20 @@ def test_extreme_family_parameters_give_a_value_or_a_package_error(slot, value):
         except CoulombGasError:
             continue
         assert math.isfinite(got), (p.name, name, got)
+
+
+# The same probe over the decimal exponent, every slot at each drawn value.
+# The fixed decades jump from 1e100 to 1e160, and so missed r1^2 of
+# dilate(ML(1/2, 1), a) overflowing for a in [3.7e153, 1e154], which raised a
+# bare OverflowError from equilibrium_report and expansion_terms.
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(exponent=st.integers(-300, 300), mantissa=st.floats(1.0, 10.0, exclude_max=True))
+@example(exponent=153, mantissa=3.7)
+def test_drawn_exponents_give_a_value_or_a_package_error(exponent, mantissa):
+    value = mantissa * 10.0**exponent
+    for slot in _EXTREME_SLOTS:
+        test_extreme_family_parameters_give_a_value_or_a_package_error(slot, value)
 
 
 def test_ml_equilibrium_droplet_is_droplet_of_over_the_float64_range():
