@@ -188,8 +188,8 @@ def _newton(p, tau, lo, hi, r):
     [lo, hi] around the root at every step.  Each step reads q' and q''
     in one evaluation (p._q_derivs_each), for a Custom without derivs one
     circle of q values.  A step that leaves the bracket or is not half the
-    step before last, or a nonpositive g', falls back to
-    the midpoint, so the bracket shrinks at least as fast as by bisection.
+    step before last, or a nonpositive g', falls back to the midpoint, so
+    the bracket shrinks at least as fast as by bisection.
     Converged once a Newton step is at most 1e-13 r or the bracket at most
     1e-13 hi, well under the iteration cap; a root too close to 0 for the
     cap to reach that relative width raises SolverError.  A NaN r q'(r) on

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .droplet import Droplet, _droplet, _laplacian_at
-from .errors import DomainError, InvalidPotentialError, _named
-from .potential import _evaluate
+from .errors import InvalidPotentialError, _named
+from .potential import _evaluate, _pow_or_inf
 from .quadrature import integrate
 
 
@@ -47,16 +47,12 @@ def _integral(f, d):
     roots already pass the entry points' domain check.
 
     Where f's noise sits above the 1e-13 target, refinement stalls and
-    integrate raises IntegrationError; where r1^2 overflows float64, this
+    integrate raises IntegrationError; where r1^2 overflows float64, it
     raises DomainError.  integrate is looked up as a module global on every
     call, so a wrapper at equilibrium.integrate sees each integral.
     """
-    try:
-        x0, x1 = d.r0**2, d.r1**2
-    except OverflowError:
-        raise DomainError(f"the droplet radius r1 = {d.r1!r} squared overflows float64") from None
-    val, _ = integrate(f, x0, x1, rel_tol=1e-13, abs_tol=1e-16)
-    return val
+    bounds = _pow_or_inf(d.r0, 2), _pow_or_inf(d.r1, 2)  # inf, not OverflowError
+    return integrate(f, *bounds, rel_tol=1e-13, abs_tol=1e-16)[0]
 
 
 @_named()

@@ -23,6 +23,7 @@ second derivative enters the routes only as the Laplacian of Q at the
 saddle, read from the Laplacian hook.
 """
 
+import cmath
 import math
 import numbers
 from collections.abc import Iterable
@@ -424,13 +425,15 @@ _CAUCHY_GUARD = 1e-12
 
 
 def _cauchy_rule(m, shrink):
-    """Offsets from r, in units of R, of the circle's nodes with Im z >= 0,
-    then of r itself; and weights whose sums over all but r give R^k q^(k)(r),
-    k = 0..4, as real parts: q(conj z) = conj q(z) fills in the mirror nodes."""
-    j = np.arange(m // 2 + 1)[:, None]
-    nodes = np.append(np.exp(2j * np.pi * j[:, 0] / m) / shrink, 0.0)
-    weights = np.where(j % (m // 2), 2.0, 1.0) / m * np.exp(-2j * np.pi * j * np.arange(5) / m)
-    return nodes, weights * [math.factorial(k) * shrink**k for k in range(5)]
+    """The circle's nodes with Im z >= 0, then r, as offsets from r in units of
+    R; and weights whose sums give R^k q^(k)(r), k = 0..4, as real parts, then
+    the guard's miss, the mean less q(r).  q(conj z) = conj q(z) fills in the
+    mirror nodes.  Built in cmath, so importing the package runs no ufunc."""
+    nodes = [cmath.exp(2j * math.pi * j / m) / shrink for j in range(m // 2 + 1)] + [0.0]
+    weights = [[(1 + (j % (m // 2) > 0)) / m * cmath.exp(-2j * math.pi * j * k / m)
+                * math.factorial(k) * shrink**k for k in range(5)] for j in range(m // 2 + 1)]
+    weights = [w + w[:1] for w in weights] + [[0.0] * 5 + [-1.0]]
+    return np.array(nodes), np.array(weights)
 
 
 _CAUCHY_NODES, _CAUCHY_WEIGHTS = _cauchy_rule(_CAUCHY_M, _CAUCHY_SHRINK)
@@ -447,14 +450,14 @@ class Custom(RadialPotential):
     derivs, every order at r comes from one call of q on complex points of
     a circle about r (_cauchy): q must then take complex arrays and be
     analytic within min(r, support_radius - r) of r, so a scalar-only q must
-    supply derivs.  A q that rejects complex points or fails the circle's
-    guard raises DomainError asking for derivs.  q_origin, when given, must
-    be a finite real and laplacian_origin a finite positive real; anything
-    else raises DomainError.  Each of these messages starts with "name: ".
-    The exact norms' rounding floor takes |q| as the magnitude of q's terms
-    (the default _q_magnitude): a q whose terms cancel at the saddle can get
-    a target below its rounding noise, and its norm then raises
-    IntegrationError.
+    supply derivs.  A q that rejects complex points, drops their imaginary
+    parts, or fails the circle's guard raises DomainError asking for derivs.
+    q_origin, when given, must be a finite real and laplacian_origin a
+    finite positive real; anything else raises DomainError.  Each of these
+    messages starts with "name: ".  The exact norms' rounding floor takes
+    |q| as the magnitude of q's terms (the default _q_magnitude): a q whose
+    terms cancel at the saddle can get a target below its rounding noise,
+    and its norm then raises IntegrationError.
     """
 
     def __init__(self, q, derivs=None, support_radius=None, q_origin=None,
@@ -488,32 +491,33 @@ class Custom(RadialPotential):
 
     @np.errstate(all="ignore")  # a float's read runs in numpy, quiet as an array's
     def _cauchy(self, r, orders):
-        """q^(k)(r) for each k in orders, all from one call of q on the
-        circles about r (_cauchy_rule), their R cut by the hard wall; a q
-        that rejects complex points, or fails the guard, raises DomainError."""
-        x = np.asarray(r)[..., None]
+        """q^(k)(r) for each k in orders from one call of q on the circles
+        about r (_cauchy_rule), R cut by the hard wall; a q that rejects or
+        drops complex points, or fails the guard, raises DomainError."""
+        x = r if type(r) is float else r[..., None]
         wall = self.support_radius
         reach = x if wall is None else np.minimum(x, np.maximum(wall - x, 0.0))
         z = x + reach * _CAUCHY_NODES
         try:
-            v = np.asarray(self._q(z.ravel()), dtype=complex).reshape(z.shape)
-        except (TypeError, ValueError) as exc:
+            v = np.asarray(self._q(z.ravel())).reshape(z.shape)
+            if v.dtype.kind != "c":  # q cast z to real, or ignores it
+                raise TypeError(f"q returned {v.dtype} values at complex points")
+        except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
             raise DomainError(
                 f"{self.name}: without derivs, q must take complex arrays ({exc}); supply derivs"
             ) from exc
-        d = (v[..., :-1] @ _CAUCHY_WEIGHTS).real
-        miss = d[..., 0] - v[..., -1].real
-        bad = np.abs(miss) > _CAUCHY_GUARD * np.abs(v).max(axis=-1)
-        if np.count_nonzero(bad):
+        d = (v @ _CAUCHY_WEIGHTS).real  # R^k q^(k)(r), k = 0..4, then the guard's miss
+        bad = abs(miss := d[..., 5]) > _CAUCHY_GUARD * abs(v[..., -1])  # max|q| >= |q(r)|
+        if bad.any() and (bad := abs(miss) > _CAUCHY_GUARD * abs(v).max(axis=-1)).any():
+            i = np.flatnonzero(bad)[0]
             raise DomainError(
-                f"{self.name}: the mean of q on the circle about r = {float(x[bad].flat[0])!r} "
-                f"misses q(r) by {float(miss[bad].flat[0])!r}: q is not analytic there, too "
+                f"{self.name}: the mean of q on the circle about r = {float(np.ravel(x)[i])!r} "
+                f"misses q(r) by {float(miss.flat[i])!r}: q is not analytic there, too "
                 "steep or wavy for the circle, or inexact at complex points; supply derivs"
             )
-        if type(r) is float:
-            return tuple([d.item(k) / reach.item() ** k for k in orders])
-        h = reach[..., 0]
-        return tuple([d[..., k] / h**k for k in orders])
+        if type(r) is float:  # Python floats out, as from the other profiles
+            return tuple([d.item(k) / float(reach) ** k for k in orders])
+        return tuple([d[..., k] / reach[..., 0] ** k for k in orders])
 
     def _profile(self, r, order):
         if order and self._derivs is None:

@@ -233,10 +233,10 @@ def _circle_root_error(lam, c, r):
 @pytest.mark.parametrize("lam, c", _ML_ROOT_CASES)
 def test_custom_root_matches_ml_closed_form(lam, c, derivs):
     # Bound, derived before the run: the Newton step or bracket stops at a
-    # relative 1e-13, and the closed form rounds within 9 eps / lam
-    # (test_custom_ml_roots_over_a_hundred_decades_of_tau); without derivs
-    # the circle read's q' moves the root by _circle_root_error.  The
-    # droplet's radii are the roots at tau = 0 and 1.
+    # relative 1e-13.  Without derivs, the circle read's q' moves the root
+    # by _circle_root_error, and the closed form's rounding, within 9 eps /
+    # lam (test_custom_ml_roots_over_a_hundred_decades_of_tau), is added
+    # there too.  The droplet's radii are the roots at tau = 0 and 1.
     p = _ml_custom(lam, c)
     if derivs == "circle":
         p = Custom(p._q)
@@ -244,9 +244,9 @@ def test_custom_root_matches_ml_closed_form(lam, c, derivs):
     for j in range(201):
         tau = j / 200
         want = closed.r_tau(tau)
-        bound = (1e-13 + 9.0 * _EPS / lam) * want
+        bound = 1e-13 * want
         if derivs == "circle":
-            bound += _circle_root_error(lam, c, want)
+            bound += 9.0 * _EPS / lam * want + _circle_root_error(lam, c, want)
         got = solve_r_tau(p, tau)
         assert abs(got - want) <= bound, (tau, got, want)
     assert droplet_of(p) == Droplet(solve_r_tau(p, 0.0), solve_r_tau(p, 1.0), "annulus")

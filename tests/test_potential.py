@@ -476,12 +476,18 @@ def test_a_profile_the_circle_cannot_read_raises_a_domain_error(name):
             call()
 
 
-def test_a_profile_that_drops_imaginary_parts_fails_the_guard():
-    # Casting the complex points to float warns (numpy's ComplexWarning) and
-    # leaves q(|Re z|^2), whose mean on the circle is not q(r).
-    p = Custom(lambda r: np.asarray(r, dtype=float) ** 2, name="cast")
-    with pytest.warns(np.exceptions.ComplexWarning):
-        with pytest.raises(DomainError, match="^cast: the mean of q on the circle about r = 0.7 "):
+@pytest.mark.parametrize("q", [lambda r: np.asarray(r, dtype=float) ** 2,
+                               lambda r: 2.0 * np.asarray(r, dtype=float) + 1.0])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_a_profile_that_drops_imaginary_parts_raises_a_domain_error(action, q):
+    # Casting the complex points to float warns (numpy's ComplexWarning): as
+    # an error it is caught, and ignored it leaves float values, which no q
+    # analytic and nonconstant gives at complex points.  The linear q's
+    # circle mean would still return q(r), so the guard alone misses it.
+    p = Custom(q, name="cast")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, np.exceptions.ComplexWarning)
+        with pytest.raises(DomainError, match="^cast: without derivs, q must take complex arrays"):
             p.q_derivs(0.7, 1)
 
 

@@ -95,7 +95,7 @@ def _circle_ml(lam, c):
     n=st.integers(2, 12),
     ensemble=st.sampled_from(["normal", "symplectic"]),
 )
-def test_finite_difference_custom_matches_analytic_derivatives(lam, c, n, ensemble):
+def test_custom_without_derivs_matches_the_family(lam, c, n, ensemble):
     circle = _circle_ml(lam, c)
     ml = MittagLeffler(lam, c)
     d_circle, d_ml = droplet_of(circle), droplet_of(ml)
@@ -116,7 +116,7 @@ def test_finite_difference_custom_matches_analytic_derivatives(lam, c, n, ensemb
 # at most 40 eps 5 3! (3 / 0.84)^3 <= 2e-11 (tests/test_potential.py), and
 # every equilibrium integral meets relative accuracy 1e-13: the comparison's
 # bound 1e-6 (1 + |value|) holds with room to spare.
-def test_finite_difference_custom_equilibrium_report():
+def test_custom_without_derivs_equilibrium_report():
     got = equilibrium_report(_circle_ml(2.0, 1.0))
     want = equilibrium_report(MittagLeffler(2.0, 1.0))
     for name in ("energy", "entropy", "log_potential_origin", "f_term"):
