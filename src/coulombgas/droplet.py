@@ -7,17 +7,21 @@ which gives the outer radius of the weighted droplet seen by monomials of
 rotated degree tau: in closed form for the built-in families and their
 dilations, otherwise by a safeguarded Newton iteration on the increasing
 function r q'(r), which stops at a relative step or bracket of 1e-13.
-The iteration's bracket comes from an upward scan at tau in {0, 1}, and
-at 0 < tau < 1 from a table of r q'(r) between the droplet edges that
+The iteration (_newton) runs on an array of levels at once, one read of
+q' and q'' a round for every unfinished row, and solve_r_tau is its
+one-row call.  Its brackets come from an upward scan at tau in {0, 1},
+and at 0 < tau < 1 from a table of r q'(r) between the droplet edges that
 each potential builds once, on its first interior solve, with one array
 call.  Only a potential without a table scans at interior levels.
+_saddles gives the saddles of many levels, and ΔQ at each, from one such
+iteration and one array read of ΔQ: log_z_exact's norms and lemma_sum
+take theirs from it.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
 _given holds a caller's droplet to it, so ΔQ(d.r0) is ΔQ(0) just for a disc.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -62,19 +66,35 @@ def _bracket_candidates(p):
     return _DYADIC_CANDIDATES
 
 
+def _closed_root(p, tau):
+    """p.r_tau(tau), or None when p has no closed form; InvalidPotentialError
+    where the closed form overflows (a level the potential does not confine)."""
+    try:
+        r = p.r_tau(tau)
+    except OverflowError:
+        r = math.inf
+    if r == math.inf:
+        raise InvalidPotentialError(
+            f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
+        )
+    return r
+
+
 @_named()
 def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
-    Potentials with a closed-form root (p.r_tau) use it; the others run a
-    safeguarded Newton iteration (_newton) to a relative 1e-13.  At
-    0 < tau < 1 it starts at the linear interpolate in the cell of the
-    potential's r q'(r) table (_table) that holds 2 tau, widened by one
-    cell a side (array and scalar pow may differ in the last bit); at tau
-    in {0, 1}, or without a table, from an upward bracket scan
-    (_scan_root).  The result depends only on p and tau.  A level whose
-    root lies so close to 0 that 200 steps cannot reach a relative bracket
-    of 1e-13 (tau <= 1e-128 for q = r^2) raises SolverError naming tau.
+    Potentials with a closed-form root (p.r_tau) use it; the others run the
+    safeguarded Newton iteration (_newton) to a relative 1e-13, as a
+    one-row call.  At 0 < tau < 1 it starts at the linear interpolate in
+    the cell of the potential's r q'(r) table (_table) that holds 2 tau,
+    widened by one cell a side, and reads q' and q'' on one-element arrays,
+    as a row of _saddles does; at tau in {0, 1}, or without a table, from
+    an upward bracket scan (_scan_root), reading q' and q'' on floats.  The
+    result depends only on p and tau, and is bit for bit the row for tau
+    of any _saddles call.  A level whose root lies so close to 0 that 200
+    steps cannot reach a relative bracket of 1e-13 (tau <= 1e-128 for
+    q = r^2) raises SolverError naming tau.
     At tau = 0 the result is the inner droplet radius r0: 0.0 for a disc, where
     r q'(r) >= 0 already at the bottom of the bracket or the potential
     supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
@@ -82,17 +102,44 @@ def solve_r_tau(p, tau):
     r q'(r) = 0 for an annulus.
     """
     tau = _check_tau(tau)
-    try:
-        r = p.r_tau(tau)
-    except OverflowError:
-        r = math.inf
-    if r is None:
-        table = _table(p) if 0.0 < tau < 1.0 else ()
-        return _table_root(p, tau, *table) if table else _scan_root(p, tau)
-    if r == math.inf:
-        raise InvalidPotentialError(
-            f"r q'(r) never reaches {2.0 * tau!r}; the potential does not confine this level"
-        )
+    r = _closed_root(p, tau)
+    if r is not None:
+        return r
+    table = _table(p) if 0.0 < tau < 1.0 else ()
+    return _table_roots(p, np.array([tau]), *table).item() if table else _scan_root(p, tau)
+
+
+def _saddles(p, taus):
+    """(radii, ΔQ at each) for the levels taus in [0, 1], as two lists of
+    floats: the one entry point for the saddles of many levels.
+
+    A potential with a closed form (decided at taus[0], as solve_r_tau
+    decides) takes each level's solve_r_tau and _laplacian_at, so its bits
+    are those of the per-level calls.  The others solve every level at
+    once (_roots) and read ΔQ at all the roots in one array call.  Each
+    row is bit for bit solve_r_tau(p, tau) and _laplacian_at of it.
+    """
+    if _closed_root(p, taus[0]) is not None:
+        radii = [solve_r_tau(p, t) for t in taus]
+        return radii, [_laplacian_at(p, r) for r in radii]
+    radii = _roots(p, np.asarray(taus, dtype=float))
+    return radii.tolist(), _laplacian_at(p, radii).tolist()
+
+
+def _roots(p, taus):
+    """Roots of r q'(r) = 2 tau for an array of levels of a potential
+    without a closed form: the levels 0 < tau < 1 by one array Newton from
+    the table (_table_roots), the others, or every level when p has no
+    table, each by its own upward scan (_scan_root)."""
+    inner = (0.0 < taus) & (taus < 1.0)
+    table = _table(p) if np.count_nonzero(inner) else ()
+    r = np.empty_like(taus)
+    scanned = range(taus.size)
+    if table:
+        r[inner] = _table_roots(p, taus[inner], *table)
+        scanned = np.flatnonzero(~inner).tolist()
+    for i in scanned:
+        r[i] = _scan_root(p, taus.item(i))
     return r
 
 
@@ -103,7 +150,7 @@ _TABLE_POINTS = 256
 
 def _table(p):
     """The r q'(r) table of p, built on first use and kept in p's instance
-    dict (so a frozen subclass keeps it too): a pair of lists
+    dict (so a frozen subclass keeps it too): a pair of arrays
     (radii, values), or () when p has none."""
     cache = vars(p)
     table = cache.get("_r_tau_table")
@@ -115,41 +162,47 @@ def _table(p):
 def _build_table(p):
     """Radii r0 = r_0 < ... < r_M = r1 and values g_i = r_i q'(r_i), with
     g_0 = 0 and g_M = 2 at the droplet edges (_scan_root at tau = 0 and 1)
-    and one array call for the rest.  () when an edge solve or the array
-    call raises, or the values are not strictly increasing (this also
+    and one array read of q' and q'' for the rest, which also shows that
+    the array Newton can read both.  () when an edge solve or the array
+    read raises, q' is not shaped like the radii or q'' neither like them
+    nor a scalar, or the values are not strictly increasing (this also
     rejects inf and nan)."""
     try:
         r0 = _scan_root(p, 0.0)
         r1 = _scan_root(p, 1.0)
         x = np.arange(1, _TABLE_POINTS) / _TABLE_POINTS
         inner = r0 + (r1 - r0) * (x * x)
-        g = inner * np.asarray(p.q_derivs(inner, 1), dtype=float)
+        q1, q2 = p._q_derivs_each(inner, (1, 2))
+        g = inner * np.asarray(q1, dtype=float)
     except Exception:  # an interior scan then raises whatever it must
         return ()
-    if g.shape != inner.shape:
+    if g.shape != inner.shape or np.shape(q2) not in (inner.shape, ()):
         return ()
-    values = [0.0, *g.tolist(), 2.0]
-    if not all(a < b for a, b in zip(values, values[1:])):
+    values = np.concatenate(([0.0], g, [2.0]))
+    if not np.all(values[:-1] < values[1:]):
         return ()
-    return [r0, *inner.tolist(), r1], values
+    return np.concatenate(([r0], inner, [r1])), values
 
 
-def _table_root(p, tau, radii, values):
-    """Newton from the table's bracket for 2 tau."""
-    target = 2.0 * tau
-    i = bisect.bisect_right(values, target) - 1
-    lo = radii[max(i - 1, 0)]
-    hi = radii[min(i + 2, len(radii) - 1)]
+def _table_roots(p, taus, radii, values):
+    """Newton for an array of levels 0 < tau < 1, each row from the table's
+    bracket for 2 tau: the cell that holds it, widened by one cell a side
+    (array and scalar pow may differ in the last bit), and the linear
+    interpolate in that cell."""
+    target = 2.0 * taus
+    i = np.searchsorted(values, target, side="right") - 1
+    lo = radii[np.maximum(i - 1, 0)]
+    hi = radii[np.minimum(i + 2, radii.size - 1)]
     r = radii[i] + (target - values[i]) * (radii[i + 1] - radii[i]) / (values[i + 1] - values[i])
-    if not lo < r < hi:  # at the smallest tau the interpolate underflows to r0 = 0
-        r = 0.5 * (lo + hi)
-    return _newton(p, tau, lo, hi, r)
+    # At the smallest tau the interpolate underflows to r0 = 0.
+    r = np.where((lo < r) & (r < hi), r, 0.5 * (lo + hi))
+    return _newton(p, taus, lo, hi, r)
 
 
 def _scan_root(p, tau):
     """Root of r q'(r) = 2 tau on a bracket found by scanning upward from
     r = 1e-12 (dyadic points, or towards the support radius), with Newton
-    started at the bracket midpoint."""
+    started at the bracket midpoint as one row read on floats."""
     target = 2.0 * tau
     if tau == 0.0:
         try:
@@ -178,58 +231,93 @@ def _scan_root(p, tau):
         raise InvalidPotentialError(
             f"r q'(r) never reaches {target!r}; the potential does not confine this level"
         )
-    return _newton(p, tau, prev, hi, 0.5 * (prev + hi))
+    lo, hi = np.array([prev]), np.array([hi])
+    return _newton(p, np.array([tau]), lo, hi, 0.5 * (lo + hi), floats=True).item()
 
 
-def _newton(p, tau, lo, hi, r):
-    """Safeguarded Newton for r q'(r) = 2 tau from r in the bracket [lo, hi].
+def _newton(p, taus, lo, hi, r, floats=False):
+    """Safeguarded Newton for r q'(r) = 2 tau, one row per level: arrays of
+    levels taus and brackets [lo, hi] around their roots, with r in each.
 
     Newton runs on g(r) = r q'(r) - 2 tau, with g' = q' + r q'' > 0, and keeps
-    [lo, hi] around the root at every step.  Each step reads q' and q''
-    in one evaluation (p._q_derivs_each), for a Custom without derivs one
-    circle of q values.  A step that leaves the bracket or is not half the
-    step before last, or a nonpositive g', falls back to the midpoint, so
-    the bracket shrinks at least as fast as by bisection.
-    Converged once a Newton step is at most 1e-13 r or the bracket at most
-    1e-13 hi, well under the iteration cap; a root too close to 0 for the
-    cap to reach that relative width raises SolverError.  A NaN r q'(r) on
-    the way raises InvalidPotentialError.
+    each row's [lo, hi] around its root at every step.  Each round reads
+    q' and q'' at every unfinished row in one evaluation
+    (p._q_derivs_each), for a Custom without derivs one circle of q values
+    per row; floats=True reads a single row on a Python float instead, for
+    profiles that may take only floats.  Row by row, a step that leaves
+    the bracket or is not half the step before last, or a nonpositive g',
+    falls back to the midpoint, so the bracket shrinks at least as fast as
+    by bisection.  A row is done once its Newton step is at most 1e-13 r
+    or its bracket at most 1e-13 hi, well under the iteration cap; a root
+    too close to 0 for the cap to reach that relative width raises
+    SolverError.  A NaN r q'(r) on the way raises InvalidPotentialError.
+    Each row's arithmetic is that of a lone row, so its result does not
+    depend on the other rows.
     """
-    target = 2.0 * tau
+    target = 2.0 * taus
     dx = dx_prev = hi - lo
+    out = np.empty_like(r)
+    rows = np.arange(r.size)  # each unfinished row's place in out
     for _ in range(_MAX_ITER):
-        q1, q2 = p._q_derivs_each(r, (1, 2))
-        q1 = float(q1)
-        g = _not_nan(r * q1, r, tau) - target
-        if g == 0.0:
-            return r
-        if g < 0.0:
-            lo = r
-        else:
-            hi = r
-        gp = q1 + r * float(q2)
-        if gp > 0.0:
+        q1, q2 = p._q_derivs_each(r.item() if floats else r, (1, 2))
+        with np.errstate(all="ignore"):
+            rq = r * q1
+            nan = np.isnan(rq)
+            if np.count_nonzero(nan):
+                k = nan.argmax()
+                _not_nan(rq.item(k), r.item(k), taus.item(k))
+            g = rq - target
+            gp = q1 + r * q2
             step = g / gp
+            size = abs(step)
+            slope = gp > 0.0
+            r_new = r - step
             # Convergence comes first: at the root the step is zero and r
             # sits on a bracket end, which the bracket test would reject.
-            if abs(step) <= 1e-13 * r:
-                return r - step
-            r_new = r - step
+            done = (g == 0.0) | slope & (size <= 1e-13 * r)
+            finished = np.count_nonzero(done)
+            if finished == r.size:
+                out[rows] = np.where(g == 0.0, r, r_new)
+                return out
+            neg = g < 0.0
+            lo = np.where(neg, r, lo)
+            hi = np.where(neg, hi, r)
             # A step must also halve the one before last: on steep profiles
             # such as r q' = r^1000 plain Newton creeps by r/1000 a step.
-            if lo < r_new < hi and abs(step) <= 0.5 * dx_prev:
-                dx_prev, dx = dx, abs(step)
-                r = r_new
+            take = slope & (lo < r_new) & (r_new < hi) & (size <= 0.5 * dx_prev)
+            if not finished and np.count_nonzero(take) == r.size:
+                r, dx_prev, dx = r_new, dx, size
                 continue
-        r = 0.5 * (lo + hi)
-        dx_prev, dx = dx, 0.5 * (hi - lo)
-        if r <= lo or r >= hi or hi - lo <= 1e-13 * hi:
-            break
-    if hi - lo > 1e-13 * hi:
+            width = hi - lo
+            mid = 0.5 * (lo + hi)
+            stop = done | ~take & ((mid <= lo) | (mid >= hi) | (width <= 1e-13 * hi))
+            if np.count_nonzero(stop):
+                _stalled(stop & ~done, width, hi, taus)
+                out[rows[stop]] = np.where(g == 0.0, r, np.where(done, r_new, mid))[stop]
+                keep = ~stop
+                if not np.count_nonzero(keep):
+                    return out
+                taus, target, lo, hi, rows = taus[keep], target[keep], lo[keep], hi[keep], rows[keep]
+                take, r_new, size, mid, width = take[keep], r_new[keep], size[keep], mid[keep], width[keep]
+                dx, dx_prev = dx[keep], dx_prev[keep]
+            r = np.where(take, r_new, mid)
+            dx_prev, dx = dx, np.where(take, size, 0.5 * width)
+    width = hi - lo
+    _stalled(np.ones(r.size, dtype=bool), width, hi, taus)
+    out[rows] = 0.5 * (lo + hi)
+    return out
+
+
+def _stalled(rows, width, hi, taus):
+    """SolverError for the first of the given rows whose bracket is still
+    wider than 1e-13 hi."""
+    bad = rows & (width > 1e-13 * hi)
+    if np.count_nonzero(bad):
+        k = bad.argmax()
         raise SolverError(
-            f"safeguarded Newton stalled at bracket width {hi - lo!r} for tau = {tau!r}"
+            f"safeguarded Newton stalled at bracket width {width.item(k)!r} "
+            f"for tau = {taus.item(k)!r}"
         )
-    return 0.5 * (lo + hi)
 
 
 @_named()
@@ -308,8 +396,10 @@ def _laplacian_at(p, r):
     at a saddle or droplet edge r > 0 and p.laplacian_at_zero() at a disc's
     inner edge r == 0.0 (with the potential's reason when it has none).  Anything
     but a finite positive value raises InvalidPotentialError naming r, and
-    the hard wall when r has rounded onto it."""
-    if r == 0.0:
+    the hard wall when r has rounded onto it.  An array of radii r > 0 (the
+    saddles of _saddles) gives an array from one read, each entry under the
+    same check, and the first entry that fails it names its r."""
+    if type(r) is not np.ndarray and r == 0.0:
         try:
             dq = float(p.laplacian_at_zero())
             reason = f"laplacian_at_zero() gave {dq!r}"
@@ -318,7 +408,14 @@ def _laplacian_at(p, r):
         if 0.0 < dq < math.inf:
             return dq
         raise InvalidPotentialError(f"a disc's inner edge needs ΔQ(0) finite and > 0: {reason}")
-    dq = float(p.laplacian(r))
+    dq = p.laplacian(r)
+    if type(r) is np.ndarray:
+        bad = ~((dq > 0.0) & (dq < math.inf))
+        if not np.count_nonzero(bad):
+            return dq
+        k = bad.argmax()
+        r, dq = r.item(k), dq.item(k)
+    dq = float(dq)
     if not dq > 0.0:
         raise InvalidPotentialError(f"nonpositive Laplacian {dq!r} at r_tau = {r!r}")
     if dq == math.inf:

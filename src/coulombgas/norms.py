@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .droplet import _laplacian_at, solve_r_tau
+from .droplet import _laplacian_at, _saddles, solve_r_tau
 from .equilibrium import b1
-from .errors import DomainError, IntegrationError, _named
+from .errors import CoulombGasError, DomainError, IntegrationError, _named
 from .potential import (
     _check_ensemble,
     _check_n,
@@ -46,7 +46,9 @@ class NormQuery:
     temperature scale in the weight e^{-s q}, and level = (j + 1/2)/s the
     tau' of the exact route's e^{-s V_tau'}.  log_z_exact takes its n
     queries from _grid(n, ensemble), which checks n and the ensemble once
-    per log Z and gives the same queries.
+    per log Z and gives the same queries, each holding its saddle
+    (_with_saddles).  A query a caller builds holds none, and its norm
+    solves its own saddle.
     """
 
     n: int
@@ -55,6 +57,8 @@ class NormQuery:
     k: int = field(init=False, repr=False)
     s: int = field(init=False, repr=False)
     level: float = field(init=False, repr=False)
+    # (r*, ΔQ(r*)) at tau' = level for the potential of one log Z, or None.
+    _saddle: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _check_ensemble(self.ensemble)
@@ -93,6 +97,20 @@ def _grid(n, ensemble):
     return grid
 
 
+def _with_saddles(p, queries):
+    """queries, each holding its row (r*, ΔQ(r*)) of one _saddles call for
+    all their levels.  Where that call raises, they stay bare: each norm
+    then solves its own saddle, so the lowest degree that fails raises,
+    with its norm's context, as it would on its own."""
+    try:
+        radii, dqs = _saddles(p, [q.level for q in queries])
+    except CoulombGasError:
+        return queries
+    for q, saddle in zip(queries, zip(radii, dqs)):
+        q.__dict__["_saddle"] = saddle
+    return queries
+
+
 # Relative accuracy of every norm integral whose roundoff floor is lower.
 # The exponent s (V_tau'(r) - v_min) is formed by cancellation: V_tau'(r) =
 # q(r) - 2 tau' log r carries the rounding of q, an ulp of the magnitudes of
@@ -127,10 +145,17 @@ _SEED_T = np.array(sorted({0.0, *_SEED_OFFSETS, *(-k for k in _SEED_OFFSETS)}))
 
 
 def _peak(p, query):
-    """Saddle radius, V minimum, and Gaussian width for the shifted weight."""
-    r_star = solve_r_tau(p, query.level)
+    """Saddle radius, V minimum, and Gaussian width for the shifted weight.
+    The saddle r* and ΔQ(r*) are the query's row of log_z_exact's one
+    _saddles call, or for a bare query a one-level call of its own, with
+    the same bits."""
+    saddle = query._saddle
+    if saddle is None:
+        (r_star,), (dq,) = _saddles(p, (query.level,))
+    else:
+        r_star, dq = saddle
     v_min = float(_evaluate(_v_tau_formula, p, r_star, query.level))
-    width = 1.0 / math.sqrt(2.0 * query.s * _laplacian_at(p, r_star))
+    width = 1.0 / math.sqrt(2.0 * query.s * dq)
     return r_star, v_min, width
 
 
@@ -170,6 +195,9 @@ def log_norm_exact(p, query):
     Accuracy target is max(1e-13, 4 s eps (|q|_terms(r*) + |2 tau' log r*|))
     on the norm value, the larger term being its roundoff floor at the
     saddle r* = r_tau' > 0, and about the same absolute error on the log.
+    r* and ΔQ(r*), which sets the peak width, are the query's row of
+    log_z_exact's one saddle stage, or for a query built by the caller a
+    one-level _saddles call, with the same bits (_peak).
     |q|_terms is the sum of the magnitudes of q's terms at r*: for
     MittagLeffler r^(2 lam) + 2 c |log r|, for a dilation its base's, and
     |q(r*)| for the single-term Ginibre and TruncatedUnitary and for Custom.

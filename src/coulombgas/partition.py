@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import _droplet, _given, _laplacian_at, solve_r_tau
+from .droplet import _droplet, _given, _laplacian_at, _saddles
 from .equilibrium import (
     energy,
     entropy,
@@ -26,7 +26,7 @@ from .equilibrium import (
     log_potential_origin,
 )
 from .errors import DomainError, _finite, _named
-from .norms import _REL_TOL, _degrees, _grid, log_norm_exact
+from .norms import _REL_TOL, _degrees, _grid, _with_saddles, log_norm_exact
 from .potential import _check_ensemble, _check_n, _is_real, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
@@ -49,13 +49,15 @@ def default_rel_tol(n):
 def log_z_exact(p, n, ensemble="normal", *, threads=1):
     """log Z_n by exact norm quadrature and compensated summation.
 
-    The returned value includes the log n! combinatorial factor.  Norms
-    are evaluated one after another, each to the target log_norm_exact
-    states, and summed by an exact compensated sum.  threads is accepted
+    The returned value includes the log n! combinatorial factor.  The
+    saddles of all n norms, and ΔQ there, come from one _saddles call
+    (_with_saddles).  Norms are then evaluated one after another, each to
+    the target log_norm_exact states, and summed by an exact compensated
+    sum; each has the bits it has on its own.  threads is accepted
     for compatibility and ignored: a thread pool only slowed the GIL-bound
     norm loop down.
     """
-    queries = _grid(n, ensemble)
+    queries = _with_saddles(p, _grid(n, ensemble))
     vals = [log_norm_exact(p, q) for q in queries]
     n, k = queries[0].n, queries[0].k
     return ln_factorial(n) + n * math.log(k) + math.fsum(vals)
@@ -164,7 +166,8 @@ def lemma_sum(p, n, which):
     decays like n^-3 for the V sums and n^-1 for the others.  Annular
     droplets only.  The prediction evaluates only the functionals it
     uses: energy and the origin log-potential for the V and log r sums,
-    the entropy for the log laplacian sums.  A failure re-raises its class
+    the entropy for the log laplacian sums.  The radii, and ΔQ at them,
+    come from one _saddles call for all the levels.  A failure re-raises its class
     with the potential name, n and which in front.
     """
     n = _check_n(n)
@@ -173,12 +176,12 @@ def lemma_sum(p, n, which):
     d = _droplet(p, kind="annulus", what="lemma_sum")
     k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
     taus = [j / (k * n) for j in _degrees(k, n)]
-    radii = [solve_r_tau(p, t) for t in taus]
+    radii, dqs = _saddles(p, taus)
 
     if which.startswith("sum_v"):
         terms = [float(v_tau(p, t, r)) for t, r in zip(taus, radii)]
     elif which.startswith("sum_logdq"):
-        terms = [math.log(_laplacian_at(p, r)) for r in radii]
+        terms = [math.log(dq) for dq in dqs]
     else:
         terms = [math.log(r) for r in radii]
     direct = math.fsum(terms)

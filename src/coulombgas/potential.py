@@ -426,14 +426,17 @@ _CAUCHY_GUARD = 1e-12
 
 def _cauchy_rule(m, shrink):
     """The circle's nodes with Im z >= 0, then r, as offsets from r in units of
-    R; and weights whose sums give R^k q^(k)(r), k = 0..4, as real parts, then
-    the guard's miss, the mean less q(r).  q(conj z) = conj q(z) fills in the
-    mirror nodes.  Built in cmath, so importing the package runs no ufunc."""
+    R; and real weights whose sums over the values' (Re, Im) pairs give
+    R^k q^(k)(r), k = 0..4, the real parts of the complex sums, then the
+    guard's miss, the mean less q(r): row 2j holds Re w_j, row 2j + 1 -Im w_j.
+    q(conj z) = conj q(z) fills in the mirror nodes.  Built in cmath, so
+    importing the package runs no ufunc."""
     nodes = [cmath.exp(2j * math.pi * j / m) / shrink for j in range(m // 2 + 1)] + [0.0]
     weights = [[(1 + (j % (m // 2) > 0)) / m * cmath.exp(-2j * math.pi * j * k / m)
                 * math.factorial(k) * shrink**k for k in range(5)] for j in range(m // 2 + 1)]
     weights = [w + w[:1] for w in weights] + [[0.0] * 5 + [-1.0]]
-    return np.array(nodes), np.array(weights)
+    pairs = [row for w in weights for row in ([x.real for x in w], [-x.imag for x in w])]
+    return np.array(nodes), np.array(pairs)
 
 
 _CAUCHY_NODES, _CAUCHY_WEIGHTS = _cauchy_rule(_CAUCHY_M, _CAUCHY_SHRINK)
@@ -506,7 +509,11 @@ class Custom(RadialPotential):
             raise DomainError(
                 f"{self.name}: without derivs, q must take complex arrays ({exc}); supply derivs"
             ) from exc
-        d = (v @ _CAUCHY_WEIGHTS).real  # R^k q^(k)(r), k = 0..4, then the guard's miss
+        # R^k q^(k)(r), k = 0..4, then the guard's miss.  einsum sums each row
+        # on its own, in one order, so a row's bits do not depend on how
+        # many rows share the read (a BLAS product blocks rows).
+        pairs = v.astype(complex, order="C", copy=False).view(float)
+        d = np.einsum("...m,mk->...k", pairs, _CAUCHY_WEIGHTS)
         bad = abs(miss := d[..., 5]) > _CAUCHY_GUARD * abs(v[..., -1])  # max|q| >= |q(r)|
         if bad.any() and (bad := abs(miss) > _CAUCHY_GUARD * abs(v).max(axis=-1)).any():
             i = np.flatnonzero(bad)[0]

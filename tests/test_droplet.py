@@ -360,11 +360,22 @@ class _Counting(Custom):
 @pytest.mark.parametrize("derivs", ["analytic", "circle"])
 @pytest.mark.parametrize("lam, c", _TABLE_CASES)
 def test_table_is_built_once_by_one_array_call(lam, c, derivs):
+    # Every solve reads one row at a time: 1 point of q' and of q'', or the
+    # 18 points of one circle of q.  Only the table's one array read, of q'
+    # and q'' at its 255 inner radii, reads more.
+    sizes = []
+
+    def counted(f):
+        return lambda r: (sizes.append(np.size(r)), f(r))[1]
+
     base = _ml_custom(lam, c)
-    p = _Counting(base._q, derivs=base._derivs if derivs == "analytic" else None)
+    if derivs == "analytic":
+        p, row, reads = Custom(base._q, derivs=[counted(d) for d in base._derivs]), 1, 2
+    else:
+        p, row, reads = Custom(counted(base._q)), 18, 1
     for j in range(201):
         solve_r_tau(p, j / 200)
-    assert [call for call in p.calls if call[1]] == [(1, True)]
+    assert [size for size in sizes if size > row] == [255 * row] * reads
     assert droplet._table(p)
 
 

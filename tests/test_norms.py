@@ -9,7 +9,7 @@ import pytest
 
 import coulombgas
 import mp_reference
-from coulombgas import droplet, norms, potential
+from coulombgas import droplet, norms, partition, potential
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
 from coulombgas.norms import (
     NormQuery,
@@ -696,9 +696,11 @@ def test_a_doubled_norm_integral_that_overflows_raises(monkeypatch):
 
 def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monkeypatch):
     # Timing-free guard for the per-norm cost: the integrand runs V_tau's
-    # formula on its nodes directly, so in log_z_exact the checked
+    # formula on its nodes directly, so within a norm the checked
     # evaluation (_evaluate: the domain check and a nested np.errstate) is
-    # left with the scalar calls of _peak, _r_cut and the saddle solve.
+    # left with the scalar calls of _peak and _r_cut.  Outside the norms,
+    # log_z_exact's one saddle stage reads a Custom's q' and q'' (each
+    # Newton round) and ΔQ on arrays of at most one entry per norm.
     kinds = [
         MittagLeffler(0.5, 1.2),
         TruncatedUnitary(2.0, 1.5),
@@ -706,20 +708,32 @@ def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monk
         Custom(lambda r: r**3.0 - np.log(r), name="custom-circle"),
     ]
     droplet._table(kinds[-1])  # a Custom's r q'(r) table: one array call per potential
-    args = []
+    inside, outside = [], []
     evaluate = potential._evaluate
+    norm = partition.log_norm_exact
 
     def counting(formula, p, r, arg):
-        args.append(r)
+        (inside if in_norm else outside).append(r)
         return evaluate(formula, p, r, arg)
 
+    def counted_norm(p, query):
+        nonlocal in_norm
+        in_norm = True
+        try:
+            return norm(p, query)
+        finally:
+            in_norm = False
+
+    in_norm = False
     monkeypatch.setattr(potential, "_evaluate", counting)
     monkeypatch.setattr(norms, "_evaluate", counting)
+    monkeypatch.setattr(partition, "log_norm_exact", counted_norm)
     for p in kinds:
         for ensemble in ("normal", "symplectic"):
             log_z_exact(p, 12, ensemble)
-    assert args
-    assert not [r for r in args if isinstance(r, np.ndarray)]
+    assert inside
+    assert not [r for r in inside if isinstance(r, np.ndarray)]
+    assert [r.size for r in outside if isinstance(r, np.ndarray) and r.size > 12] == []
 
 
 def _old_seeds(r_star, width, cut):

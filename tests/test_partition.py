@@ -10,6 +10,7 @@ import pytest
 
 import mp_reference
 import noisy
+from coulombgas import droplet, norms
 from coulombgas.droplet import Droplet, dr_dtau, solve_r_tau
 from coulombgas.equilibrium import EquilibriumReport
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
@@ -22,7 +23,7 @@ from coulombgas.partition import (
     log_z_asymptotic,
     log_z_exact,
 )
-from coulombgas.norms import NormQuery
+from coulombgas.norms import NormQuery, log_norm_exact
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -31,7 +32,7 @@ from coulombgas.potential import (
     dilate,
 )
 from coulombgas.quadrature import integrate
-from coulombgas.specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE
+from coulombgas.specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 LOG2 = math.log(2.0)
 
@@ -138,6 +139,92 @@ def test_log_z_exact_circle_read_golden_bits(ensemble, want):
     # the saddle take q' and q'' from one circle of q values; these bits
     # pin that route end to end.
     _assert_golden(_CIRCLE_ML, 60, ensemble, want, MittagLeffler(1.0 / 3.0, 0.7))
+
+
+def _ml_profile(lam, c, derivs):
+    """ML(lam, c) as a Custom, with its analytic derivatives or read on
+    circles; a disc (c = 0) carries its origin data, ΔQ(0) = 1 only where
+    it is finite and positive (lam = 1)."""
+    k = 2.0 * lam
+    d = [
+        lambda r: k * r ** (k - 1.0) - 2.0 * c / r,
+        lambda r: k * (k - 1.0) * r ** (k - 2.0) + 2.0 * c / r**2,
+        lambda r: k * (k - 1.0) * (k - 2.0) * r ** (k - 3.0) - 4.0 * c / r**3,
+        lambda r: k * (k - 1.0) * (k - 2.0) * (k - 3.0) * r ** (k - 4.0) + 12.0 * c / r**4,
+    ]
+    origin = {} if c else {"q_origin": 0.0, "laplacian_origin": 1.0 if lam == 1.0 else None}
+    return Custom(lambda r: r**k - 2.0 * c * np.log(r), derivs=d if derivs else None,
+                  name=f"ml-profile({lam:.3g}, {c}, {'derivs' if derivs else 'circle'})", **origin)
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("derivs", [True, False], ids=["derivs", "circle"])
+@pytest.mark.parametrize("lam, c", [(lam, c) for lam in (1.0 / 3.0, 0.5, 1.0, 2.0)
+                                    for c in (0.0, 1.1)])
+def test_saddle_stage_rows_are_the_per_norm_route_bit_for_bit(lam, c, derivs, ensemble):
+    # log_z_exact solves every saddle of a Custom in one array Newton; each
+    # row must be the lone solve_r_tau of its level, and log Z the sum of
+    # the standalone norms, each of which solves its own saddle.
+    p = _ml_profile(lam, c, derivs)
+    k = 1 if ensemble == "normal" else 2
+    for n in (25, 200):
+        queries = norms._with_saddles(p, norms._grid(n, ensemble))
+        # The saddle a query holds is private: not in its equality, hash or repr.
+        bare = NormQuery(n, queries[-1].j, ensemble)
+        assert bare._saddle is None and queries[-1]._saddle is not None
+        assert (queries[-1], hash(queries[-1]), repr(queries[-1])) == (bare, hash(bare), repr(bare))
+        rows = [q._saddle[0].hex() for q in queries]
+        assert rows == [solve_r_tau(p, q.level).hex() for q in queries], n
+        alone = [log_norm_exact(p, NormQuery(n, q.j, ensemble)) for q in queries]
+        want = ln_factorial(n) + n * math.log(k) + math.fsum(alone)
+        assert log_z_exact(p, n, ensemble).hex() == want.hex(), n
+
+
+def test_circle_reads_per_log_z_do_not_grow_with_n():
+    # The saddle stage reads q on circles once a Newton round for all
+    # unfinished rows, and once more for ΔQ at every row; the norms read q
+    # on the real line only.  So
+    # once the r q'(r) table is built, the calls of q on complex points of
+    # one log Z do not depend on n.
+    calls = []
+
+    def q(r):
+        if np.iscomplexobj(r):
+            calls.append(r.size)
+        return r ** (2.0 / 3.0) - 1.4 * np.log(r)
+
+    p = Custom(q, name="counted-circle")
+    droplet._table(p)
+    counts = {}
+    for n in (25, 400):
+        calls.clear()
+        log_z_exact(p, n)
+        counts[n] = len(calls)
+        # The first round reads every row's circle of 18 points; rows
+        # drop out of the later reads as they converge.
+        assert calls[0] == 18 * n and max(calls) == 18 * n, (n, calls)
+    assert counts[25] == counts[400] <= 6, counts
+
+
+@pytest.mark.parametrize("ensemble, j", [("normal", 5), ("symplectic", 11)])
+def test_a_saddle_stage_error_names_the_lowest_failing_degree(ensemble, j):
+    # q = r^2 with a q'' of -10 on (0.5, 0.6): r q' = 2 r^2 still gives the
+    # saddles sqrt(tau'), but ΔQ = (q'/r + q'')/4 is -2 there, at the levels
+    # tau' = (j + 1/2) / s in (0.25, 0.36).  At n = 20 the lowest is j = 5
+    # (normal) or j = 11 (symplectic), and log_z_exact raises that norm's
+    # own error.
+    def q2(r):
+        return np.where((0.5 < r) & (r < 0.6), -10.0, 2.0)
+
+    p = Custom(lambda r: r * r, derivs=[lambda r: 2.0 * r, q2, lambda r: 0.0 * r,
+                                        lambda r: 0.0 * r], name="dented")
+    with pytest.raises(InvalidPotentialError) as info:
+        log_z_exact(p, 20, ensemble)
+    want = f"dented, n=20, j={j}, ensemble={ensemble}: nonpositive Laplacian -2.0 at r_tau = "
+    assert str(info.value).startswith(want)
+    with pytest.raises(InvalidPotentialError) as alone:
+        log_norm_exact(p, NormQuery(20, j, ensemble))
+    assert str(alone.value) == str(info.value)
 
 
 def test_log_z_exact_keeps_its_bits_under_a_raising_error_state():
@@ -288,6 +375,18 @@ def test_lemma_sums_without_entropy_return_without_derivs():
         got, want = lemma_sum(circle, n, which), lemma_sum(ml, n, which)
         for g, w in zip(got, want):
             assert abs(g - w) <= bound, (which, g, w, abs(g - w), bound)
+
+
+@pytest.mark.parametrize("derivs", [True, False], ids=["derivs", "circle"])
+def test_lemma_sum_radii_are_the_per_level_solves(derivs):
+    # lemma_sum takes its radii from one _saddles call: the tau = 0 row from
+    # the scan, the others from the array Newton, each bit for bit its
+    # solve_r_tau.
+    p = _ml_profile(0.5, 1.1, derivs)
+    for which, k in (("sum_logr_normal", 1), ("sum_logr_symp_odd", 2)):
+        taus = [j / (k * 40) for j in range(k - 1, k * 40, k)]
+        want = math.fsum(math.log(solve_r_tau(p, t)) for t in taus)
+        assert lemma_sum(p, 40, which)[0].hex() == want.hex(), which
 
 
 def test_lemma_sum_third_order_ratio():

@@ -453,6 +453,20 @@ def test_orders_without_derivs_come_from_one_call_of_q(r):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("wall", [None, 3.2], ids=["no-wall", "wall"])
+def test_a_circle_read_of_many_radii_is_each_radius_read_alone(wall):
+    # The circle's weighted sums run in einsum, one row at a time in one
+    # order, so a row's q' and q'' do not depend on how many rows share the
+    # read: the saddle stage of log_z_exact reads all its rows at once and
+    # solve_r_tau one, and each row must keep the lone read's bits.
+    p = Custom(lambda x: x ** (2.0 / 3.0) - 2.2 * np.log(x), support_radius=wall)
+    rs = np.linspace(0.01, 3.0, 300)
+    got = p._q_derivs_each(rs, (1, 2))
+    for i in range(rs.size):
+        alone = p._q_derivs_each(float(rs[i]), (1, 2))
+        assert [float(got[k][i]).hex() for k in (0, 1)] == [v.hex() for v in alone], rs[i]
+
+
 # Profiles the circle cannot read: not analytic on the circle about r (a
 # modulus, or a branch of np.maximum or np.where that changes on it), or a
 # q that raises on complex points.  Each raises DomainError naming the
