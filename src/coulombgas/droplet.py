@@ -7,15 +7,17 @@ which gives the outer radius of the weighted droplet seen by monomials of
 rotated degree tau: in closed form for the built-in families and their
 dilations, otherwise by a safeguarded Newton iteration on the increasing
 function r q'(r), which stops at a relative step or bracket of 1e-13.
-The iteration (_newton) runs on an array of levels at once, one read of
-q' and q'' a round for every unfinished row, and solve_r_tau is its
-one-row call.  Its brackets come from an upward scan at tau in {0, 1},
-and at 0 < tau < 1 from a table of r q'(r) between the droplet edges that
-each potential builds once, on its first interior solve, with one array
-call.  Only a potential without a table scans at interior levels.
-_saddles gives the saddles of many levels, and ΔQ at each, from one such
-iteration and one array read of ΔQ: log_z_exact's norms and lemma_sum
-take theirs from it.
+_roots is the one solver off the closed forms: one iteration (_newton)
+for an array of levels, one read of q' and q'' a round for every
+unfinished row.  A level 0 < tau < 1 starts in a table of r q'(r)
+between the droplet edges that each potential builds once, on its first
+interior solve, from one two-row edge solve and one array call; the
+edges tau in {0, 1}, and every level of a potential without a table,
+start from an upward bracket scan.  solve_r_tau is a one-row call, and
+droplet_of takes both edges from one two-row call (_radii).  _saddles
+gives the saddles of many levels, and ΔQ at each, from one such call
+and one array read of ΔQ: log_z_exact's norms and lemma_sum take theirs
+from it.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidPotentialError, SolverError, _named
+from .errors import CoulombGasError, DomainError, InvalidPotentialError, SolverError, _named
 from .potential import _check_tau, _is_real
 
 _MAX_ITER = 200
@@ -84,62 +86,63 @@ def _closed_root(p, tau):
 def solve_r_tau(p, tau):
     """Solve r q'(r) = 2 tau for the outer radius, tau in [0, 1].
 
-    Potentials with a closed-form root (p.r_tau) use it; the others run the
-    safeguarded Newton iteration (_newton) to a relative 1e-13, as a
-    one-row call.  At 0 < tau < 1 it starts at the linear interpolate in
-    the cell of the potential's r q'(r) table (_table) that holds 2 tau,
-    widened by one cell a side, and reads q' and q'' on one-element arrays,
-    as a row of _saddles does; at tau in {0, 1}, or without a table, from
-    an upward bracket scan (_scan_root), reading q' and q'' on floats.  The
-    result depends only on p and tau, and is bit for bit the row for tau
-    of any _saddles call.  A level whose root lies so close to 0 that 200
-    steps cannot reach a relative bracket of 1e-13 (tau <= 1e-128 for
-    q = r^2) raises SolverError naming tau.
-    At tau = 0 the result is the inner droplet radius r0: 0.0 for a disc, where
-    r q'(r) >= 0 already at the bottom of the bracket or the potential
-    supplies a finite positive laplacian_at_zero() (so r q' > 0 near 0,
-    whatever the rounding of q' there), and the root of
+    Potentials with a closed-form root (p.r_tau) use it; for the others it
+    is a one-row _roots call, so the result depends only on p and tau and
+    is bit for bit the row for tau of any _roots or _saddles call.  A level
+    whose root lies so close to 0 that 200 steps cannot reach a relative
+    bracket of 1e-13 (tau <= 1e-128 for q = r^2) raises SolverError naming
+    tau.  At tau = 0 the result is the inner droplet radius r0: 0.0 for a
+    disc, where r q'(r) >= 0 already at the bottom of the scan or the
+    potential supplies a finite positive laplacian_at_zero() (so r q' > 0
+    near 0, whatever the rounding of q' there), and the root of
     r q'(r) = 0 for an annulus.
     """
     tau = _check_tau(tau)
     r = _closed_root(p, tau)
-    if r is not None:
-        return r
-    table = _table(p) if 0.0 < tau < 1.0 else ()
-    return _table_roots(p, np.array([tau]), *table).item() if table else _scan_root(p, tau)
+    return r if r is not None else _roots(p, np.array([tau])).item()
+
+
+def _radii(p, taus):
+    """Roots of r q'(r) = 2 tau for the levels taus in [0, 1]: for a
+    potential with a closed form (decided at taus[0], as solve_r_tau
+    decides) the list of each level's solve_r_tau, so their bits and calls
+    stay; for the others the array of one _roots call."""
+    if _closed_root(p, taus[0]) is not None:
+        return [solve_r_tau(p, t) for t in taus]
+    return _roots(p, np.asarray(taus, dtype=float))
 
 
 def _saddles(p, taus):
     """(radii, ΔQ at each) for the levels taus in [0, 1], as two lists of
-    floats: the one entry point for the saddles of many levels.
-
-    A potential with a closed form (decided at taus[0], as solve_r_tau
-    decides) takes each level's solve_r_tau and _laplacian_at, so its bits
-    are those of the per-level calls.  The others solve every level at
-    once (_roots) and read ΔQ at all the roots in one array call.  Each
-    row is bit for bit solve_r_tau(p, tau) and _laplacian_at of it.
-    """
-    if _closed_root(p, taus[0]) is not None:
-        radii = [solve_r_tau(p, t) for t in taus]
+    floats: the one entry point for the saddles of many levels.  The radii
+    come from _radii; a closed form reads ΔQ per level (_laplacian_at), the
+    others at every root in one array read.  Each row is bit for bit
+    solve_r_tau(p, tau) and _laplacian_at of it."""
+    radii = _radii(p, taus)
+    if type(radii) is list:
         return radii, [_laplacian_at(p, r) for r in radii]
-    radii = _roots(p, np.asarray(taus, dtype=float))
     return radii.tolist(), _laplacian_at(p, radii).tolist()
 
 
 def _roots(p, taus):
     """Roots of r q'(r) = 2 tau for an array of levels of a potential
-    without a closed form: the levels 0 < tau < 1 by one array Newton from
-    the table (_table_roots), the others, or every level when p has no
-    table, each by its own upward scan (_scan_root)."""
+    without a closed form, from one Newton call (_newton) for every row.
+    With a table (_table), a level 0 < tau < 1 starts in its table cell
+    (_table_start); the others, and every level of a potential without a
+    table, start at the midpoint of an upward scan's bracket
+    (_scan_bracket).  A bracket of zero width is its root: a disc's
+    r0 = 0.0 needs no solve."""
     inner = (0.0 < taus) & (taus < 1.0)
     table = _table(p) if np.count_nonzero(inner) else ()
-    r = np.empty_like(taus)
-    scanned = range(taus.size)
+    lo, hi, r = np.zeros_like(taus), np.zeros_like(taus), np.zeros_like(taus)
     if table:
-        r[inner] = _table_roots(p, taus[inner], *table)
-        scanned = np.flatnonzero(~inner).tolist()
-    for i in scanned:
-        r[i] = _scan_root(p, taus.item(i))
+        lo[inner], hi[inner], r[inner] = _table_start(taus[inner], *table)
+    for i in np.flatnonzero(~inner).tolist() if table else range(taus.size):
+        lo[i], hi[i] = a, b = _scan_bracket(p, taus.item(i))
+        r[i] = 0.5 * (a + b)
+    solve = lo < hi
+    if np.count_nonzero(solve):
+        r[solve] = _newton(p, taus[solve], lo[solve], hi[solve], r[solve])
     return r
 
 
@@ -161,53 +164,44 @@ def _table(p):
 
 def _build_table(p):
     """Radii r0 = r_0 < ... < r_M = r1 and values g_i = r_i q'(r_i), with
-    g_0 = 0 and g_M = 2 at the droplet edges (_scan_root at tau = 0 and 1)
-    and one array read of q' and q'' for the rest, which also shows that
-    the array Newton can read both.  () when an edge solve or the array
-    read raises, q' is not shaped like the radii or q'' neither like them
-    nor a scalar, or the values are not strictly increasing (this also
-    rejects inf and nan)."""
+    g_0 = 0 and g_M = 2 at the droplet edges (one two-row _roots call) and
+    one array read of q' and q'' for the rest, the read each Newton round
+    makes.  () when the edge solve or the array read raises, or the values
+    are not strictly increasing (this also rejects inf and nan)."""
     try:
-        r0 = _scan_root(p, 0.0)
-        r1 = _scan_root(p, 1.0)
+        r0, r1 = _roots(p, np.array([0.0, 1.0])).tolist()
         x = np.arange(1, _TABLE_POINTS) / _TABLE_POINTS
         inner = r0 + (r1 - r0) * (x * x)
-        q1, q2 = p._q_derivs_each(inner, (1, 2))
-        g = inner * np.asarray(q1, dtype=float)
-    except Exception:  # an interior scan then raises whatever it must
+        values = np.concatenate(([0.0], inner * p._q_derivs_each(inner, (1, 2))[0], [2.0]))
+    except CoulombGasError:  # an interior solve then raises whatever it must
         return ()
-    if g.shape != inner.shape or np.shape(q2) not in (inner.shape, ()):
-        return ()
-    values = np.concatenate(([0.0], g, [2.0]))
     if not np.all(values[:-1] < values[1:]):
         return ()
     return np.concatenate(([r0], inner, [r1])), values
 
 
-def _table_roots(p, taus, radii, values):
-    """Newton for an array of levels 0 < tau < 1, each row from the table's
-    bracket for 2 tau: the cell that holds it, widened by one cell a side
-    (array and scalar pow may differ in the last bit), and the linear
-    interpolate in that cell."""
+def _table_start(taus, radii, values):
+    """(lo, hi, r) for an array of levels 0 < tau < 1 from the table: the
+    cell that holds 2 tau, widened by one cell a side (array and scalar pow
+    may differ in the last bit), and the linear interpolate in that cell."""
     target = 2.0 * taus
     i = np.searchsorted(values, target, side="right") - 1
     lo = radii[np.maximum(i - 1, 0)]
     hi = radii[np.minimum(i + 2, radii.size - 1)]
     r = radii[i] + (target - values[i]) * (radii[i + 1] - radii[i]) / (values[i + 1] - values[i])
     # At the smallest tau the interpolate underflows to r0 = 0.
-    r = np.where((lo < r) & (r < hi), r, 0.5 * (lo + hi))
-    return _newton(p, taus, lo, hi, r)
+    return lo, hi, np.where((lo < r) & (r < hi), r, 0.5 * (lo + hi))
 
 
-def _scan_root(p, tau):
-    """Root of r q'(r) = 2 tau on a bracket found by scanning upward from
-    r = 1e-12 (dyadic points, or towards the support radius), with Newton
-    started at the bracket midpoint as one row read on floats."""
+def _scan_bracket(p, tau):
+    """Bracket (lo, hi) of the root of r q'(r) = 2 tau from an upward scan
+    from r = 1e-12 (dyadic points, or towards the support radius) that
+    reads r q' on floats; (0.0, 0.0) at tau = 0 for a disc."""
     target = 2.0 * tau
     if tau == 0.0:
         try:
             _laplacian_at(p, 0.0)
-            return 0.0
+            return 0.0, 0.0
         except InvalidPotentialError:
             pass
 
@@ -216,41 +210,33 @@ def _scan_root(p, tau):
         lo = min(1e-12, p.support_radius * 1e-15)
     if _rqp(p, lo) - target >= 0.0:
         if tau == 0.0:
-            return 0.0
+            return 0.0, 0.0
         raise InvalidPotentialError(
             f"r q'(r) already exceeds {target!r} at r = {lo!r}; no inner bracket"
         )
-    hi = None
-    prev = lo
-    for cand in _bracket_candidates(p):
-        if _not_nan(_rqp(p, cand), cand, tau) - target > 0.0:
-            hi = cand
-            break
-        prev = cand
-    if hi is None:
-        raise InvalidPotentialError(
-            f"r q'(r) never reaches {target!r}; the potential does not confine this level"
-        )
-    lo, hi = np.array([prev]), np.array([hi])
-    return _newton(p, np.array([tau]), lo, hi, 0.5 * (lo + hi), floats=True).item()
+    for hi in _bracket_candidates(p):
+        if _not_nan(_rqp(p, hi), hi, tau) - target > 0.0:
+            return lo, hi
+        lo = hi
+    raise InvalidPotentialError(
+        f"r q'(r) never reaches {target!r}; the potential does not confine this level"
+    )
 
 
-def _newton(p, taus, lo, hi, r, floats=False):
+def _newton(p, taus, lo, hi, r):
     """Safeguarded Newton for r q'(r) = 2 tau, one row per level: arrays of
     levels taus and brackets [lo, hi] around their roots, with r in each.
 
     Newton runs on g(r) = r q'(r) - 2 tau, with g' = q' + r q'' > 0, and keeps
     each row's [lo, hi] around its root at every step.  Each round reads
-    q' and q'' at every unfinished row in one evaluation
+    q' and q'' at every unfinished row in one array evaluation
     (p._q_derivs_each), for a Custom without derivs one circle of q values
-    per row; floats=True reads a single row on a Python float instead, for
-    profiles that may take only floats.  Row by row, a step that leaves
-    the bracket or is not half the step before last, or a nonpositive g',
-    falls back to the midpoint, so the bracket shrinks at least as fast as
-    by bisection.  A row is done once its Newton step is at most 1e-13 r
-    or its bracket at most 1e-13 hi, well under the iteration cap; a root
-    too close to 0 for the cap to reach that relative width raises
-    SolverError.  A NaN r q'(r) on the way raises InvalidPotentialError.
+    per row.  Row by row, a step that leaves the bracket or is not half the
+    step before last, or a nonpositive g', falls back to the midpoint, so
+    the bracket shrinks at least as fast as by bisection.  A row is done
+    once its Newton step is at most 1e-13 r or its bracket at most
+    1e-13 hi, well under the iteration cap; a root too close to 0 for the
+    cap to reach that relative width raises SolverError.  A NaN r q'(r) on the way raises InvalidPotentialError.
     Each row's arithmetic is that of a lone row, so its result does not
     depend on the other rows.
     """
@@ -259,7 +245,7 @@ def _newton(p, taus, lo, hi, r, floats=False):
     out = np.empty_like(r)
     rows = np.arange(r.size)  # each unfinished row's place in out
     for _ in range(_MAX_ITER):
-        q1, q2 = p._q_derivs_each(r.item() if floats else r, (1, 2))
+        q1, q2 = p._q_derivs_each(r, (1, 2))
         with np.errstate(all="ignore"):
             rq = r * q1
             nan = np.isnan(rq)
@@ -324,14 +310,13 @@ def _stalled(rows, width, hi, taus):
 def droplet_of(p):
     """Droplet radii and kind, with an admissibility check on the Laplacian.
 
-    The inner radius is r0 = solve_r_tau(p, 0), and the droplet is a disc
-    iff r0 == 0.0.  Raises InvalidPotentialError when r0 is not below r1
-    (a zero-width droplet, e.g. once r0 and r1 round to the same float) or
-    when the Laplacian of Q fails to be strictly positive on a grid
-    spanning a neighborhood of the droplet.
+    The radii r1 and r0 = solve_r_tau(p, 0) come from one _radii call, and
+    the droplet is a disc iff r0 == 0.0.  Raises InvalidPotentialError
+    when r0 is not below r1 (a zero-width droplet, e.g. once r0 and r1
+    round to the same float) or when the Laplacian of Q fails to be
+    strictly positive on a grid spanning a neighborhood of the droplet.
     """
-    r1 = solve_r_tau(p, 1.0)
-    r0 = solve_r_tau(p, 0.0)
+    r1, r0 = map(float, _radii(p, (1.0, 0.0)))
     if not r0 < r1:
         raise InvalidPotentialError(
             f"zero-width droplet: r0 = {r0!r} is not below r1 = {r1!r}"

@@ -246,8 +246,16 @@ class RadialPotential:
         """(q_derivs(r, k) for k in orders), bit for bit, from one checked
         evaluation of the _profiles hook; orders is a tuple of ints in
         1..4.  Where a float's evaluation raises, every order is read from
-        the one-element array (_evaluate)."""
-        return _evaluate(type(self)._profiles, self, r, orders)
+        the one-element array (_evaluate).  A value that is neither a real
+        number nor a real array shaped like r (or a scalar array) raises
+        DomainError naming the potential."""
+        values = _evaluate(type(self)._profiles, self, r, orders)
+        for k, v in zip(orders, values):
+            if not (isinstance(v, numbers.Real) or isinstance(v, np.ndarray)
+                    and v.dtype.kind in "fiu" and v.shape in ((), np.shape(r))):
+                raise _malformed(self, k, r, f"it returned {type(v).__name__} "
+                                             f"of shape {np.shape(v)}")
+        return values
 
     def laplacian(self, r):
         """Planar Laplacian of Q at radius r: (q'/r + q'')/4."""
@@ -447,14 +455,19 @@ class Custom(RadialPotential):
 
     q must be callable, and derivs, when given, an iterable of exactly
     four callables for q', q'', q''', q''''; anything else raises
-    DomainError.  The callables receive Python floats and 1-D float arrays;
-    scalar results are taken as Python floats, and numpy calls a callable
-    makes on a Python float follow numpy's own error settings.  Without
-    derivs, every order at r comes from one call of q on complex points of
-    a circle about r (_cauchy): q must then take complex arrays and be
-    analytic within min(r, support_radius - r) of r, so a scalar-only q must
-    supply derivs.  A q that rejects complex points, drops their imaginary
-    parts, or fails the circle's guard raises DomainError asking for derivs.
+    DomainError.  The callables must take Python floats and 1-D float
+    arrays, and return a real number or an array shaped like r (or a
+    scalar array).  A callable that raises TypeError or ValueError, a
+    float result that is not a real number, and a q' or q'' of the root
+    solve's array read (_q_derivs_each) that is neither raise DomainError
+    (_malformed).  Scalar results are taken as Python floats, and numpy
+    calls a callable makes on a Python float follow numpy's own error
+    settings.  Without derivs, every order at r comes from one call of q
+    on complex points of a circle about r (_cauchy): q must then take
+    complex arrays and be analytic within min(r, support_radius - r) of r,
+    so a scalar-only q must supply derivs.  A q that rejects complex
+    points, drops their imaginary parts, or fails the circle's guard
+    raises DomainError asking for derivs.
     q_origin, when given, must be a finite real and laplacian_origin a
     finite positive real; anything else raises DomainError.  Each of these
     messages starts with "name: ".  The exact norms' rounding floor takes
@@ -529,8 +542,11 @@ class Custom(RadialPotential):
     def _profile(self, r, order):
         if order and self._derivs is None:
             return self._cauchy(r, (order,))[0]
-        v = self._derivs[order - 1](r) if order else self._q(r)
-        return float(v) if type(r) is float else v  # numpy scalars stay out
+        try:
+            v = self._derivs[order - 1](r) if order else self._q(r)
+            return float(v) if type(r) is float else v  # numpy scalars stay out
+        except (TypeError, ValueError) as exc:
+            raise _malformed(self, order, r, exc) from exc
 
     def _profiles(self, r, orders):
         if self._derivs is None:
@@ -546,6 +562,17 @@ class Custom(RadialPotential):
         if self._laplacian_origin is None:
             raise DomainError(f"{self.name}: no origin Laplacian supplied")
         return self._laplacian_origin
+
+
+def _malformed(p, order, r, why):
+    """DomainError naming p for a profile callable (q, or q^(order)) that
+    fails the callable contract at r, a float or an array of radii."""
+    at = "a float" if type(r) is float else f"an array of shape {np.shape(r)}"
+    what = "q" + "'" * order if order < 3 else f"q^({order})"
+    return DomainError(
+        f"{p.name}: {what} at {at} failed ({why}); the callables must take Python floats and "
+        "1-D float arrays and return a real number or an array shaped like r"
+    )
 
 
 def _pow_or_inf(x, k):

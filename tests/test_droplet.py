@@ -271,15 +271,18 @@ def test_custom_root_at_a_kink_of_r_q_prime():
     )
     p = Custom(q, derivs=derivs, name="kinked")
     # solve_r_tau starts Newton from the r q'(r) table, whose bracket is the
-    # three cells around k.  The upward scan, which the table falls back on,
-    # brackets the root in [1, 2]; the first Newton step from the midpoint
-    # lands beyond 2, so the midpoint fallback runs.
+    # three cells around k.  The upward scan, which a potential without a
+    # table starts from, brackets the root in [1, 2]; the first Newton step
+    # from the midpoint lands beyond 2, so the midpoint fallback runs.
     g = lambda r: r * float(p.q_derivs(r, 1)) - 1.0
     gp = lambda r: float(p.q_derivs(r, 1)) + r * float(p.q_derivs(r, 2))
     assert 1.5 - g(1.5) / gp(1.5) > 2.0
     assert abs(solve_r_tau(p, 0.5) - k) <= 1e-13 * k
     assert droplet._table(p)
-    assert abs(droplet._scan_root(p, 0.5) - k) <= 1e-13 * k
+    scanned = Custom(q, derivs=derivs, name="kinked")
+    vars(scanned)["_r_tau_table"] = ()  # the cache of a potential without a table
+    assert droplet._scan_bracket(scanned, 0.5) == (1.0, 2.0)
+    assert abs(solve_r_tau(scanned, 0.5) - k) <= 1e-13 * k
 
 
 def test_custom_root_on_a_steep_profile():
@@ -361,8 +364,9 @@ class _Counting(Custom):
 @pytest.mark.parametrize("lam, c", _TABLE_CASES)
 def test_table_is_built_once_by_one_array_call(lam, c, derivs):
     # Every solve reads one row at a time: 1 point of q' and of q'', or the
-    # 18 points of one circle of q.  Only the table's one array read, of q'
-    # and q'' at its 255 inner radii, reads more.
+    # 18 points of one circle of q.  The table's edge solve reads two rows
+    # (r0 and r1 of an annulus) a round, and only the table's one array
+    # read, of q' and q'' at its 255 inner radii, reads more.
     sizes = []
 
     def counted(f):
@@ -375,8 +379,19 @@ def test_table_is_built_once_by_one_array_call(lam, c, derivs):
         p, row, reads = Custom(counted(base._q)), 18, 1
     for j in range(201):
         solve_r_tau(p, j / 200)
-    assert [size for size in sizes if size > row] == [255 * row] * reads
+    assert set(sizes) <= {row, 2 * row, 255 * row}
+    assert [size for size in sizes if size > 2 * row] == [255 * row] * reads
     assert droplet._table(p)
+
+
+@pytest.mark.parametrize("derivs", ["analytic", "circle"])
+@pytest.mark.parametrize("lam, c", _TABLE_CASES)
+def test_droplet_edges_are_the_table_edges(lam, c, derivs):
+    # droplet_of and the table each solve both edges in one two-row call.
+    p = _ml_custom(lam, c) if derivs == "analytic" else Custom(_ml_custom(lam, c)._q)
+    d = droplet_of(p)
+    radii, _ = droplet._table(p)
+    assert (d.r0.hex(), d.r1.hex()) == (radii[0].item().hex(), radii[-1].item().hex())
 
 
 @pytest.mark.parametrize("lam, c", _TABLE_CASES)
@@ -580,10 +595,10 @@ def test_nan_in_the_newton_loop_is_named():
         solve_r_tau(p, 0.5)
 
 
-def test_a_column_shaped_derivative_builds_no_table():
-    # q = r^2 whose q' gives an (m, 1) column for an array: the table's
-    # values would broadcast to (m, m), so there is no table and interior
-    # levels go through the upward scan, which reads q' on floats.
+def test_a_column_shaped_derivative_is_a_domain_error():
+    # q = r^2 whose q' gives an (m, 1) column for an array, where the
+    # values would broadcast to (m, m): the array read rejects it, naming
+    # the potential, so there is no table and every interior level raises.
     p = Custom(lambda r: r * r, derivs=(
         lambda r: 2.0 * r if type(r) is float else (2.0 * r)[:, None],
         lambda r: 2.0 + 0.0 * r,
@@ -591,20 +606,29 @@ def test_a_column_shaped_derivative_builds_no_table():
         lambda r: 0.0 * r,
     ), name="column q'")
     for tau in (0.3, 0.5, 0.81):
-        want = math.sqrt(tau)
-        assert abs(solve_r_tau(p, tau) - want) <= 1e-13 * want, tau
+        with pytest.raises(DomainError, match=re.escape(
+                "column q': q' at an array of shape (1,) failed (it returned ndarray of shape (1, 1))")):
+            solve_r_tau(p, tau)
     assert droplet._table(p) == ()
 
 
+def _dip(r, k):
+    # d^k/dr^k of -0.01 exp(-s^2), s = 2 (r - 9): (-2)^k H_k(s) exp(-s^2).
+    s = 2.0 * (r - 9.0)
+    h = (1.0, 2.0 * s, 4.0 * s * s - 2.0, 8.0 * s**3 - 12.0 * s, 16.0 * s**4 - 48.0 * s * s + 12.0)[k]
+    return -0.01 * (-2.0) ** k * h * np.exp(-s * s)
+
+
 def test_root_below_the_scan_start_has_no_inner_bracket():
-    # q = sqrt(r): r q'(r) = sqrt(r) / 2 is already 5e-7 at r = 1e-12, where
-    # the upward scan starts.  The callables take only floats, so the
-    # table's array call fails and every level goes through the scan.
-    p = Custom(math.sqrt, derivs=(
-        lambda r: 0.5 / math.sqrt(r),
-        lambda r: -0.25 / (r * math.sqrt(r)),
-        lambda r: 0.375 / (r * r * math.sqrt(r)),
-        lambda r: -0.9375 / (r**3 * math.sqrt(r)),
+    # q = sqrt(r) with a dip at r = 9: r q'(r) = sqrt(r) / 2 is already 5e-7
+    # at r = 1e-12, where the upward scan starts, and the dip makes r q'
+    # fall near r = 9, so there is no table and every level goes through
+    # the scan.  (With a table, Custom(np.sqrt) finds the root 1.6e-13.)
+    p = Custom(lambda r: np.sqrt(r) + _dip(r, 0), derivs=(
+        lambda r: 0.5 / np.sqrt(r) + _dip(r, 1),
+        lambda r: -0.25 / (r * np.sqrt(r)) + _dip(r, 2),
+        lambda r: 0.375 / (r * r * np.sqrt(r)) + _dip(r, 3),
+        lambda r: -0.9375 / (r**3 * np.sqrt(r)) + _dip(r, 4),
     ), name="sqrt")
     assert droplet._table(p) == ()
     want = "sqrt: r q'(r) already exceeds 2e-07 at r = 1e-12; no inner bracket"

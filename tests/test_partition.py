@@ -180,6 +180,63 @@ def test_saddle_stage_rows_are_the_per_norm_route_bit_for_bit(lam, c, derivs, en
         assert log_z_exact(p, n, ensemble).hex() == want.hex(), n
 
 
+def _steep(q1=lambda f: f):
+    # r q'(r) = (r / 1.3)^1500: r q' underflows to 0 at most table radii, so
+    # there is no table.  q1 wraps the q' callable.
+    R, pw = 1.3, 1500.0
+    return Custom(lambda r: (r / R) ** pw / pw, derivs=(
+        q1(lambda r: (r / R) ** pw / r),
+        lambda r: (pw - 1.0) * (r / R) ** pw / r**2,
+        lambda r: (pw - 1.0) * (pw - 2.0) * (r / R) ** pw / r**3,
+        lambda r: (pw - 1.0) * (pw - 2.0) * (pw - 3.0) * (r / R) ** pw / r**4,
+    ), name="steep")
+
+
+def _gap(q1=lambda f: f):
+    # q = r^2 - 0.05 e^(-u^2 / 0.01), u = r^2 - 1/2: r q' is not monotone
+    # (a spectral gap, as in ROADMAP item 12), so there is no table.  f(r, k)
+    # is the k-th u-derivative of the bump, (-10)^k H_k(s) of s = 10 u.
+    def f(r, k):
+        s = 10.0 * (r * r - 0.5)
+        h = (1.0, 2.0 * s, 4.0 * s * s - 2.0, 8.0 * s**3 - 12.0 * s,
+             16.0 * s**4 - 48.0 * s * s + 12.0)[k]
+        return -0.05 * (-10.0) ** k * h * np.exp(-s * s)
+
+    return Custom(lambda r: r * r + f(r, 0), derivs=(
+        q1(lambda r: 2.0 * r + 2.0 * r * f(r, 1)),
+        lambda r: 2.0 + 4.0 * r * r * f(r, 2) + 2.0 * f(r, 1),
+        lambda r: 8.0 * r**3 * f(r, 3) + 12.0 * r * f(r, 2),
+        lambda r: 16.0 * r**4 * f(r, 4) + 48.0 * r * r * f(r, 3) + 12.0 * f(r, 2),
+    ), name="gap")
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("profile", [_steep, _gap], ids=["steep", "gap"])
+def test_saddle_stage_rows_of_a_table_less_profile_are_the_per_norm_route(profile, ensemble):
+    # Without a table every row starts from its own scan bracket, and the
+    # rows still share one Newton call: each row is the lone solve_r_tau of
+    # its level, log Z the sum of the standalone norms, and log Z calls q'
+    # on arrays once a round of its slowest row and once for ΔQ, however
+    # many rows there are.
+    arrays = []
+    p = profile(lambda f: lambda r: (arrays.append(type(r) is np.ndarray), f(r))[1])
+    k = 1 if ensemble == "normal" else 2
+    for n in (25, 200):
+        queries = norms._with_saddles(p, norms._grid(n, ensemble))
+        rows, rounds = [], []
+        for q in queries:
+            arrays.clear()
+            rows.append(solve_r_tau(p, q.level).hex())
+            rounds.append(sum(arrays))
+        assert [q._saddle[0].hex() for q in queries] == rows, n
+        alone = [log_norm_exact(p, NormQuery(n, q.j, ensemble)) for q in queries]
+        want = ln_factorial(n) + n * math.log(k) + math.fsum(alone)
+        arrays.clear()
+        assert log_z_exact(p, n, ensemble).hex() == want.hex(), n
+        assert sum(arrays) == max(rounds) + 1, (n, sum(arrays), max(rounds))
+    assert droplet._table(p) == ()
+
+
 def test_circle_reads_per_log_z_do_not_grow_with_n():
     # The saddle stage reads q on circles once a Newton round for all
     # unfinished rows, and once more for ΔQ at every row; the norms read q

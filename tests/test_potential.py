@@ -15,7 +15,7 @@ from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_
 from coulombgas.partition import log_z_exact
 from coulombgas import potential
 from coulombgas.droplet import droplet_of
-from coulombgas.equilibrium import b1
+from coulombgas.equilibrium import b1, equilibrium_report
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -508,6 +508,33 @@ def test_a_profile_that_drops_imaginary_parts_raises_a_domain_error(action, q):
 def _scalar_only(f):
     # float() of a many-element array raises, so f only takes scalars.
     return lambda r: f(float(r))
+
+
+# q = r^2 with a q' that breaks the callable contract: it raises on a float,
+# returns a value that is neither a real number nor an array shaped like r,
+# or takes only floats.
+_MALFORMED_Q1 = {
+    "none q'": lambda r: None,
+    "list q'": lambda r: [2.0 * r],
+    "string q'": lambda r: "2 r",
+    "math.sqrt q'": lambda r: 2.0 * math.sqrt(r * r),
+    "column q'": lambda r: 2.0 * r if type(r) is float else (2.0 * r)[:, None],
+}
+_ROUTES = {
+    "solve_r_tau": lambda p: solve_r_tau(p, 0.5),
+    "droplet_of": droplet_of,
+    "log_z_exact": lambda p: log_z_exact(p, 20),
+    "equilibrium_report": equilibrium_report,
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("name", sorted(_MALFORMED_Q1))
+def test_a_malformed_callable_raises_a_domain_error_naming_the_potential(name, route):
+    p = Custom(lambda r: r * r, derivs=[_MALFORMED_Q1[name], lambda r: 2.0 + 0.0 * r,
+                                        lambda r: 0.0 * r, lambda r: 0.0 * r], name=name)
+    with pytest.raises(DomainError, match=f"^{re.escape(name)}[:,] .*q' at an? "):
+        _ROUTES[route](p)
 
 
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
