@@ -59,7 +59,7 @@ def _integral(f, d):
 def mu_mass(p, droplet=None):
     """Total mass of 2 r laplacian(r) dr over the droplet (should be 1)."""
     d = _droplet(p, droplet)
-    return _integral(lambda x: p._laplacian(np.sqrt(x), 0), d)
+    return _integral(lambda x: p._laplacian(np.sqrt(x), (0,))[0], d)
 
 
 @_named()
@@ -84,7 +84,7 @@ def entropy(p, droplet=None):
     d = _droplet(p, droplet)
 
     def f(x):
-        dq = p._laplacian(np.sqrt(x), 0)
+        dq = p._laplacian(np.sqrt(x), (0,))[0]
         return np.log(dq) * dq
 
     return _integral(f, d)
@@ -114,14 +114,16 @@ def b1(p, r):
     + 5 (r d/laplacian)^2/96 + 1/12] / (r^2 laplacian), whose pieces are
     scale-free: no power of the Laplacian leaves float64 where b1 does not.
     """
-    return _evaluate(_b1_formula, p, r, None)
+    return _evaluate(_b1_formula, p, r, False)
 
 
-def _b1_formula(p, r, _):
-    dq = p._laplacian(r, 0)
-    u1 = r * (p._laplacian(r, 1) / dq)  # r laplacian' / laplacian
-    u2 = r * (r * (p._laplacian(r, 2) / dq))  # r^2 laplacian'' / laplacian
-    return (-u2 / 32.0 - 19.0 * u1 / 96.0 + 5.0 * u1 * u1 / 96.0 + 1.0 / 12.0) / (r * (r * dq))
+def _b1_formula(p, r, weighted):
+    """b1 at r, times laplacian(r) when weighted, from one Laplacian read."""
+    dq, dq1, dq2 = p._laplacian(r, (0, 1, 2))
+    u1 = r * (dq1 / dq)  # r laplacian' / laplacian
+    u2 = r * (r * (dq2 / dq))  # r^2 laplacian'' / laplacian
+    b = (-u2 / 32.0 - 19.0 * u1 / 96.0 + 5.0 * u1 * u1 / 96.0 + 1.0 / 12.0) / (r * (r * dq))
+    return b * dq if weighted else b
 
 
 def _f_term(p, d):
@@ -138,8 +140,8 @@ def _f_term(p, d):
     ratio1 = float(p.laplacian_dr(d.r1)) / dq1
 
     def f(x):
-        r = np.sqrt(x)
-        return (p._laplacian(r, 1) / p._laplacian(r, 0)) ** 2
+        dq, dq1 = p._laplacian(np.sqrt(x), (0, 1))
+        return (dq1 / dq) ** 2
 
     val = _integral(f, d)  # first, so that r0^2 and r1^2 below are finite
     if d.kind == "annulus":
@@ -181,17 +183,18 @@ def f_disc_chi_form(p, droplet=None):
     _laplacian_at(p, d.r0)  # as in _f_term, the integrands need ΔQ(0) > 0
     dq1 = _laplacian_at(p, d.r1)
 
-    def chi_prime(r):
-        return p._laplacian(r, 1) / (2.0 * p._laplacian(r, 0))
-
     def zero_mode(x):
         r = np.sqrt(x)
-        dq = p._laplacian(r, 0)
-        chi2 = p._laplacian(r, 2) / (2.0 * dq) - p._laplacian(r, 1) ** 2 / (2.0 * dq**2)
-        return 0.5 * (chi2 + chi_prime(r) / r)
+        dq, dq1, dq2 = p._laplacian(r, (0, 1, 2))
+        chi2 = dq2 / (2.0 * dq) - dq1**2 / (2.0 * dq**2)
+        return 0.5 * (chi2 + dq1 / (2.0 * dq) / r)
+
+    def dirichlet(x):
+        dq, dq1 = p._laplacian(np.sqrt(x), (0, 1))
+        return 0.5 * (dq1 / (2.0 * dq)) ** 2
 
     zm = _integral(zero_mode, d)
-    dir_en = _integral(lambda x: 0.5 * chi_prime(np.sqrt(x)) ** 2, d)
+    dir_en = _integral(dirichlet, d)
     return (
         math.log(1.0 / d.r1**2) / 12.0
         - 0.5 * math.log(dq1) / 6.0
@@ -210,7 +213,7 @@ def b1_integral(p, droplet=None):
     that must agree with it.
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
-    direct = _integral(lambda x: _b1_formula(p, np.sqrt(x), None) * p._laplacian(np.sqrt(x), 0), d)
+    direct = _integral(lambda x: _b1_formula(p, np.sqrt(x), True), d)
     dq0 = _laplacian_at(p, d.r0)
     dq1 = _laplacian_at(p, d.r1)
     identity = (
@@ -244,19 +247,20 @@ def zw_coefficients(p, droplet=None):
         r = np.sqrt(x)
         w = -p._profile(r, 0)
         wprime = -p._profile(r, 1) / (2.0 * r)
-        return (w - wprime * x * np.log(x)) * p._laplacian(r, 0)
+        return (w - wprime * x * np.log(x)) * p._laplacian(r, (0,))[0]
 
     def f_half_integrand(x):
-        s = p._laplacian(np.sqrt(x), 0)
+        s = p._laplacian(np.sqrt(x), (0,))[0]
         return s * np.log(s)
 
-    def chi_prime_x(x):
+    def dirichlet(x):
         r = np.sqrt(x)
-        return p._laplacian(r, 1) / (4.0 * r * p._laplacian(r, 0))
+        dq, dq1 = p._laplacian(r, (0, 1))
+        return x * (dq1 / (4.0 * r * dq)) ** 2
 
     f0 = _integral(f0_integrand, d)
     fh = _integral(f_half_integrand, d)
-    dirich = _integral(lambda x: x * chi_prime_x(x) ** 2, d)
+    dirich = _integral(dirichlet, d)
     x1 = d.r1**2  # finite, as the integrals returned
     dq1 = _laplacian_at(p, d.r1)
     chi1 = 0.5 * math.log(dq1)

@@ -9,13 +9,14 @@ arrays of int or float dtype.
 
 Three hooks hold every formula, as plain arithmetic on floats and arrays:
 _profile(r, order) for q and its derivatives (_profiles(r, orders) reads
-several orders at once, with the same bits), _laplacian(r, order) for
-the Laplacian and its first two radial derivatives, and _q_magnitude(r, q)
-for the sum of the magnitudes of q's terms, the scale of q's rounding that
-sets the exact norms' accuracy floor.  The checked entry
-points (q_derivs, the laplacian accessors, v_tau and equilibrium.b1) hold
-the one evaluation contract (_evaluate): a scalar gets the inf or nan
-that a one-element array gets, and neither warns.
+several of the orders 1..4 at once, with the same bits), _laplacian(r,
+orders) for the Laplacian and its first two radial derivatives, as many
+as asked for from one read, and _q_magnitude(r, q) for the sum of the
+magnitudes of q's terms, the scale of q's rounding that sets the exact
+norms' accuracy floor.  The checked entry points (q_derivs, the
+laplacian accessors, v_tau and equilibrium.b1) hold the one evaluation
+contract (_evaluate): a scalar gets the inf or nan that a one-element
+array gets, and neither warns.
 
 The degree-dependent effective potential for orthogonal-norm asymptotics is
 V_tau(r) = q(r) - 2 tau log r, given by one formula (_v_tau_formula).  Its
@@ -130,9 +131,9 @@ def _evaluate(formula, p, r, arg):
     warn.  Where Python raises instead of giving inf or nan (OverflowError
     from **, ZeroDivisionError, ValueError from _log), the float is
     evaluated again as a one-element array; a formula that returns a tuple
-    (the _profiles hook) then gets a tuple of floats.  Each entry point is
-    a plain function of fixed arity that calls this one, so a scalar call
-    builds no argument tuple or dict.
+    (the _profiles and _laplacian hooks) then gets a tuple of floats.  Each
+    entry point is a plain function of fixed arity that calls this one, so
+    a scalar call builds no argument tuple or dict.
     """
     r = p._checked(r)
     if type(r) is float:
@@ -155,16 +156,17 @@ class RadialPotential:
     Subclasses implement _profile(r, order) for orders 0..4 as a plain
     formula in a checked r that works on Python floats and numpy arrays;
     the entry points give it the scalar contract (_evaluate).  The hook
-    _profiles(r, orders) gives several orders at once, each with
-    _profile's bits; a Custom without derivs reads every order there from
-    one circle of q values (Custom._cauchy), and dilate forwards its base's.
-    The Laplacian hook _laplacian(r, order), orders 0..2, has the same contract.
-    Its default is the generic formula in terms of the profile, which Custom
-    uses; the closed-form families override the hook (never the checked
-    laplacian accessors), as they override r_tau, and dilate scales its
-    base's hook.  The magnitude hook _q_magnitude(r, q) defaults to |q|;
-    MittagLeffler, whose two terms can cancel, overrides it, and dilate
-    forwards its base's.
+    _profiles(r, orders) gives several of the orders 1..4 at once, each
+    with _profile's bits; a Custom without derivs reads every order there
+    from one circle of q values (Custom._cauchy), and dilate forwards its
+    base's.  The Laplacian hook _laplacian(r, orders) has the same contract
+    and shape: a tuple of the orders asked for, in 0..2, each with the
+    bits of a read of that order alone.  Its default is the generic
+    formula in terms of the profile, which Custom uses; the closed-form
+    families override the hook (never the checked laplacian accessors), as
+    they override r_tau, and dilate scales its base's hook.  The magnitude
+    hook _q_magnitude(r, q) defaults to |q|; MittagLeffler, whose two terms
+    can cancel, overrides it, and dilate forwards its base's.
     """
 
     name = "potential"
@@ -174,8 +176,8 @@ class RadialPotential:
         raise NotImplementedError
 
     def _profiles(self, r, orders):
-        """(_profile(r, k) for k in orders) as a tuple, each with the bits
-        of its own _profile call."""
+        """(_profile(r, k) for k in orders) as a tuple, orders in 1..4, each
+        with the bits of its own _profile call."""
         return tuple([self._profile(r, k) for k in orders])
 
     def _q_magnitude(self, r, q):
@@ -221,19 +223,17 @@ class RadialPotential:
             )
         return r
 
-    def _laplacian(self, r, order):
-        """d^order/dr^order of the Laplacian (q'/r + q'')/4, order in 0..2,
-        from the profile, nested around q'' - q'/r = r (q'/r)' so that the
-        cancellation it carries is taken first: for q = r^2 it is exactly 0.
-        The profile orders it needs come from one _profiles read."""
-        if order == 0:
-            q1, q2 = self._profiles(r, (1, 2))
-            return (q1 / r + q2) / 4.0
-        if order == 1:
-            q1, q2, q3 = self._profiles(r, (1, 2, 3))
-            return (q3 + (q2 - q1 / r) / r) / 4.0
-        q1, q2, q3, q4 = self._profiles(r, (1, 2, 3, 4))
-        return (q4 + (q3 - 2.0 * (q2 - q1 / r) / r) / r) / 4.0
+    def _laplacian(self, r, orders):
+        """(d^k/dr^k of the Laplacian (q'/r + q'')/4 for k in orders) as a
+        tuple, orders in 0..2, from one _profiles read of q' .. q^(max + 2).
+        With s_k = r (q'/r)^(k): s_0 = q', s_k = q^(k+1) - k s_(k-1) / r and
+        the k-th derivative is (q^(k+2) + s_k / r) / 4, so the cancellation
+        s_1 = q'' - q'/r carries is taken first: for q = r^2 it is exactly 0."""
+        q = (None,) + self._profiles(r, (1, 2, 3, 4)[:max(orders) + 2])
+        s = [q[1]]
+        for k in range(1, max(orders) + 1):
+            s.append(q[k + 1] - k * s[k - 1] / r)
+        return tuple([(q[k + 2] + s[k] / r) / 4.0 for k in orders])
 
     def q_derivs(self, r, order=0):
         """Radial profile derivative d^order q / dr^order, order in 0..4;
@@ -246,24 +246,16 @@ class RadialPotential:
         """(q_derivs(r, k) for k in orders), bit for bit, from one checked
         evaluation of the _profiles hook; orders is a tuple of ints in
         1..4.  Where a float's evaluation raises, every order is read from
-        the one-element array (_evaluate).  A value that is neither a real
-        number nor a real array shaped like r (or a scalar array) raises
-        DomainError naming the potential."""
-        values = _evaluate(type(self)._profiles, self, r, orders)
-        for k, v in zip(orders, values):
-            if not (isinstance(v, numbers.Real) or isinstance(v, np.ndarray)
-                    and v.dtype.kind in "fiu" and v.shape in ((), np.shape(r))):
-                raise _malformed(self, k, r, f"it returned {type(v).__name__} "
-                                             f"of shape {np.shape(v)}")
-        return values
+        the one-element array (_evaluate)."""
+        return _evaluate(type(self)._profiles, self, r, orders)
 
     def laplacian(self, r):
         """Planar Laplacian of Q at radius r: (q'/r + q'')/4."""
-        return _evaluate(type(self)._laplacian, self, r, 0)
+        return _evaluate(type(self)._laplacian, self, r, (0,))[0]
 
     def laplacian_dr(self, r):
         """Radial derivative of the Laplacian."""
-        return _evaluate(type(self)._laplacian, self, r, 1)
+        return _evaluate(type(self)._laplacian, self, r, (1,))[0]
 
     def q_at_zero(self):
         """q(0) when the profile extends continuously to the origin."""
@@ -299,10 +291,8 @@ class Ginibre(RadialPotential):
             return _const_like(r, 2.0 * self._inv_s2)
         return _const_like(r, 0.0)
 
-    def _laplacian(self, r, order):
-        if order == 0:
-            return _const_like(r, self._inv_s2)
-        return _const_like(r, 0.0)
+    def _laplacian(self, r, orders):
+        return tuple([_const_like(r, 0.0 if k else self._inv_s2) for k in orders])
 
     def q_at_zero(self):
         return 0.0
@@ -323,7 +313,10 @@ class MittagLeffler(RadialPotential):
         c = _check_nonnegative("c", c)
         self.lam = lam
         self.c = c
-        self._lam2 = _pow_or_inf(lam, 2)  # inf from lam ~1.4e154, where ** raises
+        lam2 = _pow_or_inf(lam, 2)  # inf from lam ~1.4e154, where ** raises
+        # ΔQ^(k) = coef_k r^(2 lam - 2 - k), k = 0..2
+        self._lap_coef = (lam2, lam2 * (2.0 * lam - 2.0),
+                          lam2 * (2.0 * lam - 2.0) * (2.0 * lam - 3.0))
         self.name = f"ml(lam={lam!r}, c={c!r})"
 
     def r_tau(self, tau):
@@ -347,13 +340,9 @@ class MittagLeffler(RadialPotential):
     def _q_magnitude(self, r, q):
         return r ** (2.0 * self.lam) + 2.0 * self.c * abs(_log(r))
 
-    def _laplacian(self, r, order):
-        if order == 0:
-            return self._lam2 * r ** (2.0 * self.lam - 2.0)
-        if order == 1:
-            return self._lam2 * (2.0 * self.lam - 2.0) * r ** (2.0 * self.lam - 3.0)
-        coef = self._lam2 * (2.0 * self.lam - 2.0) * (2.0 * self.lam - 3.0)
-        return coef * r ** (2.0 * self.lam - 4.0)
+    def _laplacian(self, r, orders):
+        coef = self._lap_coef
+        return tuple([coef[k] * r ** (2.0 * self.lam - (2.0 + k)) for k in orders])
 
     def q_at_zero(self):
         if self.c > 0.0:
@@ -401,13 +390,13 @@ class TruncatedUnitary(RadialPotential):
             return 4.0 * a * r * (3.0 * b + r * r) / d**3
         return 12.0 * a * (b + r * r) / d**3 + 24.0 * a * r * r * (3.0 * b + r * r) / d**4
 
-    def _laplacian(self, r, order):
-        if order == 0:
-            return self.alpha * self.beta / (self.beta - r * r) ** 2
-        if order == 1:
-            return 4.0 * self.alpha * self.beta * r / (self.beta - r * r) ** 3
-        d = self.beta - r * r
-        return 4.0 * self.alpha * self.beta * (d + 6.0 * r * r) / d**4
+    def _laplacian(self, r, orders):
+        a = self.alpha
+        b = self.beta
+        d = b - r * r
+        return tuple([a * b / d**2 if k == 0 else
+                      4.0 * a * b * r / d**3 if k == 1 else
+                      4.0 * a * b * (d + 6.0 * r * r) / d**4 for k in orders])
 
     def q_at_zero(self):
         return 0.0
@@ -456,16 +445,16 @@ class Custom(RadialPotential):
     q must be callable, and derivs, when given, an iterable of exactly
     four callables for q', q'', q''', q''''; anything else raises
     DomainError.  The callables must take Python floats and 1-D float
-    arrays, and return a real number or an array shaped like r (or a
-    scalar array).  A callable that raises TypeError or ValueError, a
-    float result that is not a real number, and a q' or q'' of the root
-    solve's array read (_q_derivs_each) that is neither raise DomainError
-    (_malformed).  Scalar results are taken as Python floats, and numpy
-    calls a callable makes on a Python float follow numpy's own error
-    settings.  Without derivs, every order at r comes from one call of q
-    on complex points of a circle about r (_cauchy): q must then take
-    complex arrays and be analytic within min(r, support_radius - r) of r,
-    so a scalar-only q must supply derivs.  A q that rejects complex
+    arrays, and return a real number or a real array shaped like r (or a
+    scalar array).  A callable that raises TypeError or ValueError, or
+    returns anything else, raises DomainError naming it (_malformed); the
+    one check sits where _profile calls it.  Scalar results are taken as
+    Python floats, and numpy calls a callable makes on a Python float
+    follow numpy's own error settings.  Without derivs, the orders 1..4
+    at r, all a _profiles read takes, come from one call of q on complex
+    points of a circle about r (_cauchy), and q itself from a call at r:
+    q must then take complex arrays and be analytic within
+    min(r, support_radius - r) of r, so a scalar-only q must supply derivs.  A q that rejects complex
     points, drops their imaginary parts, or fails the circle's guard
     raises DomainError asking for derivs.
     q_origin, when given, must be a finite real and laplacian_origin a
@@ -544,9 +533,14 @@ class Custom(RadialPotential):
             return self._cauchy(r, (order,))[0]
         try:
             v = self._derivs[order - 1](r) if order else self._q(r)
-            return float(v) if type(r) is float else v  # numpy scalars stay out
+            if type(r) is float:
+                return float(v)  # numpy scalars stay out
         except (TypeError, ValueError) as exc:
             raise _malformed(self, order, r, exc) from exc
+        if (isinstance(v, np.ndarray) and v.dtype.kind in "fiu" and v.shape in ((), r.shape)
+                or isinstance(v, numbers.Real)):
+            return v
+        raise _malformed(self, order, r, f"it returned {type(v).__name__} of shape {np.shape(v)}")
 
     def _profiles(self, r, orders):
         if self._derivs is None:
@@ -615,11 +609,13 @@ class _Dilated(RadialPotential):
     def _q_magnitude(self, r, q):
         return self._base._q_magnitude(self._base_r(r), q)
 
-    def _laplacian(self, r, order):
+    def _laplacian(self, r, orders):
         # laplacian_a(r) = laplacian(r / a) / a^2, and each r-derivative
         # adds 1 / a.  The base's own hook keeps a closed form closed: the
         # generic formula would turn |z / a|^2's zero derivatives into noise.
-        return self._base._laplacian(self._base_r(r), order) / self._a_pow[order + 2]
+        a_pow = self._a_pow
+        values = self._base._laplacian(self._base_r(r), orders)
+        return tuple([v / a_pow[k + 2] for v, k in zip(values, orders)])
 
     def r_tau(self, tau):
         r = self._base.r_tau(tau)

@@ -335,6 +335,41 @@ def test_creeping_entropy_ends_at_the_panel_budget(monkeypatch):
     assert max(batches) <= 1 << 16
 
 
+def test_each_laplacian_integrand_reads_q_once_per_node_array(monkeypatch):
+    # Without derivs every read of q' .. q'''' is one call of q on the
+    # circles about the nodes.  An integrand takes every order of ΔQ it
+    # needs from one _laplacian read, so it calls q once per evaluation;
+    # zw's f0 integrand reads q and q' besides ΔQ, three calls.
+    calls = []
+
+    def counted(q):
+        return lambda z: (calls.append(z), q(z))[1]
+
+    annulus = Custom(counted(lambda z: z**4 - 2.0 * np.log(z)), name="annulus")
+    disc = Custom(counted(lambda z: z * z + 0.1 * z**4), laplacian_origin=1.0, name="disc")
+    reads = {}
+    eval_panels = quadrature._eval_panels
+
+    def counting(f, lefts, rights):
+        before = len(calls)
+        out = eval_panels(f, lefts, rights)
+        reads.setdefault(f.__qualname__, set()).add(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(quadrature, "_eval_panels", counting)
+    mu_mass(annulus)
+    entropy(annulus)
+    b1_integral(annulus)  # and f_annulus within it
+    f_disc(disc)
+    f_disc_chi_form(disc)
+    zw_coefficients(disc)
+    once = ["mu_mass.<locals>.<lambda>", "entropy.<locals>.f", "b1_integral.<locals>.<lambda>",
+            "_f_term.<locals>.f", "f_disc_chi_form.<locals>.zero_mode",
+            "f_disc_chi_form.<locals>.dirichlet", "zw_coefficients.<locals>.f_half_integrand",
+            "zw_coefficients.<locals>.dirichlet"]
+    assert reads == {**dict.fromkeys(once, {1}), "zw_coefficients.<locals>.f0_integrand": {3}}
+
+
 def test_b1_ginibre_closed_form():
     p = Ginibre()
     for r in (0.3, 0.8, 1.0):

@@ -294,8 +294,8 @@ def test_norm_failure_names_its_potential_once(ensemble, j):
 class _FlatLaplacian(Custom):
     """q = r^2 whose Laplacian hook reads 0 everywhere."""
 
-    def _laplacian(self, r, order):
-        return 0.0 * r
+    def _laplacian(self, r, orders):
+        return tuple([0.0 * r for _ in orders])
 
 
 @pytest.mark.parametrize("route", ["dr_dtau", "laplace", "exact"])

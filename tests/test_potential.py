@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coulombgas.droplet import dr_dtau, solve_r_tau
 from coulombgas.errors import CoulombGasError, DomainError, UnsupportedOrderError
-from coulombgas.norms import NormQuery
+from coulombgas.norms import NormQuery, log_norm_exact
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_equilibrium, tu_log_z
 from coulombgas.partition import log_z_exact
 from coulombgas import potential
@@ -43,7 +43,7 @@ def test_ginibre_basic_values():
     assert p.q_derivs(1.0, 4) == 0.0
     assert p.laplacian(0.3) == 1.0
     assert p.laplacian_dr(0.3) == 0.0
-    assert p._laplacian(0.3, 2) == 0.0
+    assert p._laplacian(0.3, (0, 1, 2)) == (1.0, 0.0, 0.0)
     assert p.q_at_zero() == 0.0
     assert p.laplacian_at_zero() == 1.0
 
@@ -146,7 +146,7 @@ def test_derivative_ladder_against_finite_differences():
             fd1 = _fd5(p.laplacian, r, h)
             assert abs(fd1 - p.laplacian_dr(r)) < 1e-6 * max(1.0, abs(fd1))
             fd2 = _fd5(p.laplacian_dr, r, h)
-            assert abs(fd2 - p._laplacian(r, 2)) < 1e-5 * max(1.0, abs(fd2))
+            assert abs(fd2 - p._laplacian(r, (2,))[0]) < 1e-5 * max(1.0, abs(fd2))
 
 
 def test_q_derivs_rejects_unsupported_order():
@@ -199,8 +199,8 @@ def test_closed_form_laplacian_hook_matches_generic_formula(p, order):
     d = droplet_of(p)
     lo = d.r0 if d.kind == "annulus" else d.r1 / 64.0
     r = np.linspace(lo, d.r1, 64)
-    closed = p._laplacian(r, order)
-    generic = RadialPotential._laplacian(p, r, order)
+    (closed,) = p._laplacian(r, (order,))
+    (generic,) = RadialPotential._laplacian(p, r, (order,))
     scale = sum(
         coef * _profile_term_scale(p, r, i) / r**m for coef, i, m in _GENERIC_SUMMANDS[order]
     ) / 4.0
@@ -433,6 +433,25 @@ def test_several_orders_read_together_equal_separate_calls_bit_for_bit(p, orders
         assert np.array_equal(value, want), order
 
 
+@pytest.mark.parametrize(
+    "p",
+    [_CIRCLE_CUBIC_LOG, dilate(_CIRCLE_CUBIC_LOG, 1.5), Ginibre(1.3), MittagLeffler(0.5, 1.0),
+     TruncatedUnitary(2.0, 1.5), dilate(MittagLeffler(2.0, 0.7), 1.5)],
+    ids=lambda p: p.name,
+)
+@pytest.mark.parametrize("r", [1e-3, 2.0, np.array([1e-3, 0.4, 2.0])], ids=["1e-3", "2", "array"])
+def test_laplacian_orders_read_together_equal_separate_reads_bit_for_bit(p, r):
+    # An integrand takes every order of the Laplacian it needs from one
+    # read; each order keeps the bits of a read of that order alone.
+    for orders in ((0, 1, 2), (0, 1), (2, 0)):
+        got = p._laplacian(r, orders)
+        assert type(got) is tuple and len(got) == len(orders)
+        for order, value in zip(orders, got):
+            (want,) = p._laplacian(r, (order,))
+            assert type(value) is type(want), (orders, order)
+            assert np.array_equal(value, want), (orders, order)
+
+
 @pytest.mark.parametrize("r", [1e-3, 2.0, np.array([1e-3, 2.0])], ids=["1e-3", "2", "array"])
 def test_orders_without_derivs_come_from_one_call_of_q(r):
     # Every order at every r comes from one call of q on a 1-D complex
@@ -448,9 +467,17 @@ def test_orders_without_derivs_come_from_one_call_of_q(r):
         calls.clear()
         p._q_derivs_each(r, orders)
         assert [(x.dtype, x.shape) for x in calls] == [(complex, (18 * np.size(r),))], orders
-    calls.clear()
-    p.laplacian(r)
-    assert len(calls) == 1
+    # Every order of the Laplacian a formula needs comes from one read too.
+    reads = {
+        "laplacian": lambda: p.laplacian(r),
+        "laplacian_dr": lambda: p.laplacian_dr(r),
+        "_laplacian(0, 1, 2)": lambda: p._laplacian(r, (0, 1, 2)),
+        "b1": lambda: b1(p, r),
+    }
+    for name, read in reads.items():
+        calls.clear()
+        read()
+        assert len(calls) == 1, name
 
 
 @pytest.mark.parametrize("wall", [None, 3.2], ids=["no-wall", "wall"])
@@ -512,28 +539,44 @@ def _scalar_only(f):
 
 # q = r^2 with a q' that breaks the callable contract: it raises on a float,
 # returns a value that is neither a real number nor an array shaped like r,
-# or takes only floats.
-_MALFORMED_Q1 = {
+# or takes only floats.  Then q itself, right on floats, broken on arrays.
+_MALFORMED = {
     "none q'": lambda r: None,
     "list q'": lambda r: [2.0 * r],
     "string q'": lambda r: "2 r",
     "math.sqrt q'": lambda r: 2.0 * math.sqrt(r * r),
     "column q'": lambda r: 2.0 * r if type(r) is float else (2.0 * r)[:, None],
+    "none q": lambda r: r * r if type(r) is float else None,
+    "column q": lambda r: r * r if type(r) is float else (r * r)[:, None],
 }
 _ROUTES = {
     "solve_r_tau": lambda p: solve_r_tau(p, 0.5),
     "droplet_of": droplet_of,
     "log_z_exact": lambda p: log_z_exact(p, 20),
     "equilibrium_report": equilibrium_report,
+    "log_norm_exact": lambda p: log_norm_exact(p, NormQuery(20, 5)),
+    "v_tau": lambda p: v_tau(p, 0.5, np.array([0.5, 1.0])),
 }
+# The routes that read q' on arrays, and those that read q on arrays.
+_ROUTES_READING = {
+    "q'": ("droplet_of", "equilibrium_report", "log_z_exact", "solve_r_tau"),
+    "q": ("log_norm_exact", "log_z_exact", "v_tau"),
+}
+_MALFORMED_CASES = [(name, route) for name in sorted(_MALFORMED)
+                    for route in _ROUTES_READING[name.split()[-1]]]
 
 
-@pytest.mark.parametrize("route", sorted(_ROUTES))
-@pytest.mark.parametrize("name", sorted(_MALFORMED_Q1))
+@pytest.mark.parametrize("name, route", _MALFORMED_CASES, ids=map("-".join, _MALFORMED_CASES))
 def test_a_malformed_callable_raises_a_domain_error_naming_the_potential(name, route):
-    p = Custom(lambda r: r * r, derivs=[_MALFORMED_Q1[name], lambda r: 2.0 + 0.0 * r,
-                                        lambda r: 0.0 * r, lambda r: 0.0 * r], name=name)
-    with pytest.raises(DomainError, match=f"^{re.escape(name)}[:,] .*q' at an? "):
+    q, q1 = lambda r: r * r, lambda r: 2.0 * r
+    what = name.split()[-1]
+    if what == "q":
+        q = _MALFORMED[name]
+    else:
+        q1 = _MALFORMED[name]
+    p = Custom(q, derivs=[q1, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r],
+               name=name)
+    with pytest.raises(DomainError, match=f"^{re.escape(name)}[:,] .*{what} at an? "):
         _ROUTES[route](p)
 
 
@@ -583,11 +626,13 @@ def test_dilate_scales_its_base_laplacian_hook(a):
     g = dilate(Ginibre(), a)
     assert np.all(g.laplacian(r) == 1.0 / a**2)
     assert np.all(g.laplacian_dr(r) == 0.0)
-    assert np.all(g._laplacian(r, 2) == 0.0)
+    assert np.all(g._laplacian(r, (2,))[0] == 0.0)
     base = MittagLeffler(0.5, 1.0)
     p = dilate(base, a)
+    got = p._laplacian(r, (0, 1, 2))
+    want = base._laplacian(r / a, (0, 1, 2))
     for order in range(3):
-        assert np.array_equal(p._laplacian(r, order), base._laplacian(r / a, order) / a ** (order + 2))
+        assert np.array_equal(got[order], want[order] / a ** (order + 2))
 
 
 def test_generic_laplacian_of_r_squared_is_exact():
@@ -599,7 +644,7 @@ def test_generic_laplacian_of_r_squared_is_exact():
     r = np.linspace(0.01, 3.0, 301)
     assert np.all(p.laplacian(r) == 1.0)
     assert np.all(p.laplacian_dr(r) == 0.0)
-    assert np.all(p._laplacian(r, 2) == 0.0)
+    assert np.all(p._laplacian(r, (2,))[0] == 0.0)
 
 
 def test_dilate_scales_support():
@@ -856,8 +901,8 @@ class _PowerPlusInverse(RadialPotential):
             24.0 / r**5,
         )[order]
 
-    def _laplacian(self, r, order):
-        return (1.0 + 0.25 / r**3, -0.75 / r**4, 3.0 / r**5)[order]
+    def _laplacian(self, r, orders):
+        return tuple([(1.0 + 0.25 / r**3, -0.75 / r**4, 3.0 / r**5)[k] for k in orders])
 
 
 @st.composite
