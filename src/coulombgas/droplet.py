@@ -113,15 +113,15 @@ def _radii(p, taus):
 
 
 def _saddles(p, taus):
-    """(radii, ΔQ at each) for the levels taus in [0, 1], as two lists of
-    floats: the one entry point for the saddles of many levels.  The radii
+    """(radii, ΔQ at each) for the levels taus in [0, 1], as two float
+    arrays: the one entry point for the saddles of many levels.  The radii
     come from _radii; a closed form reads ΔQ per level (_laplacian_at), the
     others at every root in one array read.  Each row is bit for bit
     solve_r_tau(p, tau) and _laplacian_at of it."""
     radii = _radii(p, taus)
     if type(radii) is list:
-        return radii, [_laplacian_at(p, r) for r in radii]
-    return radii.tolist(), _laplacian_at(p, radii).tolist()
+        return np.array(radii), np.array([_laplacian_at(p, r) for r in radii])
+    return radii, _laplacian_at(p, radii)
 
 
 def _roots(p, taus):

@@ -9,11 +9,14 @@ with s = n for the determinantal (normal) ensemble and s = 2n for the
 symplectic one.  The exact route integrates h_j = 2 * integral of
 e^{-s V_tau'(r)} dr, tau' = (j + 1/2)/s, whose saddle r_tau' > 0 at every
 degree, shifted by min V_tau' to keep the integrand bounded and truncated
-where that exponent is negligible.  The asymptotic routes implement the
-two-term Laplace approximation at r_tau and the factorial form valid for
-low degrees over a disc droplet.  Every route re-raises a package error
-as its class with the potential name, n, j and ensemble in front of the
-message (errors._named).
+where that exponent is negligible.  Each norm's set-up (its saddle r*,
+v_min = V_tau'(r*), peak width, truncation radius and accuracy target) is
+one row of an array stage (_rows): log_z_exact sets up all n norms in one
+call, and a norm asked for alone makes a one-row call, with the same bits.
+The asymptotic routes implement the two-term Laplace approximation at
+r_tau and the factorial form valid for low degrees over a disc droplet.
+Every route re-raises a package error as its class with the potential
+name, n, j and ensemble in front of the message (errors._named).
 """
 
 import math
@@ -27,7 +30,6 @@ from .errors import CoulombGasError, DomainError, IntegrationError, _named
 from .potential import (
     _check_ensemble,
     _check_n,
-    _evaluate,
     _is_integer,
     _v_tau_formula,
     v_tau,
@@ -46,9 +48,9 @@ class NormQuery:
     temperature scale in the weight e^{-s q}, and level = (j + 1/2)/s the
     tau' of the exact route's e^{-s V_tau'}.  log_z_exact takes its n
     queries from _grid(n, ensemble), which checks n and the ensemble once
-    per log Z and gives the same queries, each holding its saddle
-    (_with_saddles).  A query a caller builds holds none, and its norm
-    solves its own saddle.
+    per log Z and gives the same queries, each holding its row of one
+    set-up stage for all n (_with_rows).  A query a caller builds holds
+    none, and its norm sets itself up in a one-row call of that stage.
     """
 
     n: int
@@ -57,8 +59,9 @@ class NormQuery:
     k: int = field(init=False, repr=False)
     s: int = field(init=False, repr=False)
     level: float = field(init=False, repr=False)
-    # (r*, ΔQ(r*)) at tau' = level for the potential of one log Z, or None.
-    _saddle: tuple = field(default=None, init=False, repr=False, compare=False)
+    # (r*, v_min, width, cut, target) of the norm for the potential of one
+    # log Z (_rows), or None.
+    _row: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _check_ensemble(self.ensemble)
@@ -97,20 +100,6 @@ def _grid(n, ensemble):
     return grid
 
 
-def _with_saddles(p, queries):
-    """queries, each holding its row (r*, ΔQ(r*)) of one _saddles call for
-    all their levels.  Where that call raises, they stay bare: each norm
-    then solves its own saddle, so the lowest degree that fails raises,
-    with its norm's context, as it would on its own."""
-    try:
-        radii, dqs = _saddles(p, [q.level for q in queries])
-    except CoulombGasError:
-        return queries
-    for q, saddle in zip(queries, zip(radii, dqs)):
-        q.__dict__["_saddle"] = saddle
-    return queries
-
-
 # Relative accuracy of every norm integral whose roundoff floor is lower.
 # The exponent s (V_tau'(r) - v_min) is formed by cancellation: V_tau'(r) =
 # q(r) - 2 tau' log r carries the rounding of q, an ulp of the magnitudes of
@@ -136,7 +125,7 @@ _FLOOR = 4.0 * float(np.finfo(float).eps)
 # |t| = 6 (estimates 1.2e-16 on [3, 4], below 1e-16 further out), where
 # e^{-36} ~ 2e-16 is below every tolerance.  The doubling offsets beyond
 # bound the panel widths where the integrand leaves its Gaussian form;
-# _r_cut drops those beyond the cut.
+# integrate drops those beyond the cut (_cuts).
 _SEED_OFFSETS = (0.75, 1.5, 2.25, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
 
 # The same cuts in units of width, sorted, r* included: r* + _SEED_T * width
@@ -144,42 +133,88 @@ _SEED_OFFSETS = (0.75, 1.5, 2.25, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
 _SEED_T = np.array(sorted({0.0, *_SEED_OFFSETS, *(-k for k in _SEED_OFFSETS)}))
 
 
-def _peak(p, query):
-    """Saddle radius, V minimum, and Gaussian width for the shifted weight.
-    The saddle r* and ΔQ(r*) are the query's row of log_z_exact's one
-    _saddles call, or for a bare query a one-level call of its own, with
-    the same bits."""
-    saddle = query._saddle
-    if saddle is None:
-        (r_star,), (dq,) = _saddles(p, (query.level,))
-    else:
-        r_star, dq = saddle
-    v_min = float(_evaluate(_v_tau_formula, p, r_star, query.level))
-    width = 1.0 / math.sqrt(2.0 * query.s * dq)
-    return r_star, v_min, width
+def _rows(p, queries):
+    """The set-up of each query's norm as one row (r*, v_min, width, cut,
+    target) of Python floats, from one array stage for all the queries,
+    which share n and the ensemble.
+
+    r* and ΔQ(r*) come from one _saddles call for all the levels tau', and
+    the rest from arrays over the rows: v_min = V_tau'(r*), the Gaussian
+    width 1/sqrt(2 s ΔQ(r*)) of the shifted weight, the accuracy target
+    max(_REL_TOL, _FLOOR s (|q|_terms(r*) + |2 tau' log r*|)) (p._q_magnitude
+    of q(r*) = v_min + 2 tau' log r*), and the truncation radius (_cuts).
+    Each row's arithmetic is that of a lone row, so a query alone (a
+    one-row call) gets the bits it gets among the n queries of log Z.
+    """
+    levels = [q.level for q in queries]
+    r_star, dq = _saddles(p, levels)
+    s = queries[0].s
+    t = np.array(levels)
+    with np.errstate(all="ignore"):
+        v_min = _v_tau_formula(p, r_star, t)
+        log_term = 2.0 * t * np.log(r_star)  # q(r*) - v_min
+        q_terms = p._q_magnitude(r_star, v_min + log_term)
+        # fmax, as Python's max, keeps _REL_TOL where the floor is nan.
+        target = np.fmax(_REL_TOL, _FLOOR * s * (q_terms + abs(log_term)))
+        width = 1.0 / np.sqrt(2.0 * s * dq)
+        cut = _cuts(p, s, t, r_star, v_min, width)
+    return list(zip(r_star.tolist(), v_min.tolist(), width.tolist(), cut.tolist(),
+                    target.tolist()))
 
 
-def _r_cut(p, query, r_star, v_min, width):
-    """Truncation radius: the first r* + 8 width 2^k, k = 0, 1, ..., where
-    the shifted exponent reaches 40 + log s, capped at the support radius.
+def _cuts(p, s, t, r_star, v_min, width):
+    """Truncation radii: for each row the first r* + 8 width 2^k, k = 0, 1, ...,
+    where the shifted exponent s (V_tau'(r) - v_min) reaches 40 + log s,
+    capped at the support radius.
 
     On the Gaussian e^{-t^2} the exponent at t = 8 is 64, above 40 + log s
     for every s < 2.6e10, so the search usually stops at k = 0 and the seeds
-    beyond t = 8 fall outside (0, cut).  The step is at least an ulp of r*,
-    so the search moves on where the width underflows to 0."""
-    s = query.s
+    beyond t = 8 fall outside (0, cut).  Each round reads V once for every
+    row still searching, and only the rows that fall short step on.  The
+    step is at least an ulp of r*, so the search moves on where the width
+    underflows to 0.  A row at or beyond the support radius stops there,
+    and reads V at r*, not at the wall.  A row whose radius passes 1e300
+    raises IntegrationError."""
     thresh = 40.0 + math.log(s)
-    support = p.support_radius
-    step = max(8.0 * width, math.ulp(r_star))
-    r = r_star + step
-    while r <= 1e300:
-        if support is not None and r >= support:
-            return support
-        if s * (float(_evaluate(_v_tau_formula, p, r, query.level)) - v_min) >= thresh:
-            return r
-        step *= 2.0
+    wall = p.support_radius
+    step = np.maximum(8.0 * width, np.spacing(r_star))
+    cut = np.empty_like(r_star)
+    rows = np.arange(cut.size)  # each searching row's place in cut
+    while True:
         r = r_star + step
-    raise IntegrationError("failed to locate a truncation radius")
+        if np.count_nonzero(r > 1e300):
+            raise IntegrationError("failed to locate a truncation radius")
+        at = r
+        if wall is not None:
+            free = r < wall
+            at = np.where(free, r, r_star)
+            r = np.where(free, r, wall)
+        done = s * (_v_tau_formula(p, at, t) - v_min) >= thresh
+        if wall is not None:
+            done |= ~free
+        finished = np.count_nonzero(done)
+        if finished == r.size:
+            cut[rows] = r
+            return cut
+        if finished:
+            cut[rows[done]] = r[done]
+            keep = ~done
+            rows, r_star, t, v_min, step = (x[keep] for x in (rows, r_star, t, v_min, step))
+        step *= 2.0
+
+
+def _with_rows(p, queries):
+    """queries, each holding its row of one _rows call for all of them.
+    Where that call raises, they stay bare: each norm then makes its own
+    one-row call, so the lowest degree that fails raises, with its norm's
+    context, as it would on its own."""
+    try:
+        rows = _rows(p, queries)
+    except CoulombGasError:
+        return queries
+    for q, row in zip(queries, rows):
+        q.__dict__["_row"] = row
+    return queries
 
 
 def _query_context(query):
@@ -195,29 +230,25 @@ def log_norm_exact(p, query):
     Accuracy target is max(1e-13, 4 s eps (|q|_terms(r*) + |2 tau' log r*|))
     on the norm value, the larger term being its roundoff floor at the
     saddle r* = r_tau' > 0, and about the same absolute error on the log.
-    r* and ΔQ(r*), which sets the peak width, are the query's row of
-    log_z_exact's one saddle stage, or for a query built by the caller a
-    one-level _saddles call, with the same bits (_peak).
+    r*, v_min, the peak width, the cut and the target are the query's row
+    of log_z_exact's one set-up stage, or for a query built by the caller
+    a one-row call of that stage (_rows), with the same bits; the norm
+    itself builds its seeds and makes one integrate call.
     |q|_terms is the sum of the magnitudes of q's terms at r*: for
     MittagLeffler r^(2 lam) + 2 c |log r|, for a dilation its base's, and
     |q(r*)| for the single-term Ginibre and TruncatedUnitary and for Custom.
     """
     s = query.s
     level = query.level
-    r_star, v_min, width = _peak(p, query)
-    cut = _r_cut(p, query, r_star, v_min, width)
-    log_term = 2.0 * level * math.log(r_star)  # q(r*) - v_min
-    q_terms = _evaluate(type(p)._q_magnitude, p, r_star, v_min + log_term)
-    rel_tol = max(_REL_TOL, _FLOOR * s * (q_terms + abs(log_term)))
-
+    r_star, v_min, width, cut, rel_tol = query._row or _rows(p, (query,))[0]
     seeds = r_star + _SEED_T * width  # integrate drops those outside (0, cut)
 
     def integrand(r):
         # integrate calls this under its own np.errstate, on positive nodes
         # in [0, cut] (none on cut in its first round, where a hard wall's
-        # profile is inf or nan); cut is a radius below the support that
-        # _r_cut passed through _evaluate's check, or the support radius.
-        # So every node passes that check, and the formula runs directly.
+        # profile is inf or nan); cut is a finite radius below the support
+        # radius or the support radius itself (_cuts).  So every node
+        # passes _evaluate's domain check, and the formula runs directly.
         # In place on the formula's fresh array, in the order of
         # exp(-s (V - v_min)), so the bits are that expression's.
         v = _v_tau_formula(p, r, level)

@@ -26,7 +26,7 @@ from .equilibrium import (
     log_potential_origin,
 )
 from .errors import DomainError, _finite, _named
-from .norms import _REL_TOL, _degrees, _grid, _with_saddles, log_norm_exact
+from .norms import _REL_TOL, _degrees, _grid, _with_rows, log_norm_exact
 from .potential import _check_ensemble, _check_n, _is_real, v_tau
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
@@ -50,14 +50,14 @@ def log_z_exact(p, n, ensemble="normal", *, threads=1):
     """log Z_n by exact norm quadrature and compensated summation.
 
     The returned value includes the log n! combinatorial factor.  The
-    saddles of all n norms, and ΔQ there, come from one _saddles call
-    (_with_saddles).  Norms are then evaluated one after another, each to
-    the target log_norm_exact states, and summed by an exact compensated
-    sum; each has the bits it has on its own.  threads is accepted
-    for compatibility and ignored: a thread pool only slowed the GIL-bound
-    norm loop down.
+    set-up of all n norms (saddle, v_min, width, cut and target) comes
+    from one array stage (_with_rows).  Norms are then evaluated one after
+    another, each to the target log_norm_exact states, and summed by an
+    exact compensated sum; each has the bits it has on its own.  threads
+    is accepted for compatibility and ignored: a thread pool only slowed
+    the GIL-bound norm loop down.
     """
-    queries = _with_saddles(p, _grid(n, ensemble))
+    queries = _with_rows(p, _grid(n, ensemble))
     vals = [log_norm_exact(p, q) for q in queries]
     n, k = queries[0].n, queries[0].k
     return ln_factorial(n) + n * math.log(k) + math.fsum(vals)
@@ -176,7 +176,7 @@ def lemma_sum(p, n, which):
     d = _droplet(p, kind="annulus", what="lemma_sum")
     k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
     taus = [j / (k * n) for j in _degrees(k, n)]
-    radii, dqs = _saddles(p, taus)
+    radii, dqs = (x.tolist() for x in _saddles(p, taus))
 
     if which.startswith("sum_v"):
         terms = [float(v_tau(p, t, r)) for t, r in zip(taus, radii)]

@@ -501,21 +501,16 @@ def test_seeded_partition_converges_in_one_round(monkeypatch, p, n, ensemble):
                          ids=lambda p: p.name)
 def test_gaussian_peaks_are_cut_at_eight_widths(monkeypatch, p):
     # At N = 1600 a peak more than 32 widths from the origin is close to
-    # e^{-t^2}, whose exponent 64 at t = 8 is above 40 + log s, so _r_cut
-    # stops at r* + 8 width (or the hard wall).  Every inner seed is then
-    # positive and the outer ones from 8 on lie beyond the cut: the first
-    # round has 2 + len(offsets) + #{k < 8} panels, 19.  Peaks nearer the
-    # origin (the lowest degrees) have heavier right tails and lose inner
-    # seeds below 0; the test above bounds their panels.
-    cuts = []
-    r_cut = norms._r_cut
-
-    def recording(p, query, r_star, v_min, width):
-        cut = r_cut(p, query, r_star, v_min, width)
-        cuts.append((r_star - 32.0 * width > 0.0, cut in (r_star + 8.0 * width, p.support_radius)))
-        return cut
-
-    monkeypatch.setattr(norms, "_r_cut", recording)
+    # e^{-t^2}, whose exponent 64 at t = 8 is above 40 + log s, so the cut
+    # search stops at r* + 8 width (or the hard wall): the rows of
+    # log_z_exact's set-up stage say so.  Every inner seed is then positive
+    # and the outer ones from 8 on lie beyond the cut: the first round has
+    # 2 + len(offsets) + #{k < 8} panels, 19.  Peaks nearer the origin (the
+    # lowest degrees) have heavier right tails and lose inner seeds below
+    # 0; the test above bounds their panels.
+    rows = [q._row for q in norms._with_rows(p, norms._grid(1600, "normal"))]
+    cuts = [(r_star - 32.0 * width > 0.0, cut in (r_star + 8.0 * width, p.support_radius))
+            for r_star, _, width, cut, _ in rows]
     _, first_panels = _count_rounds(monkeypatch)
     log_z_exact(p, 1600, "normal")
     offsets = norms._SEED_OFFSETS
@@ -673,7 +668,7 @@ def test_a_width_that_underflows_still_finds_the_peak(ensemble):
     # on both sides of r*; a cut at 1 left the right half of the peak
     # between nodes.  The reference is q = r^2 / a^2 in mpmath.
     p, ref = Ginibre(1e-154), dilate(MittagLeffler(1.0, 0.0), 1e-154)
-    assert norms._peak(p, NormQuery(4, 3, ensemble))[2] == 0.0
+    assert norms._rows(p, (NormQuery(4, 3, ensemble),))[0][2] == 0.0
     got = log_z_exact(p, 4, ensemble)
     gap = abs(float(mpmath.mpf(got) - mp_reference.log_z(ref, 4, ensemble)))
     assert gap <= mp_reference.log_z_bound(p, 4, ensemble, ref=ref)
@@ -690,17 +685,21 @@ def test_a_doubled_norm_integral_that_overflows_raises(monkeypatch):
     # Just below, the doubled value is the norm: 2 * 0.5e308 is 1e308 exactly.
     monkeypatch.setattr(norms, "integrate", lambda *args, **kwargs: (0.5e308, 0.0))
     query = NormQuery(3, 1, "normal")
-    v_min = norms._peak(Ginibre(), query)[1]
+    v_min = norms._rows(Ginibre(), (query,))[0][1]
     assert log_norm_exact(Ginibre(), query) == -query.s * v_min + math.log(1e308)
 
 
 def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monkeypatch):
     # Timing-free guard for the per-norm cost: the integrand runs V_tau's
-    # formula on its nodes directly, so within a norm the checked
-    # evaluation (_evaluate: the domain check and a nested np.errstate) is
-    # left with the scalar calls of _peak and _r_cut.  Outside the norms,
-    # log_z_exact's one saddle stage reads a Custom's q' and q'' (each
-    # Newton round) and ΔQ on arrays of at most one entry per norm.
+    # formula on its nodes directly, and a norm of log_z_exact takes its
+    # set-up from its row, so within a norm the checked evaluation
+    # (_evaluate: the domain check and a nested np.errstate) is never
+    # called.  Outside the norms, log_z_exact's one set-up stage reads a
+    # Custom's q' and q'' (each Newton round), ΔQ and V on arrays of at
+    # most one entry per norm.  It reads V once for v_min and once a round
+    # of its cut search for all rows still searching: as often as the
+    # slowest of its norms alone (one-row calls), at most three times here
+    # at n = 12 and at n = 400, however many rows there are.
     kinds = [
         MittagLeffler(0.5, 1.2),
         TruncatedUnitary(2.0, 1.5),
@@ -708,13 +707,19 @@ def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monk
         Custom(lambda r: r**3.0 - np.log(r), name="custom-circle"),
     ]
     droplet._table(kinds[-1])  # a Custom's r q'(r) table: one array call per potential
-    inside, outside = [], []
+    inside, outside, v_reads = [], [], []
     evaluate = potential._evaluate
+    v_tau_formula = norms._v_tau_formula
     norm = partition.log_norm_exact
 
     def counting(formula, p, r, arg):
         (inside if in_norm else outside).append(r)
         return evaluate(formula, p, r, arg)
+
+    def reading(p, r, t):
+        if not in_norm:
+            v_reads.append(r.size)
+        return v_tau_formula(p, r, t)
 
     def counted_norm(p, query):
         nonlocal in_norm
@@ -726,14 +731,22 @@ def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monk
 
     in_norm = False
     monkeypatch.setattr(potential, "_evaluate", counting)
-    monkeypatch.setattr(norms, "_evaluate", counting)
+    monkeypatch.setattr(norms, "_v_tau_formula", reading)
     monkeypatch.setattr(partition, "log_norm_exact", counted_norm)
     for p in kinds:
         for ensemble in ("normal", "symplectic"):
-            log_z_exact(p, 12, ensemble)
-    assert inside
-    assert not [r for r in inside if isinstance(r, np.ndarray)]
-    assert [r.size for r in outside if isinstance(r, np.ndarray) and r.size > 12] == []
+            for n in (12, 400):
+                alone = []
+                for j in norms._degrees(NormQuery(n, 0, ensemble).k, n):
+                    del v_reads[:]
+                    norms._rows(p, (NormQuery(n, j, ensemble),))
+                    alone.append(len(v_reads))
+                del v_reads[:], outside[:]
+                log_z_exact(p, n, ensemble)
+                sizes = v_reads + [r.size for r in outside if isinstance(r, np.ndarray)]
+                assert max(sizes) <= n, (p.name, ensemble, n, sizes)
+                assert len(v_reads) == max(alone) <= 3, (p.name, ensemble, n, v_reads, max(alone))
+    assert inside == []
 
 
 def _old_seeds(r_star, width, cut):

@@ -157,27 +157,53 @@ def _ml_profile(lam, c, derivs):
                   name=f"ml-profile({lam:.3g}, {c}, {'derivs' if derivs else 'circle'})", **origin)
 
 
+def _assert_rows_are_the_one_row_route(p, ensemble):
+    """log_z_exact's set-up stage gives each query a row that is bit for
+    bit the row of its one-row call, r* the lone solve_r_tau of its level,
+    and log Z the sum of the standalone norms, at n = 25 and 200."""
+    k = 1 if ensemble == "normal" else 2
+    for n in (25, 200):
+        queries = norms._with_rows(p, norms._grid(n, ensemble))
+        # The row a query holds is private: not in its equality, hash or repr.
+        bare = NormQuery(n, queries[-1].j, ensemble)
+        assert bare._row is None and queries[-1]._row is not None
+        assert (queries[-1], hash(queries[-1]), repr(queries[-1])) == (bare, hash(bare), repr(bare))
+        rows = [[x.hex() for x in q._row] for q in queries]
+        alone = [[x.hex() for x in norms._rows(p, (NormQuery(n, q.j, ensemble),))[0]]
+                 for q in queries]
+        assert rows == alone, n
+        assert [row[0] for row in rows] == [solve_r_tau(p, q.level).hex() for q in queries], n
+        norms_alone = [log_norm_exact(p, NormQuery(n, q.j, ensemble)) for q in queries]
+        want = ln_factorial(n) + n * math.log(k) + math.fsum(norms_alone)
+        assert log_z_exact(p, n, ensemble).hex() == want.hex(), n
+
+
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
 @pytest.mark.parametrize("derivs", [True, False], ids=["derivs", "circle"])
 @pytest.mark.parametrize("lam, c", [(lam, c) for lam in (1.0 / 3.0, 0.5, 1.0, 2.0)
                                     for c in (0.0, 1.1)])
 def test_saddle_stage_rows_are_the_per_norm_route_bit_for_bit(lam, c, derivs, ensemble):
-    # log_z_exact solves every saddle of a Custom in one array Newton; each
-    # row must be the lone solve_r_tau of its level, and log Z the sum of
-    # the standalone norms, each of which solves its own saddle.
-    p = _ml_profile(lam, c, derivs)
-    k = 1 if ensemble == "normal" else 2
-    for n in (25, 200):
-        queries = norms._with_saddles(p, norms._grid(n, ensemble))
-        # The saddle a query holds is private: not in its equality, hash or repr.
-        bare = NormQuery(n, queries[-1].j, ensemble)
-        assert bare._saddle is None and queries[-1]._saddle is not None
-        assert (queries[-1], hash(queries[-1]), repr(queries[-1])) == (bare, hash(bare), repr(bare))
-        rows = [q._saddle[0].hex() for q in queries]
-        assert rows == [solve_r_tau(p, q.level).hex() for q in queries], n
-        alone = [log_norm_exact(p, NormQuery(n, q.j, ensemble)) for q in queries]
-        want = ln_factorial(n) + n * math.log(k) + math.fsum(alone)
-        assert log_z_exact(p, n, ensemble).hex() == want.hex(), n
+    # log_z_exact solves every saddle of a Custom in one array Newton and
+    # sets up every norm in one array stage; each row (r*, v_min, width,
+    # cut, target) must be its norm's own, and log Z the sum of the
+    # standalone norms, each of which sets itself up alone.
+    _assert_rows_are_the_one_row_route(_ml_profile(lam, c, derivs), ensemble)
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize(
+    "p",
+    [MittagLeffler(lam, c) for lam in (1.0 / 3.0, 0.5, 1.0, 2.0) for c in (0.0, 1.1)]
+    + [TruncatedUnitary(1.0, 1.0), TruncatedUnitary(3.0, 1.6), Ginibre(),
+       Ginibre(1e-154), dilate(MittagLeffler(1.0 / 3.0, 0.8), 0.96), _CIRCLE_ML],
+    ids=lambda p: p.name,
+)
+def test_set_up_rows_of_every_family_are_the_per_norm_route_bit_for_bit(p, ensemble):
+    # The closed forms solve each saddle alone and read the rest of their
+    # rows in the same array stage: its arithmetic on n rows must be that
+    # on one, hard walls (TU), an underflowing width (Ginibre(1e-154)),
+    # a dilation and a Custom read on circles included.
+    _assert_rows_are_the_one_row_route(p, ensemble)
 
 
 def _steep(q1=lambda f: f):
@@ -222,13 +248,13 @@ def test_saddle_stage_rows_of_a_table_less_profile_are_the_per_norm_route(profil
     p = profile(lambda f: lambda r: (arrays.append(type(r) is np.ndarray), f(r))[1])
     k = 1 if ensemble == "normal" else 2
     for n in (25, 200):
-        queries = norms._with_saddles(p, norms._grid(n, ensemble))
+        queries = norms._with_rows(p, norms._grid(n, ensemble))
         rows, rounds = [], []
         for q in queries:
             arrays.clear()
             rows.append(solve_r_tau(p, q.level).hex())
             rounds.append(sum(arrays))
-        assert [q._saddle[0].hex() for q in queries] == rows, n
+        assert [q._row[0].hex() for q in queries] == rows, n
         alone = [log_norm_exact(p, NormQuery(n, q.j, ensemble)) for q in queries]
         want = ln_factorial(n) + n * math.log(k) + math.fsum(alone)
         arrays.clear()
@@ -282,6 +308,48 @@ def test_a_saddle_stage_error_names_the_lowest_failing_degree(ensemble, j):
     with pytest.raises(InvalidPotentialError) as alone:
         log_norm_exact(p, NormQuery(20, j, ensemble))
     assert str(alone.value) == str(info.value)
+
+
+def _nan_beyond(r):
+    return np.where(r < 1.3, r * r, np.nan)
+
+
+def _raise_beyond(r):
+    if np.any(r >= 1.3):
+        raise ValueError("no profile beyond r = 1.3")
+    return r * r
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize("q, error, cause", [
+    (_nan_beyond, IntegrationError, "failed to locate a truncation radius"),
+    (_raise_beyond, DomainError, "q at an array of shape (1,) failed (no profile beyond r = 1.3)"),
+], ids=["nan-cut", "raising-cut"])
+def test_a_set_up_error_past_the_saddle_names_the_lowest_failing_degree(q, error, cause, ensemble):
+    # q = r^2 below r = 1.3 only, with analytic derivatives, so every saddle
+    # sqrt(tau') and ΔQ = 1 solve; the cut search reads V at r* + 8 width
+    # 2^k, beyond 1.3 at some degrees (j = 3, 4 and from 54 on at n = 100
+    # normal).  There a nan V never reaches the threshold, and a raising q
+    # fails the read, so the set-up stage raises.  The degrees below
+    # succeed, and log_z_exact raises the lowest failing degree's error word
+    # for word as that norm does alone.
+    p = Custom(q, derivs=[lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r,
+                          lambda r: 0.0 * r], name="cut-short")
+    n = 100
+    queries = norms._grid(n, ensemble)
+    droplet._saddles(p, [query.level for query in queries])
+    with pytest.raises(error):
+        norms._rows(p, queries)
+    for query in queries:
+        try:
+            log_norm_exact(p, NormQuery(n, query.j, ensemble))
+        except error as exc:
+            j, alone = query.j, str(exc)
+            break
+    assert j > 2 and alone.startswith(f"cut-short, n={n}, j={j}, ensemble={ensemble}: {cause}")
+    with pytest.raises(error) as info:
+        log_z_exact(p, n, ensemble)
+    assert str(info.value) == alone
 
 
 def test_log_z_exact_keeps_its_bits_under_a_raising_error_state():
