@@ -13,11 +13,11 @@ unfinished row.  A level 0 < tau < 1 starts in a table of r q'(r)
 between the droplet edges that each potential builds once, on its first
 interior solve, from one two-row edge solve and one array call; the
 edges tau in {0, 1}, and every level of a potential without a table,
-start from an upward bracket scan.  solve_r_tau is a one-row call, and
-droplet_of takes both edges from one two-row call (_radii).  _saddles
-gives the saddles of many levels, and ΔQ at each, from one such call
-and one array read of ΔQ: log_z_exact's norms and lemma_sum take theirs
-from it.
+start from one upward bracket scan that they share, one read of r q' a
+point.  solve_r_tau is a one-row call, and droplet_of takes both edges
+from one two-row call (_radii).  _saddles gives the saddles of many
+levels, and ΔQ at each, from one such call and one array read of ΔQ:
+log_z_exact's norms and lemma_sum take theirs from it.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoulombGasError, DomainError, InvalidPotentialError, SolverError, _named
-from .potential import _check_tau, _is_real
+from .potential import _check_tau, _evaluate, _is_real
 
 _MAX_ITER = 200
 
@@ -40,10 +40,6 @@ class Droplet:
     r0: float
     r1: float
     kind: str  # "disc" or "annulus"
-
-
-def _rqp(p, r):
-    return float(r * p.q_derivs(r, 1))
 
 
 def _not_nan(rqp, r, tau):
@@ -103,24 +99,22 @@ def solve_r_tau(p, tau):
 
 
 def _radii(p, taus):
-    """Roots of r q'(r) = 2 tau for the levels taus in [0, 1]: for a
-    potential with a closed form (decided at taus[0], as solve_r_tau
-    decides) the list of each level's solve_r_tau, so their bits and calls
-    stay; for the others the array of one _roots call."""
+    """Roots of r q'(r) = 2 tau for the levels taus in [0, 1], as a float
+    array: for a potential with a closed form (decided at taus[0], as
+    solve_r_tau decides) each level's solve_r_tau, so their bits and calls
+    stay; for the others one _roots call."""
     if _closed_root(p, taus[0]) is not None:
-        return [solve_r_tau(p, t) for t in taus]
+        return np.array([solve_r_tau(p, t) for t in taus])
     return _roots(p, np.asarray(taus, dtype=float))
 
 
 def _saddles(p, taus):
-    """(radii, ΔQ at each) for the levels taus in [0, 1], as two float
+    """(radii, ΔQ at each) for the levels taus in (0, 1], as two float
     arrays: the one entry point for the saddles of many levels.  The radii
-    come from _radii; a closed form reads ΔQ per level (_laplacian_at), the
-    others at every root in one array read.  Each row is bit for bit
-    solve_r_tau(p, tau) and _laplacian_at of it."""
+    come from _radii, and ΔQ at all of them from one array read
+    (_laplacian_at).  Each row is bit for bit solve_r_tau(p, tau) and
+    _laplacian_at of it."""
     radii = _radii(p, taus)
-    if type(radii) is list:
-        return np.array(radii), np.array([_laplacian_at(p, r) for r in radii])
     return radii, _laplacian_at(p, radii)
 
 
@@ -129,17 +123,19 @@ def _roots(p, taus):
     without a closed form, from one Newton call (_newton) for every row.
     With a table (_table), a level 0 < tau < 1 starts in its table cell
     (_table_start); the others, and every level of a potential without a
-    table, start at the midpoint of an upward scan's bracket
-    (_scan_bracket).  A bracket of zero width is its root: a disc's
+    table, start at the midpoint of their bracket from one shared upward
+    scan (_scan_brackets).  A bracket of zero width is its root: a disc's
     r0 = 0.0 needs no solve."""
     inner = (0.0 < taus) & (taus < 1.0)
     table = _table(p) if np.count_nonzero(inner) else ()
     lo, hi, r = np.zeros_like(taus), np.zeros_like(taus), np.zeros_like(taus)
+    scan = np.ones_like(inner)
     if table:
         lo[inner], hi[inner], r[inner] = _table_start(taus[inner], *table)
-    for i in np.flatnonzero(~inner).tolist() if table else range(taus.size):
-        lo[i], hi[i] = a, b = _scan_bracket(p, taus.item(i))
-        r[i] = 0.5 * (a + b)
+        scan = ~inner
+    if np.count_nonzero(scan):
+        lo[scan], hi[scan] = a, b = _scan_brackets(p, taus[scan])
+        r[scan] = 0.5 * (a + b)
     solve = lo < hi
     if np.count_nonzero(solve):
         r[solve] = _newton(p, taus[solve], lo[solve], hi[solve], r[solve])
@@ -182,8 +178,9 @@ def _build_table(p):
 
 def _table_start(taus, radii, values):
     """(lo, hi, r) for an array of levels 0 < tau < 1 from the table: the
-    cell that holds 2 tau, widened by one cell a side (array and scalar pow
-    may differ in the last bit), and the linear interpolate in that cell."""
+    cell that holds 2 tau, widened by one cell a side (a safety margin: the
+    table and the rows read r q' on the one array path, so the root lies
+    in its own cell), and the linear interpolate in that cell."""
     target = 2.0 * taus
     i = np.searchsorted(values, target, side="right") - 1
     lo = radii[np.maximum(i - 1, 0)]
@@ -193,34 +190,64 @@ def _table_start(taus, radii, values):
     return lo, hi, np.where((lo < r) & (r < hi), r, 0.5 * (lo + hi))
 
 
-def _scan_bracket(p, tau):
-    """Bracket (lo, hi) of the root of r q'(r) = 2 tau from an upward scan
-    from r = 1e-12 (dyadic points, or towards the support radius) that
-    reads r q' on floats; (0.0, 0.0) at tau = 0 for a disc."""
-    target = 2.0 * tau
-    if tau == 0.0:
+def _scan_brackets(p, taus):
+    """Brackets (lo, hi) of the roots of r q'(r) = 2 tau for an array of
+    levels, from one upward scan from r = 1e-12 (dyadic points, or towards
+    the support radius) shared by every row: each read is r q' at one
+    point, once for all the rows still pending there, and the scan ends at
+    the last pending row's crossing.  A disc's tau = 0 gets (0.0, 0.0).
+    Each row gets the bracket of a scan of its own, and where rows fail,
+    the lowest of them raises the error of its own scan."""
+    target = 2.0 * taus
+    lo, hi = np.zeros_like(taus), np.zeros_like(taus)
+    pending = np.ones(taus.size, dtype=bool)
+    if np.count_nonzero(taus == 0.0):
         try:
             _laplacian_at(p, 0.0)
-            return 0.0, 0.0
+            pending = taus != 0.0
         except InvalidPotentialError:
             pass
+    if not np.count_nonzero(pending):
+        return lo, hi
 
-    lo = 1e-12
+    # A row above its target at the start is a disc's r0 = 0.0 at tau = 0,
+    # and has no bracket at tau > 0: the scan goes on only for the rows
+    # before the first such row, whose error is raised once they are done.
+    start = 1e-12
     if p.support_radius is not None:
-        lo = min(1e-12, p.support_radius * 1e-15)
-    if _rqp(p, lo) - target >= 0.0:
-        if tau == 0.0:
-            return 0.0, 0.0
+        start = min(1e-12, p.support_radius * 1e-15)
+    above = pending & (start * p.q_derivs(start, 1) - target >= 0.0)
+    pending &= ~(above & (taus == 0.0))
+    stuck = above & (taus > 0.0)
+    k = stuck.argmax() if np.count_nonzero(stuck) else taus.size
+    pending[k:] = False
+    points = iter(_bracket_candidates(p))
+    below = start  # the last point read, below every pending row's target
+    while np.count_nonzero(pending):
+        # Rows cross in the order of their targets, so each point is one
+        # scalar read, held against the least pending target.
+        least = target[pending].min()
+        for r in points:
+            rqp = r * p.q_derivs(r, 1)
+            if math.isnan(rqp):
+                _not_nan(rqp, r, taus.item(pending.argmax()))
+            if rqp - least > 0.0:
+                break
+            below = r
+        else:
+            raise InvalidPotentialError(
+                f"r q'(r) never reaches {target.item(pending.argmax())!r}; "
+                "the potential does not confine this level"
+            )
+        crossed = pending & (rqp - target > 0.0)
+        lo[crossed], hi[crossed] = below, r
+        pending &= ~crossed
+        below = r
+    if k < taus.size:
         raise InvalidPotentialError(
-            f"r q'(r) already exceeds {target!r} at r = {lo!r}; no inner bracket"
+            f"r q'(r) already exceeds {target.item(k)!r} at r = {start!r}; no inner bracket"
         )
-    for hi in _bracket_candidates(p):
-        if _not_nan(_rqp(p, hi), hi, tau) - target > 0.0:
-            return lo, hi
-        lo = hi
-    raise InvalidPotentialError(
-        f"r q'(r) never reaches {target!r}; the potential does not confine this level"
-    )
+    return lo, hi
 
 
 def _newton(p, taus, lo, hi, r):
@@ -376,14 +403,14 @@ def dr_dtau(p, tau):
     return 1.0 / (2.0 * r * _laplacian_at(p, r))
 
 
-def _laplacian_at(p, r):
-    """ΔQ(r) as a float: the one scalar read of the Laplacian, p.laplacian(r)
-    at a saddle or droplet edge r > 0 and p.laplacian_at_zero() at a disc's
-    inner edge r == 0.0 (with the potential's reason when it has none).  Anything
-    but a finite positive value raises InvalidPotentialError naming r, and
-    the hard wall when r has rounded onto it.  An array of radii r > 0 (the
-    saddles of _saddles) gives an array from one read, each entry under the
-    same check, and the first entry that fails it names its r."""
+def _laplacian_at(p, r, dq=None):
+    """ΔQ(r): the one checked read of the Laplacian, p.laplacian(r) (or the
+    given dq = ΔQ(r)) at a saddle or droplet edge r > 0, a float, or at an
+    array of them, and p.laplacian_at_zero() at a disc's inner edge
+    r == 0.0 (with the potential's reason when it has none).  Anything but
+    a finite positive value raises InvalidPotentialError naming r (an
+    array's first such entry), and the hard wall when r has rounded onto
+    it."""
     if type(r) is not np.ndarray and r == 0.0:
         try:
             dq = float(p.laplacian_at_zero())
@@ -393,18 +420,29 @@ def _laplacian_at(p, r):
         if 0.0 < dq < math.inf:
             return dq
         raise InvalidPotentialError(f"a disc's inner edge needs ΔQ(0) finite and > 0: {reason}")
-    dq = p.laplacian(r)
-    if type(r) is np.ndarray:
-        bad = ~((dq > 0.0) & (dq < math.inf))
-        if not np.count_nonzero(bad):
-            return dq
-        k = bad.argmax()
-        r, dq = r.item(k), dq.item(k)
-    dq = float(dq)
+    dq = p.laplacian(r) if dq is None else dq
+    ok = (dq > 0.0) & (dq < math.inf)
+    if np.all(ok):
+        return dq
+    k = np.argmin(ok)
+    r, dq = float(np.ravel(r)[k]), float(np.ravel(dq)[k])
     if not dq > 0.0:
         raise InvalidPotentialError(f"nonpositive Laplacian {dq!r} at r_tau = {r!r}")
-    if dq == math.inf:
-        wall = p.support_radius
-        where = "" if wall is None or r < wall else f", on the hard wall at {wall!r}"
-        raise InvalidPotentialError(f"infinite Laplacian at r_tau = {r!r}{where}")
-    return dq
+    wall = p.support_radius
+    where = "" if wall is None or r < wall else f", on the hard wall at {wall!r}"
+    raise InvalidPotentialError(f"infinite Laplacian at r_tau = {r!r}{where}")
+
+
+def _edge_laplacians(p, d, dr=False):
+    """(ΔQ(r0), ΔQ(r1)) at the edges of droplet d, and with dr the pair
+    ((ΔQ(r0), ΔQ(r1)), (ΔQ'(r0), ΔQ'(r1))), as floats from one read of the
+    Laplacian hook: at both edges of an annulus, or at r1 of a disc, whose
+    inner ΔQ is ΔQ(0) and inner ΔQ' is 0.0, which r0 = 0 multiplies.  ΔQ
+    passes _laplacian_at's check, the inner edge first."""
+    inner = [] if d.r0 else [_laplacian_at(p, 0.0)]
+    radii = np.array([d.r0, d.r1] if d.r0 else [d.r1])
+    dq, *dq1 = _evaluate(type(p)._laplacian, p, radii, (0, 1) if dr else (0,))
+    dq = tuple(inner + _laplacian_at(p, radii, dq).tolist())
+    if not dr:
+        return dq
+    return dq, tuple([0.0] * len(inner) + dq1[0].tolist())

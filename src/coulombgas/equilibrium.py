@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import Droplet, _droplet, _laplacian_at
+from .droplet import Droplet, _droplet, _edge_laplacians
 from .errors import InvalidPotentialError, _named
 from .potential import _evaluate, _pow_or_inf
 from .quadrature import integrate
@@ -95,14 +95,14 @@ def log_potential_origin(p, droplet=None):
     """Logarithmic potential of the equilibrium measure at the origin.
 
     Equals -log r1 + (q(r1) - q(r0)) / 2, with q(0) in place of q(r0) for
-    a disc droplet.
+    a disc droplet; an annulus reads q at both edges in one call.
     """
     d = _droplet(p, droplet)
     if d.kind == "disc":
-        q_in = p.q_at_zero()
+        q_in, q_out = p.q_at_zero(), p.q_derivs(d.r1, 0)
     else:
-        q_in = float(p.q_derivs(d.r0, 0))
-    return -math.log(d.r1) + 0.5 * (float(p.q_derivs(d.r1, 0)) - q_in)
+        q_in, q_out = np.broadcast_to(p.q_derivs(np.array([d.r0, d.r1]), 0), 2).tolist()
+    return -math.log(d.r1) + 0.5 * (q_out - q_in)
 
 
 def b1(p, r):
@@ -134,25 +134,19 @@ def _f_term(p, d):
     + (1/48) * integral of (laplacian'/laplacian)^2 dx over the droplet; a
     disc has no inner edge, so its inner factor is 1 and its inner edge term
     0, and it needs ΔQ(0) finite and > 0, or the integrand diverges at x = 0.
+    ΔQ and ΔQ' at both edges come from one read (_edge_laplacians).
     """
-    dq0 = _laplacian_at(p, d.r0)
-    dq1 = _laplacian_at(p, d.r1)
-    ratio1 = float(p.laplacian_dr(d.r1)) / dq1
+    (dq0, dq1), (dr0, dr1) = _edge_laplacians(p, d, dr=True)
 
     def f(x):
         dq, dq1 = p._laplacian(np.sqrt(x), (0, 1))
         return (dq1 / dq) ** 2
 
     val = _integral(f, d)  # first, so that r0^2 and r1^2 below are finite
-    if d.kind == "annulus":
-        inner = d.r0**2 * dq0
-        inner_edge = d.r0 * (float(p.laplacian_dr(d.r0)) / dq0)
-    else:
-        inner = 1.0
-        inner_edge = 0.0
+    inner = d.r0**2 * dq0 if d.kind == "annulus" else 1.0
     return (
         math.log(inner / (d.r1**2 * dq1)) / 12.0
-        - (d.r1 * ratio1 - inner_edge) / 16.0
+        - (d.r1 * (dr1 / dq1) - d.r0 * (dr0 / dq0)) / 16.0
         + val / 48.0
     )
 
@@ -180,8 +174,7 @@ def f_disc_chi_form(p, droplet=None):
     route for cross-checking.
     """
     d = _droplet(p, droplet, "disc", "f_disc_chi_form")
-    _laplacian_at(p, d.r0)  # as in _f_term, the integrands need ΔQ(0) > 0
-    dq1 = _laplacian_at(p, d.r1)
+    _, dq1 = _edge_laplacians(p, d)  # as in _f_term, the integrands need ΔQ(0) > 0
 
     def zero_mode(x):
         r = np.sqrt(x)
@@ -214,8 +207,7 @@ def b1_integral(p, droplet=None):
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
     direct = _integral(lambda x: _b1_formula(p, np.sqrt(x), True), d)
-    dq0 = _laplacian_at(p, d.r0)
-    dq1 = _laplacian_at(p, d.r1)
+    dq0, dq1 = _edge_laplacians(p, d)
     identity = (
         f_annulus(p, d)
         - math.log(dq1 / dq0) / 4.0
@@ -241,7 +233,8 @@ def zw_coefficients(p, droplet=None):
     command line driver.
     """
     d = _droplet(p, droplet, "disc", "zw_coefficients")
-    _laplacian_at(p, d.r0)  # as in _f_term, the integrands need ΔQ(0) > 0
+    # As in _f_term, the integrands need ΔQ(0) > 0.
+    (_, dq1), (_, dr1) = _edge_laplacians(p, d, dr=True)
 
     def f0_integrand(x):
         r = np.sqrt(x)
@@ -262,9 +255,8 @@ def zw_coefficients(p, droplet=None):
     fh = _integral(f_half_integrand, d)
     dirich = _integral(dirichlet, d)
     x1 = d.r1**2  # finite, as the integrals returned
-    dq1 = _laplacian_at(p, d.r1)
     chi1 = 0.5 * math.log(dq1)
-    chi1_prime = float(p.laplacian_dr(d.r1)) / (4.0 * d.r1 * dq1)
+    chi1_prime = dr1 / (4.0 * d.r1 * dq1)
     f1 = (
         math.log(1.0 / x1) / 12.0
         - chi1 / 6.0

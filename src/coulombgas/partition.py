@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import _droplet, _given, _laplacian_at, _saddles
+from .droplet import _droplet, _edge_laplacians, _given, _saddles
 from .equilibrium import (
     energy,
     entropy,
@@ -27,7 +27,7 @@ from .equilibrium import (
 )
 from .errors import DomainError, _finite, _named
 from .norms import _REL_TOL, _degrees, _grid, _with_rows, log_norm_exact
-from .potential import _check_ensemble, _check_n, _is_real, v_tau
+from .potential import _check_ensemble, _check_n, _evaluate, _is_real, _v_tau_formula
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 _LEMMA_VARIANTS = (
@@ -115,8 +115,7 @@ def expansion_terms(p, ensemble="normal", *, report=None):
             c_logn = 5.0 / 12.0
             c_1 = 0.5 * LOG_2PI + ZETA_PRIME_MINUS_ONE + rep.f_term
     else:
-        dq_out = _laplacian_at(p, d.r1)
-        dq_in = _laplacian_at(p, d.r0)
+        dq_in, dq_out = _edge_laplacians(p, d)
         c_n2 = -2.0 * rep.energy
         c_nlogn = 0.5
         c_n = (
@@ -167,8 +166,9 @@ def lemma_sum(p, n, which):
     droplets only.  The prediction evaluates only the functionals it
     uses: energy and the origin log-potential for the V and log r sums,
     the entropy for the log laplacian sums.  The radii, and ΔQ at them,
-    come from one _saddles call for all the levels.  A failure re-raises its class
-    with the potential name, n and which in front.
+    come from one _saddles call for all the levels, and the V terms from
+    one array evaluation.  A failure re-raises its class with the potential
+    name, n and which in front.
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
@@ -176,22 +176,21 @@ def lemma_sum(p, n, which):
     d = _droplet(p, kind="annulus", what="lemma_sum")
     k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
     taus = [j / (k * n) for j in _degrees(k, n)]
-    radii, dqs = (x.tolist() for x in _saddles(p, taus))
+    radii, dqs = _saddles(p, taus)
 
     if which.startswith("sum_v"):
-        terms = [float(v_tau(p, t, r)) for t, r in zip(taus, radii)]
+        terms = _evaluate(_v_tau_formula, p, radii, np.array(taus)).tolist()
     elif which.startswith("sum_logdq"):
-        terms = [math.log(dq) for dq in dqs]
+        terms = [math.log(dq) for dq in dqs.tolist()]
     else:
-        terms = [math.log(r) for r in radii]
+        terms = [math.log(r) for r in radii.tolist()]
     direct = math.fsum(terms)
 
     if which == "sum_v_normal":
         u_0 = log_potential_origin(p, d)
         predicted = n * energy(p, d) - u_0 + math.log(d.r0 / d.r1) / (6.0 * n)
     elif which == "sum_logdq_normal":
-        dq0 = _laplacian_at(p, d.r0)
-        dq1 = _laplacian_at(p, d.r1)
+        dq0, dq1 = _edge_laplacians(p, d)
         predicted = n * entropy(p, d) - 0.5 * math.log(dq1 / dq0)
     elif which == "sum_logr_normal":
         predicted = -n * log_potential_origin(p, d) - 0.5 * math.log(d.r1 / d.r0)

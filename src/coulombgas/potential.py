@@ -7,7 +7,7 @@ convention that the equilibrium density is 2 r laplacian(r) dr on the
 droplet.  All evaluation methods accept real scalars (not bools) or 1-D
 arrays of int or float dtype.
 
-Three hooks hold every formula, as plain arithmetic on floats and arrays:
+Three hooks hold every formula, as numpy arithmetic on float64 arrays:
 _profile(r, order) for q and its derivatives (_profiles(r, orders) reads
 several of the orders 1..4 at once, with the same bits), _laplacian(r,
 orders) for the Laplacian and its first two radial derivatives, as many
@@ -15,8 +15,8 @@ as asked for from one read, and _q_magnitude(r, q) for the sum of the
 magnitudes of q's terms, the scale of q's rounding that sets the exact
 norms' accuracy floor.  The checked entry points (q_derivs, the
 laplacian accessors, v_tau and equilibrium.b1) hold the one evaluation
-contract (_evaluate): a scalar gets the inf or nan that a one-element
-array gets, and neither warns.
+contract (_evaluate): a scalar is a one-element array, bit for bit, so
+it gets the inf or nan that the array gets, and neither warns.
 
 The degree-dependent effective potential for orthogonal-norm asymptotics is
 V_tau(r) = q(r) - 2 tau log r, given by one formula (_v_tau_formula).  Its
@@ -97,65 +97,39 @@ def _check_nonnegative(name, value):
     return float(value)
 
 
-def _const_like(r, val):
-    return np.full_like(r, val) if np.ndim(r) else val
-
-
-def _log(x):
-    """np.log(x); for a Python float, np.log's bits as a Python float (math.log
-    rounds differently), and ValueError unless x > 0."""
-    if type(x) is float:
-        if not x > 0.0:
-            raise ValueError(f"log of {x!r}")
-        return float(np.log(x))
-    return np.log(x)
-
-
-def _log1p(x):
-    """np.log1p(x); for a Python float, np.log1p's bits as a Python float
-    (math.log1p rounds differently), and ValueError unless x > -1."""
-    if type(x) is float:
-        if not x > -1.0:
-            raise ValueError(f"log1p of {x!r}")
-        return float(np.log1p(x))
-    return np.log1p(x)
-
-
+@np.errstate(all="ignore")
 def _evaluate(formula, p, r, arg):
-    """formula(p, r, arg) of potential p, arithmetic in r that works on
-    floats and arrays alike, at a checked r: the one evaluation contract of
-    the checked entry points.
+    """formula(p, r, arg) of potential p at a checked r: the one evaluation
+    contract of the checked entry points, and their one arithmetic path.
 
-    r is checked with p._checked first.  An array is computed under
-    np.errstate(all="ignore"), a Python float in Python floats, which never
-    warn.  Where Python raises instead of giving inf or nan (OverflowError
-    from **, ZeroDivisionError, ValueError from _log), the float is
-    evaluated again as a one-element array; a formula that returns a tuple
-    (the _profiles and _laplacian hooks) then gets a tuple of floats.  Each
-    entry point is a plain function of fixed arity that calls this one, so
-    a scalar call builds no argument tuple or dict.
+    p._checked(r) gives r as a float64 array, a scalar as a one-element
+    array, and the formula runs on it under np.errstate(all="ignore"), so
+    it gives inf or nan where float64 does and never warns.  A scalar gets
+    the one element back as a Python float, bit for bit what the
+    one-element array gets; a formula that returns a tuple (the _profiles
+    and _laplacian hooks) then gives a tuple of floats.  Each entry point
+    is a plain function of fixed arity that calls this one, so a scalar
+    call builds no argument tuple or dict.
     """
-    r = p._checked(r)
-    if type(r) is float:
-        try:
-            return formula(p, r, arg)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            r = np.array([r])
-        with np.errstate(all="ignore"):
-            v = formula(p, r, arg)
-        if type(v) is tuple:
-            return tuple(float(np.ravel(x)[0]) for x in v)
-        return float(np.ravel(v)[0])
-    with np.errstate(all="ignore"):
-        return formula(p, r, arg)
+    v = formula(p, p._checked(r), arg)
+    if type(r) is not float and np.ndim(r):
+        return v
+    if type(v) is tuple:
+        return tuple([_first(y) for y in v])
+    return _first(v)
+
+
+def _first(v):
+    """A scalar read's value (an array, or a Custom's real number) as a float."""
+    return float(v.item(0) if type(v) is np.ndarray else v)
 
 
 class RadialPotential:
     """Base class: radial profile plus Laplacian data.
 
     Subclasses implement _profile(r, order) for orders 0..4 as a plain
-    formula in a checked r that works on Python floats and numpy arrays;
-    the entry points give it the scalar contract (_evaluate).  The hook
+    formula in a checked float64 array r; the entry points hand a scalar
+    in as a one-element array (_evaluate).  The hook
     _profiles(r, orders) gives several of the orders 1..4 at once, each
     with _profile's bits; a Custom without derivs reads every order there
     from one circle of q values (Custom._cauchy), and dilate forwards its
@@ -193,14 +167,14 @@ class RadialPotential:
         return None
 
     def _checked(self, r):
-        """r as a float (no numpy call) or a nonempty array (its min and max
-        propagate NaN), checked once: a real that is not a bool, or an array
-        of int or float dtype, finite, positive, within the support.  Anything
-        else (bools, strings, complex numbers) raises DomainError."""
-        if isinstance(r, float):
-            lo = hi = r = float(r)
-        elif isinstance(r, numbers.Real) and not isinstance(r, bool):
-            lo = hi = r = float(r) if _is_real(r) else math.inf  # nan, inf or beyond float64
+        """r as a nonempty float64 array, a scalar (a real that is not a bool,
+        or a 0-d array) as a one-element 1-D array, checked once (an array's
+        min and max propagate NaN): of int or float dtype, finite, positive,
+        within the support.  Anything else (bools, strings, complex numbers)
+        raises DomainError."""
+        if type(r) is float or isinstance(r, numbers.Real) and not isinstance(r, bool):
+            lo = hi = float(r) if _is_real(r) else math.inf  # nan, inf or beyond float64
+            arr = np.array([lo])
         else:
             try:
                 arr = np.asarray(r)
@@ -212,16 +186,17 @@ class RadialPotential:
             arr = arr.astype(float, copy=False)
             if arr.size == 0:
                 raise DomainError("empty evaluation point array")
+            if not arr.ndim:
+                arr = arr.reshape(1)
             lo = arr.min()
             hi = arr.max()
-            r = arr if arr.ndim else float(arr)
         if not (0.0 < lo and hi < math.inf):
             raise DomainError("evaluation points must be finite and positive")
         if self.support_radius is not None and hi > self.support_radius * (1.0 + 1e-12):
             raise DomainError(
                 f"evaluation point beyond the support radius {self.support_radius!r}"
             )
-        return r
+        return arr
 
     def _laplacian(self, r, orders):
         """(d^k/dr^k of the Laplacian (q'/r + q'')/4 for k in orders) as a
@@ -245,8 +220,7 @@ class RadialPotential:
     def _q_derivs_each(self, r, orders):
         """(q_derivs(r, k) for k in orders), bit for bit, from one checked
         evaluation of the _profiles hook; orders is a tuple of ints in
-        1..4.  Where a float's evaluation raises, every order is read from
-        the one-element array (_evaluate)."""
+        1..4."""
         return _evaluate(type(self)._profiles, self, r, orders)
 
     def laplacian(self, r):
@@ -273,7 +247,7 @@ class Ginibre(RadialPotential):
         scale = _check_positive("scale", scale)
         self.scale = scale
         # scale^2 underflows to 0 below scale ~1e-162; 1 / scale^2 is then
-        # inf, so no formula of a Python float divides by 0.
+        # inf, not a ZeroDivisionError.
         self._s2 = scale * scale
         self._inv_s2 = 1.0 / self._s2 if self._s2 else math.inf
         self.name = f"ginibre(scale={scale!r})"
@@ -288,11 +262,11 @@ class Ginibre(RadialPotential):
         if order == 1:
             return 2.0 * r / s2
         if order == 2:
-            return _const_like(r, 2.0 * self._inv_s2)
-        return _const_like(r, 0.0)
+            return np.full_like(r, 2.0 * self._inv_s2)
+        return np.zeros_like(r)
 
     def _laplacian(self, r, orders):
-        return tuple([_const_like(r, 0.0 if k else self._inv_s2) for k in orders])
+        return tuple([np.full_like(r, 0.0 if k else self._inv_s2) for k in orders])
 
     def q_at_zero(self):
         return 0.0
@@ -326,7 +300,7 @@ class MittagLeffler(RadialPotential):
         lam = self.lam
         c = self.c
         if order == 0:
-            return r ** (2.0 * lam) - 2.0 * c * _log(r)
+            return r ** (2.0 * lam) - 2.0 * c * np.log(r)
         if order == 1:
             return 2.0 * lam * r ** (2.0 * lam - 1.0) - 2.0 * c / r
         if order == 2:
@@ -338,7 +312,7 @@ class MittagLeffler(RadialPotential):
         return coef * r ** (2.0 * lam - 4.0) + 12.0 * c / r**4
 
     def _q_magnitude(self, r, q):
-        return r ** (2.0 * self.lam) + 2.0 * self.c * abs(_log(r))
+        return r ** (2.0 * self.lam) + 2.0 * self.c * abs(np.log(r))
 
     def _laplacian(self, r, orders):
         coef = self._lap_coef
@@ -380,7 +354,7 @@ class TruncatedUnitary(RadialPotential):
         if order == 0:
             # log1p of -r^2/beta carries no cancellation, which
             # log(beta) - log(beta - r^2) does near the wall.
-            return -a * _log1p(r * r / -b)
+            return -a * np.log1p(r * r / -b)
         d = b - r * r
         if order == 1:
             return 2.0 * a * r / d
@@ -444,19 +418,19 @@ class Custom(RadialPotential):
 
     q must be callable, and derivs, when given, an iterable of exactly
     four callables for q', q'', q''', q''''; anything else raises
-    DomainError.  The callables must take Python floats and 1-D float
-    arrays, and return a real number or a real array shaped like r (or a
-    scalar array).  A callable that raises TypeError or ValueError, or
-    returns anything else, raises DomainError naming it (_malformed); the
-    one check sits where _profile calls it.  Scalar results are taken as
-    Python floats, and numpy calls a callable makes on a Python float
-    follow numpy's own error settings.  Without derivs, the orders 1..4
-    at r, all a _profiles read takes, come from one call of q on complex
-    points of a circle about r (_cauchy), and q itself from a call at r:
-    q must then take complex arrays and be analytic within
-    min(r, support_radius - r) of r, so a scalar-only q must supply derivs.  A q that rejects complex
-    points, drops their imaginary parts, or fails the circle's guard
-    raises DomainError asking for derivs.
+    DomainError.  The callables need take only 1-D float arrays (a scalar
+    read hands them a one-element array), and must return a real number or
+    a real array shaped like r (or a scalar array).  A callable that raises
+    TypeError or ValueError, or returns anything else, raises DomainError
+    naming it (_malformed); the one check sits where _profile calls it.
+    They run under np.errstate(all="ignore"), as every formula does.
+    Without derivs, the orders 1..4 at r, all a _profiles read takes, come
+    from one call of q on complex points of a circle about r (_cauchy), and
+    q itself from a call at r: q must then take complex arrays and be
+    analytic within min(r, support_radius - r) of r, so a scalar-only q
+    must supply derivs.  A q that rejects complex points, drops their
+    imaginary parts, or fails the circle's guard raises DomainError asking
+    for derivs.
     q_origin, when given, must be a finite real and laplacian_origin a
     finite positive real; anything else raises DomainError.  Each of these
     messages starts with "name: ".  The exact norms' rounding floor takes
@@ -494,12 +468,12 @@ class Custom(RadialPotential):
         self._laplacian_origin = laplacian_origin
         self.name = name
 
-    @np.errstate(all="ignore")  # a float's read runs in numpy, quiet as an array's
     def _cauchy(self, r, orders):
         """q^(k)(r) for each k in orders from one call of q on the circles
         about r (_cauchy_rule), R cut by the hard wall; a q that rejects or
-        drops complex points, or fails the guard, raises DomainError."""
-        x = r if type(r) is float else r[..., None]
+        drops complex points, or fails the guard, raises DomainError.  Its
+        callers run it under np.errstate(all="ignore")."""
+        x = r[..., None]
         wall = self.support_radius
         reach = x if wall is None else np.minimum(x, np.maximum(wall - x, 0.0))
         z = x + reach * _CAUCHY_NODES
@@ -520,12 +494,10 @@ class Custom(RadialPotential):
         if bad.any() and (bad := abs(miss) > _CAUCHY_GUARD * abs(v).max(axis=-1)).any():
             i = np.flatnonzero(bad)[0]
             raise DomainError(
-                f"{self.name}: the mean of q on the circle about r = {float(np.ravel(x)[i])!r} "
+                f"{self.name}: the mean of q on the circle about r = {float(r.flat[i])!r} "
                 f"misses q(r) by {float(miss.flat[i])!r}: q is not analytic there, too "
                 "steep or wavy for the circle, or inexact at complex points; supply derivs"
             )
-        if type(r) is float:  # Python floats out, as from the other profiles
-            return tuple([d.item(k) / float(reach) ** k for k in orders])
         return tuple([d[..., k] / reach[..., 0] ** k for k in orders])
 
     def _profile(self, r, order):
@@ -533,8 +505,6 @@ class Custom(RadialPotential):
             return self._cauchy(r, (order,))[0]
         try:
             v = self._derivs[order - 1](r) if order else self._q(r)
-            if type(r) is float:
-                return float(v)  # numpy scalars stay out
         except (TypeError, ValueError) as exc:
             raise _malformed(self, order, r, exc) from exc
         if (isinstance(v, np.ndarray) and v.dtype.kind in "fiu" and v.shape in ((), r.shape)
@@ -560,12 +530,11 @@ class Custom(RadialPotential):
 
 def _malformed(p, order, r, why):
     """DomainError naming p for a profile callable (q, or q^(order)) that
-    fails the callable contract at r, a float or an array of radii."""
-    at = "a float" if type(r) is float else f"an array of shape {np.shape(r)}"
+    fails the callable contract at r, an array of radii."""
     what = "q" + "'" * order if order < 3 else f"q^({order})"
     return DomainError(
-        f"{p.name}: {what} at {at} failed ({why}); the callables must take Python floats and "
-        "1-D float arrays and return a real number or an array shaped like r"
+        f"{p.name}: {what} at an array of shape {r.shape} failed ({why}); the callables must "
+        "take 1-D float arrays and return a real number or an array shaped like r"
     )
 
 
@@ -592,7 +561,7 @@ class _Dilated(RadialPotential):
         x = r / self._a
         # r is finite and positive, so x can only underflow to 0 (a > 1) or
         # overflow to inf (a < 1); the base formula never sees either.
-        edge = x if type(x) is float else (x.min() if self._a > 1.0 else x.max())
+        edge = x.min() if self._a > 1.0 else x.max()
         if not 0.0 < edge < math.inf:
             raise DomainError(f"{self.name}: r / a = {float(edge)!r} leaves (0, inf)")
         return x
@@ -646,8 +615,8 @@ def v_tau(p, tau, r):
 
 def _v_tau_formula(p, rr, t):
     """V_tau at a checked t = tau (a float, or an array of levels shaped like
-    rr): v_tau runs it through _evaluate; the norms' set-up stage runs it on
-    arrays of saddles r* and of cut candidates below the support radius,
-    and the norm integrand on node arrays whose domain integrate and the
-    norm's cut already prove."""
-    return p._profile(rr, 0) - 2.0 * t * _log(rr)
+    rr): v_tau, and lemma_sum on its saddles, run it through _evaluate;
+    the norms' set-up stage runs it on arrays of saddles r* and of cut
+    candidates below the support radius, and the norm integrand on node
+    arrays whose domain integrate and the norm's cut already prove."""
+    return p._profile(rr, 0) - 2.0 * t * np.log(rr)

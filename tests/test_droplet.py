@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 from coulombgas import droplet
 from coulombgas.droplet import Droplet, dr_dtau, droplet_of, solve_r_tau
 from coulombgas.errors import CoulombGasError, DomainError, InvalidPotentialError
+from coulombgas.oracles import tu_log_z
+from coulombgas.partition import log_z_exact
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -281,7 +284,8 @@ def test_custom_root_at_a_kink_of_r_q_prime():
     assert droplet._table(p)
     scanned = Custom(q, derivs=derivs, name="kinked")
     vars(scanned)["_r_tau_table"] = ()  # the cache of a potential without a table
-    assert droplet._scan_bracket(scanned, 0.5) == (1.0, 2.0)
+    lo, hi = droplet._scan_brackets(scanned, np.array([0.5]))
+    assert (lo.tolist(), hi.tolist()) == ([1.0], [2.0])
     assert abs(solve_r_tau(scanned, 0.5) - k) <= 1e-13 * k
 
 
@@ -348,7 +352,7 @@ def test_table_results_do_not_depend_on_call_order(derivs):
 
 
 class _Counting(Custom):
-    """Custom that records (order, is_array) of every derivative hook call."""
+    """Custom that records the order of every derivative hook call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -356,7 +360,7 @@ class _Counting(Custom):
 
     def _profile(self, r, order):
         if order:
-            self.calls.append((order, type(r) is not float))
+            self.calls.append(order)
         return super()._profile(r, order)
 
 
@@ -519,7 +523,7 @@ def test_custom_ml_roots_over_a_hundred_decades_of_tau(case, log_tau):
 
 def _steep_power(derivs):
     # q = (r/1.3)^k / k with k = 5000: r q' = (r/1.3)^k, so r_tau = 1.3 (2 tau)^(1/k).
-    # A Python float raises OverflowError at r = 2, where float64 gives inf.
+    # The power overflows to inf in float64 at r = 2.
     k = 5000
 
     def q(r):
@@ -542,11 +546,10 @@ def test_scalar_overflow_evaluates_like_the_array_path(tau):
 
 
 @pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "circle"])
-def test_paired_read_retries_an_overflowing_float_as_an_array(derivs):
-    # At r = 2 a Python float raises OverflowError in the steep profile, so
-    # q' and q'' are read from the one-element array: inf; or, without
-    # derivs, the circle's nan of inf - inf, as Python floats and as the
-    # separate calls give.
+def test_paired_read_of_an_overflowing_scalar_is_the_separate_reads(derivs):
+    # At r = 2 the steep profile overflows, so q' and q'' are inf; or,
+    # without derivs, the circle's nan of inf - inf, as Python floats and
+    # as the separate calls give.
     p = _steep_power(derivs)
     got = p._q_derivs_each(2.0, (1, 2))
     want = (p.q_derivs(2.0, 1), p.q_derivs(2.0, 2))
@@ -568,6 +571,61 @@ def test_scalar_overflow_raises_package_errors(derivs):
             solve_r_tau(p, 0.5)
 
 
+def _scan_alone(p, tau):
+    # The reference for the shared scan: one row's own upward scan, one
+    # read of r q' a candidate, from the bottom of the scan to the first
+    # candidate above 2 tau.
+    target = 2.0 * tau
+    if tau == 0.0:
+        try:
+            droplet._laplacian_at(p, 0.0)
+            return 0.0, 0.0
+        except InvalidPotentialError:
+            pass
+    lo = 1e-12 if p.support_radius is None else min(1e-12, p.support_radius * 1e-15)
+    if lo * p.q_derivs(lo, 1) - target >= 0.0:
+        if tau == 0.0:
+            return 0.0, 0.0
+        raise InvalidPotentialError(
+            f"r q'(r) already exceeds {target!r} at r = {lo!r}; no inner bracket")
+    for hi in droplet._bracket_candidates(p):
+        if droplet._not_nan(hi * p.q_derivs(hi, 1), hi, tau) - target > 0.0:
+            return lo, hi
+        lo = hi
+    raise InvalidPotentialError(
+        f"r q'(r) never reaches {target!r}; the potential does not confine this level")
+
+
+def _r2(q1, **kwargs):
+    return Custom(lambda r: r * r, derivs=[q1, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r,
+                                           lambda r: 0.0 * r], **kwargs)
+
+
+@pytest.mark.parametrize("p", [
+    _ml_custom(1.0 / 3.0, 1.1),
+    _r2(lambda r: 2.0 * r),
+    _r2(lambda r: 2.0 * r, laplacian_origin=1.0),
+    _r2(lambda r: 2.0 * r, support_radius=1.5),
+    _r2(lambda r: 2.0 * r + 1.0 / r**2),  # r q' above every target at the bottom
+    _r2(lambda r: np.where((0.7 < r) & (r < 1.5), np.nan, 2.0 * r)),  # nan at r = 1
+    _r2(lambda r: 0.5 / r, support_radius=1.5),  # r q' = 1/2: levels above 1/4 never reach
+], ids=["ml", "r2", "r2-origin", "r2-wall", "r2-above", "r2-nan", "flat"])
+def test_the_shared_bracket_scan_gives_each_row_its_own_scan(p):
+    # Each row gets the bracket of its own scan, in any order of levels, and
+    # where rows fail the lowest of them raises the error of its own scan.
+    for taus in ([0.0, 1.0], [1.0, 0.0], [0.9, 0.1, 0.0, 0.5, 1.0], [1e-300, 0.3, 0.2],
+                 [0.2, 0.7, 0.0, 0.05]):
+        try:
+            want = [_scan_alone(p, t) for t in taus]
+        except InvalidPotentialError as exc:
+            want = str(exc)
+        try:
+            got = list(zip(*(x.tolist() for x in droplet._scan_brackets(p, np.array(taus)))))
+        except InvalidPotentialError as exc:
+            got = str(exc)
+        assert got == want, taus
+
+
 def test_nan_in_the_bracket_scan_is_named():
     # q = r^2 / 4 with a q' that is inf - inf = nan from r = 2 on, where the
     # steep power overflows: r q' = r^2 / 2 is below 2 tau = 1 at the scan's
@@ -586,7 +644,8 @@ def test_nan_in_the_bracket_scan_is_named():
 def test_nan_in_the_newton_loop_is_named():
     # q = r^2 with q' nan on (0.4, 0.6): the scan brackets the root
     # sqrt(0.5) in (1e-12, 1] and the first Newton point is r = 0.5.  q1
-    # takes only floats, so the table's array call fails and the scan runs.
+    # takes only one-element arrays, so the table's array call fails and
+    # the scan runs.
     def q1(r):
         return math.nan if 0.4 < r < 0.6 else 2.0 * r
 
@@ -600,7 +659,7 @@ def test_a_column_shaped_derivative_is_a_domain_error():
     # values would broadcast to (m, m): the array read rejects it, naming
     # the potential, so there is no table and every interior level raises.
     p = Custom(lambda r: r * r, derivs=(
-        lambda r: 2.0 * r if type(r) is float else (2.0 * r)[:, None],
+        lambda r: (2.0 * r)[:, None],
         lambda r: 2.0 + 0.0 * r,
         lambda r: 0.0 * r,
         lambda r: 0.0 * r,
@@ -745,3 +804,21 @@ def test_laplacian_at_is_the_one_scalar_read_of_the_laplacian():
         ("laplacian_at_zero", "droplet", "_laplacian_at"),
         ("laplacian_at_zero", "potential", "laplacian_at_zero"),
     }
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError, reason=(
+    "droplet_of reads ΔQ at r = 1e-6 r1, where numpy's complex log1p errs by "
+    "~7e-5 relative and the circle's guard rejects q (ROADMAP items 7 and 22)"))
+def test_a_tu_shaped_custom_without_derivs_has_a_droplet():
+    # TU(1, 1)'s q as a Custom without derivs.  The exact route reads it
+    # only at its saddles, far from the origin, and matches the TU(1, 1)
+    # reference and oracle within the route's bound; the droplet's grid
+    # check starts at 1e-6 r1, where the circle read of ΔQ fails.
+    p = Custom(lambda r: -np.log1p(-r * r / 2.0), support_radius=2**0.5,
+               laplacian_origin=0.5, q_origin=0.0)
+    tu = TruncatedUnitary(1.0, 1.0)
+    got = log_z_exact(p, 50)
+    bound = mp_reference.log_z_bound(p, 50, "normal", tu)
+    assert abs(float(got - mp_reference.log_z(tu, 50, "normal"))) <= bound
+    assert abs(got - tu_log_z(1.0, 1.0, 50)) <= bound
+    droplet_of(p)

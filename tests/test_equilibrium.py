@@ -38,7 +38,6 @@ from coulombgas.potential import (
     MittagLeffler,
     RadialPotential,
     TruncatedUnitary,
-    _const_like,
     dilate,
 )
 
@@ -628,8 +627,7 @@ class _NoOriginData(RadialPotential):
     name = "r^2 without origin data"
 
     def _profile(self, r, order):
-        zero = _const_like(r, 0.0)
-        return (r * r, 2.0 * r, _const_like(r, 2.0), zero, zero)[order]
+        return (r * r, 2.0 * r, 2.0 + 0.0 * r, 0.0 * r, 0.0 * r)[order]
 
     def r_tau(self, tau):
         return math.sqrt(tau)

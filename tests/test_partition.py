@@ -206,19 +206,19 @@ def test_set_up_rows_of_every_family_are_the_per_norm_route_bit_for_bit(p, ensem
     _assert_rows_are_the_one_row_route(p, ensemble)
 
 
-def _steep(q1=lambda f: f):
+def _steep(wrap=lambda k, f: f):
     # r q'(r) = (r / 1.3)^1500: r q' underflows to 0 at most table radii, so
-    # there is no table.  q1 wraps the q' callable.
+    # there is no table.  wrap(k, f) wraps the callable f of q^(k), k = 1, 2.
     R, pw = 1.3, 1500.0
     return Custom(lambda r: (r / R) ** pw / pw, derivs=(
-        q1(lambda r: (r / R) ** pw / r),
-        lambda r: (pw - 1.0) * (r / R) ** pw / r**2,
+        wrap(1, lambda r: (r / R) ** pw / r),
+        wrap(2, lambda r: (pw - 1.0) * (r / R) ** pw / r**2),
         lambda r: (pw - 1.0) * (pw - 2.0) * (r / R) ** pw / r**3,
         lambda r: (pw - 1.0) * (pw - 2.0) * (pw - 3.0) * (r / R) ** pw / r**4,
     ), name="steep")
 
 
-def _gap(q1=lambda f: f):
+def _gap(wrap=lambda k, f: f):
     # q = r^2 - 0.05 e^(-u^2 / 0.01), u = r^2 - 1/2: r q' is not monotone
     # (a spectral gap, as in ROADMAP item 12), so there is no table.  f(r, k)
     # is the k-th u-derivative of the bump, (-10)^k H_k(s) of s = 10 u.
@@ -229,8 +229,8 @@ def _gap(q1=lambda f: f):
         return -0.05 * (-10.0) ** k * h * np.exp(-s * s)
 
     return Custom(lambda r: r * r + f(r, 0), derivs=(
-        q1(lambda r: 2.0 * r + 2.0 * r * f(r, 1)),
-        lambda r: 2.0 + 4.0 * r * r * f(r, 2) + 2.0 * f(r, 1),
+        wrap(1, lambda r: 2.0 * r + 2.0 * r * f(r, 1)),
+        wrap(2, lambda r: 2.0 + 4.0 * r * r * f(r, 2) + 2.0 * f(r, 1)),
         lambda r: 8.0 * r**3 * f(r, 3) + 12.0 * r * f(r, 2),
         lambda r: 16.0 * r**4 * f(r, 4) + 48.0 * r * r * f(r, 3) + 12.0 * f(r, 2),
     ), name="gap")
@@ -239,27 +239,30 @@ def _gap(q1=lambda f: f):
 @pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
 @pytest.mark.parametrize("profile", [_steep, _gap], ids=["steep", "gap"])
 def test_saddle_stage_rows_of_a_table_less_profile_are_the_per_norm_route(profile, ensemble):
-    # Without a table every row starts from its own scan bracket, and the
-    # rows still share one Newton call: each row is the lone solve_r_tau of
-    # its level, log Z the sum of the standalone norms, and log Z calls q'
-    # on arrays once a round of its slowest row and once for ΔQ, however
-    # many rows there are.
-    arrays = []
-    p = profile(lambda f: lambda r: (arrays.append(type(r) is np.ndarray), f(r))[1])
+    # Without a table every row starts from its bracket of one shared upward
+    # scan, and the rows share one Newton call: each row is the lone
+    # solve_r_tau of its level, and log Z the sum of the standalone norms.
+    # A scan reads q' at one point, a Newton round q' and q'' at every
+    # unfinished row, and the ΔQ read q' and q'' at every row.  So log Z
+    # calls q' as often as the slowest scan of its rows alone, plus the
+    # slowest Newton, plus once for ΔQ, however many rows there are.
+    reads = []
+    p = profile(lambda k, f: lambda r: (reads.append(k), f(r))[1])
     k = 1 if ensemble == "normal" else 2
     for n in (25, 200):
         queries = norms._with_rows(p, norms._grid(n, ensemble))
-        rows, rounds = [], []
+        rows, scans, rounds = [], [], []
         for q in queries:
-            arrays.clear()
+            reads.clear()
             rows.append(solve_r_tau(p, q.level).hex())
-            rounds.append(sum(arrays))
+            rounds.append(reads.count(2))
+            scans.append(reads.count(1) - reads.count(2))
         assert [q._row[0].hex() for q in queries] == rows, n
         alone = [log_norm_exact(p, NormQuery(n, q.j, ensemble)) for q in queries]
         want = ln_factorial(n) + n * math.log(k) + math.fsum(alone)
-        arrays.clear()
+        reads.clear()
         assert log_z_exact(p, n, ensemble).hex() == want.hex(), n
-        assert sum(arrays) == max(rounds) + 1, (n, sum(arrays), max(rounds))
+        assert reads.count(1) == max(scans) + max(rounds) + 1, (n, reads.count(1), scans, rounds)
     assert droplet._table(p) == ()
 
 

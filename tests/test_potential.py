@@ -43,7 +43,7 @@ def test_ginibre_basic_values():
     assert p.q_derivs(1.0, 4) == 0.0
     assert p.laplacian(0.3) == 1.0
     assert p.laplacian_dr(0.3) == 0.0
-    assert p._laplacian(0.3, (0, 1, 2)) == (1.0, 0.0, 0.0)
+    assert p._laplacian(np.array([0.3]), (0, 1, 2)) == (1.0, 0.0, 0.0)
     assert p.q_at_zero() == 0.0
     assert p.laplacian_at_zero() == 1.0
 
@@ -99,9 +99,8 @@ def test_mittag_leffler_origin_guards():
 
 def test_hard_wall_profile_takes_numpys_log1p_bits_on_floats():
     # q = -alpha log1p(-r^2/beta) on a Python float gives the bits of the
-    # one-element array, as _log1p takes np.log1p's (math.log1p rounds
-    # differently), all the way to the wall, where log1p(-1) sends the
-    # float to the array path and q is inf.
+    # one-element array, np.log1p's (math.log1p rounds differently), all
+    # the way to the wall, where log1p(-1) is -inf and q is inf.
     p = TruncatedUnitary(3.0, 1.6)
     a = p.support_radius
     rs = a * np.concatenate([np.linspace(1e-3, 1.0, 2001)[:-1], 1.0 - 0.5 ** np.arange(1.0, 53.0)])
@@ -109,8 +108,6 @@ def test_hard_wall_profile_takes_numpys_log1p_bits_on_floats():
     assert all(type(g) is float for g in got)
     assert np.array_equal(np.array(got), p.q_derivs(rs))
     assert np.array_equal(np.array(got), -3.0 * np.log1p(rs * rs / -p.beta))
-    with pytest.raises(ValueError, match="log1p of -1.0"):
-        potential._log1p(-1.0)
     assert p.q_derivs(math.sqrt(p.beta)) == math.inf
 
 
@@ -146,7 +143,7 @@ def test_derivative_ladder_against_finite_differences():
             fd1 = _fd5(p.laplacian, r, h)
             assert abs(fd1 - p.laplacian_dr(r)) < 1e-6 * max(1.0, abs(fd1))
             fd2 = _fd5(p.laplacian_dr, r, h)
-            assert abs(fd2 - p._laplacian(r, (2,))[0]) < 1e-5 * max(1.0, abs(fd2))
+            assert abs(fd2 - p._laplacian(np.array([r]), (2,))[0].item()) < 1e-5 * max(1.0, abs(fd2))
 
 
 def test_q_derivs_rejects_unsupported_order():
@@ -439,10 +436,13 @@ def test_several_orders_read_together_equal_separate_calls_bit_for_bit(p, orders
      TruncatedUnitary(2.0, 1.5), dilate(MittagLeffler(2.0, 0.7), 1.5)],
     ids=lambda p: p.name,
 )
-@pytest.mark.parametrize("r", [1e-3, 2.0, np.array([1e-3, 0.4, 2.0])], ids=["1e-3", "2", "array"])
+@pytest.mark.parametrize("r", [np.array([1e-3]), np.array([2.0]), np.array([1e-3, 0.4, 2.0])],
+                         ids=["1e-3", "2", "array"])
 def test_laplacian_orders_read_together_equal_separate_reads_bit_for_bit(p, r):
     # An integrand takes every order of the Laplacian it needs from one
-    # read; each order keeps the bits of a read of that order alone.
+    # read; each order keeps the bits of a read of that order alone.  The
+    # hook, as every hook, takes float64 arrays; a scalar read hands it a
+    # one-element array.
     for orders in ((0, 1, 2), (0, 1), (2, 0)):
         got = p._laplacian(r, orders)
         assert type(got) is tuple and len(got) == len(orders)
@@ -467,11 +467,12 @@ def test_orders_without_derivs_come_from_one_call_of_q(r):
         calls.clear()
         p._q_derivs_each(r, orders)
         assert [(x.dtype, x.shape) for x in calls] == [(complex, (18 * np.size(r),))], orders
-    # Every order of the Laplacian a formula needs comes from one read too.
+    # Every order of the Laplacian a formula needs comes from one read too;
+    # the hook itself takes arrays only, a scalar as a one-element array.
     reads = {
         "laplacian": lambda: p.laplacian(r),
         "laplacian_dr": lambda: p.laplacian_dr(r),
-        "_laplacian(0, 1, 2)": lambda: p._laplacian(r, (0, 1, 2)),
+        "_laplacian(0, 1, 2)": lambda: p._laplacian(np.atleast_1d(r), (0, 1, 2)),
         "b1": lambda: b1(p, r),
     }
     for name, read in reads.items():
@@ -537,17 +538,17 @@ def _scalar_only(f):
     return lambda r: f(float(r))
 
 
-# q = r^2 with a q' that breaks the callable contract: it raises on a float,
-# returns a value that is neither a real number nor an array shaped like r,
-# or takes only floats.  Then q itself, right on floats, broken on arrays.
+# q = r^2 with a q' that breaks the callable contract: it returns a value
+# that is neither a real number nor an array shaped like r, or takes only
+# scalars.  Then q itself, broken the same ways.
 _MALFORMED = {
     "none q'": lambda r: None,
     "list q'": lambda r: [2.0 * r],
     "string q'": lambda r: "2 r",
     "math.sqrt q'": lambda r: 2.0 * math.sqrt(r * r),
-    "column q'": lambda r: 2.0 * r if type(r) is float else (2.0 * r)[:, None],
-    "none q": lambda r: r * r if type(r) is float else None,
-    "column q": lambda r: r * r if type(r) is float else (r * r)[:, None],
+    "column q'": lambda r: (2.0 * r)[:, None],
+    "none q": lambda r: None,
+    "column q": lambda r: (r * r)[:, None],
 }
 _ROUTES = {
     "solve_r_tau": lambda p: solve_r_tau(p, 0.5),
@@ -869,10 +870,8 @@ def test_dilate_raises_where_r_over_a_leaves_the_positive_floats():
 
 
 def _ml_q(lam, c):
-    # The callable's own numpy calls on a Python float follow numpy's error
-    # settings, which the package leaves alone on the scalar path; np.log
-    # never warns here because dilate raises DomainError before it would
-    # hand the callable r / a = 0 or inf.
+    # The callables run under the package's np.errstate, and dilate raises
+    # DomainError before it would hand them r / a = 0 or inf.
     return lambda r: r ** (2.0 * lam) - 2.0 * c * np.log(r)
 
 
@@ -962,12 +961,8 @@ def _outcome(call):
 @example((dilate(MittagLeffler(1.0, 0.0), 1e200), 1e-300))
 @example((dilate(Custom(_ml_q(1.0, 1.0)), 1e-200), 1e200))
 def test_scalar_calls_give_what_one_element_arrays_give(case):
-    # A Python float is computed in Python floats, an array in numpy, so
-    # a finite value may differ where pow rounds differently (about 1 in 20
-    # non-integer powers on AVX-512 builds of numpy) and in cancellation
-    # noise.  So finite values must agree to 1e-12, or within the spread of
-    # the array formula over the 17 floats just below r, which measures
-    # that noise.  Exceptions, nan and +-inf must match exactly, and a
+    # A scalar is evaluated as a one-element array, so the two calls give
+    # the same bits (nan and +-inf included) or raise the same class, and a
     # scalar call returns a Python float, never a numpy scalar.
     p, r = case
     with warnings.catch_warnings():
@@ -979,10 +974,38 @@ def test_scalar_calls_give_what_one_element_arrays_give(case):
             if scalar[0] == "raises":
                 assert scalar == array, (p.name, name, r, scalar, array)
                 continue
-            s, a = scalar[1], float(np.asarray(array[1]).reshape(-1)[0])
+            s, a = scalar[1], np.asarray(array[1], dtype=float).reshape(-1)
             assert type(s) is float, (p.name, name, r, type(s))
-            if s == a or (math.isnan(s) and math.isnan(a)):
-                continue
-            assert math.isfinite(s) and math.isfinite(a), (p.name, name, r, s, a)
-            near = call(r * (1.0 - _EPS * np.arange(17.0)))
-            assert abs(s - a) <= max(1e-12 * abs(a), np.ptp(near)), (p.name, name, r, s, a)
+            assert np.array([s]).view(np.uint64) == a.view(np.uint64), (p.name, name, r, s, a)
+
+
+def _arrays_only(f):
+    # The callable contract: 1-D float arrays only; a Python float raises.
+    def g(r):
+        if type(r) is not np.ndarray:
+            raise TypeError(f"{r!r} is not an array")
+        return f(r)
+
+    return g
+
+
+@pytest.mark.parametrize("derivs", [True, False], ids=["analytic", "circle"])
+def test_a_custom_taking_only_arrays_works_at_every_scalar_entry_point(derivs):
+    # Every scalar read hands a Custom's callables a one-element array, so
+    # an array-only ML(1/2, 1) profile answers each scalar entry point, as
+    # the one-element array call does, and solves its droplet.
+    lam, c = 0.5, 1.0
+    p = Custom(_arrays_only(_ml_q(lam, c)),
+               derivs=[_arrays_only(f) for f in _ml_derivs(lam, c)] if derivs else None)
+    ref = MittagLeffler(lam, c)
+    r = 1.3
+    for name, call in _accessors(p):
+        got = call(r)
+        assert type(got) is float, name
+        assert np.array([got]).view(np.uint64) == call(np.array([r])).view(np.uint64), name
+        want = dict(_accessors(ref))[name](r)
+        assert abs(got - want) <= 1e-6 * abs(want) + 1e-12, (name, got, want)
+    for tau in (0.0, 0.5, 1.0):
+        assert abs(solve_r_tau(p, tau) - ref.r_tau(tau)) <= 1e-12 * ref.r_tau(tau), tau
+    d = droplet_of(p)
+    assert (d.kind, d.r0, d.r1) == ("annulus", solve_r_tau(p, 0.0), solve_r_tau(p, 1.0))
