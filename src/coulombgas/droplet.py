@@ -201,12 +201,8 @@ def _scan_brackets(p, taus):
     target = 2.0 * taus
     lo, hi = np.zeros_like(taus), np.zeros_like(taus)
     pending = np.ones(taus.size, dtype=bool)
-    if np.count_nonzero(taus == 0.0):
-        try:
-            _laplacian_at(p, 0.0)
-            pending = taus != 0.0
-        except InvalidPotentialError:
-            pass
+    if np.count_nonzero(taus == 0.0) and _has_origin_laplacian(p):
+        pending = taus != 0.0
     if not np.count_nonzero(pending):
         return lo, hi
 
@@ -288,19 +284,12 @@ def _newton(p, taus, lo, hi, r):
             # Convergence comes first: at the root the step is zero and r
             # sits on a bracket end, which the bracket test would reject.
             done = (g == 0.0) | slope & (size <= 1e-13 * r)
-            finished = np.count_nonzero(done)
-            if finished == r.size:
-                out[rows] = np.where(g == 0.0, r, r_new)
-                return out
             neg = g < 0.0
             lo = np.where(neg, r, lo)
             hi = np.where(neg, hi, r)
             # A step must also halve the one before last: on steep profiles
             # such as r q' = r^1000 plain Newton creeps by r/1000 a step.
             take = slope & (lo < r_new) & (r_new < hi) & (size <= 0.5 * dx_prev)
-            if not finished and np.count_nonzero(take) == r.size:
-                r, dx_prev, dx = r_new, dx, size
-                continue
             width = hi - lo
             mid = 0.5 * (lo + hi)
             stop = done | ~take & ((mid <= lo) | (mid >= hi) | (width <= 1e-13 * hi))
@@ -351,13 +340,17 @@ def droplet_of(p):
     d = Droplet(r0, r1, "disc" if r0 == 0.0 else "annulus")
 
     # A neighbourhood relative to the droplet, so a tiny droplet's grid
-    # stays near it: from 0.9 r0, or 1e-6 r1 for a disc (ΔQ(0) can be 0
-    # or inf), to 1.1 r1.
-    lo = 0.9 * d.r0 if d.r0 else 1e-6 * d.r1
+    # stays near it: from 0.9 r0 to 1.1 r1; for a disc from its origin,
+    # checked by ΔQ(0), or from 1e-6 r1 where ΔQ(0) is 0 or inf.
     hi = 1.1 * d.r1
     if p.support_radius is not None:
         hi = min(hi, p.support_radius * (1.0 - 1e-9))
-    grid = np.linspace(lo, hi, 64)
+    if d.r0:
+        grid = np.linspace(0.9 * d.r0, hi, 64)
+    elif _has_origin_laplacian(p):
+        grid = np.arange(1, 65) * (hi / 64)
+    else:
+        grid = np.linspace(1e-6 * d.r1, hi, 64)
     dq = np.asarray(p.laplacian(grid), dtype=float)
     if not np.all(np.isfinite(dq)) or np.any(dq <= 0.0):
         raise InvalidPotentialError(
@@ -431,6 +424,14 @@ def _laplacian_at(p, r, dq=None):
     wall = p.support_radius
     where = "" if wall is None or r < wall else f", on the hard wall at {wall!r}"
     raise InvalidPotentialError(f"infinite Laplacian at r_tau = {r!r}{where}")
+
+
+def _has_origin_laplacian(p):
+    """Whether p gives a finite positive ΔQ(0), by _laplacian_at's check."""
+    try:
+        return _laplacian_at(p, 0.0) > 0.0
+    except InvalidPotentialError:
+        return False
 
 
 def _edge_laplacians(p, d, dr=False):

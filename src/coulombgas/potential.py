@@ -490,8 +490,9 @@ class Custom(RadialPotential):
         # many rows share the read (a BLAS product blocks rows).
         pairs = v.astype(complex, order="C", copy=False).view(float)
         d = np.einsum("...m,mk->...k", pairs, _CAUCHY_WEIGHTS)
-        bad = abs(miss := d[..., 5]) > _CAUCHY_GUARD * abs(v[..., -1])  # max|q| >= |q(r)|
-        if bad.any() and (bad := abs(miss) > _CAUCHY_GUARD * abs(v).max(axis=-1)).any():
+        miss = d[..., 5]
+        bad = abs(miss) > _CAUCHY_GUARD * abs(v).max(axis=-1)
+        if bad.any():
             i = np.flatnonzero(bad)[0]
             raise DomainError(
                 f"{self.name}: the mean of q on the circle about r = {float(r.flat[i])!r} "

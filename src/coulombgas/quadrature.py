@@ -4,8 +4,9 @@ The integrand must accept a 1-D numpy array and return an array of the same
 shape.  All panels pending in a refinement round are evaluated in a single
 batched call, which keeps Python overhead low when the integrand is built
 from vectorized potential evaluations.  The returned value is the math.fsum
-of the panel values, correctly rounded whatever their order, so it does not
-depend on the order of the panels or on the history of panel splits.
+of the panel values, correctly rounded whatever their order, so the panels
+are kept unordered: a split round drops the split panels and appends their
+left halves, then their right halves.
 """
 
 import math
@@ -108,7 +109,9 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     wide has a margin above an ulp and keeps its nodes off its ends; so no
     first-round node lands on a or b unless b - a is within 2^9 ulps, as
     the end panels are wider.  With a = 0 the first panel's nodes are w u,
-    positive unless the panel is narrower than 1e-321.
+    positive unless the panel is narrower than 1e-321.  A split round
+    evaluates the left halves of its split panels, then the right halves;
+    the panels stay unordered, as fsum makes the totals order-free.
 
     Returns (value, error_estimate), both finite floats, or raises
     IntegrationError, never a numpy warning: f and the panel sums run under
@@ -150,13 +153,10 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
     kept.add(b)
     cuts = np.fromiter(kept, float, len(kept))
     cuts.sort()
-    # The panels ordered by left endpoint, as columns of one row per panel
-    # (left, right, value, error); most integrals meet their tolerance on
-    # this first evaluation, so the table is built at the first split.
+    # The panels as four flat arrays, unordered: the share rule is per panel.
     lefts = cuts[:-1]
     rights = cuts[1:]
     vals, errs = _eval_panels(f, lefts, rights)
-    panels = None
 
     history = []
     while True:
@@ -193,18 +193,12 @@ def integrate(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
             raise IntegrationError(
                 f"panel budget exceeded ({len(lefts)} panels, error {err_total:.3e})"
             )
-        # Each split panel becomes (lo, mid), (mid, hi), evaluated in that order.
         lo = lefts[worth]
         hi = rights[worth]
         mid = 0.5 * (lo + hi)
-        halves = np.empty((2 * n_split, 4))
-        halves[0::2, 0] = lo
-        halves[0::2, 1] = mid
-        halves[1::2, 0] = mid
-        halves[1::2, 1] = hi
-        halves[:, 2], halves[:, 3] = _eval_panels(f, halves[:, 0], halves[:, 1])
-        if panels is None:
-            panels = np.column_stack((lefts, rights, vals, errs))
-        panels = np.concatenate((panels[~worth], halves))
-        panels = panels[np.argsort(panels[:, 0], kind="stable")]
-        lefts, rights, vals, errs = panels.T
+        keep = ~worth
+        lefts = np.concatenate((lefts[keep], lo, mid))
+        rights = np.concatenate((rights[keep], mid, hi))
+        new_vals, new_errs = _eval_panels(f, lefts[-2 * n_split:], rights[-2 * n_split:])
+        vals = np.concatenate((vals[keep], new_vals))
+        errs = np.concatenate((errs[keep], new_errs))

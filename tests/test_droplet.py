@@ -52,24 +52,32 @@ def test_tu_droplet_fills_support():
 
 
 @pytest.mark.parametrize(
-    "p, r1",
-    [(TruncatedUnitary(1.0, 5e-7), 5e-7), (Ginibre(1e-20), 1e-20), (Ginibre(1e20), 1e20),
-     (MittagLeffler(1.0, 1e-20), 1.0), (dilate(MittagLeffler(1.0, 1.0), 1e-20), 2**0.5 * 1e-20)],
-    ids=["tu-R5e-7", "ginibre-1e-20", "ginibre-1e20", "ml-c1e-20", "dilated-ml11-1e-20"],
+    "p, r1, start",
+    [(TruncatedUnitary(1.0, 5e-7), 5e-7, "origin"), (Ginibre(1e-20), 1e-20, "origin"),
+     (Ginibre(1e20), 1e20, "origin"), (MittagLeffler(1.0, 1e-20), 1.0, "0.9 r0"),
+     (dilate(MittagLeffler(1.0, 1.0), 1e-20), 2**0.5 * 1e-20, "0.9 r0"),
+     (dilate(MittagLeffler(0.5, 0.0), 1e-20), 2e-20, "1e-6 r1")],
+    ids=["tu-R5e-7", "ginibre-1e-20", "ginibre-1e20", "ml-c1e-20", "dilated-ml11-1e-20",
+         "dilated-conical-ml-1e-20"],
 )
-def test_laplacian_grid_is_relative_to_the_droplet(monkeypatch, p, r1):
-    # droplet_of checks ΔQ > 0 on 64 points from 0.9 r0 (1e-6 r1 for a
-    # disc) to 1.1 r1, short of a hard wall: the same neighbourhood at every
-    # scale.  An absolute floor of 1e-6 put the whole grid beyond a small
-    # droplet, and past the wall of TU(1, 5e-7) at 7.07e-7.
+def test_laplacian_grid_is_relative_to_the_droplet(monkeypatch, p, r1, start):
+    # droplet_of checks ΔQ > 0 on 64 points up to hi = 1.1 r1, short of a
+    # hard wall: from 0.9 r0 for an annulus; for a disc at hi k / 64,
+    # k = 1..64, its origin checked by a finite positive ΔQ(0), or from
+    # 1e-6 r1 without one (a conical origin).  The same neighbourhood at
+    # every scale: an absolute floor of 1e-6 put the whole grid beyond a
+    # small droplet, and past the wall of TU(1, 5e-7) at 7.07e-7.
     grids = []
     laplacian = p.laplacian
     monkeypatch.setattr(p, "laplacian", lambda r: grids.append(r) or laplacian(r))
     d = droplet_of(p)
     assert abs(d.r1 - r1) <= 1e-12 * r1
     (grid,) = grids
-    lo = 0.9 * d.r0 if d.kind == "annulus" else 1e-6 * d.r1
-    assert grid[0] == lo and grid[-1] <= 1.1 * d.r1
+    assert grid.size == 64 and grid[-1] <= 1.1 * d.r1
+    if start == "origin":
+        assert np.array_equal(grid, np.arange(1, 65) * (grid[-1] / 64))
+    else:
+        assert grid[0] == (0.9 * d.r0 if start == "0.9 r0" else 1e-6 * d.r1)
     assert np.all(np.diff(grid) > 0.0)
     if p.support_radius is not None:
         assert grid[-1] < p.support_radius
@@ -806,14 +814,13 @@ def test_laplacian_at_is_the_one_scalar_read_of_the_laplacian():
     }
 
 
-@pytest.mark.xfail(strict=True, raises=DomainError, reason=(
-    "droplet_of reads ΔQ at r = 1e-6 r1, where numpy's complex log1p errs by "
-    "~7e-5 relative and the circle's guard rejects q (ROADMAP items 7 and 22)"))
 def test_a_tu_shaped_custom_without_derivs_has_a_droplet():
     # TU(1, 1)'s q as a Custom without derivs.  The exact route reads it
     # only at its saddles, far from the origin, and matches the TU(1, 1)
-    # reference and oracle within the route's bound; the droplet's grid
-    # check starts at 1e-6 r1, where the circle read of ΔQ fails.
+    # reference and oracle within the route's bound.  Its laplacian_origin
+    # checks the droplet's origin, so the grid check starts at 1.1 r1 / 64,
+    # not at 1e-6 r1, where numpy's complex log1p errs by ~7e-5 relative
+    # and the circle's guard rejects q.
     p = Custom(lambda r: -np.log1p(-r * r / 2.0), support_radius=2**0.5,
                laplacian_origin=0.5, q_origin=0.0)
     tu = TruncatedUnitary(1.0, 1.0)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -12,11 +13,16 @@ from coulombgas.errors import DomainError, IntegrationError
 from coulombgas.quadrature import _STALL, _eval_panels, integrate
 
 
-def _integrate_loop(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
-    """Reference: the same refinement with per-panel Python bookkeeping."""
+def _integrate_loop(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=(), sort=False):
+    """Reference: the same refinement with per-panel Python bookkeeping.  A
+    split round keeps the other panels and appends the split panels' left
+    halves, then their right halves, as integrate does.  With sort, it
+    evaluates each split panel's two halves in turn and sorts the panels by
+    left endpoint every round: ordered bookkeeping, a second reference.  A
+    stall raises integrate's message."""
     cuts = sorted({a, b, *(s for s in seeds if a < s < b)})
     panels = list(zip(cuts[:-1], cuts[1:]))
-    vals, errs = (list(v) for v in _eval_panels(f, cuts[:-1], cuts[1:]))
+    vals, errs = (list(v) for v in quadrature._eval_panels(f, cuts[:-1], cuts[1:]))
     history = []
     while True:
         total = math.fsum(vals)
@@ -25,27 +31,26 @@ def _integrate_loop(f, a, b, rel_tol=1e-12, abs_tol=1e-15, seeds=()):
         if err_total <= tol:
             return total, err_total
         if len(history) >= _STALL and err_total > 0.5 * history[-_STALL]:
-            raise IntegrationError("refinement stalled")
+            raise IntegrationError(
+                f"refinement stalled: error {err_total:.3e} has not halved in "
+                f"{_STALL} rounds (target {tol:.3e}, {len(panels)} panels)"
+            )
         history.append(err_total)
         share = 0.5 * tol / len(panels)
-        worth = [i for i in range(len(panels)) if errs[i] > share]
-        new_lefts, new_rights = [], []
-        for i in worth:
-            lo, hi = panels[i]
-            mid = 0.5 * (lo + hi)
-            new_lefts += [lo, mid]
-            new_rights += [mid, hi]
-        new_vals, new_errs = _eval_panels(f, new_lefts, new_rights)
-        for pos, i in enumerate(worth):
-            panels[i] = (new_lefts[2 * pos], new_rights[2 * pos])
-            vals[i], errs[i] = new_vals[2 * pos], new_errs[2 * pos]
-            panels.append((new_lefts[2 * pos + 1], new_rights[2 * pos + 1]))
-            vals.append(new_vals[2 * pos + 1])
-            errs.append(new_errs[2 * pos + 1])
-        order = sorted(range(len(panels)), key=lambda i: panels[i][0])
-        panels = [panels[i] for i in order]
-        vals = [vals[i] for i in order]
-        errs = [errs[i] for i in order]
+        keep = [i for i in range(len(panels)) if errs[i] <= share]
+        split = [panels[i] for i in range(len(panels)) if errs[i] > share]
+        left = [(lo, 0.5 * (lo + hi)) for lo, hi in split]
+        right = [(mid, hi) for (_, mid), (_, hi) in zip(left, split)]
+        halves = [h for pair in zip(left, right) for h in pair] if sort else left + right
+        new_vals, new_errs = quadrature._eval_panels(f, *zip(*halves))
+        panels = [panels[i] for i in keep] + halves
+        vals = [vals[i] for i in keep] + list(new_vals)
+        errs = [errs[i] for i in keep] + list(new_errs)
+        if sort:
+            order = sorted(range(len(panels)), key=lambda i: panels[i][0])
+            panels = [panels[i] for i in order]
+            vals = [vals[i] for i in order]
+            errs = [errs[i] for i in order]
 
 
 def test_polynomial_exact():
@@ -413,22 +418,22 @@ def test_kronrod_nodes_lie_in_their_closed_panel(panels):
     assert np.all(x[at_zero] > 0.0)
 
 
-@pytest.mark.parametrize(
-    "f, a, b, kwargs",
-    [
-        (lambda x: np.exp(-(((x - 7.0) / 1e-3) ** 2)), 0.0, 20.0,
-         {"rel_tol": 1e-13, "abs_tol": 0.0, "seeds": (6.99, 6.999, 7.0, 7.001, 7.01)}),
-        (np.log, 0.0, 1.0, {"rel_tol": 1e-12}),
-        (lambda x: np.sin(40.0 * x) * np.exp(-x), 0.0, 10.0, {"rel_tol": 1e-13}),
-        (np.sqrt, 0.0, 3.0, {"rel_tol": 1e-14, "abs_tol": 0.0}),
-        # Each round cuts the error at x^-0.8's singularity by only 2^-0.2,
-        # so this takes 201 evaluations; no round cap may stop it.
-        (lambda x: x**-0.8, 0.0, 1.0, {"rel_tol": 1e-13}),
-    ],
-    ids=["peak", "log", "oscillatory", "sqrt", "power"],
-)
+_REFINING = [
+    (lambda x: np.exp(-(((x - 7.0) / 1e-3) ** 2)), 0.0, 20.0,
+     {"rel_tol": 1e-13, "abs_tol": 0.0, "seeds": (6.99, 6.999, 7.0, 7.001, 7.01)}),
+    (np.log, 0.0, 1.0, {"rel_tol": 1e-12}),
+    (lambda x: np.sin(40.0 * x) * np.exp(-x), 0.0, 10.0, {"rel_tol": 1e-13}),
+    (np.sqrt, 0.0, 3.0, {"rel_tol": 1e-14, "abs_tol": 0.0}),
+    # Each round cuts the error at x^-0.8's singularity by only 2^-0.2,
+    # so this takes 201 evaluations; no round cap may stop it.
+    (lambda x: x**-0.8, 0.0, 1.0, {"rel_tol": 1e-13}),
+]
+_REFINING_IDS = ["peak", "log", "oscillatory", "sqrt", "power"]
+
+
+@pytest.mark.parametrize("f, a, b, kwargs", _REFINING, ids=_REFINING_IDS)
 def test_array_bookkeeping_matches_loop_reference(f, a, b, kwargs):
-    # The panel table must evaluate the same batches in the same order as
+    # The flat arrays must evaluate the same batches in the same order as
     # the per-panel loop, so values and error estimates agree bit for bit.
     def recorder(batches):
         def g(x):
@@ -443,3 +448,65 @@ def test_array_bookkeeping_matches_loop_reference(f, a, b, kwargs):
     assert len(got_batches) == len(want_batches) > 3
     for x, y in zip(got_batches, want_batches):
         assert np.array_equal(x, y)
+
+
+def _rounds(run, f, a, b, **kwargs):
+    """run(f, a, b, **kwargs), or its IntegrationError's message, and each
+    round's panels as rows (left, right, value, error) in lexicographic
+    order: what the round evaluated, whatever the order of its batch."""
+    rounds = []
+
+    def recording(f, lefts, rights):
+        vals, errs = _eval_panels(f, lefts, rights)
+        rows = np.column_stack((lefts, rights, vals, errs))
+        rounds.append(rows[np.lexsort((rows[:, 1], rows[:, 0]))])
+        return vals, errs
+
+    with mock.patch.object(quadrature, "_eval_panels", recording):
+        try:
+            result = run(f, a, b, **kwargs)
+        except IntegrationError as exc:
+            result = str(exc)
+    return result, rounds
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kwargs",
+    [*_REFINING, (lambda x: x**-0.95, 0.0, 1.0, {"rel_tol": 1e-13})],
+    ids=[*_REFINING_IDS, "stalled"],
+)
+def test_unordered_panels_match_the_sorted_reference(f, a, b, kwargs):
+    # Sorting the panels by left endpoint, and evaluating each split panel's
+    # halves in turn, changes no bit: fsum's totals do not depend on the
+    # order, and a panel's bits not on its row in a batch of two or more,
+    # so each round evaluates the same panels with the same bits, and the
+    # value and error estimate, or the stall, are the same.
+    got, got_rounds = _rounds(integrate, f, a, b, **kwargs)
+    want, want_rounds = _rounds(partial(_integrate_loop, sort=True), f, a, b, **kwargs)
+    assert got == want
+    assert len(got_rounds) == len(want_rounds) > 3
+    for x, y in zip(got_rounds, want_rounds):
+        assert np.array_equal(x, y)
+
+
+# The row-position independence the unordered panels rely on: a panel's
+# (value, error) from a batch of 2 to 512 rows, in any order and beside any
+# other panels, is that of its own two-row call.  A one-row batch is left
+# out: numpy hands a (1, 15) @ (15, 2) product to BLAS gemv, which with
+# OpenBLAS 0.3.31's Haswell kernels sums in another order than the gemm of
+# a taller batch, a last-bit change for about half of all panels.  No split
+# round has one row, as each evaluates both halves of its panels.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(panels=st.lists(_panels(), min_size=1, max_size=16),
+       rows=st.integers(2, 512), seed=st.integers(0, 2**32 - 1))
+def test_eval_panels_bits_do_not_depend_on_the_row(panels, rows, seed):
+    def f(x):
+        return np.sin(3.0 * x) * np.exp(-np.abs(x) / 7.0) + np.sqrt(np.abs(x))
+
+    lefts, rights = (np.array(c) for c in zip(*panels))
+    own = [_eval_panels(f, lefts[[i, i]], rights[[i, i]]) for i in range(len(panels))]
+    rng = np.random.default_rng(seed)
+    pick = rng.permutation(np.resize(np.arange(len(panels)), rows))
+    vals, errs = _eval_panels(f, lefts[pick], rights[pick])
+    for k, i in enumerate(pick):
+        assert vals[k] == own[i][0][0] and errs[k] == own[i][1][0], (k, i)
