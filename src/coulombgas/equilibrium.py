@@ -7,9 +7,12 @@ This module evaluates the energy, entropy and origin log-potential of
 that measure, the order-one free-energy terms for annular and disc
 droplets, the pointwise 1/s correction entering norm asymptotics, and
 the planar free-energy coefficients in the squared-radius
-parametrization used for the self-consistency checks.  Every functional
-of the measure re-raises a package error as its class with the potential
-name in front of the message (errors._named).
+parametrization used for the self-consistency checks.  It integrates
+seven integrands, each in one place: laplacian (mu_mass), q'^2 (energy),
+laplacian log(laplacian) (entropy), (laplacian'/laplacian)^2 (_dirichlet,
+for every order-one form), the chi form's zero mode, b1 laplacian
+(b1_integral) and zw's f0.  Every functional re-raises a package error as
+its class with the potential name in front (errors._named).
 """
 
 import math
@@ -114,16 +117,26 @@ def b1(p, r):
     + 5 (r d/laplacian)^2/96 + 1/12] / (r^2 laplacian), whose pieces are
     scale-free: no power of the Laplacian leaves float64 where b1 does not.
     """
-    return _evaluate(_b1_formula, p, r, False)
+    return _evaluate(_b1_formula, p, r, None)[0]
 
 
-def _b1_formula(p, r, weighted):
-    """b1 at r, times laplacian(r) when weighted, from one Laplacian read."""
+def _b1_formula(p, r, _=None):
+    """(b1, laplacian) at r from one Laplacian read; _evaluate's arg is unused."""
     dq, dq1, dq2 = p._laplacian(r, (0, 1, 2))
     u1 = r * (dq1 / dq)  # r laplacian' / laplacian
     u2 = r * (r * (dq2 / dq))  # r^2 laplacian'' / laplacian
     b = (-u2 / 32.0 - 19.0 * u1 / 96.0 + 5.0 * u1 * u1 / 96.0 + 1.0 / 12.0) / (r * (r * dq))
-    return b * dq if weighted else b
+    return b, dq
+
+
+def _dirichlet(p, d):
+    """Integral of (laplacian'/laplacian)^2 dx, 8 times chi'^2/2, over droplet d."""
+
+    def f(x):
+        dq, dq1 = p._laplacian(np.sqrt(x), (0, 1))
+        return (dq1 / dq) ** 2
+
+    return _integral(f, d)
 
 
 def _f_term(p, d):
@@ -137,12 +150,7 @@ def _f_term(p, d):
     ΔQ and ΔQ' at both edges come from one read (_edge_laplacians).
     """
     (dq0, dq1), (dr0, dr1) = _edge_laplacians(p, d, dr=True)
-
-    def f(x):
-        dq, dq1 = p._laplacian(np.sqrt(x), (0, 1))
-        return (dq1 / dq) ** 2
-
-    val = _integral(f, d)  # first, so that r0^2 and r1^2 below are finite
+    val = _dirichlet(p, d)  # first, so that r0^2 and r1^2 below are finite
     inner = d.r0**2 * dq0 if d.kind == "annulus" else 1.0
     return (
         math.log(inner / (d.r1**2 * dq1)) / 12.0
@@ -170,8 +178,9 @@ def f_disc_chi_form(p, droplet=None):
     Splits the same quantity as f_disc into boundary, curvature, zero-mode
     and Dirichlet-energy pieces:
     (1/12) log(1/r1^2) - chi(r1)/6 - (1/8) * integral of (chi'' + chi'/r)/2 dx
-    + (1/6) * integral of chi'^2/2 dx.  Used as an independent evaluation
-    route for cross-checking.
+    + (1/6) * integral of chi'^2/2 dx.  The last is f_disc's integral / 8
+    (_dirichlet), so this form checks f_disc through its zero mode alone,
+    whose integral must equal r1 chi'(r1), which f_disc reads at the edge.
     """
     d = _droplet(p, droplet, "disc", "f_disc_chi_form")
     _, dq1 = _edge_laplacians(p, d)  # as in _f_term, the integrands need ΔQ(0) > 0
@@ -182,17 +191,12 @@ def f_disc_chi_form(p, droplet=None):
         chi2 = dq2 / (2.0 * dq) - dq1**2 / (2.0 * dq**2)
         return 0.5 * (chi2 + dq1 / (2.0 * dq) / r)
 
-    def dirichlet(x):
-        dq, dq1 = p._laplacian(np.sqrt(x), (0, 1))
-        return 0.5 * (dq1 / (2.0 * dq)) ** 2
-
-    zm = _integral(zero_mode, d)
-    dir_en = _integral(dirichlet, d)
+    zm = _integral(zero_mode, d)  # first, so that r1^2 below is finite
     return (
         math.log(1.0 / d.r1**2) / 12.0
         - 0.5 * math.log(dq1) / 6.0
         - zm / 8.0
-        + dir_en / 6.0
+        + _dirichlet(p, d) / 8.0 / 6.0  # / 8: the integral of chi'^2/2 dx
     )
 
 
@@ -206,7 +210,7 @@ def b1_integral(p, droplet=None):
     that must agree with it.
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
-    direct = _integral(lambda x: _b1_formula(p, np.sqrt(x), True), d)
+    direct = _integral(lambda x: np.multiply(*_b1_formula(p, np.sqrt(x))), d)
     dq0, dq1 = _edge_laplacians(p, d)
     identity = (
         f_annulus(p, d)
@@ -230,7 +234,9 @@ def zw_coefficients(p, droplet=None):
 
     all over x in (0, r1^2).  These must match -energy, -entropy/2 and
     f_disc respectively, which is the consistency check exposed by the
-    command line driver.
+    command line driver.  f_half is -entropy/2 by construction, and f1's
+    integral is f_disc's / 16 (_dirichlet), so f1 checks ZW's edge algebra
+    and only f0 checks an integral, the energy's, of its own.
     """
     d = _droplet(p, droplet, "disc", "zw_coefficients")
     # As in _f_term, the integrands need ΔQ(0) > 0.
@@ -242,18 +248,8 @@ def zw_coefficients(p, droplet=None):
         wprime = -p._profile(r, 1) / (2.0 * r)
         return (w - wprime * x * np.log(x)) * p._laplacian(r, (0,))[0]
 
-    def f_half_integrand(x):
-        s = p._laplacian(np.sqrt(x), (0,))[0]
-        return s * np.log(s)
-
-    def dirichlet(x):
-        r = np.sqrt(x)
-        dq, dq1 = p._laplacian(r, (0, 1))
-        return x * (dq1 / (4.0 * r * dq)) ** 2
-
     f0 = _integral(f0_integrand, d)
-    fh = _integral(f_half_integrand, d)
-    dirich = _integral(dirichlet, d)
+    dirich = _dirichlet(p, d) / 16.0  # integral of x chi'(x)^2 dx
     x1 = d.r1**2  # finite, as the integrals returned
     chi1 = 0.5 * math.log(dq1)
     chi1_prime = dr1 / (4.0 * d.r1 * dq1)
@@ -263,7 +259,7 @@ def zw_coefficients(p, droplet=None):
         - 0.25 * x1 * chi1_prime
         + dirich / 3.0
     )
-    return ZWCoefficients(f0=f0, f_half=-0.5 * fh, f1=f1)
+    return ZWCoefficients(f0=f0, f_half=-0.5 * entropy(p, d), f1=f1)
 
 
 @_named()

@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .droplet import _laplacian_at, _saddles, solve_r_tau
-from .equilibrium import b1
+from .equilibrium import _b1_formula
 from .errors import CoulombGasError, DomainError, IntegrationError, _named
 from .potential import (
     _check_ensemble,
     _check_n,
+    _evaluate,
     _is_integer,
     _v_tau_formula,
     v_tau,
@@ -282,9 +283,10 @@ def log_norm_laplace(p, query):
             "the Laplace form needs a positive saddle radius; "
             "use the low-degree form for small j over a disc droplet"
         )
-    dq = _laplacian_at(p, r)
+    b, dq = _evaluate(_b1_formula, p, r, None)  # one Laplacian read for both
+    dq = _laplacian_at(p, r, dq)
     v = float(v_tau(p, query.tau, r))
-    corr = float(b1(p, r)) / s
+    corr = b / s
     if not -1.0 < corr < math.inf:
         raise DomainError(f"the Laplace correction b1/s = {corr!r} at r_tau = {r!r} "
                           "is not in (-1, inf) in float64")

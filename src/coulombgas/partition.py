@@ -27,7 +27,7 @@ from .equilibrium import (
 )
 from .errors import DomainError, _finite, _named
 from .norms import _REL_TOL, _degrees, _grid, _with_rows, log_norm_exact
-from .potential import _check_ensemble, _check_n, _evaluate, _is_real, _v_tau_formula
+from .potential import _check_ensemble, _check_n, _is_real, _v_tau_formula
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 _LEMMA_VARIANTS = (
@@ -179,7 +179,8 @@ def lemma_sum(p, n, which):
     radii, dqs = _saddles(p, taus)
 
     if which.startswith("sum_v"):
-        terms = _evaluate(_v_tau_formula, p, radii, np.array(taus)).tolist()
+        with np.errstate(all="ignore"):  # _saddles' ΔQ read checked the radii
+            terms = _v_tau_formula(p, radii, np.array(taus)).tolist()
     elif which.startswith("sum_logdq"):
         terms = [math.log(dq) for dq in dqs.tolist()]
     else:

@@ -363,9 +363,7 @@ def test_each_laplacian_integrand_reads_q_once_per_node_array(monkeypatch):
     f_disc_chi_form(disc)
     zw_coefficients(disc)
     once = ["mu_mass.<locals>.<lambda>", "entropy.<locals>.f", "b1_integral.<locals>.<lambda>",
-            "_f_term.<locals>.f", "f_disc_chi_form.<locals>.zero_mode",
-            "f_disc_chi_form.<locals>.dirichlet", "zw_coefficients.<locals>.f_half_integrand",
-            "zw_coefficients.<locals>.dirichlet"]
+            "_dirichlet.<locals>.f", "f_disc_chi_form.<locals>.zero_mode"]
     assert reads == {**dict.fromkeys(once, {1}), "zw_coefficients.<locals>.f0_integrand": {3}}
 
 
@@ -491,13 +489,51 @@ def test_chi_form_of_the_dilated_ginibre_starts_at_the_origin(a):
     # dilate scales Ginibre's closed-form Laplacian, so the derivatives of
     # laplacian(r) = 1 / a^2 are exactly 0 and every integrand below vanishes
     # on [0, r1^2].  Both f-terms are 0: f_disc's integral (1/48) and the chi
-    # form's two (1/8 and 1/6) each meet 1e-16, and their boundary terms
-    # cancel to a few roundings of log a and of r1^2 laplacian(r1) = 1:
+    # form's zero mode (1/8) each meet 1e-16; the chi form's Dirichlet piece
+    # is f_disc's integral again, / 48, which the bound's 1/6 covers; and
+    # their boundary terms cancel to a few roundings of log a and of
+    # r1^2 laplacian(r1) = 1:
     # 8 eps (1 + |log a|).
     p = dilate(Ginibre(), a)
     bound = 1e-16 * (1.0 / 48.0 + 1.0 / 8.0 + 1.0 / 6.0) + 8.0 * _EPS * (1.0 + abs(math.log(a)))
     assert abs(f_disc(p)) <= bound
     assert abs(f_disc_chi_form(p) - f_disc(p)) <= bound
+
+
+@pytest.mark.parametrize("p", [
+    TruncatedUnitary(1.0, 1.0),
+    TruncatedUnitary(0.3, 0.8),
+    TruncatedUnitary(3.0, 2.0),
+    dilate(TruncatedUnitary(3.0, 1.6), 0.9),
+    Custom(lambda r: r * r + 0.1 * r**4, q_origin=0.0, laplacian_origin=1.0, name="quartic"),
+], ids=["tu-1-1", "tu-0.3-0.8", "tu-3-2", "dilated-tu-3-1.6", "custom-quartic"])
+def test_chi_form_differs_from_f_disc_by_its_zero_mode_alone(p):
+    # Both forms take their Dirichlet piece from one integral D, as D/48 and
+    # (D/8)/6, the same bits.  With E = r1 ΔQ'(r1) / (2 ΔQ(r1)) and the same
+    # edge values on both sides, f_disc = a1 - a2 + a3 with
+    # a1 = log(1/(r1^2 ΔQ1))/12, a2 = E/8, a3 = D/48, and the chi form is
+    # c1 - c2 - Z/8 + a3 with c1 = log(1/r1^2)/12, c2 = log(ΔQ1)/12 and Z its
+    # zero-mode integral, whose exact value is E.  So in exact arithmetic
+    # c1 - c2 = a1 and the gap is (E - Z)/8.  Z is converged to its target
+    # max(1e-16, 1e-13 |Z|), integrand rounding included: noise above the
+    # target would stall the refinement.  |Z| is E to within that target, so
+    # the target is taken at |E|, off by 1e-13 of it.  Rounding: each edge
+    # term is within 3 u of its magnitude (u = eps/2) plus 3.01 u / 12 from
+    # the log of a rounded argument; the sums of 3 and 4 terms add u of
+    # their partial sums per addition.  All of it is below
+    # eps (1 + 4 M), M the sum of the magnitudes of the seven terms.
+    d = droplet_of(p)
+    r1 = d.r1
+    dq1, dr1 = p.laplacian(r1), p.laplacian_dr(r1)
+    e = r1 * (dr1 / dq1) / 2.0
+    fd = f_disc(p)
+    a1 = math.log(1.0 / (r1 * r1 * dq1)) / 12.0
+    a2 = e / 8.0
+    a3 = fd - a1 + a2
+    c1, c2 = math.log(1.0 / (r1 * r1)) / 12.0, math.log(dq1) / 12.0
+    m = abs(a1) + 2.0 * abs(a2) + 2.0 * abs(a3) + abs(c1) + abs(c2)
+    bound = max(1e-16, 1e-13 * abs(e)) / 8.0 + _EPS * (1.0 + 4.0 * m)
+    assert abs(f_disc_chi_form(p) - fd) <= bound
 
 
 def test_droplet_errors_name_the_potential_once():

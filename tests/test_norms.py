@@ -10,6 +10,7 @@ import pytest
 import coulombgas
 import mp_reference
 from coulombgas import droplet, norms, partition, potential
+from coulombgas.equilibrium import b1
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
 from coulombgas.norms import (
     NormQuery,
@@ -28,7 +29,7 @@ from coulombgas.potential import (
     dilate,
     v_tau,
 )
-from coulombgas.specialfn import ln_gamma
+from coulombgas.specialfn import LOG_2PI, ln_gamma
 
 
 def _ginibre_closed(j, s):
@@ -107,6 +108,35 @@ def test_laplace_symplectic_route():
     q = NormQuery(n, 151, "symplectic")
     gap = abs(log_norm_laplace(p, q) - log_norm_exact(p, q))
     assert gap < 1e-5
+
+
+@pytest.mark.parametrize("n, j", [(100, 50), (60, 7), (200, 150)])
+def test_laplace_norm_reads_the_laplacian_once(n, j):
+    # Without derivs every read of ΔQ and its derivatives at a point is one
+    # call of q on a circle about it.  Beyond its saddle solve, the Laplace
+    # norm reads ΔQ(r_tau) and b1's ΔQ' and ΔQ'' in one such call (v_tau
+    # reads q on the real axis only), and its value is the one assembled
+    # here from the public reads, bit for bit.
+    def fresh():
+        calls = []
+
+        def q(z):
+            if np.iscomplexobj(z):
+                calls.append(1)
+            return z ** (2.0 / 3.0) - 1.4 * np.log(z)
+
+        return Custom(q, name="power-log"), calls
+
+    tau = j / n
+    p, calls = fresh()
+    r = droplet.solve_r_tau(p, tau)
+    solve = len(calls)
+    p, calls = fresh()
+    got = log_norm_laplace(p, NormQuery(n, j))
+    assert len(calls) == solve + 1
+    log_ratio = LOG_2PI + 2.0 * math.log(r) - math.log(n) - math.log(p.laplacian(r))
+    want = -n * v_tau(p, tau, r) + 0.5 * log_ratio + math.log1p(b1(p, r) / n)
+    assert got.hex() == want.hex()
 
 
 def test_lowdeg_ginibre_is_exact():
