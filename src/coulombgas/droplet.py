@@ -16,8 +16,9 @@ edges tau in {0, 1}, and every level of a potential without a table,
 start from one upward bracket scan that they share, one read of r q' a
 point.  solve_r_tau is a one-row call, and droplet_of takes both edges
 from one two-row call (_radii).  _saddles gives the saddles of many
-levels, and ΔQ at each, from one such call and one array read of ΔQ:
-log_z_exact's norms and lemma_sum take theirs from it.
+levels in [0, 1], and ΔQ and V_tau at each, from one such call, one
+array read of ΔQ and one of V: the norms' set-up (norms._rows) and
+lemma_sum take theirs from it.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoulombGasError, DomainError, InvalidPotentialError, SolverError, _named
-from .potential import _check_tau, _evaluate, _is_real
+from .potential import _check_tau, _evaluate, _is_real, _v_tau_formula
 
 _MAX_ITER = 200
 
@@ -109,13 +110,17 @@ def _radii(p, taus):
 
 
 def _saddles(p, taus):
-    """(radii, ΔQ at each) for the levels taus in (0, 1], as two float
+    """(radii, ΔQ, V_tau) at the levels taus in [0, 1], as three float
     arrays: the one entry point for the saddles of many levels.  The radii
-    come from _radii, and ΔQ at all of them from one array read
-    (_laplacian_at).  Each row is bit for bit solve_r_tau(p, tau) and
-    _laplacian_at of it."""
+    come from _radii, ΔQ at all of them from one array read
+    (_laplacian_at), and V_tau(r_tau) from one formula call once that read
+    has checked the radii.  Each row is bit for bit solve_r_tau(p, tau),
+    _laplacian_at of it and v_tau(p, tau, r_tau)."""
     radii = _radii(p, taus)
-    return radii, _laplacian_at(p, radii)
+    dq = _laplacian_at(p, radii)
+    with np.errstate(all="ignore"):
+        v = _v_tau_formula(p, radii, np.asarray(taus, dtype=float))
+    return radii, dq, v
 
 
 def _roots(p, taus):
@@ -434,16 +439,14 @@ def _has_origin_laplacian(p):
         return False
 
 
-def _edge_laplacians(p, d, dr=False):
-    """(ΔQ(r0), ΔQ(r1)) at the edges of droplet d, and with dr the pair
-    ((ΔQ(r0), ΔQ(r1)), (ΔQ'(r0), ΔQ'(r1))), as floats from one read of the
-    Laplacian hook: at both edges of an annulus, or at r1 of a disc, whose
-    inner ΔQ is ΔQ(0) and inner ΔQ' is 0.0, which r0 = 0 multiplies.  ΔQ
-    passes _laplacian_at's check, the inner edge first."""
+def _edge_laplacians(p, d):
+    """((ΔQ(r0), ΔQ(r1)), (ΔQ'(r0), ΔQ'(r1))) at the edges of droplet d, as
+    floats from one read of the Laplacian hook: at both edges of an
+    annulus, or at r1 of a disc, whose inner ΔQ is ΔQ(0) and inner ΔQ' is
+    0.0, which r0 = 0 multiplies.  ΔQ passes _laplacian_at's check, the
+    inner edge first."""
     inner = [] if d.r0 else [_laplacian_at(p, 0.0)]
     radii = np.array([d.r0, d.r1] if d.r0 else [d.r1])
-    dq, *dq1 = _evaluate(type(p)._laplacian, p, radii, (0, 1) if dr else (0,))
-    dq = tuple(inner + _laplacian_at(p, radii, dq).tolist())
-    if not dr:
-        return dq
-    return dq, tuple([0.0] * len(inner) + dq1[0].tolist())
+    dq, dq1 = _evaluate(type(p)._laplacian, p, radii, (0, 1))
+    return (tuple(inner + _laplacian_at(p, radii, dq).tolist()),
+            tuple([0.0] * len(inner) + dq1.tolist()))

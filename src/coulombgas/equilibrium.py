@@ -149,7 +149,7 @@ def _f_term(p, d):
     0, and it needs ΔQ(0) finite and > 0, or the integrand diverges at x = 0.
     ΔQ and ΔQ' at both edges come from one read (_edge_laplacians).
     """
-    (dq0, dq1), (dr0, dr1) = _edge_laplacians(p, d, dr=True)
+    (dq0, dq1), (dr0, dr1) = _edge_laplacians(p, d)
     val = _dirichlet(p, d)  # first, so that r0^2 and r1^2 below are finite
     inner = d.r0**2 * dq0 if d.kind == "annulus" else 1.0
     return (
@@ -183,7 +183,7 @@ def f_disc_chi_form(p, droplet=None):
     whose integral must equal r1 chi'(r1), which f_disc reads at the edge.
     """
     d = _droplet(p, droplet, "disc", "f_disc_chi_form")
-    _, dq1 = _edge_laplacians(p, d)  # as in _f_term, the integrands need ΔQ(0) > 0
+    (_, dq1), _ = _edge_laplacians(p, d)  # as in _f_term, the integrands need ΔQ(0) > 0
 
     def zero_mode(x):
         r = np.sqrt(x)
@@ -211,7 +211,7 @@ def b1_integral(p, droplet=None):
     """
     d = _droplet(p, droplet, "annulus", "b1_integral")
     direct = _integral(lambda x: np.multiply(*_b1_formula(p, np.sqrt(x))), d)
-    dq0, dq1 = _edge_laplacians(p, d)
+    (dq0, dq1), _ = _edge_laplacians(p, d)
     identity = (
         f_annulus(p, d)
         - math.log(dq1 / dq0) / 4.0
@@ -240,7 +240,7 @@ def zw_coefficients(p, droplet=None):
     """
     d = _droplet(p, droplet, "disc", "zw_coefficients")
     # As in _f_term, the integrands need ΔQ(0) > 0.
-    (_, dq1), (_, dr1) = _edge_laplacians(p, d, dr=True)
+    (_, dq1), (_, dr1) = _edge_laplacians(p, d)
 
     def f0_integrand(x):
         r = np.sqrt(x)

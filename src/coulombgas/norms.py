@@ -11,8 +11,10 @@ e^{-s V_tau'(r)} dr, tau' = (j + 1/2)/s, whose saddle r_tau' > 0 at every
 degree, shifted by min V_tau' to keep the integrand bounded and truncated
 where that exponent is negligible.  Each norm's set-up (its saddle r*,
 v_min = V_tau'(r*), peak width, truncation radius and accuracy target) is
-one row of an array stage (_rows): log_z_exact sets up all n norms in one
-call, and a norm asked for alone makes a one-row call, with the same bits.
+one row of an array stage over levels (_rows) on droplet._saddles' r*,
+ΔQ(r*) and v_min: log_z_exact's queries (_grid) hold the rows of one call
+for all n norms, and a norm asked for alone makes a one-row call, with
+the same bits.
 The asymptotic routes implement the two-term Laplace approximation at
 r_tau and the factorial form valid for low degrees over a disc droplet.
 Every route re-raises a package error as its class with the potential
@@ -48,10 +50,10 @@ class NormQuery:
     ensemble's factor (1 normal, 2 symplectic), s = k n the inverse
     temperature scale in the weight e^{-s q}, and level = (j + 1/2)/s the
     tau' of the exact route's e^{-s V_tau'}.  log_z_exact takes its n
-    queries from _grid(n, ensemble), which checks n and the ensemble once
-    per log Z and gives the same queries, each holding its row of one
-    set-up stage for all n (_with_rows).  A query a caller builds holds
-    none, and its norm sets itself up in a one-row call of that stage.
+    queries from _grid(p, n, ensemble), which checks n and the ensemble
+    once per log Z and builds the same queries, each with its row of one
+    set-up stage for all n (_rows).  A query a caller builds holds none,
+    and its norm makes the one-row call _rows(p, query.s, (query.level,)).
     """
 
     n: int
@@ -84,19 +86,29 @@ def _degrees(k, n):
     return range(k - 1, k * n, k)
 
 
-def _grid(n, ensemble):
+def _grid(p, n, ensemble):
     """[NormQuery(n, j, ensemble) for j in _degrees(k, n)], the queries of
-    log Z_n, with n and the ensemble checked once rather than once per
-    degree.  A bad n or ensemble raises NormQuery's DomainError; n is
-    checked first, as log_z_exact always has."""
+    log Z_n of potential p, with n and the ensemble checked once rather
+    than once per degree, each built with its row of one _rows call for
+    all the levels.  A bad n or ensemble raises NormQuery's DomainError; n
+    is checked first, as log_z_exact always has.  Where _rows raises, the
+    queries stay bare: each norm then makes its own one-row call, so the
+    lowest degree that fails raises, with its norm's context, as it would
+    on its own."""
     n = _check_n(n)
     k = _check_ensemble(ensemble)
     s = k * n
+    degrees = _degrees(k, n)
+    levels = [(j + 0.5) / s for j in degrees]
+    try:
+        rows = _rows(p, s, levels)
+    except CoulombGasError:
+        rows = [None] * n
     grid = []
-    for j in _degrees(k, n):
+    for j, level, row in zip(degrees, levels, rows):
         # What NormQuery.__post_init__ stores, for a j known to be in range.
         q = object.__new__(NormQuery)
-        q.__dict__.update(n=n, j=j, ensemble=ensemble, k=k, s=s, level=(j + 0.5) / s)
+        q.__dict__.update(n=n, j=j, ensemble=ensemble, k=k, s=s, level=level, _row=row)
         grid.append(q)
     return grid
 
@@ -134,25 +146,22 @@ _SEED_OFFSETS = (0.75, 1.5, 2.25, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0)
 _SEED_T = np.array(sorted({0.0, *_SEED_OFFSETS, *(-k for k in _SEED_OFFSETS)}))
 
 
-def _rows(p, queries):
-    """The set-up of each query's norm as one row (r*, v_min, width, cut,
-    target) of Python floats, from one array stage for all the queries,
-    which share n and the ensemble.
+def _rows(p, s, levels):
+    """The set-up of the norm of weight scale s at each level tau' as one
+    row (r*, v_min, width, cut, target) of Python floats, from one array
+    stage for all the levels.
 
-    r* and ΔQ(r*) come from one _saddles call for all the levels tau', and
-    the rest from arrays over the rows: v_min = V_tau'(r*), the Gaussian
-    width 1/sqrt(2 s ΔQ(r*)) of the shifted weight, the accuracy target
+    r*, ΔQ(r*) and v_min = V_tau'(r*) come from one _saddles call, and the
+    rest from arrays over the rows: the Gaussian width 1/sqrt(2 s ΔQ(r*))
+    of the shifted weight, the accuracy target
     max(_REL_TOL, _FLOOR s (|q|_terms(r*) + |2 tau' log r*|)) (p._q_magnitude
     of q(r*) = v_min + 2 tau' log r*), and the truncation radius (_cuts).
     Each row's arithmetic is that of a lone row, so a query alone (a
     one-row call) gets the bits it gets among the n queries of log Z.
     """
-    levels = [q.level for q in queries]
-    r_star, dq = _saddles(p, levels)
-    s = queries[0].s
+    r_star, dq, v_min = _saddles(p, levels)
     t = np.array(levels)
     with np.errstate(all="ignore"):
-        v_min = _v_tau_formula(p, r_star, t)
         log_term = 2.0 * t * np.log(r_star)  # q(r*) - v_min
         q_terms = p._q_magnitude(r_star, v_min + log_term)
         # fmax, as Python's max, keeps _REL_TOL where the floor is nan.
@@ -204,20 +213,6 @@ def _cuts(p, s, t, r_star, v_min, width):
         step *= 2.0
 
 
-def _with_rows(p, queries):
-    """queries, each holding its row of one _rows call for all of them.
-    Where that call raises, they stay bare: each norm then makes its own
-    one-row call, so the lowest degree that fails raises, with its norm's
-    context, as it would on its own."""
-    try:
-        rows = _rows(p, queries)
-    except CoulombGasError:
-        return queries
-    for q, row in zip(queries, rows):
-        q.__dict__["_row"] = row
-    return queries
-
-
 def _query_context(query):
     """The error context of a norm route after the potential's name."""
     return (f"n={query.n}", f"j={query.j}", f"ensemble={query.ensemble}")
@@ -232,8 +227,8 @@ def log_norm_exact(p, query):
     on the norm value, the larger term being its roundoff floor at the
     saddle r* = r_tau' > 0, and about the same absolute error on the log.
     r*, v_min, the peak width, the cut and the target are the query's row
-    of log_z_exact's one set-up stage, or for a query built by the caller
-    a one-row call of that stage (_rows), with the same bits; the norm
+    of log_z_exact's one set-up stage (_grid), or for a query built by the
+    caller a one-row call of that stage (_rows), with the same bits; the norm
     itself builds its seeds and makes one integrate call.
     |q|_terms is the sum of the magnitudes of q's terms at r*: for
     MittagLeffler r^(2 lam) + 2 c |log r|, for a dilation its base's, and
@@ -241,7 +236,7 @@ def log_norm_exact(p, query):
     """
     s = query.s
     level = query.level
-    r_star, v_min, width, cut, rel_tol = query._row or _rows(p, (query,))[0]
+    r_star, v_min, width, cut, rel_tol = query._row or _rows(p, s, (level,))[0]
     seeds = r_star + _SEED_T * width  # integrate drops those outside (0, cut)
 
     def integrand(r):

@@ -26,8 +26,8 @@ from .equilibrium import (
     log_potential_origin,
 )
 from .errors import DomainError, _finite, _named
-from .norms import _REL_TOL, _degrees, _grid, _with_rows, log_norm_exact
-from .potential import _check_ensemble, _check_n, _is_real, _v_tau_formula
+from .norms import _REL_TOL, _degrees, _grid, log_norm_exact
+from .potential import _check_ensemble, _check_n, _is_real
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
 _LEMMA_VARIANTS = (
@@ -51,13 +51,13 @@ def log_z_exact(p, n, ensemble="normal", *, threads=1):
 
     The returned value includes the log n! combinatorial factor.  The
     set-up of all n norms (saddle, v_min, width, cut and target) comes
-    from one array stage (_with_rows).  Norms are then evaluated one after
+    from one array stage (_grid).  Norms are then evaluated one after
     another, each to the target log_norm_exact states, and summed by an
     exact compensated sum; each has the bits it has on its own.  threads
     is accepted for compatibility and ignored: a thread pool only slowed
     the GIL-bound norm loop down.
     """
-    queries = _with_rows(p, _grid(n, ensemble))
+    queries = _grid(p, n, ensemble)
     vals = [log_norm_exact(p, q) for q in queries]
     n, k = queries[0].n, queries[0].k
     return ln_factorial(n) + n * math.log(k) + math.fsum(vals)
@@ -115,7 +115,7 @@ def expansion_terms(p, ensemble="normal", *, report=None):
             c_logn = 5.0 / 12.0
             c_1 = 0.5 * LOG_2PI + ZETA_PRIME_MINUS_ONE + rep.f_term
     else:
-        dq_in, dq_out = _edge_laplacians(p, d)
+        (dq_in, dq_out), _ = _edge_laplacians(p, d)
         c_n2 = -2.0 * rep.energy
         c_nlogn = 0.5
         c_n = (
@@ -165,10 +165,10 @@ def lemma_sum(p, n, which):
     decays like n^-3 for the V sums and n^-1 for the others.  Annular
     droplets only.  The prediction evaluates only the functionals it
     uses: energy and the origin log-potential for the V and log r sums,
-    the entropy for the log laplacian sums.  The radii, and ΔQ at them,
-    come from one _saddles call for all the levels, and the V terms from
-    one array evaluation.  A failure re-raises its class with the potential
-    name, n and which in front.
+    the entropy for the log laplacian sums.  The radii, and ΔQ and V_tau
+    at them, come from one _saddles call for all the levels, tau = 0
+    included.  A failure re-raises its class with the potential name, n
+    and which in front.
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
@@ -176,11 +176,10 @@ def lemma_sum(p, n, which):
     d = _droplet(p, kind="annulus", what="lemma_sum")
     k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
     taus = [j / (k * n) for j in _degrees(k, n)]
-    radii, dqs = _saddles(p, taus)
+    radii, dqs, vs = _saddles(p, taus)
 
     if which.startswith("sum_v"):
-        with np.errstate(all="ignore"):  # _saddles' ΔQ read checked the radii
-            terms = _v_tau_formula(p, radii, np.array(taus)).tolist()
+        terms = vs.tolist()
     elif which.startswith("sum_logdq"):
         terms = [math.log(dq) for dq in dqs.tolist()]
     else:
@@ -191,7 +190,7 @@ def lemma_sum(p, n, which):
         u_0 = log_potential_origin(p, d)
         predicted = n * energy(p, d) - u_0 + math.log(d.r0 / d.r1) / (6.0 * n)
     elif which == "sum_logdq_normal":
-        dq0, dq1 = _edge_laplacians(p, d)
+        (dq0, dq1), _ = _edge_laplacians(p, d)
         predicted = n * entropy(p, d) - 0.5 * math.log(dq1 / dq0)
     elif which == "sum_logr_normal":
         predicted = -n * log_potential_origin(p, d) - 0.5 * math.log(d.r1 / d.r0)

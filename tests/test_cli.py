@@ -10,12 +10,13 @@ import pytest
 
 import coulombgas
 import mp_reference
-from coulombgas import cli
+from coulombgas import cli, equilibrium
 from coulombgas.cli import main
 from coulombgas.errors import IntegrationError, SolverError
 from coulombgas.norms import NormQuery, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_log_z
 from coulombgas.potential import MittagLeffler, TruncatedUnitary
+from coulombgas.quadrature import integrate
 
 
 def test_droplet_single_line(capsys):
@@ -636,6 +637,22 @@ def test_zw_formats_agree_and_residuals_vanish(capsys):
     assert abs(vals["f0"] + 0.75) <= bound
     for key in ("f_half", "f1", "residual_energy", "residual_entropy", "residual_f_term"):
         assert abs(vals[key]) <= bound, key
+
+
+def test_zw_takes_each_distinct_integral_once(monkeypatch, capsys):
+    # zw_coefficients integrates f0, the Dirichlet integral and the entropy;
+    # the residuals add the energy and f_disc's Dirichlet integral, and
+    # residual_entropy, +0.0 because f_half is -entropy/2, takes none.
+    calls = []
+
+    def counting(f, a, b, **kwargs):
+        calls.append(f.__qualname__)
+        return integrate(f, a, b, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "integrate", counting)
+    assert main(["zw", "--potential", "tu", "--alpha", "3", "--R", "2"]) == 0
+    assert "residual_entropy=0\n" in capsys.readouterr().out
+    assert len(calls) == 5, calls
 
 
 _NORM_ROUTES = {

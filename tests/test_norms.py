@@ -264,7 +264,7 @@ def test_the_log_z_grid_is_the_norm_queries_of_its_degrees(ensemble):
     # the queries that NormQuery builds and checks one degree at a time.
     k = potential._check_ensemble(ensemble)
     for n in (1, 2, 7, 200):
-        grid = norms._grid(n, ensemble)
+        grid = norms._grid(Ginibre(), n, ensemble)
         want = [NormQuery(n, j, ensemble) for j in norms._degrees(k, n)]
         assert grid == want, n
         for q, w in zip(grid, want):
@@ -277,7 +277,7 @@ def test_the_log_z_grid_is_the_norm_queries_of_its_degrees(ensemble):
         with pytest.raises(DomainError) as want:
             NormQuery(n, 0, e)
         with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
-            norms._grid(n, e)
+            norms._grid(Ginibre(), n, e)
 
 
 def test_failed_norm_names_its_potential_size_and_degree():
@@ -538,7 +538,7 @@ def test_gaussian_peaks_are_cut_at_eight_widths(monkeypatch, p):
     # 2 + len(offsets) + #{k < 8} panels, 19.  Peaks nearer the origin (the
     # lowest degrees) have heavier right tails and lose inner seeds below
     # 0; the test above bounds their panels.
-    rows = [q._row for q in norms._with_rows(p, norms._grid(1600, "normal"))]
+    rows = [q._row for q in norms._grid(p, 1600, "normal")]
     cuts = [(r_star - 32.0 * width > 0.0, cut in (r_star + 8.0 * width, p.support_radius))
             for r_star, _, width, cut, _ in rows]
     _, first_panels = _count_rounds(monkeypatch)
@@ -698,7 +698,8 @@ def test_a_width_that_underflows_still_finds_the_peak(ensemble):
     # on both sides of r*; a cut at 1 left the right half of the peak
     # between nodes.  The reference is q = r^2 / a^2 in mpmath.
     p, ref = Ginibre(1e-154), dilate(MittagLeffler(1.0, 0.0), 1e-154)
-    assert norms._rows(p, (NormQuery(4, 3, ensemble),))[0][2] == 0.0
+    query = NormQuery(4, 3, ensemble)
+    assert norms._rows(p, query.s, (query.level,))[0][2] == 0.0
     got = log_z_exact(p, 4, ensemble)
     gap = abs(float(mpmath.mpf(got) - mp_reference.log_z(ref, 4, ensemble)))
     assert gap <= mp_reference.log_z_bound(p, 4, ensemble, ref=ref)
@@ -715,7 +716,7 @@ def test_a_doubled_norm_integral_that_overflows_raises(monkeypatch):
     # Just below, the doubled value is the norm: 2 * 0.5e308 is 1e308 exactly.
     monkeypatch.setattr(norms, "integrate", lambda *args, **kwargs: (0.5e308, 0.0))
     query = NormQuery(3, 1, "normal")
-    v_min = norms._rows(Ginibre(), (query,))[0][1]
+    v_min = norms._rows(Ginibre(), query.s, (query.level,))[0][1]
     assert log_norm_exact(Ginibre(), query) == -query.s * v_min + math.log(1e308)
 
 
@@ -769,7 +770,8 @@ def test_norm_integrand_evaluates_no_array_through_the_checked_entry_points(monk
                 alone = []
                 for j in norms._degrees(NormQuery(n, 0, ensemble).k, n):
                     del v_reads[:]
-                    norms._rows(p, (NormQuery(n, j, ensemble),))
+                    query = NormQuery(n, j, ensemble)
+                    norms._rows(p, query.s, (query.level,))
                     alone.append(len(v_reads))
                 del v_reads[:], outside[:]
                 log_z_exact(p, n, ensemble)

@@ -30,6 +30,7 @@ from coulombgas.potential import (
     MittagLeffler,
     TruncatedUnitary,
     dilate,
+    v_tau,
 )
 from coulombgas.quadrature import integrate
 from coulombgas.specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
@@ -163,14 +164,13 @@ def _assert_rows_are_the_one_row_route(p, ensemble):
     and log Z the sum of the standalone norms, at n = 25 and 200."""
     k = 1 if ensemble == "normal" else 2
     for n in (25, 200):
-        queries = norms._with_rows(p, norms._grid(n, ensemble))
+        queries = norms._grid(p, n, ensemble)
         # The row a query holds is private: not in its equality, hash or repr.
         bare = NormQuery(n, queries[-1].j, ensemble)
         assert bare._row is None and queries[-1]._row is not None
         assert (queries[-1], hash(queries[-1]), repr(queries[-1])) == (bare, hash(bare), repr(bare))
         rows = [[x.hex() for x in q._row] for q in queries]
-        alone = [[x.hex() for x in norms._rows(p, (NormQuery(n, q.j, ensemble),))[0]]
-                 for q in queries]
+        alone = [[x.hex() for x in norms._rows(p, q.s, (q.level,))[0]] for q in queries]
         assert rows == alone, n
         assert [row[0] for row in rows] == [solve_r_tau(p, q.level).hex() for q in queries], n
         norms_alone = [log_norm_exact(p, NormQuery(n, q.j, ensemble)) for q in queries]
@@ -250,7 +250,7 @@ def test_saddle_stage_rows_of_a_table_less_profile_are_the_per_norm_route(profil
     p = profile(lambda k, f: lambda r: (reads.append(k), f(r))[1])
     k = 1 if ensemble == "normal" else 2
     for n in (25, 200):
-        queries = norms._with_rows(p, norms._grid(n, ensemble))
+        queries = norms._grid(p, n, ensemble)
         rows, scans, rounds = [], [], []
         for q in queries:
             reads.clear()
@@ -339,10 +339,11 @@ def test_a_set_up_error_past_the_saddle_names_the_lowest_failing_degree(q, error
     p = Custom(q, derivs=[lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r, lambda r: 0.0 * r,
                           lambda r: 0.0 * r], name="cut-short")
     n = 100
-    queries = norms._grid(n, ensemble)
-    droplet._saddles(p, [query.level for query in queries])
+    queries = norms._grid(p, n, ensemble)
+    levels = [query.level for query in queries]
+    droplet._saddles(p, levels)
     with pytest.raises(error):
-        norms._rows(p, queries)
+        norms._rows(p, queries[0].s, levels)
     for query in queries:
         try:
             log_norm_exact(p, NormQuery(n, query.j, ensemble))
@@ -505,15 +506,24 @@ def test_lemma_sums_without_entropy_return_without_derivs():
             assert abs(g - w) <= bound, (which, g, w, abs(g - w), bound)
 
 
-@pytest.mark.parametrize("derivs", [True, False], ids=["derivs", "circle"])
-def test_lemma_sum_radii_are_the_per_level_solves(derivs):
-    # lemma_sum takes its radii from one _saddles call: the tau = 0 row from
-    # the scan, the others from the array Newton, each bit for bit its
-    # solve_r_tau.
-    p = _ml_profile(0.5, 1.1, derivs)
-    for which, k in (("sum_logr_normal", 1), ("sum_logr_symp_odd", 2)):
+@pytest.mark.parametrize("p", [_ml_profile(0.5, 1.1, True), _ml_profile(0.5, 1.1, False),
+                               MittagLeffler(0.5, 1.3), dilate(MittagLeffler(1.0 / 3.0, 1.1), 0.9)],
+                         ids=["derivs", "circle", "ml", "dilated-ml"])
+def test_lemma_sum_radii_are_the_per_level_solves(p):
+    # lemma_sum takes its radii, and ΔQ and V_tau at them, from one _saddles
+    # call: off the closed forms the tau = 0 row from the scan, the others
+    # from the array Newton, each bit for bit its solve_r_tau.  Each direct
+    # sum is then the fsum of the lone reads at the lone solves.
+    term = {
+        "v": lambda t, r: v_tau(p, t, r),
+        "logdq": lambda t, r: math.log(p.laplacian(r)),
+        "logr": lambda t, r: math.log(r),
+    }
+    for which in ("sum_v_normal", "sum_v_symp_odd", "sum_logdq_normal", "sum_logdq_symp_odd",
+                  "sum_logr_normal", "sum_logr_symp_odd"):
+        k = 1 if which.endswith("_normal") else 2
         taus = [j / (k * 40) for j in range(k - 1, k * 40, k)]
-        want = math.fsum(math.log(solve_r_tau(p, t)) for t in taus)
+        want = math.fsum(term[which.split("_")[1]](t, solve_r_tau(p, t)) for t in taus)
         assert lemma_sum(p, 40, which)[0].hex() == want.hex(), which
 
 
