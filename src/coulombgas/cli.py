@@ -18,12 +18,7 @@ import sys
 
 from . import __version__
 from .droplet import droplet_of
-from .equilibrium import (
-    energy,
-    equilibrium_report,
-    f_disc,
-    zw_coefficients,
-)
+from .equilibrium import _zw, equilibrium_report
 from .errors import (
     CoulombGasError,
     DomainError,
@@ -151,18 +146,9 @@ def _cmd_equilibrium(p, args):
 
 
 def _cmd_zw(p, args):
-    d = droplet_of(p)
-    zw = zw_coefficients(p, d)
-    pairs = [
-        ("f0", zw.f0),
-        ("f_half", zw.f_half),
-        ("f1", zw.f1),
-        ("residual_energy", zw.f0 + energy(p, d)),
-        # f_half is -entropy/2 (zw_coefficients), and the entropy is a
-        # finite float, so f_half + entropy/2 is +0.0 without a second integral.
-        ("residual_entropy", 0.0),
-        ("residual_f_term", zw.f1 - f_disc(p, d)),
-    ]
+    zw, residuals = _zw(p)
+    pairs = [("f0", zw.f0), ("f_half", zw.f_half), ("f1", zw.f1)]
+    pairs += zip(("residual_energy", "residual_entropy", "residual_f_term"), residuals)
     return _render(pairs, args.fmt)
 
 

@@ -335,7 +335,9 @@ def droplet_of(p):
     the droplet is a disc iff r0 == 0.0.  Raises InvalidPotentialError
     when r0 is not below r1 (a zero-width droplet, e.g. once r0 and r1
     round to the same float) or when the Laplacian of Q fails to be
-    strictly positive on a grid spanning a neighborhood of the droplet.
+    strictly positive on a grid spanning a neighborhood of the droplet, or
+    finite and positive at its edges r1 and an annulus's r0 (_laplacian_at):
+    at a hard wall the grid stops short of r1, which can round onto it.
     """
     r1, r0 = map(float, _radii(p, (1.0, 0.0)))
     if not r0 < r1:
@@ -361,6 +363,8 @@ def droplet_of(p):
         raise InvalidPotentialError(
             "the Laplacian of Q is not strictly positive near the droplet"
         )
+    edges = np.array([d.r0, d.r1] if d.r0 else [d.r1])
+    _laplacian_at(p, edges, _evaluate(type(p)._laplacian, p, edges, (0,))[0])
     return d
 
 

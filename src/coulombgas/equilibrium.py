@@ -6,8 +6,8 @@ every integral here runs over [r0^2, r1^2], from x = 0 for a disc.
 This module evaluates the energy, entropy and origin log-potential of
 that measure, the order-one free-energy terms for annular and disc
 droplets, the pointwise 1/s correction entering norm asymptotics, and
-the planar free-energy coefficients in the squared-radius
-parametrization used for the self-consistency checks.  It integrates
+the planar free-energy coefficients in the squared-radius variable with
+their check against the functionals (_zw, `coulombgas zw`).  It integrates
 seven integrands, each in one place: laplacian (mu_mass), q'^2 (energy),
 laplacian log(laplacian) (entropy), (laplacian'/laplacian)^2 (_dirichlet,
 for every order-one form), the chi form's zero mode, b1 laplacian
@@ -139,7 +139,7 @@ def _dirichlet(p, d):
     return _integral(f, d)
 
 
-def _f_term(p, d):
+def _f_term(d, edges, val):
     """Order-one free-energy term of droplet d.
 
     (1/12) log(r0^2 laplacian(r0) / (r1^2 laplacian(r1)))
@@ -147,10 +147,10 @@ def _f_term(p, d):
     + (1/48) * integral of (laplacian'/laplacian)^2 dx over the droplet; a
     disc has no inner edge, so its inner factor is 1 and its inner edge term
     0, and it needs ΔQ(0) finite and > 0, or the integrand diverges at x = 0.
-    ΔQ and ΔQ' at both edges come from one read (_edge_laplacians).
+    The caller reads edges = _edge_laplacians(p, d), then val = _dirichlet(p, d),
+    the integral that raises where r1^2 would overflow below.
     """
-    (dq0, dq1), (dr0, dr1) = _edge_laplacians(p, d)
-    val = _dirichlet(p, d)  # first, so that r0^2 and r1^2 below are finite
+    (dq0, dq1), (dr0, dr1) = edges
     inner = d.r0**2 * dq0 if d.kind == "annulus" else 1.0
     return (
         math.log(inner / (d.r1**2 * dq1)) / 12.0
@@ -162,13 +162,15 @@ def _f_term(p, d):
 @_named()
 def f_annulus(p, droplet=None):
     """Order-one free-energy term for an annular droplet."""
-    return _f_term(p, _droplet(p, droplet, "annulus", "f_annulus"))
+    d = _droplet(p, droplet, "annulus", "f_annulus")
+    return _f_term(d, _edge_laplacians(p, d), _dirichlet(p, d))
 
 
 @_named()
 def f_disc(p, droplet=None):
     """Order-one free-energy term for a disc droplet; needs ΔQ(0) > 0."""
-    return _f_term(p, _droplet(p, droplet, "disc", "f_disc"))
+    d = _droplet(p, droplet, "disc", "f_disc")
+    return _f_term(d, _edge_laplacians(p, d), _dirichlet(p, d))
 
 
 @_named()
@@ -183,7 +185,7 @@ def f_disc_chi_form(p, droplet=None):
     whose integral must equal r1 chi'(r1), which f_disc reads at the edge.
     """
     d = _droplet(p, droplet, "disc", "f_disc_chi_form")
-    (_, dq1), _ = _edge_laplacians(p, d)  # as in _f_term, the integrands need ΔQ(0) > 0
+    (_, dq1), _ = _edge_laplacians(p, d)  # as in f_disc, the integrands need ΔQ(0) > 0
 
     def zero_mode(x):
         r = np.sqrt(x)
@@ -233,14 +235,25 @@ def zw_coefficients(p, droplet=None):
              + (1/3) * integral of x chi'(x)^2 dx,
 
     all over x in (0, r1^2).  These must match -energy, -entropy/2 and
-    f_disc respectively, which is the consistency check exposed by the
-    command line driver.  f_half is -entropy/2 by construction, and f1's
+    f_disc respectively (Zabrodin and Wiegmann's large-N expansion of the
+    2D Dyson gas).  f_half is -entropy/2 by construction, and f1's
     integral is f_disc's / 16 (_dirichlet), so f1 checks ZW's edge algebra
-    and only f0 checks an integral, the energy's, of its own.
+    and only f0 checks an integral, the energy's, of its own.  The check,
+    which `coulombgas zw` prints, is _zw's; this is its coefficients alone.
     """
+    return _zw(p, droplet, check=False)[0]
+
+
+@_named()
+def _zw(p, droplet=None, check=True):
+    """(ZWCoefficients, residuals) of a disc droplet: with check, the residuals
+    (f0 + energy, f_half + entropy/2, f1 - f_disc) of zw_coefficients'
+    identities, else ().  f_disc is _f_term of f1's own edge read and
+    Dirichlet integral, so the check integrates f0, the Dirichlet term,
+    the entropy and the energy once each."""
     d = _droplet(p, droplet, "disc", "zw_coefficients")
-    # As in _f_term, the integrands need ΔQ(0) > 0.
-    (_, dq1), (_, dr1) = _edge_laplacians(p, d)
+    # As in f_disc, the edges' check comes before the integrands, which need ΔQ(0) > 0.
+    edges = (_, dq1), (_, dr1) = _edge_laplacians(p, d)
 
     def f0_integrand(x):
         r = np.sqrt(x)
@@ -249,7 +262,7 @@ def zw_coefficients(p, droplet=None):
         return (w - wprime * x * np.log(x)) * p._laplacian(r, (0,))[0]
 
     f0 = _integral(f0_integrand, d)
-    dirich = _dirichlet(p, d) / 16.0  # integral of x chi'(x)^2 dx
+    dirich = _dirichlet(p, d)
     x1 = d.r1**2  # finite, as the integrals returned
     chi1 = 0.5 * math.log(dq1)
     chi1_prime = dr1 / (4.0 * d.r1 * dq1)
@@ -257,9 +270,13 @@ def zw_coefficients(p, droplet=None):
         math.log(1.0 / x1) / 12.0
         - chi1 / 6.0
         - 0.25 * x1 * chi1_prime
-        + dirich / 3.0
+        + dirich / 16.0 / 3.0  # / 16: the integral of x chi'(x)^2 dx
     )
-    return ZWCoefficients(f0=f0, f_half=-0.5 * entropy(p, d), f1=f1)
+    s = entropy(p, d)
+    zw = ZWCoefficients(f0=f0, f_half=-0.5 * s, f1=f1)
+    if not check:
+        return zw, ()
+    return zw, (f0 + energy(p, d), zw.f_half + 0.5 * s, f1 - _f_term(d, edges, dirich))
 
 
 @_named()
@@ -269,7 +286,7 @@ def equilibrium_report(p, droplet=None):
     mass = mu_mass(p, d)
     if abs(mass - 1.0) > 1e-9:
         raise InvalidPotentialError(f"equilibrium measure has mass {mass!r}, expected 1")
-    f_term = _f_term(p, d)
+    f_term = _f_term(d, _edge_laplacians(p, d), _dirichlet(p, d))
     return EquilibriumReport(
         energy=energy(p, d),
         entropy=entropy(p, d),

@@ -640,9 +640,10 @@ def test_zw_formats_agree_and_residuals_vanish(capsys):
 
 
 def test_zw_takes_each_distinct_integral_once(monkeypatch, capsys):
-    # zw_coefficients integrates f0, the Dirichlet integral and the entropy;
-    # the residuals add the energy and f_disc's Dirichlet integral, and
-    # residual_entropy, +0.0 because f_half is -entropy/2, takes none.
+    # The coefficients integrate f0, the Dirichlet integral and the entropy;
+    # the residuals add the energy alone: residual_f_term's f_disc takes f1's
+    # Dirichlet integral, and residual_entropy, +0.0 because f_half is
+    # -entropy/2, takes none.
     calls = []
 
     def counting(f, a, b, **kwargs):
@@ -652,7 +653,8 @@ def test_zw_takes_each_distinct_integral_once(monkeypatch, capsys):
     monkeypatch.setattr(equilibrium, "integrate", counting)
     assert main(["zw", "--potential", "tu", "--alpha", "3", "--R", "2"]) == 0
     assert "residual_entropy=0\n" in capsys.readouterr().out
-    assert len(calls) == 5, calls
+    assert calls == ["_zw.<locals>.f0_integrand", "_dirichlet.<locals>.f", "entropy.<locals>.f",
+                     "energy.<locals>.<lambda>"]
 
 
 _NORM_ROUTES = {

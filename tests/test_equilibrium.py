@@ -11,6 +11,7 @@ from coulombgas import quadrature
 from coulombgas.droplet import Droplet, droplet_of
 from coulombgas.equilibrium import (
     EquilibriumReport,
+    _zw,
     b1,
     b1_integral,
     energy,
@@ -127,6 +128,46 @@ def test_zw_coefficients_match_named_functionals():
         assert abs(zw.f0 + energy(p)) < 1e-9, p
         assert abs(zw.f_half + 0.5 * entropy(p)) < 1e-9, p
         assert abs(zw.f1 - f_disc(p)) < 1e-9, p
+
+
+@pytest.mark.parametrize("p", [
+    TruncatedUnitary(1.0, 1.0), TruncatedUnitary(3.0, 2.0), TruncatedUnitary(0.5, 2.0),
+    Ginibre(1.0), Ginibre(2.5), MittagLeffler(1.0, 0.0),
+], ids=lambda p: p.name)
+def test_zw_residuals_are_the_named_functionals_bit_for_bit(p):
+    # _zw shares f1's edge read and Dirichlet integral with f_disc, and calls
+    # energy and entropy themselves, so each residual is the difference of
+    # the same floats that the named functionals return.
+    d = droplet_of(p)
+    zw, (res_energy, res_entropy, res_f_term) = _zw(p, d)
+    assert zw == zw_coefficients(p, d)
+    assert res_energy.hex() == (zw.f0 + energy(p, d)).hex()
+    assert res_entropy.hex() == (zw.f_half + 0.5 * entropy(p, d)).hex() == (0.0).hex()
+    assert res_f_term.hex() == (zw.f1 - f_disc(p, d)).hex()
+
+
+@pytest.mark.parametrize("R", [1.0, 3.0])
+@pytest.mark.parametrize("alpha", [5e-17, 1.1e-16])
+def test_a_droplet_edge_on_the_hard_wall_is_named(alpha, R):
+    # 1 + alpha rounds to 1, so beta = R^2 and r1 = R sits on the wall, where
+    # ΔQ = alpha beta / (beta - r^2)^2 is inf: droplet_of checks the edges and
+    # every functional raises its error, not inf or a mass of ~700 alpha.
+    p = TruncatedUnitary(alpha, R)
+    assert p.support_radius == R
+    for call in (droplet_of, energy, log_potential_origin, mu_mass, f_disc, zw_coefficients,
+                 equilibrium_report, lambda p: expansion_terms(p, "normal")):
+        with pytest.raises(InvalidPotentialError, match=f"on the hard wall at {R!r}$"):
+            call(p)
+
+
+@pytest.mark.parametrize("R", [1.0, 3.0])
+def test_a_droplet_edge_just_inside_the_hard_wall_keeps_its_values(R):
+    # At alpha = 2.3e-16, 1 + alpha rounds above 1: beta > R^2 (though its
+    # root rounds to R), ΔQ(R) is finite, and the droplet and the functionals
+    # that integrate no ΔQ keep their finite values.
+    p = TruncatedUnitary(2.3e-16, R)
+    assert p.beta > R * R and droplet_of(p).r1 == R
+    assert math.isfinite(energy(p)) and math.isfinite(log_potential_origin(p))
 
 
 _EPS = float(np.finfo(float).eps)
@@ -364,7 +405,7 @@ def test_each_laplacian_integrand_reads_q_once_per_node_array(monkeypatch):
     zw_coefficients(disc)
     once = ["mu_mass.<locals>.<lambda>", "entropy.<locals>.f", "b1_integral.<locals>.<lambda>",
             "_dirichlet.<locals>.f", "f_disc_chi_form.<locals>.zero_mode"]
-    assert reads == {**dict.fromkeys(once, {1}), "zw_coefficients.<locals>.f0_integrand": {3}}
+    assert reads == {**dict.fromkeys(once, {1}), "_zw.<locals>.f0_integrand": {3}}
 
 
 def test_b1_ginibre_closed_form():
@@ -506,7 +547,14 @@ def test_chi_form_of_the_dilated_ginibre_starts_at_the_origin(a):
     TruncatedUnitary(3.0, 2.0),
     dilate(TruncatedUnitary(3.0, 1.6), 0.9),
     Custom(lambda r: r * r + 0.1 * r**4, q_origin=0.0, laplacian_origin=1.0, name="quartic"),
-], ids=["tu-1-1", "tu-0.3-0.8", "tu-3-2", "dilated-tu-3-1.6", "custom-quartic"])
+    # The circle read of numpy's complex log1p misses the guard near x = 0,
+    # where the zero mode refines (ROADMAP item 22).
+    pytest.param(Custom(lambda r: -np.log1p(-r * r / 2.0), support_radius=2**0.5,
+                        laplacian_origin=0.5, q_origin=0.0, name="tu-shaped"),
+                 marks=pytest.mark.xfail(strict=True, raises=DomainError,
+                                         reason="ROADMAP item 22: the circle guard at the origin")),
+], ids=["tu-1-1", "tu-0.3-0.8", "tu-3-2", "dilated-tu-3-1.6", "custom-quartic",
+        "custom-tu-shaped"])
 def test_chi_form_differs_from_f_disc_by_its_zero_mode_alone(p):
     # Both forms take their Dirichlet piece from one integral D, as D/48 and
     # (D/8)/6, the same bits.  With E = r1 ΔQ'(r1) / (2 ΔQ(r1)) and the same

@@ -18,7 +18,15 @@ import mp_reference
 import noisy
 from coulombgas import equilibrium, quadrature
 from coulombgas.droplet import droplet_of
-from coulombgas.equilibrium import b1_integral, equilibrium_report, zw_coefficients
+from coulombgas.equilibrium import (
+    b1_integral,
+    energy,
+    equilibrium_report,
+    f_annulus,
+    f_disc,
+    log_potential_origin,
+    zw_coefficients,
+)
 from coulombgas.errors import CoulombGasError, IntegrationError
 from coulombgas.norms import _REL_TOL, NormQuery, log_norm_laplace
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
@@ -252,6 +260,13 @@ _EXTREME_CALLS = {
     "droplet_of": lambda p: droplet_of(p).r1,
     "log_z_exact": lambda p: log_z_exact(p, 4, "symplectic"),
     "equilibrium_report": lambda p: equilibrium_report(p).energy,
+    # energy and log_potential_origin returned inf for a droplet edge on a
+    # hard wall (TU alpha <= 1e-20).  f_disc and f_annulus read the edges,
+    # then the Dirichlet integral, themselves and hand both to _f_term.
+    "energy": energy,
+    "log_potential_origin": log_potential_origin,
+    "f_disc": f_disc,
+    "f_annulus": f_annulus,
     "expansion_terms": lambda p: expansion_terms(p, "symplectic").evaluate(4),
     "log_norm_laplace": lambda p: log_norm_laplace(p, NormQuery(4, 3, "symplectic")),
 }
