@@ -5,9 +5,11 @@ converge.  Potentials are chosen with --potential ginibre|ml|tu plus the
 family's parameters.  Output formats: text (key=value lines, %.17g floats),
 csv (key,value rows; converge emits its table schema), json.  Exit codes:
 0 success, 2 usage (an --out path that cannot be written included), 3
-domain or invalid-potential errors, 4 solver or quadrature failures.  The
-parser is built on the first main() call and reused by every later call in
-the same process.
+domain or invalid-potential errors, 4 solver or quadrature failures.  A
+usage error found after parsing prints its subcommand's usage, and a
+package error gets its context from errors._named.  The parser is built
+on the first main() call and reused by every later call in the same
+process.
 """
 
 import argparse
@@ -19,14 +21,7 @@ import sys
 from . import __version__
 from .droplet import droplet_of
 from .equilibrium import _zw, equilibrium_report
-from .errors import (
-    CoulombGasError,
-    DomainError,
-    IntegrationError,
-    InvalidPotentialError,
-    SolverError,
-    _in_context,
-)
+from .errors import DomainError, IntegrationError, InvalidPotentialError, SolverError, _named
 from .norms import (
     NormQuery,
     log_norm_exact,
@@ -73,18 +68,18 @@ def _add_output_flags(sub):
                      help="write the primary output to this file instead of stdout")
 
 
-def _make_potential(args, parser):
+def _make_potential(args):
     fam = args.potential
     cls, params = _FAMILIES[fam]
     for other, (_, others) in _FAMILIES.items():
         for flag, key, _, _ in others:
             if other != fam and getattr(args, key) is not None:
-                parser.error(f"{flag} does not apply to --potential {fam}")
+                args.parser.error(f"{flag} does not apply to --potential {fam}")
     kwargs = {key: default if getattr(args, key) is None else getattr(args, key)
               for _, key, _, default in params}
     if None in kwargs.values():
         required = " and ".join(flag for flag, _, _, default in params if default is None)
-        parser.error(f"--potential {fam} requires {required}")
+        args.parser.error(f"--potential {fam} requires {required}")
     return cls(**kwargs)
 
 
@@ -152,12 +147,9 @@ def _cmd_zw(p, args):
     return _render(pairs, args.fmt)
 
 
+@_named(lambda args: (f"n={args.N}", f"j={args.j}", f"ensemble={args.ensemble}"))
 def _cmd_norm(p, args):
-    try:
-        query = NormQuery(n=args.N, j=args.j, ensemble=args.ensemble)
-    except DomainError as exc:
-        detail = (f"n={args.N}", f"j={args.j}", f"ensemble={args.ensemble}")
-        raise _in_context(exc, p.name, *detail) from exc
+    query = NormQuery(n=args.N, j=args.j, ensemble=args.ensemble)
     val = _NORM_METHODS[args.method](p, query)
     if args.fmt == "text":
         return _fmt_text(float(val))
@@ -169,13 +161,10 @@ def _cmd_exact(p, args):
     return _render([("log_z", val)], args.fmt)
 
 
+@_named()
 def _cmd_expand(p, args):
     terms = expansion_terms(p, args.ensemble)
-    try:
-        val = terms.evaluate(args.N)
-    except DomainError as exc:  # a bad or huge N, outside the named entry points
-        raise _in_context(exc, p.name) from exc
-    pairs = [("log_z_asymptotic", val)]
+    pairs = [("log_z_asymptotic", terms.evaluate(args.N))]
     if args.terms:
         pairs += [
             ("c_n2", terms.c_n2),
@@ -187,18 +176,16 @@ def _cmd_expand(p, args):
     return _render(pairs, args.fmt)
 
 
+@_named(lambda args: (f"n={args.N}", f"ensemble={args.ensemble}"))
 def _cmd_oracle(p, args):
-    try:
-        if isinstance(p, MittagLeffler):
-            val = ml_log_z(p.lam, p.c, args.N, args.ensemble)
-        elif isinstance(p, TruncatedUnitary):
-            val = tu_log_z(p.alpha, p.R, args.N, args.ensemble)
-        else:
-            if p.scale != 1.0:
-                raise DomainError("the closed-form route covers ginibre only at scale 1")
-            val = ml_log_z(1.0, 0.0, args.N, args.ensemble)
-    except CoulombGasError as exc:  # the oracles take parameters, not the potential
-        raise _in_context(exc, p.name, f"n={args.N}", f"ensemble={args.ensemble}") from exc
+    if isinstance(p, MittagLeffler):
+        val = ml_log_z(p.lam, p.c, args.N, args.ensemble)
+    elif isinstance(p, TruncatedUnitary):
+        val = tu_log_z(p.alpha, p.R, args.N, args.ensemble)
+    else:
+        if p.scale != 1.0:
+            raise DomainError("the closed-form route covers ginibre only at scale 1")
+        val = ml_log_z(1.0, 0.0, args.N, args.ensemble)
     pairs = [("log_z_oracle", val)]
     if args.compare:
         exact = log_z_exact(p, args.N, args.ensemble)
@@ -217,11 +204,7 @@ def _cmd_lemmas(p, args):
 
 
 def _cmd_converge(p, args):
-    try:
-        ns = [int(tok) for tok in args.Ns.split(",") if tok.strip()]
-    except ValueError:
-        _build_parser().error(f"--Ns expects a comma-separated integer list, got {args.Ns!r}")
-    table = convergence_study(p, ns, args.ensemble)
+    table = convergence_study(p, args.Ns, args.ensemble)
     if args.fmt == "json":
         doc = {
             "rows": [
@@ -241,6 +224,15 @@ def _cmd_converge(p, args):
     return table.to_csv()
 
 
+def _sizes(text):
+    """The --Ns list; argparse reports a non-integer entry as a usage error."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects a comma-separated integer list, got {text!r}") from None
+
+
 @functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -252,6 +244,7 @@ def _build_parser():
 
     def new_sub(name, help_text, needs_ensemble=False, needs_n=False, needs_threads=False):
         sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(parser=sub)
         _add_potential_flags(sub)
         _add_output_flags(sub)
         if needs_n:
@@ -298,17 +291,16 @@ def _build_parser():
 
     converge = new_sub("converge", "residual table over a size grid",
                        needs_ensemble=True, needs_threads=True)
-    converge.add_argument("--Ns", required=True,
+    converge.add_argument("--Ns", required=True, type=_sizes,
                           help="comma-separated matrix sizes, e.g. 100,200,400")
     converge.set_defaults(handler=_cmd_converge)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        payload = args.handler(_make_potential(args, parser), args)
+        payload = args.handler(_make_potential(args), args)
     except (DomainError, InvalidPotentialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -430,7 +430,10 @@ class Custom(RadialPotential):
     analytic within min(r, support_radius - r) of r, so a scalar-only q
     must supply derivs.  A q that rejects complex points, drops their
     imaginary parts, or fails the circle's guard raises DomainError asking
-    for derivs.
+    for derivs.  numpy's complex log1p and log lose relative accuracy at
+    small |z|, so a q built on them can fail the guard near the origin:
+    -log1p(-r^2 / 2), a TU-shaped disc, does at r ~ 0.0041 in
+    f_disc_chi_form and zw_coefficients.  Such a q should supply derivs.
     q_origin, when given, must be a finite real and laplacian_origin a
     finite positive real; anything else raises DomainError.  Each of these
     messages starts with "name: ".  The exact norms' rounding floor takes

@@ -210,6 +210,15 @@ def test_cross_family_flag_is_usage_error(capsys, cmd):
     assert exc.value.code == 2
     assert out == ""
     assert "--lambda does not apply to --potential tu" in err
+    _assert_subcommand_usage_error(err, cmd)
+
+
+def _assert_subcommand_usage_error(err, cmd):
+    """A usage error found after parsing prints the usage of the subcommand
+    that failed, and its prog in the error line, as argparse's own do."""
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: coulombgas {cmd} "), err
+    assert lines[-1].startswith(f"coulombgas {cmd}: error: "), err
 
 
 def test_oracle_infinite_parameter_is_domain_error(capsys):
@@ -342,9 +351,15 @@ def test_missing_family_parameter_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["droplet", "--potential", "ml", "--lambda", "1"])
     assert exc.value.code == 2
+    _assert_subcommand_usage_error(capsys.readouterr().err, "droplet")
     out, err, rc = _run(["droplet", "--potential", "tu", "--alpha", "1"], capsys)
     assert rc == 2 and out == ""
     assert "--potential tu requires --alpha and --R" in err
+    _assert_subcommand_usage_error(err, "droplet")
+    out, err, rc = _run(["exact", "--potential", "ml", "--N", "5"], capsys)
+    assert rc == 2 and out == ""
+    _assert_subcommand_usage_error(err, "exact")
+    assert err.endswith("coulombgas exact: error: --potential ml requires --lambda and --c\n")
 
 
 _FAMILY_ARGS = {
@@ -364,6 +379,36 @@ def test_each_foreign_family_flag_is_a_usage_error(capsys, family, flag):
     assert len(_FOREIGN_FLAGS) == 10
     assert rc == 2 and out == ""
     assert err.endswith(f"error: {flag} does not apply to --potential {family}\n")
+    _assert_subcommand_usage_error(err, "droplet")
+
+
+def test_a_non_integer_size_list_is_a_converge_usage_error(capsys):
+    out, err, rc = _run(["converge", "--potential", "ginibre", "--Ns", "10,x"], capsys)
+    assert rc == 2 and out == ""
+    _assert_subcommand_usage_error(err, "converge")
+    assert err.endswith("coulombgas converge: error: argument --Ns: "
+                        "expects a comma-separated integer list, got '10,x'\n")
+
+
+# The whole stderr line of each handler that names its errors with
+# errors._named: an error raised in the handler gets the handler's context,
+# and an inner route's passes unchanged.
+@pytest.mark.parametrize("argv, line", [
+    ("norm --potential ginibre --N 5 --j 9",
+     "error: ginibre(scale=1.0), n=5, j=9, ensemble=normal: "
+     "degree must be an integer in [0, 4], got 9"),
+    ("expand --potential ginibre --N 0",
+     "error: ginibre(scale=1.0): n must be a positive integer, got 0"),
+    ("oracle --potential ginibre --scale 2 --N 10",
+     "error: ginibre(scale=2.0), n=10, ensemble=normal: "
+     "the closed-form route covers ginibre only at scale 1"),
+    ("oracle --potential ml --lambda 0.3 --c 1 --N 10 --compare",
+     "error: ml(lam=0.3, c=1.0), n=10, ensemble=normal: "
+     "1/lam must be a positive integer, got 3.3333333333333335"),
+], ids=["norm", "expand", "oracle", "oracle-compare"])
+def test_named_handler_errors_keep_their_bytes(capsys, argv, line):
+    out, err, rc = _run(argv.split(), capsys)
+    assert (out, err, rc) == ("", line + "\n", 3)
 
 
 @pytest.mark.parametrize("family, kept", [("ml", ["--lambda", "1"]), ("ml", ["--c", "1"]),

@@ -127,6 +127,55 @@ def test_log_z_exact_custom_golden_bits(p, n, ensemble, want, ref):
     _assert_golden(p, n, ensemble, want, ref)
 
 
+def _squared(p):
+    """Q(rho) = 2 q(sqrt(rho)) of the family p, as a Custom with its analytic
+    derivatives: with rho = r^2, the symplectic norm of degree 2j + 1 of q at
+    s = 2n is half the normal norm of degree j of Q at s = n, so the
+    symplectic log Z_n of q is the normal log Z_n of Q.  A hard wall at
+    sqrt(beta) maps to one at beta."""
+    if isinstance(p, MittagLeffler):  # Q = 2 rho^lam - 2c log rho
+        lam, c = p.lam, p.c
+        return Custom(lambda x: 2.0 * x**lam - 2.0 * c * np.log(x), derivs=(
+            lambda x: 2.0 * lam * x ** (lam - 1.0) - 2.0 * c / x,
+            lambda x: 2.0 * lam * (lam - 1.0) * x ** (lam - 2.0) + 2.0 * c / x**2,
+            lambda x: 2.0 * lam * (lam - 1.0) * (lam - 2.0) * x ** (lam - 3.0) - 4.0 * c / x**3,
+            lambda x: (2.0 * lam * (lam - 1.0) * (lam - 2.0) * (lam - 3.0) * x ** (lam - 4.0)
+                       + 12.0 * c / x**4),
+        ), name=f"squared-{p.name}")
+    if isinstance(p, TruncatedUnitary):  # Q = -2 alpha log(1 - rho / beta)
+        a, b = p.alpha, p.beta
+        return Custom(lambda x: -2.0 * a * np.log1p(x / -b), derivs=(
+            lambda x: 2.0 * a / (b - x),
+            lambda x: 2.0 * a / (b - x) ** 2,
+            lambda x: 4.0 * a / (b - x) ** 3,
+            lambda x: 12.0 * a / (b - x) ** 4,
+        ), support_radius=b, name=f"squared-{p.name}")
+    k = 2.0 / p.scale**2  # Ginibre: Q = 2 rho / scale^2
+    return Custom(lambda x: k * x, derivs=(
+        lambda x: np.full_like(x, k), lambda x: 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x,
+    ), name=f"squared-{p.name}")
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize(
+    "p",
+    [MittagLeffler(1.0, 1.0), MittagLeffler(1.0 / 3.0, 1.1), MittagLeffler(2.0, 0.7),
+     TruncatedUnitary(1.0, 1.0), TruncatedUnitary(2.0, 1.5), Ginibre()],
+    ids=lambda p: p.name,
+)
+def test_symplectic_log_z_is_the_normal_log_z_of_the_squared_profile(p, n):
+    # Both routes are exact for the same number, so they may differ by what
+    # each may be off from it: route_bound of each, taken on that route's
+    # own log h values (Ginibre has no closed-form norms in mp_reference).
+    sq = _squared(p)
+    symp = [log_norm_exact(p, NormQuery(n, j, "symplectic")) for j in range(1, 2 * n, 2)]
+    normal = [log_norm_exact(sq, NormQuery(n, j, "normal")) for j in range(n)]
+    bound = (mp_reference.route_bound(p, n, "symplectic", symp)
+             + mp_reference.route_bound(sq, n, "normal", normal))
+    got, want = log_z_exact(p, n, "symplectic"), log_z_exact(sq, n, "normal")
+    assert abs(got - want) <= bound, (got, want, bound)
+
+
 # The profile of ML(1/3, 0.7) without derivs, read on circles.
 _CIRCLE_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="circle-ml-third")
 
