@@ -8,7 +8,7 @@ driver maps the two groups to distinct exit codes.
 
 import functools
 import math
-from dataclasses import astuple
+from dataclasses import astuple, is_dataclass
 
 
 class CoulombGasError(Exception):
@@ -42,14 +42,6 @@ class IntegrationError(CoulombGasError):
     """An adaptive quadrature failed to reach the requested accuracy."""
 
 
-def _in_context(exc, name, *details):
-    """A new exception of exc's class whose message starts with the context
-    "name, detail, ...", for `raise _in_context(exc, ...) from exc`; a
-    message that already starts with the name drops it, so it appears once."""
-    msg = str(exc).removeprefix(f"{name}: ")
-    return type(exc)(f"{', '.join((name, *details))}: {msg}")
-
-
 def _named(details=None):
     """Decorator for a public entry point fn(p, ...) that re-raises a package
     error as its class with p.name, and details(*args, **kwargs) of the
@@ -67,7 +59,8 @@ def _named(details=None):
                 if str(exc).startswith(f"{p.name}, "):
                     raise
                 extra = details(*args, **kwargs) if details is not None else ()
-                raise _in_context(exc, p.name, *extra) from exc
+                msg = str(exc).removeprefix(f"{p.name}: ")
+                raise type(exc)(f"{', '.join((p.name, *extra))}: {msg}") from exc
 
         return named
 
@@ -81,7 +74,8 @@ def _finite(fn):
     droplet) is not.  Its radii are inputs or powers: a power that
     overflows raises OverflowError, but one can also underflow to 0.0 or
     round r0 and r1 to one float, so a function that builds its droplet
-    from powers holds it to the disc rule itself (droplet._given)."""
+    from powers holds it to the disc rule itself (droplet._given).  The
+    message names the call with _short_repr of each argument."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
@@ -92,7 +86,20 @@ def _finite(fn):
                 return out
         except (OverflowError, ValueError):  # float64 range: overflow, log(0), inf - inf
             pass
-        call = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+        call = ", ".join([*map(_short_repr, args),
+                          *(f"{k}={_short_repr(v)}" for k, v in kwargs.items())])
         raise DomainError(f"{fn.__name__}({call}) is not finite in float64")
 
     return checked
+
+
+def _short_repr(value):
+    """repr(value) for an error message, but a dataclass instance is named by
+    its class and an int of more than 20 digits by its digit count, so an
+    argument cannot stretch the message over lines."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return f"<{type(value).__name__}>"
+    if isinstance(value, int) and abs(value) >= 10**20:
+        digits = int(abs(value).bit_length() * math.log10(2.0)) + 1  # exact or one more
+        return f"<{digits - (10 ** (digits - 1) > abs(value))}-digit int>"
+    return repr(value)

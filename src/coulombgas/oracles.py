@@ -2,25 +2,21 @@
 
 Both built-in families admit special-function evaluations of log Z_n that
 bypass quadrature entirely, which makes them reference points for the
-exact route and for convergence-rate measurements.
-
-Power-log family (profile r^(2 lam) - 2 c log r): each monomial norm is a
-Gamma value, and when the norm arguments are commensurate (1/lam a positive
-integer for the determinantal ensemble, 2/lam for the symplectic one) the
-product over degrees telescopes into Barnes G factors through the Gauss
-multiplication theorem.
-
-Hard-wall family (profile -alpha log(1 - r^2/beta)): each norm is a Beta
-value, and the product telescopes into Barnes G directly.
+exact route and for convergence-rate measurements.  Each norm is a Gamma
+value (power-log family, profile r^(2 lam) - 2 c log r, with p = k/lam a
+positive integer) or a ratio of Gamma values (hard-wall family, profile
+-alpha log(1 - r^2/beta)), k = 1 for the determinantal ensemble and 2 for
+the symplectic one.  One multiplication sum (_gamma_sum) telescopes both
+products over degrees into Barnes G factors.
 """
 
-import itertools
 import math
 
 from .droplet import Droplet, _given, droplet_of
 from .equilibrium import EquilibriumReport
 from .errors import DomainError, _finite
 from .potential import (
+    MittagLeffler,
     TruncatedUnitary,
     _EPS,
     _check_ensemble,
@@ -54,6 +50,20 @@ def _as_int(x, what):
     return int(p)
 
 
+def _gamma_sum(p, n, z0):
+    """The fsum terms of sum_{j=1}^{n} ln Gamma(p (j + z0)), integer p >= 1:
+    Gauss's multiplication formula (DLMF 5.5.6) gives two prefactor terms
+    and, for x = z0 + i/p, i < p, ln G(n + 1 + x) - ln G(1 + x) (DLMF 5.17)."""
+    terms = [
+        n * (1.0 - p) / 2.0 * LOG_2PI,
+        (p * (n * (n + 1) / 2.0 + n * z0) - n / 2.0) * math.log(p),
+    ]
+    for i in range(p):
+        x = z0 + i / p
+        terms += (ln_barnes_g(n + 1.0 + x), -ln_barnes_g(1.0 + x))
+    return terms
+
+
 @_finite
 def ml_log_z(lam, c, n, ensemble="normal"):
     """log Z_n for the power-log family, via Barnes G.
@@ -68,36 +78,29 @@ def ml_log_z(lam, c, n, ensemble="normal"):
     n = _check_n(n)
     k = _check_ensemble(ensemble)
     p = _as_int(k / lam, f"{k}/lam")
-    log_base = math.log(k * n)
-    step = lam / k
-
-    # sum over degrees of the power-of-base and power-of-p prefactors:
-    # p * (n(n+1)/2 + c n^2) appears against both log(base) and log(p).
-    exponent = p * (n * (n + 1) / 2.0 + c * n * n)
+    # log h = -log lam + ln Gamma(p (j + c n)) - p (j + c n) log(k n) over
+    # j = 1..n, and the symplectic n log 2: -n log lam becomes n log p.
     terms = [
         ln_factorial(n),
-        -exponent * log_base,
-        n * (1.0 - p) / 2.0 * LOG_2PI,
-        (exponent - n / 2.0 + n) * math.log(p),
+        n * math.log(p),
+        -p * (n * (n + 1) / 2.0 + c * n * n) * math.log(k * n),
+        *_gamma_sum(p, n, c * n),
     ]
-    shifts = (c * n + 1.0 + k * step for k in range(p))
-    factors = (ln_barnes_g(n + shift) - ln_barnes_g(shift) for shift in shifts)
-    return math.fsum(itertools.chain(terms, factors))
+    return math.fsum(terms)
 
 
 @_finite
 def ml_equilibrium(lam, c):
     """Closed-form equilibrium report for the power-log family (c > 0).
 
-    The radii are the closed form that droplet_of uses, held to the one
-    disc rule (droplet._given): where r0 underflows to 0.0 or rounds to
-    r1, DomainError."""
-    lam = _check_positive("lam", lam)
-    c = _check_nonnegative("c", c)
+    The radii r_tau(0) and r_tau(1) are MittagLeffler(lam, c).r_tau, the
+    closed form that droplet_of uses, held to the one disc rule
+    (droplet._given): where r0 underflows to 0.0 or rounds to r1,
+    DomainError."""
+    p = MittagLeffler(lam, c)
+    lam, c = p.lam, p.c
     if c == 0.0:
         raise DomainError("the closed-form equilibrium report requires c > 0")
-    r0 = (c / lam) ** (1.0 / (2.0 * lam))
-    r1 = ((1.0 + c) / lam) ** (1.0 / (2.0 * lam))
     log_ratio = math.log((1.0 + c) / c)
     log_r1_arg = math.log((1.0 + c) / lam)
 
@@ -118,7 +121,7 @@ def ml_equilibrium(lam, c):
         entropy=e_q,
         log_potential_origin=u_0,
         f_term=f_term,
-        droplet=_given(Droplet(r0=r0, r1=r1, kind="annulus")),
+        droplet=_given(Droplet(r0=p.r_tau(0.0), r1=p.r_tau(1.0), kind="annulus")),
     )
 
 
@@ -128,33 +131,19 @@ def tu_log_z(alpha, R, n, ensemble="normal"):
     alpha = _check_positive("alpha", alpha)
     R = _check_positive("R", R)
     n = _check_n(n)
-    _check_ensemble(ensemble)
+    k = _check_ensemble(ensemble)
     log_beta = 2.0 * math.log(R) + math.log1p(alpha)
-    a = alpha * n
-
-    if ensemble == "normal":
-        terms = [
-            ln_factorial(n),
-            n * (n + 1) / 2.0 * log_beta,
-            n * ln_gamma(a + 1.0),
-            ln_barnes_g(n + 1.0),
-            ln_barnes_g(a + 2.0),
-            -ln_barnes_g(a + n + 2.0),
-        ]
-    else:
-        terms = [
-            ln_factorial(n),
-            n * (n + 1.0) * log_beta,
-            n * ln_gamma(2.0 * a + 1.0),
-            -2.0 * a * n * math.log(2.0),
-            ln_barnes_g(n + 1.0),
-            ln_barnes_g(n + 1.5),
-            ln_barnes_g(a + 2.0),
-            ln_barnes_g(a + 1.5),
-            -ln_barnes_g(a + n + 2.0),
-            -ln_barnes_g(a + n + 1.5),
-            -ln_barnes_g(1.5),
-        ]
+    b = k * n * alpha + 1.0
+    # log h = k j log beta + ln Gamma(k j) + ln Gamma(b) - ln Gamma(k (j + b/k))
+    # over j = 1..n, and the symplectic n log 2.
+    terms = [
+        ln_factorial(n),
+        n * math.log(k),
+        k * n * (n + 1) / 2.0 * log_beta,
+        n * ln_gamma(b),
+        *_gamma_sum(k, n, 0.0),
+        *(-t for t in _gamma_sum(k, n, b / k)),
+    ]
     return math.fsum(terms)
 
 

@@ -31,7 +31,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrderError, _named
+from .errors import DomainError, UnsupportedOrderError, _named, _short_repr
 
 _EPS = np.finfo(float).eps
 
@@ -69,7 +69,7 @@ def _is_integer(x):
 def _check_n(n):
     """Matrix size n as an int; bools, non-integers, nan and inf raise DomainError."""
     if not _is_integer(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+        raise DomainError(f"n must be a positive integer, got {_short_repr(n)}")
     return int(n)
 
 

@@ -14,6 +14,8 @@ closed form, given as an mpmath expression, has log_norm_of_profile: a
 40-digit mpmath.quad of the norm integral.  norm_bound gives the
 error that log_norm_exact documents for one norm, log_z_bound and
 route_bound the error of log_z_exact that follows from it.
+telescoped_log_z is log_z of the oracle families in Barnes G form, valid
+at any n.
 """
 
 import math
@@ -95,6 +97,41 @@ def log_z(p, n, ensemble):
                 + mpmath.fsum(log_norm(p, j, s) for j in range(1, s, 2))
             )
         return total
+
+
+def telescoped_log_z(p, n, ensemble):
+    """log_z of ML(k/P, c) or TU(alpha, R) at 40 digits, as an mpf, for any
+    n: the Gauss multiplication sum that ml_log_z and tu_log_z take, with
+    k = 1 (normal) or 2 (symplectic).  ML's lam is read as k/P exactly, P
+    the integer nearest k/lam, the weight that ml_log_z takes; alpha, beta
+    and c are the potential's floats."""
+    k = 1 if ensemble == "normal" else 2
+    with mpmath.workdps(_DPS):
+        base = mpmath.loggamma(n + 1)
+        if isinstance(p, MittagLeffler):
+            P = round(k / p.lam)
+            if abs(k / p.lam - P) > 1e-9 * P:
+                raise ValueError(f"{k}/lam is not an integer for {p.name}")
+            c = mpmath.mpf(p.c)
+            degrees = P * (mpmath.mpf(n) * (n + 1) / 2 + c * n * n)
+            return (base + n * mpmath.log(P) - degrees * mpmath.log(k * n)
+                    + _gamma_sum(P, n, c * n))
+        if isinstance(p, TruncatedUnitary):
+            b = k * n * mpmath.mpf(p.alpha) + 1
+            return (base + n * mpmath.log(k) + mpmath.mpf(k) * n * (n + 1) / 2 * mpmath.log(p.beta)
+                    + n * mpmath.loggamma(b) + _gamma_sum(k, n, 0) - _gamma_sum(k, n, b / k))
+    raise TypeError(f"no telescoped log Z for {p.name}")
+
+
+def _gamma_sum(P, n, z0):
+    # sum_{j=1}^{n} ln Gamma(P (j + z0)) = n (1 - P)/2 log 2 pi
+    # + (P (n (n + 1)/2 + n z0) - n/2) log P + sum_{i<P} ln G(n + 1 + x) - ln G(1 + x),
+    # x = z0 + i/P (DLMF 5.5.6 and 5.17).
+    pre = (mpmath.mpf(n) * (1 - P) / 2 * mpmath.log(2 * mpmath.pi)
+           + (P * (mpmath.mpf(n) * (n + 1) / 2 + n * z0) - mpmath.mpf(n) / 2) * mpmath.log(P))
+    xs = [z0 + mpmath.mpf(i) / P for i in range(P)]
+    return pre + mpmath.fsum(mpmath.log(mpmath.barnesg(n + 1 + x)) - mpmath.log(mpmath.barnesg(1 + x))
+                             for x in xs)
 
 
 def norm_bound(p, query, log_h):

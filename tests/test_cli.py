@@ -411,6 +411,23 @@ def test_named_handler_errors_keep_their_bytes(capsys, argv, line):
     assert (out, err, rc) == ("", line + "\n", 3)
 
 
+# A huge N is named by its digit count and ExpansionTerms by its class, so
+# the line stays short.
+@pytest.mark.parametrize("argv, line", [
+    ("expand --potential ml --lambda 1 --c 1 --N 1" + "0" * 200,
+     "error: ml(lam=1.0, c=1.0): evaluate(<ExpansionTerms>, <201-digit int>) "
+     "is not finite in float64"),
+    ("expand --potential ml --lambda 1 --c 1 --N 1" + "0" * 400,
+     "error: ml(lam=1.0, c=1.0): n must be a positive integer, got <401-digit int>"),
+    ("exact --potential ml --lambda 1 --c 1 --N 1" + "0" * 400,
+     "error: ml(lam=1.0, c=1.0): n must be a positive integer, got <401-digit int>"),
+], ids=["expand-1e200", "expand-1e400", "exact-1e400"])
+def test_a_huge_size_gives_a_short_error_line(capsys, argv, line):
+    out, err, rc = _run(argv.split(), capsys)
+    assert (out, err, rc) == ("", line + "\n", 3)
+    assert len(line) <= 160
+
+
 @pytest.mark.parametrize("family, kept", [("ml", ["--lambda", "1"]), ("ml", ["--c", "1"]),
                                           ("tu", ["--alpha", "1"]), ("tu", ["--R", "1"])])
 def test_a_missing_family_flag_names_every_required_flag(capsys, family, kept):

@@ -14,6 +14,8 @@ from coulombgas import (
     log_z_asymptotic,
     log_z_exact,
 )
+from coulombgas.droplet import Droplet
+from coulombgas.errors import _short_repr
 
 # The pointwise evaluators stay unwrapped, like the potential's own
 # q_derivs and laplacian; the norm routes that call them add the context.
@@ -56,3 +58,24 @@ def test_argument_errors_name_the_potential_once(call):
     msg = str(info.value)
     assert msg.startswith(f"{_P.name}: "), msg
     assert msg.count(_P.name) == 1, msg
+
+
+@pytest.mark.parametrize("value, want", [
+    (10**19, "10000000000000000000"),
+    (-(10**20), "<21-digit int>"),
+    (10**20 - 1, "99999999999999999999"),
+    (10**5000, "<5001-digit int>"),
+    (True, "True"),
+    (2.5, "2.5"),
+    (Droplet(0.0, 1.0, "disc"), "<Droplet>"),
+    (Droplet, repr(Droplet)),
+], ids=["1e19", "-1e20", "1e20-1", "1e5000", "bool", "float", "dataclass", "dataclass-type"])
+def test_short_repr_names_huge_ints_and_dataclasses_briefly(value, want):
+    # 10**5000 is past int's str limit: repr itself would raise ValueError.
+    assert _short_repr(value) == want
+
+
+def test_a_size_past_the_int_str_limit_is_a_domain_error():
+    want = r"^ml\(lam=1.0, c=1.0\): n must be a positive integer, got <5001-digit int>$"
+    with pytest.raises(DomainError, match=want):
+        log_z_exact(_P, 10**5000)

@@ -1,8 +1,11 @@
+import copy
 import math
 import time
 
+import mpmath
 import pytest
 
+import mp_reference
 from coulombgas import oracles
 from coulombgas.droplet import droplet_of
 from coulombgas.equilibrium import energy, entropy, f_annulus, f_disc
@@ -16,6 +19,7 @@ from coulombgas.oracles import (
 )
 from coulombgas.partition import expansion_terms, log_z_exact
 from coulombgas.potential import MittagLeffler, TruncatedUnitary
+from coulombgas.specialfn import LOG_2PI, ln_barnes_g
 
 # brute-force reference values from 40-digit quadrature of the norm sums
 ML_REF = [
@@ -203,3 +207,109 @@ def test_ml_log_z_factor_cap_fails_fast(ensemble):
         with pytest.raises(DomainError, match="Barnes G factors"):
             ml_log_z(lam, 1.0, 10, ensemble)
         assert time.perf_counter() - start < 0.5
+
+
+EPS = mp_reference.EPS
+
+_TWIN_CASES = [
+    (MittagLeffler(1.0, 1.0), "normal"),
+    (MittagLeffler(1.0, 1.0), "symplectic"),
+    (MittagLeffler(1.0 / 3.0, 1.1), "normal"),
+    (MittagLeffler(1.0 / 3.0, 1.1), "symplectic"),
+    (MittagLeffler(0.5, 0.0), "normal"),
+    (MittagLeffler(0.5, 0.0), "symplectic"),
+    (MittagLeffler(2.0 / 3.0, 0.4), "symplectic"),
+    (MittagLeffler(2.0, 1.5), "symplectic"),
+    (TruncatedUnitary(1.0, 1.0), "normal"),
+    (TruncatedUnitary(1.0, 1.0), "symplectic"),
+    (TruncatedUnitary(2.0, 1.5), "normal"),
+    (TruncatedUnitary(3.0, 0.7), "symplectic"),
+]
+
+
+def _exact_lam(p, ensemble):
+    """p, with an ML's lam held as the 40-digit k/P, P the integer nearest
+    k/lam: the weight that telescoped_log_z and ml_log_z take, which
+    mp_reference.log_z then sums degree by degree."""
+    if not isinstance(p, MittagLeffler):
+        return p
+    k = 1 if ensemble == "normal" else 2
+    q = copy.copy(p)
+    with mpmath.workdps(50):
+        q.lam = mpmath.mpf(k) / round(k / p.lam)
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 5, 25, 100])
+@pytest.mark.parametrize("p, ensemble", _TWIN_CASES, ids=[f"{p.name}-{e}" for p, e in _TWIN_CASES])
+def test_telescoped_twin_is_the_per_degree_reference(p, ensemble, n):
+    # The twin's algebra on its own: its Barnes G sum against the sum of
+    # the n closed-form norms, both at 40 digits.
+    want = mp_reference.log_z(_exact_lam(p, ensemble), n, ensemble)
+    got = mp_reference.telescoped_log_z(p, n, ensemble)
+    assert abs(got - want) <= 1e-30 * max(1, abs(want)), (got, want)
+
+
+_GATE_CASES = [
+    (MittagLeffler(1.0, 1.0), "normal"),
+    (MittagLeffler(1.0, 1.0), "symplectic"),
+    (MittagLeffler(0.5, 1.0), "normal"),
+    (MittagLeffler(0.5, 1.0), "symplectic"),
+    (MittagLeffler(1.0 / 3.0, 1.1), "normal"),
+    (MittagLeffler(1.0, 0.0), "symplectic"),
+    (MittagLeffler(2.0 / 3.0, 0.4), "symplectic"),
+    (TruncatedUnitary(1.0, 1.0), "normal"),
+    (TruncatedUnitary(1.0, 1.0), "symplectic"),
+    (TruncatedUnitary(2.0, 1.5), "normal"),
+    (TruncatedUnitary(0.5, 2.0), "symplectic"),
+]
+
+
+# The oracles' error against the telescoped twin, from their documented
+# parts and fixed before the first run: the sum of
+#   - for each ln_barnes_g term, 1.3e-11 when its argument x is below 31,
+#     else 23 eps |ln G(x)|: ln_barnes_g's documented error;
+#   - 4 ulp for each math.lgamma (ln_factorial and ln_gamma), the one of
+#     ln Gamma(b) carried through its factor n;
+#   - 4 eps |t| for each other term t: a few roundings of eps/2 each, in
+#     the term and in the floats c n and b/k it is built from;
+#   - half an ulp of the result, the one rounding of math.fsum.
+# An ulp of x is at most eps |x|.
+def _gamma_sum_bound(p, n, z0):
+    others = (n * (1.0 - p) / 2.0 * LOG_2PI,
+              (p * (n * (n + 1) / 2.0 + n * z0) - n / 2.0) * math.log(p))
+    args = [a + z0 + i / p for i in range(p) for a in (n + 1.0, 1.0)]
+    g_terms = (1.3e-11 if x < 31.0 else 23.0 * EPS * abs(ln_barnes_g(x)) for x in args)
+    return 4.0 * EPS * math.fsum(map(abs, others)) + math.fsum(g_terms)
+
+
+def _oracle_bound(p, n, ensemble, value):
+    k = 1 if ensemble == "normal" else 2
+    ulp_terms = 4.0 * EPS * math.lgamma(n + 1.0) + 0.5 * EPS * abs(value)
+    if isinstance(p, MittagLeffler):
+        P = round(k / p.lam)
+        others = (n * math.log(P), P * (n * (n + 1) / 2.0 + p.c * n * n) * math.log(k * n))
+        sums = _gamma_sum_bound(P, n, p.c * n)
+    else:
+        b = k * n * p.alpha + 1.0
+        log_beta = 2.0 * math.log(p.R) + math.log1p(p.alpha)
+        n_ln_gamma = n * math.lgamma(b)
+        others = (n * math.log(k), k * n * (n + 1) / 2.0 * log_beta, n_ln_gamma)
+        ulp_terms += 4.0 * EPS * abs(n_ln_gamma)
+        sums = _gamma_sum_bound(k, n, 0.0) + _gamma_sum_bound(k, n, b / k)
+    return ulp_terms + 4.0 * EPS * math.fsum(map(abs, others)) + sums
+
+
+def _oracle(p, n, ensemble):
+    if isinstance(p, MittagLeffler):
+        return ml_log_z(p.lam, p.c, n, ensemble)
+    return tu_log_z(p.alpha, p.R, n, ensemble)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1600, 12800])
+@pytest.mark.parametrize("p, ensemble", _GATE_CASES, ids=[f"{p.name}-{e}" for p, e in _GATE_CASES])
+def test_oracles_meet_the_telescoped_twin_at_large_n(p, ensemble, n):
+    got = _oracle(p, n, ensemble)
+    want = mp_reference.telescoped_log_z(p, n, ensemble)
+    gap = abs(float(got - want))
+    assert gap <= _oracle_bound(p, n, ensemble, got), (gap, _oracle_bound(p, n, ensemble, got))
