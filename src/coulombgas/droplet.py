@@ -15,10 +15,9 @@ interior solve, from one two-row edge solve and one array call; the
 edges tau in {0, 1}, and every level of a potential without a table,
 start from one upward bracket scan that they share, one read of r q' a
 point.  solve_r_tau is a one-row call, and droplet_of takes both edges
-from one two-row call (_radii).  _saddles gives the saddles of many
-levels in [0, 1], and ΔQ and V_tau at each, from one such call, one
-array read of ΔQ and one of V: the norms' set-up (norms._rows) and
-lemma_sum take theirs from it.
+from one two-row call (_radii), the call that gives the saddles of many
+levels in [0, 1] to the norms' set-up (norms._rows) and to the Laplace
+stage (norms._laplace_grid) that log_norm_laplace and lemma_sum share.
 
 The droplet is a disc exactly when r0 = solve_r_tau(p, 0) is 0.0, and an
 annulus when r0 > 0; droplet_of and dr_dtau both use that one rule.
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoulombGasError, DomainError, InvalidPotentialError, SolverError, _named
-from .potential import _check_tau, _evaluate, _is_real, _v_tau_formula
+from .potential import _check_tau, _evaluate, _is_real
 
 _MAX_ITER = 200
 
@@ -85,7 +84,7 @@ def solve_r_tau(p, tau):
 
     Potentials with a closed-form root (p.r_tau) use it; for the others it
     is a one-row _roots call, so the result depends only on p and tau and
-    is bit for bit the row for tau of any _roots or _saddles call.  A level
+    is bit for bit the row for tau of any _roots or _radii call.  A level
     whose root lies so close to 0 that 200 steps cannot reach a relative
     bracket of 1e-13 (tau <= 1e-128 for q = r^2) raises SolverError naming
     tau.  At tau = 0 the result is the inner droplet radius r0: 0.0 for a
@@ -107,20 +106,6 @@ def _radii(p, taus):
     if _closed_root(p, taus[0]) is not None:
         return np.array([solve_r_tau(p, t) for t in taus])
     return _roots(p, np.asarray(taus, dtype=float))
-
-
-def _saddles(p, taus):
-    """(radii, ΔQ, V_tau) at the levels taus in [0, 1], as three float
-    arrays: the one entry point for the saddles of many levels.  The radii
-    come from _radii, ΔQ at all of them from one array read
-    (_laplacian_at), and V_tau(r_tau) from one formula call once that read
-    has checked the radii.  Each row is bit for bit solve_r_tau(p, tau),
-    _laplacian_at of it and v_tau(p, tau, r_tau)."""
-    radii = _radii(p, taus)
-    dq = _laplacian_at(p, radii)
-    with np.errstate(all="ignore"):
-        v = _v_tau_formula(p, radii, np.asarray(taus, dtype=float))
-    return radii, dq, v
 
 
 def _roots(p, taus):
@@ -424,7 +409,7 @@ def _laplacian_at(p, r, dq=None):
         raise InvalidPotentialError(f"a disc's inner edge needs ΔQ(0) finite and > 0: {reason}")
     dq = p.laplacian(r) if dq is None else dq
     ok = (dq > 0.0) & (dq < math.inf)
-    if np.all(ok):
+    if np.count_nonzero(ok) == np.size(ok):
         return dq
     k = np.argmin(ok)
     r, dq = float(np.ravel(r)[k]), float(np.ravel(dq)[k])

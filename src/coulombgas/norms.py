@@ -11,12 +11,12 @@ e^{-s V_tau'(r)} dr, tau' = (j + 1/2)/s, whose saddle r_tau' > 0 at every
 degree, shifted by min V_tau' to keep the integrand bounded and truncated
 where that exponent is negligible.  Each norm's set-up (its saddle r*,
 v_min = V_tau'(r*), peak width, truncation radius and accuracy target) is
-one row of an array stage over levels (_rows) on droplet._saddles' r*,
-ΔQ(r*) and v_min: log_z_exact's queries (_grid) hold the rows of one call
-for all n norms, and a norm asked for alone makes a one-row call, with
-the same bits.
+one row of an array stage over levels (_rows): log_z_exact's queries
+(_grid) hold the rows of one call for all n norms, and a norm asked for
+alone makes a one-row call, with the same bits.
 The asymptotic routes implement the two-term Laplace approximation at
-r_tau and the factorial form valid for low degrees over a disc droplet.
+r_tau, a one-row call of its array stage (_laplace_grid), which lemma_sum
+shares, and the factorial form valid for low degrees over a disc droplet.
 Every route re-raises a package error as its class with the potential
 name, n, j and ensemble in front of the message (errors._named).
 """
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .droplet import _laplacian_at, _saddles, solve_r_tau
+# solve_r_tau is unused here; bench/spans.py traces it as norms.solve_r_tau.
+from .droplet import _laplacian_at, _radii, solve_r_tau
 from .equilibrium import _b1_formula
 from .errors import CoulombGasError, DomainError, IntegrationError, _named
 from .potential import (
@@ -35,7 +36,6 @@ from .potential import (
     _evaluate,
     _is_integer,
     _v_tau_formula,
-    v_tau,
 )
 from .quadrature import integrate
 from .specialfn import LOG_2PI, ln_factorial
@@ -151,17 +151,19 @@ def _rows(p, s, levels):
     row (r*, v_min, width, cut, target) of Python floats, from one array
     stage for all the levels.
 
-    r*, ΔQ(r*) and v_min = V_tau'(r*) come from one _saddles call, and the
-    rest from arrays over the rows: the Gaussian width 1/sqrt(2 s ΔQ(r*))
-    of the shifted weight, the accuracy target
+    r* comes from one _radii call, ΔQ(r*) from one array read, and the
+    rest from arrays over the rows: v_min = V_tau'(r*), the Gaussian width
+    1/sqrt(2 s ΔQ(r*)) of the shifted weight, the accuracy target
     max(_REL_TOL, _FLOOR s (|q|_terms(r*) + |2 tau' log r*|)) (p._q_magnitude
     of q(r*) = v_min + 2 tau' log r*), and the truncation radius (_cuts).
     Each row's arithmetic is that of a lone row, so a query alone (a
     one-row call) gets the bits it gets among the n queries of log Z.
     """
-    r_star, dq, v_min = _saddles(p, levels)
+    r_star = _radii(p, levels)
+    dq = _laplacian_at(p, r_star)
     t = np.array(levels)
     with np.errstate(all="ignore"):
+        v_min = _v_tau_formula(p, r_star, t)
         log_term = 2.0 * t * np.log(r_star)  # q(r*) - v_min
         q_terms = p._q_magnitude(r_star, v_min + log_term)
         # fmax, as Python's max, keeps _REL_TOL where the floor is nan.
@@ -265,6 +267,25 @@ def log_norm_exact(p, query):
     return -s * v_min + math.log(val)
 
 
+def _laplace_grid(p, taus):
+    """(r_tau, ΔQ, V_tau, b1) at the levels taus in [0, 1] as float arrays:
+    the radii from one _radii call, b1 and ΔQ from one read of the
+    Laplacian hook, and V_tau from one formula call.  A zero radius (a
+    disc's tau = 0) raises DomainError before any read.  Each row's
+    arithmetic is that of a lone row (log_norm_laplace's one-row call)."""
+    radii = _radii(p, taus)
+    if np.count_nonzero(radii) < radii.size:
+        raise DomainError(
+            "the Laplace form needs a positive saddle radius; "
+            "use the low-degree form for small j over a disc droplet"
+        )
+    b, dq = _evaluate(_b1_formula, p, radii, None)
+    dq = _laplacian_at(p, radii, dq)
+    with np.errstate(all="ignore"):
+        v = _v_tau_formula(p, radii, np.asarray(taus, dtype=float))
+    return radii, dq, v, b
+
+
 @_named(_query_context)
 def log_norm_laplace(p, query):
     """Two-term Laplace approximation of log h_j at the saddle r_tau.
@@ -272,15 +293,7 @@ def log_norm_laplace(p, query):
     Error is O(s^-2) uniformly in j as long as r_tau stays away from 0.
     """
     s = query.s
-    r = solve_r_tau(p, query.tau)
-    if r == 0.0:
-        raise DomainError(
-            "the Laplace form needs a positive saddle radius; "
-            "use the low-degree form for small j over a disc droplet"
-        )
-    b, dq = _evaluate(_b1_formula, p, r, None)  # one Laplacian read for both
-    dq = _laplacian_at(p, r, dq)
-    v = float(v_tau(p, query.tau, r))
+    r, dq, v, b = [x.item() for x in _laplace_grid(p, (query.tau,))]
     corr = b / s
     if not -1.0 < corr < math.inf:
         raise DomainError(f"the Laplace correction b1/s = {corr!r} at r_tau = {r!r} "

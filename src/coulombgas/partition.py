@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .droplet import _droplet, _edge_laplacians, _given, _saddles
+from .droplet import _droplet, _edge_laplacians, _given
 from .equilibrium import (
     energy,
     entropy,
@@ -26,7 +26,7 @@ from .equilibrium import (
     log_potential_origin,
 )
 from .errors import DomainError, _finite, _named
-from .norms import _REL_TOL, _degrees, _grid, log_norm_exact
+from .norms import _REL_TOL, _degrees, _grid, _laplace_grid, log_norm_exact
 from .potential import _check_ensemble, _check_n, _is_real
 from .specialfn import LOG_2PI, ZETA_PRIME_MINUS_ONE, ln_factorial
 
@@ -166,9 +166,9 @@ def lemma_sum(p, n, which):
     droplets only.  The prediction evaluates only the functionals it
     uses: energy and the origin log-potential for the V and log r sums,
     the entropy for the log laplacian sums.  The radii, and ΔQ and V_tau
-    at them, come from one _saddles call for all the levels, tau = 0
-    included.  A failure re-raises its class with the potential name, n
-    and which in front.
+    at them, come from one _laplace_grid call for all the levels, tau = 0
+    included, which reads q''' and q'''' too.  A failure re-raises its
+    class with the potential name, n and which in front.
     """
     n = _check_n(n)
     if which not in _LEMMA_VARIANTS:
@@ -176,7 +176,7 @@ def lemma_sum(p, n, which):
     d = _droplet(p, kind="annulus", what="lemma_sum")
     k = _check_ensemble("normal" if which.endswith("_normal") else "symplectic")
     taus = [j / (k * n) for j in _degrees(k, n)]
-    radii, dqs, vs = _saddles(p, taus)
+    radii, dqs, vs, _ = _laplace_grid(p, taus)
 
     if which.startswith("sum_v"):
         terms = vs.tolist()

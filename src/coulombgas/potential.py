@@ -619,8 +619,8 @@ def v_tau(p, tau, r):
 
 def _v_tau_formula(p, rr, t):
     """V_tau at a checked t = tau (a float, or an array of levels shaped like
-    rr): v_tau, and lemma_sum on its saddles, run it through _evaluate;
-    the norms' set-up stage runs it on arrays of saddles r* and of cut
-    candidates below the support radius, and the norm integrand on node
-    arrays whose domain integrate and the norm's cut already prove."""
+    rr): v_tau runs it through _evaluate; the norms' set-up stage runs it
+    on arrays of saddles r* and of cut candidates below the support
+    radius, the Laplace stage on its saddles, and the norm integrand on
+    node arrays whose domain integrate and the norm's cut already prove."""
     return p._profile(rr, 0) - 2.0 * t * np.log(rr)

@@ -12,7 +12,7 @@ import mp_reference
 import noisy
 from coulombgas import droplet, norms
 from coulombgas.droplet import Droplet, dr_dtau, solve_r_tau
-from coulombgas.equilibrium import EquilibriumReport
+from coulombgas.equilibrium import EquilibriumReport, _dirichlet, equilibrium_report
 from coulombgas.errors import DomainError, IntegrationError, InvalidPotentialError
 from coulombgas.oracles import ml_equilibrium, ml_log_z, tu_log_z
 from coulombgas.partition import (
@@ -23,7 +23,7 @@ from coulombgas.partition import (
     log_z_asymptotic,
     log_z_exact,
 )
-from coulombgas.norms import NormQuery, log_norm_exact
+from coulombgas.norms import NormQuery, log_norm_exact, log_norm_laplace
 from coulombgas.potential import (
     Custom,
     Ginibre,
@@ -255,6 +255,70 @@ def test_set_up_rows_of_every_family_are_the_per_norm_route_bit_for_bit(p, ensem
     _assert_rows_are_the_one_row_route(p, ensemble)
 
 
+def _assert_laplace_rows_are_the_lone_form(p, ensemble):
+    """Each lone log_norm_laplace is bit for bit its own row of one
+    many-row Laplace stage call (norms._laplace_grid), assembled as the
+    lone form assembles it, at every degree at n = 25 and 200.  On a disc
+    the j = 0 saddle is the origin: the lone form and a stage call that
+    holds that row both raise, so the rows start at j = 1."""
+    disc = droplet.droplet_of(p).kind == "disc"
+    k = 1 if ensemble == "normal" else 2
+    for n in (25, 200):
+        s = k * n
+        if disc:
+            for call in (lambda: log_norm_laplace(p, NormQuery(n, 0, ensemble)),
+                         lambda: norms._laplace_grid(p, [j / s for j in range(s)])):
+                with pytest.raises(DomainError, match="positive saddle radius"):
+                    call()
+        degrees = range(1 if disc else 0, s)
+        rows = zip(*(x.tolist() for x in norms._laplace_grid(p, [j / s for j in degrees])))
+        got = [log_norm_laplace(p, NormQuery(n, j, ensemble)).hex() for j in degrees]
+        want = []
+        for r, dq, v, b in rows:
+            log_ratio = LOG_2PI + 2.0 * math.log(r) - math.log(s) - math.log(dq)
+            want.append((-s * v + 0.5 * log_ratio + math.log1p(b / s)).hex())
+        assert got == want, n
+
+
+@pytest.mark.parametrize("ensemble", ["normal", "symplectic"])
+@pytest.mark.parametrize(
+    "p",
+    [MittagLeffler(1.0 / 3.0, 1.1), TruncatedUnitary(1.0, 1.0), Ginibre(),
+     dilate(MittagLeffler(1.0 / 3.0, 0.8), 0.96), _ml_profile(0.5, 1.1, True),
+     _ml_profile(0.5, 1.1, False)],
+    ids=lambda p: p.name,
+)
+def test_laplace_stage_rows_are_the_lone_laplace_norm_bit_for_bit(p, ensemble):
+    # The Laplace form at many degrees is one array stage; a lone Laplace
+    # norm is its one-row call, so its arithmetic on n rows must be that on
+    # one: closed forms, a hard wall (TU), a dilation, and a Custom with
+    # derivs and read on circles.
+    _assert_laplace_rows_are_the_lone_form(p, ensemble)
+
+
+@pytest.mark.parametrize("which", ["sum_v_normal", "sum_logdq_symp_odd"])
+def test_lemma_sum_circle_reads_do_not_grow_with_n(which):
+    # lemma_sum reads q on circles in its one Laplace stage call (a Newton
+    # round for all unfinished rows, then one read of ΔQ, ΔQ' and ΔQ'' at
+    # every row) and in its droplet and prediction, none of which depends
+    # on n; the r q'(r) table is built first.
+    counts = {}
+    for n in (25, 200, 800):
+        calls = []
+
+        def q(r):
+            if np.iscomplexobj(r):
+                calls.append(1)
+            return r ** (2.0 / 3.0) - 1.4 * np.log(r)
+
+        p = Custom(q, name="counted-circle")
+        droplet._table(p)
+        calls.clear()
+        lemma_sum(p, n, which)
+        counts[n] = len(calls)
+    assert counts[25] == counts[200] == counts[800], counts
+
+
 def _steep(wrap=lambda k, f: f):
     # r q'(r) = (r / 1.3)^1500: r q' underflows to 0 at most table radii, so
     # there is no table.  wrap(k, f) wraps the callable f of q^(k), k = 1, 2.
@@ -390,7 +454,7 @@ def test_a_set_up_error_past_the_saddle_names_the_lowest_failing_degree(q, error
     n = 100
     queries = norms._grid(p, n, ensemble)
     levels = [query.level for query in queries]
-    droplet._saddles(p, levels)
+    droplet._laplacian_at(p, droplet._radii(p, levels))
     with pytest.raises(error):
         norms._rows(p, queries[0].s, levels)
     for query in queries:
@@ -471,6 +535,81 @@ def test_normal_expansion_terms_consult_no_edge_laplacian():
         assert expansion_terms(p, "normal", report=report) == want
     with pytest.raises(InvalidPotentialError, match="^sq: .*no origin Laplacian supplied"):
         expansion_terms(sq, "symplectic", report=report)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _table_error(p, k):
+    """{coefficient: (integral part, magnitude)} of the annulus table of
+    ensemble factor k (1 normal, 2 symplectic) of p: the integral part sums
+    each equilibrium integral's target max(1e-16, 1e-13 |I|) times its
+    weight in the coefficient, and the magnitude the absolute values of the
+    coefficient's terms.  E = q(r1) - log r1 - I/8 (I the integral of
+    q'^2), U(0) = -log r1 + (q(r1) - q(r0))/2, the entropy S is an
+    integral, and the f-term F = log(r0^2 ΔQ0 / (r1^2 ΔQ1))/12
+    - (r1 ΔQ1'/ΔQ1 - r0 ΔQ0'/ΔQ0)/16 + D/48 (D the Dirichlet integral)."""
+    rep = equilibrium_report(p)
+    d = rep.droplet
+    q0, q1 = float(p.q_derivs(d.r0, 0)), float(p.q_derivs(d.r1, 0))
+    log_r1 = math.log(d.r1)
+    i_q = 8.0 * (q1 - log_r1 - rep.energy)
+    dirichlet = _dirichlet(p, d)
+    (dq0, dq1), (dr0, dr1) = droplet._edge_laplacians(p, d)
+    f_parts = (abs(math.log(d.r0**2 * dq0 / (d.r1**2 * dq1))) / 12.0,
+               abs(d.r1 * dr1 / dq1) / 16.0, abs(d.r0 * dr0 / dq0) / 16.0, dirichlet / 48.0)
+
+    def tol(value):
+        return max(1e-16, 1e-13 * abs(value))
+
+    if k == 1:
+        u_terms, edge = (), 0.0
+    else:
+        u_terms, edge = (abs(log_r1), abs(q1) / 2.0, abs(q0) / 2.0), abs(math.log(dq0 / dq1)) / 8.0
+    return {
+        "c_n2": (k * tol(i_q) / 8.0, k * (abs(q1) + abs(log_r1) + i_q / 8.0)),
+        "c_n": (tol(rep.entropy) / 2.0,
+                0.5 * math.log(2.0 * k * math.pi) + 1.0 + sum(u_terms) + abs(rep.entropy) / 2.0),
+        "c_1": (tol(dirichlet) / 48.0 / k, 0.5 * LOG_2PI + sum(f_parts) / k + edge),
+    }
+
+
+@pytest.mark.parametrize(
+    "p, sq",
+    [(MittagLeffler(lam, c), _squared(MittagLeffler(lam, c)))
+     for lam, c in ((1.0, 1.0), (0.5, 1.3), (1.0 / 3.0, 1.1), (2.0, 0.7), (0.25, 0.4))]
+    + [(dilate(MittagLeffler(0.5, 1.3), a), dilate(_squared(MittagLeffler(0.5, 1.3)), a * a))
+       for a in (0.9, 1.7)],
+    ids=lambda p: p.name,
+)
+def test_symplectic_annulus_table_is_the_normal_table_of_the_squared_profile(p, sq):
+    # The symplectic log Z of q is the normal log Z of Q(rho) = 2 q(sqrt(rho))
+    # (_squared), so the two annulus tables are one: the symplectic table's
+    # origin log-potential U(0) is what the Jacobian of rho = r^2 adds to
+    # the normal table's entropy.  Discs are left out: their Q has a cone
+    # at the origin.
+    # Bound, written before the first run.  Each side is exact for the same
+    # number, so the sides may differ by what each may be off from it:
+    #   - each equilibrium integral within its target max(1e-16, 1e-13 |I|),
+    #     times its weight in the coefficient (_table_error);
+    #   - rounding: each side of a coefficient is at most 8 float operations
+    #     on terms that each carry at most 4 ulp (a log, a power or a
+    #     quotient of inputs within an ulp or two), so 32 eps of the sum of
+    #     its terms' magnitudes;
+    #   - the droplet radii (closed forms on q's side, a converged Newton
+    #     step on Q's) are within a few ulp: E and U(0) are stationary in
+    #     them (q' = 0 at r0, r q' = 2 at r1), and the entropy, F and the
+    #     edge term move with O(1) slopes on these annuli, so they add a few
+    #     ulp of the terms, inside the 32 eps above.
+    # c_nlogn and c_logn are the literal 0.5 on both sides.
+    symp, normal = expansion_terms(p, "symplectic"), expansion_terms(sq, "normal")
+    assert (symp.c_nlogn, symp.c_logn) == (normal.c_nlogn, normal.c_logn) == (0.5, 0.5)
+    errs_symp, errs_normal = _table_error(p, 2), _table_error(sq, 1)
+    for name, (part_s, mag_s) in errs_symp.items():
+        part_n, mag_n = errs_normal[name]
+        bound = part_s + part_n + 32.0 * _EPS * (mag_s + mag_n)
+        got, want = getattr(symp, name), getattr(normal, name)
+        assert abs(got - want) <= bound, (name, got, want, abs(got - want), bound)
 
 
 def test_retired_convention_is_a_type_error():
@@ -559,8 +698,8 @@ def test_lemma_sums_without_entropy_return_without_derivs():
                                MittagLeffler(0.5, 1.3), dilate(MittagLeffler(1.0 / 3.0, 1.1), 0.9)],
                          ids=["derivs", "circle", "ml", "dilated-ml"])
 def test_lemma_sum_radii_are_the_per_level_solves(p):
-    # lemma_sum takes its radii, and ΔQ and V_tau at them, from one _saddles
-    # call: off the closed forms the tau = 0 row from the scan, the others
+    # lemma_sum takes its radii, and ΔQ and V_tau at them, from one Laplace
+    # stage call (norms._laplace_grid): off the closed forms the tau = 0 row from the scan, the others
     # from the array Newton, each bit for bit its solve_r_tau.  Each direct
     # sum is then the fsum of the lone reads at the lone solves.
     term = {
@@ -593,6 +732,23 @@ def test_lemma_sum_failure_names_the_potential_n_and_which(which):
     with pytest.raises(IntegrationError, match=want) as info:
         lemma_sum(p, 100, which)
     assert str(info.value).count("quartic-log") == 1
+
+
+def test_every_lemma_sum_reads_the_third_and_fourth_derivatives():
+    # The Laplace stage reads ΔQ with b1's ΔQ' and ΔQ'' at every level, so
+    # every variant calls q''' and q'''' and raises where they fail.
+    def fails(r):
+        raise ValueError("no third derivative")
+
+    k, c = 1.0, 1.1  # ML(1/2, 1.1)
+    p = Custom(lambda r: r**k - 2.0 * c * np.log(r), derivs=[
+        lambda r: k * r ** (k - 1.0) - 2.0 * c / r,
+        lambda r: k * (k - 1.0) * r ** (k - 2.0) + 2.0 * c / r**2,
+        fails, lambda r: 0.0 * r], name="no-third")
+    for which in ("sum_v_normal", "sum_logdq_normal", "sum_logr_normal", "sum_v_symp_odd",
+                  "sum_logdq_symp_odd", "sum_logr_symp_odd"):
+        with pytest.raises(DomainError, match=rf"^no-third, n=40, which={which}: q\^\(3\) "):
+            lemma_sum(p, 40, which)
 
 
 def test_lemma_sum_rejects_disc_and_bad_token():
