@@ -212,10 +212,11 @@ class RadialPotential:
 
     def q_derivs(self, r, order=0):
         """Radial profile derivative d^order q / dr^order, order in 0..4;
-        any other order raises UnsupportedOrderError."""
-        if order not in (0, 1, 2, 3, 4):
+        any other order (bools and non-integral values included) raises
+        UnsupportedOrderError."""
+        if not (_is_integer(order) and 0 <= order <= 4):
             raise UnsupportedOrderError(f"derivative order {order!r} not in 0..4")
-        return _evaluate(type(self)._profile, self, r, order)
+        return _evaluate(type(self)._profile, self, r, int(order))
 
     def _q_derivs_each(self, r, orders):
         """(q_derivs(r, k) for k in orders), bit for bit, from one checked

@@ -392,7 +392,9 @@ def test_a_non_integer_size_list_is_a_converge_usage_error(capsys):
 
 # The whole stderr line of each handler that names its errors with
 # errors._named: an error raised in the handler gets the handler's context,
-# and an inner route's passes unchanged.
+# and an inner route's passes unchanged.  zw and droplet name none: the
+# library names the potential, on a disc without ΔQ(0) and on a droplet edge
+# that rounds onto the hard wall.
 @pytest.mark.parametrize("argv, line", [
     ("norm --potential ginibre --N 5 --j 9",
      "error: ginibre(scale=1.0), n=5, j=9, ensemble=normal: "
@@ -405,7 +407,14 @@ def test_a_non_integer_size_list_is_a_converge_usage_error(capsys):
     ("oracle --potential ml --lambda 0.3 --c 1 --N 10 --compare",
      "error: ml(lam=0.3, c=1.0), n=10, ensemble=normal: "
      "1/lam must be a positive integer, got 3.3333333333333335"),
-], ids=["norm", "expand", "oracle", "oracle-compare"])
+    ("zw --potential ml --lambda 2 --c 0",
+     "error: ml(lam=2.0, c=0.0): a disc's inner edge needs ΔQ(0) finite and > 0: "
+     "the Laplacian has no positive finite limit at 0"),
+    ("droplet --potential tu --alpha 1e-20 --R 1",
+     "error: tu(alpha=1e-20, R=1.0): infinite Laplacian at r_tau = 1.0, "
+     "on the hard wall at 1.0"),
+], ids=["norm", "expand", "oracle", "oracle-compare", "zw-disc-without-origin-laplacian",
+        "droplet-edge-on-the-wall"])
 def test_named_handler_errors_keep_their_bytes(capsys, argv, line):
     out, err, rc = _run(argv.split(), capsys)
     assert (out, err, rc) == ("", line + "\n", 3)

@@ -146,12 +146,32 @@ def test_derivative_ladder_against_finite_differences():
             assert abs(fd2 - p._laplacian(np.array([r]), (2,))[0].item()) < 1e-5 * max(1.0, abs(fd2))
 
 
-def test_q_derivs_rejects_unsupported_order():
-    p = Ginibre()
-    with pytest.raises(UnsupportedOrderError):
-        p.q_derivs(1.0, 5)
-    with pytest.raises(UnsupportedOrderError):
-        p.q_derivs(1.0, -1)
+@pytest.mark.parametrize("p", [
+    Ginibre(),
+    MittagLeffler(0.5, 1.0),
+    TruncatedUnitary(1.0, 1.0),
+    dilate(Ginibre(), 2.0),
+    Custom(lambda x: x**3.0 - 0.4 * np.log(x), name="analytic-cubic-log", derivs=[
+        lambda x: 3.0 * x**2.0 - 0.4 / x,
+        lambda x: 6.0 * x + 0.4 / x**2,
+        lambda x: 6.0 - 0.8 / x**3,
+        lambda x: 2.4 / x**4,
+    ]),
+    Custom(lambda x: x**3.0 - 0.4 * np.log(x), name="circle-cubic-log"),
+], ids=["ginibre", "ml", "tu", "dilated", "custom-derivs", "custom-circle"])
+def test_q_derivs_rejects_unsupported_order(p):
+    # The order is an integer in 0..4, as n and j are: bools, non-integral
+    # values and strings raise, and an integral float or numpy integer reads
+    # the bits of its int.
+    for order in (5, -1, True, np.True_, 2.5, float("nan"), "2"):
+        with pytest.raises(UnsupportedOrderError):
+            p.q_derivs(0.7, order)
+    for r in (0.7, np.array([0.3, 0.7])):
+        want = p.q_derivs(r, 2)
+        for order in (2.0, np.int64(2), np.float64(2.0)):
+            got = p.q_derivs(r, order)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 _EPS = float(np.finfo(float).eps)
