@@ -71,11 +71,9 @@ def _finite(fn):
     """Have fn raise DomainError when its float64 result is not finite: a
     term overflows, or infinite terms cancel to nan.  fn returns a float or
     a dataclass, whose float fields are checked; a nested one (a report's
-    droplet) is not.  Its radii are inputs or powers: a power that
-    overflows raises OverflowError, but one can also underflow to 0.0 or
-    round r0 and r1 to one float, so a function that builds its droplet
-    from powers holds it to the disc rule itself (droplet._given).  The
-    message names the call with _short_repr of each argument."""
+    droplet) is not: a report takes its droplet from droplet_of, which
+    holds it to the disc rule.  The message names the call with
+    _short_repr of each argument."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):

@@ -286,11 +286,19 @@ def _laplace_grid(p, taus):
     return radii, dq, v, b
 
 
+def _in_float64(log_h):
+    """An asymptotic route's log h_j; DomainError where it is not finite."""
+    if not math.isfinite(log_h):
+        raise DomainError(f"log h_j = {log_h!r} is not finite in float64")
+    return log_h
+
+
 @_named(_query_context)
 def log_norm_laplace(p, query):
     """Two-term Laplace approximation of log h_j at the saddle r_tau.
 
-    Error is O(s^-2) uniformly in j as long as r_tau stays away from 0.
+    Error is O(s^-2) uniformly in j as long as r_tau stays away from 0.  A
+    value beyond float64 raises DomainError.
     """
     s = query.s
     r, dq, v, b = [x.item() for x in _laplace_grid(p, (query.tau,))]
@@ -301,7 +309,7 @@ def log_norm_laplace(p, query):
     # log(2 pi r^2 / (s dq)) as a sum of logs: the ratio can underflow to 0
     # (Ginibre scale 1e-100) or overflow while each factor is finite.
     log_ratio = LOG_2PI + 2.0 * math.log(r) - math.log(s) - math.log(dq)
-    return -s * v + 0.5 * log_ratio + math.log1p(corr)
+    return _in_float64(-s * v + 0.5 * log_ratio + math.log1p(corr))
 
 
 @_named(_query_context)
@@ -316,10 +324,13 @@ def log_norm_lowdeg(p, query):
     InvalidPotentialError for MittagLeffler(lam != 1, 0), whose Laplacian
     vanishes or diverges at 0, and a Custom without laplacian_origin.  A
     potential that passes both is a disc: the droplet's inner radius
-    solve_r_tau(p, 0) is 0 whenever ΔQ(0) is finite and positive.
+    solve_r_tau(p, 0) is 0 whenever ΔQ(0) is finite and positive.  A
+    value beyond float64 raises DomainError.
     """
     s = query.s
     q0 = p.q_at_zero()
     dq0 = _laplacian_at(p, 0.0)
-    return -s * q0 - (query.j + 1) * math.log(s * dq0) + ln_factorial(query.j)
-
+    # log(s ΔQ(0)) as a sum of logs: the product can overflow (TU(1, 1e-152)
+    # at s = 1e6) while each factor is finite.
+    log_s_dq0 = math.log(s) + math.log(dq0)
+    return _in_float64(-s * q0 - (query.j + 1) * log_s_dq0 + ln_factorial(query.j))

@@ -12,17 +12,15 @@ products over degrees into Barnes G factors.
 
 import math
 
-from .droplet import Droplet, _given, droplet_of
+from .droplet import _droplet
 from .equilibrium import EquilibriumReport
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _named
 from .potential import (
     MittagLeffler,
     TruncatedUnitary,
     _EPS,
     _check_ensemble,
     _check_n,
-    _check_nonnegative,
-    _check_positive,
 )
 from .specialfn import LOG_2PI, ln_barnes_g, ln_factorial, ln_gamma
 
@@ -73,8 +71,8 @@ def ml_log_z(lam, c, n, ensemble="normal"):
     rounding of lam = fl(1/p) or fl(2/p).  c = 0 is allowed and reproduces
     the pure power case.
     """
-    lam = _check_positive("lam", lam)
-    c = _check_nonnegative("c", c)
+    ml = MittagLeffler(lam, c)
+    lam, c = ml.lam, ml.c
     n = _check_n(n)
     k = _check_ensemble(ensemble)
     p = _as_int(k / lam, f"{k}/lam")
@@ -89,14 +87,26 @@ def ml_log_z(lam, c, n, ensemble="normal"):
     return math.fsum(terms)
 
 
+@_named()
+def _report(p, kind, what, functionals):
+    """The EquilibriumReport of the closed-form functionals (energy,
+    entropy, log_potential_origin, f_term) of family potential p, whose
+    droplet is droplet_of(p), held to kind (droplet._droplet).  The droplet
+    is read only where all four functionals are finite, so the caller's
+    _finite raises its DomainError first; a droplet error names p."""
+    finite = all(math.isfinite(v) for v in functionals)
+    return EquilibriumReport(*functionals, _droplet(p, kind=kind, what=what) if finite else None)
+
+
 @_finite
 def ml_equilibrium(lam, c):
     """Closed-form equilibrium report for the power-log family (c > 0).
 
-    The radii r_tau(0) and r_tau(1) are MittagLeffler(lam, c).r_tau, the
-    closed form that droplet_of uses, held to the one disc rule
-    (droplet._given): where r0 underflows to 0.0 or rounds to r1,
-    DomainError."""
+    The droplet is droplet_of(MittagLeffler(lam, c)), whose radii are the
+    family's closed form r_tau at tau = 0 and 1, so the report raises where
+    droplet_of does (r0 rounds to r1: zero width), and DomainError where
+    droplet_of finds a disc (r0 underflows to 0.0).  A functional beyond
+    float64 raises DomainError first (_report)."""
     p = MittagLeffler(lam, c)
     lam, c = p.lam, p.c
     if c == 0.0:
@@ -116,20 +126,14 @@ def ml_equilibrium(lam, c):
     )
     u_0 = (1.0 - c * log_ratio) / (2.0 * lam) - log_r1_arg / (2.0 * lam)
     f_term = log_ratio / 12.0 * ((lam - 1.0) ** 2 / lam - 1.0)
-    return EquilibriumReport(
-        energy=i_q,
-        entropy=e_q,
-        log_potential_origin=u_0,
-        f_term=f_term,
-        droplet=_given(Droplet(r0=p.r_tau(0.0), r1=p.r_tau(1.0), kind="annulus")),
-    )
+    return _report(p, "annulus", "ml_equilibrium", (i_q, e_q, u_0, f_term))
 
 
 @_finite
 def tu_log_z(alpha, R, n, ensemble="normal"):
     """log Z_n for the hard-wall family, via Barnes G."""
-    alpha = _check_positive("alpha", alpha)
-    R = _check_positive("R", R)
+    p = TruncatedUnitary(alpha, R)
+    alpha, R = p.alpha, p.R
     n = _check_n(n)
     k = _check_ensemble(ensemble)
     log_beta = 2.0 * math.log(R) + math.log1p(alpha)
@@ -155,21 +159,12 @@ def tu_equilibrium(alpha, R):
     radius r_1 = sqrt(beta / (1 + alpha)), R up to rounding, from the
     family's one closed form, so the report raises where droplet_of does
     (r_1 underflows to 0, or ΔQ leaves float64 near the droplet).  A
-    functional beyond float64 raises DomainError first."""
-    alpha = _check_positive("alpha", alpha)
-    R = _check_positive("R", R)
+    functional beyond float64 raises DomainError first (_report)."""
+    p = TruncatedUnitary(alpha, R)
+    alpha, R = p.alpha, p.R
     ell = math.log(alpha / (1.0 + alpha))
     i_q = -0.5 * alpha - 0.5 * alpha * (2.0 + alpha) * ell - math.log(R)
     e_q = -2.0 - (1.0 + 2.0 * alpha) * ell - 2.0 * math.log(R)
     u_0 = -math.log(R) - 0.5 * alpha * ell
     f_term = (1.0 / alpha + 5.0 * ell) / 12.0
-    # Where a functional is not finite, _finite raises before droplet_of can.
-    finite = all(math.isfinite(v) for v in (i_q, e_q, u_0, f_term))
-    droplet = droplet_of(TruncatedUnitary(alpha, R)) if finite else None
-    return EquilibriumReport(
-        energy=i_q,
-        entropy=e_q,
-        log_potential_origin=u_0,
-        f_term=f_term,
-        droplet=droplet,
-    )
+    return _report(p, "disc", "tu_equilibrium", (i_q, e_q, u_0, f_term))

@@ -15,6 +15,7 @@ from coulombgas.cli import main
 from coulombgas.errors import IntegrationError, SolverError
 from coulombgas.norms import NormQuery, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_log_z
+from coulombgas.partition import ConvergenceRow, ConvergenceTable
 from coulombgas.potential import MittagLeffler, TruncatedUnitary
 from coulombgas.quadrature import integrate
 
@@ -782,6 +783,43 @@ def test_converge_json_rows_equal_the_csv_rows(capsys):
     assert doc["rows"] == csv_rows
     assert lines[-1] == f"# fitted_exponent={doc['fitted_exponent']!r} r2={doc['r2']!r}"
     assert doc["underflow"] is False
+
+
+def test_converge_json_prints_a_skipped_fit_as_null(capsys, monkeypatch):
+    # Residuals under 1e-12 skip the fit: NaN exponent and r2, which JSON
+    # has no number for.
+    row = ConvergenceRow(n=10, log_z_exact=-1.5, log_z_asymptotic=-1.5, residual=0.0)
+    table = ConvergenceTable(rows=(row,), fitted_exponent=math.nan, fit_r2=math.nan,
+                             underflow=True)
+    monkeypatch.setattr(cli, "convergence_study", lambda *args, **kwargs: table)
+    assert main(["converge", "--potential", "ginibre", "--Ns", "10", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fitted_exponent"] is None and doc["r2"] is None
+    assert doc["underflow"] is True
+    assert doc["rows"] == [{"N": 10, "log_z_exact": -1.5, "log_z_asymptotic": -1.5,
+                            "residual": 0.0}]
+
+
+def test_lowdeg_norm_where_n_times_the_origin_laplacian_overflows(capsys):
+    # ΔQ(0) = 5e303 of TU(1, 1e-152) is finite, n ΔQ(0) at n = 10^6 is not.
+    argv = ["norm", "--method", "lowdeg", "--potential", "tu", "--alpha", "1", "--R", "1e-152",
+            "--N", "1000000", "--j", "0"]
+    out, err, rc = _run(argv, capsys)
+    want = log_norm_lowdeg(TruncatedUnitary(1.0, 1e-152), NormQuery(10**6, 0))
+    assert (rc, err) == (0, "") and float(out) == want
+    assert abs(want + 713.1) < 0.05
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_laplace_norm_beyond_float64_exits_3(capsys, fmt):
+    # log h_j of ML(1, 1e300) at n = 10^6 is about -6.9e308: an error, not
+    # inf (JSON null).
+    argv = ["norm", "--method", "laplace", "--potential", "ml", "--lambda", "1", "--c", "1e300",
+            "--N", "1000000", "--j", "500000", "--format", fmt]
+    out, err, rc = _run(argv, capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ml(lam=1.0, c=1e+300), n=1000000, j=500000, ensemble=normal: ")
+    assert "is not finite in float64" in err
 
 
 @pytest.mark.parametrize("error", [IntegrationError, SolverError])

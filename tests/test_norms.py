@@ -178,6 +178,36 @@ def test_disc_only_methods_reject_annulus():
         log_norm_lowdeg(p, q)
 
 
+# The factorial form where s ΔQ(0) overflows float64 and ΔQ(0) does not,
+# against its closed sum -(j + 1) log(s ΔQ(0)) + log j! (q(0) = 0) in 40
+# digits.  log s and log ΔQ(0) are each within an ulp, their sum, its
+# product by j + 1 and the last sum each round by half an ulp, and log j!
+# is within 4 ulp: 4 eps ((j + 1)(log s + |log ΔQ(0)|) + log j!) bounds it.
+@pytest.mark.parametrize("j", [0, 3])
+@pytest.mark.parametrize("p", [TruncatedUnitary(1.0, 1e-152), Ginibre(1e-153), Ginibre(1e-152)],
+                         ids=lambda p: p.name)
+def test_lowdeg_where_s_times_the_origin_laplacian_overflows(p, j):
+    q = NormQuery(10**6, j)
+    dq0 = p.laplacian_at_zero()
+    assert q.s * dq0 == math.inf
+    want = -(j + 1) * mpmath.log(q.s * mpmath.mpf(dq0)) + mpmath.loggamma(j + 1)
+    got = log_norm_lowdeg(p, q)
+    terms = (j + 1) * (math.log(q.s) + abs(math.log(dq0))) + math.lgamma(j + 1.0)
+    bound = 4.0 * mp_reference.EPS * terms
+    assert abs(float(got - want)) <= bound, (got, want)
+
+
+def test_laplace_norm_beyond_float64_raises():
+    # log h_j of ML(1, 1e300) at j = n/2 grows like n: 6.9e305 at n = 1000,
+    # so ~6.9e308 at n = 10^6, past the float64 maximum.  That is an error
+    # naming the norm, not inf.
+    p = MittagLeffler(1.0, 1e300)
+    assert log_norm_laplace(p, NormQuery(1000, 500)) == 6.897755278982138e305
+    with pytest.raises(DomainError, match=r"^ml\(lam=1.0, c=1e\+300\), n=1000000, j=500000, "
+                                          r"ensemble=normal: log h_j = inf is not finite"):
+        log_norm_laplace(p, NormQuery(10**6, 5 * 10**5))
+
+
 def test_norm_sequence_smoothness():
     # log h_j + (j+1) log s should vary smoothly in j away from the low end
     p = MittagLeffler(1.0, 1.0)

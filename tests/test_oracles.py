@@ -95,15 +95,20 @@ def test_ml_equilibrium_requires_annulus():
 
 
 def test_ml_equilibrium_droplet_keeps_the_disc_rule():
-    # r0 and r1 round to one float, so droplet_of finds no droplet; the
-    # report used to carry it and fail only in expansion_terms.
+    # The report's droplet is droplet_of's, so it raises what droplet_of
+    # raises, as tu_equilibrium does.  r0 and r1 round to one float, so
+    # droplet_of finds no droplet; the report used to carry it and fail only
+    # in expansion_terms.
     with pytest.raises(InvalidPotentialError, match="zero-width droplet"):
         droplet_of(MittagLeffler(1.0, 1e17))
-    with pytest.raises(DomainError, match="breaks the droplet rule"):
+    with pytest.raises(InvalidPotentialError,
+                       match=r"^ml\(lam=1.0, c=1e\+17\): zero-width droplet"):
         ml_equilibrium(1.0, 1e17)
-    # r0 underflows to 0.0, which droplet_of calls a disc.
+    # r0 underflows to 0.0, which droplet_of calls a disc: the annulus
+    # guard's DomainError, naming the potential.
     assert droplet_of(MittagLeffler(0.1, 1e-300)).kind == "disc"
-    with pytest.raises(DomainError, match="breaks the droplet rule"):
+    with pytest.raises(DomainError, match=r"^ml\(lam=0.1, c=1e-300\): ml_equilibrium requires an "
+                                          "annular droplet"):
         ml_equilibrium(0.1, 1e-300)
 
 

@@ -29,6 +29,7 @@ from coulombgas.potential import (
     Ginibre,
     MittagLeffler,
     TruncatedUnitary,
+    _Dilated,
     dilate,
     v_tau,
 )
@@ -127,12 +128,22 @@ def test_log_z_exact_custom_golden_bits(p, n, ensemble, want, ref):
     _assert_golden(p, n, ensemble, want, ref)
 
 
+# The profile of ML(1/3, 0.7) without derivs, read on circles.
+_CIRCLE_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="circle-ml-third")
+
+
 def _squared(p):
     """Q(rho) = 2 q(sqrt(rho)) of the family p, as a Custom with its analytic
     derivatives: with rho = r^2, the symplectic norm of degree 2j + 1 of q at
     s = 2n is half the normal norm of degree j of Q at s = n, so the
     symplectic log Z_n of q is the normal log Z_n of Q.  A hard wall at
-    sqrt(beta) maps to one at beta."""
+    sqrt(beta) maps to one at beta, and a dilation by a to one by a^2.  Of
+    _CIRCLE_ML it is a Custom read on circles too."""
+    if isinstance(p, _Dilated):  # q(r / a): Q(rho / a^2)
+        return dilate(_squared(p._base), p._a * p._a)
+    if p is _CIRCLE_ML:  # Q = 2 rho^(1/3) - 1.4 log rho
+        return Custom(lambda x: 2.0 * x ** (1 / 3) - 1.4 * np.log(x),
+                      name="squared-circle-ml-third")
     if isinstance(p, MittagLeffler):  # Q = 2 rho^lam - 2c log rho
         lam, c = p.lam, p.c
         return Custom(lambda x: 2.0 * x**lam - 2.0 * c * np.log(x), derivs=(
@@ -160,7 +171,8 @@ def _squared(p):
 @pytest.mark.parametrize(
     "p",
     [MittagLeffler(1.0, 1.0), MittagLeffler(1.0 / 3.0, 1.1), MittagLeffler(2.0, 0.7),
-     TruncatedUnitary(1.0, 1.0), TruncatedUnitary(2.0, 1.5), Ginibre()],
+     TruncatedUnitary(1.0, 1.0), TruncatedUnitary(2.0, 1.5), Ginibre(),
+     dilate(MittagLeffler(0.5, 1.3), 0.9), dilate(MittagLeffler(0.5, 1.3), 1.7), _CIRCLE_ML],
     ids=lambda p: p.name,
 )
 def test_symplectic_log_z_is_the_normal_log_z_of_the_squared_profile(p, n):
@@ -174,10 +186,6 @@ def test_symplectic_log_z_is_the_normal_log_z_of_the_squared_profile(p, n):
              + mp_reference.route_bound(sq, n, "normal", normal))
     got, want = log_z_exact(p, n, "symplectic"), log_z_exact(sq, n, "normal")
     assert abs(got - want) <= bound, (got, want, bound)
-
-
-# The profile of ML(1/3, 0.7) without derivs, read on circles.
-_CIRCLE_ML = Custom(lambda r: r ** (2.0 / 3.0) - 1.4 * np.log(r), name="circle-ml-third")
 
 
 @pytest.mark.parametrize(

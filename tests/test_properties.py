@@ -28,7 +28,7 @@ from coulombgas.equilibrium import (
     zw_coefficients,
 )
 from coulombgas.errors import CoulombGasError, IntegrationError
-from coulombgas.norms import _REL_TOL, NormQuery, log_norm_laplace
+from coulombgas.norms import _REL_TOL, NormQuery, log_norm_laplace, log_norm_lowdeg
 from coulombgas.oracles import ml_equilibrium, tu_equilibrium
 from coulombgas.partition import expansion_terms, log_z_exact
 from coulombgas.potential import Custom, Ginibre, MittagLeffler, TruncatedUnitary, dilate
@@ -269,6 +269,12 @@ _EXTREME_CALLS = {
     "f_annulus": f_annulus,
     "expansion_terms": lambda p: expansion_terms(p, "symplectic").evaluate(4),
     "log_norm_laplace": lambda p: log_norm_laplace(p, NormQuery(4, 3, "symplectic")),
+    "log_norm_lowdeg": lambda p: log_norm_lowdeg(p, NormQuery(4, 3, "symplectic")),
+    # A lone norm at n = 10^6: s ΔQ(0) overflowed where ΔQ(0) did not
+    # (lowdeg at Ginibre scale or TU R ~1e-153, the drawn test's example),
+    # and the Laplace value left float64 as inf (ML c = 1e300).
+    "log_norm_lowdeg n=1e6": lambda p: log_norm_lowdeg(p, NormQuery(10**6, 0)),
+    "log_norm_laplace n=1e6": lambda p: log_norm_laplace(p, NormQuery(10**6, 5 * 10**5)),
 }
 
 
@@ -290,10 +296,13 @@ def test_extreme_family_parameters_give_a_value_or_a_package_error(slot, value):
 # The same probe over the decimal exponent, every slot at each drawn value.
 # The fixed decades jump from 1e100 to 1e160, and so missed r1^2 of
 # dilate(ML(1/2, 1), a) overflowing for a in [3.7e153, 1e154], which raised a
-# bare OverflowError from equilibrium_report and expansion_terms.
+# bare OverflowError from equilibrium_report and expansion_terms, and the
+# scales ~7.5e-155 ... 7.5e-152 of Ginibre and TU's R, where ΔQ(0) is finite
+# and 10^6 ΔQ(0) is not, which gave log_norm_lowdeg -inf.
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(exponent=st.integers(-300, 300), mantissa=st.floats(1.0, 10.0, exclude_max=True))
 @example(exponent=153, mantissa=3.7)
+@example(exponent=-153, mantissa=1.0)
 def test_drawn_exponents_give_a_value_or_a_package_error(exponent, mantissa):
     value = mantissa * 10.0**exponent
     for slot in _EXTREME_SLOTS:
@@ -301,9 +310,9 @@ def test_drawn_exponents_give_a_value_or_a_package_error(exponent, mantissa):
 
 
 def test_ml_equilibrium_droplet_is_droplet_of_over_the_float64_range():
-    # Both read the closed form ((tau + c) / lam)^(1 / (2 lam)) and hold it
-    # to the one disc rule, so wherever both return, the droplets agree bit
-    # for bit.
+    # ml_equilibrium takes its droplet from droplet_of, whose radii are the
+    # closed form ((tau + c) / lam)^(1 / (2 lam)), so wherever both return,
+    # the droplets agree bit for bit.
     both = 0
     for lam, c in [(v, 1.0) for v in _EXTREME_VALUES] + [(1.0, v) for v in _EXTREME_VALUES]:
         try:
